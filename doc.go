@@ -16,8 +16,9 @@
 // sync with the parser in both directions.
 //
 // Execution is observable end to end: every query reports engine.Stats,
-// EXPLAIN ANALYZE renders those observed counters next to the plan's
-// estimates, and internal/obs exposes process-global metrics for every
+// EXPLAIN renders the physical plan the executor runs (one value, built
+// once per query — docs/EXECUTION.md), EXPLAIN ANALYZE adds the observed
+// counters, and internal/obs exposes process-global metrics for every
 // layer (see docs/OBSERVABILITY.md; wire and file formats are specified
 // in docs/FORMATS.md).
 //

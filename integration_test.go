@@ -18,9 +18,9 @@ import (
 )
 
 // TestEndToEndLifecycle drives the full system the way a deployment
-// would: streaming ingestion → page store → compaction → indexed file on
-// disk → lazy reopen → queries in every execution mode, checked against
-// a scan-based reference.
+// would: streaming ingestion → page store → compaction → file on disk →
+// reopen → queries in every execution mode, checked against a
+// scan-based reference.
 func TestEndToEndLifecycle(t *testing.T) {
 	d, err := dataset.Generate("Gas", 30_000, 99)
 	if err != nil {
@@ -55,17 +55,12 @@ func TestEndToEndLifecycle(t *testing.T) {
 		t.Fatalf("pages after compaction = %d", len(ser.Pages))
 	}
 
-	// 3. Persist with the lazy index, reopen, load on demand.
+	// 3. Persist, reopen.
 	path := filepath.Join(t.TempDir(), "gas.etsqp")
-	if err := st.WriteIndexedFile(path); err != nil {
+	if err := st.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	lf, err := storage.OpenLazy(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lf.Close()
-	st2, err := lf.LoadStore()
+	st2, err := storage.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +76,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 	}
 	for _, mode := range []engine.Mode{
 		engine.ModeETSQP, engine.ModeETSQPPrune, engine.ModeSerial, engine.ModeSBoost,
+		engine.ModeFastLanes,
 	} {
 		e := engine.New(st2, mode)
 		res, err := e.ExecuteSQL(fmt.Sprintf(

@@ -236,87 +236,32 @@ func needsBoundaries(items []sqlparse.SelectItem) bool {
 	return false
 }
 
-// executeAgg runs aggregation items over one series (Q1-Q3 shapes).
-func (e *Engine) executeAgg(q *sqlparse.Query, series string, preds []sqlparse.Pred, tr *Trace) (*Result, error) {
-	for _, it := range q.Items {
-		if it.Agg == sqlparse.AggNone {
-			return nil, fmt.Errorf("engine: non-aggregate item in aggregation query")
-		}
-		if it.Col.IsTime() {
-			return nil, fmt.Errorf("engine: aggregates over TIME are not supported")
-		}
-	}
-	needFL := needsBoundaries(q.Items)
-	if needFL && len(valuePreds(preds)) > 0 {
-		return nil, fmt.Errorf("engine: FIRST/LAST with value predicates is not supported")
-	}
-	if q.Window != nil && len(q.Items) > 1 {
-		return nil, fmt.Errorf("engine: sliding-window queries take a single aggregate item")
-	}
-	ser, ok := e.Store.Series(series)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown series %q", series)
-	}
-	t1, t2 := timeRange(preds)
-	vp := valuePreds(preds)
-	c1, c2 := valueRange(vp)
+// executeAgg runs an aggregate or window plan (Q1-Q3 shapes): the
+// planned jobs go to the pool as one morsel batch, then the merge node
+// folds the per-participant partials.
+func (e *Engine) executeAgg(p *plan, tr *Trace) (*Result, error) {
 	col := newCollector(tr)
+	col.pagesTotal.Add(int64(p.pagesTotal))
+	col.pagesPruned.Add(int64(p.pagesPruned))
+	col.tuplesLoaded.Add(p.prunedTuples)
+	col.pruneNanos.Add(p.pruneNs)
 
-	// Page relevance by time (binary-searched index, all modes) and value
-	// statistics (ETSQP-prune only). Timed as the trace's prune stage.
-	var loaded []storage.PagePair
-	pruneStart := time.Now()
-	for _, pp := range ser.PagesInRange(t1, t2) {
-		col.pagesTotal.Add(1)
-		if e.Mode == ModeETSQPPrune && len(vp) > 0 &&
-			prune.SkipPageByValue(pp.Value.Header, c1, c2) {
-			col.pagesPruned.Add(1)
-			col.tuplesLoaded.Add(int64(pp.Count()))
-			continue
-		}
-		loaded = append(loaded, pp)
-	}
-	col.pruneNanos.Add(int64(time.Since(pruneStart)))
-
-	var windows []expr.Window
-	if q.Window != nil {
-		var err error
-		windows, err = windowInstances(q.Window, ser, t1, t2)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	jobs := e.jobsFor(loaded)
-	slices := make([]pipeline.Slice, 0, len(loaded))
-	for _, js := range jobs {
-		slices = append(slices, js...)
-	}
-	// fusible: the aggregate set can run on encoded form in this mode;
-	// whether a particular slice actually fuses also depends on its page
-	// statistics versus the value predicates (see aggSlice).
-	fusible := !needsValues(q.Items) && e.Mode != ModeSerial &&
-		e.Mode != ModeSBoost && e.Mode != ModeFastLanes
 	// Per-slot partials: Worker.Slot is assigned exactly once per batch,
 	// so each participant folds into its own cell with no mutex; the
 	// merge node runs sequentially after the batch completes (Run's
 	// return establishes the happens-before for the slot-local writes).
-	par := e.workers()
+	par := p.workers
+	nw := len(p.windows)
 	locals := make([]partialAgg, par)
-	winLocal := make([]partialAgg, par*len(windows))
-	nw := len(windows)
-	err := e.pool().RunWith(&col.execStats, len(slices), par, func(w *exec.Worker, i int) error {
-		var lw []partialAgg
-		if nw > 0 {
-			lw = winLocal[w.Slot*nw : (w.Slot+1)*nw]
-		}
-		return e.aggSlice(series, slices[i], t1, t2, vp, c1, c2, fusible, needFL, windows, &locals[w.Slot], lw, col, w.Arena)
+	winLocal := make([]partialAgg, par*nw)
+	err := e.pool().RunWith(&col.execStats, len(p.slices), par, func(w *exec.Worker, i int) error {
+		return e.aggSlice(p, i, &locals[w.Slot], winLocal[w.Slot*nw:(w.Slot+1)*nw], col, w.Arena)
 	})
 	if err != nil {
 		return nil, err
 	}
 	global := &partialAgg{}
-	winAgg := make([]partialAgg, len(windows))
+	winAgg := make([]partialAgg, nw)
 	for s := range locals {
 		global.merge(&locals[s])
 	}
@@ -327,10 +272,10 @@ func (e *Engine) executeAgg(q *sqlparse.Query, series string, preds []sqlparse.P
 	}
 
 	res := &Result{Stats: col.finish()}
-	if q.Window != nil {
-		agg := q.Items[0].Agg
-		res.Windows = make([]WindowAgg, len(windows))
-		for i, w := range windows {
+	if p.q.Window != nil {
+		agg := p.q.Items[0].Agg
+		res.Windows = make([]WindowAgg, nw)
+		for i, w := range p.windows {
 			v, err := winAgg[i].final(agg)
 			if err != nil {
 				if winAgg[i].overflow {
@@ -342,8 +287,8 @@ func (e *Engine) executeAgg(q *sqlparse.Query, series string, preds []sqlparse.P
 		}
 		return res, nil
 	}
-	res.Aggregates = make(map[string]float64, len(q.Items))
-	for _, it := range q.Items {
+	res.Aggregates = make(map[string]float64, len(p.q.Items))
+	for _, it := range p.q.Items {
 		v, err := global.final(it.Agg)
 		if err != nil {
 			return nil, err
@@ -371,69 +316,22 @@ func windowInstances(w *sqlparse.Window, ser *storage.Series, t1, t2 int64) ([]e
 	return expr.SlidingWindowsHop(anchor, w.DT, w.Hop(), seriesEnd)
 }
 
-// valueRange extracts conjunctive bounds [c1, c2] from value predicates
-// for statistics-based pruning; predicates that are not range-shaped
-// leave the bounds open.
-func valueRange(vp []sqlparse.Pred) (c1, c2 int64) {
-	c1, c2 = -(1 << 62), 1<<62
-	for _, p := range vp {
-		switch p.Op {
-		case opGT:
-			if p.Value+1 > c1 {
-				c1 = p.Value + 1
-			}
-		case opGE:
-			if p.Value > c1 {
-				c1 = p.Value
-			}
-		case opLT:
-			if p.Value-1 < c2 {
-				c2 = p.Value - 1
-			}
-		case opLE:
-			if p.Value < c2 {
-				c2 = p.Value
-			}
-		case opEQ:
-			if p.Value > c1 {
-				c1 = p.Value
-			}
-			if p.Value < c2 {
-				c2 = p.Value
-			}
-		}
-	}
-	return c1, c2
-}
-
-// aggSlice processes one pipeline job: find the time-valid row range,
-// then aggregate values over it (fused or decoded). arena is the
-// executing participant's scratch space (nil falls back to allocating).
-func (e *Engine) aggSlice(ser string, sl pipeline.Slice, t1, t2 int64, vp []sqlparse.Pred, c1, c2 int64,
-	fusible, needFL bool, windows []expr.Window, local *partialAgg, localWin []partialAgg,
+// aggSlice runs job i of an aggregate plan along its planned outcome:
+// find the time-valid row range, then aggregate values over it. arena
+// is the executing participant's scratch space.
+func (e *Engine) aggSlice(p *plan, i int, local *partialAgg, localWin []partialAgg,
 	col *statsCollector, arena *exec.Arena) error {
+	sl, out := p.slices[i], p.outcomes[i]
+	ser := p.series[0]
 	col.slicesRun.Add(1)
 	col.tuplesLoaded.Add(int64(sl.Rows()))
 	obs.EngineHistSliceRows.Observe(int64(sl.Rows()))
-
-	fused := fusible && len(vp) == 0
-	if !fused && fusible && rangeOnly(vp) &&
-		prune.AllValuesInRange(sl.Pair.Value.Header, c1, c2) {
-		// The page's min/max statistics prove every row satisfies the
-		// range filter, so the predicate is vacuous here and the fused
-		// no-materialization path stays available despite it (the
-		// Section V statistics reused to keep Section IV fusion on).
-		fused = true
-		if sl.StartRow == 0 {
-			obs.PrunePagesVacuous.Inc()
-		}
-	}
 
 	// Per-slice trace event: row window, fusion decision, and the
 	// Proposition 1 n_v the decode plan picks for this page's packing
 	// width. Tracing off is a single nil check.
 	if col.trace != nil {
-		ev := SliceEvent{StartRow: sl.StartRow, EndRow: sl.EndRow, Rows: sl.Rows(), Fused: fused}
+		ev := SliceEvent{StartRow: sl.StartRow, EndRow: sl.EndRow, Rows: sl.Rows(), Fused: out >= outFused}
 		if blk, berr := pageBlock(sl.Pair.Value); berr == nil && blk != nil {
 			ev.Width = blk.Width
 			ev.Nv = pipeline.ChooseNv(blk.Width, 32)
@@ -445,21 +343,30 @@ func (e *Engine) aggSlice(ser string, sl pipeline.Slice, t1, t2 int64, vp []sqlp
 		}()
 	}
 
+	// Statistics-level answer: the plan proved the whole page lies in
+	// the time range and its header sum is valid, so neither column's
+	// payload is touched.
+	if out == outHeader {
+		local.addSum(sl.Pair.Value.Header.SumValue, int64(sl.Rows()))
+		col.statAnswered.Add(1)
+		return nil
+	}
+
 	// Resolve the time-valid row range [lo, hi) within the slice.
 	lo, hi := sl.StartRow, sl.EndRow
 	var ts []int64 // decoded timestamps, when needed
-	if interval, ok := e.constantIntervalOf(sl.Pair.Time); ok {
+	if interval, ok := p.constantIntervalOf(sl.Pair.Time); ok {
 		// Proposition 4 constant-interval special case: positions come
 		// from arithmetic, no timestamp decoding at all.
 		first := sl.Pair.Time.Header.StartTime
-		plo, phi := prune.PositionsForConstantInterval(first, interval, sl.Pair.Count(), t1, t2)
+		plo, phi := prune.PositionsForConstantInterval(first, interval, sl.Pair.Count(), p.t1, p.t2)
 		if plo > lo {
 			lo = plo
 		}
 		if phi < hi {
 			hi = phi
 		}
-	} else if rlo, rhi, ok, err := e.timeBoundsPruned(sl, t1, t2, windows, col, arena); ok || err != nil {
+	} else if rlo, rhi, ok, err := e.timeBoundsPruned(p, sl, col, arena); ok || err != nil {
 		// Proposition 4: the time column scan stopped as soon as the
 		// sorted timestamps passed t2 — the tail was never decoded.
 		if err != nil {
@@ -472,35 +379,25 @@ func (e *Engine) aggSlice(ser string, sl pipeline.Slice, t1, t2 int64, vp []sqlp
 		if err != nil {
 			return err
 		}
-		rlo, rhi := expr.TimeRangeBounds(ts, t1, t2)
+		rlo, rhi := expr.TimeRangeBounds(ts, p.t1, p.t2)
 		lo, hi = sl.StartRow+rlo, sl.StartRow+rhi
 	}
 	if lo >= hi {
 		return nil
 	}
 
-	if len(windows) > 0 {
-		return e.aggWindows(ser, sl, lo, hi, ts, vp, c1, c2, fused, needFL, windows, localWin, col, arena)
+	if len(p.windows) > 0 {
+		return e.aggWindows(p, sl, out == outFused, lo, hi, ts, localWin, col, arena)
 	}
 
-	if needFL {
-		if err := e.addBoundaries(ser, sl, lo, hi, ts, local, col); err != nil {
+	if p.needFL {
+		if err := e.addBoundaries(p, sl, lo, hi, ts, local, col); err != nil {
 			return err
 		}
 	}
 
-	// Statistics-level answer: a fully-covered page with a valid header
-	// sum needs no payload access at all.
-	if fused && e.UseHeaderStats && !needFL &&
-		sl.StartRow == 0 && sl.EndRow == sl.Pair.Count() &&
-		lo == sl.StartRow && hi == sl.EndRow && sl.Pair.Value.Header.SumValid {
-		local.addSum(sl.Pair.Value.Header.SumValue, int64(hi-lo))
-		col.statAnswered.Add(1)
-		return nil
-	}
-
 	// Fused SUM/COUNT path: no value materialization (Section IV).
-	if fused {
+	if out == outFused {
 		return timed(&col.aggNanos, func() error {
 			sum, count, ok, err := e.fusedSumRange(sl.Pair.Value, lo, hi, col)
 			if err != nil {
@@ -524,26 +421,19 @@ func (e *Engine) aggSlice(ser string, sl pipeline.Slice, t1, t2 int64, vp []sqlp
 	}
 
 	// General path: decode values (chunked when pruning), filter, fold.
-	return e.aggDecodedRange(ser, sl, lo, hi, vp, c1, c2, local, col, arena)
-}
-
-// arenaInt64 borrows scratch from the participant's arena, falling back
-// to an allocation on the arena-less paths (serial callers, tests).
-func arenaInt64(a *exec.Arena, class, n int) []int64 {
-	if a != nil {
-		return a.Int64(class, n)
-	}
-	return make([]int64, n)
+	return e.aggDecodedRange(p, sl, out == outPrunedScan, lo, hi, local, col, arena)
 }
 
 // timeBoundsPruned resolves the time-valid row range of a slice with a
 // streaming scan that stops once the sorted timestamps pass t2
 // (Proposition 4's early termination on the time filter). It only
-// applies in prune mode over order-1-scannable time pages without
-// windows (windows need the full timestamp column for boundaries).
-func (e *Engine) timeBoundsPruned(sl pipeline.Slice, t1, t2 int64,
-	windows []expr.Window, col *statsCollector, arena *exec.Arena) (lo, hi int, ok bool, err error) {
-	if e.Mode != ModeETSQPPrune || len(windows) > 0 {
+// applies under the prune strategy over order-1-scannable time pages
+// without windows (windows need the full timestamp column for
+// boundaries).
+func (e *Engine) timeBoundsPruned(p *plan, sl pipeline.Slice,
+	col *statsCollector, arena *exec.Arena) (lo, hi int, ok bool, err error) {
+	t1, t2 := p.t1, p.t2
+	if !p.strat.prune || len(p.windows) > 0 {
 		return 0, 0, false, nil
 	}
 	if sl.Pair.Time.Header.EndTime <= t2 {
@@ -563,7 +453,7 @@ func (e *Engine) timeBoundsPruned(sl pipeline.Slice, t1, t2 int64,
 		return 0, 0, true, cerr
 	}
 	lo, hi = -1, sl.StartRow
-	buf := arenaInt64(arena, exec.ClassPrune, pruneChunk)
+	buf := arena.Int64(exec.ClassPrune, pruneChunk)
 	err = timed(&col.decodeNanos, func() error {
 		for scanner.Row() < sl.EndRow {
 			want := sl.EndRow - scanner.Row()
@@ -645,28 +535,27 @@ func (e *Engine) fusedSumRange(p *storage.Page, lo, hi int, col *statsCollector)
 }
 
 // aggDecodedRange decodes rows [lo, hi), applies value predicates, and
-// folds into the partial aggregate. In prune mode the decode streams in
-// chunks through a RangeScanner with Proposition 5 stop checks between
-// them; otherwise a single range decode covers the rows.
-func (e *Engine) aggDecodedRange(ser string, sl pipeline.Slice, lo, hi int, vp []sqlparse.Pred,
-	c1, c2 int64, local *partialAgg, col *statsCollector, arena *exec.Arena) error {
-	usePrune := e.Mode == ModeETSQPPrune && len(vp) > 0
-	if usePrune {
+// folds into the partial aggregate. A planned pruned scan streams the
+// decode in chunks through a RangeScanner with Proposition 5 stop checks
+// between them; otherwise a single range decode covers the rows.
+func (e *Engine) aggDecodedRange(p *plan, sl pipeline.Slice, prunedScan bool, lo, hi int,
+	local *partialAgg, col *statsCollector, arena *exec.Arena) error {
+	if prunedScan {
 		if blk, err := pageBlock(sl.Pair.Value); err == nil && blk != nil {
 			col.pagesRead.Add(1)
 			col.bytesScanned.Add(int64(len(sl.Pair.Value.Data)))
-			if done, err := e.aggPrunedScan(sl, blk, lo, hi, vp, c1, c2, local, col, arena); done || err != nil {
+			if done, err := e.aggPrunedScan(p, sl, blk, lo, hi, local, col, arena); done || err != nil {
 				return err
 			}
 		}
 	}
-	vals, err := e.decodeColumnRange(ser, sl.Pair.Value, lo, hi, col)
+	vals, err := e.decodeColumnRange(p.series[0], sl.Pair.Value, lo, hi, col)
 	if err != nil {
 		return err
 	}
 	col.valuesDecoded.Add(int64(len(vals)))
 	return timed(&col.aggNanos, func() error {
-		foldValues(vals, vp, c1, c2, local)
+		p.foldValues(vals, local)
 		return nil
 	})
 }
@@ -674,8 +563,8 @@ func (e *Engine) aggDecodedRange(ser string, sl pipeline.Slice, lo, hi int, vp [
 // aggPrunedScan streams the value column through a RangeScanner,
 // stopping as soon as the Proposition 5 bounds show nothing ahead can
 // satisfy the filter. done reports whether the rows were fully handled.
-func (e *Engine) aggPrunedScan(sl pipeline.Slice, blk *ts2diff.Block, lo, hi int,
-	vp []sqlparse.Pred, c1, c2 int64, local *partialAgg, col *statsCollector, arena *exec.Arena) (bool, error) {
+func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, blk *ts2diff.Block, lo, hi int,
+	local *partialAgg, col *statsCollector, arena *exec.Arena) (bool, error) {
 	bounds := prune.BoundsFromBlock(blk)
 	scanner, err := pipeline.NewRangeScanner(blk, lo)
 	if err != nil {
@@ -691,7 +580,7 @@ func (e *Engine) aggPrunedScan(sl pipeline.Slice, blk *ts2diff.Block, lo, hi int
 		}
 	}()
 	n := sl.Pair.Count()
-	buf := arenaInt64(arena, exec.ClassPrune, pruneChunk)
+	buf := arena.Int64(exec.ClassPrune, pruneChunk)
 	for scanner.Row() < hi {
 		want := hi - scanner.Row()
 		if want > pruneChunk {
@@ -712,14 +601,14 @@ func (e *Engine) aggPrunedScan(sl pipeline.Slice, blk *ts2diff.Block, lo, hi int
 		vals := buf[:k]
 		col.valuesDecoded.Add(int64(k))
 		err = timed(&col.aggNanos, func() error {
-			foldValues(vals, vp, c1, c2, local)
+			p.foldValues(vals, local)
 			return nil
 		})
 		if err != nil {
 			return true, err
 		}
 		row := scanner.Row()
-		if row < hi && bounds.StopValue(vals[k-1], row-1, n, c1, c2) {
+		if row < hi && bounds.StopValue(vals[k-1], row-1, n, p.c1, p.c2) {
 			col.rowsPruned.Add(int64(hi - row))
 			break
 		}
@@ -729,14 +618,14 @@ func (e *Engine) aggPrunedScan(sl pipeline.Slice, blk *ts2diff.Block, lo, hi int
 
 // foldValues applies the predicates and accumulates matches, taking the
 // vectorized mask path for pure range predicates.
-func foldValues(vals []int64, vp []sqlparse.Pred, c1, c2 int64, local *partialAgg) {
-	if rangeOnly(vp) {
-		m := expr.RangeMask(vals, c1, c2)
+func (p *plan) foldValues(vals []int64, local *partialAgg) {
+	if p.rangeOnly {
+		m := expr.RangeMask(vals, p.c1, p.c2)
 		expr.MaskedFold(vals, m, local.addValue)
 		return
 	}
 	for _, v := range vals {
-		if predsMatch(vp, v) {
+		if predsMatch(p.vp, v) {
 			local.addValue(v)
 		}
 	}
@@ -768,29 +657,29 @@ func predsMatch(vp []sqlparse.Pred, v int64) bool {
 // addBoundaries decodes only the first and last valid rows of a slice
 // and folds them into the FIRST/LAST state — the fused-compatible path
 // for boundary aggregates.
-func (e *Engine) addBoundaries(ser string, sl pipeline.Slice, lo, hi int, ts []int64,
-	p *partialAgg, col *statsCollector) error {
-	rowTime := e.rowTimeFunc(sl, ts)
-	fv, err := e.decodeColumnRange(ser, sl.Pair.Value, lo, lo+1, col)
+func (e *Engine) addBoundaries(p *plan, sl pipeline.Slice, lo, hi int, ts []int64,
+	local *partialAgg, col *statsCollector) error {
+	rowTime := p.rowTimeFunc(sl, ts)
+	fv, err := e.decodeColumnRange(p.series[0], sl.Pair.Value, lo, lo+1, col)
 	if err != nil {
 		return err
 	}
-	lv, err := e.decodeColumnRange(ser, sl.Pair.Value, hi-1, hi, col)
+	lv, err := e.decodeColumnRange(p.series[0], sl.Pair.Value, hi-1, hi, col)
 	if err != nil {
 		return err
 	}
-	p.addBoundary(rowTime(lo), fv[0], rowTime(hi-1), lv[0])
+	local.addBoundary(rowTime(lo), fv[0], rowTime(hi-1), lv[0])
 	return nil
 }
 
 // rowTimeFunc maps an absolute row index to its timestamp, from decoded
 // timestamps when available or constant-interval arithmetic otherwise.
-func (e *Engine) rowTimeFunc(sl pipeline.Slice, ts []int64) func(i int) int64 {
+func (p *plan) rowTimeFunc(sl pipeline.Slice, ts []int64) func(i int) int64 {
 	if ts != nil {
 		start := sl.StartRow
 		return func(i int) int64 { return ts[i-start] }
 	}
-	interval, _ := e.constantIntervalOf(sl.Pair.Time)
+	interval, _ := p.constantIntervalOf(sl.Pair.Time)
 	first := sl.Pair.Time.Header.StartTime
 	return func(i int) int64 { return first + int64(i)*interval }
 }
@@ -804,11 +693,10 @@ func (e *Engine) rowTimeFunc(sl pipeline.Slice, ts []int64) func(i int) int64 {
 // the page parse instead of re-scanning per window — the incremental
 // evaluation of Section VI's G_sw. Window boundaries map to rows via
 // the decoded timestamps or constant-interval arithmetic.
-func (e *Engine) aggWindows(ser string, sl pipeline.Slice, lo, hi int, ts []int64,
-	vp []sqlparse.Pred, c1, c2 int64,
-	fused, needFL bool, windows []expr.Window, localWin []partialAgg,
-	col *statsCollector, arena *exec.Arena) error {
-	rowTime := e.rowTimeFunc(sl, ts)
+func (e *Engine) aggWindows(p *plan, sl pipeline.Slice, fused bool, lo, hi int, ts []int64,
+	localWin []partialAgg, col *statsCollector, arena *exec.Arena) error {
+	windows := p.windows
+	rowTime := p.rowTimeFunc(sl, ts)
 	tLo, tHi := rowTime(lo), rowTime(hi-1)
 	// Windows intersecting [tLo, tHi]: starts are sorted, so the
 	// intersecting set is one contiguous index range.
@@ -849,14 +737,14 @@ func (e *Engine) aggWindows(ser string, sl pipeline.Slice, lo, hi int, ts []int6
 	col.windowSegments.Add(int64(nseg))
 	segAt := func(row int) int { return sort.SearchInts(cuts, row) }
 
-	if needFL {
+	if p.needFL {
 		// Boundary rows are per-window by definition; they cost two
 		// single-row decodes each regardless of overlap.
 		for k := 0; k < nw; k++ {
 			if winLo[k] >= winHi[k] {
 				continue
 			}
-			if err := e.addBoundaries(ser, sl, winLo[k], winHi[k], ts, &localWin[wFirst+k], col); err != nil {
+			if err := e.addBoundaries(p, sl, winLo[k], winHi[k], ts, &localWin[wFirst+k], col); err != nil {
 				return err
 			}
 		}
@@ -873,7 +761,7 @@ func (e *Engine) aggWindows(ser string, sl pipeline.Slice, lo, hi int, ts []int6
 	if fused {
 		handled := false
 		err := timed(&col.windowNanos, func() error {
-			sums := arenaInt64(arena, exec.ClassScratch, nseg)
+			sums := arena.Int64(exec.ClassScratch, nseg)
 			ok, err := e.fusedSumSegments(sl.Pair.Value, cuts, sums, col)
 			if err != nil || !ok {
 				return err // !ok falls through to the decoded pass
@@ -894,7 +782,7 @@ func (e *Engine) aggWindows(ser string, sl pipeline.Slice, lo, hi int, ts []int6
 
 	// Decoded pass (also the fused fallback): materialize the covered
 	// rows once, build per-segment partials, merge each window's run.
-	vals, err := e.decodeColumnRange(ser, sl.Pair.Value, cuts[0], cuts[nseg], col)
+	vals, err := e.decodeColumnRange(p.series[0], sl.Pair.Value, cuts[0], cuts[nseg], col)
 	if err != nil {
 		return err
 	}
@@ -902,7 +790,7 @@ func (e *Engine) aggWindows(ser string, sl pipeline.Slice, lo, hi int, ts []int6
 	return timed(&col.windowNanos, func() error {
 		segAgg := make([]partialAgg, nseg)
 		for s := 0; s < nseg; s++ {
-			foldValues(vals[cuts[s]-cuts[0]:cuts[s+1]-cuts[0]], vp, c1, c2, &segAgg[s])
+			p.foldValues(vals[cuts[s]-cuts[0]:cuts[s+1]-cuts[0]], &segAgg[s])
 		}
 		mergeSegs(func(k, s int) {
 			localWin[wFirst+k].merge(&segAgg[s])

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"etsqp/internal/sqlparse"
 )
 
-// AnalyzeInfo pairs a pre-execution plan with the counters an actual run
-// observed — the EXPLAIN ANALYZE result. Plan holds the estimates the
-// planner produced before running; Result.Stats holds what the pipelines
-// actually did, so the two can be compared line by line.
+// AnalyzeInfo pairs a plan with the counters its run observed — the
+// EXPLAIN ANALYZE result. Plan renders the physical plan that was
+// executed; Result.Stats holds what the pipelines did with it, so the
+// two can be compared line by line.
 type AnalyzeInfo struct {
 	Plan    *PlanInfo
 	Result  *Result
@@ -23,7 +21,7 @@ type AnalyzeInfo struct {
 }
 
 // String renders the plan tree with an "analyze:" block of observed
-// counters and per-stage wall time appended under the estimates.
+// counters and per-stage wall time appended under it.
 func (a *AnalyzeInfo) String() string {
 	var b strings.Builder
 	b.WriteString(a.Plan.String())
@@ -68,26 +66,12 @@ func (a *AnalyzeInfo) String() string {
 	return b.String()
 }
 
-// ExplainAnalyze plans a statement, runs it, and returns the plan
+// ExplainAnalyze plans a statement, runs that plan, and returns it
 // annotated with the observed execution statistics and wall time.
 func (e *Engine) ExplainAnalyze(sql string) (*AnalyzeInfo, error) {
-	tr := NewTrace(sql, e.Mode.String(), e.workers())
-	parseStart := time.Now()
-	q, err := sqlparse.Parse(sql)
-	tr.parseNs = int64(time.Since(parseStart))
+	p, res, tr, err := e.traceSQL(sql)
 	if err != nil {
 		return nil, err
 	}
-	planStart := time.Now()
-	plan, err := e.explainQuery(q)
-	tr.planNs = int64(time.Since(planStart))
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, err := e.ExecuteTraced(q, tr)
-	if err != nil {
-		return nil, err
-	}
-	return &AnalyzeInfo{Plan: plan, Result: res, Elapsed: time.Since(start), Trace: tr}, nil
+	return &AnalyzeInfo{Plan: p.info(), Result: res, Elapsed: time.Duration(tr.ElapsedNs), Trace: tr}, nil
 }

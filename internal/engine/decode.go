@@ -52,11 +52,6 @@ func pageBlockData(codec string, data []byte) (*ts2diff.Block, error) {
 	}
 }
 
-// decodeColumn decodes a whole page column according to the engine mode.
-func (e *Engine) decodeColumn(ser string, p *storage.Page, col *statsCollector) ([]int64, error) {
-	return e.decodeColumnRange(ser, p, 0, p.Header.Count, col)
-}
-
 // decodeColumnRange decodes rows [from, to) of a page column, consulting
 // the decoded-page cache first. A hit returns the shared cached slice
 // (or a subslice of it) without touching the payload — no load, no
@@ -90,10 +85,11 @@ func (e *Engine) decodeColumnRange(ser string, p *storage.Page, from, to int, co
 }
 
 // decodeColumnRangeUncached is the decode path proper. Vectorized
-// modes resolve slice prefix dependencies with SumPacked; Serial decodes
-// the whole page and slices (which is what a value-wise decoder must do).
-// A miss necessarily materializes the decoded column, so this is where
-// the hot cursor path is allowed to allocate (amortized by the cache).
+// strategies resolve slice prefix dependencies with SumPacked; a
+// value-wise decoder decodes the whole page and slices (which is what it
+// must do). A miss necessarily materializes the decoded column, so this
+// is where the hot cursor path is allowed to allocate (amortized by the
+// cache).
 //
 //etsqp:coldpath
 func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *statsCollector) (vals []int64, err error) {
@@ -114,63 +110,42 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *s
 		obs.EngineHistPageDecode.Observe(elapsed)
 	}()
 	full := from == 0 && to == p.Header.Count
-	switch e.Mode {
-	case ModeSerial, ModeFastLanes:
+	if e.Mode.strategy().valueWiseDecode {
 		if p.Header.Codec == "fastlanes" && !full {
 			// Block-granular slicing: decode only the FLMM1024 blocks the
 			// range touches (fair thread distribution, Section VII-C).
 			return fastlanes.DecodeRangeBlocks(data, from, to)
 		}
-		c, err := encoding.Lookup(p.Header.Codec)
-		if err != nil {
-			return nil, err
-		}
-		all, err := c.Decode(data)
-		if err != nil {
-			return nil, err
-		}
-		if full {
-			return all, nil
-		}
-		return all[from:to], nil
-	default:
-		var blk *ts2diff.Block
-		switch p.Header.Codec {
-		case "ts2diff", "ts2diff2":
-			blk, err = ts2diff.Unmarshal(data)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if blk == nil {
-			c, err := encoding.Lookup(p.Header.Codec)
-			if err != nil {
-				return nil, err
-			}
-			all, err := c.Decode(data)
-			if err != nil {
-				return nil, err
-			}
-			if full {
-				return all, nil
-			}
-			return all[from:to], nil
-		}
+	} else if blk, err := pageBlockData(p.Header.Codec, data); err != nil {
+		return nil, err
+	} else if blk != nil {
 		if full {
 			return pipeline.DecodeBlock(blk)
 		}
 		return pipeline.DecodeRange(blk, from, to)
 	}
+	c, err := encoding.Lookup(p.Header.Codec)
+	if err != nil {
+		return nil, err
+	}
+	all, err := c.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if full {
+		return all, nil
+	}
+	return all[from:to], nil
 }
 
 // constantIntervalOf reports the page's constant time interval, when its
-// time column is a width-0 order-2 TS2DIFF block. Only vectorized modes
-// exploit it (the Serial and SBoost baselines decode every timestamp).
-func (e *Engine) constantIntervalOf(p *storage.Page) (int64, bool) {
-	if e.Mode == ModeSerial || e.Mode == ModeSBoost || e.Mode == ModeFastLanes {
+// time column is a width-0 order-2 TS2DIFF block and the strategy
+// exploits it (the Serial and SBoost baselines decode every timestamp).
+func (p *plan) constantIntervalOf(page *storage.Page) (int64, bool) {
+	if !p.strat.constInterval {
 		return 0, false
 	}
-	blk, err := pageBlock(p)
+	blk, err := pageBlock(page)
 	if err != nil || blk == nil {
 		return 0, false
 	}
@@ -194,25 +169,24 @@ func deltaRunsOfData(codec string, data []byte) (int64, []encoding.DeltaRun, boo
 	return blk.First, pairs, true
 }
 
-// jobsFor builds the per-worker job lists. ETSQP-family modes deal whole
+// jobsFor builds the pipeline jobs. ETSQP-family strategies deal whole
 // pages when possible (Section III-C); SBoost always slices every page
 // across all workers, paying the per-slice prefix dependency.
-func (e *Engine) jobsFor(pairs []storage.PagePair) [][]pipeline.Slice {
+func (e *Engine) jobsFor(pairs []storage.PagePair) []pipeline.Slice {
 	w := e.workers()
-	if e.ForceSlices > 0 || e.Mode == ModeSBoost {
-		per := e.ForceSlices
-		if per <= 0 {
-			per = w
-		}
-		out := make([][]pipeline.Slice, w)
-		i := 0
+	per := e.ForceSlices
+	if per <= 0 && e.Mode.strategy().sliceEveryPage {
+		per = w
+	}
+	out := make([]pipeline.Slice, 0, len(pairs))
+	if per > 0 {
 		for _, pp := range pairs {
-			for _, sl := range pipeline.SplitPage(pp, per) {
-				out[i%w] = append(out[i%w], sl)
-				i++
-			}
+			out = append(out, pipeline.SplitPage(pp, per)...)
 		}
 		return out
 	}
-	return pipeline.SplitPages(pairs, w)
+	for _, js := range pipeline.SplitPages(pairs, w) {
+		out = append(out, js...)
+	}
+	return out
 }

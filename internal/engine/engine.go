@@ -19,8 +19,6 @@
 package engine
 
 import (
-	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -44,19 +42,10 @@ const (
 
 // String names the mode as the evaluation figures label it.
 func (m Mode) String() string {
-	switch m {
-	case ModeETSQP:
-		return "ETSQP"
-	case ModeETSQPPrune:
-		return "ETSQP-prune"
-	case ModeSerial:
-		return "Serial"
-	case ModeSBoost:
-		return "SBoost"
-	case ModeFastLanes:
-		return "FastLanes"
+	if m < 0 || int(m) >= len(strategies) {
+		return "Unknown"
 	}
-	return "Unknown"
+	return strategies[m].name
 }
 
 // Engine executes queries against a store.
@@ -132,41 +121,28 @@ type Row struct {
 	Values []int64
 }
 
-// timeRange extracts the conjunctive TIME bounds from predicates,
-// defaulting to (-inf, +inf).
-func timeRange(preds []sqlparse.Pred) (t1, t2 int64) {
-	t1, t2 = math.MinInt64+1, math.MaxInt64-1
+// rangeHull intersects [lo, hi] with the range-shaped predicates on the
+// TIME column (onTime) or on value columns (!onTime). != predicates
+// leave the bounds open.
+func rangeHull(preds []sqlparse.Pred, onTime bool, lo, hi int64) (int64, int64) {
 	for _, p := range preds {
-		if !p.Col.IsTime() {
+		if p.Col.IsTime() != onTime {
 			continue
 		}
 		switch p.Op {
-		case opGE:
-			if p.Value > t1 {
-				t1 = p.Value
-			}
 		case opGT:
-			if p.Value+1 > t1 {
-				t1 = p.Value + 1
-			}
-		case opLE:
-			if p.Value < t2 {
-				t2 = p.Value
-			}
+			lo = max(lo, p.Value+1)
+		case opGE:
+			lo = max(lo, p.Value)
 		case opLT:
-			if p.Value-1 < t2 {
-				t2 = p.Value - 1
-			}
+			hi = min(hi, p.Value-1)
+		case opLE:
+			hi = min(hi, p.Value)
 		case opEQ:
-			if p.Value > t1 {
-				t1 = p.Value
-			}
-			if p.Value < t2 {
-				t2 = p.Value
-			}
+			lo, hi = max(lo, p.Value), min(hi, p.Value)
 		}
 	}
-	return t1, t2
+	return lo, hi
 }
 
 // valuePreds returns the non-TIME predicates.
@@ -188,7 +164,7 @@ func (r *Result) rowsOut() int64 {
 
 // Execute runs a parsed query.
 func (e *Engine) Execute(q *sqlparse.Query) (*Result, error) {
-	return e.executeTimed(q, nil)
+	return e.ExecuteTraced(q, nil)
 }
 
 // ExecuteTraced runs a parsed query with span collection feeding tr.
@@ -196,16 +172,22 @@ func (e *Engine) Execute(q *sqlparse.Query) (*Result, error) {
 // assembled from the observed stage times. A nil trace is exactly
 // Execute.
 func (e *Engine) ExecuteTraced(q *sqlparse.Query, tr *Trace) (*Result, error) {
-	return e.executeTimed(q, tr)
+	start := time.Now()
+	p, err := e.newPlan(q)
+	if err != nil {
+		tr.fail(err, time.Since(start))
+		return nil, err
+	}
+	return e.run(p, tr, start)
 }
 
-func (e *Engine) executeTimed(q *sqlparse.Query, tr *Trace) (*Result, error) {
-	start := time.Now()
-	res, err := e.execute(q, tr)
+// run executes a plan and does the per-query bookkeeping: global
+// counters, the latency histogram, and the trace's span tree over the
+// wall time since start.
+func (e *Engine) run(p *plan, tr *Trace, start time.Time) (*Result, error) {
+	res, err := e.execute(p, tr)
 	if err != nil {
-		if tr != nil {
-			tr.fail(err, time.Since(start))
-		}
+		tr.fail(err, time.Since(start))
 		return nil, err
 	}
 	obs.EngineQueries.Inc()
@@ -229,25 +211,17 @@ func (e *Engine) executeTimed(q *sqlparse.Query, tr *Trace) (*Result, error) {
 	return res, nil
 }
 
-func (e *Engine) execute(q *sqlparse.Query, tr *Trace) (*Result, error) {
+// execute hands the plan to the executor of its shape.
+func (e *Engine) execute(p *plan, tr *Trace) (*Result, error) {
 	switch {
-	case q.Sub != nil:
-		return e.executeSubqueryAgg(q, tr)
-	case q.UnionWith != "":
-		return e.executeMerge(q, tr)
-	case len(q.Series) == 2:
-		if q.Items[0].Agg == sqlparse.AggCorr {
-			return e.executeJoinCorr(q, tr)
-		}
-		return e.executeJoin(q, tr)
-	case len(q.Series) == 1:
-		if q.Items[0].Star {
-			return e.executeScan(q, tr)
-		}
-		return e.executeAgg(q, q.Series[0], q.Preds, tr)
-	default:
-		return nil, fmt.Errorf("engine: unsupported query shape")
+	case p.shape == shapeScan:
+		return e.executeScan(p, tr)
+	case p.corr():
+		return e.executeJoinCorr(p, tr)
+	case p.shape == shapeMerge, p.shape == shapeJoin:
+		return e.executeRanged(p, tr)
 	}
+	return e.executeAgg(p, tr)
 }
 
 // ExecuteSQL parses and runs a statement.
@@ -261,47 +235,34 @@ func (e *Engine) ExecuteSQL(sql string) (*Result, error) {
 
 // TraceSQL parses, plans and runs a statement with tracing on, returning
 // the result together with the assembled span tree. The parse and plan
-// phases are timed into their own spans; planning reuses the EXPLAIN
-// machinery, so a traced query also validates its plan shape. When
-// execution itself fails (e.g. a Section VI-C aggregate overflow) the
-// trace is still returned with the failure recorded, so serving layers
-// can log what the query did before it errored; parse and plan failures
-// return a nil trace — nothing executed.
+// phases are timed into their own spans, and the plan that was timed is
+// the one that runs. When execution itself fails (e.g. a Section VI-C
+// aggregate overflow) the trace is still returned with the failure
+// recorded, so serving layers can log what the query did before it
+// errored; parse and plan failures return a nil trace — nothing
+// executed.
 func (e *Engine) TraceSQL(sql string) (*Result, *Trace, error) {
+	_, res, tr, err := e.traceSQL(sql)
+	return res, tr, err
+}
+
+// traceSQL is TraceSQL that also hands back the plan, for EXPLAIN
+// ANALYZE to render next to what it did. The plan span excludes the
+// page selection, which the prune span reports.
+func (e *Engine) traceSQL(sql string) (*plan, *Result, *Trace, error) {
 	tr := NewTrace(sql, e.Mode.String(), e.workers())
 	parseStart := time.Now()
 	q, err := sqlparse.Parse(sql)
 	tr.parseNs = int64(time.Since(parseStart))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	planStart := time.Now()
-	if _, err := e.explainQuery(q); err != nil {
-		return nil, nil, err
-	}
-	tr.planNs = int64(time.Since(planStart))
-	res, err := e.ExecuteTraced(q, tr)
+	p, err := e.newPlan(q)
 	if err != nil {
-		return nil, tr, err
+		return nil, nil, nil, err
 	}
-	return res, tr, nil
-}
-
-// executeSubqueryAgg handles Q3: SELECT agg(A) FROM (SELECT * FROM ts
-// WHERE ...). The filter pushes down into the aggregation pipeline
-// (Equation 1's single-column predicate separation).
-func (e *Engine) executeSubqueryAgg(q *sqlparse.Query, tr *Trace) (*Result, error) {
-	sub := q.Sub
-	if sub.Sub != nil || len(sub.Series) != 1 || !sub.Items[0].Star {
-		return nil, fmt.Errorf("engine: only single-series star subqueries are supported")
-	}
-	outer := *q
-	outer.Sub = nil
-	outer.Series = sub.Series
-	outer.Window = q.Window
-	if outer.Window == nil {
-		outer.Window = sub.Window
-	}
-	preds := append(append([]sqlparse.Pred(nil), sub.Preds...), q.Preds...)
-	return e.executeAgg(&outer, sub.Series[0], preds, tr)
+	tr.planNs = int64(time.Since(planStart)) - p.pruneNs
+	res, err := e.run(p, tr, time.Now())
+	return p, res, tr, err
 }

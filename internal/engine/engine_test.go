@@ -727,7 +727,9 @@ func TestExplain(t *testing.T) {
 	if info.Shape != "aggregate" || !info.Fused || info.Pages != 10 || info.Pruning {
 		t.Fatalf("plan: %+v", info)
 	}
-	info, err = e.Explain("SELECT SUM(A) FROM (SELECT * FROM ts WHERE A > 5)")
+	// A != filter is never vacuous, so no job fuses. (A range filter the
+	// page statistics prove vacuous does: TestExplainAgreesWithExecution.)
+	info, err = e.Explain("SELECT SUM(A) FROM (SELECT * FROM ts WHERE A != 5)")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,21 +3,22 @@ package engine
 import (
 	"fmt"
 	"strings"
-
-	"etsqp/internal/sqlparse"
 )
 
-// PlanInfo describes how a query would execute without running it — the
-// pipeline jobs Algorithm 2 would emit.
+// PlanInfo describes how a query executes without running it: the
+// printable form of the physical plan the executor consumes, so the two
+// cannot disagree.
 type PlanInfo struct {
 	Mode        string
 	Shape       string // "aggregate", "window", "scan", "merge", "join"
 	Series      []string
-	Pages       int
+	Pages       int // time-relevant pages of the first series
+	PagesPruned int // of those, skipped from header statistics (Section V)
 	Workers     int
-	Jobs        int  // pipeline jobs (pages or slices)
+	Jobs        int  // pipeline jobs (pages or slices) over the unpruned pages
 	Sliced      bool // any page split into slices
-	Fused       bool // aggregation fuses with decoders (Section IV)
+	Fused       bool // some job aggregates on encoded form (Section IV)
+	FusedJobs   int  // how many do, header-answered pages included
 	Pruning     bool // Section V rules active
 	Windows     int  // sliding-window instances
 	MergeRanges int  // time-range merge nodes (Figure 9)
@@ -30,8 +31,12 @@ func (p *PlanInfo) String() string {
 	fmt.Fprintf(&b, "  series: %s\n", strings.Join(p.Series, ", "))
 	fmt.Fprintf(&b, "  pages: %d  workers: %d  jobs: %d  sliced: %v\n",
 		p.Pages, p.Workers, p.Jobs, p.Sliced)
-	if p.Shape == "aggregate" || p.Shape == "window" {
+	if p.Shape == shapeAggregate || p.Shape == shapeWindow {
 		fmt.Fprintf(&b, "  fused decoders: %v  pruning: %v\n", p.Fused, p.Pruning)
+		if p.PagesPruned > 0 || (p.Fused && p.FusedJobs < p.Jobs) {
+			// The page statistics split the plan: say how.
+			fmt.Fprintf(&b, "  pages pruned: %d  fused jobs: %d of %d\n", p.PagesPruned, p.FusedJobs, p.Jobs)
+		}
 	}
 	if p.Windows > 0 {
 		fmt.Fprintf(&b, "  window instances: %d\n", p.Windows)
@@ -40,75 +45,4 @@ func (p *PlanInfo) String() string {
 		fmt.Fprintf(&b, "  merge ranges: %d\n", p.MergeRanges)
 	}
 	return b.String()
-}
-
-// Explain builds the execution plan for a statement without running it.
-func (e *Engine) Explain(sql string) (*PlanInfo, error) {
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return e.explainQuery(q)
-}
-
-func (e *Engine) explainQuery(q *sqlparse.Query) (*PlanInfo, error) {
-	if q.Sub != nil {
-		inner := *q
-		inner.Sub = nil
-		inner.Series = q.Sub.Series
-		inner.Preds = append(append([]sqlparse.Pred(nil), q.Sub.Preds...), q.Preds...)
-		return e.explainQuery(&inner)
-	}
-	info := &PlanInfo{Mode: e.Mode.String(), Workers: e.workers()}
-	switch {
-	case q.UnionWith != "":
-		info.Shape = "merge"
-		info.Series = []string{q.Series[0], q.UnionWith}
-	case len(q.Series) == 2:
-		info.Shape = "join"
-		info.Series = q.Series
-	case len(q.Series) == 1 && q.Items[0].Star:
-		info.Shape = "scan"
-		info.Series = q.Series
-	case len(q.Series) == 1:
-		info.Shape = "aggregate"
-		if q.Window != nil {
-			info.Shape = "window"
-		}
-		info.Series = q.Series
-	default:
-		return nil, fmt.Errorf("engine: unsupported query shape")
-	}
-	ser, ok := e.Store.Series(info.Series[0])
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown series %q", info.Series[0])
-	}
-	t1, t2 := timeRange(q.Preds)
-	pages := ser.PagesInRange(t1, t2)
-	info.Pages = len(pages)
-	jobs := e.jobsFor(pages)
-	for _, js := range jobs {
-		info.Jobs += len(js)
-		for _, sl := range js {
-			if sl.StartRow > 0 || sl.EndRow < sl.Pair.Count() {
-				info.Sliced = true
-			}
-		}
-	}
-	vp := valuePreds(q.Preds)
-	info.Fused = !needsValues(q.Items) && len(vp) == 0 &&
-		e.Mode != ModeSerial && e.Mode != ModeSBoost && e.Mode != ModeFastLanes &&
-		(info.Shape == "aggregate" || info.Shape == "window")
-	info.Pruning = e.Mode == ModeETSQPPrune && len(vp) > 0
-	if q.Window != nil {
-		ws, err := windowInstances(q.Window, ser, t1, t2)
-		if err != nil {
-			return nil, err
-		}
-		info.Windows = len(ws)
-	}
-	if info.Shape == "merge" || info.Shape == "join" {
-		info.MergeRanges = len(timeCuts(ser, t1, t2, e.workers()))
-	}
-	return info, nil
 }

@@ -75,6 +75,17 @@ func TestPlanInfoGolden(t *testing.T) {
 				"  fused decoders: true  pruning: false\n",
 		},
 		{
+			// Page 0 (zeros) is pruned, the filter is vacuous on page 1
+			// (fives) so it fuses, page 2 (0..10) needs the pruned scan.
+			name: "vacuous-filter", store: single, mode: ModeETSQPPrune,
+			sql: "SELECT SUM(A) FROM ts WHERE A >= 3 AND A <= 7",
+			want: "aggregate query [ETSQP-prune]\n" +
+				"  series: ts\n" +
+				"  pages: 3  workers: 2  jobs: 2  sliced: false\n" +
+				"  fused decoders: true  pruning: true\n" +
+				"  pages pruned: 1  fused jobs: 1 of 2\n",
+		},
+		{
 			name: "window", store: single, mode: ModeETSQP,
 			sql: "SELECT SUM(A) FROM ts SW(1000, 1024)",
 			want: "window query [ETSQP]\n" +
@@ -119,6 +130,75 @@ func TestPlanInfoGolden(t *testing.T) {
 				t.Errorf("plan mismatch\ngot:\n%s\nwant:\n%s", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestExplainAgreesWithExecution: EXPLAIN renders the plan the executor
+// runs, so in every mode what it announces — jobs, pruned pages, fused
+// jobs, windows, merge ranges — is what the run's statistics and trace
+// then report. The vacuous-filter rows are the regression: EXPLAIN used
+// to re-derive "fused" with its own condition and said false for range
+// filters the page statistics prove vacuous, which execution fuses.
+func TestExplainAgreesWithExecution(t *testing.T) {
+	single := planStore(t)
+	double := twoSeriesStore(t)
+	queries := []struct {
+		name  string
+		store *storage.Store
+		sql   string
+	}{
+		{"no-filter", single, "SELECT SUM(A), COUNT(A) FROM ts"},
+		{"vacuous-everywhere", single, "SELECT SUM(A), COUNT(A) FROM ts WHERE A >= 0 AND A <= 10"},
+		{"straddling", single, "SELECT SUM(A), COUNT(A) FROM ts WHERE A >= 3 AND A <= 7"},
+		{"not-equal", single, "SELECT SUM(A), COUNT(A) FROM ts WHERE A != 5"},
+		{"window", single, "SELECT SUM(A) FROM ts SW(1000, 1024)"},
+		{"union", double, "SELECT * FROM ts1 UNION ts2 ORDER BY TIME"},
+		{"join", double, "SELECT * FROM ts1, ts2"},
+	}
+	for _, mode := range []Mode{ModeETSQP, ModeETSQPPrune, ModeSerial, ModeSBoost, ModeFastLanes} {
+		for _, tc := range queries {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				e := New(tc.store, mode)
+				e.Workers = 2
+				info, err := e.Explain(tc.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, tr, err := e.TraceSQL(tc.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := res.Stats
+				fused := 0
+				for _, ev := range tr.Slices {
+					if ev.Fused {
+						fused++
+					}
+				}
+				if cursors := info.Shape == "merge" || info.Shape == "join"; cursors {
+					// Cursor batches are not pipeline jobs; Jobs counts
+					// the pages the driving cursor may stream.
+					if st.SlicesRun != 0 || info.Jobs != info.Pages {
+						t.Errorf("cursor shape: SlicesRun = %d, Jobs = %d, Pages = %d", st.SlicesRun, info.Jobs, info.Pages)
+					}
+				} else if int64(info.Jobs) != st.SlicesRun || int64(info.Pages) != st.PagesTotal {
+					t.Errorf("planned %d jobs over %d pages, ran %d over %d", info.Jobs, info.Pages, st.SlicesRun, st.PagesTotal)
+				}
+				if int64(info.PagesPruned) != st.PagesPruned {
+					t.Errorf("planned %d pruned pages, run pruned %d", info.PagesPruned, st.PagesPruned)
+				}
+				if info.FusedJobs != fused || info.Fused != (st.ValuesFused > 0) {
+					t.Errorf("planned Fused=%v FusedJobs=%d, trace shows %d fused slices (ValuesFused=%d)",
+						info.Fused, info.FusedJobs, fused, st.ValuesFused)
+				}
+				if info.Windows != len(res.Windows) {
+					t.Errorf("planned %d windows, result has %d", info.Windows, len(res.Windows))
+				}
+				if int64(info.MergeRanges) != st.MergeRanges {
+					t.Errorf("planned %d merge ranges, ran %d", info.MergeRanges, st.MergeRanges)
+				}
+			})
+		}
 	}
 }
 

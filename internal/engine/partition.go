@@ -10,10 +10,14 @@ import (
 // by an independent worker and the per-range results concatenate in
 // order — the time-range merge nodes of Figure 9.
 func timeCuts(ser *storage.Series, t1, t2 int64, n int) [][2]int64 {
+	return cutPages(ser.PagesInRange(t1, t2), t1, t2, n)
+}
+
+// cutPages is timeCuts over an already-selected page list.
+func cutPages(pages []storage.PagePair, t1, t2 int64, n int) [][2]int64 {
 	if n < 1 {
 		n = 1
 	}
-	pages := ser.PagesInRange(t1, t2)
 	if len(pages) == 0 || n == 1 {
 		return [][2]int64{{t1, t2}}
 	}

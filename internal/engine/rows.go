@@ -22,22 +22,28 @@ type sliceJob struct {
 }
 
 // readSeriesColumns decodes the [t1, t2] portion of a series into flat
-// columns, running the pages/slices as one morsel batch on the shared
-// pool and writing each slice's rows into its disjoint output range (no
-// merge copying).
+// columns: it selects the pages and their jobs, readPages does the rest.
 func (e *Engine) readSeriesColumns(name string, t1, t2 int64, col *statsCollector) ([]int64, []int64, error) {
 	ser, ok := e.Store.Series(name)
 	if !ok {
 		return nil, nil, fmt.Errorf("engine: unknown series %q", name)
 	}
-	var loaded []storage.PagePair
+	pages := ser.PagesInRange(t1, t2)
+	return e.readPages(name, pages, e.jobsFor(pages), t1, t2, col)
+}
+
+// readPages decodes pages (in time order) into flat columns clipped to
+// [t1, t2], running their slice jobs as one morsel batch on the shared
+// pool and writing each slice's rows into its disjoint output range (no
+// merge copying).
+func (e *Engine) readPages(name string, pages []storage.PagePair, slices []pipeline.Slice,
+	t1, t2 int64, col *statsCollector) ([]int64, []int64, error) {
+	col.pagesTotal.Add(int64(len(pages)))
 	total := 0
-	offsets := make(map[*storage.Page]int)
-	for _, pp := range ser.PagesInRange(t1, t2) {
-		col.pagesTotal.Add(1)
+	offsets := make(map[*storage.Page]int, len(pages))
+	for _, pp := range pages {
 		offsets[pp.Time] = total
 		total += pp.Count()
-		loaded = append(loaded, pp)
 	}
 	ts := make([]int64, total)
 	vals := make([]int64, total)
@@ -45,20 +51,13 @@ func (e *Engine) readSeriesColumns(name string, t1, t2 int64, col *statsCollecto
 	// writes only through its own sliceJob destinations, never through
 	// the shared columns, so participants are write-disjoint regardless
 	// of which worker steals which morsel.
-	jobs := e.jobsFor(loaded)
-	nm := 0
-	for _, slices := range jobs {
-		nm += len(slices)
-	}
-	morsels := make([]sliceJob, 0, nm)
-	for _, slices := range jobs {
-		for _, sl := range slices {
-			base := offsets[sl.Pair.Time]
-			morsels = append(morsels, sliceJob{
-				sl:   sl,
-				tdst: ts[base+sl.StartRow : base+sl.EndRow],
-				vdst: vals[base+sl.StartRow : base+sl.EndRow],
-			})
+	morsels := make([]sliceJob, len(slices))
+	for i, sl := range slices {
+		base := offsets[sl.Pair.Time]
+		morsels[i] = sliceJob{
+			sl:   sl,
+			tdst: ts[base+sl.StartRow : base+sl.EndRow],
+			vdst: vals[base+sl.StartRow : base+sl.EndRow],
 		}
 	}
 	err := e.pool().RunWith(&col.execStats, len(morsels), e.workers(), func(w *exec.Worker, i int) error {
@@ -101,13 +100,12 @@ func (e *Engine) readSeriesColumns(name string, t1, t2 int64, col *statsCollecto
 // predicates applied. A LIMIT scan streams through a batch cursor so the
 // scan stops decoding pages once the limit is satisfied; an unbounded
 // scan materializes all pages in parallel on the shared pool.
-func (e *Engine) executeScan(q *sqlparse.Query, tr *Trace) (*Result, error) {
-	t1, t2 := timeRange(q.Preds)
-	vp := valuePreds(q.Preds)
+func (e *Engine) executeScan(p *plan, tr *Trace) (*Result, error) {
+	q, vp := p.q, p.vp
 	col := newCollector(tr)
 	res := &Result{}
 	if q.Limit > 0 {
-		cur, err := e.newBatchCursor(q.Series[0], t1, t2, col)
+		cur, err := e.newBatchCursor(p.series[0], p.t1, p.t2, col)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +132,7 @@ func (e *Engine) executeScan(q *sqlparse.Query, tr *Trace) (*Result, error) {
 		res.Stats = col.finish()
 		return res, nil
 	}
-	ts, vals, err := e.readSeriesColumns(q.Series[0], t1, t2, col)
+	ts, vals, err := e.readPages(p.series[0], p.pages, p.slices, p.t1, p.t2, col)
 	if err != nil {
 		return nil, err
 	}
@@ -153,81 +151,40 @@ func (e *Engine) executeScan(q *sqlparse.Query, tr *Trace) (*Result, error) {
 	return res, nil
 }
 
-// executeMerge handles Q5: SELECT * FROM ts1 UNION ts2 ORDER BY TIME —
-// series concatenation with time-range merge nodes (Figure 9(a)): the
-// covered interval is cut at page boundaries, each range is decoded and
-// merged by an independent worker, and the per-range results concatenate
-// in time order.
-func (e *Engine) executeMerge(q *sqlparse.Query, tr *Trace) (*Result, error) {
-	if len(q.Series) != 1 {
-		return nil, fmt.Errorf("engine: UNION requires a single left series")
-	}
-	t1, t2 := timeRange(q.Preds)
+// executeRanged runs the merge and join shapes over the plan's
+// time-range merge nodes (Figure 9): the covered interval was cut at page
+// boundaries, each range streams both series through batch cursors on an
+// independent worker, and the per-range rows concatenate in time order.
+// Merge is Q5, SELECT * FROM ts1 UNION ts2 ORDER BY TIME (Figure 9(a)).
+// Join is Q4 (projection over join) and Q6 (natural join): join masks
+// are produced within each shared time range (Figure 9(b)) and the merge
+// node concatenates them (Equation 6).
+func (e *Engine) executeRanged(p *plan, tr *Trace) (*Result, error) {
+	limit, item := p.q.Limit, p.q.Items[0]
 	col := newCollector(tr)
-	serL, ok := e.Store.Series(q.Series[0])
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown series %q", q.Series[0])
-	}
-	ranges := timeCuts(serL, t1, t2, e.workers())
-	col.mergeRanges.Add(int64(len(ranges)))
-	rows, err := e.runRanged(ranges, col, func(a, b int64) ([]Row, error) {
-		lc, err := e.newBatchCursor(q.Series[0], a, b, col)
+	col.mergeRanges.Add(int64(len(p.cuts)))
+	rows, err := e.runRanged(p.cuts, col, func(a, b int64) ([]Row, error) {
+		lc, err := e.newBatchCursor(p.series[0], a, b, col)
 		if err != nil {
 			return nil, err
 		}
-		rc, err := e.newBatchCursor(q.UnionWith, a, b, col)
+		rc, err := e.newBatchCursor(p.series[1], a, b, col)
 		if err != nil {
 			return nil, err
 		}
 		var out []Row
-		err = mergeCursors(lc, rc, col, func(r Row) bool {
-			out = append(out, r)
-			// Rows past the limit can never survive the final trim, so
-			// each range stops decoding once it alone could satisfy it.
-			return q.Limit <= 0 || len(out) < q.Limit
-		})
-		return out, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if q.Limit > 0 && len(rows) > q.Limit {
-		rows = rows[:q.Limit]
-	}
-	return &Result{Rows: rows, Stats: col.finish()}, nil
-}
-
-// executeJoin handles Q4 (projection over join) and Q6 (natural join):
-// the shared time interval is partitioned into ranges, each worker
-// decodes both series for its range and produces join masks within it
-// (Figure 9(b): mask vectors are generated within the shared time range),
-// and the merge node concatenates results in order (Equation 6).
-func (e *Engine) executeJoin(q *sqlparse.Query, tr *Trace) (*Result, error) {
-	t1, t2 := timeRange(q.Preds)
-	col := newCollector(tr)
-	serL, ok := e.Store.Series(q.Series[0])
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown series %q", q.Series[0])
-	}
-	vp := valuePreds(q.Preds)
-	item := q.Items[0]
-	if !item.Star && item.Add == nil {
-		return nil, fmt.Errorf("engine: unsupported join projection")
-	}
-	ranges := timeCuts(serL, t1, t2, e.workers())
-	col.mergeRanges.Add(int64(len(ranges)))
-	rows, err := e.runRanged(ranges, col, func(a, b int64) ([]Row, error) {
-		lc, err := e.newBatchCursor(q.Series[0], a, b, col)
-		if err != nil {
-			return nil, err
+		// Rows past the limit can never survive the final trim, so each
+		// range stops decoding once it alone could satisfy it.
+		more := func() bool { return limit <= 0 || len(out) < limit }
+		if p.shape == shapeMerge {
+			err = mergeCursors(lc, rc, col, func(r Row) bool {
+				out = append(out, r)
+				return more()
+			})
+			return out, err
 		}
-		rc, err := e.newBatchCursor(q.Series[1], a, b, col)
-		if err != nil {
-			return nil, err
-		}
-		var out []Row
 		err = joinCursors(lc, rc, col, func(t, lv, rv int64) bool {
-			if !joinPredsMatch(vp, q.Series, lv, rv) {
+			if !joinPredsMatch(p.vp, p.series, lv, rv) {
 				return true
 			}
 			if item.Star {
@@ -235,15 +192,15 @@ func (e *Engine) executeJoin(q *sqlparse.Query, tr *Trace) (*Result, error) {
 			} else {
 				out = append(out, Row{Time: t, Values: []int64{lv + rv}})
 			}
-			return q.Limit <= 0 || len(out) < q.Limit
+			return more()
 		})
 		return out, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if q.Limit > 0 && len(rows) > q.Limit {
-		rows = rows[:q.Limit]
+	if limit > 0 && len(rows) > limit {
+		rows = rows[:limit]
 	}
 	return &Result{Rows: rows, Stats: col.finish()}, nil
 }
@@ -266,14 +223,13 @@ func joinPredsMatch(vp []sqlparse.Pred, series []string, lv, rv int64) bool {
 // Σ aᵢ·bᵢ application of Section IV. Both series decode and join on
 // timestamps; the Pearson correlation is computed from the fused sums
 // (Σa, Σb, Σa², Σb², Σab) of the joined rows.
-func (e *Engine) executeJoinCorr(q *sqlparse.Query, tr *Trace) (*Result, error) {
-	t1, t2 := timeRange(q.Preds)
+func (e *Engine) executeJoinCorr(p *plan, tr *Trace) (*Result, error) {
 	col := newCollector(tr)
-	lts, lvs, err := e.readSeriesColumns(q.Series[0], t1, t2, col)
+	lts, lvs, err := e.readPages(p.series[0], p.pages, p.slices, p.t1, p.t2, col)
 	if err != nil {
 		return nil, err
 	}
-	rts, rvs, err := e.readSeriesColumns(q.Series[1], t1, t2, col)
+	rts, rvs, err := e.readSeriesColumns(p.series[1], p.t1, p.t2, col)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ const (
 // evaluation is TuplesLoaded per second, where TuplesLoaded counts the
 // tuples of loaded pages *including* pruned pages and slices (Section
 // VII-B). EXPLAIN ANALYZE renders these observed numbers next to the
-// pre-execution estimates; docs/OBSERVABILITY.md documents the exact
+// plan that ran; docs/OBSERVABILITY.md documents the exact
 // semantics of each field.
 type Stats struct {
 	PagesTotal   int64 // pages relevant to the query

@@ -173,8 +173,11 @@ func (t *Trace) finish(st Stats, elapsed time.Duration) {
 // fail finishes a trace for a query that errored mid-execution: the span
 // tree is assembled from whatever stages completed (stage counters are
 // unavailable — the result that carries them never materialized) and the
-// error is recorded for the slow-query log.
+// error is recorded for the slow-query log. A nil trace is a no-op.
 func (t *Trace) fail(err error, elapsed time.Duration) {
+	if t == nil {
+		return
+	}
 	t.Error = err.Error()
 	t.finish(Stats{}, elapsed)
 }

@@ -15,7 +15,7 @@ const maxPlanWidth = 32
 
 // PlanTable checks the static side of the JIT plan-table contract:
 //
-//  1. Constant width arguments to PlanFor/PlanFor512 must lie in the
+//  1. Constant width arguments to PlanFor must lie in the
 //     table range [0, 32]. Calls that capture the returned error are
 //     exempt — they are deliberately exercising the validation path.
 //  2. Counted loops (for i := 0; i < K; i++) whose index flows into a
@@ -54,7 +54,7 @@ func checkPlanWidths(pass *lint.Pass, pkg *lint.Package, file *ast.File) {
 		if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
 			return true
 		}
-		if fn.Name() != "PlanFor" && fn.Name() != "PlanFor512" {
+		if fn.Name() != "PlanFor" {
 			return true
 		}
 		if !lint.PathHasSuffix(fn.Pkg().Path(), "pipeline") {

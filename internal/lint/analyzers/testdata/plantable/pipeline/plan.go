@@ -18,8 +18,3 @@ func PlanFor(width uint) (*Plan, error) {
 	}
 	return &Plan{Width: width}, nil
 }
-
-// PlanFor512 is the 512-bit variant.
-func PlanFor512(width uint) (*Plan, error) {
-	return PlanFor(width)
-}

@@ -3,8 +3,6 @@ package pipeline
 func widths() {
 	p, _ := PlanFor(33) // want `constant width 33 is outside the plan table range \[0, 32\]`
 	_ = p
-	q, _ := PlanFor512(64) // want `constant width 64 is outside the plan table range \[0, 32\]`
-	_ = q
 	r, err := PlanFor(40) // error captured: deliberately testing validation
 	_, _ = r, err
 	s, _ := PlanFor(10) // in range: fine

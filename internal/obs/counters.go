@@ -89,10 +89,6 @@ var (
 		"encoded payload bytes moved into working buffers")
 	StoragePagesEncoded = newCounter("storage.pages_encoded",
 		"pages encoded by ingestion (Append, transport senders, compaction)")
-	StorageLazySeriesLoaded = newCounter("storage.lazy_series_loaded",
-		"series materialized on demand from an indexed file")
-	StorageLazyPagesLoaded = newCounter("storage.lazy_pages_loaded",
-		"pages materialized by lazy series loads")
 )
 
 // Distributions: power-of-two-bucket histograms (histogram.go). The

@@ -166,34 +166,6 @@ func seriesWithWidthB(n int, w uint) []int64 {
 	return vals
 }
 
-// BenchmarkVectorWidth compares the 256-bit and 512-bit pipeline
-// instantiations (the "other quantities and instruction sets" extension
-// of Section II-B).
-func BenchmarkVectorWidth(b *testing.B) {
-	vals := seriesWithWidthB(65536, 10)
-	blk, err := ts2diff.Encode(vals, ts2diff.Order1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("256", func(b *testing.B) {
-		out := make([]int64, blk.Count)
-		b.SetBytes(int64(len(vals) * 8))
-		for i := 0; i < b.N; i++ {
-			if err := DecodeBlockInto(out, blk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("512", func(b *testing.B) {
-		b.SetBytes(int64(len(vals) * 8))
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeBlock512(blk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkJITCache measures the Section III-B plan cache: decoding with
 // cached tables vs rebuilding the tables on every page.
 func BenchmarkJITCache(b *testing.B) {

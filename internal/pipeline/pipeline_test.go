@@ -452,40 +452,6 @@ func makePairs(t *testing.T, nPages, rowsPer int) []storage.PagePair {
 	return pairs
 }
 
-func TestDecodeBlock512MatchesScalar(t *testing.T) {
-	for w := uint(0); w <= 32; w++ {
-		vals := seriesWithWidth(1500, w, int64(w)+77)
-		b, err := ts2diff.Encode(vals, ts2diff.Order1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := b.Decode()
-		got, err := DecodeBlock512(b)
-		if err != nil {
-			t.Fatalf("width %d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("width %d: 512-bit decode mismatch", w)
-		}
-	}
-}
-
-func TestChooseNv512(t *testing.T) {
-	if ChooseNv512(0, 32) != 1 {
-		t.Fatal("width 0 must use one vector")
-	}
-	// Overflow clamp at 16 lanes: width + log2(16*nv) <= 32.
-	for w := uint(1); w <= 25; w++ {
-		nv := ChooseNv512(w, 32)
-		if uint64(16*nv)*(uint64(1)<<w-1) >= 1<<32 {
-			t.Fatalf("width %d: nv %d allows overflow", w, nv)
-		}
-	}
-	if _, err := PlanFor512(40); err == nil {
-		t.Fatal("width > 32 must return ErrWidthRange")
-	}
-}
-
 func TestCompiledDecoderMatches(t *testing.T) {
 	for _, w := range []uint{0, 3, 10, 25, 30} {
 		for _, n := range []int{0, 1, 5, 100, 1000} {

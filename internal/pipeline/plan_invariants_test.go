@@ -9,7 +9,7 @@ import (
 // every width the tables support must build an internally consistent
 // plan (gather indices in window range, shifts below 32, masks and ramps
 // exact), and every width past the table range must be rejected with
-// ErrWidthRange — for both vector-width instantiations.
+// ErrWidthRange.
 func TestPlanTableInvariants(t *testing.T) {
 	for w := uint(0); w <= 32; w++ {
 		p, err := PlanFor(w)
@@ -19,20 +19,10 @@ func TestPlanTableInvariants(t *testing.T) {
 		if err := p.Check(); err != nil {
 			t.Errorf("PlanFor(%d): inconsistent tables: %v", w, err)
 		}
-		p512, err := PlanFor512(w)
-		if err != nil {
-			t.Fatalf("PlanFor512(%d): %v", w, err)
-		}
-		if err := p512.Check(); err != nil {
-			t.Errorf("PlanFor512(%d): inconsistent tables: %v", w, err)
-		}
 	}
 	for w := uint(33); w <= 64; w++ {
 		if _, err := PlanFor(w); !errors.Is(err, ErrWidthRange) {
 			t.Errorf("PlanFor(%d): want ErrWidthRange, got %v", w, err)
-		}
-		if _, err := PlanFor512(w); !errors.Is(err, ErrWidthRange) {
-			t.Errorf("PlanFor512(%d): want ErrWidthRange, got %v", w, err)
 		}
 	}
 }

@@ -283,67 +283,3 @@ func TestAddCheck32Quick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPrefixSum32x16(t *testing.T) {
-	f := func(v U32x16) bool {
-		inc := InclusivePrefixSum32x16(v)
-		exc := ExclusivePrefixSum32x16(v)
-		var run uint32
-		for i := 0; i < Lanes32x16; i++ {
-			if exc[i] != run {
-				return false
-			}
-			run += v[i]
-			if inc[i] != run {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherBytes64AndLanes(t *testing.T) {
-	window := make([]byte, 70)
-	for i := range window {
-		window[i] = byte(i)
-	}
-	var idx [64]int32
-	for i := range idx {
-		idx[i] = int32(69 - i)
-	}
-	idx[0] = -1
-	idx[1] = 100
-	out := GatherBytes64(window, &idx)
-	if out[0] != 0 || out[1] != 0 || out[2] != 67 || out[63] != 6 {
-		t.Fatalf("got %v", out)
-	}
-	// Lane view is little-endian.
-	var b [64]byte
-	b[0], b[1], b[2], b[3] = 0x78, 0x56, 0x34, 0x12
-	if got := ToU32x16(b)[0]; got != 0x12345678 {
-		t.Fatalf("lane 0 = %#x", got)
-	}
-}
-
-func TestPermute32x16(t *testing.T) {
-	var v U32x16
-	for i := range v {
-		v[i] = uint32(i + 100)
-	}
-	var idx U32x16
-	for i := range idx {
-		idx[i] = uint32(15 - i + 16) // mod-16 indexing
-	}
-	got := Permute32x16(v, idx)
-	for i := range got {
-		if got[i] != uint32(115-i) {
-			t.Fatalf("lane %d = %d", i, got[i])
-		}
-	}
-	if HSum32x16(v) != uint64(16*100+120) {
-		t.Fatalf("HSum = %d", HSum32x16(v))
-	}
-}

@@ -317,82 +317,6 @@ func TestCompact(t *testing.T) {
 	}
 }
 
-func TestLazyFile(t *testing.T) {
-	st := NewStore()
-	ts, vals := genSeries(6000)
-	if err := st.Append("a", ts, vals, Options{PageSize: 700}); err != nil {
-		t.Fatal(err)
-	}
-	ts2 := make([]int64, len(ts))
-	for i := range ts2 {
-		ts2[i] = ts[i] + 3
-	}
-	if err := st.Append("b", ts2, vals, Options{PageSize: 900}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "idx.etsqp")
-	if err := st.WriteIndexedFile(path); err != nil {
-		t.Fatal(err)
-	}
-	// The indexed file stays readable by the eager reader.
-	eager, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eager.Names()) != 2 {
-		t.Fatalf("eager names: %v", eager.Names())
-	}
-	// Lazy access loads only what is asked for.
-	lf, err := OpenLazy(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lf.Close()
-	if got := lf.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("names: %v", got)
-	}
-	serA, err := lf.Series("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serA.NumPoints() != 6000 {
-		t.Fatalf("points = %d", serA.NumPoints())
-	}
-	// Cached instance is reused.
-	serA2, _ := lf.Series("a")
-	if serA != serA2 {
-		t.Fatal("series not cached")
-	}
-	if _, err := lf.Series("missing"); err == nil {
-		t.Fatal("unknown series must fail")
-	}
-	// Cache limit evicts.
-	lf.SetCacheLimit(1)
-	if _, err := lf.Series("b"); err != nil {
-		t.Fatal(err)
-	}
-	// LoadStore round trip matches the original data.
-	st2, err := lf.LoadStore("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt, gv, err := st2.ReadColumns("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gt, ts) || !reflect.DeepEqual(gv, vals) {
-		t.Fatal("lazy round trip mismatch")
-	}
-	// Files without an index are rejected by OpenLazy with a clear error.
-	plain := filepath.Join(t.TempDir(), "plain.etsqp")
-	if err := st.WriteFile(plain); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLazy(plain); err == nil {
-		t.Fatal("plain file must be rejected")
-	}
-}
-
 func TestChecksumDetectsCorruption(t *testing.T) {
 	st := NewStore()
 	ts, vals := genSeries(500)

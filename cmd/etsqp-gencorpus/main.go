@@ -66,6 +66,9 @@ func run(root string) error {
 	if err := flattenCorpus(root); err != nil {
 		return err
 	}
+	if err := rangeScannerCorpus(root); err != nil {
+		return err
+	}
 	if err := overflowParityCorpus(root); err != nil {
 		return err
 	}
@@ -143,6 +146,41 @@ func flattenCorpus(root string) error {
 	}
 	dir := filepath.Join(root, "internal/pipeline/testdata/fuzz/FuzzFlatten")
 	return writeByteEntries(dir, nil, ramp, repeats, huge, truncated(ramp), flipped(ramp, 5))
+}
+
+// rangeScannerCorpus seeds FuzzRangeScanner's input shape (see
+// parseScannerInput in internal/pipeline/fuzz_test.go: order/first
+// selector, width, then uint16 from, to, chunk, then 3-byte row groups)
+// with scans that reach each arm of the cursor: byte-aligned and
+// unaligned chunk starts, narrow/wide/over-32-bit/zero widths, order-2
+// prefix replay, and first values at the int64 extremes.
+func rangeScannerCorpus(root string) error {
+	const order2, firstMax, firstMin = 1, 1 << 1, 2 << 1
+	scan := func(sel, width byte, from, to, chunk uint16, groups int) []byte {
+		out := []byte{sel, width}
+		out = binary.LittleEndian.AppendUint16(out, from)
+		out = binary.LittleEndian.AppendUint16(out, to)
+		out = binary.LittleEndian.AppendUint16(out, chunk-1)
+		for i := 0; i < groups; i++ {
+			out = append(out, byte(i*37), byte(i*11+3), 0xFF)
+		}
+		return out
+	}
+	w12 := scan(0, 12, 0, 0xFFFF, 1024, 16) // whole page in wave-width chunks
+	dir := filepath.Join(root, "internal/pipeline/testdata/fuzz/FuzzRangeScanner")
+	return writeByteEntries(dir,
+		nil,
+		w12,
+		scan(0, 8, 1001, 3000, 1024, 16),      // every chunk byte-aligned
+		scan(0, 12, 1000, 3000, 7, 16),        // prefix fix-up, tiny chunks
+		scan(0, 30, 9, 0xFFFF, 1500, 8),       // 8-byte-window fields
+		scan(0, 40, 3, 0xFFFF, 100, 4),        // past the plan tables
+		scan(0, 0, 5, 0xFFFF, 64, 4),          // constant delta
+		scan(order2, 10, 0, 0xFFFF, 1024, 12), // time-column recurrence
+		scan(order2, 0, 700, 0xFFFF, 300, 8),  // order-2 prefix replay
+		scan(firstMax, 64, 0, 0xFFFF, 512, 4), // wrapping accumulation
+		scan(order2|firstMin, 63, 1, 0xFFFF, 1, 1),
+		truncated(w12), flipped(w12, 1))
 }
 
 func sqlCorpus(root string) error {

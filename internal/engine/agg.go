@@ -399,13 +399,14 @@ func (e *Engine) aggSlice(p *plan, i int, local *partialAgg, localWin []partialA
 	// Fused SUM/COUNT path: no value materialization (Section IV).
 	if out == outFused {
 		return timed(&col.aggNanos, func() error {
-			sum, count, ok, err := e.fusedSumRange(sl.Pair.Value, lo, hi, col)
+			cuts, sum := [2]int{lo, hi}, [1]int64{}
+			ok, err := e.fusedSumSegments(sl.Pair.Value, cuts[:], sum[:], col)
 			if err != nil {
 				return err
 			}
 			if ok {
-				col.valuesFused.Add(count)
-				local.addSum(sum, count)
+				col.valuesFused.Add(int64(hi - lo))
+				local.addSum(sum[0], int64(hi-lo))
 				return nil
 			}
 			vals, err := e.decodeColumnRange(ser, sl.Pair.Value, lo, hi, col)
@@ -491,47 +492,6 @@ func (e *Engine) timeBoundsPruned(p *plan, sl pipeline.Slice,
 		lo = hi // no row reached t1
 	}
 	return lo, hi, true, nil
-}
-
-// fusedSumRange returns the sum and count over rows [lo, hi) of a value
-// page without materializing values; ok is false when the codec has no
-// fused path. Page loading is charged to the IO stage like the decoding
-// paths.
-//
-// A fusion.ErrOverflow from the closed forms is reported as ok=false,
-// not as a failure: the fused polynomials can overflow on intermediates
-// (n·cur, Δ²·Σi²) even when the decoded fold stays in range, and the
-// decoded fallback re-detects any genuine overflow exactly via the
-// checked accumulators — COUNT/MIN/MAX over the same rows then still
-// answer while SUM/AVG/VAR surface the Section VI-C error from final().
-func (e *Engine) fusedSumRange(p *storage.Page, lo, hi int, col *statsCollector) (sum int64, count int64, ok bool, err error) {
-	data, release := loadPage(p, col)
-	defer release()
-	if err := p.VerifyChecksum(); err != nil {
-		return 0, 0, false, err
-	}
-	if first, pairs, isRLBE := deltaRunsOfData(p.Header.Codec, data); isRLBE {
-		s, err := fusion.SumRange(first, pairs, lo, hi)
-		if err != nil {
-			if errors.Is(err, fusion.ErrOverflow) {
-				return 0, 0, false, nil
-			}
-			return 0, 0, false, err
-		}
-		return s, int64(hi - lo), true, nil
-	}
-	blk, err := pageBlockData(p.Header.Codec, data)
-	if err != nil || blk == nil {
-		return 0, 0, false, err
-	}
-	s, err := fusion.SumBlockRange(blk, lo, hi)
-	if err != nil {
-		if errors.Is(err, fusion.ErrOverflow) {
-			return 0, 0, false, nil
-		}
-		return 0, 0, false, err
-	}
-	return s, int64(hi - lo), true, nil
 }
 
 // aggDecodedRange decodes rows [lo, hi), applies value predicates, and
@@ -800,11 +760,17 @@ func (e *Engine) aggWindows(p *plan, sl pipeline.Slice, fused bool, lo, hi int, 
 }
 
 // fusedSumSegments fills per-segment sums over the cut partition of a
-// value page without materializing values. The page is loaded, verified,
-// and parsed once no matter how many windows cut it; ok is false when
-// the codec has no fused segment path. Like fusedSumRange, a
-// fusion.ErrOverflow demotes to ok=false so the decoded segment pass
-// re-evaluates under the exact checked accumulators.
+// value page without materializing values; a plain row range is one
+// segment. The page is loaded (charged to the IO stage like the decoding
+// paths), verified, and parsed once no matter how many windows cut it;
+// ok is false when the codec has no fused path.
+//
+// A fusion.ErrOverflow from the closed forms is reported as ok=false,
+// not as a failure: the fused polynomials can overflow on intermediates
+// (n·cur, Δ²·Σi²) even when the decoded fold stays in range, and the
+// decoded fallback re-detects any genuine overflow exactly via the
+// checked accumulators — COUNT/MIN/MAX over the same rows then still
+// answer while SUM/AVG/VAR surface the Section VI-C error from final().
 func (e *Engine) fusedSumSegments(p *storage.Page, cuts []int, sums []int64, col *statsCollector) (ok bool, err error) {
 	data, release := loadPage(p, col)
 	defer release()
@@ -812,23 +778,14 @@ func (e *Engine) fusedSumSegments(p *storage.Page, cuts []int, sums []int64, col
 		return false, err
 	}
 	if first, pairs, isRLBE := deltaRunsOfData(p.Header.Codec, data); isRLBE {
-		if err := fusion.SumRangeSegments(first, pairs, cuts, sums); err != nil {
-			if errors.Is(err, fusion.ErrOverflow) {
-				return false, nil
-			}
-			return false, err
-		}
-		return true, nil
-	}
-	blk, berr := pageBlockData(p.Header.Codec, data)
-	if berr != nil || blk == nil {
+		err = fusion.SumRangeSegments(first, pairs, cuts, sums)
+	} else if blk, berr := pageBlockData(p.Header.Codec, data); berr != nil || blk == nil {
 		return false, berr
+	} else {
+		err = fusion.SumBlockSegments(blk, cuts, sums)
 	}
-	if err := fusion.SumBlockSegments(blk, cuts, sums); err != nil {
-		if errors.Is(err, fusion.ErrOverflow) {
-			return false, nil
-		}
-		return false, err
+	if errors.Is(err, fusion.ErrOverflow) {
+		return false, nil
 	}
-	return true, nil
+	return err == nil, err
 }

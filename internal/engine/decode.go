@@ -119,9 +119,6 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *s
 	} else if blk, err := pageBlockData(p.Header.Codec, data); err != nil {
 		return nil, err
 	} else if blk != nil {
-		if full {
-			return pipeline.DecodeBlock(blk)
-		}
 		return pipeline.DecodeRange(blk, from, to)
 	}
 	c, err := encoding.Lookup(p.Header.Codec)

@@ -12,7 +12,8 @@ import (
 // analyzer for the fusion package: once the plan cache is warm, the
 // fused aggregation kernels must not allocate. SumBlock covers both
 // orders — the order-2 path streams second-order deltas through a stack
-// chunk rather than materializing them.
+// chunk rather than materializing them — and SumBlockRange is the
+// one-segment shape of the segment walk, cut arrays included.
 func TestFusedKernelAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		order ts2diff.Order
@@ -38,6 +39,13 @@ func TestFusedKernelAllocs(t *testing.T) {
 				}
 			}); n != 0 {
 				t.Fatalf("SumBlock allocates %.1f/op", n)
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				if _, err := SumBlockRange(blk, 8, blk.Count-5); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("SumBlockRange allocates %.1f/op", n)
 			}
 		})
 	}

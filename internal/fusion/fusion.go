@@ -192,72 +192,15 @@ func Sum(first int64, pairs []encoding.DeltaRun) (int64, error) {
 }
 
 // SumRange aggregates Σ values over rows [from, to) of the flattened
-// series, skipping whole runs in O(1) — the building block for
-// sliding-window aggregation over Delta-Repeat data.
-//
-//etsqp:hotpath
-//etsqp:rangecheck
+// series, skipping whole runs in O(1): the one-segment case of
+// SumRangeSegments.
 func SumRange(first int64, pairs []encoding.DeltaRun, from, to int) (int64, error) {
 	if to <= from {
 		return 0, nil
 	}
-	var total int64
-	if from == 0 {
-		total = first
-	}
-	cur := first
-	idx := 0
-	for _, p := range pairs {
-		runEnd := idx + p.Count
-		if runEnd < from || idx+1 > to {
-			step, okS := mulChecked(p.Delta, int64(p.Count))
-			var okC bool
-			cur, okC = addChecked(cur, step)
-			if !(okS && okC) {
-				return 0, ErrOverflow
-			}
-			idx = runEnd
-			if idx >= to {
-				break
-			}
-			continue
-		}
-		// Rows covered by this run are idx+1 .. runEnd; clamp to [from,to).
-		lo := idx + 1
-		if lo < from {
-			lo = from
-		}
-		hi := runEnd
-		if hi > to-1 {
-			hi = to - 1
-		}
-		if lo <= hi {
-			// Values: cur + jΔ for j = lo-idx .. hi-idx.
-			j0 := int64(lo - idx)
-			j1 := int64(hi - idx)
-			count := int64(hi - lo + 1)
-			base, ok1 := mulChecked(cur, count)
-			win, ok2 := windowArithChecked(j0, j1)
-			inc, ok3 := mulChecked(p.Delta, win)
-			runSum, ok4 := addChecked(base, inc)
-			var ok5 bool
-			total, ok5 = addChecked(total, runSum)
-			if !(ok1 && ok2 && ok3 && ok4 && ok5) {
-				return 0, ErrOverflow
-			}
-		}
-		step, okS := mulChecked(p.Delta, int64(p.Count))
-		var okC bool
-		cur, okC = addChecked(cur, step)
-		if !(okS && okC) {
-			return 0, ErrOverflow
-		}
-		idx = runEnd
-		if idx >= to {
-			break
-		}
-	}
-	return total, nil
+	cuts, sum := [2]int{from, to}, [1]int64{}
+	err := SumRangeSegments(first, pairs, cuts[:], sum[:])
+	return sum[0], err
 }
 
 // Count returns the number of values represented.

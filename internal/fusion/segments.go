@@ -108,7 +108,8 @@ func SumRangeSegments(first int64, pairs []encoding.DeltaRun, cuts []int, sums [
 // [cuts[i], cuts[i+1]) of a TS2DIFF block, streaming the packed deltas
 // once through a fixed-size stack chunk (the SumBlockOrder2 idiom) for
 // both orders — one decode pass regardless of how many windows cut the
-// block. Cuts past b.Count contribute what exists.
+// block, and a plain range is the one-segment case. Cuts past b.Count
+// contribute what exists.
 //
 //etsqp:hotpath
 //etsqp:rangecheck
@@ -119,7 +120,7 @@ func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
 	for i := range sums {
 		sums[i] = 0
 	}
-	if len(sums) == 0 || b.Count == 0 {
+	if len(sums) == 0 {
 		return nil
 	}
 	to := cuts[len(cuts)-1]
@@ -129,17 +130,12 @@ func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
 	if to <= cuts[0] {
 		return nil
 	}
-	adder := segAdder{cuts: cuts, sums: sums}
 	cur := b.First
-	if !adder.add(0, cur) {
-		return ErrOverflow
+	if cuts[0] == 0 {
+		sums[0] = cur
 	}
 	delta := b.FirstDelta // order-2 running first difference
 	m := b.NumPacked()
-	need := to - 1
-	if need > m {
-		need = m
-	}
 	// Chunk boundaries stay multiples of the plan's BlockElems so each
 	// chunk starts byte-aligned in the packed stream.
 	var chunk [8 * pipeline.MaxNv]int64
@@ -151,73 +147,64 @@ func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
 		}
 		chunkE = len(chunk) / p.BlockElems * p.BlockElems
 	}
-	row := 1
-	for e := 0; e < need; e += chunkE {
-		cnt := need - e
-		if cnt > chunkE {
-			cnt = chunkE
+	// Row r (r >= 1) is one step of the recurrence and consumes packed
+	// field r-1. Order-2 blocks pack n-2 fields for n-1 steps: the last
+	// row advances by the accumulated first difference alone, which a
+	// zero field expresses.
+	row, s := 1, 0
+	for row < to {
+		e := row - 1 // fields consumed so far
+		steps := to - row
+		if steps > chunkE {
+			steps = chunkE
+		}
+		fields := steps
+		if fields > m-e {
+			fields = m - e
+			chunk[fields] = 0
 		}
 		off := e * int(b.Width) / 8
 		if off > len(b.Packed) {
 			return bitio.ErrShortBuffer
 		}
-		if err := pipeline.DecodeDeltasInto(chunk[:cnt], b.Packed[off:], cnt, b.Width, b.MinBase); err != nil {
+		if err := pipeline.DecodeDeltasInto(chunk[:fields], b.Packed[off:], fields, b.Width, b.MinBase); err != nil {
 			return err
 		}
-		for _, d := range chunk[:cnt] {
-			var okC bool
-			if b.Order == ts2diff.Order1 {
-				cur, okC = addChecked(cur, d)
-			} else {
-				cur, okC = addChecked(cur, delta)
-				var okD bool
-				delta, okD = addChecked(delta, d)
-				okC = okC && okD
+		// Walk the chunk region by region: rows before cuts[0] only
+		// advance the recurrence, every later row lies in exactly one
+		// segment (row < to <= cuts[len(sums)]).
+		for ds := chunk[:steps]; len(ds) > 0; {
+			end, summed := cuts[0], false
+			if row >= end {
+				for cuts[s+1] <= row {
+					s++
+				}
+				end, summed = cuts[s+1], true
 			}
-			if !okC {
-				return ErrOverflow
+			n := len(ds)
+			if end-row < n {
+				n = end - row
 			}
-			if !adder.add(row, cur) {
-				return ErrOverflow
+			acc := sums[s]
+			for _, d := range ds[:n] {
+				okC, okD, okA := true, true, true
+				if b.Order == ts2diff.Order1 {
+					cur, okC = addChecked(cur, d)
+				} else {
+					cur, okC = addChecked(cur, delta)
+					delta, okD = addChecked(delta, d)
+				}
+				if summed {
+					acc, okA = addChecked(acc, cur)
+				}
+				if !(okC && okD && okA) {
+					return ErrOverflow
+				}
 			}
-			row++
-		}
-	}
-	// Order-2 blocks have n-2 packed deltas for n-1 steps: the final rows
-	// advance by the last accumulated first difference.
-	for ; row < to; row++ {
-		var okC bool
-		cur, okC = addChecked(cur, delta)
-		if !okC {
-			return ErrOverflow
-		}
-		if !adder.add(row, cur) {
-			return ErrOverflow
+			sums[s] = acc
+			ds = ds[n:]
+			row += n
 		}
 	}
 	return nil
-}
-
-// segAdder folds row values into the segment their row index falls in,
-// advancing the current segment monotonically as rows stream in order.
-type segAdder struct {
-	cuts []int
-	sums []int64
-	s    int
-}
-
-// add folds v at row into its segment; false reports overflow.
-//
-//etsqp:hotpath
-//etsqp:rangecheck
-func (a *segAdder) add(row int, v int64) bool {
-	for a.s < len(a.sums) && a.cuts[a.s+1] <= row {
-		a.s++
-	}
-	if a.s < len(a.sums) && a.cuts[a.s] <= row {
-		var ok bool
-		a.sums[a.s], ok = addChecked(a.sums[a.s], v)
-		return ok
-	}
-	return true
 }

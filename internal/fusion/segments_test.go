@@ -1,11 +1,13 @@
 package fusion
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/ts2diff"
+	"etsqp/internal/pipeline"
 )
 
 // randomCuts builds a strictly increasing partition of [0, n] with at
@@ -32,31 +34,36 @@ func randomCuts(rng *rand.Rand, n, k int) []int {
 	return cuts
 }
 
-func TestSumRangeSegmentsMatchesSumRange(t *testing.T) {
+// checkSegments compares kernel segment sums against decode-then-add:
+// the plain sum of decoded[cuts[i]:cuts[i+1]], cuts clamped to the rows
+// that exist. A range is one segment, so the range entry points share
+// the kernels under test and cannot serve as the oracle.
+func checkSegments(t *testing.T, name string, decoded []int64, cuts []int, sums []int64) {
+	t.Helper()
+	for i, got := range sums {
+		from, to := min(cuts[i], len(decoded)), min(cuts[i+1], len(decoded))
+		var want int64
+		for _, v := range decoded[from:to] {
+			want += v
+		}
+		if got != want {
+			t.Fatalf("%s seg [%d,%d): got %d want %d", name, cuts[i], cuts[i+1], got, want)
+		}
+	}
+}
+
+func TestSumRangeSegmentsMatchesDecode(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		vals := randomPairsSeries(seed, 12)
-		first, pairs := encoding.DeltaRLEEncode(vals)
-		cuts := randomCuts(rng, len(vals), 9)
-		sums := make([]int64, len(cuts)-1)
-		if err := SumRangeSegments(first, pairs, cuts, sums); err != nil {
-			t.Fatal(err)
-		}
-		for i := range sums {
-			from, to := cuts[i], cuts[i+1]
-			if from > len(vals) {
-				from = len(vals)
-			}
-			if to > len(vals) {
-				to = len(vals)
-			}
-			want, err := SumRange(first, pairs, from, to)
-			if err != nil {
+		first, pairs := encoding.DeltaRLEEncode(randomPairsSeries(seed, 12))
+		decoded := pipeline.Flatten(first, pairs)
+		for _, k := range []int{2, 9} { // one segment (a plain range), then window cuts
+			cuts := randomCuts(rng, len(decoded), k)
+			sums := make([]int64, len(cuts)-1)
+			if err := SumRangeSegments(first, pairs, cuts, sums); err != nil {
 				t.Fatal(err)
 			}
-			if sums[i] != want {
-				t.Fatalf("seed %d seg [%d,%d): got %d want %d", seed, cuts[i], cuts[i+1], sums[i], want)
-			}
+			checkSegments(t, fmt.Sprintf("seed %d", seed), decoded, cuts, sums)
 		}
 	}
 }
@@ -78,7 +85,7 @@ func TestSumRangeSegmentsValidation(t *testing.T) {
 	}
 }
 
-func TestSumBlockSegmentsMatchesSumBlockRange(t *testing.T) {
+func TestSumBlockSegmentsMatchesDecode(t *testing.T) {
 	for _, order := range []ts2diff.Order{ts2diff.Order1, ts2diff.Order2} {
 		for seed := int64(0); seed < 25; seed++ {
 			rng := rand.New(rand.NewSource(seed + int64(order)*1000))
@@ -95,20 +102,17 @@ func TestSumBlockSegmentsMatchesSumBlockRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cuts := randomCuts(rng, n, 8)
-			sums := make([]int64, len(cuts)-1)
-			if err := SumBlockSegments(b, cuts, sums); err != nil {
+			decoded, err := b.Decode()
+			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range sums {
-				want, err := SumBlockRange(b, cuts[i], cuts[i+1])
-				if err != nil {
+			for _, k := range []int{2, 8} {
+				cuts := randomCuts(rng, n, k)
+				sums := make([]int64, len(cuts)-1)
+				if err := SumBlockSegments(b, cuts, sums); err != nil {
 					t.Fatal(err)
 				}
-				if sums[i] != want {
-					t.Fatalf("order %v seed %d seg [%d,%d): got %d want %d",
-						order, seed, cuts[i], cuts[i+1], sums[i], want)
-				}
+				checkSegments(t, fmt.Sprintf("order %v seed %d", order, seed), decoded, cuts, sums)
 			}
 		}
 	}

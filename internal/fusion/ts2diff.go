@@ -130,77 +130,19 @@ func sumPrefixes(packed []byte, m int, width uint) (int64, error) {
 	return sumP, nil
 }
 
-// SumBlockRange computes Σ values over rows [from, to) of a TS2DIFF block
-// without materializing decoded values; it scans packed fields once up to
-// `to` and stops (a window aggregation primitive).
-//
-//etsqp:rangecheck
+// SumBlockRange computes Σ values over rows [from, to) of a TS2DIFF
+// block without materializing decoded values: the one-segment case of
+// SumBlockSegments.
 func SumBlockRange(b *ts2diff.Block, from, to int) (int64, error) {
 	if from < 0 {
 		from = 0
 	}
-	if to > b.Count {
-		to = b.Count
-	}
 	if to <= from {
 		return 0, nil
 	}
-	// General path: stream values via the delta reader, summing only the
-	// window. Works for both orders.
-	deltas, err := pipeline.DecodeDeltas(b.Packed, b.NumPacked(), b.Width, b.MinBase)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	switch b.Order {
-	case ts2diff.Order1:
-		cur := b.First
-		if from == 0 {
-			total = cur
-		}
-		for row := 1; row < to; row++ {
-			var okC bool
-			cur, okC = addChecked(cur, deltas[row-1])
-			if !okC {
-				return 0, ErrOverflow
-			}
-			if row >= from {
-				var ok bool
-				total, ok = addChecked(total, cur)
-				if !ok {
-					return 0, ErrOverflow
-				}
-			}
-		}
-	case ts2diff.Order2:
-		cur := b.First
-		delta := b.FirstDelta
-		if from == 0 {
-			total = cur
-		}
-		for row := 1; row < to; row++ {
-			var okC bool
-			cur, okC = addChecked(cur, delta)
-			if !okC {
-				return 0, ErrOverflow
-			}
-			if row >= from {
-				var ok bool
-				total, ok = addChecked(total, cur)
-				if !ok {
-					return 0, ErrOverflow
-				}
-			}
-			if row-1 < len(deltas) {
-				var okD bool
-				delta, okD = addChecked(delta, deltas[row-1])
-				if !okD {
-					return 0, ErrOverflow
-				}
-			}
-		}
-	}
-	return total, nil
+	cuts, sum := [2]int{from, to}, [1]int64{}
+	err := SumBlockSegments(b, cuts[:], sum[:])
+	return sum[0], err
 }
 
 // SumBlockOrder2 computes Σ values of an order-2 TS2DIFF block without

@@ -12,7 +12,9 @@ import (
 // analyzer: once the plan cache is warm, decoding into caller-provided
 // memory must not allocate — across the narrow (gather), wide
 // (8-byte-window) and degenerate (width 0) paths, with observability
-// both off and on.
+// both off and on, whole pages at once and a constructed scanner fed
+// 1024-row chunks (the engine's pruned-scan shape; width 8 keeps every
+// chunk byte-aligned, the others leave the first).
 func TestUnpackLoopAllocs(t *testing.T) {
 	defer obs.Disable()
 	for _, w := range []uint{0, 4, 10, 16, MaxNarrowWidth, 30} {
@@ -38,6 +40,33 @@ func TestUnpackLoopAllocs(t *testing.T) {
 					}
 				}); n != 0 {
 					t.Fatalf("DecodeBlockInto allocates %.1f/op", n)
+				}
+			})
+		}
+	}
+	obs.Disable()
+	chunk := make([]int64, 1024)
+	for _, order := range []ts2diff.Order{ts2diff.Order1, ts2diff.Order2} {
+		for _, w := range []uint{0, 4, 8, 12, 30} {
+			// 101 pages of four chunks: AllocsPerRun warms up once, and
+			// every measured Next call produces a full chunk.
+			blk, err := ts2diff.Encode(seriesWithWidthB(101*4*len(chunk), w), order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewRangeScanner(blk, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("scanner/order=%d/width=%d", order, w), func(t *testing.T) {
+				if n := testing.AllocsPerRun(100, func() {
+					for i := 0; i < 4; i++ {
+						if k, err := s.Next(chunk); err != nil || k != len(chunk) {
+							t.Fatalf("Next at row %d: %d rows, %v", s.Row(), k, err)
+						}
+					}
+				}); n != 0 {
+					t.Fatalf("RangeScanner.Next allocates %.1f per four chunks", n)
 				}
 			})
 		}

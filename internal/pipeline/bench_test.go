@@ -68,15 +68,8 @@ func BenchmarkNv(b *testing.B) {
 			p.BlockElems = 8 * nv
 			p.BlockBytes = p.BlockElems * 10 / 8
 			forced := buildPlanWithNv(10, nv)
-			planMu.Lock()
-			saved := planCache[10]
-			planCache[10] = forced
-			planMu.Unlock()
-			defer func() {
-				planMu.Lock()
-				planCache[10] = saved
-				planMu.Unlock()
-			}()
+			saved := planCache[10].Swap(forced)
+			defer planCache[10].Store(saved)
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
 				if err := DecodeBlockInto(out, blk); err != nil {

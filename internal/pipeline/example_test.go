@@ -22,23 +22,3 @@ func ExampleDecodeBlock() {
 	fmt.Println(decoded)
 	// Output: [12 16 22 27 33]
 }
-
-// Compile binds a page's decode pipeline once (the Section III-B JIT);
-// repeated decodes skip all per-page decisions.
-func ExampleCompile() {
-	vals := make([]int64, 100)
-	for i := range vals {
-		vals[i] = int64(i) * 7
-	}
-	blk, _ := ts2diff.Encode(vals, ts2diff.Order1)
-	dec, err := pipeline.Compile(blk)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dst := make([]int64, dec.Count)
-	if err := dec.Decode(dst); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(dst[:5])
-	// Output: [0 7 14 21 28]
-}

@@ -1,16 +1,19 @@
 // FuzzFlatten drives the Repeat flatten path with arbitrary Delta-Repeat
 // pages and cross-checks every route that materializes or aggregates
 // them: Flatten vs FlattenInto vs FlattenRange windows, and the fusion
-// closed forms against scalar sums of the flattened values. External
-// test package: fusion imports pipeline, so the cross-check cannot live
-// in-package.
+// closed forms against scalar sums of the flattened values.
+// FuzzRangeScanner pins the TS2DIFF cursor and its three entry points to
+// the scalar oracle. External test package: fusion imports pipeline, so
+// the cross-check cannot live in-package.
 package pipeline_test
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"etsqp/internal/encoding"
+	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/fusion"
 	"etsqp/internal/pipeline"
 )
@@ -99,5 +102,104 @@ func FuzzFlatten(f *testing.F) {
 		if s, err := fusion.Sum(first, pairs); err == nil && s != scalarSum(out) {
 			t.Fatalf("fusion.Sum = %d, scalar %d", s, scalarSum(out))
 		}
+	})
+}
+
+// parseScannerInput maps fuzz bytes onto a TS2DIFF page and a scan of it.
+// Header: order bit + first-value selector (int64 extremes included),
+// delta width 0..64, then little-endian uint16 from, to and chunk size.
+// Each following 3-byte group appends up to 256 rows whose deltas are a
+// hash of the group masked to the width, so a short input still spans
+// several 1024-row chunks at every width. Rows are capped at 1<<13.
+func parseScannerInput(data []byte) (vals []int64, order ts2diff.Order, from, to, chunk int) {
+	var hdr [8]byte
+	copy(hdr[:], data)
+	if len(data) > len(hdr) {
+		data = data[len(hdr):]
+	} else {
+		data = nil
+	}
+	order = ts2diff.Order1 + ts2diff.Order(hdr[0]&1)
+	cur := [...]int64{0, math.MaxInt64, math.MinInt64, -1}[hdr[0]>>1&3]
+	width := uint(hdr[1]) % 65
+	mask := ^uint64(0)
+	if width < 64 {
+		mask = 1<<width - 1
+	}
+	vals = []int64{cur}
+	for ; len(data) >= 3 && len(vals) < 1<<13; data = data[3:] {
+		seed := uint64(data[0])<<8 | uint64(data[1])
+		for k := 0; k <= int(data[2]); k++ {
+			seed = (seed + uint64(k) + 1) * 0x9E3779B97F4A7C15
+			cur += int64(seed >> 7 & mask) // wraps by design
+			vals = append(vals, cur)
+		}
+	}
+	from = int(binary.LittleEndian.Uint16(hdr[2:])) % (len(vals) + 1)
+	to = from + int(binary.LittleEndian.Uint16(hdr[4:]))%(len(vals)-from+1)
+	chunk = int(binary.LittleEndian.Uint16(hdr[6:]))%1500 + 1
+	return vals, order, from, to, chunk
+}
+
+func FuzzRangeScanner(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 12, 8, 0, 255, 255, 0, 4, 7, 7, 255, 9, 9, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vals, order, from, to, chunk := parseScannerInput(data)
+		b, err := ts2diff.Encode(vals, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := b.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracle[from:to]
+		equal := func(route string, got []int64) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s [%d,%d): %d rows, want %d", route, from, to, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s [%d,%d) order %d width %d: row %d = %d, oracle %d",
+						route, from, to, b.Order, b.Width, from+i, got[i], want[i])
+				}
+			}
+		}
+
+		s, err := pipeline.NewRangeScanner(b, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanned := make([]int64, 0, to-from)
+		buf := make([]int64, chunk)
+		for s.Row() < to {
+			n := to - s.Row()
+			if n > chunk {
+				n = chunk
+			}
+			k, err := s.Next(buf[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k != n {
+				t.Fatalf("Next(%d) at row %d of %d produced %d rows", n, s.Row(), b.Count, k)
+			}
+			scanned = append(scanned, buf[:k]...)
+		}
+		equal("RangeScanner", scanned)
+
+		ranged, err := pipeline.DecodeRange(b, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equal("DecodeRange", ranged)
+
+		whole := make([]int64, b.Count)
+		if err := pipeline.DecodeBlockInto(whole, b); err != nil {
+			t.Fatal(err)
+		}
+		equal("DecodeBlockInto", whole[from:to])
 	})
 }

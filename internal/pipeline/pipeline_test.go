@@ -148,8 +148,8 @@ func TestDecodeDeltas(t *testing.T) {
 	for _, w := range []uint{1, 5, 10, 13, 25, 27, 32} {
 		vals := seriesWithWidth(500, w, int64(w))
 		b, _ := ts2diff.Encode(vals, ts2diff.Order1)
-		deltas, err := DecodeDeltas(b.Packed, b.NumPacked(), b.Width, b.MinBase)
-		if err != nil {
+		deltas := make([]int64, b.NumPacked())
+		if err := DecodeDeltasInto(deltas, b.Packed, len(deltas), b.Width, b.MinBase); err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
 		_, want := encoding.DeltaEncode(vals)
@@ -158,8 +158,8 @@ func TestDecodeDeltas(t *testing.T) {
 		}
 	}
 	// width 0
-	got, err := DecodeDeltas(nil, 5, 0, 42)
-	if err != nil {
+	got := make([]int64, 5)
+	if err := DecodeDeltasInto(got, nil, 5, 0, 42); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range got {
@@ -450,82 +450,6 @@ func makePairs(t *testing.T, nPages, rowsPer int) []storage.PagePair {
 		t.Fatal(err)
 	}
 	return pairs
-}
-
-func TestCompiledDecoderMatches(t *testing.T) {
-	for _, w := range []uint{0, 3, 10, 25, 30} {
-		for _, n := range []int{0, 1, 5, 100, 1000} {
-			vals := seriesWithWidth(n, w, int64(w)*7+int64(n))
-			b, err := ts2diff.Encode(vals, ts2diff.Order1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dec, err := Compile(b)
-			if err != nil {
-				t.Fatalf("w=%d n=%d: %v", w, n, err)
-			}
-			if dec.Count != n {
-				t.Fatalf("count = %d", dec.Count)
-			}
-			dst := make([]int64, n)
-			if err := dec.Decode(dst); err != nil {
-				t.Fatal(err)
-			}
-			if n > 0 && !reflect.DeepEqual(dst, vals) {
-				t.Fatalf("w=%d n=%d: compiled decode mismatch", w, n)
-			}
-			// Repeated invocation must stay correct (bound state immutable).
-			if err := dec.Decode(dst); err != nil {
-				t.Fatal(err)
-			}
-			if n > 0 && !reflect.DeepEqual(dst, vals) {
-				t.Fatalf("w=%d n=%d: second decode mismatch", w, n)
-			}
-		}
-	}
-	// Order-2 delegates.
-	ts := make([]int64, 300)
-	for i := range ts {
-		ts[i] = int64(i) * 997
-	}
-	b2, _ := ts2diff.Encode(ts, ts2diff.Order2)
-	dec, err := Compile(b2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int64, 300)
-	if err := dec.Decode(dst); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dst, ts) {
-		t.Fatal("order-2 compiled decode mismatch")
-	}
-	// Validation.
-	if err := dec.Decode(make([]int64, 2)); err == nil {
-		t.Fatal("wrong dst length must fail")
-	}
-	bad := *b2
-	bad.Order = 7
-	if _, err := Compile(&bad); err == nil {
-		t.Fatal("bad order must fail")
-	}
-}
-
-func BenchmarkCompiledDecoder(b *testing.B) {
-	vals := seriesWithWidthB(65536, 10)
-	blk, _ := ts2diff.Encode(vals, ts2diff.Order1)
-	dec, err := Compile(blk)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := make([]int64, blk.Count)
-	b.SetBytes(int64(len(vals) * 8))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := dec.Decode(dst); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func TestUnpackFibonacciParallel(t *testing.T) {

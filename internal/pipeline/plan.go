@@ -27,7 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"etsqp/internal/simd"
 )
@@ -119,16 +119,17 @@ type Plan struct {
 	wide bool // widths > MaxNarrowWidth decode via the 8-byte-window path
 }
 
-var (
-	planMu    sync.Mutex
-	planCache [33]*Plan
-)
+// planCache holds one published plan per width. Every kernel asks for
+// its plan once per call — once per 128 values inside the fusion chunk
+// loops, on every worker — so a hit is a single atomic load.
+var planCache [33]atomic.Pointer[Plan]
 
 // PlanFor returns the cached plan for a packing width in [0, 32], or
 // ErrWidthRange for wider (corrupt) widths. The declared bound makes the
 // precondition a boundscontract obligation: callers prove the width is
 // narrowed (page-header validation or an explicit guard) before asking
-// for tables.
+// for tables. Callers that miss concurrently each build the (identical)
+// tables; the first to publish wins the cache slot.
 //
 //etsqp:bounds width [0, 32]
 //etsqp:coldpath
@@ -136,13 +137,11 @@ func PlanFor(width uint) (*Plan, error) {
 	if width > 32 {
 		return nil, ErrWidthRange
 	}
-	planMu.Lock()
-	defer planMu.Unlock()
-	if p := planCache[width]; p != nil {
+	if p := planCache[width].Load(); p != nil {
 		return p, nil
 	}
 	p := buildPlan(width)
-	planCache[width] = p
+	planCache[width].CompareAndSwap(nil, p)
 	return p, nil
 }
 
@@ -238,9 +237,7 @@ func (p *Plan) Check() error {
 
 // ResetPlanCache clears all cached plans (test hook).
 func ResetPlanCache() {
-	planMu.Lock()
-	defer planMu.Unlock()
 	for i := range planCache {
-		planCache[i] = nil
+		planCache[i].Store(nil)
 	}
 }

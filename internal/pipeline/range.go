@@ -3,17 +3,11 @@ package pipeline
 import (
 	"fmt"
 
-	"etsqp/internal/bitio"
 	"etsqp/internal/encoding/ts2diff"
-	"etsqp/internal/obs"
 )
 
-// DecodeRange decodes rows [from, to) of a TS2DIFF block. For order-1
-// blocks the slice's prefix dependency (Figure 8: P1S2 waits on P1S1) is
-// resolved with a lane-parallel SumPacked over the skipped prefix, then
-// the requested rows decode through the normal vector pipeline; 8-row-
-// aligned starts (which SplitPage guarantees) keep the packed window
-// byte-aligned.
+// DecodeRange decodes rows [from, to) of a TS2DIFF block; the result
+// slice is its only allocation.
 func DecodeRange(b *ts2diff.Block, from, to int) ([]int64, error) {
 	if from < 0 || to > b.Count || from > to {
 		return nil, fmt.Errorf("pipeline: range [%d,%d) out of block [0,%d)", from, to, b.Count)
@@ -21,60 +15,10 @@ func DecodeRange(b *ts2diff.Block, from, to int) ([]int64, error) {
 	if from == to {
 		return nil, nil
 	}
-	if from == 0 && to == b.Count {
-		return DecodeBlock(b)
-	}
-	if b.Order != ts2diff.Order1 {
-		// Order-2 range: the start delta depends on a second prefix level;
-		// decode the page once and slice (time pages are usually width 0
-		// and never reach here — see ConstantInterval).
-		all, err := DecodeBlock(b)
-		if err != nil {
-			return nil, err
-		}
-		return all[from:to], nil
-	}
-	// v[from] = First + from*MinBase + sum(packed[0:from]).
-	skip, err := SumPacked(b.Packed, from, b.Width)
-	if err != nil {
-		return nil, err
-	}
-	obs.PipelinePrefixFixups.Inc()
-	vFrom := b.First + b.MinBase*int64(from) + int64(skip)
 	out := make([]int64, to-from)
-	out[0] = vFrom
-	m := to - 1 - from // packed elements consumed by rows from+1..to-1
-	if m == 0 {
-		obs.PipelineValuesUnpacked.Add(int64(len(out)))
-		return out, nil
-	}
-	startBit := from * int(b.Width)
-	if b.Width == 0 || startBit%8 == 0 {
-		var window []byte
-		if b.Width > 0 {
-			window = b.Packed[startBit/8:]
-		}
-		if err := accumulateFrom(out, vFrom, window, m, b.Width, b.MinBase); err != nil {
-			return nil, err
-		}
-		obs.PipelineValuesUnpacked.Add(int64(len(out)))
-		return out, nil
-	}
-	// Unaligned start: scalar from the exact bit offset.
-	r := bitio.NewReader(b.Packed)
-	if err := r.Seek(startBit); err != nil {
+	if err := decodeRows(out, b, from); err != nil {
 		return nil, err
 	}
-	cur := vFrom
-	for i := 1; i <= m; i++ {
-		v, err := r.ReadBits(b.Width)
-		if err != nil {
-			return nil, err
-		}
-		cur += b.MinBase + int64(v)
-		out[i] = cur
-	}
-	obs.PipelineValuesUnpacked.Add(int64(len(out)))
 	return out, nil
 }
 

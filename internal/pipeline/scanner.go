@@ -8,65 +8,79 @@ import (
 	"etsqp/internal/obs"
 )
 
-// RangeScanner decodes a TS2DIFF block incrementally: the prefix to the
-// start row is resolved once, and each Next call continues from the
-// previous position in O(chunk) — the streaming shape the Proposition
-// 4/5 stop rules need, without re-resolving the Figure 8 prefix per
-// chunk. Order-1 blocks vectorize aligned chunks; order-2 blocks (time
-// columns) stream through the two-level scalar recurrence.
+// RangeScanner is the one cursor that rebuilds rows from a TS2DIFF
+// block: the prefix to the start row is resolved once, and each Next
+// call continues from the previous position in O(chunk) — the streaming
+// shape the Proposition 4/5 stop rules need, without re-resolving the
+// Figure 8 prefix per chunk. DecodeBlock, DecodeBlockInto and
+// DecodeRange are single Next calls on a stack-allocated scanner.
+// Order-1 chunks of 1..32-bit fields that start on a byte boundary of
+// the packed stream run Algorithm 1 (accumulateFrom); every other chunk,
+// and every order-2 block (time columns), goes through the bit reader.
 type RangeScanner struct {
 	b     *ts2diff.Block
 	row   int   // next row to emit
 	cur   int64 // value at row-1 (undefined when row == 0)
-	delta int64 // order-2 only: delta between rows row-1 and row
-	r     *bitio.Reader
+	delta int64 // order-2 only: the first difference last applied
+	r     bitio.Reader
 }
 
 // NewRangeScanner positions a scanner at startRow of a block.
 func NewRangeScanner(b *ts2diff.Block, startRow int) (*RangeScanner, error) {
-	if b.Order != ts2diff.Order1 && b.Order != ts2diff.Order2 {
-		return nil, fmt.Errorf("pipeline: unknown order %d", b.Order)
-	}
-	if startRow < 0 || startRow > b.Count {
-		return nil, fmt.Errorf("pipeline: start row %d out of [0,%d]", startRow, b.Count)
-	}
-	s := &RangeScanner{b: b, r: bitio.NewReader(b.Packed)}
-	if startRow > 0 {
-		obs.PipelinePrefixFixups.Inc()
-	}
-	if b.Order == ts2diff.Order2 {
-		s.delta = b.FirstDelta
-		// Order-2 prefixes resolve by replaying the recurrence (time
-		// columns are order-2; slices usually start at row 0).
-		s.cur = b.First
-		if startRow > 0 {
-			s.row = 1
-			tmp := make([]int64, 256)
-			for s.row < startRow {
-				want := startRow - s.row
-				if want > len(tmp) {
-					want = len(tmp)
-				}
-				if _, err := s.next2(tmp[:want]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		s.row = startRow
-		return s, nil
-	}
-	s.row = startRow
-	if startRow > 0 {
-		skip, err := SumPacked(b.Packed, startRow-1, b.Width)
-		if err != nil {
-			return nil, err
-		}
-		s.cur = b.First + b.MinBase*int64(startRow-1) + int64(skip)
-		if err := s.r.Seek((startRow - 1) * int(b.Width)); err != nil {
-			return nil, err
-		}
+	s := new(RangeScanner)
+	if err := s.init(b, startRow); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// decodeRows fills out with rows [from, from+len(out)) of the block.
+func decodeRows(out []int64, b *ts2diff.Block, from int) error {
+	var s RangeScanner
+	if err := s.init(b, from); err != nil {
+		return err
+	}
+	_, err := s.Next(out)
+	return err
+}
+
+// init resolves the slice prefix dependency (Figure 8: P1S2 waits on
+// P1S1): an order-1 start value is First plus a lane-parallel SumPacked
+// over the skipped fields; an order-2 start depends on a second prefix
+// level, so the recurrence is replayed (time pages are usually width 0
+// and never decoded at all — see ConstantInterval).
+func (s *RangeScanner) init(b *ts2diff.Block, startRow int) error {
+	if b.Order != ts2diff.Order1 && b.Order != ts2diff.Order2 {
+		return fmt.Errorf("pipeline: unknown order %d", b.Order)
+	}
+	if startRow < 0 || startRow > b.Count {
+		return fmt.Errorf("pipeline: start row %d out of [0,%d]", startRow, b.Count)
+	}
+	*s = RangeScanner{b: b, r: *bitio.NewReader(b.Packed)}
+	if startRow == 0 {
+		return nil
+	}
+	obs.PipelinePrefixFixups.Inc()
+	if b.Order == ts2diff.Order2 {
+		var skipped [256]int64
+		for s.row < startRow {
+			n := startRow - s.row
+			if n > len(skipped) {
+				n = len(skipped)
+			}
+			if err := s.next2(skipped[:n]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	skip, err := SumPacked(b.Packed, startRow-1, b.Width)
+	if err != nil {
+		return err
+	}
+	s.row = startRow
+	s.cur = b.First + b.MinBase*int64(startRow-1) + int64(skip)
+	return s.r.Seek((startRow - 1) * int(b.Width))
 }
 
 // Row reports the next row the scanner will emit.
@@ -74,6 +88,8 @@ func (s *RangeScanner) Row() int { return s.row }
 
 // Next decodes up to len(dst) rows, returning how many were produced
 // (0 at the end of the block).
+//
+//etsqp:hotpath
 func (s *RangeScanner) Next(dst []int64) (int, error) {
 	n := len(dst)
 	if rem := s.b.Count - s.row; rem < n {
@@ -84,91 +100,88 @@ func (s *RangeScanner) Next(dst []int64) (int, error) {
 	}
 	var err error
 	if s.b.Order == ts2diff.Order2 {
-		n, err = s.next2(dst[:n])
+		err = s.next2(dst[:n])
 	} else {
-		n, err = s.next1(dst[:n])
+		err = s.next1(dst[:n])
 	}
-	if err == nil && n > 0 {
+	if err != nil {
+		return 0, err
+	}
+	if obs.Enabled() {
 		obs.PipelineValuesUnpacked.Add(int64(n))
-	}
-	return n, err
-}
-
-// next1 advances an order-1 scan; byte-aligned chunk starts run through
-// the vectorized pipeline.
-func (s *RangeScanner) next1(dst []int64) (int, error) {
-	n := len(dst)
-	width := s.b.Width
-	i := 0
-	if s.row == 0 {
-		s.cur = s.b.First
-		dst[0] = s.cur
-		s.row++
-		i++
-	}
-	if i < n && width > 0 && width <= MaxNarrowWidth {
-		startElem := s.row - 1
-		if (startElem*int(width))%8 == 0 {
-			m := n - i // packed elements to consume
-			tmp := make([]int64, m+1)
-			tmp[0] = s.cur
-			window := s.b.Packed[startElem*int(width)/8:]
-			if err := accumulateFrom(tmp, s.cur, window, m, width, s.b.MinBase); err != nil {
-				return 0, err
-			}
-			copy(dst[i:n], tmp[1:])
-			s.cur = tmp[m]
-			s.row += m
-			if err := s.r.Seek((s.row - 1) * int(width)); err != nil {
-				return 0, err
-			}
-			return n, nil
-		}
-	}
-	for ; i < n; i++ {
-		var v uint64
-		if width > 0 {
-			var err error
-			v, err = s.r.ReadBits(width)
-			if err != nil {
-				return 0, err
-			}
-		}
-		s.cur += s.b.MinBase + int64(v)
-		dst[i] = s.cur
-		s.row++
 	}
 	return n, nil
 }
 
-// next2 advances an order-2 scan via the two-level recurrence:
-// delta_r = delta_{r-1} + dd_{r-2}, value_r = value_{r-1} + delta_r.
-func (s *RangeScanner) next2(dst []int64) (int, error) {
-	n := len(dst)
-	width := s.b.Width
-	i := 0
+// next1 advances an order-1 scan by len(dst) rows. Row r consumes packed
+// field r-1, so a chunk is byte-aligned when (row-1)*width is a multiple
+// of 8.
+//
+//etsqp:hotpath
+func (s *RangeScanner) next1(dst []int64) error {
+	width, minBase := s.b.Width, s.b.MinBase
+	if s.row == 0 {
+		s.cur = s.b.First
+		dst[0] = s.cur
+		s.row = 1
+		dst = dst[1:]
+	}
+	startBit := (s.row - 1) * int(width)
+	if width >= 1 && width <= 32 && startBit%8 == 0 && len(dst) > 0 {
+		if err := accumulateFrom(dst, s.cur, s.b.Packed[startBit/8:], width, minBase); err != nil {
+			return err
+		}
+		s.cur = dst[len(dst)-1]
+		s.row += len(dst)
+		return s.r.Seek((s.row - 1) * int(width))
+	}
+	cur := s.cur
+	for i := range dst {
+		var v uint64
+		if width > 0 {
+			var err error
+			if v, err = s.r.ReadBits(width); err != nil {
+				return err
+			}
+		}
+		cur += minBase + int64(v)
+		dst[i] = cur
+	}
+	s.row += len(dst)
+	s.cur = cur
+	return nil
+}
+
+// next2 advances an order-2 scan by len(dst) rows via the two-level
+// recurrence: delta_r = delta_{r-1} + dd_{r-2}, value_r = value_{r-1} +
+// delta_r, with delta_1 = FirstDelta.
+//
+//etsqp:hotpath
+func (s *RangeScanner) next2(dst []int64) error {
+	width, minBase := s.b.Width, s.b.MinBase
 	if s.row == 0 {
 		s.cur = s.b.First
 		s.delta = s.b.FirstDelta
 		dst[0] = s.cur
-		s.row++
-		i++
+		s.row = 1
+		dst = dst[1:]
 	}
-	for ; i < n; i++ {
-		if s.row >= 2 {
+	cur, delta := s.cur, s.delta
+	for i := range dst {
+		if s.row+i >= 2 {
 			var dd uint64
 			if width > 0 {
 				var err error
-				dd, err = s.r.ReadBits(width)
-				if err != nil {
-					return 0, err
+				if dd, err = s.r.ReadBits(width); err != nil {
+					return err
 				}
 			}
-			s.delta += s.b.MinBase + int64(dd)
+			delta += minBase + int64(dd)
 		}
-		s.cur += s.delta
-		dst[i] = s.cur
-		s.row++
+		cur += delta
+		dst[i] = cur
 	}
-	return n, nil
+	s.row += len(dst)
+	s.cur, s.delta = cur, delta
+	return nil
 }

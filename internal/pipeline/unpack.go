@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"etsqp/internal/bitio"
@@ -10,11 +9,6 @@ import (
 	"etsqp/internal/obs"
 	"etsqp/internal/simd"
 )
-
-// errOutLen is a static error so hot-path length guards stay
-// allocation-free (hotpathalloc-enforced). The public entry points
-// report the offending lengths before the kernels run.
-var errOutLen = errors.New("pipeline: output length mismatch")
 
 // UnpackVec runs the Figure 3 sequence for unpacked vector j of a block:
 // gather (shuffle + Endian conversion), variable shift, mask.
@@ -30,104 +24,59 @@ func (p *Plan) UnpackVec(window []byte, j int) simd.U32x8 {
 // DecodeBlock decodes a TS2DIFF block with the vectorized pipeline
 // (Algorithm 1). It is the drop-in fast path for ts2diff.Block.Decode.
 func DecodeBlock(b *ts2diff.Block) ([]int64, error) {
-	if b.Count == 0 {
-		return nil, nil
-	}
-	out := make([]int64, b.Count)
-	if err := DecodeBlockInto(out, b); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return DecodeRange(b, 0, b.Count)
 }
 
 // DecodeBlockInto decodes into a caller-provided slice of length b.Count.
 func DecodeBlockInto(out []int64, b *ts2diff.Block) error {
-	if err := decodeBlockInto(out, b); err != nil {
-		return err
-	}
-	obs.PipelineValuesUnpacked.Add(int64(b.Count))
-	return nil
-}
-
-func decodeBlockInto(out []int64, b *ts2diff.Block) error {
 	if len(out) != b.Count {
 		return fmt.Errorf("pipeline: dst len %d, want %d", len(out), b.Count)
 	}
-	if b.Count == 0 {
-		return nil
-	}
-	switch b.Order {
-	case ts2diff.Order1:
-		out[0] = b.First
-		return accumulateFrom(out, b.First, b.Packed, b.NumPacked(), b.Width, b.MinBase)
-	case ts2diff.Order2:
-		out[0] = b.First
-		if b.Count == 1 {
-			return nil
-		}
-		// Stage 1: recover the delta sequence (itself delta-encoded).
-		deltas := make([]int64, b.Count-1)
-		deltas[0] = b.FirstDelta
-		if err := accumulateFrom(deltas, b.FirstDelta, b.Packed, b.NumPacked(), b.Width, b.MinBase); err != nil {
-			return err
-		}
-		// Stage 2: accumulate deltas onto the first value.
-		cur := b.First
-		for i, d := range deltas {
-			cur += d
-			out[i+1] = cur
-		}
-		return nil
-	default:
-		return fmt.Errorf("pipeline: unknown order %d", b.Order)
-	}
+	return decodeRows(out, b, 0)
 }
 
-// accumulateFrom fills out[1:] with first + prefix sums of the m packed
-// deltas: out[i] = first + i*minBase + sum(packed[0:i]). out[0] must
-// already hold first. Accumulation wraps intentionally: Delta encode and
-// decode are inverse mod 2^64, so checked adds here would reject values
-// that round-trip correctly.
+// accumulateFrom is the order-1 kernel (Algorithm 1): it reads len(out)
+// fields of 1..32 bits from the byte-aligned start of packed and fills
+// out with the running values after prev,
+// out[i] = prev + (i+1)*minBase + sum(packed[0:i+1]). Accumulation wraps
+// intentionally: Delta encode and decode are inverse mod 2^64, so
+// checked adds here would reject values that round-trip correctly.
 //
-//etsqp:bounds width [0, 64]
+//etsqp:bounds width [1, 32]
 //etsqp:hotpath
-func accumulateFrom(out []int64, first int64, packed []byte, m int, width uint, minBase int64) error {
-	if m == 0 {
-		return nil
-	}
-	if len(out) != m+1 {
-		return errOutLen
-	}
-	if width == 0 {
-		// Degenerate packing: every delta equals minBase (closed form).
-		cur := first
-		for i := 1; i <= m; i++ {
-			cur += minBase
-			out[i] = cur
-		}
-		return nil
-	}
-	if width > 32 {
-		// Very wide deltas (rare in IoT data): plain bit-reader path.
-		return accumulateScalar(out, first, packed, m, width, minBase)
-	}
+func accumulateFrom(out []int64, prev int64, packed []byte, width uint, minBase int64) error {
 	p, err := PlanFor(width)
 	if err != nil {
 		return err
 	}
+	m := len(out)
+	cur := prev
 	if p.wide {
-		return accumulateWide(out, first, packed, m, width, minBase)
+		// Fields above MaxNarrowWidth span 5 bytes: 8-byte windows and
+		// 64-bit extraction (the two-round shuffle path of wide fields).
+		mask := uint64(1)<<width - 1
+		for e := range out {
+			startBit := e * int(width)
+			fb := startBit / 8
+			o := uint(startBit - fb*8)
+			w, err := window64(packed, fb)
+			if err != nil {
+				return err
+			}
+			cur += minBase + int64((w>>(64-o-width))&mask)
+			out[e] = cur
+		}
+		return nil
 	}
-	// Per-lane base offsets: lane l of vector j decodes element l*Nv+j,
-	// whose value index is that plus one. Fixed-size locals keep the
-	// whole block state on the stack (hotpathalloc-enforced).
+	// Per-lane base offsets: lane l of vector j decodes element l*Nv+j.
+	// Fixed-size locals keep the whole block state on the stack
+	// (hotpathalloc-enforced).
 	var rampBase [simd.Lanes32]int64
 	for l := 0; l < simd.Lanes32; l++ {
 		rampBase[l] = minBase * int64(l*p.Nv)
 	}
 	var vecsArr [MaxNv]simd.U32x8
 	vecs := vecsArr[:p.Nv]
-	v0 := first
 	e := 0
 	for ; e+p.BlockElems <= m; e += p.BlockElems {
 		window := packed[e*int(width)/8:]
@@ -145,13 +94,13 @@ func accumulateFrom(out []int64, first int64, packed []byte, m int, width uint, 
 		// Line 15 + store: add prefix and bases, widen, materialize.
 		for j := 0; j < p.Nv; j++ {
 			s := simd.Add32(vecs[j], prefix)
-			base := v0 + minBase*int64(j+1)
+			base := cur + minBase*int64(j+1)
 			for l := 0; l < simd.Lanes32; l++ {
-				out[1+e+l*p.Nv+j] = base + rampBase[l] + int64(s[l])
+				out[e+l*p.Nv+j] = base + rampBase[l] + int64(s[l])
 			}
 		}
 		total := int64(prefix[simd.Lanes32-1]) + int64(laneTot[simd.Lanes32-1])
-		v0 += minBase*int64(p.BlockElems) + total
+		cur += minBase*int64(p.BlockElems) + total
 	}
 	if e > 0 && obs.Enabled() {
 		obs.PipelineVectorOps.Add(int64(e / p.BlockElems * p.Nv))
@@ -162,56 +111,14 @@ func accumulateFrom(out []int64, first int64, packed []byte, m int, width uint, 
 		if err := r.Seek(e * int(width)); err != nil {
 			return err
 		}
-		cur := v0
 		for ; e < m; e++ {
 			v, err := r.ReadBits(width)
 			if err != nil {
 				return err
 			}
 			cur += minBase + int64(v)
-			out[1+e] = cur
+			out[e] = cur
 		}
-	}
-	return nil
-}
-
-// accumulateScalar is the bit-reader fallback for widths above 32 bits.
-//
-//etsqp:bounds width [0, 64]
-//etsqp:hotpath
-func accumulateScalar(out []int64, first int64, packed []byte, m int, width uint, minBase int64) error {
-	r := bitio.NewReader(packed)
-	cur := first
-	for e := 0; e < m; e++ {
-		v, err := r.ReadBits(width)
-		if err != nil {
-			return err
-		}
-		cur += minBase + int64(v)
-		out[1+e] = cur
-	}
-	return nil
-}
-
-// accumulateWide handles widths above MaxNarrowWidth with 8-byte windows
-// and 64-bit accumulation (the two-round shuffle path of wide fields).
-//
-//etsqp:bounds width [0, 32]
-//etsqp:hotpath
-func accumulateWide(out []int64, first int64, packed []byte, m int, width uint, minBase int64) error {
-	mask := uint64(1)<<width - 1
-	cur := first
-	for e := 0; e < m; e++ {
-		startBit := e * int(width)
-		fb := startBit / 8
-		o := uint(startBit - fb*8)
-		w, err := window64(packed, fb)
-		if err != nil {
-			return err
-		}
-		v := (w >> (64 - o - width)) & mask
-		cur += minBase + int64(v)
-		out[1+e] = cur
 	}
 	return nil
 }
@@ -239,22 +146,9 @@ func window64(buf []byte, fb int) (uint64, error) {
 	return binary.BigEndian.Uint64(tmp[:8]), nil
 }
 
-// DecodeDeltas vector-unpacks m packed fields and adds minBase, returning
-// the delta sequence without accumulation — the input Repeat flattening
-// and the order-2 pipeline consume.
-//
-//etsqp:bounds m [0, 1<<32)
-//etsqp:bounds width [0, 64]
-func DecodeDeltas(packed []byte, m int, width uint, minBase int64) ([]int64, error) {
-	out := make([]int64, m)
-	if err := DecodeDeltasInto(out, packed, m, width, minBase); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeDeltasInto is the allocation-free kernel behind DecodeDeltas:
-// out must have length m.
+// DecodeDeltasInto vector-unpacks m packed fields and adds minBase,
+// writing the delta sequence without accumulation — the input the fused
+// order-2 and segment sums consume. out must have length m.
 //
 //etsqp:bounds width [0, 64]
 //etsqp:hotpath

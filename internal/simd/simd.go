@@ -7,7 +7,7 @@
 // exposes no intrinsics, so this package provides the same operations as
 // lane-wise loops over fixed-size arrays. Semantics mirror x86:
 //
-//   - vectors are little-endian when viewed as 32/64-bit lanes;
+//   - vectors are little-endian when viewed as 32-bit lanes;
 //   - ShuffleEpi8 moves bytes only within each 128-bit half of a 256-bit
 //     vector, with the index high bit zeroing the output byte;
 //   - Permutevar8x32 permutes 32-bit lanes across the full 256-bit vector.
@@ -24,7 +24,6 @@ const (
 	WidthBits  = 256 // omega_SIMD in the paper
 	WidthBytes = 32
 	Lanes32    = 8 // 32-bit lanes per vector
-	Lanes64    = 4 // 64-bit lanes per vector
 )
 
 // B32 is a 256-bit vector viewed as bytes.
@@ -33,26 +32,9 @@ type B32 [32]byte
 // U32x8 is a 256-bit vector viewed as eight 32-bit lanes (lane 0 = lowest).
 type U32x8 [8]uint32
 
-// I64x4 is a 256-bit vector viewed as four signed 64-bit lanes.
-type I64x4 [4]int64
-
 // ZeroIdx is the shuffle index value that produces a zero byte
 // (x86 uses any index with the high bit set).
 const ZeroIdx = 0x80
-
-// LoadB32 loads 32 bytes from p (panics if len(p) < 32).
-func LoadB32(p []byte) B32 {
-	var v B32
-	copy(v[:], p[:32])
-	return v
-}
-
-// LoadPartialB32 loads up to 32 bytes from p, zero-filling the rest.
-func LoadPartialB32(p []byte) B32 {
-	var v B32
-	copy(v[:], p)
-	return v
-}
 
 // ToU32 reinterprets the byte vector as eight little-endian 32-bit lanes,
 // matching how x86 registers are viewed by epi32 instructions.
@@ -60,15 +42,6 @@ func (v B32) ToU32() U32x8 {
 	var out U32x8
 	for i := 0; i < Lanes32; i++ {
 		out[i] = binary.LittleEndian.Uint32(v[i*4:])
-	}
-	return out
-}
-
-// ToB32 reinterprets eight 32-bit lanes as 32 little-endian bytes.
-func (v U32x8) ToB32() B32 {
-	var out B32
-	for i := 0; i < Lanes32; i++ {
-		binary.LittleEndian.PutUint32(out[i*4:], v[i])
 	}
 	return out
 }
@@ -106,19 +79,6 @@ func Srlv32(v, shift U32x8) U32x8 {
 	return out
 }
 
-// Sllv32 emulates _mm256_sllv_epi32: per-lane logical left shift.
-func Sllv32(v, shift U32x8) U32x8 {
-	var out U32x8
-	for i := 0; i < Lanes32; i++ {
-		if shift[i] >= 32 {
-			out[i] = 0
-		} else {
-			out[i] = v[i] << shift[i]
-		}
-	}
-	return out
-}
-
 // And32 is the lane-wise AND of two vectors.
 func And32(a, b U32x8) U32x8 {
 	var out U32x8
@@ -128,38 +88,11 @@ func And32(a, b U32x8) U32x8 {
 	return out
 }
 
-// Or32 is the lane-wise OR of two vectors.
-func Or32(a, b U32x8) U32x8 {
-	var out U32x8
-	for i := 0; i < Lanes32; i++ {
-		out[i] = a[i] | b[i]
-	}
-	return out
-}
-
-// Xor32 is the lane-wise XOR of two vectors.
-func Xor32(a, b U32x8) U32x8 {
-	var out U32x8
-	for i := 0; i < Lanes32; i++ {
-		out[i] = a[i] ^ b[i]
-	}
-	return out
-}
-
 // Add32 is the lane-wise wrapping addition (paddd).
 func Add32(a, b U32x8) U32x8 {
 	var out U32x8
 	for i := 0; i < Lanes32; i++ {
 		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub32 is the lane-wise wrapping subtraction (psubd).
-func Sub32(a, b U32x8) U32x8 {
-	var out U32x8
-	for i := 0; i < Lanes32; i++ {
-		out[i] = a[i] - b[i]
 	}
 	return out
 }
@@ -191,26 +124,6 @@ func CmpGt32(a, b U32x8) U32x8 {
 		if int32(a[i]) > int32(b[i]) {
 			out[i] = 0xFFFFFFFF
 		}
-	}
-	return out
-}
-
-// CmpEq32 compares lanes for equality: all-ones where equal.
-func CmpEq32(a, b U32x8) U32x8 {
-	var out U32x8
-	for i := 0; i < Lanes32; i++ {
-		if a[i] == b[i] {
-			out[i] = 0xFFFFFFFF
-		}
-	}
-	return out
-}
-
-// Blend32 selects b where mask lane is all-ones, a elsewhere.
-func Blend32(a, b, mask U32x8) U32x8 {
-	var out U32x8
-	for i := 0; i < Lanes32; i++ {
-		out[i] = a[i]&^mask[i] | b[i]&mask[i]
 	}
 	return out
 }
@@ -283,68 +196,6 @@ func ExclusivePrefixSum32(v U32x8) U32x8 {
 	return shifted
 }
 
-// Add64 adds four 64-bit lanes (paddq).
-func Add64(a, b I64x4) I64x4 {
-	var out I64x4
-	for i := 0; i < Lanes64; i++ {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Broadcast64 emulates _mm256_set1_epi64x.
-func Broadcast64(x int64) I64x4 {
-	var out I64x4
-	for i := 0; i < Lanes64; i++ {
-		out[i] = x
-	}
-	return out
-}
-
-// WidenLo widens the low four 32-bit lanes to signed 64-bit
-// (pmovsxdq on the lower half).
-func WidenLo(v U32x8) I64x4 {
-	var out I64x4
-	for i := 0; i < Lanes64; i++ {
-		out[i] = int64(int32(v[i]))
-	}
-	return out
-}
-
-// WidenHi widens the high four 32-bit lanes to signed 64-bit.
-func WidenHi(v U32x8) I64x4 {
-	var out I64x4
-	for i := 0; i < Lanes64; i++ {
-		out[i] = int64(int32(v[i+4]))
-	}
-	return out
-}
-
-// WidenLoU and WidenHiU widen lanes zero-extended (unsigned deltas).
-func WidenLoU(v U32x8) I64x4 {
-	var out I64x4
-	for i := 0; i < Lanes64; i++ {
-		out[i] = int64(v[i])
-	}
-	return out
-}
-
-// WidenHiU widens the high four lanes zero-extended.
-func WidenHiU(v U32x8) I64x4 {
-	var out I64x4
-	for i := 0; i < Lanes64; i++ {
-		out[i] = int64(v[i+4])
-	}
-	return out
-}
-
-// HSum64 returns the horizontal sum of four 64-bit lanes.
-//
-//etsqp:nobce
-//etsqp:noescape
-//etsqp:inline
-func HSum64(v I64x4) int64 { return v[0] + v[1] + v[2] + v[3] }
-
 // GatherBytes builds a vector from arbitrary byte offsets of a loaded
 // window. Offset values >= len(window) or negative produce zero bytes.
 //
@@ -367,22 +218,4 @@ func GatherBytes(window []byte, idx *[32]int32) B32 {
 		}
 	}
 	return out
-}
-
-// AddCheck32 performs signed lane addition with overflow detection
-// (Section VI-C: "check lane symbols and raise an overflow error when
-// two corresponding lanes of the same symbol are different from the lane
-// in the result vector"). The overflow mask has all-ones lanes where the
-// signed addition wrapped; callers re-aggregate those lanes at a larger
-// quantity.
-func AddCheck32(a, b U32x8) (sum, overflow U32x8) {
-	sum = Add32(a, b)
-	// Overflow iff sign(a) == sign(b) != sign(sum):
-	// (~(a^b)) & (a^sum) has its top bit set exactly then.
-	for i := 0; i < Lanes32; i++ {
-		if (^(a[i] ^ b[i]))&(a[i]^sum[i])&0x80000000 != 0 {
-			overflow[i] = 0xFFFFFFFF
-		}
-	}
-	return sum, overflow
 }

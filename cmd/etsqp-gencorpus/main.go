@@ -72,7 +72,46 @@ func run(root string) error {
 	if err := overflowParityCorpus(root); err != nil {
 		return err
 	}
+	if err := readBitsCorpus(root); err != nil {
+		return err
+	}
 	return rlbeCorpus(root, series, runs)
+}
+
+// readBitsCorpus seeds FuzzReadBits (internal/bitio): a buffer plus
+// (count, skip) byte pairs. The seeds walk one buffer at every count
+// 0..65, read 57..64-bit fields from each bit offset (the ninth-byte
+// spill), and end inside the last 8 bytes (the zero-padded tail load)
+// and one read past the end.
+func readBitsCorpus(root string) error {
+	buf := make([]byte, 96)
+	for i := range buf {
+		buf[i] = byte(i*0x6B + 0x1F)
+	}
+	var counts, spills, tail []byte
+	for n := 0; n <= 65; n++ {
+		counts = append(counts, byte(n), byte(n%3))
+	}
+	for off := 0; off < 8; off++ {
+		spills = append(spills, byte(57+off), byte(off+1))
+	}
+	for i := 0; i < 12; i++ {
+		tail = append(tail, 7, 0)
+	}
+	entries := [][2][]byte{
+		{nil, nil},
+		{buf, counts},
+		{buf[:80], spills},
+		{buf[:10], tail}, // 84 bits asked of 80
+	}
+	dir := filepath.Join(root, "internal/bitio/testdata/fuzz/FuzzReadBits")
+	for i, e := range entries {
+		lit := "[]byte(" + strconv.Quote(string(e[0])) + ")\n[]byte(" + strconv.Quote(string(e[1])) + ")"
+		if err := writeEntry(dir, i, lit); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // overflowParityCorpus seeds FuzzOverflowParity (internal/fusion) with the
@@ -151,9 +190,9 @@ func flattenCorpus(root string) error {
 // rangeScannerCorpus seeds FuzzRangeScanner's input shape (see
 // parseScannerInput in internal/pipeline/fuzz_test.go: order/first
 // selector, width, then uint16 from, to, chunk, then 3-byte row groups)
-// with scans that reach each arm of the cursor: byte-aligned and
-// unaligned chunk starts, narrow/wide/over-32-bit/zero widths, order-2
-// prefix replay, and first values at the int64 extremes.
+// with scans that vary what the cursor meets: byte-aligned and
+// unaligned chunk starts, widths from zero to 64, order-2 prefix
+// replay, and first values at the int64 extremes.
 func rangeScannerCorpus(root string) error {
 	const order2, firstMax, firstMin = 1, 1 << 1, 2 << 1
 	scan := func(sel, width byte, from, to, chunk uint16, groups int) []byte {
@@ -173,8 +212,8 @@ func rangeScannerCorpus(root string) error {
 		w12,
 		scan(0, 8, 1001, 3000, 1024, 16),      // every chunk byte-aligned
 		scan(0, 12, 1000, 3000, 7, 16),        // prefix fix-up, tiny chunks
-		scan(0, 30, 9, 0xFFFF, 1500, 8),       // 8-byte-window fields
-		scan(0, 40, 3, 0xFFFF, 100, 4),        // past the plan tables
+		scan(0, 30, 9, 0xFFFF, 1500, 8),       // fields spanning 5 bytes
+		scan(0, 40, 3, 0xFFFF, 100, 4),        // wider than a 32-bit lane
 		scan(0, 0, 5, 0xFFFF, 64, 4),          // constant delta
 		scan(order2, 10, 0, 0xFFFF, 1024, 12), // time-column recurrence
 		scan(order2, 0, 700, 0xFFFF, 300, 8),  // order-2 prefix replay

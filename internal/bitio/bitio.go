@@ -7,6 +7,7 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -115,7 +116,8 @@ type Reader struct {
 // NewReader returns a Reader over buf starting at bit 0.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
-// ReadBit reads a single bit.
+// ReadBit reads a single bit. It shares no code with ReadBits: the tests
+// use it as ReadBits's reference.
 //
 //etsqp:hotpath
 func (r *Reader) ReadBit() (uint, error) {
@@ -132,6 +134,13 @@ func (r *Reader) ReadBit() (uint, error) {
 // Counts above 64 return ErrBitCount: they can be induced by corrupt
 // page headers, so the decode path must not crash on them.
 //
+// It is the one field extractor of the module: a single 8-byte
+// big-endian load at the field's first byte, a shift and a mask. Fewer
+// than 8 bytes before the end of the buffer are loaded through a
+// zero-padded stack copy; the length check comes first, so padded bits
+// are never returned. Only a field of more than 57 bits that starts
+// mid-byte reaches into a ninth byte.
+//
 //etsqp:hotpath
 func (r *Reader) ReadBits(n uint) (uint64, error) {
 	if n > 64 {
@@ -140,21 +149,22 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	if r.pos+int(n) > len(r.buf)*8 {
 		return 0, ErrShortBuffer
 	}
-	var v uint64
-	rem := n
-	for rem > 0 {
-		byteIdx := r.pos >> 3
-		bitOff := uint(r.pos & 7)
-		avail := 8 - bitOff
-		take := rem
-		if take > avail {
-			take = avail
-		}
-		chunk := uint64(r.buf[byteIdx]>>(avail-take)) & (1<<take - 1)
-		v = v<<take | chunk
-		r.pos += int(take)
-		rem -= take
+	i := r.pos >> 3
+	off := uint(r.pos & 7)
+	var w uint64
+	if tail := r.buf[i:]; len(tail) >= 8 {
+		w = binary.BigEndian.Uint64(tail)
+	} else {
+		var pad [8]byte
+		copy(pad[:], tail)
+		w = binary.BigEndian.Uint64(pad[:])
 	}
+	// The field is bits [off, off+n) of the window, counted from the MSB.
+	v := w << off >> (64 - n)
+	if spill := off + n; spill > 64 {
+		v |= uint64(r.buf[i+8] >> (72 - spill))
+	}
+	r.pos += int(n)
 	return v, nil
 }
 

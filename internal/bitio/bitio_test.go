@@ -99,6 +99,100 @@ func TestShortBuffer(t *testing.T) {
 	}
 }
 
+// readBitsByBit is ReadBits's reference: n calls of ReadBit, all or
+// nothing like ReadBits itself.
+func readBitsByBit(r *Reader, n uint) (uint64, error) {
+	if n > 64 {
+		return 0, ErrBitCount
+	}
+	start := r.Pos()
+	var v uint64
+	for i := uint(0); i < n; i++ {
+		bit, err := r.ReadBit()
+		if err != nil {
+			r.pos = start
+			return 0, err
+		}
+		v = v<<1 | uint64(bit)
+	}
+	return v, nil
+}
+
+// checkReadBits reads n bits from r with PeekBits and ReadBits and from
+// ref (at the same position) bit by bit; values, errors and positions
+// must agree.
+func checkReadBits(t *testing.T, r, ref *Reader, n uint) {
+	t.Helper()
+	pos := r.Pos()
+	want, wantErr := readBitsByBit(ref, n)
+	peek, peekErr := r.PeekBits(n)
+	if r.Pos() != pos {
+		t.Fatalf("PeekBits(%d) at bit %d moved to %d", n, pos, r.Pos())
+	}
+	got, err := r.ReadBits(n)
+	if err != wantErr || peekErr != wantErr {
+		t.Fatalf("%d bits at bit %d of %d bytes: ReadBits err %v, PeekBits err %v, ReadBit err %v", n, pos, len(r.buf), err, peekErr, wantErr)
+	}
+	if got != want || peek != want {
+		t.Fatalf("%d bits at bit %d of %d bytes: ReadBits %#x, PeekBits %#x, ReadBit %#x", n, pos, len(r.buf), got, peek, want)
+	}
+	if r.Pos() != ref.Pos() {
+		t.Fatalf("%d bits at bit %d: ReadBits left pos %d, ReadBit %d", n, pos, r.Pos(), ref.Pos())
+	}
+}
+
+// TestReadBitsMatchesReadBit reads every field shape the 8-byte window
+// can meet — each bit offset, each count, at the start of the buffer
+// and past it, with 0..9 bytes after the field's last byte so the
+// short-tail copy, the exact fit and the ninth-byte spill all occur —
+// and one bit more than the buffer holds.
+func TestReadBitsMatchesReadBit(t *testing.T) {
+	for _, lead := range []int{0, 3} {
+		for off := 0; off < 8; off++ {
+			for n := uint(0); n <= 65; n++ {
+				for tail := 0; tail <= 9; tail++ {
+					buf := make([]byte, lead+(off+int(n)+7)/8+tail)
+					for i := range buf {
+						buf[i] = byte((i+1)*0x9D ^ off*0x35 ^ int(n))
+					}
+					r, ref := NewReader(buf), NewReader(buf)
+					start := lead*8 + off
+					if r.Seek(start) != nil || ref.Seek(start) != nil {
+						t.Fatalf("seek to bit %d of %d bytes", start, len(buf))
+					}
+					checkReadBits(t, r, ref, n)
+					if err := r.Seek(start); err != nil {
+						t.Fatal(err)
+					}
+					if over := uint(r.Remaining()) + 1; over <= 64 {
+						if _, err := r.ReadBits(over); err != ErrShortBuffer || r.Pos() != start {
+							t.Fatalf("%d bits with %d left: err %v, pos %d -> %d", over, over-1, err, start, r.Pos())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzReadBits replays (count, skip) byte pairs over an arbitrary buffer
+// against the bit-at-a-time reference; count 65 is the ErrBitCount case.
+func FuzzReadBits(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x23, 0x45, 0x67, 0x89}, []byte{3, 0, 64, 1, 5, 0})
+	f.Fuzz(func(t *testing.T, buf, ops []byte) {
+		r, ref := NewReader(buf), NewReader(buf)
+		for ; len(ops) >= 2; ops = ops[2:] {
+			checkReadBits(t, r, ref, uint(ops[0])%66)
+			if skip := int(ops[1]) % 32; r.Skip(skip) == nil {
+				if err := ref.Skip(skip); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
 func TestAlignWriter(t *testing.T) {
 	w := NewWriter(4)
 	w.WriteBits(0b101, 3)

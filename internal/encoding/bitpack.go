@@ -55,8 +55,9 @@ func PackInto(w *bitio.Writer, vals []uint64, width uint) {
 }
 
 // Unpack reads n values of the given constant width from buf.
-// This is the scalar (serial) reference decoder; the vectorized unpacker
-// lives in internal/pipeline.
+// This is the scalar (serial) reference decoder: the oracle the pipeline
+// and fusion loops are tested against. Both sides read each field with
+// the same bitio.Reader.ReadBits.
 func Unpack(buf []byte, n int, width uint) ([]uint64, error) {
 	r := bitio.NewReader(buf)
 	return UnpackFrom(r, n, width)

@@ -116,8 +116,9 @@ func Encode(vals []int64, order Order) (*Block, error) {
 	return b, nil
 }
 
-// Decode recovers the original values (the scalar reference decoder; the
-// vectorized path lives in internal/pipeline).
+// Decode recovers the original values. It is the scalar reference
+// decoder; queries read blocks through pipeline.RangeScanner, which is
+// tested against it.
 func (b *Block) Decode() ([]int64, error) {
 	if b.Count == 0 {
 		return nil, nil

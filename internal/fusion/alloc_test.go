@@ -9,11 +9,11 @@ import (
 )
 
 // TestFusedKernelAllocs is the runtime cross-check of the hotpathalloc
-// analyzer for the fusion package: once the plan cache is warm, the
-// fused aggregation kernels must not allocate. SumBlock covers both
-// orders — the order-2 path streams second-order deltas through a stack
-// chunk rather than materializing them — and SumBlockRange is the
-// one-segment shape of the segment walk, cut arrays included.
+// analyzer for the fusion package: the fused aggregation kernels must
+// not allocate. SumBlock covers both orders — the order-2 path streams
+// second-order deltas through a stack chunk rather than materializing
+// them — and SumBlockRange is the one-segment shape of the segment walk,
+// cut arrays included.
 func TestFusedKernelAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		order ts2diff.Order
@@ -29,7 +29,7 @@ func TestFusedKernelAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := SumBlock(blk); err != nil { // warm plan cache
+		if _, err := SumBlock(blk); err != nil {
 			t.Fatal(err)
 		}
 		t.Run(fmt.Sprintf("order=%d/width=%d", tc.order, tc.width), func(t *testing.T) {

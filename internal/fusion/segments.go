@@ -136,17 +136,9 @@ func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
 	}
 	delta := b.FirstDelta // order-2 running first difference
 	m := b.NumPacked()
-	// Chunk boundaries stay multiples of the plan's BlockElems so each
-	// chunk starts byte-aligned in the packed stream.
-	var chunk [8 * pipeline.MaxNv]int64
-	chunkE := len(chunk)
-	if b.Width > 0 && b.Width <= pipeline.MaxNarrowWidth {
-		p, err := pipeline.PlanFor(b.Width)
-		if err != nil {
-			return err
-		}
-		chunkE = len(chunk) / p.BlockElems * p.BlockElems
-	}
+	// 128 fields are whole bytes at every width, so each chunk starts
+	// byte-aligned in the packed stream.
+	var chunk [128]int64
 	// Row r (r >= 1) is one step of the recurrence and consumes packed
 	// field r-1. Order-2 blocks pack n-2 fields for n-1 steps: the last
 	// row advances by the accumulated first difference alone, which a
@@ -155,8 +147,8 @@ func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
 	for row < to {
 		e := row - 1 // fields consumed so far
 		steps := to - row
-		if steps > chunkE {
-			steps = chunkE
+		if steps > len(chunk) {
+			steps = len(chunk)
 		}
 		fields := steps
 		if fields > m-e {

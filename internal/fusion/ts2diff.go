@@ -4,7 +4,6 @@ import (
 	"etsqp/internal/bitio"
 	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/pipeline"
-	"etsqp/internal/simd"
 )
 
 // SumBlock computes Σ values of a TS2DIFF order-1 block without Delta
@@ -14,8 +13,8 @@ import (
 //
 //	Σ v = n·first + minBase·n(n-1)/2 + Σ_i P_i
 //
-// The Σ P term is accumulated block-wise with the same partial-sum
-// vectors the decoder would build — but nothing is materialized.
+// The Σ P term is one pass over the packed fields; nothing is
+// materialized.
 //
 //etsqp:hotpath
 //etsqp:rangecheck
@@ -50,81 +49,27 @@ func SumBlock(b *ts2diff.Block) (int64, error) {
 }
 
 // sumPrefixes returns Σ_{i=1..m} P_i with P_i the inclusive prefix sums of
-// the packed fields, vectorized over whole plan blocks.
+// the packed fields.
 //
 //etsqp:bounds width [0, 64]
 //etsqp:hotpath
 //etsqp:rangecheck
 func sumPrefixes(packed []byte, m int, width uint) (int64, error) {
-	if m == 0 {
-		return 0, nil
-	}
 	if width == 0 {
 		return 0, nil // all packed fields are zero
 	}
-	var sumP, prefixBefore int64
-	e := 0
-	if width <= pipeline.MaxNarrowWidth {
-		p, err := pipeline.PlanFor(width)
+	r := bitio.NewReader(packed)
+	var sumP, prefix int64
+	for e := 0; e < m; e++ {
+		v, err := r.ReadBits(width)
 		if err != nil {
 			return 0, err
 		}
-		var vecsArr [pipeline.MaxNv]simd.U32x8
-		vecs := vecsArr[:p.Nv]
-		for ; e+p.BlockElems <= m; e += p.BlockElems {
-			window := packed[e*int(width)/8:]
-			for j := 0; j < p.Nv; j++ {
-				vecs[j] = p.UnpackVec(window, j)
-			}
-			for j := 1; j < p.Nv; j++ {
-				vecs[j] = simd.Add32(vecs[j-1], vecs[j])
-			}
-			laneTot := vecs[p.Nv-1]
-			lanePrefix := simd.ExclusivePrefixSum32(laneTot)
-			var localP int64
-			for j := 0; j < p.Nv; j++ {
-				var okH bool
-				localP, okH = addChecked(localP, int64(simd.HSum32(vecs[j])))
-				if !okH {
-					return 0, ErrOverflow
-				}
-			}
-			// In range by the HSum32 return bound: Nv ≤ 16, Σ lanes < 2^35.
-			lane := int64(p.Nv) * int64(simd.HSum32(lanePrefix))
-			localP, okL := addChecked(localP, lane)
-			blockTotal := int64(lanePrefix[simd.Lanes32-1]) + int64(laneTot[simd.Lanes32-1])
-			inc, ok1 := mulChecked(prefixBefore, int64(p.BlockElems))
-			s, ok2 := addChecked(inc, localP)
-			var ok3 bool
-			sumP, ok3 = addChecked(sumP, s)
-			var ok4 bool
-			prefixBefore, ok4 = addChecked(prefixBefore, blockTotal)
-			if !(okL && ok1 && ok2 && ok3 && ok4) {
-				return 0, ErrOverflow
-			}
-		}
-	}
-	if e < m {
-		r := bitio.NewReader(packed)
-		if err := r.Seek(e * int(width)); err != nil {
-			return 0, err
-		}
-		prefix := prefixBefore
-		for ; e < m; e++ {
-			v, err := r.ReadBits(width)
-			if err != nil {
-				return 0, err
-			}
-			var okP bool
-			prefix, okP = addChecked(prefix, int64(v))
-			if !okP {
-				return 0, ErrOverflow
-			}
-			var ok bool
-			sumP, ok = addChecked(sumP, prefix)
-			if !ok {
-				return 0, ErrOverflow
-			}
+		var okP, ok bool
+		prefix, okP = addChecked(prefix, int64(v))
+		sumP, ok = addChecked(sumP, prefix)
+		if !(okP && ok) {
+			return 0, ErrOverflow
 		}
 	}
 	return sumP, nil
@@ -183,23 +128,14 @@ func SumBlockOrder2(b *ts2diff.Block) (int64, error) {
 	}
 	// Weighted sum of dd_j with weight (n-2-j)(n-1-j)/2 (includes the
 	// minBase shift: packed_j = dd_j - minBase). The deltas stream
-	// through a fixed-size stack chunk instead of being materialized:
-	// chunk boundaries are kept multiples of the plan's BlockElems (and
-	// hence of 8), so every chunk starts byte-aligned in the packed
-	// stream.
-	var chunk [8 * pipeline.MaxNv]int64
-	chunkE := len(chunk)
-	if b.Width > 0 && b.Width <= pipeline.MaxNarrowWidth {
-		p, err := pipeline.PlanFor(b.Width)
-		if err != nil {
-			return 0, err
-		}
-		chunkE = len(chunk) / p.BlockElems * p.BlockElems
-	}
-	for e := 0; e < m; e += chunkE {
+	// through a fixed-size stack chunk instead of being materialized;
+	// 128 fields are whole bytes at every width, so every chunk starts
+	// byte-aligned in the packed stream.
+	var chunk [128]int64
+	for e := 0; e < m; e += len(chunk) {
 		cnt := m - e
-		if cnt > chunkE {
-			cnt = chunkE
+		if cnt > len(chunk) {
+			cnt = len(chunk)
 		}
 		off := e * int(b.Width) / 8
 		if off > len(b.Packed) {

@@ -53,12 +53,10 @@ var (
 		"wall time selecting and pruning pages by header statistics")
 )
 
-// Pipeline: vectorized unpack work (Section III).
+// Pipeline: decode work (Section III).
 var (
 	PipelineValuesUnpacked = newCounter("pipeline.values_unpacked",
 		"values produced by the decode pipelines (DecodeBlock/DecodeRange/RangeScanner)")
-	PipelineVectorOps = newCounter("pipeline.vector_ops",
-		"unpack vectors processed by the SIMD block loops (gather+shift+mask per vector)")
 	PipelineSlices = newCounter("pipeline.slices",
 		"slices created by the page-to-slice scheduler (Figure 8)")
 	PipelinePrefixFixups = newCounter("pipeline.prefix_fixups",

@@ -9,12 +9,11 @@ import (
 )
 
 // TestUnpackLoopAllocs is the runtime cross-check of the hotpathalloc
-// analyzer: once the plan cache is warm, decoding into caller-provided
-// memory must not allocate — across the narrow (gather), wide
-// (8-byte-window) and degenerate (width 0) paths, with observability
-// both off and on, whole pages at once and a constructed scanner fed
-// 1024-row chunks (the engine's pruned-scan shape; width 8 keeps every
-// chunk byte-aligned, the others leave the first).
+// analyzer: decoding into caller-provided memory must not allocate —
+// across widths on both sides of a 32-bit lane and the degenerate width
+// 0, with observability both off and on, whole pages at once and a
+// constructed scanner fed 1024-row chunks (the engine's pruned-scan
+// shape; width 8 keeps every chunk byte-aligned, the others do not).
 func TestUnpackLoopAllocs(t *testing.T) {
 	defer obs.Disable()
 	for _, w := range []uint{0, 4, 10, 16, MaxNarrowWidth, 30} {
@@ -24,7 +23,7 @@ func TestUnpackLoopAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := make([]int64, blk.Count)
-		if err := DecodeBlockInto(out, blk); err != nil { // warm plan cache
+		if err := DecodeBlockInto(out, blk); err != nil {
 			t.Fatal(err)
 		}
 		for _, on := range []bool{false, true} {
@@ -74,7 +73,7 @@ func TestUnpackLoopAllocs(t *testing.T) {
 }
 
 // TestDecodeDeltasIntoAllocs checks the delta kernel and the packed-sum
-// kernel stay allocation-free with a warm plan cache.
+// kernel stay allocation-free.
 func TestDecodeDeltasIntoAllocs(t *testing.T) {
 	for _, w := range []uint{4, 10, MaxNarrowWidth, 30} {
 		vals := seriesWithWidthB(4096, w)

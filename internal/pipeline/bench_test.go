@@ -9,8 +9,8 @@ import (
 	"etsqp/internal/simd"
 )
 
-// BenchmarkDecodeVector measures the Algorithm 1 pipeline against the
-// scalar reference across packing widths — the per-width ablation behind
+// BenchmarkDecodeVector measures DecodeBlockInto against the scalar
+// reference across packing widths — the per-width ablation behind
 // Figure 12(e,f)'s shape.
 func BenchmarkDecodeVector(b *testing.B) {
 	for _, w := range []uint{4, 10, 16, 20, 25, 30} {
@@ -52,29 +52,22 @@ func BenchmarkDecodeScalarRef(b *testing.B) {
 	}
 }
 
-// BenchmarkNv is the Proposition 1 ablation: decode time as a function of
-// the vector count n_v, holding the width fixed at 10 bits.
+// BenchmarkNv is the Proposition 1 ablation: the Algorithm 1 reference's
+// decode time as a function of the vector count n_v, holding the width
+// fixed at 10 bits.
 func BenchmarkNv(b *testing.B) {
 	vals := seriesWithWidthB(65536, 10)
 	blk, err := ts2diff.Encode(vals, ts2diff.Order1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	out := make([]int64, blk.Count)
+	out := make([]int64, blk.NumPacked())
 	for _, nv := range []int{1, 2, 4, 8, 16} {
+		forced := buildPlanWithNv(10, nv)
 		b.Run(fmt.Sprintf("nv=%d", nv), func(b *testing.B) {
-			// Install a plan with the forced n_v.
-			p := &Plan{Width: 10, Nv: nv}
-			p.BlockElems = 8 * nv
-			p.BlockBytes = p.BlockElems * 10 / 8
-			forced := buildPlanWithNv(10, nv)
-			saved := planCache[10].Swap(forced)
-			defer planCache[10].Store(saved)
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
-				if err := DecodeBlockInto(out, blk); err != nil {
-					b.Fatal(err)
-				}
+				algorithm1Accumulate(forced, out, blk.First, blk.Packed, blk.MinBase)
 			}
 		})
 	}
@@ -159,30 +152,32 @@ func seriesWithWidthB(n int, w uint) []int64 {
 	return vals
 }
 
-// BenchmarkJITCache measures the Section III-B plan cache: decoding with
-// cached tables vs rebuilding the tables on every page.
+// BenchmarkJITCache measures the Section III-B plan cache under the
+// Algorithm 1 reference: decoding with cached tables vs rebuilding the
+// tables on every page.
 func BenchmarkJITCache(b *testing.B) {
 	vals := seriesWithWidthB(8192, 10)
 	blk, _ := ts2diff.Encode(vals, ts2diff.Order1)
-	out := make([]int64, blk.Count)
-	b.Run("cached", func(b *testing.B) {
-		if _, err := PlanFor(10); err != nil { // warm
+	out := make([]int64, blk.NumPacked())
+	decode := func(b *testing.B) {
+		p, err := PlanFor(10)
+		if err != nil {
 			b.Fatal(err)
 		}
+		algorithm1Accumulate(p, out, blk.First, blk.Packed, blk.MinBase)
+	}
+	b.Run("cached", func(b *testing.B) {
+		decode(b) // warm
 		b.SetBytes(int64(len(vals) * 8))
 		for i := 0; i < b.N; i++ {
-			if err := DecodeBlockInto(out, blk); err != nil {
-				b.Fatal(err)
-			}
+			decode(b)
 		}
 	})
 	b.Run("rebuilt", func(b *testing.B) {
 		b.SetBytes(int64(len(vals) * 8))
 		for i := 0; i < b.N; i++ {
 			ResetPlanCache()
-			if err := DecodeBlockInto(out, blk); err != nil {
-				b.Fatal(err)
-			}
+			decode(b)
 		}
 	})
 	ResetPlanCache()

@@ -8,7 +8,7 @@ import (
 	"etsqp/internal/pipeline"
 )
 
-// Decode a TS2DIFF block through the vectorized Algorithm 1 pipeline.
+// Decode a TS2DIFF block through the pipeline cursor.
 func ExampleDecodeBlock() {
 	vals := []int64{12, 16, 22, 27, 33}
 	blk, err := ts2diff.Encode(vals, ts2diff.Order1)

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"encoding/binary"
 	"errors"
 
 	"etsqp/internal/bitio"
@@ -35,11 +34,15 @@ func UnpackFibonacci(buf []byte, n int) ([]uint64, error) {
 		digit   int    // next Zeckendorf digit index
 		prevBit uint64 // last bit of the previous word (carry for "11")
 	)
-	totalBits := len(buf) * 8
-	pos := 0
-	for pos < totalBits && len(out) < n {
-		// Load up to 64 bits MSB-first from the byte stream.
-		w, nb := loadWordMSB(buf, pos)
+	r := bitio.NewReader(buf)
+	for r.Remaining() > 0 && len(out) < n {
+		// Load up to 64 bits, left-aligned so the scan starts at the MSB.
+		nb := min(r.Remaining(), 64)
+		v, err := r.ReadBits(uint(nb))
+		if err != nil {
+			return nil, ErrBadFibStream
+		}
+		w := v << uint(64-nb)
 		// Scan the word's bits from its MSB.
 		for i := 0; i < nb && len(out) < n; i++ {
 			bit := (w >> uint(63-i)) & 1
@@ -57,38 +60,11 @@ func UnpackFibonacci(buf []byte, n int) ([]uint64, error) {
 			digit++
 			prevBit = bit
 		}
-		pos += nb
 	}
 	if len(out) < n {
 		return nil, ErrBadFibStream
 	}
 	return out, nil
-}
-
-// loadWordMSB loads up to 64 bits starting at absolute bit position pos,
-// left-aligned (first bit in the MSB). It returns the word and how many
-// valid bits it holds; a position outside the buffer yields (0, 0). The
-// byteOff guard plus constant windows into the fixed staging array keep
-// the load bounds-check-free.
-//
-//etsqp:nobce
-func loadWordMSB(buf []byte, pos int) (uint64, int) {
-	byteOff := pos / 8
-	bitOff := uint(pos % 8)
-	if byteOff < 0 || byteOff >= len(buf) {
-		return 0, 0
-	}
-	var tmp [9]byte
-	copy(tmp[:], buf[byteOff:])
-	w := binary.BigEndian.Uint64(tmp[0:8])
-	if bitOff > 0 {
-		w = w<<bitOff | uint64(tmp[8])>>(8-bitOff)
-	}
-	valid := len(buf)*8 - pos
-	if valid > 64 {
-		valid = 64
-	}
-	return w, valid
 }
 
 // fibDict is the per-byte terminator dictionary of Figure 7: indexed by

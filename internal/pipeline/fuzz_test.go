@@ -3,15 +3,18 @@
 // them: Flatten vs FlattenInto vs FlattenRange windows, and the fusion
 // closed forms against scalar sums of the flattened values.
 // FuzzRangeScanner pins the TS2DIFF cursor and its three entry points to
-// the scalar oracle. External test package: fusion imports pipeline, so
-// the cross-check cannot live in-package.
+// the scalar oracle, and TestTruncatedPayload every payload reader of
+// both packages to the oracle's error. External test package: fusion
+// imports pipeline, so the cross-checks cannot live in-package.
 package pipeline_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
+	"etsqp/internal/bitio"
 	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/fusion"
@@ -202,4 +205,73 @@ func FuzzRangeScanner(f *testing.F) {
 		}
 		equal("DecodeBlockInto", whole[from:to])
 	})
+}
+
+// TestTruncatedPayload cuts the last two bytes off a block's payload:
+// every route that reads the payload to its end must then fail with
+// bitio.ErrShortBuffer — and succeed on the intact block — exactly as
+// the scalar oracle b.Decode() does, at every width and both orders.
+func TestTruncatedPayload(t *testing.T) {
+	const rows = 3000
+	for _, order := range []ts2diff.Order{ts2diff.Order1, ts2diff.Order2} {
+		for _, w := range []uint{4, 12, 25, 26, 30, 32, 40} {
+			// Small deltas keep every sum far from overflow whatever
+			// the width the fields are packed at.
+			intact := &ts2diff.Block{Order: order, Count: rows, First: 5, FirstDelta: 1, MinBase: -1, Width: w}
+			m := intact.NumPacked()
+			fields := make([]uint64, m)
+			for i := range fields {
+				fields[i] = uint64(i % 3)
+			}
+			intact.Packed = encoding.Pack(fields, w)
+			short := *intact
+			short.Packed = intact.Packed[:len(intact.Packed)-2]
+
+			for _, b := range []*ts2diff.Block{intact, &short} {
+				_, oracle := b.Decode()
+				wantShort := errors.Is(oracle, bitio.ErrShortBuffer)
+				if wantShort != (b == &short) || (!wantShort && oracle != nil) {
+					t.Fatalf("order %d width %d: oracle error %v", order, w, oracle)
+				}
+				routes := []struct {
+					name string
+					run  func() error
+				}{
+					{"DecodeBlockInto", func() error { return pipeline.DecodeBlockInto(make([]int64, rows), b) }},
+					{"DecodeRange", func() error {
+						_, err := pipeline.DecodeRange(b, 1000, rows)
+						return err
+					}},
+					{"RangeScanner", func() error {
+						s, err := pipeline.NewRangeScanner(b, 0)
+						for chunk := make([]int64, 1024); err == nil && s.Row() < rows; {
+							_, err = s.Next(chunk)
+						}
+						return err
+					}},
+					{"DecodeDeltasInto", func() error {
+						return pipeline.DecodeDeltasInto(make([]int64, m), b.Packed, m, w, b.MinBase)
+					}},
+					{"SumPacked", func() error {
+						_, err := pipeline.SumPacked(b.Packed, m, w)
+						return err
+					}},
+					{"fusion.SumBlock", func() error {
+						_, err := fusion.SumBlock(b)
+						return err
+					}},
+					{"fusion.SumBlockSegments", func() error {
+						return fusion.SumBlockSegments(b, []int{0, rows / 2, rows}, make([]int64, 2))
+					}},
+				}
+				for _, r := range routes {
+					err := r.run()
+					if errors.Is(err, bitio.ErrShortBuffer) != wantShort || (!wantShort && err != nil) {
+						t.Errorf("%s order %d width %d truncated=%v: error %v, oracle %v",
+							r.name, order, w, b == &short, err, oracle)
+					}
+				}
+			}
+		}
+	}
 }

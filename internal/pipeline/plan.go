@@ -1,8 +1,13 @@
 // Package pipeline implements the ETSQP decoding pipelines of Section III:
-// vectorized constant-width unpacking with a dynamic layout that makes
-// Delta recovery SIMD-parallel (Algorithm 1), variable-width Fibonacci
-// unpacking, Repeat flattening, and page-to-slice splitting for core-level
-// parallelism.
+// constant-width unpacking with Delta recovery (RangeScanner), variable-
+// width Fibonacci unpacking, Repeat flattening, and page-to-slice
+// splitting for core-level parallelism.
+//
+// This file holds the dynamic layout that makes Delta recovery
+// SIMD-parallel in the paper (Algorithm 1). On emulated registers it is
+// slower than reading each field with one word load, so no query reaches
+// it: the tables are exercised by the Algorithm 1 reference in the
+// package's tests, the Proposition 1 ablation and the plan-cache probe.
 //
 // # Layout
 //
@@ -19,8 +24,8 @@
 // The paper JIT-compiles each page's decoder once its packing width is
 // known (Section III-B). Here PlanFor(width) lazily builds and caches the
 // equivalent tables — gather indices (the shuffle index vectors of Figure
-// 3(a)), per-lane shift vectors and the field mask — so the hot loop makes
-// no per-vector decisions.
+// 3(a)), per-lane shift vectors and the field mask — so the block loop
+// makes no per-vector decisions.
 package pipeline
 
 import (
@@ -48,11 +53,11 @@ const (
 )
 
 // MaxNarrowWidth is the widest field a 32-bit lane can unpack with a
-// single 4-byte gather (wider fields span 5 bytes and take the wide path).
+// single 4-byte gather (wider fields span 5 bytes and get no tables).
 const MaxNarrowWidth = 25
 
-// MaxNv is the register-budget clamp of ChooseNv: hot loops size their
-// scratch vectors with it so block state lives on the stack.
+// MaxNv is the register-budget clamp of ChooseNv: the block loop sizes
+// its scratch vectors with it so block state lives on the stack.
 const MaxNv = 16
 
 // ChooseNv implements Proposition 1: the number of unpacked vectors that
@@ -90,8 +95,7 @@ type Plan struct {
 	//etsqp:bounds [0, 32]
 	Width uint
 	// Nv is the unpacked vectors per block; ChooseNv clamps to [1, MaxNv]
-	// and (*Plan).Check enforces the same bound, so rangeflow can prove
-	// kernel products like Nv·HSum32(·) stay far inside int64.
+	// and (*Plan).Check enforces the same bound.
 	//
 	//etsqp:bounds [1, MaxNv]
 	Nv int
@@ -116,12 +120,11 @@ type Plan struct {
 	// decoded block to its base value.
 	ramp simd.U32x8
 
-	wide bool // widths > MaxNarrowWidth decode via the 8-byte-window path
+	wide bool // widths > MaxNarrowWidth have no tables
 }
 
-// planCache holds one published plan per width. Every kernel asks for
-// its plan once per call — once per 128 values inside the fusion chunk
-// loops, on every worker — so a hit is a single atomic load.
+// planCache holds one published plan per width; a hit is a single atomic
+// load.
 var planCache [33]atomic.Pointer[Plan]
 
 // PlanFor returns the cached plan for a packing width in [0, 32], or
@@ -180,6 +183,15 @@ func buildPlan(width uint) *Plan {
 		p.shift[j] = shift
 	}
 	return p
+}
+
+// UnpackVec runs the Figure 3 sequence for unpacked vector j of a block:
+// gather (shuffle + Endian conversion), variable shift, mask.
+//
+//etsqp:hotpath
+func (p *Plan) UnpackVec(window []byte, j int) simd.U32x8 {
+	g := simd.GatherBytes(window, p.gatherIdx[j])
+	return simd.And32(simd.Srlv32(g.ToU32(), p.shift[j]), p.mask)
 }
 
 // Check verifies the internal consistency of a built plan: block geometry

@@ -13,10 +13,9 @@ import (
 // call continues from the previous position in O(chunk) — the streaming
 // shape the Proposition 4/5 stop rules need, without re-resolving the
 // Figure 8 prefix per chunk. DecodeBlock, DecodeBlockInto and
-// DecodeRange are single Next calls on a stack-allocated scanner.
-// Order-1 chunks of 1..32-bit fields that start on a byte boundary of
-// the packed stream run Algorithm 1 (accumulateFrom); every other chunk,
-// and every order-2 block (time columns), goes through the bit reader.
+// DecodeRange are single Next calls on a stack-allocated scanner. Every
+// field, at every width, order and start row, comes from the scanner's
+// one bitio.Reader.
 type RangeScanner struct {
 	b     *ts2diff.Block
 	row   int   // next row to emit
@@ -45,10 +44,10 @@ func decodeRows(out []int64, b *ts2diff.Block, from int) error {
 }
 
 // init resolves the slice prefix dependency (Figure 8: P1S2 waits on
-// P1S1): an order-1 start value is First plus a lane-parallel SumPacked
-// over the skipped fields; an order-2 start depends on a second prefix
-// level, so the recurrence is replayed (time pages are usually width 0
-// and never decoded at all — see ConstantInterval).
+// P1S1): an order-1 start value is First plus SumPacked over the skipped
+// fields; an order-2 start depends on a second prefix level, so the
+// recurrence is replayed (time pages are usually width 0 and never
+// decoded at all — see ConstantInterval).
 func (s *RangeScanner) init(b *ts2diff.Block, startRow int) error {
 	if b.Order != ts2diff.Order1 && b.Order != ts2diff.Order2 {
 		return fmt.Errorf("pipeline: unknown order %d", b.Order)
@@ -113,9 +112,10 @@ func (s *RangeScanner) Next(dst []int64) (int, error) {
 	return n, nil
 }
 
-// next1 advances an order-1 scan by len(dst) rows. Row r consumes packed
-// field r-1, so a chunk is byte-aligned when (row-1)*width is a multiple
-// of 8.
+// next1 advances an order-1 scan by len(dst) rows: row r consumes packed
+// field r-1. Accumulation wraps intentionally: Delta encode and decode
+// are inverse mod 2^64, so checked adds here would reject values that
+// round-trip correctly.
 //
 //etsqp:hotpath
 func (s *RangeScanner) next1(dst []int64) error {
@@ -125,15 +125,6 @@ func (s *RangeScanner) next1(dst []int64) error {
 		dst[0] = s.cur
 		s.row = 1
 		dst = dst[1:]
-	}
-	startBit := (s.row - 1) * int(width)
-	if width >= 1 && width <= 32 && startBit%8 == 0 && len(dst) > 0 {
-		if err := accumulateFrom(dst, s.cur, s.b.Packed[startBit/8:], width, minBase); err != nil {
-			return err
-		}
-		s.cur = dst[len(dst)-1]
-		s.row += len(dst)
-		return s.r.Seek((s.row - 1) * int(width))
 	}
 	cur := s.cur
 	for i := range dst {

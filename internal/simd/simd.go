@@ -138,20 +138,6 @@ func Movemask32(v U32x8) uint8 {
 	return m
 }
 
-// HSum32 returns the horizontal sum of the lanes as uint64 (no wrap):
-// eight uint32 lanes total at most 8·(2^32−1) < 2^35, a bound rangeflow
-// verifies from the unrolled sum and fusion's prefix kernels consume.
-//
-//etsqp:bounds return [0, 1<<35)
-//etsqp:rangecheck
-//etsqp:nobce
-//etsqp:noescape
-//etsqp:inline
-func HSum32(v U32x8) uint64 {
-	return uint64(v[0]) + uint64(v[1]) + uint64(v[2]) + uint64(v[3]) +
-		uint64(v[4]) + uint64(v[5]) + uint64(v[6]) + uint64(v[7])
-}
-
 // PrefixSumIdx holds the permute index vectors for the log-depth in-register
 // inclusive prefix sum across eight 32-bit lanes. The paper solves the
 // prefix vector with ceil(log2(omega_SIMD/omega')) = 3 pairs of

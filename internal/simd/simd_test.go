@@ -127,12 +127,6 @@ func TestMovemask32(t *testing.T) {
 	}
 }
 
-func TestHSum32(t *testing.T) {
-	if got := HSum32(U32x8{1, 2, 3, 4, 5, 6, 7, 8}); got != 36 {
-		t.Fatalf("HSum32 got %d", got)
-	}
-}
-
 func TestArith(t *testing.T) {
 	a := U32x8{1, 2, 3, 4, 5, 6, 7, 8}
 	b := Broadcast32(10)

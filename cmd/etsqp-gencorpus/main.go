@@ -75,6 +75,9 @@ func run(root string) error {
 	if err := readBitsCorpus(root); err != nil {
 		return err
 	}
+	if err := readFieldsCorpus(root); err != nil {
+		return err
+	}
 	return rlbeCorpus(root, series, runs)
 }
 
@@ -104,14 +107,39 @@ func readBitsCorpus(root string) error {
 		{buf[:80], spills},
 		{buf[:10], tail}, // 84 bits asked of 80
 	}
-	dir := filepath.Join(root, "internal/bitio/testdata/fuzz/FuzzReadBits")
-	for i, e := range entries {
-		lit := "[]byte(" + strconv.Quote(string(e[0])) + ")\n[]byte(" + strconv.Quote(string(e[1])) + ")"
-		if err := writeEntry(dir, i, lit); err != nil {
-			return err
-		}
+	return writeBytePairEntries(filepath.Join(root, "internal/bitio/testdata/fuzz/FuzzReadBits"), entries)
+}
+
+// readFieldsCorpus seeds FuzzReadFields (internal/bitio): a buffer plus
+// (width, count, skip) byte triples. The seeds start runs on every bit
+// offset so the ReadBits head has 0..7 fields, use counts on both sides
+// of one to three 64-field groups at kernel widths (1..32) and above
+// them, end a run inside the buffer's last 8*width bytes (the partial
+// group falls back to ReadBits) and ask for one field too many.
+func readFieldsCorpus(root string) error {
+	buf := make([]byte, 1200)
+	for i := range buf {
+		buf[i] = byte(i*0x6B + 0x1F)
 	}
-	return nil
+	var groups, heads, wide, tail []byte
+	for _, n := range []byte{63, 64, 65, 127, 128, 197} {
+		groups = append(groups, 12, n, 0, 5, n, 0)
+	}
+	for off := byte(0); off < 8; off++ {
+		heads = append(heads, 3, 70, off, 20, 66, 0)
+	}
+	for _, w := range []byte{0, 32, 33, 57, 64, 65} {
+		wide = append(wide, w, 65, 3)
+	}
+	tail = append(tail, 16, 64, 0, 16, 5, 0, 16, 1, 0) // 128+10+2 bytes of 140
+	entries := [][2][]byte{
+		{nil, nil},
+		{buf, groups},
+		{buf, heads},
+		{buf, wide},
+		{buf[:140], tail},
+	}
+	return writeBytePairEntries(filepath.Join(root, "internal/bitio/testdata/fuzz/FuzzReadFields"), entries)
 }
 
 // overflowParityCorpus seeds FuzzOverflowParity (internal/fusion) with the
@@ -192,7 +220,8 @@ func flattenCorpus(root string) error {
 // selector, width, then uint16 from, to, chunk, then 3-byte row groups)
 // with scans that vary what the cursor meets: byte-aligned and
 // unaligned chunk starts, widths from zero to 64, order-2 prefix
-// replay, and first values at the int64 extremes.
+// replay, first values at the int64 extremes, and start rows and chunk
+// lengths that put the bulk reader's head, groups and tail mid-page.
 func rangeScannerCorpus(root string) error {
 	const order2, firstMax, firstMin = 1, 1 << 1, 2 << 1
 	scan := func(sel, width byte, from, to, chunk uint16, groups int) []byte {
@@ -219,7 +248,12 @@ func rangeScannerCorpus(root string) error {
 		scan(order2, 0, 700, 0xFFFF, 300, 8),  // order-2 prefix replay
 		scan(firstMax, 64, 0, 0xFFFF, 512, 4), // wrapping accumulation
 		scan(order2|firstMin, 63, 1, 0xFFFF, 1, 1),
-		truncated(w12), flipped(w12, 1))
+		truncated(w12), flipped(w12, 1),
+		scan(0, 5, 3, 0xFFFF, 64, 8),         // head fields, then whole groups
+		scan(0, 20, 67, 0xFFFF, 65, 8),       // every chunk ends a field past a group
+		scan(order2, 7, 66, 0xFFFF, 1024, 8), // order-2 replay ends mid-group
+		scan(0, 32, 1, 0xFFFF, 200, 4),       // the widest kernel
+		scan(order2, 33, 2, 0xFFFF, 200, 4))  // one bit past it: the ReadBits loop
 }
 
 func sqlCorpus(root string) error {
@@ -366,6 +400,17 @@ func flipped(b []byte, i int) []byte {
 func writeByteEntries(dir string, entries ...[]byte) error {
 	for i, e := range entries {
 		if err := writeEntry(dir, i, "[]byte("+strconv.Quote(string(e))+")"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeBytePairEntries writes seeds for a target taking two []byte.
+func writeBytePairEntries(dir string, entries [][2][]byte) error {
+	for i, e := range entries {
+		lit := "[]byte(" + strconv.Quote(string(e[0])) + ")\n[]byte(" + strconv.Quote(string(e[1])) + ")"
+		if err := writeEntry(dir, i, lit); err != nil {
 			return err
 		}
 	}

@@ -6,6 +6,8 @@
 // substrate for every combined encoder in this repository.
 package bitio
 
+//go:generate go run ./genunpack
+
 import (
 	"encoding/binary"
 	"errors"
@@ -166,6 +168,64 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	}
 	r.pos += int(n)
 	return v, nil
+}
+
+// ReadFields reads len(dst) consecutive n-bit fields (n in [0,64]) into
+// dst, right-aligned: the bulk form of ReadBits, with the same answers
+// and errors as that many ReadBits calls except that it is all or
+// nothing — on ErrBitCount or ErrShortBuffer nothing is consumed. Fields
+// are stored as int64 because every bulk consumer adds them to a running
+// int64 (a delta, a prefix, a sum); only a 64-bit field can come out
+// negative.
+//
+// The count and the whole run's bit extent are validated once. Fields
+// up to the first byte boundary are read with ReadBits; from there every
+// group of 64 fields of at most 32 bits is n big-endian 8-byte words,
+// unpacked by the width's generated straight-line kernel (unpack_gen.go)
+// with no per-field bounds test, error return or position store. A last
+// partial group is unpacked whole into a stack buffer and its leading
+// fields copied, as long as the buffer holds the group's 8n bytes. What
+// remains — the end of the buffer, and every field wider than 32 bits —
+// is read with ReadBits again.
+//
+//etsqp:hotpath
+//etsqp:noescape
+func (r *Reader) ReadFields(dst []int64, n uint) error {
+	if n > 64 {
+		return ErrBitCount
+	}
+	if n == 0 {
+		for i := range dst {
+			dst[i] = 0
+		}
+		return nil
+	}
+	if len(dst) > (len(r.buf)*8-r.pos)/int(n) {
+		return ErrShortBuffer
+	}
+	i := 0
+	if n <= maxUnpackWidth {
+		for ; i < len(dst) && r.pos&7 != 0; i++ {
+			v, _ := r.ReadBits(n) // cannot fail: the extent is validated
+			dst[i] = int64(v)
+		}
+		head, src := i, r.buf[r.pos>>3:]
+		for ; len(dst)-i >= 64; i += 64 {
+			unpack64((*[64]int64)(dst[i:i+64]), src, n)
+			src = src[8*n:]
+		}
+		if rest := dst[i:]; len(rest) > 0 && len(src) >= 8*int(n) {
+			var group [64]int64
+			unpack64(&group, src, n)
+			i += copy(rest, group[:])
+		}
+		r.pos += (i - head) * int(n)
+	}
+	for ; i < len(dst); i++ {
+		v, _ := r.ReadBits(n)
+		dst[i] = int64(v)
+	}
+	return nil
 }
 
 // Skip advances the read position by n bits.

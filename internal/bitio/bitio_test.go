@@ -2,6 +2,7 @@ package bitio
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -298,5 +299,157 @@ func BenchmarkReadBits10(b *testing.B) {
 		if _, err := r.ReadBits(10); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// readFieldsByBits is ReadFields's reference: one ReadBits call per
+// field, rewound on the first error.
+func readFieldsByBits(r *Reader, dst []int64, n uint) error {
+	start := r.Pos()
+	if n > 64 {
+		return ErrBitCount
+	}
+	for i := range dst {
+		v, err := r.ReadBits(n)
+		if err != nil {
+			r.pos = start
+			return err
+		}
+		dst[i] = int64(v)
+	}
+	return nil
+}
+
+// checkReadFields reads count n-bit fields from r with ReadFields and
+// from ref (at the same position) with the ReadBits loop; values, errors
+// and positions must agree, and an error must leave r where it was.
+func checkReadFields(t *testing.T, r, ref *Reader, count int, n uint) {
+	t.Helper()
+	pos := r.Pos()
+	got, want := make([]int64, count), make([]int64, count)
+	for i := range got {
+		got[i] = -1 // a skipped store must show
+	}
+	err, wantErr := r.ReadFields(got, n), readFieldsByBits(ref, want, n)
+	if err != wantErr {
+		t.Fatalf("%d fields of %d bits at bit %d of %d bytes: ReadFields err %v, ReadBits err %v", count, n, pos, len(r.buf), err, wantErr)
+	}
+	if r.Pos() != ref.Pos() || (err != nil && r.Pos() != pos) {
+		t.Fatalf("%d fields of %d bits at bit %d: ReadFields left pos %d, ReadBits %d (err %v)", count, n, pos, r.Pos(), ref.Pos(), err)
+	}
+	if err != nil {
+		return
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%d fields of %d bits at bit %d of %d bytes: field %d = %#x, ReadBits %#x", count, n, pos, len(r.buf), i, uint64(got[i]), uint64(want[i]))
+		}
+	}
+}
+
+// TestReadFieldsMatchesReadBits runs the bulk reader against the
+// ReadBits loop over every width (65 is the ErrBitCount case), every
+// start bit offset, run lengths on both sides of one, two and three
+// 64-field groups, and 0..9 bytes after the run's last byte — and one
+// field more than the buffer holds, which must fail without consuming.
+func TestReadFieldsMatchesReadBits(t *testing.T) {
+	for n := uint(0); n <= 65; n++ {
+		for off := 0; off < 8; off++ {
+			for _, count := range []int{0, 1, 63, 64, 65, 127, 128, 3*64 + 5} {
+				for tail := 0; tail <= 9; tail++ {
+					buf := make([]byte, (off+count*int(n%65)+7)/8+tail)
+					for i := range buf {
+						buf[i] = byte((i+1)*0x9D ^ off*0x35 ^ int(n) ^ i>>8)
+					}
+					r, ref := NewReader(buf), NewReader(buf)
+					if r.Seek(off) != nil || ref.Seek(off) != nil {
+						continue // an empty run in an empty buffer has no bit `off`
+					}
+					checkReadFields(t, r, ref, count, n)
+					if n == 0 || n > 64 {
+						continue
+					}
+					// One bit over: the most fields that fit, plus one.
+					over := (len(buf)*8-off)/int(n) + 1
+					if r.Seek(off) != nil || ref.Seek(off) != nil {
+						t.Fatal("seek back")
+					}
+					checkReadFields(t, r, ref, over, n)
+					if r.Pos() != off {
+						t.Fatalf("%d fields of %d bits over %d bytes consumed %d bits", over, n, len(buf), r.Pos()-off)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzReadFields replays (width, count, skip) byte triples over an
+// arbitrary buffer against the ReadBits loop; width 65 is the
+// ErrBitCount case and counts reach past three 64-field groups.
+func FuzzReadFields(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add(bytes.Repeat([]byte{0xA5, 0x3C, 0x0F}, 200), []byte{12, 130, 4, 3, 200, 0, 64, 2, 1})
+	f.Fuzz(func(t *testing.T, buf, ops []byte) {
+		r, ref := NewReader(buf), NewReader(buf)
+		for ; len(ops) >= 3; ops = ops[3:] {
+			checkReadFields(t, r, ref, int(ops[1]), uint(ops[0])%66)
+			if skip := int(ops[2]) % 32; r.Skip(skip) == nil {
+				if err := ref.Skip(skip); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// TestReadFieldsAllocs: the bulk reader decodes into caller memory.
+func TestReadFieldsAllocs(t *testing.T) {
+	dst := make([]int64, 1000)
+	buf := make([]byte, len(dst)*40/8+8)
+	for _, n := range []uint{0, 5, 12, 32, 40} {
+		r := NewReader(buf)
+		if a := testing.AllocsPerRun(50, func() {
+			if r.Seek(int(n)) != nil || r.ReadFields(dst, n) != nil {
+				t.Fatal("read failed")
+			}
+		}); a != 0 {
+			t.Fatalf("ReadFields(%d bits) allocates %.1f/op", n, a)
+		}
+	}
+}
+
+// BenchmarkReadFields times the bulk reader against the ReadBits loop it
+// stands in for, 1 024 fields per call from a byte-aligned start; the
+// ns/field metric is what EXPERIMENTS.md sets against Lemire & Boytsov's
+// 0.25-0.5 ns for scalar width-specialised unpack.
+func BenchmarkReadFields(b *testing.B) {
+	dst := make([]int64, 1024)
+	buf := make([]byte, len(dst)*8)
+	for i := range buf {
+		buf[i] = byte(i*131 + 7)
+	}
+	perField := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/field")
+	}
+	for _, n := range []uint{4, 8, 12, 16, 20, 31, 32, 40} {
+		b.Run(fmt.Sprintf("bulk/w%02d", n), func(b *testing.B) {
+			r := NewReader(buf)
+			for i := 0; i < b.N; i++ {
+				if r.Seek(0) != nil || r.ReadFields(dst, n) != nil {
+					b.Fatal("read failed")
+				}
+			}
+			perField(b)
+		})
+		b.Run(fmt.Sprintf("readbits/w%02d", n), func(b *testing.B) {
+			r := NewReader(buf)
+			for i := 0; i < b.N; i++ {
+				if r.Seek(0) != nil || readFieldsByBits(r, dst, n) != nil {
+					b.Fatal("read failed")
+				}
+			}
+			perField(b)
+		})
 	}
 }

@@ -183,12 +183,24 @@ var ErrCorrupt = errors.New("ts2diff: corrupt block")
 
 // Unmarshal parses a serialized block.
 func Unmarshal(buf []byte) (*Block, error) {
-	if len(buf) < 51 || buf[0] != blockMagic {
-		return nil, ErrCorrupt
+	b := new(Block)
+	if err := b.UnmarshalBinary(buf); err != nil {
+		return nil, err
 	}
-	b := &Block{Order: Order(buf[1]), Width: uint(buf[2])}
+	return b, nil
+}
+
+// UnmarshalBinary parses a serialized block into b, which the caller
+// owns: a scan over many pages parses each into the same Block and
+// allocates none. Packed aliases buf. After an error b holds no usable
+// block.
+func (b *Block) UnmarshalBinary(buf []byte) error {
+	if len(buf) < 51 || buf[0] != blockMagic {
+		return ErrCorrupt
+	}
+	*b = Block{Order: Order(buf[1]), Width: uint(buf[2])}
 	if b.Order != Order1 && b.Order != Order2 || b.Width > 64 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	b.Count = int(binary.BigEndian.Uint32(buf[3:]))
 	get := func(off int) int64 { return int64(binary.BigEndian.Uint64(buf[off:])) }
@@ -199,13 +211,13 @@ func Unmarshal(buf []byte) (*Block, error) {
 	b.MaxValue = get(39)
 	plen := int(binary.BigEndian.Uint32(buf[47:]))
 	if len(buf) < 51+plen {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	b.Packed = buf[51 : 51+plen]
 	if need := (b.NumPacked()*int(b.Width) + 7) / 8; plen < need {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	return b, nil
+	return nil
 }
 
 // codec adapts Block to the encoding.Codec registry (order-1 deltas).

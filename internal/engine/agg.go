@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -103,6 +104,130 @@ func (p *partialAgg) addValue(v int64) {
 		p.max = v
 	}
 	p.seen = true
+}
+
+// foldRange folds every value of vals inside [c1, c2] into the running
+// state, leaving it exactly as addValue per selected value would — the
+// filter and the fold of every non-fused scan, a chunk at a time: a
+// branch-free pass computes the chunk's (count, sum, min, max), mergeChunk
+// folds them in when a magnitude bound proves the per-value sums could
+// not have overflowed, and only otherwise is the chunk redone value by
+// value through addValue, which sets the sticky overflow flag where the
+// running sum leaves int64. sumSq is a float accumulation, so it is added
+// in row order, and only when sq says the plan has a VAR to answer.
+//
+//etsqp:hotpath
+//etsqp:noescape
+func (p *partialAgg) foldRange(vals []int64, c1, c2 int64, sq bool) {
+	if c1 > c2 {
+		return
+	}
+	span := uint64(c2) - uint64(c1)
+	for len(vals) > 0 {
+		chunk := vals[:min(len(vals), pruneChunk)]
+		vals = vals[len(chunk):]
+		count, sum, lo, hi := rangeFold(chunk, c1, span)
+		if count == 0 {
+			continue
+		}
+		if !p.mergeChunk(count, sum, lo, hi) {
+			for _, v := range chunk {
+				if inSpan(v, c1, span) {
+					p.addValue(v)
+				}
+			}
+			continue
+		}
+		if sq {
+			for _, v := range chunk {
+				if inSpan(v, c1, span) {
+					p.sumSq += float64(v) * float64(v)
+				}
+			}
+		}
+	}
+}
+
+// inSpan reports c1 <= v <= c1+span: as unsigned differences, v-c1 is at
+// most span exactly inside the range.
+//
+//etsqp:hotpath
+//etsqp:inline
+func inSpan(v, c1 int64, span uint64) bool { return uint64(v)-uint64(c1) <= span }
+
+// rangeFold is the chunk kernel of foldRange: count, wrapping sum,
+// minimum and maximum of the values v with d = v-c1 <= span (unsigned),
+// with no per-value control flow. The borrow of span-d is 1 outside the
+// range; negated it is a mask that drops the value from the sum and the
+// maximum. The minimum needs no mask: d maps the range onto [0, span] in
+// order and everything outside it above span, so the smallest d of the
+// chunk is the smallest selected one whenever anything is selected. With
+// count == 0 the bounds are meaningless. The sum wraps by design (like
+// the decoders, it is exact mod 2^64); mergeChunk decides whether it is
+// also exact in int64.
+//
+//etsqp:hotpath
+//etsqp:nobce
+//etsqp:noescape
+func rangeFold(vals []int64, c1 int64, span uint64) (count, sum, lo, hi int64) {
+	dmin, dmax := ^uint64(0), uint64(0)
+	var outside, total uint64
+	for _, v := range vals {
+		d := uint64(v) - uint64(c1)
+		_, out := bits.Sub64(span, d, 0)
+		drop := -out // all ones outside the range
+		outside += out
+		total += uint64(v) &^ drop
+		dmin = min(dmin, d)
+		dmax = max(dmax, d&^drop)
+	}
+	return int64(len(vals)) - int64(outside), int64(total), c1 + int64(dmin), c1 + int64(dmax)
+}
+
+// mergeChunk folds a chunk's (count > 0, sum, min, max) into the running
+// state if no per-value fold of the chunk could have overflowed: every
+// prefix of the running sum stays within |p.sum| + count*max(|lo|, |hi|),
+// so when that bound fits int64 the chunk sum is exact and addValue would
+// never have flagged. It reports false, touching nothing, when the bound
+// or the count does not fit; the caller then redoes the chunk through
+// addValue.
+//
+//etsqp:hotpath
+//etsqp:nobce
+//etsqp:noescape
+//etsqp:rangecheck
+func (p *partialAgg) mergeChunk(count, sum, lo, hi int64) bool {
+	mag := max(magnitude(lo), magnitude(hi))
+	over, bound := bits.Mul64(uint64(count), mag)
+	bound, carry := bits.Add64(bound, magnitude(p.sum), 0)
+	if over != 0 || carry != 0 || bound > math.MaxInt64 {
+		return false
+	}
+	s, okS := addCheck(p.sum, sum)
+	c, okC := addCheck(p.count, count)
+	if !okS || !okC {
+		return false
+	}
+	p.sum, p.count = s, c
+	if !p.seen || lo < p.min {
+		p.min = lo
+	}
+	if !p.seen || hi > p.max {
+		p.max = hi
+	}
+	p.seen = true
+	return true
+}
+
+// magnitude returns |v| as a uint64; |MinInt64| = 2^63 fits.
+//
+//etsqp:hotpath
+//etsqp:inline
+func magnitude(v int64) uint64 {
+	if v < 0 {
+		return -uint64(v)
+	}
+	return uint64(v)
 }
 
 // addSum folds a fused per-block (sum, count) pair.
@@ -332,7 +457,8 @@ func (e *Engine) aggSlice(p *plan, i int, local *partialAgg, localWin []partialA
 	// width. Tracing off is a single nil check.
 	if col.trace != nil {
 		ev := SliceEvent{StartRow: sl.StartRow, EndRow: sl.EndRow, Rows: sl.Rows(), Fused: out >= outFused}
-		if blk, berr := pageBlock(sl.Pair.Value); berr == nil && blk != nil {
+		var blk ts2diff.Block
+		if ok, _ := pageBlock(&blk, sl.Pair.Value); ok {
 			ev.Width = blk.Width
 			ev.Nv = pipeline.ChooseNv(blk.Width, 32)
 		}
@@ -414,9 +540,7 @@ func (e *Engine) aggSlice(p *plan, i int, local *partialAgg, localWin []partialA
 				return err
 			}
 			col.valuesDecoded.Add(int64(len(vals)))
-			for _, v := range vals {
-				local.addValue(v)
-			}
+			p.foldValues(vals, local)
 			return nil
 		})
 	}
@@ -440,13 +564,10 @@ func (e *Engine) timeBoundsPruned(p *plan, sl pipeline.Slice,
 	if sl.Pair.Time.Header.EndTime <= t2 {
 		return 0, 0, false, nil // nothing to cut; full decode is optimal
 	}
-	blk, berr := pageBlock(sl.Pair.Time)
-	if berr != nil || blk == nil {
-		return 0, 0, false, nil
-	}
-	scanner, serr := pipeline.NewRangeScanner(blk, sl.StartRow)
-	if serr != nil {
-		return 0, 0, false, nil // e.g. order-2 time pages
+	var blk ts2diff.Block
+	var scanner pipeline.RangeScanner
+	if ok, _ := pageBlock(&blk, sl.Pair.Time); !ok || scanner.Reset(&blk, sl.StartRow) != nil {
+		return 0, 0, false, nil // not a TS2DIFF page, or unreadable: full decode reports it
 	}
 	col.pagesRead.Add(1)
 	col.bytesScanned.Add(int64(len(sl.Pair.Time.Data)))
@@ -501,10 +622,11 @@ func (e *Engine) timeBoundsPruned(p *plan, sl pipeline.Slice,
 func (e *Engine) aggDecodedRange(p *plan, sl pipeline.Slice, prunedScan bool, lo, hi int,
 	local *partialAgg, col *statsCollector, arena *exec.Arena) error {
 	if prunedScan {
-		if blk, err := pageBlock(sl.Pair.Value); err == nil && blk != nil {
+		var blk ts2diff.Block
+		if ok, _ := pageBlock(&blk, sl.Pair.Value); ok {
 			col.pagesRead.Add(1)
 			col.bytesScanned.Add(int64(len(sl.Pair.Value.Data)))
-			if done, err := e.aggPrunedScan(p, sl, blk, lo, hi, local, col, arena); done || err != nil {
+			if done, err := e.aggPrunedScan(p, sl, &blk, lo, hi, local, col, arena); done || err != nil {
 				return err
 			}
 		}
@@ -526,8 +648,8 @@ func (e *Engine) aggDecodedRange(p *plan, sl pipeline.Slice, prunedScan bool, lo
 func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, blk *ts2diff.Block, lo, hi int,
 	local *partialAgg, col *statsCollector, arena *exec.Arena) (bool, error) {
 	bounds := prune.BoundsFromBlock(blk)
-	scanner, err := pipeline.NewRangeScanner(blk, lo)
-	if err != nil {
+	var scanner pipeline.RangeScanner
+	if err := scanner.Reset(blk, lo); err != nil {
 		return false, nil // unsupported shape; caller falls back
 	}
 	if err := sl.Pair.Value.VerifyChecksum(); err != nil {
@@ -576,17 +698,20 @@ func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, blk *ts2diff.Block, l
 	return true, nil
 }
 
-// foldValues applies the predicates and accumulates matches, taking the
-// vectorized mask path for pure range predicates.
+// foldValues applies the predicates and accumulates matches: the chunk
+// fold for a pure range (or no predicate at all), a per-value test only
+// when a != predicate is present.
 func (p *plan) foldValues(vals []int64, local *partialAgg) {
-	if p.rangeOnly {
-		m := expr.RangeMask(vals, p.c1, p.c2)
-		expr.MaskedFold(vals, m, local.addValue)
-		return
-	}
-	for _, v := range vals {
-		if predsMatch(p.vp, v) {
-			local.addValue(v)
+	switch {
+	case len(p.vp) == 0:
+		local.foldRange(vals, math.MinInt64, math.MaxInt64, p.needSq)
+	case p.rangeOnly:
+		local.foldRange(vals, p.c1, p.c2, p.needSq)
+	default:
+		for _, v := range vals {
+			if predsMatch(p.vp, v) {
+				local.addValue(v)
+			}
 		}
 	}
 }
@@ -777,12 +902,13 @@ func (e *Engine) fusedSumSegments(p *storage.Page, cuts []int, sums []int64, col
 	if err := p.VerifyChecksum(); err != nil {
 		return false, err
 	}
+	var blk ts2diff.Block
 	if first, pairs, isRLBE := deltaRunsOfData(p.Header.Codec, data); isRLBE {
 		err = fusion.SumRangeSegments(first, pairs, cuts, sums)
-	} else if blk, berr := pageBlockData(p.Header.Codec, data); berr != nil || blk == nil {
+	} else if isBlock, berr := pageBlockData(&blk, p.Header.Codec, data); !isBlock {
 		return false, berr
 	} else {
-		err = fusion.SumBlockSegments(blk, cuts, sums)
+		err = fusion.SumBlockSegments(&blk, cuts, sums)
 	}
 	if errors.Is(err, fusion.ErrOverflow) {
 		return false, nil

@@ -37,18 +37,21 @@ func loadPage(p *storage.Page, col *statsCollector) (data []byte, release func()
 }
 
 // pageBlock parses a ts2diff page payload (the structured view the
-// vectorized paths need). Returns nil for non-ts2diff codecs.
-func pageBlock(p *storage.Page) (*ts2diff.Block, error) {
-	return pageBlockData(p.Header.Codec, p.Data)
+// vectorized paths need) into the caller's blk, so a scan parses page
+// after page without a heap block each. ok is false for other codecs
+// and on a parse error.
+func pageBlock(blk *ts2diff.Block, p *storage.Page) (ok bool, err error) {
+	return pageBlockData(blk, p.Header.Codec, p.Data)
 }
 
 // pageBlockData parses a ts2diff block from already-loaded page bytes.
-func pageBlockData(codec string, data []byte) (*ts2diff.Block, error) {
+func pageBlockData(blk *ts2diff.Block, codec string, data []byte) (ok bool, err error) {
 	switch codec {
 	case "ts2diff", "ts2diff2":
-		return ts2diff.Unmarshal(data)
+		err = blk.UnmarshalBinary(data)
+		return err == nil, err
 	default:
-		return nil, nil
+		return false, nil
 	}
 }
 
@@ -110,16 +113,17 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *s
 		obs.EngineHistPageDecode.Observe(elapsed)
 	}()
 	full := from == 0 && to == p.Header.Count
+	var blk ts2diff.Block
 	if e.Mode.strategy().valueWiseDecode {
 		if p.Header.Codec == "fastlanes" && !full {
 			// Block-granular slicing: decode only the FLMM1024 blocks the
 			// range touches (fair thread distribution, Section VII-C).
 			return fastlanes.DecodeRangeBlocks(data, from, to)
 		}
-	} else if blk, err := pageBlockData(p.Header.Codec, data); err != nil {
+	} else if ok, err := pageBlockData(&blk, p.Header.Codec, data); err != nil {
 		return nil, err
-	} else if blk != nil {
-		return pipeline.DecodeRange(blk, from, to)
+	} else if ok {
+		return pipeline.DecodeRange(&blk, from, to)
 	}
 	c, err := encoding.Lookup(p.Header.Codec)
 	if err != nil {
@@ -142,11 +146,11 @@ func (p *plan) constantIntervalOf(page *storage.Page) (int64, bool) {
 	if !p.strat.constInterval {
 		return 0, false
 	}
-	blk, err := pageBlock(page)
-	if err != nil || blk == nil {
+	var blk ts2diff.Block
+	if ok, _ := pageBlock(&blk, page); !ok {
 		return 0, false
 	}
-	return pipeline.ConstantInterval(blk)
+	return pipeline.ConstantInterval(&blk)
 }
 
 // deltaRunsOf extracts Delta-Repeat pairs when the page uses the RLBE

@@ -80,6 +80,7 @@ type plan struct {
 	c1, c2    int64           // the range hull of vp
 	rangeOnly bool            // vp is exactly [c1, c2] (no != predicate)
 	needFL    bool            // FIRST/LAST requested
+	needSq    bool            // VAR requested: folds must keep the sum of squares
 
 	// The driving (first) series: time-relevant pages, the ones left
 	// after header pruning, and the pipeline jobs over those. Cursor-driven
@@ -214,6 +215,7 @@ func (p *plan) checkAggregates() error {
 		if it.Col.IsTime() {
 			return fmt.Errorf("engine: aggregates over TIME are not supported")
 		}
+		p.needSq = p.needSq || it.Agg == sqlparse.AggVar
 	}
 	p.needFL = needsBoundaries(p.q.Items)
 	if p.needFL && len(p.vp) > 0 {

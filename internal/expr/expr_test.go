@@ -333,26 +333,14 @@ func TestRangeMaskWideBoundsFallBack(t *testing.T) {
 	if m.Count() != 3 {
 		t.Fatalf("count = %d", m.Count())
 	}
-	// Bounds at int32 extremes avoid the vector path but stay correct.
+	// Bounds at the int32 extremes.
 	m2 := RangeMask([]int64{0, -(1 << 31), 1<<31 - 1}, -(1 << 31), 1<<31-1)
 	if m2.Count() != 3 {
 		t.Fatalf("count = %d", m2.Count())
 	}
 }
 
-func TestMaskedFold(t *testing.T) {
-	col := []int64{1, 2, 3, 4}
-	m := NewMask(4)
-	m.Set(1)
-	m.Set(3)
-	var sum int64
-	MaskedFold(col, m, func(v int64) { sum += v })
-	if sum != 6 {
-		t.Fatalf("sum = %d", sum)
-	}
-}
-
-func BenchmarkRangeMaskVec(b *testing.B) {
+func BenchmarkRangeMask(b *testing.B) {
 	col := make([]int64, 65536)
 	for i := range col {
 		col[i] = int64(i % 4096)

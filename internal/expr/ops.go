@@ -67,6 +67,20 @@ func Filter(col []int64, op CmpOp, c int64) *Mask {
 	return m
 }
 
+// RangeMask builds the validity mask of c1 <= v <= c2 over a column (the
+// mask-vector generation of Section VI-B). The engine's aggregate scans
+// filter and fold in one pass instead (engine.partialAgg.foldRange); the
+// mask form serves callers that need the selection itself.
+func RangeMask(col []int64, c1, c2 int64) *Mask {
+	m := NewMask(len(col))
+	for i, v := range col {
+		if v >= c1 && v <= c2 {
+			m.Set(i)
+		}
+	}
+	return m
+}
+
 // TimeRangeFilter exploits time order: timestamps are sorted, so the
 // valid rows for t1 <= T <= t2 form one contiguous range found by binary
 // search — no per-row comparison (the ordered-data shortcut of Example 2).

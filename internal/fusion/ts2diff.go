@@ -59,18 +59,24 @@ func sumPrefixes(packed []byte, m int, width uint) (int64, error) {
 		return 0, nil // all packed fields are zero
 	}
 	r := bitio.NewReader(packed)
+	// 256 fields are whole bytes and whole 64-field groups at every
+	// width, so every chunk but the last is unpacked by kernels alone.
+	var fields [256]int64
 	var sumP, prefix int64
-	for e := 0; e < m; e++ {
-		v, err := r.ReadBits(width)
-		if err != nil {
+	for m > 0 {
+		n := min(m, len(fields))
+		if err := r.ReadFields(fields[:n], width); err != nil {
 			return 0, err
 		}
-		var okP, ok bool
-		prefix, okP = addChecked(prefix, int64(v))
-		sumP, ok = addChecked(sumP, prefix)
-		if !(okP && ok) {
-			return 0, ErrOverflow
+		for _, f := range fields[:n] {
+			var okP, ok bool
+			prefix, okP = addChecked(prefix, f)
+			sumP, ok = addChecked(sumP, prefix)
+			if !(okP && ok) {
+				return 0, ErrOverflow
+			}
 		}
+		m -= n
 	}
 	return sumP, nil
 }

@@ -13,7 +13,8 @@ import (
 // across widths on both sides of a 32-bit lane and the degenerate width
 // 0, with observability both off and on, whole pages at once and a
 // constructed scanner fed 1024-row chunks (the engine's pruned-scan
-// shape; width 8 keeps every chunk byte-aligned, the others do not).
+// shape; width 8 keeps every chunk byte-aligned, the others do not),
+// and a by-value scanner Reset from page to page.
 func TestUnpackLoopAllocs(t *testing.T) {
 	defer obs.Disable()
 	for _, w := range []uint{0, 4, 10, 16, MaxNarrowWidth, 30} {
@@ -66,6 +67,23 @@ func TestUnpackLoopAllocs(t *testing.T) {
 					}
 				}); n != 0 {
 					t.Fatalf("RangeScanner.Next allocates %.1f per four chunks", n)
+				}
+			})
+			// The engine's shape: one scanner held by value, Reset onto
+			// page after page at a mid-page row (prefix sum, or the
+			// order-2 replay), with the block on the caller's stack.
+			t.Run(fmt.Sprintf("reset/order=%d/width=%d", order, w), func(t *testing.T) {
+				var reused RangeScanner
+				if n := testing.AllocsPerRun(100, func() {
+					page := *blk
+					if err := reused.Reset(&page, 1001); err != nil {
+						t.Fatal(err)
+					}
+					if k, err := reused.Next(chunk); err != nil || k != len(chunk) {
+						t.Fatalf("Next after Reset: %d rows, %v", k, err)
+					}
+				}); n != 0 {
+					t.Fatalf("Reset + Next allocates %.1f/op", n)
 				}
 			})
 		}

@@ -11,6 +11,7 @@ package pipeline_test
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -193,6 +194,27 @@ func FuzzRangeScanner(f *testing.F) {
 		}
 		equal("RangeScanner", scanned)
 
+		// A second scan, from a reused scanner, in ragged chunks: runs on
+		// both sides of one and two 64-field groups, so that whatever bit
+		// the start row lands on, the bulk reader's head, whole groups,
+		// partial group and ReadBits tail all occur and hand over
+		// mid-page.
+		var again pipeline.RangeScanner
+		if err := again.Reset(b, from); err != nil {
+			t.Fatal(err)
+		}
+		scanned = scanned[:0]
+		ragged := make([]int64, max(chunk, 129))
+		for i := 0; again.Row() < to; i++ {
+			n := min(to-again.Row(), [...]int{1, 63, 64, 65, 7, 127, 128, 129, chunk}[i%9])
+			k, err := again.Next(ragged[:n])
+			if err != nil || k != n {
+				t.Fatalf("Next(%d) at row %d of %d produced %d rows, %v", n, again.Row(), b.Count, k, err)
+			}
+			scanned = append(scanned, ragged[:k]...)
+		}
+		equal("RangeScanner.Reset, ragged chunks", scanned)
+
 		ranged, err := pipeline.DecodeRange(b, from, to)
 		if err != nil {
 			t.Fatal(err)
@@ -205,6 +227,14 @@ func FuzzRangeScanner(f *testing.F) {
 		}
 		equal("DecodeBlockInto", whole[from:to])
 	})
+}
+
+// errOr names a nil error in a failure message.
+func errOr(err error) error {
+	if err == nil {
+		return errors.New("no error")
+	}
+	return err
 }
 
 // TestTruncatedPayload cuts the last two bytes off a block's payload:
@@ -246,6 +276,39 @@ func TestTruncatedPayload(t *testing.T) {
 						s, err := pipeline.NewRangeScanner(b, 0)
 						for chunk := make([]int64, 1024); err == nil && s.Row() < rows; {
 							_, err = s.Next(chunk)
+						}
+						return err
+					}},
+					{"RangeScanner, every start and chunk shape", func() error {
+						// Start rows on every bit offset a field can have,
+						// chunk lengths around one and two 64-field groups:
+						// the truncation is met by the bulk reader's head,
+						// its groups, its partial group or its tail, or by
+						// the prefix sum under Reset — and each must say
+						// ErrShortBuffer, and none on the intact block.
+						var s pipeline.RangeScanner
+						chunk := make([]int64, 1024)
+						for start := 0; start < 67; start++ {
+							if start == 18 {
+								start = 62 // 0..17 is two alignment periods of any width
+							}
+							for _, n := range []int{1, 63, 64, 65, 130, 1024} {
+								err := s.Reset(b, start)
+								for err == nil && s.Row() < rows {
+									_, err = s.Next(chunk[:n])
+								}
+								if errors.Is(err, bitio.ErrShortBuffer) != wantShort || (!wantShort && err != nil) {
+									return fmt.Errorf("start %d, chunks of %d: %w", start, n, errOr(err))
+								}
+							}
+						}
+						return oracle
+					}},
+					{"RangeScanner, start inside the cut", func() error {
+						var s pipeline.RangeScanner
+						err := s.Reset(b, rows-1)
+						if err == nil {
+							_, err = s.Next(make([]int64, 1))
 						}
 						return err
 					}},

@@ -17,17 +17,19 @@ import (
 // field, at every width, order and start row, comes from the scanner's
 // one bitio.Reader.
 type RangeScanner struct {
-	b     *ts2diff.Block
+	// b is a copy: a stored pointer would move the caller's block,
+	// parsed onto its stack, to the heap.
+	b     ts2diff.Block
 	row   int   // next row to emit
 	cur   int64 // value at row-1 (undefined when row == 0)
 	delta int64 // order-2 only: the first difference last applied
 	r     bitio.Reader
 }
 
-// NewRangeScanner positions a scanner at startRow of a block.
+// NewRangeScanner positions a new scanner at startRow of a block.
 func NewRangeScanner(b *ts2diff.Block, startRow int) (*RangeScanner, error) {
 	s := new(RangeScanner)
-	if err := s.init(b, startRow); err != nil {
+	if err := s.Reset(b, startRow); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -36,26 +38,28 @@ func NewRangeScanner(b *ts2diff.Block, startRow int) (*RangeScanner, error) {
 // decodeRows fills out with rows [from, from+len(out)) of the block.
 func decodeRows(out []int64, b *ts2diff.Block, from int) error {
 	var s RangeScanner
-	if err := s.init(b, from); err != nil {
+	if err := s.Reset(b, from); err != nil {
 		return err
 	}
 	_, err := s.Next(out)
 	return err
 }
 
-// init resolves the slice prefix dependency (Figure 8: P1S2 waits on
-// P1S1): an order-1 start value is First plus SumPacked over the skipped
-// fields; an order-2 start depends on a second prefix level, so the
-// recurrence is replayed (time pages are usually width 0 and never
+// Reset positions the scanner at startRow of a block, so a caller that
+// scans page after page keeps one scanner by value. It resolves the
+// slice prefix dependency (Figure 8: P1S2 waits on P1S1): an order-1
+// start value is First plus SumPacked over the skipped fields; an
+// order-2 start depends on a second prefix level, so the recurrence is
+// replayed through next2 (time pages are usually width 0 and never
 // decoded at all — see ConstantInterval).
-func (s *RangeScanner) init(b *ts2diff.Block, startRow int) error {
+func (s *RangeScanner) Reset(b *ts2diff.Block, startRow int) error {
 	if b.Order != ts2diff.Order1 && b.Order != ts2diff.Order2 {
 		return fmt.Errorf("pipeline: unknown order %d", b.Order)
 	}
 	if startRow < 0 || startRow > b.Count {
 		return fmt.Errorf("pipeline: start row %d out of [0,%d]", startRow, b.Count)
 	}
-	*s = RangeScanner{b: b, r: *bitio.NewReader(b.Packed)}
+	*s = RangeScanner{b: *b, r: *bitio.NewReader(b.Packed)}
 	if startRow == 0 {
 		return nil
 	}
@@ -113,29 +117,25 @@ func (s *RangeScanner) Next(dst []int64) (int, error) {
 }
 
 // next1 advances an order-1 scan by len(dst) rows: row r consumes packed
-// field r-1. Accumulation wraps intentionally: Delta encode and decode
-// are inverse mod 2^64, so checked adds here would reject values that
-// round-trip correctly.
+// field r-1. The fields are unpacked into dst in bulk, then folded in
+// place into the running value. Accumulation wraps intentionally: Delta
+// encode and decode are inverse mod 2^64, so checked adds here would
+// reject values that round-trip correctly.
 //
 //etsqp:hotpath
 func (s *RangeScanner) next1(dst []int64) error {
-	width, minBase := s.b.Width, s.b.MinBase
 	if s.row == 0 {
 		s.cur = s.b.First
 		dst[0] = s.cur
 		s.row = 1
 		dst = dst[1:]
 	}
-	cur := s.cur
-	for i := range dst {
-		var v uint64
-		if width > 0 {
-			var err error
-			if v, err = s.r.ReadBits(width); err != nil {
-				return err
-			}
-		}
-		cur += minBase + int64(v)
+	if err := s.r.ReadFields(dst, s.b.Width); err != nil {
+		return err
+	}
+	cur, minBase := s.cur, s.b.MinBase
+	for i, f := range dst {
+		cur += minBase + f
 		dst[i] = cur
 	}
 	s.row += len(dst)
@@ -145,11 +145,10 @@ func (s *RangeScanner) next1(dst []int64) error {
 
 // next2 advances an order-2 scan by len(dst) rows via the two-level
 // recurrence: delta_r = delta_{r-1} + dd_{r-2}, value_r = value_{r-1} +
-// delta_r, with delta_1 = FirstDelta.
+// delta_r, with delta_1 = FirstDelta — so rows 0 and 1 consume no field.
 //
 //etsqp:hotpath
 func (s *RangeScanner) next2(dst []int64) error {
-	width, minBase := s.b.Width, s.b.MinBase
 	if s.row == 0 {
 		s.cur = s.b.First
 		s.delta = s.b.FirstDelta
@@ -157,18 +156,18 @@ func (s *RangeScanner) next2(dst []int64) error {
 		s.row = 1
 		dst = dst[1:]
 	}
-	cur, delta := s.cur, s.delta
-	for i := range dst {
-		if s.row+i >= 2 {
-			var dd uint64
-			if width > 0 {
-				var err error
-				if dd, err = s.r.ReadBits(width); err != nil {
-					return err
-				}
-			}
-			delta += minBase + int64(dd)
-		}
+	if s.row == 1 && len(dst) > 0 {
+		s.cur += s.delta
+		dst[0] = s.cur
+		s.row = 2
+		dst = dst[1:]
+	}
+	if err := s.r.ReadFields(dst, s.b.Width); err != nil {
+		return err
+	}
+	cur, delta, minBase := s.cur, s.delta, s.b.MinBase
+	for i, f := range dst {
+		delta += minBase + f
 		cur += delta
 		dst[i] = cur
 	}

@@ -31,19 +31,11 @@ func DecodeDeltasInto(out []int64, packed []byte, m int, width uint, minBase int
 	if len(out) != m {
 		return bitio.ErrShortBuffer
 	}
-	if width == 0 {
-		for i := range out {
-			out[i] = minBase
-		}
-		return nil
+	if err := bitio.NewReader(packed).ReadFields(out, width); err != nil {
+		return err
 	}
-	r := bitio.NewReader(packed)
 	for i := range out {
-		v, err := r.ReadBits(width)
-		if err != nil {
-			return err
-		}
-		out[i] = minBase + int64(v)
+		out[i] += minBase
 	}
 	return nil
 }
@@ -59,13 +51,19 @@ func SumPacked(packed []byte, m int, width uint) (uint64, error) {
 		return 0, nil
 	}
 	r := bitio.NewReader(packed)
+	// 256 fields are whole bytes and whole 64-field groups at every
+	// width, so every chunk but the last is unpacked by kernels alone.
+	var fields [256]int64
 	var total uint64
-	for e := 0; e < m; e++ {
-		v, err := r.ReadBits(width)
-		if err != nil {
+	for m > 0 {
+		n := min(m, len(fields))
+		if err := r.ReadFields(fields[:n], width); err != nil {
 			return 0, err
 		}
-		total += v
+		for _, f := range fields[:n] {
+			total += uint64(f)
+		}
+		m -= n
 	}
 	return total, nil
 }

@@ -116,28 +116,6 @@ func Permutevar8x32(v, idx U32x8) U32x8 {
 	return out
 }
 
-// CmpGt32 compares signed lanes: all-ones where a > b, zero otherwise
-// (pcmpgtd semantics).
-func CmpGt32(a, b U32x8) U32x8 {
-	var out U32x8
-	for i := 0; i < Lanes32; i++ {
-		if int32(a[i]) > int32(b[i]) {
-			out[i] = 0xFFFFFFFF
-		}
-	}
-	return out
-}
-
-// Movemask32 packs the sign bit of each 32-bit lane into an 8-bit mask
-// (movmskps semantics).
-func Movemask32(v U32x8) uint8 {
-	var m uint8
-	for i := 0; i < Lanes32; i++ {
-		m |= uint8(v[i]>>31) << i
-	}
-	return m
-}
-
 // PrefixSumIdx holds the permute index vectors for the log-depth in-register
 // inclusive prefix sum across eight 32-bit lanes. The paper solves the
 // prefix vector with ceil(log2(omega_SIMD/omega')) = 3 pairs of

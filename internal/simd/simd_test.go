@@ -110,23 +110,6 @@ func TestPrefixSumQuick(t *testing.T) {
 	}
 }
 
-func TestCmpGt32(t *testing.T) {
-	a := U32x8{5, 5, 5, 5, 5, 5, 5, 5}
-	b := U32x8{1, 5, 9, 0xFFFFFFFF /* -1 signed */, 4, 6, 5, 2}
-	gt := CmpGt32(a, b)
-	want := U32x8{^uint32(0), 0, 0, ^uint32(0), ^uint32(0), 0, 0, ^uint32(0)}
-	if gt != want {
-		t.Fatalf("CmpGt32 got %v want %v", gt, want)
-	}
-}
-
-func TestMovemask32(t *testing.T) {
-	v := U32x8{1 << 31, 0, 1 << 31, 0, 0, 0, 0, 1 << 31}
-	if got := Movemask32(v); got != 0b10000101 {
-		t.Fatalf("got %08b want 10000101", got)
-	}
-}
-
 func TestArith(t *testing.T) {
 	a := U32x8{1, 2, 3, 4, 5, 6, 7, 8}
 	b := Broadcast32(10)

@@ -9,7 +9,6 @@
 //	lockorder      the module-wide lock-acquisition graph stays acyclic
 //	nopanic        no panics reachable from Decode/Read/Unmarshal entries
 //	obsguard       obs counters via atomic helpers, Enabled()-gated in hot paths
-//	plantable      plan-table widths in range, lane loops within vector bounds
 //	querydoc       SQL grammar surface and docs/QUERYING.md stay in sync
 //	rangecheck     int64 arithmetic in //etsqp:rangecheck kernels is checked or in range
 //	sharedwrite    parallel fan-outs write disjoint index ranges
@@ -17,7 +16,7 @@
 // Usage:
 //
 //	go run ./cmd/etsqp-lint ./...
-//	go run ./cmd/etsqp-lint -run nopanic,plantable ./...
+//	go run ./cmd/etsqp-lint -run guardedby,lockorder ./...
 //	go run ./cmd/etsqp-lint -json ./...
 //
 // Diagnostics print as file:line:col: analyzer: message (or as a JSON

@@ -43,10 +43,6 @@ func TestQueryDoc(t *testing.T) {
 	linttest.Run(t, "testdata/querydoc", analyzers.QueryDoc)
 }
 
-func TestPlanTable(t *testing.T) {
-	linttest.Run(t, "testdata/plantable", analyzers.PlanTable)
-}
-
 func TestSharedWrite(t *testing.T) {
 	linttest.Run(t, "testdata/sharedwrite", analyzers.SharedWrite)
 }

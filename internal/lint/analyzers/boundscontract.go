@@ -9,10 +9,11 @@ import (
 
 // BoundsContract turns //etsqp:bounds parameter directives into
 // module-wide checked contracts: at every call site of a bounds-annotated
-// function, anywhere in the module, the rangeflow interval interpreter
-// must be able to show each annotated argument's interval fits the
-// declared parameter range. Encoding invariants — page row caps, bit
-// widths, run lengths — thereby hold by construction at every producer,
+// function, anywhere in the module, the rangeflow.go interval lattice
+// (walked by flow.go) must be able to show each annotated argument's
+// interval fits the declared parameter range. Encoding invariants — page
+// row caps, bit widths, run lengths — thereby hold by construction at
+// every producer,
 // and the //etsqp:rangecheck kernels consuming them may assume the
 // declared intervals without re-validating.
 //
@@ -61,7 +62,7 @@ func runBoundsContract(pass *lint.Pass) error {
 				checkCallContract(pass, m, bounds, argIndex, caller, call, argIval)
 			},
 		}
-		walkRangeFunc(m, fi, bounds, hooks)
+		walkRangeFunc(fi, bounds, hooks)
 	}
 	return nil
 }

@@ -13,9 +13,10 @@ import (
 // GuardedBy proves the //etsqp:guardedby field contracts: every read of
 // an annotated field must hold the named mutex (RLock suffices on a
 // RWMutex), and every write must hold it at write strength. Proofs come
-// from the intra-procedural lock-set dataflow in lockflow.go; locked
-// accessor helpers are annotated //etsqp:locked <mu>, which seeds their
-// lock set and turns every call site into a "caller must hold" check.
+// from the intra-procedural lock-set dataflow in lockflow.go, a lattice
+// over the shared walker in flow.go; locked accessor helpers are
+// annotated //etsqp:locked <mu>, which seeds their lock set and turns
+// every call site into a "caller must hold" check.
 var GuardedBy = &lint.Analyzer{
 	Name: "guardedby",
 	Doc:  "reads/writes of //etsqp:guardedby fields hold the named mutex (lock-set dataflow)",

@@ -12,7 +12,7 @@ import (
 )
 
 // All is the analyzer suite cmd/etsqp-lint runs.
-var All = []*lint.Analyzer{AtomicField, BoundsContract, GuardedBy, HotPathAlloc, LockOrder, NoPanic, ObsGuard, PlanTable, QueryDoc, RangeCheck, SharedWrite}
+var All = []*lint.Analyzer{AtomicField, BoundsContract, GuardedBy, HotPathAlloc, LockOrder, NoPanic, ObsGuard, QueryDoc, RangeCheck, SharedWrite}
 
 // HotPathAlloc enforces that functions annotated //etsqp:hotpath — and
 // every module function they statically call — contain no allocating

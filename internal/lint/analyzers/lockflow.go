@@ -3,7 +3,10 @@ package analyzers
 // Lock-set dataflow shared by the guardedby and lockorder analyzers: an
 // intra-procedural abstract interpretation that tracks, at every
 // program point, which sync.Mutex/RWMutex receiver paths are held and
-// at what strength (read vs write).
+// at what strength (read vs write). Control flow — branch joins, the
+// loop fixpoint, labels, fallthrough, escaped literals — is the shared
+// walker's (flow.go); this file is the lattice and the transfer
+// functions.
 //
 // The abstraction is deliberately simple and strict:
 //
@@ -11,20 +14,15 @@ package analyzers
 //     expression ("s.mu", "c.mu", "planMu"), so aliasing through local
 //     copies is invisible; annotated protocols must lock through the
 //     same path they access guarded state through.
-//   - if/else and switch merge by set intersection over the exits of
-//     non-terminated branches: a lock counts as held only when it is
-//     held on every path.
-//   - Loops run a silent fixpoint pass first (the stable entry set is
-//     the intersection of the loop entry with every back edge), then a
-//     single reporting pass — so a workerLoop-style "unlock in the
-//     middle, relock before looping" body is proven, and a path that
-//     leaks a lock out of an iteration is not.
+//   - Where paths meet, a lock counts as held only when it is held on
+//     every path, at the weaker of its strengths. So a workerLoop-style
+//     "unlock in the middle, relock before looping" body is proven, and
+//     a path that leaks a lock out of an iteration is not.
 //   - defer mu.Unlock() is modeled as "held until function exit" (no
 //     transition); deferred and go'd function literals are scanned
 //     separately with an empty lock set, since they run at another time
 //     (or on another goroutine) with no inherited locks. Immediately
 //     invoked literals are interpreted inline with the current set.
-//   - panic, os.Exit, runtime.Goexit and log.Fatal* terminate a path.
 //   - sync.Cond.Wait needs no special case: it atomically re-acquires
 //     its mutex before returning, so "held before, held after" — the
 //     net effect of not modeling a transition — is exact.
@@ -36,9 +34,7 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 
 	"etsqp/internal/lint"
 )
@@ -60,41 +56,6 @@ type lockInfo struct {
 
 // lockSet maps receiver path ("s.mu") to the held lock's state.
 type lockSet map[string]lockInfo
-
-func cloneSet(s lockSet) lockSet {
-	out := make(lockSet, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-// intersectSets keeps locks held in both sets at the weaker strength.
-func intersectSets(a, b lockSet) lockSet {
-	out := lockSet{}
-	for k, av := range a {
-		if bv, ok := b[k]; ok {
-			v := av
-			if bv.strength < v.strength {
-				v = bv
-			}
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func equalSets(a, b lockSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		if bv, ok := b[k]; !ok || bv != av {
-			return false
-		}
-	}
-	return true
-}
 
 // mutexOp is one Lock/RLock/Unlock/RUnlock call on a sync mutex.
 type mutexOp struct {
@@ -121,26 +82,10 @@ type lockHooks struct {
 	enterClosure func()
 }
 
-// flowCtx is one enclosing breakable statement (loop, switch, select).
-type flowCtx struct {
-	label     string
-	isLoop    bool
-	breaks    []lockSet
-	continues []lockSet
-}
-
 type lockFlow struct {
-	pkg        *lint.Package
-	hooks      lockHooks
-	silent     bool
-	set        lockSet
-	terminated bool
-	ctxs       []*flowCtx
-	returns    []lockSet
-	label      string // pending label for the next loop/switch statement
-
-	queue  []*ast.FuncLit
-	queued map[*ast.FuncLit]bool
+	*flow[lockInfo]
+	pkg   *lint.Package
+	hooks lockHooks
 }
 
 // walkLockFunc interprets one function body from the given seed set
@@ -150,40 +95,48 @@ func walkLockFunc(pkg *lint.Package, fd *ast.FuncDecl, seed lockSet, hooks lockH
 	if fd.Body == nil {
 		return
 	}
-	f := &lockFlow{pkg: pkg, hooks: hooks, queued: map[*ast.FuncLit]bool{}}
-	f.set = cloneSet(seed)
-	f.stmt(fd.Body)
-	if len(f.queue) > 0 && hooks.enterClosure != nil {
-		hooks.enterClosure()
-	}
-	for i := 0; i < len(f.queue); i++ {
-		lit := f.queue[i]
-		f.set, f.terminated, f.ctxs, f.returns, f.label = lockSet{}, false, nil, nil, ""
-		f.stmt(lit.Body)
-	}
+	f := &lockFlow{pkg: pkg, hooks: hooks}
+	f.flow = &flow[lockInfo]{lat: f}
+	entered := false
+	f.run(fd.Body, cloneState(seed), func(*ast.FuncLit) map[string]lockInfo {
+		if !entered && hooks.enterClosure != nil {
+			hooks.enterClosure()
+		}
+		entered = true
+		return lockSet{}
+	})
 }
 
-func (f *lockFlow) enqueue(lit *ast.FuncLit) {
-	if f.silent || f.queued[lit] {
-		return
+// ---- the lattice ----
+
+// join keeps a lock held on both paths at the weaker strength.
+func (*lockFlow) join(a, b lockInfo) lockInfo {
+	if b.strength < a.strength {
+		return b
 	}
-	f.queued[lit] = true
-	f.queue = append(f.queue, lit)
+	return a
+}
+
+func (*lockFlow) equal(a, b lockInfo) bool { return a == b }
+
+// widen is the identity: a loop can only drop or weaken locks, so the
+// entry set reaches its fixpoint without help.
+func (*lockFlow) widen(_, next lockInfo) lockInfo { return next }
+
+// cond and tagCase narrow nothing: no lock is taken by a comparison.
+func (*lockFlow) cond(ast.Expr, bool) bool { return true }
+
+func (*lockFlow) tagCase(_, _ ast.Expr) bool { return true }
+
+func (f *lockFlow) rangeVars(s *ast.RangeStmt) {
+	f.writeExpr(s.Key)
+	f.writeExpr(s.Value)
 }
 
 // ---- statements ----
 
-func (f *lockFlow) stmt(s ast.Stmt) {
-	if f.terminated || s == nil {
-		return
-	}
-	lbl := f.label
-	f.label = ""
+func (f *lockFlow) leaf(s ast.Stmt) {
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		for _, st := range s.List {
-			f.stmt(st)
-		}
 	case *ast.ExprStmt:
 		f.expr(s.X)
 	case *ast.AssignStmt:
@@ -213,296 +166,29 @@ func (f *lockFlow) stmt(s ast.Stmt) {
 		for _, r := range s.Results {
 			f.expr(r)
 		}
-		if !f.silent {
-			f.returns = append(f.returns, cloneSet(f.set))
-		}
-		f.terminated = true
 	case *ast.DeferStmt:
-		f.deferStmt(s)
+		f.later(s.Call)
 	case *ast.GoStmt:
-		for _, a := range s.Call.Args {
-			f.expr(a)
-		}
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			f.enqueue(lit)
-		} else {
-			f.expr(s.Call.Fun)
-		}
-	case *ast.IfStmt:
-		f.ifStmt(s)
-	case *ast.ForStmt:
-		f.forStmt(s, lbl)
-	case *ast.RangeStmt:
-		f.rangeStmt(s, lbl)
-	case *ast.SwitchStmt:
-		f.switchStmt(s.Init, s.Tag, nil, s.Body, lbl)
-	case *ast.TypeSwitchStmt:
-		f.switchStmt(s.Init, nil, s.Assign, s.Body, lbl)
-	case *ast.SelectStmt:
-		f.selectStmt(s, lbl)
-	case *ast.BranchStmt:
-		f.branchStmt(s)
-	case *ast.LabeledStmt:
-		f.label = s.Label.Name
-		f.stmt(s.Stmt)
-	case *ast.EmptyStmt:
+		f.later(s.Call)
 	}
 }
 
-// deferStmt evaluates the deferred call's operands now. A deferred
-// mutex operation causes no transition: defer mu.Unlock() means the
-// lock stays held to function exit, exactly what no-op models.
-func (f *lockFlow) deferStmt(s *ast.DeferStmt) {
-	for _, a := range s.Call.Args {
+// later evaluates a deferred or go'd call's operands now; the call runs
+// at another time. A mutex operation there causes no transition: defer
+// mu.Unlock() means the lock stays held to function exit, exactly what
+// no-op models. A called literal escapes.
+func (f *lockFlow) later(c *ast.CallExpr) {
+	for _, a := range c.Args {
 		f.expr(a)
 	}
-	if f.mutexOp(s.Call) != nil {
+	if f.mutexOp(c) != nil {
 		return
 	}
-	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(c.Fun).(*ast.FuncLit); ok {
 		f.enqueue(lit)
 		return
 	}
-	f.expr(s.Call.Fun)
-}
-
-func (f *lockFlow) ifStmt(s *ast.IfStmt) {
-	f.stmt(s.Init)
-	f.expr(s.Cond)
-	entry := cloneSet(f.set)
-
-	f.set = cloneSet(entry)
-	f.stmt(s.Body)
-	thenSet, thenTerm := f.set, f.terminated
-	f.terminated = false
-
-	f.set = cloneSet(entry)
-	if s.Else != nil {
-		f.stmt(s.Else)
-	}
-	elseSet, elseTerm := f.set, f.terminated
-	f.terminated = false
-
-	switch {
-	case thenTerm && elseTerm:
-		f.terminated = true
-	case thenTerm:
-		f.set = elseSet
-	case elseTerm:
-		f.set = thenSet
-	default:
-		f.set = intersectSets(thenSet, elseSet)
-	}
-}
-
-func (f *lockFlow) forStmt(s *ast.ForStmt, lbl string) {
-	f.stmt(s.Init)
-	entry := cloneSet(f.set)
-	stable := f.loopFixpoint(entry, func() {
-		f.expr(s.Cond)
-		f.stmt(s.Body)
-		f.stmt(s.Post)
-	})
-	ctx := f.loopReportPass(stable, lbl, func() {
-		f.expr(s.Cond)
-		f.stmt(s.Body)
-		f.stmt(s.Post)
-	})
-	f.afterLoop(s.Cond != nil, stable, ctx)
-}
-
-func (f *lockFlow) rangeStmt(s *ast.RangeStmt, lbl string) {
-	f.expr(s.X)
-	entry := cloneSet(f.set)
-	body := func() {
-		if s.Key != nil {
-			f.writeExpr(s.Key)
-		}
-		if s.Value != nil {
-			f.writeExpr(s.Value)
-		}
-		f.stmt(s.Body)
-	}
-	stable := f.loopFixpoint(entry, body)
-	ctx := f.loopReportPass(stable, lbl, body)
-	// A range loop always terminates with the pre-iteration set (the
-	// range may be empty), like a for loop with a condition.
-	f.afterLoop(true, stable, ctx)
-}
-
-// loopFixpoint finds the stable loop-entry set: the intersection of the
-// entry set with every back edge (normal body end and continue), run
-// silently until it stops shrinking.
-func (f *lockFlow) loopFixpoint(entry lockSet, iter func()) lockSet {
-	cur := entry
-	savedSilent := f.silent
-	f.silent = true
-	for i := 0; i < 8; i++ {
-		ctx := &flowCtx{isLoop: true, label: f.label}
-		f.ctxs = append(f.ctxs, ctx)
-		f.set = cloneSet(cur)
-		f.terminated = false
-		iter()
-		exits := ctx.continues
-		if !f.terminated {
-			exits = append(exits, f.set)
-		}
-		f.ctxs = f.ctxs[:len(f.ctxs)-1]
-		next := cur
-		for _, e := range exits {
-			next = intersectSets(next, e)
-		}
-		if equalSets(next, cur) {
-			break
-		}
-		cur = next
-	}
-	f.silent = savedSilent
-	f.terminated = false
-	return cur
-}
-
-// loopReportPass runs one reporting iteration from the stable set and
-// returns the context with the collected break sets.
-func (f *lockFlow) loopReportPass(stable lockSet, lbl string, iter func()) *flowCtx {
-	ctx := &flowCtx{isLoop: true, label: lbl}
-	f.ctxs = append(f.ctxs, ctx)
-	f.set = cloneSet(stable)
-	f.terminated = false
-	iter()
-	f.ctxs = f.ctxs[:len(f.ctxs)-1]
-	f.terminated = false
-	return ctx
-}
-
-// afterLoop computes the post-loop set: the condition-false exit (when
-// the loop has one) intersected with every break.
-func (f *lockFlow) afterLoop(hasCondExit bool, stable lockSet, ctx *flowCtx) {
-	var exits []lockSet
-	if hasCondExit {
-		exits = append(exits, stable)
-	}
-	exits = append(exits, ctx.breaks...)
-	if len(exits) == 0 {
-		f.terminated = true // for {} with no break: only returns leave it
-		return
-	}
-	out := exits[0]
-	for _, e := range exits[1:] {
-		out = intersectSets(out, e)
-	}
-	f.set = out
-}
-
-// switchStmt handles switch and type-switch: each clause runs from the
-// statement entry; the post set intersects every non-terminated clause
-// exit, every break, and — without a default — the entry itself.
-func (f *lockFlow) switchStmt(init ast.Stmt, tag ast.Expr, assign ast.Stmt, body *ast.BlockStmt, lbl string) {
-	f.stmt(init)
-	f.expr(tag)
-	f.stmt(assign)
-	entry := cloneSet(f.set)
-	ctx := &flowCtx{label: lbl}
-	f.ctxs = append(f.ctxs, ctx)
-	var exits []lockSet
-	hasDefault := false
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		f.set = cloneSet(entry)
-		f.terminated = false
-		for _, e := range cc.List {
-			f.expr(e)
-		}
-		for _, st := range cc.Body {
-			f.stmt(st)
-		}
-		if !f.terminated {
-			exits = append(exits, f.set)
-		}
-	}
-	f.ctxs = f.ctxs[:len(f.ctxs)-1]
-	f.terminated = false
-	exits = append(exits, ctx.breaks...)
-	if !hasDefault {
-		exits = append(exits, entry)
-	}
-	f.mergeExits(exits)
-}
-
-func (f *lockFlow) selectStmt(s *ast.SelectStmt, lbl string) {
-	entry := cloneSet(f.set)
-	ctx := &flowCtx{label: lbl}
-	f.ctxs = append(f.ctxs, ctx)
-	var exits []lockSet
-	for _, c := range s.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		f.set = cloneSet(entry)
-		f.terminated = false
-		f.stmt(cc.Comm)
-		for _, st := range cc.Body {
-			f.stmt(st)
-		}
-		if !f.terminated {
-			exits = append(exits, f.set)
-		}
-	}
-	f.ctxs = f.ctxs[:len(f.ctxs)-1]
-	f.terminated = false
-	exits = append(exits, ctx.breaks...)
-	f.mergeExits(exits)
-}
-
-func (f *lockFlow) mergeExits(exits []lockSet) {
-	if len(exits) == 0 {
-		f.terminated = true
-		return
-	}
-	out := exits[0]
-	for _, e := range exits[1:] {
-		out = intersectSets(out, e)
-	}
-	f.set = out
-}
-
-func (f *lockFlow) branchStmt(s *ast.BranchStmt) {
-	label := ""
-	if s.Label != nil {
-		label = s.Label.Name
-	}
-	switch s.Tok {
-	case token.BREAK:
-		for i := len(f.ctxs) - 1; i >= 0; i-- {
-			c := f.ctxs[i]
-			if label == "" || c.label == label {
-				c.breaks = append(c.breaks, cloneSet(f.set))
-				break
-			}
-		}
-		f.terminated = true
-	case token.CONTINUE:
-		for i := len(f.ctxs) - 1; i >= 0; i-- {
-			c := f.ctxs[i]
-			if c.isLoop && (label == "" || c.label == label) {
-				c.continues = append(c.continues, cloneSet(f.set))
-				break
-			}
-		}
-		f.terminated = true
-	case token.GOTO:
-		f.terminated = true // conservative: stop tracking this path
-	case token.FALLTHROUGH:
-		// Treated as clause end; the next clause re-enters from the
-		// switch entry set, which only under-approximates held locks.
-	}
+	f.expr(c.Fun)
 }
 
 // ---- expressions ----
@@ -583,7 +269,7 @@ func (f *lockFlow) writeExpr(e ast.Expr) {
 
 func (f *lockFlow) fieldAccess(sel *ast.SelectorExpr, write bool) {
 	if !f.silent && f.hooks.access != nil {
-		f.hooks.access(sel, f.set, write)
+		f.hooks.access(sel, f.state, write)
 	}
 }
 
@@ -594,68 +280,39 @@ func (f *lockFlow) call(c *ast.CallExpr) {
 	if op := f.mutexOp(c); op != nil {
 		if op.acquire {
 			if !f.silent && f.hooks.acquire != nil {
-				f.hooks.acquire(op, f.set)
+				f.hooks.acquire(op, f.state)
 			}
-			f.set[op.path] = lockInfo{strength: op.strength, class: op.class}
+			f.state[op.path] = lockInfo{strength: op.strength, class: op.class}
 		} else {
-			delete(f.set, op.path)
+			delete(f.state, op.path)
 		}
 		return
 	}
 	if lit, ok := ast.Unparen(c.Fun).(*ast.FuncLit); ok {
-		// Immediately invoked: interpret inline with the current set.
-		exit, diverges := f.subFlow(lit.Body, f.set)
-		if diverges {
-			f.terminated = true
-		} else {
-			f.set = exit
-		}
+		f.inline(lit.Body) // immediately invoked: runs now, under the current set
 		return
 	}
-	// delete(guardedMap, k) writes through the map field.
+	builtin := false
 	if id, ok := ast.Unparen(c.Fun).(*ast.Ident); ok {
-		if b, isBuiltin := f.pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-			if b.Name() == "delete" && len(c.Args) == 2 {
+		if b, ok := f.pkg.Info.Uses[id].(*types.Builtin); ok {
+			builtin = true
+			// delete(guardedMap, k) and copy(guarded, src) write through
+			// their first argument.
+			if (b.Name() == "delete" || b.Name() == "copy") && len(c.Args) == 2 {
 				f.writeExpr(c.Args[0])
 			}
-			if b.Name() == "copy" && len(c.Args) == 2 {
-				f.writeExpr(c.Args[0])
-			}
-			if b.Name() == "panic" {
-				f.terminated = true
-			}
-			return
 		}
 	}
-	f.expr(c.Fun)
-	if f.isTerminator(c) {
+	if !builtin {
+		f.expr(c.Fun)
+	}
+	if isTerminator(f.pkg.Info, c) {
 		f.terminated = true
 		return
 	}
-	if !f.silent && f.hooks.call != nil {
-		f.hooks.call(c, f.set)
+	if !builtin && !f.silent && f.hooks.call != nil {
+		f.hooks.call(c, f.state)
 	}
-}
-
-// subFlow interprets a block from seed in a nested function context and
-// returns the intersection of its exit sets (returns + normal end).
-func (f *lockFlow) subFlow(body *ast.BlockStmt, seed lockSet) (exit lockSet, diverges bool) {
-	savedSet, savedTerm, savedCtxs, savedReturns, savedLabel := f.set, f.terminated, f.ctxs, f.returns, f.label
-	f.set, f.terminated, f.ctxs, f.returns, f.label = cloneSet(seed), false, nil, nil, ""
-	f.stmt(body)
-	exits := f.returns
-	if !f.terminated {
-		exits = append(exits, f.set)
-	}
-	f.set, f.terminated, f.ctxs, f.returns, f.label = savedSet, savedTerm, savedCtxs, savedReturns, savedLabel
-	if len(exits) == 0 {
-		return nil, true
-	}
-	out := exits[0]
-	for _, e := range exits[1:] {
-		out = intersectSets(out, e)
-	}
-	return out, false
 }
 
 // mutexOp recognizes Lock/RLock/Unlock/RUnlock calls on a
@@ -722,29 +379,4 @@ func lockClassOf(info *types.Info, recv ast.Expr) string {
 		}
 	}
 	return ""
-}
-
-// isTerminator reports whether a call never returns.
-func (f *lockFlow) isTerminator(c *ast.CallExpr) bool {
-	fn := lint.CalleeFunc(f.pkg.Info, c)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	switch fn.Pkg().Path() {
-	case "os":
-		return fn.Name() == "Exit"
-	case "runtime":
-		return fn.Name() == "Goexit"
-	case "log":
-		return strings.HasPrefix(fn.Name(), "Fatal") || strings.HasPrefix(fn.Name(), "Panic")
-	}
-	return false
-}
-
-// inTestFile reports whether a declaration lives in a _test.go file.
-// The concurrency-contract analyzers skip tests: in-package tests poke
-// unpublished structs single-threaded, and the race-detector CI jobs
-// cover them dynamically.
-func inTestFile(m *lint.Module, pos token.Pos) bool {
-	return strings.HasSuffix(m.Fset.Position(pos).Filename, "_test.go")
 }

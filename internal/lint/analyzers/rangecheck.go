@@ -12,11 +12,12 @@ import (
 // RangeCheck enforces the Section VI-C checked-arithmetic discipline
 // inside functions annotated //etsqp:rangecheck: every raw + - * << (and
 // the one overflowing / case, MinInt64 / -1) whose static type is int64
-// and whose exact result interval — computed by the rangeflow interval
-// interpreter from //etsqp:bounds directives, constants, branch guards
-// and loop fixpoints — can leave int64 must instead flow through an
-// //etsqp:checked helper (fusion.addChecked, fusion.mulChecked, ...) or
-// have its operands provably bounded. Declared //etsqp:bounds return
+// and whose exact result interval — computed by the rangeflow.go interval
+// lattice over the shared walker in flow.go, from //etsqp:bounds
+// directives, constants, branch guards and loop fixpoints — can leave
+// int64 must instead flow through an //etsqp:checked helper
+// (fusion.addChecked, fusion.mulChecked, ...) or have its operands
+// provably bounded. Declared //etsqp:bounds return
 // intervals are verified against the computed return-value intervals,
 // the ok result of a checked helper must not be discarded, and
 // malformed or misannotated directives are findings.
@@ -73,7 +74,7 @@ func checkRangeFunc(pass *lint.Pass, m *lint.Module, fi *lint.FuncInfo, bounds *
 			}
 		}
 	}
-	walkRangeFunc(m, fi, bounds, hooks)
+	walkRangeFunc(fi, bounds, hooks)
 }
 
 func opWord(op token.Token) string {

@@ -198,7 +198,8 @@ func (p *Plan) UnpackVec(window []byte, j int) simd.U32x8 {
 // is whole bytes, every gather index stays inside the byte window a block
 // can legally touch, shifts keep fields inside a 32-bit lane and the mask
 // matches the width. TestPlanTableInvariants runs it for every width the
-// constructor accepts (the generator-side half of the plantable analyzer).
+// constructor accepts; Go's bounds checks catch a lane loop that overruns
+// its vector.
 func (p *Plan) Check() error {
 	if p.Nv < 1 || p.Nv > MaxNv {
 		return fmt.Errorf("plan width %d: Nv %d outside [1, %d]", p.Width, p.Nv, MaxNv)

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestPlanTableInvariants is the dynamic side of the plantable analyzer:
-// every width the tables support must build an internally consistent
+// TestPlanTableInvariants is the plan tables' consistency proof: every
+// width the tables support must build an internally consistent
 // plan (gather indices in window range, shifts below 32, masks and ramps
 // exact), and every width past the table range must be rejected with
 // ErrWidthRange.

@@ -2,13 +2,15 @@
 // Pipelines for Encoded IoT Data" (Kang, Song, Wang — ICDE 2025): an
 // IoT time-series storage and query engine whose decoding pipelines are
 // vectorized (Section III), fused with aggregation operators so that
-// SUM/AVG/COUNT/VAR/CORR run on encoded form without materializing
-// columns (Section IV, internal/fusion), and pruned early by encoder
-// statistics (Section V, internal/prune). A FastLanes-style transposed
-// layout (internal/fastlanes) and serial/SBoost executors serve as the
-// paper's baselines, and internal/transport implements the Section I
-// delivery path: devices ship CRC-framed encoded pages that the server
-// ingests without decoding.
+// SUM/AVG/COUNT run on encoded form without materializing columns
+// (Section IV, internal/fusion), and pruned early by encoder statistics
+// (Section V, internal/prune). VAR and CORR decode their values: the
+// Σv² and Σa·b closed forms in internal/fusion have no engine caller.
+// A FastLanes-style transposed layout (internal/fastlanes) and
+// serial/SBoost executors serve as the paper's baselines, and
+// internal/transport implements the Section I delivery path: devices
+// ship CRC-framed encoded pages that the server ingests without
+// decoding.
 //
 // The query surface — aggregates, sliding/hopping windows, series
 // concatenation and natural join, predicates, subqueries, LIMIT — is

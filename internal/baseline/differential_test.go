@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -207,25 +208,106 @@ func sharedGrid(rng *rand.Rand, n int) (lts, lvs, rts, rvs []int64) {
 	return lts, lvs, rts, rvs
 }
 
-func twoSeriesStore(t testing.TB, lts, lvs, rts, rvs []int64, pageSize int) *storage.Store {
+// twoSeriesStore stores the shared grid as ts1 and ts2, plus ts3: ts2's
+// timestamps with its values bent at c (bendAt).
+func twoSeriesStore(t testing.TB, lts, lvs, rts, rvs []int64, c int64, pageSize int) *storage.Store {
 	st := storage.NewStore()
-	if err := st.Append("ts1", lts, lvs, storage.Options{PageSize: pageSize}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append("ts2", rts, rvs, storage.Options{PageSize: pageSize}); err != nil {
-		t.Fatal(err)
+	for _, s := range []struct {
+		name     string
+		ts, vals []int64
+	}{{"ts1", lts, lvs}, {"ts2", rts, rvs}, {"ts3", rts, bendAt(rvs, c)}} {
+		if err := st.Append(s.name, s.ts, s.vals, storage.Options{PageSize: pageSize}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return st
 }
 
+// bendAt negates the ts2 values from c+1 up. A joined ts2 value is its
+// ts1 partner plus one (sharedGrid), so joined with ts1 the bent series
+// reads b = a+1 where a < c and b = -(a+1) elsewhere: CORR under
+// WHERE ts1.A < c is exactly 1 only if the predicate is applied.
+func bendAt(rvs []int64, c int64) []int64 {
+	out := make([]int64, len(rvs))
+	for i, r := range rvs {
+		out[i] = r
+		if r-1 >= c {
+			out[i] = -r
+		}
+	}
+	return out
+}
+
+// checkScanCorr checks the row and CORR shapes under value predicates:
+// a value- and time-filtered scan of ts1, with and without LIMIT,
+// against a plain loop, and CORR(ts1.A, ts3.A) under WHERE ts1.A < c
+// against a scalar Pearson over the filtered oracle join (an empty or
+// constant side must be an error).
+func checkScanCorr(t testing.TB, e *engine.Engine, lts, lvs, rts, rvs []int64, c int64, limit int) {
+	t.Helper()
+	t1, t2 := lts[len(lts)/4], lts[3*len(lts)/4]
+	var want []engine.Row
+	for i := range lts {
+		if lts[i] >= t1 && lts[i] <= t2 && lvs[i] >= c {
+			want = append(want, engine.Row{Time: lts[i], Values: []int64{lvs[i]}})
+		}
+	}
+	scan := fmt.Sprintf("SELECT * FROM ts1 WHERE A >= %d AND TIME >= %d AND TIME <= %d", c, t1, t2)
+	for _, sql := range []string{scan, fmt.Sprintf("%s LIMIT %d", scan, limit)} {
+		w := want
+		if sql != scan {
+			w = want[:min(limit, len(want))]
+		}
+		res, err := e.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatalf("%v %q: %v", e.Mode, sql, err)
+		}
+		if len(res.Rows) != len(w) {
+			t.Fatalf("%v %q: %d rows, oracle has %d", e.Mode, sql, len(res.Rows), len(w))
+		}
+		for i, r := range res.Rows {
+			if r.Time != w[i].Time || len(r.Values) != 1 || r.Values[0] != w[i].Values[0] {
+				t.Fatalf("%v %q row %d: %v want %v", e.Mode, sql, i, r, w[i])
+			}
+		}
+	}
+
+	var n, sa, sb, saa, sbb, sab float64
+	for _, r := range ScalarJoin(lts, lvs, rts, bendAt(rvs, c)) {
+		if r.L < c {
+			a, b := float64(r.L), float64(r.R)
+			n, sa, sb, saa, sbb, sab = n+1, sa+a, sb+b, saa+a*a, sbb+b*b, sab+a*b
+		}
+	}
+	sql := fmt.Sprintf("SELECT CORR(ts1.A, ts3.A) FROM ts1, ts3 WHERE ts1.A < %d", c)
+	res, err := e.ExecuteSQL(sql)
+	va, vb := saa/n-sa/n*sa/n, sbb/n-sb/n*sb/n
+	if n == 0 || va <= 0 || vb <= 0 {
+		if err == nil {
+			t.Fatalf("%v %q over %v pairs: %v, want an error", e.Mode, sql, n, res.Aggregates)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%v %q: %v", e.Mode, sql, err)
+	}
+	r := (sab/n - sa/n*sb/n) / math.Sqrt(va*vb)
+	if got := res.Aggregates["CORR(A,B)"]; math.Abs(got-r) > 1e-9 {
+		t.Fatalf("%v %q: %v, oracle %v over %v pairs", e.Mode, sql, got, r, n)
+	}
+}
+
 // TestConcatJoinDifferential checks UNION ... ORDER BY TIME against the
-// timestamp-set oracle and the natural join (star and sum projections)
-// against the nested-loop oracle, across all engine modes.
+// timestamp-set oracle, the natural join (star and sum projections)
+// against the nested-loop oracle, and the filtered scan and CORR shapes
+// (checkScanCorr), across all engine modes.
 func TestConcatJoinDifferential(t *testing.T) {
 	for seed := int64(20); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		lts, lvs, rts, rvs := sharedGrid(rng, 400+rng.Intn(600))
-		st := twoSeriesStore(t, lts, lvs, rts, rvs, 128<<rng.Intn(3))
+		pageSize := 128 << rng.Intn(3)
+		c, limit := lvs[rng.Intn(len(lvs))], 1+rng.Intn(40)
+		st := twoSeriesStore(t, lts, lvs, rts, rvs, c, pageSize)
 		wantMerge := ScalarConcat(lts, lvs, rts, rvs)
 		wantJoin := ScalarJoin(lts, lvs, rts, rvs)
 		for _, mode := range []engine.Mode{engine.ModeSerial, engine.ModeETSQP, engine.ModeETSQPPrune} {
@@ -269,6 +351,8 @@ func TestConcatJoinDifferential(t *testing.T) {
 					t.Fatalf("%v join-sum row %d: %v want %+v", mode, i, r, o)
 				}
 			}
+
+			checkScanCorr(t, e, lts, lvs, rts, rvs, c, limit)
 		}
 	}
 }
@@ -311,7 +395,8 @@ func FuzzWindowDifferential(f *testing.F) {
 }
 
 // FuzzMergeJoinDifferential fuzzes the shared-grid shape of two series
-// and checks the streaming merge and join against the oracles.
+// and checks the streaming merge and join, and the filtered scan and
+// CORR shapes, against the oracles.
 func FuzzMergeJoinDifferential(f *testing.F) {
 	f.Add(int64(1), uint16(300))
 	f.Add(int64(7), uint16(64))
@@ -322,7 +407,8 @@ func FuzzMergeJoinDifferential(f *testing.F) {
 		if len(lts) == 0 || len(rts) == 0 {
 			t.Skip("empty side")
 		}
-		st := twoSeriesStore(t, lts, lvs, rts, rvs, 128)
+		c, limit := lvs[rng.Intn(len(lvs))], 1+rng.Intn(40)
+		st := twoSeriesStore(t, lts, lvs, rts, rvs, c, 128)
 		e := engine.New(st, engine.ModeETSQP)
 
 		wantMerge := ScalarConcat(lts, lvs, rts, rvs)
@@ -354,5 +440,7 @@ func FuzzMergeJoinDifferential(f *testing.F) {
 				t.Fatalf("join row %d: %v want %+v", i, r, o)
 			}
 		}
+
+		checkScanCorr(t, e, lts, lvs, rts, rvs, c, limit)
 	})
 }

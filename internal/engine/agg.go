@@ -655,25 +655,24 @@ func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, blk *ts2diff.Block, l
 	if err := sl.Pair.Value.VerifyChecksum(); err != nil {
 		return true, err
 	}
+	n := sl.Pair.Count()
+	buf := arena.Int64(exec.ClassPrune, pruneChunk)
+	// One clock read per phase boundary: each fold's end starts the next
+	// decode, and the stage counters are charged once per scan.
 	start := time.Now()
+	var decodeNs, aggNs int64
 	defer func() {
+		col.decodeNanos.Add(decodeNs)
+		col.aggNanos.Add(aggNs)
 		if obs.Enabled() {
 			obs.EngineHistPageDecode.Observe(int64(time.Since(start)))
 		}
 	}()
-	n := sl.Pair.Count()
-	buf := arena.Int64(exec.ClassPrune, pruneChunk)
+	mark := start
 	for scanner.Row() < hi {
-		want := hi - scanner.Row()
-		if want > pruneChunk {
-			want = pruneChunk
-		}
-		var k int
-		err := timed(&col.decodeNanos, func() error {
-			var derr error
-			k, derr = scanner.Next(buf[:want])
-			return derr
-		})
+		k, err := scanner.Next(buf[:min(hi-scanner.Row(), pruneChunk)])
+		decoded := time.Now()
+		decodeNs += int64(decoded.Sub(mark))
 		if err != nil {
 			return true, err
 		}
@@ -682,13 +681,9 @@ func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, blk *ts2diff.Block, l
 		}
 		vals := buf[:k]
 		col.valuesDecoded.Add(int64(k))
-		err = timed(&col.aggNanos, func() error {
-			p.foldValues(vals, local)
-			return nil
-		})
-		if err != nil {
-			return true, err
-		}
+		p.foldValues(vals, local)
+		mark = time.Now()
+		aggNs += int64(mark.Sub(decoded))
 		row := scanner.Row()
 		if row < hi && bounds.StopValue(vals[k-1], row-1, n, p.c1, p.c2) {
 			col.rowsPruned.Add(int64(hi - row))

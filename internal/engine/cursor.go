@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"etsqp/internal/expr"
+	"etsqp/internal/sqlparse"
 	"etsqp/internal/storage"
 )
 
@@ -124,6 +125,31 @@ func (h *cursorHead) ts() int64 { return h.b.Ts[h.i] }
 
 //etsqp:hotpath
 func (h *cursorHead) val() int64 { return h.b.Vals[h.i] }
+
+// filterCursor streams the rows of one cursor whose values satisfy the
+// predicate conjunction. emit returns false to stop early (LIMIT), before
+// another page is decoded. Pure filter time (batch refills excluded) is
+// charged to the filter stage.
+func filterCursor(c *batchCursor, vp []sqlparse.Pred, col *statsCollector, emit func(t, v int64) bool) error {
+	for {
+		b, err := c.Next()
+		if err != nil || b.Len() == 0 {
+			return err
+		}
+		start := time.Now()
+		stop := false
+		for i, v := range b.Vals {
+			if predsMatch(vp, v) && !emit(b.Ts[i], v) {
+				stop = true
+				break
+			}
+		}
+		col.filterNanos.Add(int64(time.Since(start)))
+		if stop {
+			return nil
+		}
+	}
+}
 
 // mergeCursors streams the time-ordered concatenation e1 ∘ e2 of two
 // cursors (the batch form of expr.MergeByTime): equal timestamps merge

@@ -211,17 +211,14 @@ func (e *Engine) run(p *plan, tr *Trace, start time.Time) (*Result, error) {
 	return res, nil
 }
 
-// execute hands the plan to the executor of its shape.
+// execute hands the plan to the executor of its shape: aggregates and
+// windows run planned jobs, every row-producing shape runs ranges.
 func (e *Engine) execute(p *plan, tr *Trace) (*Result, error) {
-	switch {
-	case p.shape == shapeScan:
-		return e.executeScan(p, tr)
-	case p.corr():
-		return e.executeJoinCorr(p, tr)
-	case p.shape == shapeMerge, p.shape == shapeJoin:
-		return e.executeRanged(p, tr)
+	switch p.shape {
+	case shapeAggregate, shapeWindow:
+		return e.executeAgg(p, tr)
 	}
-	return e.executeAgg(p, tr)
+	return e.executeRanged(p, tr)
 }
 
 // ExecuteSQL parses and runs a statement.

@@ -712,6 +712,24 @@ func TestLimitClause(t *testing.T) {
 	if len(res3.Rows) > 4 {
 		t.Fatalf("join rows = %d", len(res3.Rows))
 	}
+	// A LIMIT plan runs one range even with workers to spare, so every
+	// row shape over 8-page series reads only the first page pair (time
+	// and value column) of each series it streams.
+	e3 := New(joinStore(t), ModeETSQP)
+	e3.Workers = 2
+	for sql, loads := range map[string]int64{
+		"SELECT * FROM ts1 WHERE A >= 3 LIMIT 5":            2,
+		"SELECT * FROM ts1 UNION ts2 ORDER BY TIME LIMIT 5": 4,
+		"SELECT * FROM ts1, ts2 LIMIT 4":                    4,
+	} {
+		res, err := e3.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Stats; st.MergeRanges != 1 || st.PagesRead != loads {
+			t.Errorf("%q: %d ranges, %d page loads; want 1 range, %d loads", sql, st.MergeRanges, st.PagesRead, loads)
+		}
+	}
 }
 
 func TestExplain(t *testing.T) {
@@ -786,7 +804,7 @@ func TestTimeCuts(t *testing.T) {
 	ser, _ := st.Series("ts")
 	t1, t2 := ts[0], ts[len(ts)-1]
 	for _, n := range []int{1, 2, 4, 10, 100} {
-		cuts := timeCuts(ser, t1, t2, n)
+		cuts := cutPages(ser.PagesInRange(t1, t2), t1, t2, n)
 		if len(cuts) == 0 || len(cuts) > n && n > 0 {
 			t.Fatalf("n=%d: %d cuts", n, len(cuts))
 		}
@@ -801,7 +819,7 @@ func TestTimeCuts(t *testing.T) {
 		}
 	}
 	// Empty page range falls back to one cut.
-	if cuts := timeCuts(ser, t2+100, t2+200, 4); len(cuts) != 1 {
+	if cuts := cutPages(ser.PagesInRange(t2+100, t2+200), t2+100, t2+200, 4); len(cuts) != 1 {
 		t.Fatalf("empty range cuts: %v", cuts)
 	}
 }

@@ -99,7 +99,8 @@ func TestPlanInfoGolden(t *testing.T) {
 			sql: "SELECT * FROM ts WHERE A >= 3",
 			want: "scan query [ETSQP-prune]\n" +
 				"  series: ts\n" +
-				"  pages: 3  workers: 2  jobs: 3  sliced: false\n",
+				"  pages: 3  workers: 2  jobs: 3  sliced: false\n" +
+				"  merge ranges: 2\n",
 		},
 		{
 			name: "merge", store: double, mode: ModeETSQP,
@@ -154,6 +155,9 @@ func TestExplainAgreesWithExecution(t *testing.T) {
 		{"window", single, "SELECT SUM(A) FROM ts SW(1000, 1024)"},
 		{"union", double, "SELECT * FROM ts1 UNION ts2 ORDER BY TIME"},
 		{"join", double, "SELECT * FROM ts1, ts2"},
+		{"scan-filter", single, "SELECT * FROM ts WHERE A >= 3 AND A <= 7"},
+		{"scan-limit", single, "SELECT * FROM ts WHERE A >= 3 LIMIT 5"},
+		{"corr", double, "SELECT CORR(ts1.A, ts2.A) FROM ts1, ts2 WHERE ts1.A < 5"},
 	}
 	for _, mode := range []Mode{ModeETSQP, ModeETSQPPrune, ModeSerial, ModeSBoost, ModeFastLanes} {
 		for _, tc := range queries {
@@ -175,11 +179,21 @@ func TestExplainAgreesWithExecution(t *testing.T) {
 						fused++
 					}
 				}
-				if cursors := info.Shape == "merge" || info.Shape == "join"; cursors {
-					// Cursor batches are not pipeline jobs; Jobs counts
-					// the pages the driving cursor may stream.
+				if cursors := info.Shape != shapeAggregate && info.Shape != shapeWindow; cursors {
+					// Row shapes run cursors, whose batches are not
+					// pipeline jobs; Jobs counts the pages the driving
+					// cursor may stream.
 					if st.SlicesRun != 0 || info.Jobs != info.Pages {
 						t.Errorf("cursor shape: SlicesRun = %d, Jobs = %d, Pages = %d", st.SlicesRun, info.Jobs, info.Pages)
+					}
+					// A LIMIT plan streams one range, so one cursor stops
+					// early; otherwise every worker gets a range.
+					want := min(info.Workers, info.Pages)
+					if strings.Contains(tc.sql, "LIMIT") {
+						want = 1
+					}
+					if info.MergeRanges != want {
+						t.Errorf("cursor shape: %d merge ranges planned, want %d", info.MergeRanges, want)
 					}
 				} else if int64(info.Jobs) != st.SlicesRun || int64(info.Pages) != st.PagesTotal {
 					t.Errorf("planned %d jobs over %d pages, ran %d over %d", info.Jobs, info.Pages, st.SlicesRun, st.PagesTotal)

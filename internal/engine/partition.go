@@ -5,15 +5,10 @@ import (
 	"etsqp/internal/storage"
 )
 
-// timeCuts splits [t1, t2] into up to n disjoint contiguous ranges cut
-// at page boundaries of the series, so each range can be joined/merged
-// by an independent worker and the per-range results concatenate in
-// order — the time-range merge nodes of Figure 9.
-func timeCuts(ser *storage.Series, t1, t2 int64, n int) [][2]int64 {
-	return cutPages(ser.PagesInRange(t1, t2), t1, t2, n)
-}
-
-// cutPages is timeCuts over an already-selected page list.
+// cutPages splits [t1, t2] into up to n disjoint contiguous ranges cut
+// at boundaries of the time-ordered pages, so each range can be scanned,
+// joined or merged by an independent worker and the per-range results
+// combine in order — the time-range merge nodes of Figure 9.
 func cutPages(pages []storage.PagePair, t1, t2 int64, n int) [][2]int64 {
 	if n < 1 {
 		n = 1
@@ -44,20 +39,21 @@ func cutPages(pages []storage.PagePair, t1, t2 int64, n int) [][2]int64 {
 }
 
 // runRanged executes fn over each time range as one morsel batch on the
-// shared worker pool and returns the per-range row groups in range
-// order. Each claimed range index is owned by exactly one participant,
-// so the results slots stay write-disjoint; a straggler range occupies
-// one participant while the rest drain the remainder. The query's
-// collector (nil = unattributed) receives the batch's shared-pool
+// shared worker pool and returns the per-range row groups concatenated in
+// range order; fn also receives the range's index, which it may use to
+// own a per-range slot. Each claimed range index is owned by exactly one
+// participant, so the results slots stay write-disjoint; a straggler
+// range occupies one participant while the rest drain the remainder. The
+// query's collector (nil = unattributed) receives the batch's shared-pool
 // resource accounting.
-func (e *Engine) runRanged(ranges [][2]int64, col *statsCollector, fn func(t1, t2 int64) ([]Row, error)) ([]Row, error) {
+func (e *Engine) runRanged(ranges [][2]int64, col *statsCollector, fn func(i int, t1, t2 int64) ([]Row, error)) ([]Row, error) {
 	var qs *exec.QueryStats
 	if col != nil {
 		qs = &col.execStats
 	}
 	results := make([][]Row, len(ranges))
 	err := e.pool().RunWith(qs, len(ranges), e.workers(), func(w *exec.Worker, i int) error {
-		rows, err := fn(ranges[i][0], ranges[i][1])
+		rows, err := fn(i, ranges[i][0], ranges[i][1])
 		if err != nil {
 			return err
 		}
@@ -67,7 +63,14 @@ func (e *Engine) runRanged(ranges [][2]int64, col *statsCollector, fn func(t1, t
 	if err != nil {
 		return nil, err
 	}
-	var all []Row
+	if len(results) == 1 {
+		return results[0], nil
+	}
+	n := 0
+	for _, r := range results {
+		n += len(r)
+	}
+	all := make([]Row, 0, n)
 	for _, r := range results {
 		all = append(all, r...)
 	}

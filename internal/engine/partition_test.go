@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// checkCuts asserts the timeCuts invariants: disjoint, contiguous,
+// checkCuts asserts the cutPages invariants: disjoint, contiguous,
 // covering [t1, t2] exactly.
 func checkCuts(t *testing.T, cuts [][2]int64, t1, t2 int64) {
 	t.Helper()
@@ -35,7 +35,7 @@ func TestTimeCutsSinglePage(t *testing.T) {
 	ser, _ := st.Series("ts")
 	t1, t2 := ts[0], ts[len(ts)-1]
 	for _, n := range []int{1, 2, 8, 100} {
-		cuts := timeCuts(ser, t1, t2, n)
+		cuts := cutPages(ser.PagesInRange(t1, t2), t1, t2, n)
 		if len(cuts) != 1 {
 			t.Fatalf("n=%d: want 1 cut for single page, got %v", n, cuts)
 		}
@@ -52,7 +52,7 @@ func TestTimeCutsMorePartsThanPages(t *testing.T) {
 	t1, t2 := ts[0], ts[len(ts)-1]
 	pages := ser.PagesInRange(t1, t2)
 	for _, n := range []int{len(pages) + 1, 64, 1 << 20} {
-		cuts := timeCuts(ser, t1, t2, n)
+		cuts := cutPages(ser.PagesInRange(t1, t2), t1, t2, n)
 		if len(cuts) > len(pages) {
 			t.Fatalf("n=%d: %d cuts exceed %d pages", n, len(cuts), len(pages))
 		}
@@ -87,7 +87,7 @@ func TestTimeCutsAdjacentPageStarts(t *testing.T) {
 	st := storeFor(t, ModeETSQP, ts, vals, 1) // one row per page
 	ser, _ := st.Series("ts")
 	t1, t2 := ts[0], ts[len(ts)-1]
-	cuts := timeCuts(ser, t1, t2, n)
+	cuts := cutPages(ser.PagesInRange(t1, t2), t1, t2, n)
 	if len(cuts) != n {
 		t.Fatalf("want %d single-point cuts, got %d: %v", n, len(cuts), cuts)
 	}
@@ -98,10 +98,10 @@ func TestTimeCutsAdjacentPageStarts(t *testing.T) {
 		}
 	}
 	// A partial request still tiles without colliding.
-	checkCuts(t, timeCuts(ser, t1, t2, 5), t1, t2)
+	checkCuts(t, cutPages(ser.PagesInRange(t1, t2), t1, t2, 5), t1, t2)
 	// Starting mid-series: the first range begins at t1 even though the
 	// first cut candidate sits only one tick later.
-	checkCuts(t, timeCuts(ser, ts[3], ts[12], 7), ts[3], ts[12])
+	checkCuts(t, cutPages(ser.PagesInRange(ts[3], ts[12]), ts[3], ts[12], 7), ts[3], ts[12])
 }
 
 // TestTimeCutsEmptyRange: a range past the data (no pages) falls back to
@@ -116,7 +116,7 @@ func TestTimeCutsEmptyRange(t *testing.T) {
 		{0, ts[0] - 1},       // before the data
 		{ts[0], ts[0]},       // degenerate single instant
 	} {
-		cuts := timeCuts(ser, r[0], r[1], 8)
+		cuts := cutPages(ser.PagesInRange(r[0], r[1]), r[0], r[1], 8)
 		checkCuts(t, cuts, r[0], r[1])
 		if r[0] == r[1] && len(cuts) != 1 {
 			t.Fatalf("degenerate range: %v", cuts)
@@ -125,8 +125,8 @@ func TestTimeCutsEmptyRange(t *testing.T) {
 }
 
 // TestRunRangedClaims: runRanged preserves range order in its output,
-// runs every range exactly once even with more ranges than workers, and
-// propagates the first error.
+// runs every range exactly once even with more ranges than workers,
+// hands fn each range's own index, and propagates the first error.
 func TestRunRangedClaims(t *testing.T) {
 	e := New(storeFor(t, ModeETSQP, []int64{1, 2}, []int64{1, 2}, 2), ModeETSQP)
 	e.Workers = 3
@@ -135,8 +135,11 @@ func TestRunRangedClaims(t *testing.T) {
 		ranges[i] = [2]int64{int64(i) * 10, int64(i)*10 + 9}
 	}
 	var calls atomic.Int64
-	rows, err := e.runRanged(ranges, nil, func(t1, t2 int64) ([]Row, error) {
+	rows, err := e.runRanged(ranges, nil, func(i int, t1, t2 int64) ([]Row, error) {
 		calls.Add(1)
+		if ranges[i] != [2]int64{t1, t2} {
+			return nil, fmt.Errorf("index %d handed range [%d, %d]", i, t1, t2)
+		}
 		return []Row{{Time: t1}}, nil
 	})
 	if err != nil {
@@ -154,7 +157,7 @@ func TestRunRangedClaims(t *testing.T) {
 		}
 	}
 	boom := errors.New("boom")
-	_, err = e.runRanged(ranges, nil, func(t1, t2 int64) ([]Row, error) {
+	_, err = e.runRanged(ranges, nil, func(_ int, t1, t2 int64) ([]Row, error) {
 		if t1 == 200 {
 			return nil, fmt.Errorf("range %d: %w", t1, boom)
 		}

@@ -83,8 +83,8 @@ type plan struct {
 	needSq    bool            // VAR requested: folds must keep the sum of squares
 
 	// The driving (first) series: time-relevant pages, the ones left
-	// after header pruning, and the pipeline jobs over those. Cursor-driven
-	// shapes (merge, join, LIMIT scan) stream pages and carry no jobs.
+	// after header pruning, and the pipeline jobs over those. Row shapes
+	// (scan, merge, join, CORR) stream pages and carry no jobs.
 	pagesTotal   int
 	pagesPruned  int
 	prunedTuples int64
@@ -94,7 +94,7 @@ type plan struct {
 	pruneNs      int64          // page selection, reported as the prune stage
 
 	windows []expr.Window
-	cuts    [][2]int64 // time-range merge nodes (Figure 9)
+	cuts    [][2]int64 // row shapes: time-range merge nodes (Figure 9)
 }
 
 // newPlan compiles a parsed statement against the store.
@@ -176,27 +176,29 @@ func (e *Engine) newPlan(q *sqlparse.Query) (*plan, error) {
 	}
 	p.pruneNs = int64(time.Since(pruneStart))
 
-	switch {
-	case agg:
-		if q.Window != nil {
-			var err error
-			if p.windows, err = windowInstances(q.Window, ser, p.t1, p.t2); err != nil {
-				return nil, err
-			}
-			p.shape = shapeWindow
+	if !agg {
+		// Row shapes stream batch cursors over time-range merge nodes. A
+		// LIMIT plan keeps one range, so a single cursor streams the pages
+		// in order and stops once the limit is met.
+		n := p.workers
+		if q.Limit > 0 {
+			n = 1
 		}
-		p.slices = e.jobsFor(p.pages)
-		p.outcomes = make([]sliceOutcome, len(p.slices))
-		fusible := p.strat.fuse && !needsValues(q.Items)
-		for i, sl := range p.slices {
-			p.outcomes[i] = p.outcomeOf(sl, fusible, e.UseHeaderStats)
+		p.cuts = cutPages(p.pages, p.t1, p.t2, n)
+		return p, nil
+	}
+	if q.Window != nil {
+		var err error
+		if p.windows, err = windowInstances(q.Window, ser, p.t1, p.t2); err != nil {
+			return nil, err
 		}
-	case p.shape == shapeScan && q.Limit > 0:
-		// One cursor streams pages until the limit is met.
-	case p.shape == shapeScan, p.corr():
-		p.slices = e.jobsFor(p.pages)
-	default:
-		p.cuts = cutPages(p.pages, p.t1, p.t2, p.workers)
+		p.shape = shapeWindow
+	}
+	p.slices = e.jobsFor(p.pages)
+	p.outcomes = make([]sliceOutcome, len(p.slices))
+	fusible := p.strat.fuse && !needsValues(q.Items)
+	for i, sl := range p.slices {
+		p.outcomes[i] = p.outcomeOf(sl, fusible, e.UseHeaderStats)
 	}
 	return p, nil
 }

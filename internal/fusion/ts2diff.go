@@ -81,21 +81,6 @@ func sumPrefixes(packed []byte, m int, width uint) (int64, error) {
 	return sumP, nil
 }
 
-// SumBlockRange computes Σ values over rows [from, to) of a TS2DIFF
-// block without materializing decoded values: the one-segment case of
-// SumBlockSegments.
-func SumBlockRange(b *ts2diff.Block, from, to int) (int64, error) {
-	if from < 0 {
-		from = 0
-	}
-	if to <= from {
-		return 0, nil
-	}
-	cuts, sum := [2]int{from, to}, [1]int64{}
-	err := SumBlockSegments(b, cuts[:], sum[:])
-	return sum[0], err
-}
-
 // SumBlockOrder2 computes Σ values of an order-2 TS2DIFF block without
 // decoding — the two-level fusion: with second-order deltas dd_j,
 //

@@ -25,11 +25,11 @@ var (
 	EnginePagesStatAnswered = newCounter("engine.pages_stat_answered",
 		"pages answered from header statistics alone, payload untouched")
 	EngineMergeRanges = newCounter("engine.merge_ranges",
-		"time-range merge nodes executed for merge/join queries (Figure 9)")
+		"time-range merge nodes executed for row-producing queries (Figure 9)")
 	EngineWindowSegments = newCounter("engine.window_segments",
 		"disjoint row segments cut by window boundaries, each aggregated once and shared by overlapping windows")
 	EngineCursorBatches = newCounter("engine.cursor_batches",
-		"columnar batches yielded by storage batch cursors for merge/join/scan queries")
+		"columnar batches yielded by storage batch cursors for row-producing queries")
 )
 
 // Engine stage timers: per-stage wall time summed across workers, so a

@@ -5,7 +5,7 @@
 // SUM/AVG/COUNT run on encoded form without materializing columns
 // (Section IV, internal/fusion), and pruned early by encoder statistics
 // (Section V, internal/prune). VAR and CORR decode their values: the
-// Σv² and Σa·b closed forms in internal/fusion have no engine caller.
+// Σv² closed form in internal/fusion serves the benchmarks only.
 // A FastLanes-style transposed layout (internal/fastlanes) and
 // serial/SBoost executors serve as the paper's baselines, and
 // internal/transport implements the Section I delivery path: devices

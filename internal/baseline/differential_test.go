@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	_ "etsqp/internal/encoding/rlbe"
@@ -182,6 +183,103 @@ func TestWindowDifferentialTimeBounds(t *testing.T) {
 				if w.Count != want[i].Count || w.Value != float64(want[i].Sum) {
 					t.Fatalf("%v window %d: (%v, %d) want (%d, %d)",
 						mode, i, w.Value, w.Count, want[i].Sum, want[i].Count)
+				}
+			}
+		}
+	}
+}
+
+// TestWindowDifferentialValueFilter checks windows under value
+// predicates — a range that straddles the pages' values, a range every
+// page satisfies (so jobs fuse despite the predicate) and a != with a
+// range — in every mode, with whole pages and with pages cut into
+// slices, against the re-scan oracle over the rows the predicate keeps.
+// A window spanning the whole series must then equal the plain
+// aggregate with the same WHERE bit for bit: both are one window over
+// the same segments.
+func TestWindowDifferentialValueFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ts, vals := genWalk(rng, 1500, 2_000_000)
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	preds := []struct {
+		sql  string
+		keep func(v int64) bool
+	}{
+		{fmt.Sprintf("A > %d", sorted[len(sorted)/2]),
+			func(v int64) bool { return v > sorted[len(sorted)/2] }},
+		{fmt.Sprintf("A >= %d AND A <= %d", sorted[0]-1, sorted[len(sorted)-1]+1),
+			func(int64) bool { return true }},
+		{fmt.Sprintf("A != %d AND A > %d", vals[700], sorted[len(sorted)/4]),
+			func(v int64) bool { return v != vals[700] && v > sorted[len(sorted)/4] }},
+	}
+	span := ts[len(ts)-1] - ts[0] + 1
+	for _, mode := range []engine.Mode{engine.ModeETSQP, engine.ModeETSQPPrune,
+		engine.ModeSerial, engine.ModeSBoost, engine.ModeFastLanes} {
+		opts := storage.Options{PageSize: 256}
+		if mode == engine.ModeFastLanes {
+			opts.ValueCodec = "fastlanes"
+		}
+		st := storage.NewStore()
+		if err := st.Append("ts", ts, vals, opts); err != nil {
+			t.Fatal(err)
+		}
+		for _, fs := range []int{0, 3} {
+			e := engine.New(st, mode)
+			e.ForceSlices = fs
+			for pi, pr := range preds {
+				var fts, fvs []int64
+				for i, v := range vals {
+					if pr.keep(v) {
+						fts, fvs = append(fts, ts[i]), append(fvs, v)
+					}
+				}
+				for ai, agg := range []string{"SUM", "COUNT", "AVG", "MIN", "MAX", "VAR"} {
+					width := int64(500 + 300*ai + 100*pi)
+					for _, w := range []struct {
+						clause      string
+						anchor, hop int64
+					}{
+						{fmt.Sprintf("SW(%d, %d, %d)", ts[0]-50, width, width/3), ts[0] - 50, width / 3},
+						{fmt.Sprintf("GROUP BY TIME(%d)", width), ts[0], width},
+					} {
+						sql := fmt.Sprintf("SELECT %s(A) FROM ts WHERE %s %s", agg, pr.sql, w.clause)
+						want := ScalarWindowed(fts, fvs, w.anchor, width, w.hop, ts[len(ts)-1])
+						res, err := e.ExecuteSQL(sql)
+						if err != nil {
+							t.Fatalf("%v fs=%d %q: %v", mode, fs, sql, err)
+						}
+						if fused := pi == 1 && ai < 3 && mode <= engine.ModeETSQPPrune; fused && res.Stats.ValuesFused == 0 {
+							t.Fatalf("%v fs=%d %q: no job fused under an all-pages range", mode, fs, sql)
+						}
+						if len(res.Windows) != len(want) {
+							t.Fatalf("%v fs=%d %q: %d windows, oracle has %d",
+								mode, fs, sql, len(res.Windows), len(want))
+						}
+						for i, got := range res.Windows {
+							o := want[i]
+							if got.Count != o.Count || got.Value != wantWindowValue(agg, o) {
+								t.Fatalf("%v fs=%d %q window %d [%d,%d): (%v, %d) want (%v, %d)",
+									mode, fs, sql, i, o.Start, o.End, got.Value, got.Count,
+									wantWindowValue(agg, o), o.Count)
+							}
+						}
+					}
+
+					plain, err := e.ExecuteSQL(fmt.Sprintf("SELECT %s(A) FROM ts WHERE %s", agg, pr.sql))
+					if err != nil {
+						t.Fatal(err)
+					}
+					one, err := e.ExecuteSQL(fmt.Sprintf("SELECT %s(A) FROM ts WHERE %s SW(%d, %d)",
+						agg, pr.sql, ts[0], span))
+					if err != nil {
+						t.Fatal(err)
+					}
+					key := agg + "(A)"
+					if len(one.Windows) != 1 || one.Windows[0].Value != plain.Aggregates[key] {
+						t.Fatalf("%v fs=%d %s WHERE %s: spanning window %+v, plain %v",
+							mode, fs, agg, pr.sql, one.Windows, plain.Aggregates[key])
+					}
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -256,35 +257,21 @@ func (p *partialAgg) addSum(sum int64, count int64) {
 //etsqp:nobce
 //etsqp:rangecheck
 func (p *partialAgg) merge(o *partialAgg) {
+	if o.seen {
+		if !p.seen || o.min < p.min {
+			p.min = o.min
+		}
+		if !p.seen || o.max > p.max {
+			p.max = o.max
+		}
+		p.seen = true
+	}
 	p.overflow = p.overflow || o.overflow
-	s, ok := addCheck(p.sum, o.sum)
-	if !ok {
-		p.overflow = true
-	}
-	p.sum = s
+	p.addSum(o.sum, o.count)
 	p.sumSq += o.sumSq
-	var okC bool
-	p.count, okC = addCheck(p.count, o.count)
-	if !okC {
-		p.overflow = true
-	}
 	if o.hasFL {
 		p.addBoundary(o.firstT, o.firstV, o.lastT, o.lastV)
 	}
-	if !o.seen {
-		return
-	}
-	if !p.seen {
-		p.min, p.max = o.min, o.max
-	} else {
-		if o.min < p.min {
-			p.min = o.min
-		}
-		if o.max > p.max {
-			p.max = o.max
-		}
-	}
-	p.seen = true
 }
 
 // final evaluates the aggregate function from the accumulated sums.
@@ -351,19 +338,11 @@ func needsValues(items []sqlparse.SelectItem) bool {
 	return false
 }
 
-// needsBoundaries reports whether any item is FIRST or LAST.
-func needsBoundaries(items []sqlparse.SelectItem) bool {
-	for _, it := range items {
-		if it.Agg == sqlparse.AggFirst || it.Agg == sqlparse.AggLast {
-			return true
-		}
-	}
-	return false
-}
-
 // executeAgg runs an aggregate or window plan (Q1-Q3 shapes): the
 // planned jobs go to the pool as one morsel batch, then the merge node
-// folds the per-participant partials.
+// folds the per-participant partials. A plain aggregate is the
+// one-window case, so every participant holds one partial per window
+// (at least one) and the result reads them as Aggregates or Windows.
 func (e *Engine) executeAgg(p *plan, tr *Trace) (*Result, error) {
 	col := newCollector(tr)
 	col.pagesTotal.Add(int64(p.pagesTotal))
@@ -371,50 +350,45 @@ func (e *Engine) executeAgg(p *plan, tr *Trace) (*Result, error) {
 	col.tuplesLoaded.Add(p.prunedTuples)
 	col.pruneNanos.Add(p.pruneNs)
 
-	// Per-slot partials: Worker.Slot is assigned exactly once per batch,
-	// so each participant folds into its own cell with no mutex; the
-	// merge node runs sequentially after the batch completes (Run's
-	// return establishes the happens-before for the slot-local writes).
-	par := p.workers
-	nw := len(p.windows)
-	locals := make([]partialAgg, par)
-	winLocal := make([]partialAgg, par*nw)
+	// Per-slot partials and cut scratch: Worker.Slot is assigned exactly
+	// once per batch, so each participant folds into its own cells with
+	// no mutex; the merge node runs sequentially after the batch
+	// completes (Run's return establishes the happens-before for the
+	// slot-local writes) and folds every slot into slot 0's row.
+	par, nw := p.workers, max(1, len(p.windows))
+	parts := make([]partialAgg, par*nw)
+	scratch := make([][]int, par)
 	err := e.pool().RunWith(&col.execStats, len(p.slices), par, func(w *exec.Worker, i int) error {
-		return e.aggSlice(p, i, &locals[w.Slot], winLocal[w.Slot*nw:(w.Slot+1)*nw], col, w.Arena)
+		return e.aggSlice(p, i, parts[w.Slot*nw:(w.Slot+1)*nw], &scratch[w.Slot], col, w.Arena)
 	})
 	if err != nil {
 		return nil, err
 	}
-	global := &partialAgg{}
-	winAgg := make([]partialAgg, nw)
-	for s := range locals {
-		global.merge(&locals[s])
-	}
-	for s := 0; s < par; s++ {
-		for wi := 0; wi < nw; wi++ {
-			winAgg[wi].merge(&winLocal[s*nw+wi])
+	for s := 1; s < par; s++ {
+		for k := range nw {
+			parts[k].merge(&parts[s*nw+k])
 		}
 	}
 
 	res := &Result{Stats: col.finish()}
 	if p.q.Window != nil {
 		agg := p.q.Items[0].Agg
-		res.Windows = make([]WindowAgg, nw)
+		res.Windows = make([]WindowAgg, len(p.windows))
 		for i, w := range p.windows {
-			v, err := winAgg[i].final(agg)
+			v, err := parts[i].final(agg)
 			if err != nil {
-				if winAgg[i].overflow {
+				if parts[i].overflow {
 					return nil, err
 				}
 				v = 0 // empty window (MIN/MAX have no value)
 			}
-			res.Windows[i] = WindowAgg{Index: w.Index, Start: w.Start, End: w.End, Value: v, Count: winAgg[i].count}
+			res.Windows[i] = WindowAgg{Index: w.Index, Start: w.Start, End: w.End, Value: v, Count: parts[i].count}
 		}
 		return res, nil
 	}
 	res.Aggregates = make(map[string]float64, len(p.q.Items))
 	for _, it := range p.q.Items {
-		v, err := global.final(it.Agg)
+		v, err := parts[0].final(it.Agg)
 		if err != nil {
 			return nil, err
 		}
@@ -442,12 +416,14 @@ func windowInstances(w *sqlparse.Window, ser *storage.Series, t1, t2 int64) ([]e
 }
 
 // aggSlice runs job i of an aggregate plan along its planned outcome:
-// find the time-valid row range, then aggregate values over it. arena
-// is the executing participant's scratch space.
-func (e *Engine) aggSlice(p *plan, i int, local *partialAgg, localWin []partialAgg,
+// find the time-valid row range [lo, hi), cut it into the segments its
+// windows need — a plain aggregate is one window over one segment — and
+// fold the values into the windows' partials in one pass. part holds
+// the executing participant's partial per window, scratch its cut
+// buffer and arena its scratch space.
+func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 	col *statsCollector, arena *exec.Arena) error {
 	sl, out := p.slices[i], p.outcomes[i]
-	ser := p.series[0]
 	col.slicesRun.Add(1)
 	col.tuplesLoaded.Add(int64(sl.Rows()))
 	obs.EngineHistSliceRows.Observe(int64(sl.Rows()))
@@ -473,7 +449,7 @@ func (e *Engine) aggSlice(p *plan, i int, local *partialAgg, localWin []partialA
 	// the time range and its header sum is valid, so neither column's
 	// payload is touched.
 	if out == outHeader {
-		local.addSum(sl.Pair.Value.Header.SumValue, int64(sl.Rows()))
+		part[0].addSum(sl.Pair.Value.Header.SumValue, int64(sl.Rows()))
 		col.statAnswered.Add(1)
 		return nil
 	}
@@ -486,12 +462,7 @@ func (e *Engine) aggSlice(p *plan, i int, local *partialAgg, localWin []partialA
 		// from arithmetic, no timestamp decoding at all.
 		first := sl.Pair.Time.Header.StartTime
 		plo, phi := prune.PositionsForConstantInterval(first, interval, sl.Pair.Count(), p.t1, p.t2)
-		if plo > lo {
-			lo = plo
-		}
-		if phi < hi {
-			hi = phi
-		}
+		lo, hi = max(lo, plo), min(hi, phi)
 	} else if rlo, rhi, ok, err := e.timeBoundsPruned(p, sl, col, arena); ok || err != nil {
 		// Proposition 4: the time column scan stopped as soon as the
 		// sorted timestamps passed t2 — the tail was never decoded.
@@ -501,7 +472,7 @@ func (e *Engine) aggSlice(p *plan, i int, local *partialAgg, localWin []partialA
 		lo, hi = rlo, rhi
 	} else {
 		var err error
-		ts, err = e.decodeColumnRange(ser, sl.Pair.Time, sl.StartRow, sl.EndRow, col)
+		ts, err = e.decodeColumnRange(p.series[0], sl.Pair.Time, sl.StartRow, sl.EndRow, col)
 		if err != nil {
 			return err
 		}
@@ -512,53 +483,158 @@ func (e *Engine) aggSlice(p *plan, i int, local *partialAgg, localWin []partialA
 		return nil
 	}
 
-	if len(p.windows) > 0 {
-		return e.aggWindows(p, sl, out == outFused, lo, hi, ts, localWin, col, arena)
+	// The cut partition: window k folds rows [winLo[k], winHi[k]) into
+	// part[k], and the sorted cuts bound the disjoint segments.
+	one := [4]int{lo, hi, lo, hi}
+	winLo, winHi, cuts := one[0:1], one[1:2], one[2:4]
+	if len(p.windows) > 0 || p.needFL {
+		clock := p.rowClock(sl, ts)
+		if len(p.windows) > 0 {
+			var first int
+			first, winLo, winHi, cuts = p.windowCuts(clock, lo, hi, scratch)
+			if len(cuts) < 2 {
+				return nil
+			}
+			part = part[first : first+len(winLo)]
+			col.windowSegments.Add(int64(len(cuts) - 1))
+		}
+		// Boundary rows are per window by definition; they cost two
+		// single-row decodes each regardless of overlap.
+		for k := 0; p.needFL && k < len(winLo); k++ {
+			if winLo[k] == winHi[k] {
+				continue
+			}
+			if err := e.addBoundaries(p, sl, winLo[k], winHi[k], clock, &part[k], col); err != nil {
+				return err
+			}
+		}
 	}
-
-	if p.needFL {
-		if err := e.addBoundaries(p, sl, lo, hi, ts, local, col); err != nil {
+	if out == outPrunedScan {
+		// Only planned without windows: the one segment is [lo, hi).
+		if done, err := e.aggPrunedScan(p, sl, lo, hi, &part[0], col, arena); done || err != nil {
 			return err
 		}
 	}
+	return e.foldSegments(p, sl, out == outFused, cuts, winLo, winHi, part, col, arena)
+}
 
-	// Fused SUM/COUNT path: no value materialization (Section IV).
-	if out == outFused {
-		return timed(&col.aggNanos, func() error {
-			cuts, sum := [2]int{lo, hi}, [1]int64{}
-			ok, err := e.fusedSumSegments(sl.Pair.Value, cuts[:], sum[:], col)
-			if err != nil {
-				return err
-			}
-			if ok {
-				col.valuesFused.Add(int64(hi - lo))
-				local.addSum(sum[0], int64(hi-lo))
-				return nil
-			}
-			vals, err := e.decodeColumnRange(ser, sl.Pair.Value, lo, hi, col)
-			if err != nil {
-				return err
-			}
-			col.valuesDecoded.Add(int64(len(vals)))
-			p.foldValues(vals, local)
-			return nil
-		})
+// windowCuts maps the windows that intersect rows [lo, hi) to row
+// ranges. It returns the first such window's index, each one's
+// [winLo, winHi), and the sorted, deduplicated cut set, all carved from
+// the worker's scratch buffer.
+func (p *plan) windowCuts(clock rowClock, lo, hi int, scratch *[]int) (first int, winLo, winHi, cuts []int) {
+	windows := p.windows
+	tLo, tHi := clock.at(lo), clock.at(hi-1)
+	// Starts are sorted, so the intersecting set is one contiguous index
+	// range.
+	first = sort.Search(len(windows), func(i int) bool { return windows[i].End > tLo })
+	last := first
+	for last < len(windows) && windows[last].Start <= tHi {
+		last++
 	}
+	nw := last - first
+	if cap(*scratch) < 4*nw {
+		*scratch = make([]int, 4*nw)
+	}
+	buf := (*scratch)[:4*nw]
+	winLo, winHi, cuts = buf[:nw], buf[nw:2*nw], buf[2*nw:2*nw:4*nw]
+	rowOf := func(t int64) int {
+		return lo + sort.Search(hi-lo, func(i int) bool { return clock.at(lo+i) >= t })
+	}
+	for k, w := range windows[first:last] {
+		winLo[k], winHi[k] = rowOf(w.Start), rowOf(w.End)
+		cuts = append(cuts, winLo[k], winHi[k])
+	}
+	slices.Sort(cuts)
+	return first, winLo, winHi, slices.Compact(cuts)
+}
 
-	// General path: decode values (chunked when pruning), filter, fold.
-	return e.aggDecodedRange(p, sl, out == outPrunedScan, lo, hi, local, col, arena)
+// foldSegments is the one value pass of an aggregate job over the cut
+// partition: per-segment sums on encoded form when the job is fused
+// (Proposition 3), else rows [cuts[0], cuts[n]) decoded once and folded
+// segment by segment. Each segment goes to the windows covering it —
+// straight into the partial when one window does (a plain aggregate's
+// only segment, a tumbling window's), else through one segment partial
+// merged into each — so overlapping windows share the page parse and
+// the decode instead of re-scanning per window: Section VI's G_sw,
+// evaluated incrementally. Window starts and ends are both sorted, so
+// the covering windows are a contiguous run that slides right. The
+// pass's time, less the decode's, is the aggregate stage of a plain
+// aggregate and the window stage of a window.
+func (e *Engine) foldSegments(p *plan, sl pipeline.Slice, fused bool, cuts, winLo, winHi []int,
+	part []partialAgg, col *statsCollector, arena *exec.Arena) error {
+	nseg := len(cuts) - 1
+	var sums, vals []int64
+	start := time.Now()
+	var ns int64
+	if fused {
+		sums = arena.Int64(exec.ClassScratch, nseg)
+		ok, err := e.fusedSumSegments(sl.Pair.Value, cuts, sums, col)
+		if err != nil {
+			return err
+		}
+		if ok {
+			col.valuesFused.Add(int64(cuts[nseg] - cuts[0]))
+		} else {
+			sums = nil // no closed form for this page: decode after all
+		}
+	}
+	if sums == nil {
+		ns = int64(time.Since(start))
+		var err error
+		if vals, err = e.decodeColumnRange(p.series[0], sl.Pair.Value, cuts[0], cuts[nseg], col); err != nil {
+			return err
+		}
+		col.valuesDecoded.Add(int64(len(vals)))
+		start = time.Now()
+	}
+	for s, kLo, kHi := 0, 0, 0; s < nseg; s++ {
+		// Windows [kLo, kHi) start at or before the segment and end after it.
+		for kHi < len(part) && winLo[kHi] <= cuts[s] {
+			kHi++
+		}
+		for kLo < kHi && winHi[kLo] <= cuts[s] {
+			kLo++
+		}
+		ws := part[kLo:kHi]
+		if sums != nil {
+			for k := range ws {
+				ws[k].addSum(sums[s], int64(cuts[s+1]-cuts[s]))
+			}
+			continue
+		}
+		seg := vals[cuts[s]-cuts[0] : cuts[s+1]-cuts[0]]
+		switch len(ws) {
+		case 0: // a gap between windows
+		case 1:
+			p.foldValues(seg, &ws[0])
+		default:
+			var acc partialAgg
+			p.foldValues(seg, &acc)
+			for k := range ws {
+				ws[k].merge(&acc)
+			}
+		}
+	}
+	ns += int64(time.Since(start))
+	if len(p.windows) > 0 {
+		col.windowNanos.Add(ns)
+	} else {
+		col.aggNanos.Add(ns)
+	}
+	return nil
 }
 
 // timeBoundsPruned resolves the time-valid row range of a slice with a
 // streaming scan that stops once the sorted timestamps pass t2
 // (Proposition 4's early termination on the time filter). It only
 // applies under the prune strategy over order-1-scannable time pages
-// without windows (windows need the full timestamp column for
-// boundaries).
+// without windows or FIRST/LAST, which need the full timestamp column
+// for their boundaries.
 func (e *Engine) timeBoundsPruned(p *plan, sl pipeline.Slice,
 	col *statsCollector, arena *exec.Arena) (lo, hi int, ok bool, err error) {
 	t1, t2 := p.t1, p.t2
-	if !p.strat.prune || len(p.windows) > 0 {
+	if !p.strat.prune || len(p.windows) > 0 || p.needFL {
 		return 0, 0, false, nil
 	}
 	if sl.Pair.Time.Header.EndTime <= t2 {
@@ -566,46 +642,34 @@ func (e *Engine) timeBoundsPruned(p *plan, sl pipeline.Slice,
 	}
 	var blk ts2diff.Block
 	var scanner pipeline.RangeScanner
-	if ok, _ := pageBlock(&blk, sl.Pair.Time); !ok || scanner.Reset(&blk, sl.StartRow) != nil {
-		return 0, 0, false, nil // not a TS2DIFF page, or unreadable: full decode reports it
-	}
-	col.pagesRead.Add(1)
-	col.bytesScanned.Add(int64(len(sl.Pair.Time.Data)))
-	if cerr := sl.Pair.Time.VerifyChecksum(); cerr != nil {
-		return 0, 0, true, cerr
+	if ok, err := openScan(&scanner, &blk, sl.Pair.Time, sl.StartRow, col); !ok || err != nil {
+		return 0, 0, ok, err
 	}
 	lo, hi = -1, sl.StartRow
 	buf := arena.Int64(exec.ClassPrune, pruneChunk)
-	err = timed(&col.decodeNanos, func() error {
-		for scanner.Row() < sl.EndRow {
-			want := sl.EndRow - scanner.Row()
-			if want > pruneChunk {
-				want = pruneChunk
-			}
-			base := scanner.Row()
-			k, derr := scanner.Next(buf[:want])
-			if derr != nil {
-				return derr
-			}
-			if k == 0 {
-				break
-			}
-			for i := 0; i < k; i++ {
-				t := buf[i]
-				if lo < 0 && t >= t1 {
-					lo = base + i
-				}
-				if t > t2 {
-					col.rowsPruned.Add(int64(sl.EndRow - (base + i)))
-					obs.PruneStopsTime.Inc()
-					hi = base + i
-					return nil
-				}
-			}
-			hi = base + k
+	start := time.Now()
+scan:
+	for scanner.Row() < sl.EndRow {
+		base := scanner.Row()
+		k, derr := scanner.Next(buf[:min(sl.EndRow-base, pruneChunk)])
+		if derr != nil || k == 0 {
+			err = derr
+			break
 		}
-		return nil
-	})
+		for i, t := range buf[:k] {
+			if lo < 0 && t >= t1 {
+				lo = base + i
+			}
+			if t > t2 {
+				col.rowsPruned.Add(int64(sl.EndRow - (base + i)))
+				obs.PruneStopsTime.Inc()
+				hi = base + i
+				break scan
+			}
+		}
+		hi = base + k
+	}
+	col.decodeNanos.Add(int64(time.Since(start)))
 	if err != nil {
 		return 0, 0, true, err
 	}
@@ -615,68 +679,47 @@ func (e *Engine) timeBoundsPruned(p *plan, sl pipeline.Slice,
 	return lo, hi, true, nil
 }
 
-// aggDecodedRange decodes rows [lo, hi), applies value predicates, and
-// folds into the partial aggregate. A planned pruned scan streams the
-// decode in chunks through a RangeScanner with Proposition 5 stop checks
-// between them; otherwise a single range decode covers the rows.
-func (e *Engine) aggDecodedRange(p *plan, sl pipeline.Slice, prunedScan bool, lo, hi int,
-	local *partialAgg, col *statsCollector, arena *exec.Arena) error {
-	if prunedScan {
-		var blk ts2diff.Block
-		if ok, _ := pageBlock(&blk, sl.Pair.Value); ok {
-			col.pagesRead.Add(1)
-			col.bytesScanned.Add(int64(len(sl.Pair.Value.Data)))
-			if done, err := e.aggPrunedScan(p, sl, &blk, lo, hi, local, col, arena); done || err != nil {
-				return err
-			}
-		}
+// openScan parses a TS2DIFF page into blk and positions scanner at row,
+// charging the page read and verifying its checksum. ok is false, with
+// nothing charged, when the page is not TS2DIFF or the scanner does not
+// take its shape: the caller's full decode then reads (and reports) it.
+func openScan(scanner *pipeline.RangeScanner, blk *ts2diff.Block, pg *storage.Page, row int,
+	col *statsCollector) (ok bool, err error) {
+	if ok, _ := pageBlock(blk, pg); !ok || scanner.Reset(blk, row) != nil {
+		return false, nil
 	}
-	vals, err := e.decodeColumnRange(p.series[0], sl.Pair.Value, lo, hi, col)
-	if err != nil {
-		return err
-	}
-	col.valuesDecoded.Add(int64(len(vals)))
-	return timed(&col.aggNanos, func() error {
-		p.foldValues(vals, local)
-		return nil
-	})
+	col.pagesRead.Add(1)
+	col.bytesScanned.Add(int64(len(pg.Data)))
+	return true, pg.VerifyChecksum()
 }
 
-// aggPrunedScan streams the value column through a RangeScanner,
-// stopping as soon as the Proposition 5 bounds show nothing ahead can
-// satisfy the filter. done reports whether the rows were fully handled.
-func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, blk *ts2diff.Block, lo, hi int,
-	local *partialAgg, col *statsCollector, arena *exec.Arena) (bool, error) {
-	bounds := prune.BoundsFromBlock(blk)
+// aggPrunedScan is the value pass of a planned pruned scan, a job with
+// one segment [lo, hi) and one partial: it streams the value column
+// through a RangeScanner, folding chunk by chunk, and stops as soon as
+// the Proposition 5 bounds show nothing ahead can satisfy the filter.
+// done reports whether the rows were handled; otherwise (not a TS2DIFF
+// page, or a shape the scanner does not take) the caller decodes them.
+func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, lo, hi int,
+	local *partialAgg, col *statsCollector, arena *exec.Arena) (done bool, err error) {
+	var blk ts2diff.Block
 	var scanner pipeline.RangeScanner
-	if err := scanner.Reset(blk, lo); err != nil {
-		return false, nil // unsupported shape; caller falls back
+	if ok, err := openScan(&scanner, &blk, sl.Pair.Value, lo, col); !ok || err != nil {
+		return ok, err
 	}
-	if err := sl.Pair.Value.VerifyChecksum(); err != nil {
-		return true, err
-	}
+	bounds := prune.BoundsFromBlock(&blk)
 	n := sl.Pair.Count()
 	buf := arena.Int64(exec.ClassPrune, pruneChunk)
 	// One clock read per phase boundary: each fold's end starts the next
 	// decode, and the stage counters are charged once per scan.
 	start := time.Now()
-	var decodeNs, aggNs int64
-	defer func() {
-		col.decodeNanos.Add(decodeNs)
-		col.aggNanos.Add(aggNs)
-		if obs.Enabled() {
-			obs.EngineHistPageDecode.Observe(int64(time.Since(start)))
-		}
-	}()
 	mark := start
+	var decodeNs, aggNs int64
 	for scanner.Row() < hi {
-		k, err := scanner.Next(buf[:min(hi-scanner.Row(), pruneChunk)])
+		var k int
+		k, err = scanner.Next(buf[:min(hi-scanner.Row(), pruneChunk)])
 		decoded := time.Now()
 		decodeNs += int64(decoded.Sub(mark))
-		if err != nil {
-			return true, err
-		}
-		if k == 0 {
+		if err != nil || k == 0 {
 			break
 		}
 		vals := buf[:k]
@@ -690,7 +733,12 @@ func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, blk *ts2diff.Block, l
 			break
 		}
 	}
-	return true, nil
+	col.decodeNanos.Add(decodeNs)
+	col.aggNanos.Add(aggNs)
+	if obs.Enabled() {
+		obs.EngineHistPageDecode.Observe(int64(time.Since(start)))
+	}
+	return true, err
 }
 
 // foldValues applies the predicates and accumulates matches: the chunk
@@ -737,9 +785,8 @@ func predsMatch(vp []sqlparse.Pred, v int64) bool {
 // addBoundaries decodes only the first and last valid rows of a slice
 // and folds them into the FIRST/LAST state — the fused-compatible path
 // for boundary aggregates.
-func (e *Engine) addBoundaries(p *plan, sl pipeline.Slice, lo, hi int, ts []int64,
+func (e *Engine) addBoundaries(p *plan, sl pipeline.Slice, lo, hi int, clock rowClock,
 	local *partialAgg, col *statsCollector) error {
-	rowTime := p.rowTimeFunc(sl, ts)
 	fv, err := e.decodeColumnRange(p.series[0], sl.Pair.Value, lo, lo+1, col)
 	if err != nil {
 		return err
@@ -748,135 +795,32 @@ func (e *Engine) addBoundaries(p *plan, sl pipeline.Slice, lo, hi int, ts []int6
 	if err != nil {
 		return err
 	}
-	local.addBoundary(rowTime(lo), fv[0], rowTime(hi-1), lv[0])
+	local.addBoundary(clock.at(lo), fv[0], clock.at(hi-1), lv[0])
 	return nil
 }
 
-// rowTimeFunc maps an absolute row index to its timestamp, from decoded
-// timestamps when available or constant-interval arithmetic otherwise.
-func (p *plan) rowTimeFunc(sl pipeline.Slice, ts []int64) func(i int) int64 {
-	if ts != nil {
-		start := sl.StartRow
-		return func(i int) int64 { return ts[i-start] }
-	}
-	interval, _ := p.constantIntervalOf(sl.Pair.Time)
-	first := sl.Pair.Time.Header.StartTime
-	return func(i int) int64 { return first + int64(i)*interval }
+// rowClock maps an absolute row index of a job to its timestamp, from
+// the job's decoded timestamps when it has them or constant-interval
+// arithmetic otherwise.
+type rowClock struct {
+	ts              []int64 // timestamps of rows start, start+1, ...
+	start           int
+	first, interval int64
 }
 
-// aggWindows folds rows [lo, hi) into per-window partials with one pass
-// over the slice: the boundaries of every intersecting window cut the
-// row range into disjoint segments, a single segment pass fills all
-// per-segment partials (on encoded form via the Proposition 3 closed
-// forms when fused), and each window then merges its contiguous segment
-// run. Overlapping windows (slide < width) thus share the decode and
-// the page parse instead of re-scanning per window — the incremental
-// evaluation of Section VI's G_sw. Window boundaries map to rows via
-// the decoded timestamps or constant-interval arithmetic.
-func (e *Engine) aggWindows(p *plan, sl pipeline.Slice, fused bool, lo, hi int, ts []int64,
-	localWin []partialAgg, col *statsCollector, arena *exec.Arena) error {
-	windows := p.windows
-	rowTime := p.rowTimeFunc(sl, ts)
-	tLo, tHi := rowTime(lo), rowTime(hi-1)
-	// Windows intersecting [tLo, tHi]: starts are sorted, so the
-	// intersecting set is one contiguous index range.
-	wFirst := sort.Search(len(windows), func(i int) bool { return windows[i].End > tLo })
-	wLast := wFirst
-	for wLast < len(windows) && windows[wLast].Start <= tHi {
-		wLast++
+func (p *plan) rowClock(sl pipeline.Slice, ts []int64) rowClock {
+	if ts != nil {
+		return rowClock{ts: ts, start: sl.StartRow}
 	}
-	if wFirst == wLast {
-		return nil
-	}
-	rowOf := func(t int64) int {
-		return lo + sort.Search(hi-lo, func(i int) bool { return rowTime(lo+i) >= t })
-	}
-	// Per-window row ranges and the merged, deduplicated cut set.
-	nw := wLast - wFirst
-	winLo := make([]int, nw)
-	winHi := make([]int, nw)
-	cuts := make([]int, 0, 2*nw)
-	for k := 0; k < nw; k++ {
-		w := windows[wFirst+k]
-		winLo[k] = rowOf(w.Start)
-		winHi[k] = rowOf(w.End)
-		cuts = append(cuts, winLo[k], winHi[k])
-	}
-	sort.Ints(cuts)
-	uniq := cuts[:1]
-	for _, c := range cuts[1:] {
-		if c != uniq[len(uniq)-1] {
-			uniq = append(uniq, c)
-		}
-	}
-	cuts = uniq
-	nseg := len(cuts) - 1
-	if nseg <= 0 {
-		return nil
-	}
-	col.windowSegments.Add(int64(nseg))
-	segAt := func(row int) int { return sort.SearchInts(cuts, row) }
+	interval, _ := p.constantIntervalOf(sl.Pair.Time)
+	return rowClock{first: sl.Pair.Time.Header.StartTime, interval: interval}
+}
 
-	if p.needFL {
-		// Boundary rows are per-window by definition; they cost two
-		// single-row decodes each regardless of overlap.
-		for k := 0; k < nw; k++ {
-			if winLo[k] >= winHi[k] {
-				continue
-			}
-			if err := e.addBoundaries(p, sl, winLo[k], winHi[k], ts, &localWin[wFirst+k], col); err != nil {
-				return err
-			}
-		}
+func (c rowClock) at(i int) int64 {
+	if c.ts != nil {
+		return c.ts[i-c.start]
 	}
-
-	mergeSegs := func(fold func(k, s int)) {
-		for k := 0; k < nw; k++ {
-			for s, sEnd := segAt(winLo[k]), segAt(winHi[k]); s < sEnd; s++ {
-				fold(k, s)
-			}
-		}
-	}
-
-	if fused {
-		handled := false
-		err := timed(&col.windowNanos, func() error {
-			sums := arena.Int64(exec.ClassScratch, nseg)
-			ok, err := e.fusedSumSegments(sl.Pair.Value, cuts, sums, col)
-			if err != nil || !ok {
-				return err // !ok falls through to the decoded pass
-			}
-			handled = true
-			for s := 0; s < nseg; s++ {
-				col.valuesFused.Add(int64(cuts[s+1] - cuts[s]))
-			}
-			mergeSegs(func(k, s int) {
-				localWin[wFirst+k].addSum(sums[s], int64(cuts[s+1]-cuts[s]))
-			})
-			return nil
-		})
-		if err != nil || handled {
-			return err
-		}
-	}
-
-	// Decoded pass (also the fused fallback): materialize the covered
-	// rows once, build per-segment partials, merge each window's run.
-	vals, err := e.decodeColumnRange(p.series[0], sl.Pair.Value, cuts[0], cuts[nseg], col)
-	if err != nil {
-		return err
-	}
-	col.valuesDecoded.Add(int64(len(vals)))
-	return timed(&col.windowNanos, func() error {
-		segAgg := make([]partialAgg, nseg)
-		for s := 0; s < nseg; s++ {
-			p.foldValues(vals[cuts[s]-cuts[0]:cuts[s+1]-cuts[0]], &segAgg[s])
-		}
-		mergeSegs(func(k, s int) {
-			localWin[wFirst+k].merge(&segAgg[s])
-		})
-		return nil
-	})
+	return c.first + int64(i)*c.interval
 }
 
 // fusedSumSegments fills per-segment sums over the cut partition of a
@@ -892,8 +836,8 @@ func (e *Engine) aggWindows(p *plan, sl pipeline.Slice, fused bool, lo, hi int, 
 // checked accumulators — COUNT/MIN/MAX over the same rows then still
 // answer while SUM/AVG/VAR surface the Section VI-C error from final().
 func (e *Engine) fusedSumSegments(p *storage.Page, cuts []int, sums []int64, col *statsCollector) (ok bool, err error) {
-	data, release := loadPage(p, col)
-	defer release()
+	data, bufp := loadPage(p, col)
+	defer pageBufPool.Put(bufp)
 	if err := p.VerifyChecksum(); err != nil {
 		return false, err
 	}

@@ -19,10 +19,10 @@ var pageBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // loadPage copies a page's payload into a worker-local buffer — the
 // memory-I/O stage of the pipeline (pages move from the shared buffer
 // into the core's working set; Figure 14(b) charges this separately).
-// The returned release function recycles the buffer.
-func loadPage(p *storage.Page, col *statsCollector) (data []byte, release func()) {
+// The caller hands bufp back to pageBufPool once it is done with data.
+func loadPage(p *storage.Page, col *statsCollector) (data []byte, bufp *[]byte) {
 	start := time.Now()
-	bufp := pageBufPool.Get().(*[]byte)
+	bufp = pageBufPool.Get().(*[]byte)
 	if cap(*bufp) < len(p.Data) {
 		*bufp = make([]byte, len(p.Data))
 	}
@@ -33,7 +33,7 @@ func loadPage(p *storage.Page, col *statsCollector) (data []byte, release func()
 		col.bytesScanned.Add(int64(len(p.Data)))
 		col.ioNanos.Add(int64(time.Since(start)))
 	}
-	return buf, func() { pageBufPool.Put(bufp) }
+	return buf, bufp
 }
 
 // pageBlock parses a ts2diff page payload (the structured view the
@@ -96,8 +96,8 @@ func (e *Engine) decodeColumnRange(ser string, p *storage.Page, from, to int, co
 //
 //etsqp:coldpath
 func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *statsCollector) (vals []int64, err error) {
-	data, release := loadPage(p, col)
-	defer release()
+	data, bufp := loadPage(p, col)
+	defer pageBufPool.Put(bufp)
 	if err := p.VerifyChecksum(); err != nil {
 		return nil, err
 	}

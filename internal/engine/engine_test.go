@@ -1034,3 +1034,29 @@ func TestTimeScanEarlyStop(t *testing.T) {
 		t.Fatalf("prune vs plain mismatch: %v vs %v", res.Aggregates, res2.Aggregates)
 	}
 }
+
+// TestFirstLastSlicedTimeBound runs FIRST/LAST under a time bound that
+// ends inside a sliced page with irregular timestamps in every mode. The
+// prune mode's early-stopping time scan yields no timestamps, so it must
+// not serve FIRST/LAST: the boundary rows of different slices of one
+// page would all carry the page's first timestamp and LAST would pick
+// an arbitrary slice.
+func TestFirstLastSlicedTimeBound(t *testing.T) {
+	ts, vals := testData(4000, 3, false)
+	t1, t2 := ts[100], ts[3500]
+	sql := fmt.Sprintf("SELECT FIRST(A), LAST(A) FROM ts WHERE TIME >= %d AND TIME <= %d", t1, t2)
+	for _, mode := range allModes {
+		st := storeFor(t, mode, ts, vals, 1024)
+		for rep := 0; rep < 10; rep++ {
+			e := New(st, mode)
+			e.Workers, e.ForceSlices = 4, 4
+			res, err := e.ExecuteSQL(sql)
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			if res.Aggregates["FIRST(A)"] != float64(vals[100]) || res.Aggregates["LAST(A)"] != float64(vals[3500]) {
+				t.Fatalf("%v: %v, want FIRST %d LAST %d", mode, res.Aggregates, vals[100], vals[3500])
+			}
+		}
+	}
+}

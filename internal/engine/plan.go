@@ -218,8 +218,8 @@ func (p *plan) checkAggregates() error {
 			return fmt.Errorf("engine: aggregates over TIME are not supported")
 		}
 		p.needSq = p.needSq || it.Agg == sqlparse.AggVar
+		p.needFL = p.needFL || it.Agg == sqlparse.AggFirst || it.Agg == sqlparse.AggLast
 	}
-	p.needFL = needsBoundaries(p.q.Items)
 	if p.needFL && len(p.vp) > 0 {
 		return fmt.Errorf("engine: FIRST/LAST with value predicates is not supported")
 	}

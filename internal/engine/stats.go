@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sync/atomic"
-	"time"
 
 	"etsqp/internal/exec"
 	"etsqp/internal/expr"
@@ -180,12 +179,4 @@ func (c *statsCollector) finish() Stats {
 		obs.EngineHistMerge.Observe(st.MergeNanos)
 	}
 	return st
-}
-
-// timed runs f and adds its wall time to the counter.
-func timed(counter *atomic.Int64, f func() error) error {
-	start := time.Now()
-	err := f()
-	counter.Add(int64(time.Since(start)))
-	return err
 }

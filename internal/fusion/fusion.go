@@ -1,21 +1,20 @@
 // Package fusion implements Section IV: aggregation without decoding.
-// Associative and algebraic aggregations (SUM, COUNT, AVG, MIN, MAX,
-// Σa·b, Σa², and the variances/correlations built from them) are computed
-// directly on Delta-Repeat pairs and on TS2DIFF blocks, skipping the
-// Repeat-flatten and Delta-accumulate decoders entirely.
+// Associative and algebraic aggregations (SUM, COUNT, Σv², and the
+// variance built from them) are computed directly on Delta-Repeat pairs
+// and on TS2DIFF blocks, skipping the Repeat-flatten and
+// Delta-accumulate decoders entirely.
 //
 // The core identity: over one Delta-Repeat pair ⟨Δ, R⟩ starting after
 // value a, the next `valid <= R` values contribute
 //
 //	Σ_{i=1..valid} (a + iΔ) = valid·a + Δ·valid(valid+1)/2
 //
-// and analogous closed forms exist for squares and cross products
+// and an analogous closed form exists for squares
 // (Proposition 3), so each pair costs O(1) regardless of its run length.
 package fusion
 
 import (
 	"errors"
-	"math"
 
 	"etsqp/internal/encoding"
 )
@@ -202,39 +201,6 @@ func Count(pairs []encoding.DeltaRun) int {
 	return n
 }
 
-// Avg aggregates the mean without decoding.
-func Avg(first int64, pairs []encoding.DeltaRun) (float64, error) {
-	s, err := Sum(first, pairs)
-	if err != nil {
-		return 0, err
-	}
-	return float64(s) / float64(Count(pairs)), nil
-}
-
-// MinMax scans run endpoints only: within a run values are monotone, so
-// extremes occur at run boundaries.
-//
-// MinMax has no error result, so it cannot carry the //etsqp:rangecheck
-// contract: a series whose running value leaves int64 reports wrapped
-// extremes. Callers that need detection aggregate Sum first — it walks
-// the same endpoints under checked arithmetic and returns ErrOverflow.
-//
-//etsqp:hotpath
-func MinMax(first int64, pairs []encoding.DeltaRun) (minV, maxV int64) {
-	minV, maxV = first, first
-	cur := first
-	for _, p := range pairs {
-		cur += p.Delta * int64(p.Count)
-		if cur < minV {
-			minV = cur
-		}
-		if cur > maxV {
-			maxV = cur
-		}
-	}
-	return minV, maxV
-}
-
 // SumSquares aggregates Σ v² without decoding:
 // Σ_{i=1..n}(a+iΔ)² = n·a² + 2aΔ·Σi + Δ²·Σi².
 //
@@ -286,111 +252,4 @@ func Variance(first int64, pairs []encoding.DeltaRun) (float64, error) {
 	n := float64(Count(pairs))
 	mean := float64(s) / n
 	return float64(sq)/n - mean*mean, nil
-}
-
-// DotProduct aggregates Σ aᵢ·bᵢ over two aligned Delta-Repeat series
-// without decoding either, walking pairs in min(R₁,R₂) chunks exactly as
-// Section IV describes:
-//
-//	Σ_{i=1..v}(a+iΔA)(b+iΔB) = v·ab + aΔB·Σi + bΔA·Σi + ΔAΔB·Σi²
-//
-//etsqp:hotpath
-//etsqp:rangecheck
-func DotProduct(aFirst int64, aPairs []encoding.DeltaRun, bFirst int64, bPairs []encoding.DeltaRun) (int64, error) {
-	if Count(aPairs) != Count(bPairs) {
-		return 0, errors.New("fusion: series length mismatch")
-	}
-	total, ok := mulChecked(aFirst, bFirst)
-	if !ok {
-		return 0, ErrOverflow
-	}
-	a, b := aFirst, bFirst
-	ai, bi := 0, 0
-	aRem, bRem := 0, 0
-	if len(aPairs) > 0 {
-		aRem = aPairs[0].Count
-	}
-	if len(bPairs) > 0 {
-		bRem = bPairs[0].Count
-	}
-	for ai < len(aPairs) && bi < len(bPairs) {
-		dA, dB := aPairs[ai].Delta, bPairs[bi].Delta
-		valid := aRem
-		if bRem < valid {
-			valid = bRem
-		}
-		v := int64(valid)
-		// Four-term polynomial.
-		ab, ok0 := mulChecked(a, b)
-		t0, okT := mulChecked(ab, v)
-		adb, okA := mulChecked(a, dB)
-		bda, okB := mulChecked(b, dA)
-		mix, okM := addChecked(adb, bda)
-		tri, okR := sumArithChecked(v)
-		t1, ok1 := mulChecked(mix, tri)
-		dd, okD := mulChecked(dA, dB)
-		sq, okQ := sumSquaresArithChecked(v)
-		t2, ok2 := mulChecked(dd, sq)
-		s, ok3 := addChecked(t0, t1)
-		s, ok4 := addChecked(s, t2)
-		var ok5 bool
-		total, ok5 = addChecked(total, s)
-		stepA, okSA := mulChecked(dA, v)
-		var okAA bool
-		a, okAA = addChecked(a, stepA)
-		stepB, okSB := mulChecked(dB, v)
-		var okBB bool
-		b, okBB = addChecked(b, stepB)
-		if !(ok0 && okT && okA && okB && okM && okR && ok1 && okD && okQ &&
-			ok2 && ok3 && ok4 && ok5 && okSA && okAA && okSB && okBB) {
-			return 0, ErrOverflow
-		}
-		aRem -= valid
-		bRem -= valid
-		if aRem == 0 {
-			ai++
-			if ai < len(aPairs) {
-				aRem = aPairs[ai].Count
-			}
-		}
-		if bRem == 0 {
-			bi++
-			if bi < len(bPairs) {
-				bRem = bPairs[bi].Count
-			}
-		}
-	}
-	return total, nil
-}
-
-// Correlation computes Pearson correlation of two aligned Delta-Repeat
-// series from fused sums only.
-func Correlation(aFirst int64, aPairs []encoding.DeltaRun, bFirst int64, bPairs []encoding.DeltaRun) (float64, error) {
-	n := float64(Count(aPairs))
-	sa, err := Sum(aFirst, aPairs)
-	if err != nil {
-		return 0, err
-	}
-	sb, err := Sum(bFirst, bPairs)
-	if err != nil {
-		return 0, err
-	}
-	sab, err := DotProduct(aFirst, aPairs, bFirst, bPairs)
-	if err != nil {
-		return 0, err
-	}
-	va, err := Variance(aFirst, aPairs)
-	if err != nil {
-		return 0, err
-	}
-	vb, err := Variance(bFirst, bPairs)
-	if err != nil {
-		return 0, err
-	}
-	cov := float64(sab)/n - float64(sa)/n*float64(sb)/n
-	den := math.Sqrt(va * vb)
-	if den == 0 {
-		return 0, errors.New("fusion: zero variance")
-	}
-	return cov / den, nil
 }

@@ -94,39 +94,6 @@ func TestSumRange(t *testing.T) {
 	}
 }
 
-func TestCountAvgMinMax(t *testing.T) {
-	vals := []int64{10, 15, 20, 25, 25, 25, 23, 21, 30}
-	first, pairs := encoding.DeltaRLEEncode(vals)
-	if got := Count(pairs); got != len(vals) {
-		t.Fatalf("Count = %d", got)
-	}
-	avg, err := Avg(first, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum int64
-	for _, v := range vals {
-		sum += v
-	}
-	if want := float64(sum) / float64(len(vals)); avg != want {
-		t.Fatalf("Avg = %f want %f", avg, want)
-	}
-	minV, maxV := MinMax(first, pairs)
-	if minV != 10 || maxV != 30 {
-		t.Fatalf("MinMax = %d,%d", minV, maxV)
-	}
-}
-
-func TestMinMaxInteriorExtreme(t *testing.T) {
-	// Peak occurs at a run boundary in the middle.
-	vals := []int64{0, 10, 20, 10, 0, -10}
-	first, pairs := encoding.DeltaRLEEncode(vals)
-	minV, maxV := MinMax(first, pairs)
-	if minV != -10 || maxV != 20 {
-		t.Fatalf("MinMax = %d,%d", minV, maxV)
-	}
-}
-
 func TestSumSquaresAndVariance(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		vals := randomPairsSeries(seed, 20)
@@ -159,62 +126,6 @@ func TestSumSquaresAndVariance(t *testing.T) {
 		if math.Abs(v-wantVar) > 1e-6*(1+wantVar) {
 			t.Fatalf("seed %d: Variance got %f want %f", seed, v, wantVar)
 		}
-	}
-}
-
-func TestDotProduct(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		a := randomPairsSeries(seed, 15)
-		b := randomPairsSeries(seed+1000, 7)
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		a, b = a[:n], b[:n]
-		aF, aP := encoding.DeltaRLEEncode(a)
-		bF, bP := encoding.DeltaRLEEncode(b)
-		got, err := DotProduct(aF, aP, bF, bP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want int64
-		for i := range a {
-			want += a[i] * b[i]
-		}
-		if got != want {
-			t.Fatalf("seed %d: got %d want %d", seed, got, want)
-		}
-	}
-}
-
-func TestDotProductLengthMismatch(t *testing.T) {
-	if _, err := DotProduct(0, []encoding.DeltaRun{{Delta: 1, Count: 2}}, 0, nil); err == nil {
-		t.Fatal("length mismatch must fail")
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	// Perfectly correlated series → 1; anti-correlated → -1.
-	a := []int64{0, 2, 4, 6, 8, 8, 8, 10}
-	bPos := make([]int64, len(a))
-	bNeg := make([]int64, len(a))
-	for i, v := range a {
-		bPos[i] = 3*v + 7
-		bNeg[i] = -2*v + 5
-	}
-	aF, aP := encoding.DeltaRLEEncode(a)
-	pF, pP := encoding.DeltaRLEEncode(bPos)
-	nF, nP := encoding.DeltaRLEEncode(bNeg)
-	if r, err := Correlation(aF, aP, pF, pP); err != nil || math.Abs(r-1) > 1e-9 {
-		t.Fatalf("corr = %f, %v", r, err)
-	}
-	if r, err := Correlation(aF, aP, nF, nP); err != nil || math.Abs(r+1) > 1e-9 {
-		t.Fatalf("anticorr = %f, %v", r, err)
-	}
-	// Zero variance must error, not divide by zero.
-	cF, cP := encoding.DeltaRLEEncode([]int64{5, 5, 5, 5, 5, 5, 5, 5})
-	if _, err := Correlation(aF, aP, cF, cP); err == nil {
-		t.Fatal("zero variance must fail")
 	}
 }
 

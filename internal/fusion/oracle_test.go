@@ -35,13 +35,6 @@ func checkPage(t *testing.T, name string, first int64, pairs []encoding.DeltaRun
 	if sq != want.SumSquares {
 		t.Errorf("%s: SumSquares = %d, oracle %d", name, sq, want.SumSquares)
 	}
-	avg, err := fusion.Avg(first, pairs)
-	if err != nil {
-		t.Fatalf("%s: Avg: %v", name, err)
-	}
-	if avg != want.Avg {
-		t.Errorf("%s: Avg = %v, oracle %v (must match bit-for-bit)", name, avg, want.Avg)
-	}
 	vr, err := fusion.Variance(first, pairs)
 	if err != nil {
 		t.Fatalf("%s: Variance: %v", name, err)

@@ -12,7 +12,7 @@ import (
 // field may only be touched through sync/atomic — method calls on
 // atomic.IntNN-style typed fields, or its address passed directly to a
 // sync/atomic function (or to a helper whose parameter is a pointer to
-// an atomic type, like engine's timed(&col.x, fn)). Plain loads, plain
+// an atomic type). Plain loads, plain
 // stores and escaping addresses are findings. Ranging over an array of
 // atomics is allowed when only the index is bound.
 var AtomicField = &lint.Analyzer{

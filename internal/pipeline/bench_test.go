@@ -130,7 +130,7 @@ func BenchmarkFibonacciUnpack(b *testing.B) {
 	b.Run("scalar", func(b *testing.B) {
 		b.SetBytes(int64(len(vals) * 8))
 		for i := 0; i < b.N; i++ {
-			if _, err := UnpackFibonacciScalar(buf, len(vals)); err != nil {
+			if _, err := encoding.FibonacciDecodeAll(buf, len(vals)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -111,34 +111,3 @@ func CountFibTerminators(buf []byte) int {
 	}
 	return count
 }
-
-// UnpackFibonacciScalar is the bit-at-a-time reference decoder used by
-// correctness tests and as the Serial baseline for variable widths.
-func UnpackFibonacciScalar(buf []byte, n int) ([]uint64, error) {
-	r := bitio.NewReader(buf)
-	out := make([]uint64, 0, n)
-	fibs := fibNumbers
-	var cur uint64
-	digit := 0
-	prev := uint(0)
-	for len(out) < n {
-		b, err := r.ReadBit()
-		if err != nil {
-			return nil, ErrBadFibStream
-		}
-		if b == 1 && prev == 1 {
-			out = append(out, cur)
-			cur, digit, prev = 0, 0, 0
-			continue
-		}
-		if b == 1 {
-			if digit >= len(fibs) {
-				return nil, ErrBadFibStream
-			}
-			cur += fibs[digit]
-		}
-		digit++
-		prev = b
-	}
-	return out, nil
-}

@@ -262,7 +262,7 @@ func TestUnpackFibonacci(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref, err := UnpackFibonacciScalar(buf, len(vals))
+		ref, err := encoding.FibonacciDecodeAll(buf, len(vals))
 		if err != nil {
 			return false
 		}
@@ -278,8 +278,8 @@ func TestUnpackFibonacciTruncated(t *testing.T) {
 	if _, err := UnpackFibonacci(buf, 3); err == nil {
 		t.Fatal("expected error for missing codewords")
 	}
-	if _, err := UnpackFibonacciScalar(buf, 3); err == nil {
-		t.Fatal("expected error for missing codewords (scalar)")
+	if _, err := encoding.FibonacciDecodeAll(buf, 3); err == nil {
+		t.Fatal("expected error for missing codewords (reference)")
 	}
 }
 

@@ -191,8 +191,14 @@ func TestRLERoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(runs, want) {
 		t.Fatalf("runs = %v, want %v", runs, want)
 	}
-	if got := RLEDecode(runs); !reflect.DeepEqual(got, vals) {
-		t.Fatalf("decode = %v", got)
+	var got []int64
+	for _, r := range runs {
+		for i := 0; i < r.Count; i++ {
+			got = append(got, r.Value)
+		}
+	}
+	if !reflect.DeepEqual(got, vals) {
+		t.Fatalf("expanded runs = %v", got)
 	}
 	if RLEEncode(nil) != nil {
 		t.Fatal("empty input must give nil runs")
@@ -212,6 +218,17 @@ func TestDeltaRLERoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeltaRLEDecodeInto: rising, repeated (Delta 0, the broadcast
+// branch) and falling runs, written into a buffer with room to spare.
+func TestDeltaRLEDecodeInto(t *testing.T) {
+	pairs := []DeltaRun{{Delta: 5, Count: 3}, {Delta: 0, Count: 4}, {Delta: -2, Count: 2}}
+	want := []int64{10, 15, 20, 25, 25, 25, 25, 25, 23, 21}
+	dst := make([]int64, len(want)+1)
+	if n := DeltaRLEDecodeInto(dst, 10, pairs); n != len(want) || !reflect.DeepEqual(dst[:n], want) || dst[n] != 0 {
+		t.Fatalf("wrote %d values %v, want %v", n, dst, want)
 	}
 }
 

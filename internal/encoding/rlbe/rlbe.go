@@ -51,19 +51,20 @@ func Encode(vals []int64) (*Block, error) {
 
 // Pairs decodes the payload back to Delta-Repeat pairs without flattening —
 // the representation Section IV's fused aggregations consume directly.
+// The runs must cover exactly Count rows (row 0 is First, so they total
+// Count − 1; an empty block has none). Every reader of an RLBE page goes
+// through this one check: corrupt codewords can claim runs far past
+// Count, which a fused sum would add up and a flatten would materialize.
 func (b *Block) Pairs() ([]encoding.DeltaRun, error) {
-	if b.NumRuns < 0 {
+	if b.NumRuns < 0 || b.Count < 0 || b.Count == 0 && b.NumRuns > 0 {
 		return nil, ErrCorrupt
 	}
 	r := bitio.NewReader(b.Payload)
 	// NumRuns comes from an untrusted header: cap the pre-allocation and
 	// let append grow it as codewords actually arrive (each run costs at
 	// least four payload bits, so a short buffer fails fast).
-	capRuns := b.NumRuns
-	if capRuns > 1<<16 {
-		capRuns = 1 << 16
-	}
-	pairs := make([]encoding.DeltaRun, 0, capRuns)
+	pairs := make([]encoding.DeltaRun, 0, min(b.NumRuns, 1<<16))
+	rows := min(b.Count, 1)
 	for i := 0; i < b.NumRuns; i++ {
 		zz, err := encoding.FibonacciDecode(r)
 		if err != nil {
@@ -73,37 +74,25 @@ func (b *Block) Pairs() ([]encoding.DeltaRun, error) {
 		if err != nil {
 			return nil, err
 		}
+		if run > uint64(b.Count-rows) {
+			return nil, ErrCorrupt
+		}
+		rows += int(run)
 		pairs = append(pairs, encoding.DeltaRun{Delta: encoding.UnZigZag(zz - 1), Count: int(run)})
+	}
+	if rows != b.Count {
+		return nil, ErrCorrupt
 	}
 	return pairs, nil
 }
 
 // Decode recovers the original values.
 func (b *Block) Decode() ([]int64, error) {
-	if b.Count == 0 {
-		return nil, nil
-	}
 	pairs, err := b.Pairs()
-	if err != nil {
+	if err != nil || b.Count == 0 {
 		return nil, err
 	}
-	// Validate run totals before flattening: corrupt codewords can claim
-	// runs far past Count, and DeltaRLEDecode would materialize them all.
-	total := 1
-	for _, p := range pairs {
-		if p.Count < 0 || total > b.Count-p.Count {
-			return nil, ErrCorrupt
-		}
-		total += p.Count
-	}
-	if total != b.Count {
-		return nil, ErrCorrupt
-	}
-	vals := encoding.DeltaRLEDecode(b.First, pairs)
-	if len(vals) != b.Count {
-		return nil, ErrCorrupt
-	}
-	return vals, nil
+	return encoding.DeltaRLEDecode(b.First, pairs), nil
 }
 
 const blockMagic = 0xB1

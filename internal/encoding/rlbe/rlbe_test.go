@@ -98,6 +98,27 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	}
 }
 
+// TestPairsCheckRunTotals: the fused aggregates read Pairs without
+// Decode, so Pairs itself refuses runs that cover more or fewer rows
+// than Count — an empty block that claims runs included.
+func TestPairsCheckRunTotals(t *testing.T) {
+	b, _ := Encode([]int64{1, 2, 3, 5, 7})
+	for _, count := range []int{0, 4, 6} {
+		bad := *b
+		bad.Count = count
+		if _, err := bad.Pairs(); err != ErrCorrupt {
+			t.Errorf("Count %d for runs covering 5 rows: Pairs error %v, want ErrCorrupt", count, err)
+		}
+	}
+	if _, err := b.Pairs(); err != nil {
+		t.Fatal(err)
+	}
+	empty, _ := Encode(nil)
+	if pairs, err := empty.Pairs(); err != nil || len(pairs) != 0 {
+		t.Fatalf("empty block: pairs %v, error %v", pairs, err)
+	}
+}
+
 func TestCodec(t *testing.T) {
 	c, err := encoding.Lookup("rlbe")
 	if err != nil {

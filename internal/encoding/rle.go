@@ -24,22 +24,6 @@ func RLEEncode(vals []int64) []Run {
 	return append(runs, cur)
 }
 
-// RLEDecode expands runs back to the flat sequence ("Repeat flatten" in
-// the pipeline terminology).
-func RLEDecode(runs []Run) []int64 {
-	n := 0
-	for _, r := range runs {
-		n += r.Count
-	}
-	out := make([]int64, 0, n)
-	for _, r := range runs {
-		for i := 0; i < r.Count; i++ {
-			out = append(out, r.Value)
-		}
-	}
-	return out
-}
-
 // DeltaRun is one (delta, run length) pair of the Delta-Repeat combined
 // representation that Section IV fuses aggregations over: the series
 // advances by Delta at each of Count consecutive steps.
@@ -58,20 +42,43 @@ func DeltaRLEEncode(vals []int64) (first int64, pairs []DeltaRun) {
 	return first, pairs
 }
 
-// DeltaRLEDecode expands Delta-Repeat pairs back to values.
+// DeltaRLEDecode expands Delta-Repeat pairs back to values: the Repeat
+// flatten of Figure 2. The run counts must be non-negative.
 func DeltaRLEDecode(first int64, pairs []DeltaRun) []int64 {
 	n := 1
 	for _, p := range pairs {
 		n += p.Count
 	}
-	out := make([]int64, 0, n)
-	out = append(out, first)
+	out := make([]int64, n)
+	DeltaRLEDecodeInto(out, first, pairs)
+	return out
+}
+
+// DeltaRLEDecodeInto writes the flattened sequence into dst, which must
+// have room for 1 + sum(Count) values, and returns the number of values
+// written. It is the one Delta-Repeat expansion loop: each run is
+// written through a hoisted re-slice, so the inner stores carry no
+// bounds checks (one slice check per run instead of one index check per
+// value), and a pure repeat is a broadcast.
+//
+//etsqp:hotpath
+func DeltaRLEDecodeInto(dst []int64, first int64, pairs []DeltaRun) int {
+	dst[0] = first
+	i := 1
 	cur := first
 	for _, p := range pairs {
-		for i := 0; i < p.Count; i++ {
-			cur += p.Delta
-			out = append(out, cur)
+		run := dst[i : i+p.Count]
+		if p.Delta == 0 {
+			for k := range run {
+				run[k] = cur
+			}
+		} else {
+			for k := range run {
+				cur += p.Delta
+				run[k] = cur
+			}
 		}
+		i += p.Count
 	}
-	return out
+	return i
 }

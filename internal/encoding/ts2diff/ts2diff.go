@@ -156,10 +156,13 @@ func (b *Block) DeltaBounds() (dm, dM int64) {
 
 const blockMagic = 0x7D
 
+// headerLen is the size of a serialized block before its payload.
+const headerLen = 51
+
 // Marshal serializes the block (header big-endian, then payload),
 // the on-disk format storage pages embed.
 func (b *Block) Marshal() []byte {
-	out := make([]byte, 0, 44+len(b.Packed))
+	out := make([]byte, 0, headerLen+len(b.Packed))
 	out = append(out, blockMagic, byte(b.Order), byte(b.Width))
 	var tmp [8]byte
 	put := func(v int64) {
@@ -195,7 +198,7 @@ func Unmarshal(buf []byte) (*Block, error) {
 // allocates none. Packed aliases buf. After an error b holds no usable
 // block.
 func (b *Block) UnmarshalBinary(buf []byte) error {
-	if len(buf) < 51 || buf[0] != blockMagic {
+	if len(buf) < headerLen || buf[0] != blockMagic {
 		return ErrCorrupt
 	}
 	*b = Block{Order: Order(buf[1]), Width: uint(buf[2])}
@@ -210,10 +213,10 @@ func (b *Block) UnmarshalBinary(buf []byte) error {
 	b.MinValue = get(31)
 	b.MaxValue = get(39)
 	plen := int(binary.BigEndian.Uint32(buf[47:]))
-	if len(buf) < 51+plen {
+	if len(buf) < headerLen+plen {
 		return ErrCorrupt
 	}
-	b.Packed = buf[51 : 51+plen]
+	b.Packed = buf[headerLen : headerLen+plen]
 	if need := (b.NumPacked()*int(b.Width) + 7) / 8; plen < need {
 		return ErrCorrupt
 	}

@@ -190,6 +190,21 @@ func TestMarshalUnmarshal(t *testing.T) {
 	}
 }
 
+// TestMarshalAllocatesOnce: Marshal sizes its buffer to the header and
+// payload exactly, so a stored page carries no spare capacity.
+func TestMarshalAllocatesOnce(t *testing.T) {
+	b, err := Encode([]int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, Order1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = b.Marshal() }); n != 1 {
+		t.Fatalf("Marshal allocates %.0f times, want 1", n)
+	}
+	if out := b.Marshal(); cap(out) != len(out) {
+		t.Fatalf("Marshal: len %d, cap %d", len(out), cap(out))
+	}
+}
+
 func TestUnmarshalCorrupt(t *testing.T) {
 	cases := [][]byte{
 		nil,

@@ -434,7 +434,7 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 	if col.trace != nil {
 		ev := SliceEvent{StartRow: sl.StartRow, EndRow: sl.EndRow, Rows: sl.Rows(), Fused: out >= outFused}
 		var blk ts2diff.Block
-		if ok, _ := pageBlock(&blk, sl.Pair.Value); ok {
+		if ok, _ := pageBlockData(&blk, sl.Pair.Value, sl.Pair.Value.Data); ok {
 			ev.Width = blk.Width
 			ev.Nv = pipeline.ChooseNv(blk.Width, 32)
 		}
@@ -685,7 +685,7 @@ scan:
 // take its shape: the caller's full decode then reads (and reports) it.
 func openScan(scanner *pipeline.RangeScanner, blk *ts2diff.Block, pg *storage.Page, row int,
 	col *statsCollector) (ok bool, err error) {
-	if ok, _ := pageBlock(blk, pg); !ok || scanner.Reset(blk, row) != nil {
+	if ok, _ := pageBlockData(blk, pg, pg.Data); !ok || scanner.Reset(blk, row) != nil {
 		return false, nil
 	}
 	col.pagesRead.Add(1)
@@ -841,10 +841,14 @@ func (e *Engine) fusedSumSegments(p *storage.Page, cuts []int, sums []int64, col
 	if err := p.VerifyChecksum(); err != nil {
 		return false, err
 	}
+	first, pairs, isRLBE, err := deltaRunsOfData(p, data)
+	if err != nil {
+		return false, err
+	}
 	var blk ts2diff.Block
-	if first, pairs, isRLBE := deltaRunsOfData(p.Header.Codec, data); isRLBE {
+	if isRLBE {
 		err = fusion.SumRangeSegments(first, pairs, cuts, sums)
-	} else if isBlock, berr := pageBlockData(&blk, p.Header.Codec, data); !isBlock {
+	} else if isBlock, berr := pageBlockData(&blk, p, data); !isBlock {
 		return false, berr
 	} else {
 		err = fusion.SumBlockSegments(&blk, cuts, sums)

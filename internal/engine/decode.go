@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -36,23 +37,34 @@ func loadPage(p *storage.Page, col *statsCollector) (data []byte, bufp *[]byte) 
 	return buf, bufp
 }
 
-// pageBlock parses a ts2diff page payload (the structured view the
-// vectorized paths need) into the caller's blk, so a scan parses page
-// after page without a heap block each. ok is false for other codecs
-// and on a parse error.
-func pageBlock(blk *ts2diff.Block, p *storage.Page) (ok bool, err error) {
-	return pageBlockData(blk, p.Header.Codec, p.Data)
-}
-
-// pageBlockData parses a ts2diff block from already-loaded page bytes.
-func pageBlockData(blk *ts2diff.Block, codec string, data []byte) (ok bool, err error) {
-	switch codec {
+// pageBlockData parses a ts2diff page payload (the structured view the
+// vectorized paths need) from data, p.Data or a loaded copy of it, into
+// the caller's blk, so a scan parses page after page without a heap
+// block each. ok is false for other codecs and, with payloadRows's
+// error, for a payload that does not parse or match the header.
+func pageBlockData(blk *ts2diff.Block, p *storage.Page, data []byte) (ok bool, err error) {
+	switch p.Header.Codec {
 	case "ts2diff", "ts2diff2":
 		err = blk.UnmarshalBinary(data)
+		err = payloadRows(p, blk.Count, err)
 		return err == nil, err
 	default:
 		return false, nil
 	}
+}
+
+// payloadRows is the one check every payload parse of the engine passes
+// through: a payload that fails to parse, or holds another number of rows
+// than its page header, makes the page corrupt. Without it a query would
+// answer over the rows the payload happens to hold, or index past them.
+func payloadRows(p *storage.Page, rows int, err error) error {
+	if err == nil && rows != p.Header.Count {
+		err = fmt.Errorf("%d rows, header %d", rows, p.Header.Count)
+	}
+	if err != nil {
+		return fmt.Errorf("engine: %s payload: %w: %w", p.Header.Codec, err, storage.ErrCorrupt)
+	}
+	return nil
 }
 
 // decodeColumnRange decodes rows [from, to) of a page column, consulting
@@ -120,7 +132,7 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *s
 			// range touches (fair thread distribution, Section VII-C).
 			return fastlanes.DecodeRangeBlocks(data, from, to)
 		}
-	} else if ok, err := pageBlockData(&blk, p.Header.Codec, data); err != nil {
+	} else if ok, err := pageBlockData(&blk, p, data); err != nil {
 		return nil, err
 	} else if ok {
 		return pipeline.DecodeRange(&blk, from, to)
@@ -130,7 +142,7 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *s
 		return nil, err
 	}
 	all, err := c.Decode(data)
-	if err != nil {
+	if err := payloadRows(p, len(all), err); err != nil {
 		return nil, err
 	}
 	if full {
@@ -147,27 +159,29 @@ func (p *plan) constantIntervalOf(page *storage.Page) (int64, bool) {
 		return 0, false
 	}
 	var blk ts2diff.Block
-	if ok, _ := pageBlock(&blk, page); !ok {
+	if ok, _ := pageBlockData(&blk, page, page.Data); !ok {
 		return 0, false
 	}
 	return pipeline.ConstantInterval(&blk)
 }
 
-// deltaRunsOf extracts Delta-Repeat pairs when the page uses the RLBE
-// codec — the representation Section IV's fused aggregations consume.
-func deltaRunsOfData(codec string, data []byte) (int64, []encoding.DeltaRun, bool) {
-	if codec != "rlbe" {
-		return 0, nil, false
+// deltaRunsOfData extracts Delta-Repeat pairs when the page uses the
+// RLBE codec — the representation Section IV's fused aggregations
+// consume. ok is false for other codecs; a block that does not parse,
+// whose runs do not total its count (rlbe.Block.Pairs), or whose count
+// is not the header's is an error, never a sum over what the runs hold.
+func deltaRunsOfData(p *storage.Page, data []byte) (first int64, pairs []encoding.DeltaRun, ok bool, err error) {
+	if p.Header.Codec != "rlbe" {
+		return 0, nil, false, nil
 	}
 	blk, err := rlbe.Unmarshal(data)
-	if err != nil {
-		return 0, nil, false
+	rows := 0
+	if err == nil {
+		first, rows = blk.First, blk.Count
+		pairs, err = blk.Pairs()
 	}
-	pairs, err := blk.Pairs()
-	if err != nil {
-		return 0, nil, false
-	}
-	return blk.First, pairs, true
+	err = payloadRows(p, rows, err)
+	return first, pairs, err == nil, err
 }
 
 // jobsFor builds the pipeline jobs. ETSQP-family strategies deal whole

@@ -1,0 +1,93 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"testing"
+
+	"etsqp/internal/encoding"
+	"etsqp/internal/encoding/rlbe"
+	"etsqp/internal/storage"
+)
+
+// TestPayloadCountMismatch: a value page whose payload holds another
+// number of rows than its header promises, with a valid checksum — or an
+// RLBE page whose runs cover another number of rows than its own count —
+// is corrupt in every mode and every query shape: an error wrapping
+// storage.ErrCorrupt, never an answer over the rows the payload happens
+// to hold, and never a panic.
+func TestPayloadCountMismatch(t *testing.T) {
+	const rows, off = 4096, 96
+	ts, vals := make([]int64, rows), make([]int64, rows+off)
+	for i := range vals {
+		vals[i] = int64(i % 50)
+	}
+	for i := range ts {
+		ts[i] = 1_000_000 + int64(i)*100
+	}
+	encode := func(codec string, n int) []byte {
+		c, err := encoding.Lookup(codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := c.Encode(vals[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// The block claims the header's rows; its runs cover another number.
+	// Without the run-total check the fused SUM adds up whatever the runs
+	// cover.
+	runs := func(n int) []byte {
+		blk, err := rlbe.Encode(vals[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk.Count = rows
+		return blk.Marshal()
+	}
+	type payloadCase struct {
+		name, codec string
+		payload     []byte
+	}
+	cases := []payloadCase{
+		{"rlbe runs short of the block count", "rlbe", runs(rows - off)},
+		{"rlbe runs past the block count", "rlbe", runs(rows + off)},
+	}
+	for _, codec := range []string{"ts2diff", "rlbe"} {
+		cases = append(cases,
+			payloadCase{codec + " payload 96 rows short", codec, encode(codec, rows-off)},
+			payloadCase{codec + " payload 96 rows long", codec, encode(codec, rows+off)})
+	}
+	queries := []string{
+		"SELECT SUM(A) FROM ts",
+		"SELECT MAX(A) FROM ts",
+		"SELECT SUM(A) FROM ts WHERE A > 10",
+		fmt.Sprintf("SELECT COUNT(A) FROM ts WHERE TIME >= %d AND TIME <= %d", ts[100], ts[3000]),
+		"SELECT SUM(A) FROM ts GROUP BY TIME(50000)",
+		"SELECT * FROM ts WHERE A > 10",
+	}
+	for _, c := range cases {
+		pairs, err := storage.EncodePages(ts, vals[:rows], storage.Options{PageSize: rows, ValueCodec: c.codec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := pairs[0].Value
+		v.Data, v.Header.Checksum = c.payload, crc32.ChecksumIEEE(c.payload)
+		st := storage.NewStore()
+		if err := st.AppendPages("ts", pairs); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range allModes {
+			e := New(st, mode)
+			e.Workers = 2
+			for _, q := range queries {
+				if res, err := e.ExecuteSQL(q); !errors.Is(err, storage.ErrCorrupt) {
+					t.Errorf("%s, %v, %s: error %v, result %+v; want storage.ErrCorrupt", c.name, mode, q, err, res)
+				}
+			}
+		}
+	}
+}

@@ -108,8 +108,8 @@ func buildPlanWithNv(width uint, nv int) *Plan {
 	return forced
 }
 
-// BenchmarkFibonacciUnpack compares word-at-a-time vs bit-at-a-time
-// variable-width decoding.
+// BenchmarkFibonacciUnpack times variable-width decoding through the
+// decoder every RLBE read runs.
 func BenchmarkFibonacciUnpack(b *testing.B) {
 	vals := make([]uint64, 65536)
 	for i := range vals {
@@ -119,22 +119,12 @@ func BenchmarkFibonacciUnpack(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("word", func(b *testing.B) {
-		b.SetBytes(int64(len(vals) * 8))
-		for i := 0; i < b.N; i++ {
-			if _, err := UnpackFibonacci(buf, len(vals)); err != nil {
-				b.Fatal(err)
-			}
+	b.SetBytes(int64(len(vals) * 8))
+	for i := 0; i < b.N; i++ {
+		if _, err := UnpackFibonacci(buf, len(vals)); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(int64(len(vals) * 8))
-		for i := 0; i < b.N; i++ {
-			if _, err := encoding.FibonacciDecodeAll(buf, len(vals)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func seriesWithWidthB(n int, w uint) []int64 {

@@ -2,80 +2,10 @@ package pipeline
 
 import "etsqp/internal/encoding"
 
-// Flatten expands Delta-Repeat pairs into the value sequence (the
-// "flatten" decoder of Figure 2). Runs are expanded with bulk writes so
-// long repeats cost O(values) stores and no per-value branch.
-func Flatten(first int64, pairs []encoding.DeltaRun) []int64 {
-	n := 1
-	for _, p := range pairs {
-		n += p.Count
-	}
-	out := make([]int64, n)
-	FlattenInto(out, first, pairs)
-	return out
-}
-
-// FlattenInto writes the flattened sequence into dst, which must have
-// room for 1 + sum(Count) values. It returns the number of values written.
-// Each run is written through a hoisted re-slice so the inner stores
-// carry no bounds checks — one slice check per run instead of one index
-// check per value.
-//
-//etsqp:hotpath
+// FlattenInto writes the flattened Delta-Repeat sequence into dst and
+// returns the number of values written. It is probe-only: the benchmark
+// times the Repeat flatten through it, and it forwards to
+// encoding.DeltaRLEDecodeInto, the expansion every RLBE read runs.
 func FlattenInto(dst []int64, first int64, pairs []encoding.DeltaRun) int {
-	dst[0] = first
-	i := 1
-	cur := first
-	for _, p := range pairs {
-		run := dst[i : i+p.Count]
-		if p.Delta == 0 {
-			// Pure repeat: a single value broadcast (the RLE fast path).
-			for k := range run {
-				run[k] = cur
-			}
-		} else {
-			for k := range run {
-				cur += p.Delta
-				run[k] = cur
-			}
-		}
-		i += p.Count
-	}
-	return i
-}
-
-// FlattenRange materializes only rows [from, to) of the flattened
-// sequence, skipping whole runs arithmetically — the piece that lets
-// sliced pipelines start mid-page on Delta-Repeat data.
-func FlattenRange(first int64, pairs []encoding.DeltaRun, from, to int) []int64 {
-	if to <= from {
-		return nil
-	}
-	out := make([]int64, 0, to-from)
-	cur := first
-	idx := 0 // index of `cur` in the flat sequence
-	if from == 0 {
-		out = append(out, cur)
-	}
-	for _, p := range pairs {
-		runEnd := idx + p.Count
-		if runEnd < from {
-			// Skip the whole run in O(1).
-			cur += p.Delta * int64(p.Count)
-			idx = runEnd
-			continue
-		}
-		for k := 1; k <= p.Count; k++ {
-			cur += p.Delta
-			pos := idx + k
-			if pos >= from && pos < to {
-				out = append(out, cur)
-			}
-			if pos >= to {
-				return out
-			}
-		}
-		idx = runEnd
-	}
-	return out
+	return encoding.DeltaRLEDecodeInto(dst, first, pairs)
 }

@@ -1,7 +1,8 @@
 // FuzzFlatten drives the Repeat flatten path with arbitrary Delta-Repeat
 // pages and cross-checks every route that materializes or aggregates
-// them: Flatten vs FlattenInto vs FlattenRange windows, and the fusion
-// closed forms against scalar sums of the flattened values.
+// them: encoding.DeltaRLEDecode and its into-a-buffer form against a
+// value-at-a-time loop, and the fusion closed forms (whole page and
+// range segments) against scalar sums of that loop's values.
 // FuzzRangeScanner pins the TS2DIFF cursor and its three entry points to
 // the scalar oracle, and TestTruncatedPayload every payload reader of
 // both packages to the oracle's error. External test package: fusion
@@ -60,54 +61,38 @@ func FuzzFlatten(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 0, 0, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		first, pairs := parseFlattenInput(data)
-		n := 1
+		// The oracle: one value per step, appended.
+		want := []int64{first}
 		for _, p := range pairs {
-			n += p.Count
+			for k := 0; k < p.Count; k++ {
+				want = append(want, want[len(want)-1]+p.Delta)
+			}
 		}
-		out := pipeline.Flatten(first, pairs)
+		n := len(want)
+		out := encoding.DeltaRLEDecode(first, pairs)
 		if len(out) != n {
-			t.Fatalf("Flatten returned %d values, want %d", len(out), n)
+			t.Fatalf("DeltaRLEDecode returned %d values, want %d", len(out), n)
 		}
-		if out[0] != first {
-			t.Fatalf("Flatten[0] = %d, want first %d", out[0], first)
-		}
-		dst := make([]int64, n)
-		if w := pipeline.FlattenInto(dst, first, pairs); w != n {
-			t.Fatalf("FlattenInto wrote %d values, want %d", w, n)
-		}
-		for i := range out {
-			if dst[i] != out[i] {
-				t.Fatalf("FlattenInto[%d] = %d, Flatten = %d", i, dst[i], out[i])
+		for i := range want {
+			if out[i] != want[i] {
+				t.Fatalf("DeltaRLEDecode[%d] = %d, want %d", i, out[i], want[i])
 			}
 		}
-		windows := [][2]int{{0, n}, {n / 3, 2*n/3 + 1}, {n - 1, n}, {n / 2, n / 2}}
-		for _, w := range windows {
-			from, to := w[0], w[1]
-			if to > n {
-				to = n
-			}
-			rng := pipeline.FlattenRange(first, pairs, from, to)
-			want := out[from:to]
-			if to <= from {
-				want = nil
-			}
-			if len(rng) != len(want) {
-				t.Fatalf("FlattenRange(%d,%d) returned %d values, want %d", from, to, len(rng), len(want))
-			}
-			for i := range rng {
-				if rng[i] != want[i] {
-					t.Fatalf("FlattenRange(%d,%d)[%d] = %d, want %d", from, to, i, rng[i], want[i])
-				}
-			}
-			if to > from {
-				var sum [1]int64
-				if err := fusion.SumRangeSegments(first, pairs, []int{from, to}, sum[:]); err == nil && sum[0] != scalarSum(want) {
-					t.Fatalf("fusion.SumRangeSegments(%d,%d) = %d, scalar %d", from, to, sum[0], scalarSum(want))
-				}
+		// The into-a-buffer form writes exactly its 1 + Σcount values.
+		dst := make([]int64, n+1)
+		dst[n] = 42
+		if w := encoding.DeltaRLEDecodeInto(dst, first, pairs); w != n || dst[n] != 42 {
+			t.Fatalf("DeltaRLEDecodeInto wrote %d values (sentinel %d), want %d", w, dst[n], n)
+		}
+		for _, w := range [][2]int{{0, n}, {n / 3, 2*n/3 + 1}, {n - 1, n}} {
+			from, to := w[0], min(w[1], n)
+			var sum [1]int64
+			if err := fusion.SumRangeSegments(first, pairs, []int{from, to}, sum[:]); err == nil && sum[0] != scalarSum(want[from:to]) {
+				t.Fatalf("fusion.SumRangeSegments(%d,%d) = %d, scalar %d", from, to, sum[0], scalarSum(want[from:to]))
 			}
 		}
-		if s, err := fusion.Sum(first, pairs); err == nil && s != scalarSum(out) {
-			t.Fatalf("fusion.Sum = %d, scalar %d", s, scalarSum(out))
+		if s, err := fusion.Sum(first, pairs); err == nil && s != scalarSum(want) {
+			t.Fatalf("fusion.Sum = %d, scalar %d", s, scalarSum(want))
 		}
 	})
 }

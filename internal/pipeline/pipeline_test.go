@@ -283,62 +283,6 @@ func TestUnpackFibonacciTruncated(t *testing.T) {
 	}
 }
 
-func TestCountFibTerminators(t *testing.T) {
-	vals := []uint64{1, 2, 3, 100, 7, 1, 1, 900000}
-	buf, _ := encoding.FibonacciEncodeAll(vals)
-	if got := CountFibTerminators(buf); got != len(vals) {
-		t.Fatalf("got %d want %d", got, len(vals))
-	}
-	if got := CountFibTerminators(nil); got != 0 {
-		t.Fatalf("empty: %d", got)
-	}
-}
-
-func TestFlatten(t *testing.T) {
-	pairs := []encoding.DeltaRun{{Delta: 5, Count: 3}, {Delta: 0, Count: 4}, {Delta: -2, Count: 2}}
-	got := Flatten(10, pairs)
-	want := []int64{10, 15, 20, 25, 25, 25, 25, 25, 23, 21}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
-func TestFlattenMatchesEncoding(t *testing.T) {
-	f := func(vals []int64) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		for i := range vals {
-			vals[i] %= 1 << 40
-		}
-		first, pairs := encoding.DeltaRLEEncode(vals)
-		return reflect.DeepEqual(Flatten(first, pairs), vals)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFlattenRange(t *testing.T) {
-	vals := []int64{10, 15, 20, 25, 25, 25, 25, 25, 23, 21}
-	first, pairs := encoding.DeltaRLEEncode(vals)
-	for from := 0; from <= len(vals); from++ {
-		for to := from; to <= len(vals); to++ {
-			got := FlattenRange(first, pairs, from, to)
-			want := vals[from:to]
-			if len(want) == 0 {
-				if len(got) != 0 {
-					t.Fatalf("[%d,%d): got %v", from, to, got)
-				}
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("[%d,%d): got %v want %v", from, to, got, want)
-			}
-		}
-	}
-}
-
 func TestTheoryEstimates(t *testing.T) {
 	// T_avg must be positive and reach a minimum near ChooseNv's pick.
 	best, bestNv := 1e18, 0

@@ -1,7 +1,8 @@
 // Package pipeline implements the ETSQP decoding pipelines of Section III:
-// constant-width unpacking with Delta recovery (RangeScanner), variable-
-// width Fibonacci unpacking, Repeat flattening, and page-to-slice
-// splitting for core-level parallelism.
+// constant-width unpacking with Delta recovery (RangeScanner), page-to-
+// slice splitting for core-level parallelism, and the exact-boundary
+// split of variable-width Fibonacci payloads (whose decoder and Repeat
+// flatten live in internal/encoding).
 //
 // This file holds the dynamic layout that makes Delta recovery
 // SIMD-parallel in the paper (Algorithm 1). On emulated registers it is

@@ -150,7 +150,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // queryError is the structured /query error document. Kind gives clients
 // a stable discriminator: "overflow" for Section VI-C aggregate overflow
 // (the query is well-formed; the data exceeds int64 — retry at a larger
-// quantity or narrower window), "bad_query" for everything else.
+// quantity or narrower window), "corrupt" for stored data that failed
+// its checksum or disagrees with its page header (the query is fine; the
+// server's data is not), "bad_query" for everything else.
 type queryError struct {
 	Error string `json:"error"`
 	Kind  string `json:"kind"`
@@ -159,13 +161,17 @@ type queryError struct {
 // writeQueryError maps an engine error to a structured JSON response.
 // Overflow is the client-actionable case: 422 (the request was valid,
 // the aggregate is just not representable), never a 500 and never a
-// silently wrapped value.
+// silently wrapped value. Corruption is the server's fault: 500.
 func writeQueryError(w http.ResponseWriter, err error) {
 	qe := queryError{Error: err.Error(), Kind: "bad_query"}
 	status := http.StatusBadRequest
-	if errors.Is(err, engine.ErrOverflow) {
+	switch {
+	case errors.Is(err, engine.ErrOverflow):
 		qe.Kind = "overflow"
 		status = http.StatusUnprocessableEntity
+	case errors.Is(err, storage.ErrCorrupt):
+		qe.Kind = "corrupt"
+		status = http.StatusInternalServerError
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)

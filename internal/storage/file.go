@@ -128,17 +128,12 @@ func ReadBytes(raw []byte) (*Store, error) {
 			if off+pairLen > len(raw) {
 				return nil, io.ErrUnexpectedEOF
 			}
-			pairBuf := raw[off : off+pairLen]
+			pp, err := UnmarshalPagePair(raw[off : off+pairLen])
+			if err != nil {
+				return nil, err
+			}
 			off += pairLen
-			tp, n, err := unmarshalPage(pairBuf)
-			if err != nil {
-				return nil, err
-			}
-			vp, _, err := unmarshalPage(pairBuf[n:])
-			if err != nil {
-				return nil, err
-			}
-			pages = append(pages, PagePair{Time: tp, Value: vp})
+			pages = append(pages, pp)
 		}
 		ser := &Series{Name: name}
 		ser.setPages(pages)

@@ -185,5 +185,18 @@ func UnmarshalPagePair(buf []byte) (PagePair, error) {
 	if err != nil {
 		return PagePair{}, err
 	}
-	return PagePair{Time: tp, Value: vp}, nil
+	pp := PagePair{Time: tp, Value: vp}
+	if err := checkPair(pp); err != nil {
+		return PagePair{}, err
+	}
+	return pp, nil
+}
+
+// checkPair refuses a page pair whose columns disagree on their row
+// count: the pipelines read the two in lock-step, row for row.
+func checkPair(pp PagePair) error {
+	if t, v := pp.Time.Header.Count, pp.Value.Header.Count; t != v {
+		return fmt.Errorf("storage: page pair of %d timestamps and %d values: %w", t, v, ErrCorrupt)
+	}
+	return nil
 }

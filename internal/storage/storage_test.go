@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -183,6 +185,40 @@ func TestReadBytesCorrupt(t *testing.T) {
 		if _, err := ReadBytes(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestPairCountMismatchRefused: a page pair whose time and value headers
+// disagree on the row count enters no store, whether appended or loaded
+// from a file.
+func TestPairCountMismatchRefused(t *testing.T) {
+	ts, vals := genSeries(100)
+	pairs, err := EncodePages(ts, vals, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := *pairs[0].Value
+	value.Header.Count--
+	bad := PagePair{Time: pairs[0].Time, Value: &value}
+	st := NewStore()
+	if err := st.AppendPages("s", []PagePair{bad}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("AppendPages: %v, want ErrCorrupt", err)
+	}
+	if ser, ok := st.Series("s"); ok && ser.NumPages() != 0 {
+		t.Fatalf("a refused pair was stored")
+	}
+
+	if err := st.AppendPages("s", pairs); err != nil {
+		t.Fatal(err)
+	}
+	ser, _ := st.Series("s")
+	ser.Pages[0] = bad // a file written by a store that did not check
+	var buf bytes.Buffer
+	if err := st.writeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBytes(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadBytes: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -249,6 +249,9 @@ func (s *Store) appendPairs(name string, pairs []PagePair) error {
 	ser.mu.Lock()
 	defer ser.mu.Unlock()
 	for _, pp := range pairs {
+		if err := checkPair(pp); err != nil {
+			return err
+		}
 		if len(ser.Pages) > 0 {
 			if last := ser.Pages[len(ser.Pages)-1].EndTime(); pp.StartTime() <= last {
 				return fmt.Errorf("storage: append to %q out of time order (%d <= %d)",

@@ -69,6 +69,9 @@ func run(root string) error {
 	if err := rangeScannerCorpus(root); err != nil {
 		return err
 	}
+	if err := scanFoldCorpus(root); err != nil {
+		return err
+	}
 	if err := overflowParityCorpus(root); err != nil {
 		return err
 	}
@@ -254,6 +257,42 @@ func rangeScannerCorpus(root string) error {
 		scan(order2, 7, 66, 0xFFFF, 1024, 8), // order-2 replay ends mid-group
 		scan(0, 32, 1, 0xFFFF, 200, 4),       // the widest kernel
 		scan(order2, 33, 2, 0xFFFF, 200, 4))  // one bit past it: the ReadBits loop
+}
+
+// scanFoldCorpus seeds FuzzScanFold's input shape (see FuzzScanFold in
+// internal/engine/fold_test.go: first selector, width, uint16 start row
+// and chunk, range selector and two picks, start partial, then 3-byte
+// row groups) with one-pass scans that merge every chunk, ones whose
+// page bound fails (widths 62-64, first values at the int64 edges),
+// ranges ending at the edges, starts off the 64-field grid, and running
+// sums next to MaxInt64 that send chunks to the redo.
+func scanFoldCorpus(root string) error {
+	const edgeC1, edgeC2, edges = 1, 2, 3 // range selector: c1, c2 from int64 edges
+	scan := func(first, width byte, from, chunk uint16, sel, i1, i2, start byte, groups int) []byte {
+		out := []byte{first, width}
+		out = binary.LittleEndian.AppendUint16(out, from)
+		out = binary.LittleEndian.AppendUint16(out, chunk-1)
+		out = append(out, sel, i1, i2, start)
+		for i := 0; i < groups; i++ {
+			out = append(out, byte(i*37), byte(i*11+3), 0xFF)
+		}
+		return out
+	}
+	w12 := scan(0, 12, 0, 1024, 0, 17, 200, 0, 16) // wave width, range inside the page
+	dir := filepath.Join(root, "internal/engine/testdata/fuzz/FuzzScanFold")
+	return writeByteEntries(dir,
+		nil,
+		w12,
+		scan(0, 4, 65, 63, 0, 3, 250, 0, 8), // off the grid, chunks under a group
+		scan(0, 20, 1000, 1500, edgeC2, 40, 3, 0, 16), // c2 = MaxInt64
+		scan(3, 0, 0, 1024, edges, 0, 3, 0, 8),        // constant deltas, whole int64
+		scan(0, 12, 1, 1024, 0, 9, 99, 1, 16),         // sum at MaxInt64: every chunk redone
+		scan(0, 16, 0, 1024, edgeC1, 0, 120, 5, 16),   // count near MaxInt64
+		scan(1, 8, 7, 64, edges, 1, 2, 0, 4),          // first MaxInt64: no page bound
+		scan(2, 62, 0, 1024, 0, 5, 77, 0, 8),          // bound overflows at width 62
+		scan(0, 63, 3, 200, edgeC1, 2, 40, 3, 4),      // width 63
+		scan(0, 64, 0, 1024, edges, 0, 3, 6, 4),       // width 64, wrapping rows
+		truncated(w12), flipped(w12, 3))
 }
 
 func sqlCorpus(root string) error {

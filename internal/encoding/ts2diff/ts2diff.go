@@ -143,15 +143,17 @@ func (b *Block) Decode() ([]int64, error) {
 	}
 }
 
-// DeltaBounds returns the pruning bounds of Proposition 4/5:
-// every delta d satisfies D_m <= d <= D_M with D_m = minBase and
-// D_M = minBase + 2^width - 1.
+// DeltaBounds returns the pruning bounds of Proposition 5: every delta d
+// satisfies D_m <= d <= D_M with D_m = minBase and D_M = minBase +
+// 2^width - 1, saturated at MaxInt64 — deltas are int64 differences, so
+// none lies above it whatever the width.
 func (b *Block) DeltaBounds() (dm, dM int64) {
 	dm = b.MinBase
-	if b.Width >= 63 {
-		return dm, 1<<62 - 1 + dm // clamp; widths that large do not occur
+	span := ^uint64(0) >> (64 - b.Width) // 2^width - 1
+	if span > uint64(math.MaxInt64)-uint64(dm) {
+		return dm, math.MaxInt64
 	}
-	return dm, b.MinBase + (1<<b.Width - 1)
+	return dm, dm + int64(span)
 }
 
 const blockMagic = 0x7D

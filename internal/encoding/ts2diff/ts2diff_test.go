@@ -1,6 +1,7 @@
 package ts2diff
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -149,12 +150,23 @@ func TestDeltaBounds(t *testing.T) {
 	if dm != 4 || dM != 7 {
 		t.Fatalf("bounds = [%d,%d], want [4,7]", dm, dM)
 	}
-	// Every actual delta must fall in the bounds (the pruning invariant).
-	vals, _ := b.Decode()
-	for i := 1; i < len(vals); i++ {
-		d := vals[i] - vals[i-1]
-		if d < dm || d > dM {
-			t.Fatalf("delta %d outside bounds [%d,%d]", d, dm, dM)
+	// Every actual delta must fall in the bounds (the pruning invariant),
+	// at every width: ±2^61 steps pack at width 63, and ±2^62 steps at 64
+	// take D_M past int64 before it saturates.
+	for _, vals := range [][]int64{
+		{0, 4, 10, 15, 21},
+		{1 << 61, 0, 1 << 61, 0},
+		{0, 1 << 62, 0, -1 << 62, math.MaxInt64, math.MinInt64},
+	} {
+		b, err := Encode(vals, Order1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dm, dM := b.DeltaBounds()
+		for i := 1; i < len(vals); i++ {
+			if d := vals[i] - vals[i-1]; d < dm || d > dM {
+				t.Fatalf("width %d: delta %d outside bounds [%d,%d]", b.Width, d, dm, dM)
+			}
 		}
 	}
 }

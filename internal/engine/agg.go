@@ -186,19 +186,42 @@ func rangeFold(vals []int64, c1 int64, span uint64) (count, sum, lo, hi int64) {
 }
 
 // mergeChunk folds a chunk's (count > 0, sum, min, max) into the running
-// state if no per-value fold of the chunk could have overflowed: every
-// prefix of the running sum stays within |p.sum| + count*max(|lo|, |hi|),
-// so when that bound fits int64 the chunk sum is exact and addValue would
-// never have flagged. It reports false, touching nothing, when the bound
-// or the count does not fit; the caller then redoes the chunk through
-// addValue.
+// state if no per-value fold of the chunk could have overflowed (see
+// addBounded, with every value's magnitude at most max(|lo|, |hi|)). It
+// reports false, touching nothing, otherwise; the caller then redoes the
+// chunk through addValue.
 //
 //etsqp:hotpath
 //etsqp:nobce
 //etsqp:noescape
 //etsqp:rangecheck
 func (p *partialAgg) mergeChunk(count, sum, lo, hi int64) bool {
-	mag := max(magnitude(lo), magnitude(hi))
+	seen := p.seen
+	if !p.addBounded(count, sum, max(magnitude(lo), magnitude(hi))) {
+		return false
+	}
+	if !seen || lo < p.min {
+		p.min = lo
+	}
+	if !seen || hi > p.max {
+		p.max = hi
+	}
+	return true
+}
+
+// addBounded folds a chunk's (count > 0, wrapping sum) into the running
+// sum and count if no per-value fold of the chunk could have overflowed:
+// with every selected value's magnitude at most mag, every prefix of the
+// running sum stays within |p.sum| + count*mag, so when that bound fits
+// int64 the chunk sum is exact and addValue would never have flagged. It
+// reports false, touching nothing, when the bound or the count does not
+// fit. The minimum and maximum are left alone.
+//
+//etsqp:hotpath
+//etsqp:nobce
+//etsqp:noescape
+//etsqp:rangecheck
+func (p *partialAgg) addBounded(count, sum int64, mag uint64) bool {
 	over, bound := bits.Mul64(uint64(count), mag)
 	bound, carry := bits.Add64(bound, magnitude(p.sum), 0)
 	if over != 0 || carry != 0 || bound > math.MaxInt64 {
@@ -209,15 +232,28 @@ func (p *partialAgg) mergeChunk(count, sum, lo, hi int64) bool {
 	if !okS || !okC {
 		return false
 	}
-	p.sum, p.count = s, c
-	if !p.seen || lo < p.min {
-		p.min = lo
-	}
-	if !p.seen || hi > p.max {
-		p.max = hi
-	}
-	p.seen = true
+	p.sum, p.count, p.seen = s, c, true
 	return true
+}
+
+// pageBound bounds the magnitude of every row of an order-1 block from
+// its header alone: row r is First plus r deltas, each in [MinBase,
+// MinBase+2^Width-1], so |v| <= |First| + (Count-1)·max(|Dm|, |DM|).
+// Rows are rebuilt in wrapping arithmetic, so this holds only when the
+// bound fits int64 — then no row's prefix left int64 — and ok is false
+// otherwise, as it is for order-2 blocks and widths of 63 and 64.
+func pageBound(b *ts2diff.Block) (bound uint64, ok bool) {
+	if b.Order != ts2diff.Order1 || b.Width >= 63 || b.Count == 0 {
+		return 0, false
+	}
+	span := uint64(1)<<b.Width - 1
+	top := uint64(b.MinBase) + span // |DM| for MinBase >= 0, below 2^64
+	if b.MinBase < 0 {
+		top = magnitude(b.MinBase + int64(span))
+	}
+	over, steps := bits.Mul64(uint64(b.Count-1), max(magnitude(b.MinBase), top))
+	bound, carry := bits.Add64(steps, magnitude(b.First), 0)
+	return bound, over == 0 && carry == 0 && bound <= math.MaxInt64
 }
 
 // magnitude returns |v| as a uint64; |MinInt64| = 2^63 fits.
@@ -695,10 +731,13 @@ func openScan(scanner *pipeline.RangeScanner, blk *ts2diff.Block, pg *storage.Pa
 
 // aggPrunedScan is the value pass of a planned pruned scan, a job with
 // one segment [lo, hi) and one partial: it streams the value column
-// through a RangeScanner, folding chunk by chunk, and stops as soon as
-// the Proposition 5 bounds show nothing ahead can satisfy the filter.
-// done reports whether the rows were handled; otherwise (not a TS2DIFF
-// page, or a shape the scanner does not take) the caller decodes them.
+// through a RangeScanner chunk by chunk, and stops as soon as the
+// Proposition 5 bounds show nothing ahead can satisfy the filter. A
+// sumFold plan over a page pageBound bounds takes the one pass
+// (scanFold), whose time is all decode stage; any other scan decodes each
+// chunk and folds it (foldValues), timed per phase. done reports whether
+// the rows were handled; otherwise (not a TS2DIFF page, or a shape the
+// scanner does not take) the caller decodes them.
 func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, lo, hi int,
 	local *partialAgg, col *statsCollector, arena *exec.Arena) (done bool, err error) {
 	var blk ts2diff.Block
@@ -709,29 +748,43 @@ func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, lo, hi int,
 	bounds := prune.BoundsFromBlock(&blk)
 	n := sl.Pair.Count()
 	buf := arena.Int64(exec.ClassPrune, pruneChunk)
+	bound, onePass := pageBound(&blk)
+	onePass = onePass && p.sumFold
 	// One clock read per phase boundary: each fold's end starts the next
 	// decode, and the stage counters are charged once per scan.
 	start := time.Now()
 	mark := start
 	var decodeNs, aggNs int64
-	for scanner.Row() < hi {
-		var k int
-		k, err = scanner.Next(buf[:min(hi-scanner.Row(), pruneChunk)])
-		decoded := time.Now()
-		decodeNs += int64(decoded.Sub(mark))
+	for row := scanner.Row(); row < hi; {
+		want := min(hi-row, pruneChunk)
+		var last int64
+		if onePass {
+			last, err = p.scanFold(&scanner, want, bound, local, buf)
+		} else {
+			var k int
+			k, err = scanner.Next(buf[:want])
+			decoded := time.Now()
+			decodeNs += int64(decoded.Sub(mark))
+			if err == nil && k > 0 {
+				p.foldValues(buf[:k], local)
+				last = buf[k-1]
+			}
+			mark = time.Now()
+			aggNs += int64(mark.Sub(decoded))
+		}
+		k := scanner.Row() - row
 		if err != nil || k == 0 {
 			break
 		}
-		vals := buf[:k]
 		col.valuesDecoded.Add(int64(k))
-		p.foldValues(vals, local)
-		mark = time.Now()
-		aggNs += int64(mark.Sub(decoded))
-		row := scanner.Row()
-		if row < hi && bounds.StopValue(vals[k-1], row-1, n, p.c1, p.c2) {
+		row += k
+		if row < hi && bounds.StopValue(last, row-1, n, p.c1, p.c2) {
 			col.rowsPruned.Add(int64(hi - row))
 			break
 		}
+	}
+	if onePass {
+		decodeNs = int64(time.Since(start))
 	}
 	col.decodeNanos.Add(decodeNs)
 	col.aggNanos.Add(aggNs)
@@ -739,6 +792,33 @@ func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, lo, hi int,
 		obs.EngineHistPageDecode.Observe(int64(time.Since(start)))
 	}
 	return true, err
+}
+
+// scanFold is one chunk of a sumFold plan's pruned scan in one pass: up
+// to n rows are unpacked, filtered and counted and summed without being
+// stored (RangeScanner.ScanFold), then merged when bound, the page's
+// magnitude bound, proves no per-value fold could have overflowed. Else
+// the chunk is redone by decode-then-fold (Next into buf, foldRange) on a
+// copy of the scanner taken before it, which sets the sticky overflow
+// flag exactly where addValue would; s has already passed the chunk
+// either way. It returns the chunk's last value; the partial's minimum
+// and maximum are kept only on the redo.
+//
+//etsqp:hotpath
+//etsqp:noescape
+func (p *plan) scanFold(s *pipeline.RangeScanner, n int, bound uint64,
+	local *partialAgg, buf []int64) (last int64, err error) {
+	before := *s
+	count, sum, last, err := s.ScanFold(n, p.c1, uint64(p.c2)-uint64(p.c1))
+	if err != nil || count == 0 || local.addBounded(count, sum, bound) {
+		return last, err
+	}
+	k, err := before.Next(buf[:n])
+	if err != nil || k == 0 {
+		return 0, err
+	}
+	local.foldRange(buf[:k], p.c1, p.c2, false)
+	return buf[k-1], nil
 }
 
 // foldValues applies the predicates and accumulates matches: the chunk

@@ -19,6 +19,7 @@
 package engine
 
 import (
+	"math"
 	"runtime"
 	"time"
 
@@ -123,7 +124,8 @@ type Row struct {
 
 // rangeHull intersects [lo, hi] with the range-shaped predicates on the
 // TIME column (onTime) or on value columns (!onTime). != predicates
-// leave the bounds open.
+// leave the bounds open. A strict bound at an int64 edge admits nothing,
+// so the hull is then empty (lo > hi) whatever else the conjunction says.
 func rangeHull(preds []sqlparse.Pred, onTime bool, lo, hi int64) (int64, int64) {
 	for _, p := range preds {
 		if p.Col.IsTime() != onTime {
@@ -131,10 +133,16 @@ func rangeHull(preds []sqlparse.Pred, onTime bool, lo, hi int64) (int64, int64) 
 		}
 		switch p.Op {
 		case opGT:
+			if p.Value == math.MaxInt64 {
+				return math.MaxInt64, math.MinInt64
+			}
 			lo = max(lo, p.Value+1)
 		case opGE:
 			lo = max(lo, p.Value)
 		case opLT:
+			if p.Value == math.MinInt64 {
+				return math.MaxInt64, math.MinInt64
+			}
 			hi = min(hi, p.Value-1)
 		case opLE:
 			hi = min(hi, p.Value)

@@ -1,11 +1,17 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
+
+	"etsqp/internal/encoding/ts2diff"
+	"etsqp/internal/pipeline"
 )
 
 // foldByValue is foldRange's reference: the range test and addValue,
@@ -126,6 +132,218 @@ func BenchmarkFoldRange(b *testing.B) {
 				foldByValue(&p, vals, c1, 1<<62)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
+		})
+	}
+}
+
+// walkPage builds an order-1 page of n rows from first whose deltas are a
+// hash spread over a width-bit range (0..64), the first two at its ends,
+// so that it packs at exactly that width once n > 2; rows wrap freely at
+// the widest.
+func walkPage(n int, first int64, width uint, seed uint64) []int64 {
+	lo, span := int64(0), ^uint64(0)>>(64-width)
+	if width == 64 {
+		lo = math.MinInt64
+	}
+	vals := make([]int64, n)
+	cur := first
+	for i := range vals {
+		vals[i] = cur
+		seed = (seed + 1) * 0x9E3779B97F4A7C15
+		d := seed ^ seed>>29
+		switch i {
+		case 0:
+			d = 0
+		case 1:
+			d = span
+		}
+		cur += lo + int64(d&span)
+	}
+	return vals
+}
+
+// checkScanFold scans vals from row from in chunks of chunk rows twice:
+// through plan.scanFold, and through Next + foldRange, the decode-then-fold
+// path it replaces, each from the running partial start, with c1 <= c2
+// (the plan's sumFold condition). After every chunk both scanners must
+// stand at the same place and both partials agree on everything but the
+// minimum and maximum, which the one pass does not keep. A page without a
+// pageBound runs with bound MaxUint64, which no chunk passes, so every
+// chunk takes the redo; a page with one must have no row beyond it.
+func checkScanFold(t *testing.T, vals []int64, from, chunk int, c1, c2 int64, start partialAgg) {
+	t.Helper()
+	b, err := ts2diff.Encode(vals, ts2diff.Order1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, ok := pageBound(b)
+	for _, v := range vals {
+		if ok && magnitude(v) > bound {
+			t.Fatalf("width %d: row %d beyond pageBound %d", b.Width, v, bound)
+		}
+	}
+	if !ok {
+		bound = math.MaxUint64
+	}
+	p := &plan{c1: c1, c2: c2}
+	var one, ref pipeline.RangeScanner
+	if err := one.Reset(b, from); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Reset(b, from); err != nil {
+		t.Fatal(err)
+	}
+	got, want := start, start
+	buf, refBuf := make([]int64, chunk), make([]int64, chunk)
+	for ref.Row() < b.Count {
+		n := min(chunk, b.Count-ref.Row())
+		last, err := p.scanFold(&one, n, bound, &got, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := ref.Next(refBuf[:n])
+		if err != nil || k != n {
+			t.Fatalf("Next(%d): %d rows, %v", n, k, err)
+		}
+		want.foldRange(refBuf[:k], c1, c2, false)
+		g, w := got, want
+		g.min, g.max, w.min, w.max = 0, 0, 0, 0
+		if last != refBuf[k-1] || !reflect.DeepEqual(one, ref) || g != w {
+			t.Fatalf("width %d, rows [%d, %d) in chunks of %d, [%d, %d] from %+v: at row %d\none pass %+v last %d (row %d)\nNext+foldRange %+v last %d",
+				b.Width, from, b.Count, chunk, c1, c2, start, ref.Row(), got, last, one.Row(), want, refBuf[k-1])
+		}
+	}
+}
+
+// foldStarts are running partials for the fold parity tests: empty, and
+// sums within a few values of the int64 edges, where only the checked
+// redo sets (or leaves clear) the overflow flag at the right row.
+var foldStarts = []partialAgg{
+	{},
+	{sum: math.MaxInt64, count: 1, min: math.MaxInt64, max: math.MaxInt64, seen: true},
+	{sum: math.MaxInt64 - 3, count: 7, min: -5, max: 1 << 61, seen: true},
+	{sum: math.MinInt64, count: 1, min: math.MinInt64, max: math.MinInt64, seen: true},
+	{sum: math.MinInt64 + 2, count: 3, min: math.MinInt64 + 2, max: 0, seen: true},
+	{sum: 12, count: math.MaxInt64 - 2, min: 3, max: 4, seen: true},
+	{sum: -1, count: 2, min: -1, max: 0, seen: true, overflow: true},
+}
+
+// TestScanFoldParity: the one pass must leave the scanner and the partial
+// as Next + foldRange does, at every packing width 0..64, from start rows
+// on and off the 64-field grid, in chunks on both sides of a group and of
+// pruneChunk, under ranges that end at the int64 edges and straddle the
+// page, and from running sums that make the page's bound fail per chunk.
+func TestScanFoldParity(t *testing.T) {
+	r := rand.New(rand.NewSource(30))
+	for width := uint(0); width <= 64; width++ {
+		for iter := 0; iter < 6; iter++ {
+			n := 1 + r.Intn(3000)
+			first := []int64{0, -1, 1 << 40, math.MaxInt64, math.MinInt64, r.Int63() - r.Int63()}[r.Intn(6)]
+			vals := walkPage(n, first, width, r.Uint64())
+			from := min(n, []int{0, 1, 2, 63, 64, 65, r.Intn(n + 1)}[r.Intn(7)])
+			chunk := []int{1, 63, 64, 65, 1000, pruneChunk, 1500}[r.Intn(7)]
+			pick := func() int64 {
+				if r.Intn(3) == 0 {
+					return []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}[r.Intn(7)]
+				}
+				return vals[r.Intn(n)]
+			}
+			c1, c2 := pick(), pick()
+			if c1 > c2 {
+				c1, c2 = c2, c1
+			}
+			if iter == 0 {
+				c1, c2 = math.MinInt64, math.MaxInt64
+			}
+			checkScanFold(t, vals, from, chunk, c1, c2, foldStarts[r.Intn(len(foldStarts))])
+		}
+	}
+}
+
+// FuzzScanFold is TestScanFoldParity over fuzz-chosen pages. Input: a
+// 10-byte header — first-value selector, width, little-endian uint16
+// start row and chunk size, a range selector whose low two bits pick
+// page rows or int64 edges for c1 and c2 by the next two bytes, and a
+// start-partial index — then 3-byte groups, each adding up to 256 rows
+// (1<<13 at most) and seeding the deltas.
+func FuzzScanFold(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 12, 0, 0, 0xFF, 3, 0, 9, 40, 1, 7, 7, 255, 9, 9, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var hdr [10]byte
+		copy(hdr[:], data)
+		data = data[min(len(data), len(hdr)):]
+		width := uint(hdr[1]) % 65
+		seed := uint64(hdr[1])
+		n := 1
+		for ; len(data) >= 3 && n < 1<<13; data = data[3:] {
+			n += int(data[2]) + 1
+			seed = seed<<16 ^ uint64(data[0])<<8 ^ uint64(data[1])
+		}
+		first := [...]int64{0, math.MaxInt64, math.MinInt64, -1}[hdr[0]&3]
+		vals := walkPage(min(n, 1<<13), first, width, seed)
+		from := int(binary.LittleEndian.Uint16(hdr[2:])) % (len(vals) + 1)
+		chunk := int(binary.LittleEndian.Uint16(hdr[4:]))%1500 + 1
+		pick := func(sel, idx byte) int64 {
+			if sel&1 == 0 {
+				return vals[int(idx)%len(vals)]
+			}
+			return [...]int64{math.MinInt64, -1, 0, math.MaxInt64}[idx&3]
+		}
+		c1, c2 := pick(hdr[6], hdr[7]), pick(hdr[6]>>1, hdr[8])
+		if c1 > c2 {
+			c1, c2 = c2, c1
+		}
+		checkScanFold(t, vals, from, chunk, c1, c2, foldStarts[int(hdr[9])%len(foldStarts)])
+	})
+}
+
+// BenchmarkScanFold times one chunk-by-chunk pass over a wave-width page
+// both ways — the one pass, and Next + foldRange — at a selectivity
+// branches mispredict on (half) and one they predict.
+func BenchmarkScanFold(b *testing.B) {
+	vals := walkPage(4096, 1<<20, 12, 1)
+	blk, err := ts2diff.Encode(vals, ts2diff.Order1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bound, ok := pageBound(blk)
+	if !ok {
+		b.Fatal("no page bound")
+	}
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	buf := make([]int64, pruneChunk)
+	for _, q := range []int{2, 20} {
+		c1 := sorted[len(sorted)-len(sorted)/q]
+		p := &plan{c1: c1, c2: math.MaxInt64}
+		b.Run(fmt.Sprintf("onepass/sel=1:%d", q), func(b *testing.B) {
+			var s pipeline.RangeScanner
+			for i := 0; i < b.N; i++ {
+				var acc partialAgg
+				_ = s.Reset(blk, 0)
+				for s.Row() < blk.Count {
+					if _, err := p.scanFold(&s, min(pruneChunk, blk.Count-s.Row()), bound, &acc, buf); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.Count), "ns/value")
+		})
+		b.Run(fmt.Sprintf("next+foldRange/sel=1:%d", q), func(b *testing.B) {
+			var s pipeline.RangeScanner
+			for i := 0; i < b.N; i++ {
+				var acc partialAgg
+				_ = s.Reset(blk, 0)
+				for s.Row() < blk.Count {
+					k, err := s.Next(buf)
+					if err != nil {
+						b.Fatal(err)
+					}
+					acc.foldRange(buf[:k], c1, math.MaxInt64, false)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.Count), "ns/value")
 		})
 	}
 }

@@ -81,6 +81,7 @@ type plan struct {
 	rangeOnly bool            // vp is exactly [c1, c2] (no != predicate)
 	needFL    bool            // FIRST/LAST requested
 	needSq    bool            // VAR requested: folds must keep the sum of squares
+	sumFold   bool            // a non-empty range filter under COUNT/SUM/AVG alone: a pruned scan may fold in one pass
 
 	// The driving (first) series: time-relevant pages, the ones left
 	// after header pruning, and the pipeline jobs over those. Row shapes
@@ -145,10 +146,10 @@ func (e *Engine) newPlan(q *sqlparse.Query) (*plan, error) {
 			ser = s
 		}
 	}
-	// Open bounds: TIME (-inf, +inf), values ±2^62.
+	// Open bounds: TIME (-inf, +inf), values all of int64.
 	p.t1, p.t2 = rangeHull(q.Preds, true, math.MinInt64+1, math.MaxInt64-1)
 	p.vp = valuePreds(q.Preds)
-	p.c1, p.c2 = rangeHull(p.vp, false, -(1 << 62), 1<<62)
+	p.c1, p.c2 = rangeHull(p.vp, false, math.MinInt64, math.MaxInt64)
 	p.rangeOnly = rangeOnly(p.vp)
 	agg := p.shape == shapeAggregate
 	if agg {
@@ -208,8 +209,10 @@ func (p *plan) corr() bool {
 	return p.shape == shapeJoin && p.q.Items[0].Agg == sqlparse.AggCorr
 }
 
-// checkAggregates rejects the aggregate forms no pipeline implements.
+// checkAggregates rejects the aggregate forms no pipeline implements and
+// records what the value folds must keep.
 func (p *plan) checkAggregates() error {
+	extremes := false
 	for _, it := range p.q.Items {
 		if it.Agg == sqlparse.AggNone {
 			return fmt.Errorf("engine: non-aggregate item in aggregation query")
@@ -219,7 +222,9 @@ func (p *plan) checkAggregates() error {
 		}
 		p.needSq = p.needSq || it.Agg == sqlparse.AggVar
 		p.needFL = p.needFL || it.Agg == sqlparse.AggFirst || it.Agg == sqlparse.AggLast
+		extremes = extremes || it.Agg == sqlparse.AggMin || it.Agg == sqlparse.AggMax
 	}
+	p.sumFold = p.rangeOnly && p.c1 <= p.c2 && !p.needSq && !extremes
 	if p.needFL && len(p.vp) > 0 {
 		return fmt.Errorf("engine: FIRST/LAST with value predicates is not supported")
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 
 	"etsqp/internal/bitio"
@@ -141,6 +142,72 @@ func (s *RangeScanner) next1(dst []int64) error {
 	s.row += len(dst)
 	s.cur = cur
 	return nil
+}
+
+// errNotOrder1 is ScanFold's answer for an order-2 block, whose rows take
+// next2's two-level recurrence.
+var errNotOrder1 = errors.New("pipeline: ScanFold takes order-1 blocks only")
+
+// ScanFold advances an order-1 scan by up to n rows without storing them.
+// It returns the count and the wrapping sum of the rows v with v-c1 <=
+// span as unsigned distances (for c1 <= c2 and span = c2-c1, exactly the
+// rows in [c1, c2]), and the value of the last row it advanced over.
+// This is next1 and the engine's branch-free range fold in one loop: each
+// group of up to 64 fields is unpacked by ReadFields into a stack array,
+// and the prefix, the range test and the accumulation run over it at
+// once. The recurrence runs on d = v-c1 rather than on v, which the range
+// test needs anyway; the selected rows' sum is then count·c1 plus theirs.
+// Groups follow the payload's 64-field grid, so every group after the
+// first starts byte-aligned and is one generated-kernel call. Like Next
+// it is all or nothing: on an error the scanner has not moved.
+//
+//etsqp:hotpath
+//etsqp:noescape
+func (s *RangeScanner) ScanFold(n int, c1 int64, span uint64) (count, sum, last int64, err error) {
+	if s.b.Order != ts2diff.Order1 {
+		return 0, 0, 0, errNotOrder1
+	}
+	end := s.row + min(n, s.b.Count-s.row)
+	row, pos := s.row, s.r.Pos()
+	d := uint64(s.cur) - uint64(c1)
+	var selected, total uint64
+	if row == 0 && row < end {
+		d = uint64(s.b.First) - uint64(c1)
+		if d <= span {
+			selected, total = 1, d
+		}
+		row = 1
+	}
+	var group [64]int64
+	minBase, width := uint64(s.b.MinBase), s.b.Width
+	for row < end {
+		// Row r consumes field r-1; the group runs to the grid line.
+		g := 64 - (row-1)&63
+		if rem := end - row; rem < g {
+			g = rem
+		}
+		fields := group[:g]
+		if err := s.r.ReadFields(fields, width); err != nil {
+			_ = s.r.Seek(pos) // where the scan stood: in the buffer
+			return 0, 0, 0, err
+		}
+		for _, f := range fields {
+			d += minBase + uint64(f)
+			keep := uint64(0)
+			if d <= span {
+				keep = ^uint64(0)
+			}
+			selected -= keep
+			total += d & keep
+		}
+		row += g
+	}
+	if obs.Enabled() {
+		obs.PipelineValuesUnpacked.Add(int64(row - s.row))
+	}
+	last = int64(d + uint64(c1))
+	s.row, s.cur = row, last
+	return int64(selected), int64(total + selected*uint64(c1)), last, nil
 }
 
 // next2 advances an order-2 scan by len(dst) rows via the two-level

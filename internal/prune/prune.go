@@ -1,17 +1,23 @@
 // Package prune implements Section V: stopping rules that terminate
 // decoding early from encoder statistics alone.
 //
-// A page header stores the packing parameters of its Delta (and Repeat)
-// streams. Those bound every future delta —
+// A page header stores the packing parameters of its Delta stream. Those
+// bound every future delta —
 //
 //	D_m >= minBase,   D_M <= minBase + 2^w - 1
 //
-// and every run length (R_M). Given the last decoded element and a range
-// filter, Propositions 4 and 5 decide whether any remaining element can
-// still satisfy the filter; if not, the rest of the page is skipped.
+// Given the last decoded element and a range filter, Proposition 5
+// decides whether any remaining element can still satisfy the filter; if
+// not, the rest of the page is skipped. Proposition 4's time rules need
+// no bounds: timestamps are sorted, so a scan stops at the first one past
+// the range, and a constant interval maps the range to rows directly
+// (PositionsForConstantInterval).
 package prune
 
 import (
+	"math"
+	"math/bits"
+
 	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/obs"
 	"etsqp/internal/storage"
@@ -21,97 +27,62 @@ import (
 type Bounds struct {
 	Dm int64 // lower bound of every delta (minBase)
 	DM int64 // upper bound of every delta (minBase + 2^w - 1)
-	RM int64 // upper bound of run lengths (1 when no Repeat encoder)
 }
 
 // BoundsFromBlock derives delta bounds from a TS2DIFF block header.
 func BoundsFromBlock(b *ts2diff.Block) Bounds {
 	dm, dM := b.DeltaBounds()
-	return Bounds{Dm: dm, DM: dM, RM: 1}
-}
-
-// WithRunLength returns a copy with the Repeat bound set (for
-// Delta-Repeat encoded pages, R_M is estimated from the run-length
-// packing width: R_M <= 2^w_RLE - 1 + minBase_RLE).
-func (b Bounds) WithRunLength(rm int64) Bounds {
-	if rm < 1 {
-		rm = 1
-	}
-	b.RM = rm
-	return b
+	return Bounds{Dm: dm, DM: dM}
 }
 
 // StopValueLow implements Proposition 5(1): with a[k] < c1 and n-k-1
 // remaining steps, the remaining values can never reach c1 when even
-// maximal deltas fall short: D_M < (c1 - a[k]) / (n-k-1).
+// maximal deltas fall short: a[k] + (n-k-1)·max(D_M, 0) < c1.
 func (b Bounds) StopValueLow(ak int64, k, n int, c1 int64) bool {
-	steps := int64(n - k - 1)
-	if steps <= 0 {
+	if n-k-1 <= 0 {
 		return true // nothing left to decode
 	}
 	if ak >= c1 {
 		return false
 	}
-	// D_M * steps < c1 - a[k]  (integer-safe form of the division test).
-	return b.DM*steps < c1-ak
+	_, hi, ok := b.reach(ak, uint64(n-k-1))
+	return ok && hi < c1
 }
 
 // StopValueHigh implements Proposition 5(2): with a[k] > c2, the lower
-// bounds a[k] + j*D_m stay above c2 for every remaining j when
-// D_m > (c2 - a[k]) / (n-k-1).
+// bounds a[k] + j·D_m stay above c2 for every remaining j when
+// a[k] + (n-k-1)·min(D_m, 0) > c2.
 func (b Bounds) StopValueHigh(ak int64, k, n int, c2 int64) bool {
-	steps := int64(n - k - 1)
-	if steps <= 0 {
+	if n-k-1 <= 0 {
 		return true
 	}
 	if ak <= c2 {
 		return false
 	}
-	return b.Dm*steps > c2-ak
+	lo, _, ok := b.reach(ak, uint64(n-k-1))
+	return ok && lo > c2
+}
+
+// reach bounds every value steps or fewer deltas after ak: each lies in
+// [ak + steps·min(D_m, 0), ak + steps·max(D_M, 0)]. Values are rebuilt
+// in wrapping arithmetic, so the interval holds only when both ends fit
+// int64 — then no prefix sum can wrap — and ok is false otherwise: a
+// wrapping walk can land anywhere, so no stop rule may fire.
+func (b Bounds) reach(ak int64, steps uint64) (lo, hi int64, ok bool) {
+	upHi, up := bits.Mul64(uint64(max(b.DM, 0)), steps)
+	downHi, down := bits.Mul64(-uint64(min(b.Dm, 0)), steps)
+	// Room above and below ak, as exact unsigned distances.
+	roomUp, roomDown := uint64(math.MaxInt64)-uint64(ak), uint64(ak)+1<<63
+	if upHi != 0 || downHi != 0 || up > roomUp || down > roomDown {
+		return 0, 0, false
+	}
+	return int64(uint64(ak) - down), int64(uint64(ak) + up), true
 }
 
 // StopValue combines both directions for a range filter c1 < A < c2.
 func (b Bounds) StopValue(ak int64, k, n int, c1, c2 int64) bool {
 	if b.StopValueLow(ak, k, n, c1) || b.StopValueHigh(ak, k, n, c2) {
 		obs.PruneStopsValue.Inc()
-		return true
-	}
-	return false
-}
-
-// StopTimeLow implements Proposition 4(1) for a time filter T > t1: with
-// Repeat encoding each of the n-k-1 remaining D-R tuples advances time by
-// at most R_M * D_M, so decoding stops when t[k] < t1 and
-// D_M < (t1 - t[k]) / (R_M (n-k-1)).
-func (b Bounds) StopTimeLow(tk int64, k, n int, t1 int64) bool {
-	steps := int64(n - k - 1)
-	if steps <= 0 {
-		return true
-	}
-	if tk >= t1 {
-		return false
-	}
-	return b.DM*b.RM*steps < t1-tk
-}
-
-// StopTimeHigh implements Proposition 4(2) for T < t2. Timestamps are
-// non-decreasing, so once t[k] > t2 no later tuple can satisfy the filter
-// whenever the minimal advance keeps time above t2.
-func (b Bounds) StopTimeHigh(tk int64, k, n int, t2 int64) bool {
-	steps := int64(n - k - 1)
-	if steps <= 0 {
-		return true
-	}
-	if tk <= t2 {
-		return false
-	}
-	return b.Dm*b.RM*steps > t2-tk
-}
-
-// StopTime combines both directions for t1 < T < t2.
-func (b Bounds) StopTime(tk int64, k, n int, t1, t2 int64) bool {
-	if b.StopTimeLow(tk, k, n, t1) || b.StopTimeHigh(tk, k, n, t2) {
-		obs.PruneStopsTime.Inc()
 		return true
 	}
 	return false

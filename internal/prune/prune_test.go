@@ -1,6 +1,7 @@
 package prune
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -15,15 +16,8 @@ func TestBoundsFromBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	bd := BoundsFromBlock(b)
-	if bd.Dm != 4 || bd.DM != 7 || bd.RM != 1 {
+	if bd.Dm != 4 || bd.DM != 7 {
 		t.Fatalf("bounds = %+v", bd)
-	}
-	bd2 := bd.WithRunLength(16)
-	if bd2.RM != 16 || bd.RM != 1 {
-		t.Fatal("WithRunLength must copy")
-	}
-	if bd.WithRunLength(0).RM != 1 {
-		t.Fatal("RM floor is 1")
 	}
 }
 
@@ -63,7 +57,7 @@ func TestStopValueSoundness(t *testing.T) {
 func TestStopValueFires(t *testing.T) {
 	// Monotone slow growth: once far below c1 with bounded deltas, the
 	// rule must fire.
-	bd := Bounds{Dm: 0, DM: 3, RM: 1}
+	bd := Bounds{Dm: 0, DM: 3}
 	// 10 steps of at most +3 cannot reach c1 = 1000 from a[k] = 0.
 	if !bd.StopValueLow(0, 0, 11, 1000) {
 		t.Fatal("StopValueLow must fire")
@@ -73,12 +67,12 @@ func TestStopValueFires(t *testing.T) {
 		t.Fatal("StopValueLow must not fire when reachable")
 	}
 	// High side with positive Dm: values only grow.
-	bd = Bounds{Dm: 1, DM: 5, RM: 1}
+	bd = Bounds{Dm: 1, DM: 5}
 	if !bd.StopValueHigh(100, 0, 11, 50) {
 		t.Fatal("StopValueHigh must fire when values can only grow")
 	}
 	// High side with negative Dm: values may come back down.
-	bd = Bounds{Dm: -10, DM: 5, RM: 1}
+	bd = Bounds{Dm: -10, DM: 5}
 	if bd.StopValueHigh(100, 0, 11, 50) {
 		t.Fatal("StopValueHigh must not fire when deltas can be negative")
 	}
@@ -86,61 +80,21 @@ func TestStopValueFires(t *testing.T) {
 	if !bd.StopValue(0, 10, 11, 0, 100) {
 		t.Fatal("no remaining steps must prune")
 	}
-}
-
-func TestStopTimeSoundnessWithRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 100; trial++ {
-		// D-R tuples: each advances time by delta for run steps.
-		nTuples := rng.Intn(30) + 2
-		type tuple struct{ delta, run int64 }
-		tuples := make([]tuple, nTuples)
-		var rm, dm, dM int64 = 1, 1 << 62, -(1 << 62)
-		for i := range tuples {
-			tuples[i] = tuple{delta: rng.Int63n(10) + 1, run: rng.Int63n(5) + 1}
-			if tuples[i].run > rm {
-				rm = tuples[i].run
-			}
-			if tuples[i].delta < dm {
-				dm = tuples[i].delta
-			}
-			if tuples[i].delta > dM {
-				dM = tuples[i].delta
-			}
-		}
-		bd := Bounds{Dm: dm, DM: dM, RM: rm}
-		// Tuple start times.
-		starts := make([]int64, nTuples)
-		cur := int64(0)
-		for i, tp := range tuples {
-			starts[i] = cur
-			cur += tp.delta * tp.run
-		}
-		end := cur
-		t1 := rng.Int63n(end + 10)
-		for k := 0; k < nTuples-1; k++ {
-			// starts[k] is observed before consuming tuple k, so nTuples-k
-			// tuples remain: pass n = nTuples+1 to make steps = nTuples-k.
-			if bd.StopTimeLow(starts[k], k, nTuples+1, t1) {
-				// No later time may reach t1.
-				if end >= t1 {
-					t.Fatalf("trial %d: pruned at tuple %d but end %d >= t1 %d",
-						trial, k, end, t1)
-				}
-				break
-			}
-		}
+	// Walks whose reach leaves int64 wrap and can land anywhere: neither
+	// rule may fire, however the wrapped products compare. 3072 steps of
+	// up to 3·2^61 past 0 (a page alternating 2^61 and 0), and deltas of
+	// -2 from MinInt64+1, which wrap to MaxInt64.
+	bd = Bounds{Dm: -1 << 61, DM: 3<<61 - 1}
+	if bd.StopValueLow(0, 1023, 4096, 2) || bd.StopValueHigh(1<<61, 1023, 4096, 1) {
+		t.Fatal("a stop rule fired on a walk that wraps")
 	}
-}
-
-func TestStopTimeHighMonotone(t *testing.T) {
-	// Timestamps are non-decreasing (Dm >= 0): once past t2, prune.
-	bd := Bounds{Dm: 1, DM: 100, RM: 8}
-	if !bd.StopTimeHigh(500, 3, 100, 400) {
-		t.Fatal("must prune after passing t2")
+	bd = Bounds{Dm: -2, DM: 0}
+	if bd.StopValueLow(math.MinInt64+1, 0, 3, 0) {
+		t.Fatal("StopValueLow fired below a walk that wraps to MaxInt64")
 	}
-	if bd.StopTimeHigh(300, 3, 100, 400) {
-		t.Fatal("must not prune before t2")
+	bd = Bounds{Dm: 0, DM: 2}
+	if bd.StopValueHigh(math.MaxInt64-1, 0, 3, 0) {
+		t.Fatal("StopValueHigh fired above a walk that wraps to MinInt64")
 	}
 }
 

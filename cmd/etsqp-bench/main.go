@@ -40,9 +40,6 @@ func main() {
 		window  = flag.Bool("window", false, "run the window-overlap shared-segment figure")
 		csvOut  = flag.Bool("csv", false, "emit measurements as CSV instead of tables")
 		obsDump = flag.Bool("obs", false, "enable global metrics and dump them on exit")
-		jsonOut = flag.String("jsonout", "", "write every measurement of the run to this BENCH_*.json file")
-		check   = flag.String("check", "", "compare the run against this baseline BENCH_*.json; exit 1 on >tolerance regression")
-		tol     = flag.Float64("tolerance", 0.20, "fractional throughput drop treated as a regression by -check")
 	)
 	flag.Parse()
 	csvMode = *csvOut
@@ -59,112 +56,52 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	runAll := func() {
-		if *all || *table == 1 {
-			printTable1(cfg)
-		}
-		if *all || *table == 2 {
-			printTable2(cfg)
-		}
-		if *all || *table == 3 {
-			printTable3(cfg)
-		}
-		if *all || *fig == 10 {
-			section("Figure 10: throughput of SIMD approaches over IoT queries (Mtuples/s)")
-			printMeasurements(must(bench.Fig10(cfg)))
-		}
-		if *all || *fig == 11 {
-			section("Figure 11: query performance over varied threads (Mtuples/s)")
-			printMeasurements(must(bench.Fig11(cfg, nil)))
-		}
-		if *all || *fig == 12 {
-			section("Figure 12(a,b): Delta-only encoding vs threads")
-			printMeasurements(must(bench.Fig12DeltaThreads(cfg, nil)))
-			section("Figure 12(c,d): Delta-Repeat vs run length")
-			printMeasurements(must(bench.Fig12RunLength(cfg, nil)))
-			section("Figure 12(e,f): Delta-Repeat-Packing vs packing width")
-			printMeasurements(must(bench.Fig12PackWidth(cfg, nil)))
-		}
-		if *all || *fig == 13 {
-			section("Figure 13: deployment comparison (time & value range queries)")
-			printMeasurements(must(bench.Fig13(cfg)))
-		}
-		if *all || *conc {
-			section("Concurrent clients: shared pool vs pool+cache, skewed page widths (aggregate Mtuples/s)")
-			printMeasurements(must(bench.FigConcurrent(cfg, nil)))
-		}
-		if *all || *window {
-			section("Window overlap: shared segments, fused vs serial decode (Mtuples/s)")
-			printMeasurements(must(bench.FigWindow(cfg, nil)))
-		}
-		if *all || *fig == 14 {
-			section("Figure 14(a): decoder fusion ablation")
-			printMeasurements(must(bench.Fig14Fusion(cfg)))
-			section("Figure 14(b): stage time breakdown (ms)")
-			printStages(must(bench.Fig14Stages(cfg)))
-			section("Figure 14(c,d): page-slice ablation")
-			printSlices(must(bench.Fig14Slices(cfg, nil)))
-		}
+	if *all || *table == 1 {
+		printTable1(cfg)
 	}
-	runAll()
-	failed := false
-	if *check != "" {
-		f, err := os.Open(*check)
-		if err != nil {
-			log.Fatal(err)
-		}
-		base, err := bench.ReadReport(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if base.Rows != cfg.Rows || base.Workers != cfg.Workers || base.Seed != cfg.Seed {
-			log.Fatalf("baseline %s was measured at rows=%d workers=%d seed=%d; this run uses rows=%d workers=%d seed=%d",
-				*check, base.Rows, base.Workers, base.Seed, cfg.Rows, cfg.Workers, cfg.Seed)
-		}
-		regs := bench.Compare(bench.NewReport(cfg, collected), base, *tol)
-		// A regression must survive a fresh measurement before it fails
-		// the gate: re-run the suite and keep each record's best pass, so
-		// a transient scheduler stall in one pass cannot flag a record.
-		for confirm := 0; len(regs) > 0 && confirm < 2; confirm++ {
-			fmt.Printf("\n%d possible regression(s); re-measuring to confirm (pass %d)\n", len(regs), confirm+2)
-			prev := collected
-			collected = nil
-			runAll()
-			collected = bench.MergeBest(prev, collected)
-			regs = bench.Compare(bench.NewReport(cfg, collected), base, *tol)
-		}
-		if len(regs) > 0 {
-			fmt.Printf("\n%d regression(s) vs %s (tolerance %.0f%%):\n", len(regs), *check, *tol*100)
-			for _, g := range regs {
-				fmt.Printf("  %s\n", g)
-			}
-			failed = true
-		} else {
-			fmt.Printf("\nno regressions vs %s (tolerance %.0f%%)\n", *check, *tol*100)
-		}
+	if *all || *table == 2 {
+		printTable2(cfg)
 	}
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := bench.NewReport(cfg, collected).WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nwrote %d measurements to %s\n", len(collected), *jsonOut)
+	if *all || *table == 3 {
+		printTable3(cfg)
 	}
-	if failed {
-		os.Exit(1)
+	if *all || *fig == 10 {
+		section("Figure 10: throughput of SIMD approaches over IoT queries (Mtuples/s)")
+		printMeasurements(must(bench.Fig10(cfg)))
+	}
+	if *all || *fig == 11 {
+		section("Figure 11: query performance over varied threads (Mtuples/s)")
+		printMeasurements(must(bench.Fig11(cfg, nil)))
+	}
+	if *all || *fig == 12 {
+		section("Figure 12(a,b): Delta-only encoding vs threads")
+		printMeasurements(must(bench.Fig12DeltaThreads(cfg, nil)))
+		section("Figure 12(c,d): Delta-Repeat vs run length")
+		printMeasurements(must(bench.Fig12RunLength(cfg, nil)))
+		section("Figure 12(e,f): Delta-Repeat-Packing vs packing width")
+		printMeasurements(must(bench.Fig12PackWidth(cfg, nil)))
+	}
+	if *all || *fig == 13 {
+		section("Figure 13: deployment comparison (time & value range queries)")
+		printMeasurements(must(bench.Fig13(cfg)))
+	}
+	if *all || *conc {
+		section("Concurrent clients: shared pool vs pool+cache, skewed page widths (aggregate Mtuples/s)")
+		printMeasurements(must(bench.FigConcurrent(cfg, nil)))
+	}
+	if *all || *window {
+		section("Window overlap: shared segments, fused vs serial decode (Mtuples/s)")
+		printMeasurements(must(bench.FigWindow(cfg, nil)))
+	}
+	if *all || *fig == 14 {
+		section("Figure 14(a): decoder fusion ablation")
+		printMeasurements(must(bench.Fig14Fusion(cfg)))
+		section("Figure 14(b): stage time breakdown (ms)")
+		printStages(must(bench.Fig14Stages(cfg)))
+		section("Figure 14(c,d): page-slice ablation")
+		printSlices(must(bench.Fig14Slices(cfg, nil)))
 	}
 }
-
-// collected accumulates every measurement the run produced, for the
-// -jsonout / -check perf-trajectory surface.
-var collected []bench.Measurement
 
 // csvMode switches the measurement printers to CSV output.
 var csvMode bool
@@ -187,7 +124,6 @@ func must(ms []bench.Measurement, err error) []bench.Measurement {
 	if err != nil {
 		log.Fatal(err)
 	}
-	collected = append(collected, ms...)
 	return ms
 }
 

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"etsqp/internal/dataset"
-	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/engine"
 	"etsqp/internal/storage"
 
@@ -103,32 +101,6 @@ func TestEndToEndLifecycle(t *testing.T) {
 	}
 	if info.Shape != "aggregate" || !info.Fused || info.Pages < 5 {
 		t.Fatalf("plan: %+v", info)
-	}
-}
-
-// TestStreamingEqualsBatchEncoding confirms that the incremental encoder
-// and one-shot encoding produce byte-identical blocks for full windows.
-func TestStreamingEqualsBatchEncoding(t *testing.T) {
-	d, _ := dataset.Generate("Atm", 8192, 5)
-	se, err := ts2diff.NewStreamEncoder(ts2diff.Order1, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range d.Attrs[0] {
-		if err := se.Write(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := se.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	blocks := se.Blocks()
-	if len(blocks) != 2 {
-		t.Fatalf("blocks = %d", len(blocks))
-	}
-	batch1, _ := ts2diff.Encode(d.Attrs[0][:4096], ts2diff.Order1)
-	if !reflect.DeepEqual(blocks[0].Marshal(), batch1.Marshal()) {
-		t.Fatal("streaming block differs from batch encoding")
 	}
 }
 

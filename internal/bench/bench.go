@@ -1,6 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (Section VII) as data series. The cmd/etsqp-bench binary
-// prints them; bench_test.go wraps them as testing.B benchmarks.
+// prints them (etsqp-bench -fig N, -table N); the Test*Shape tests check
+// each figure's shape at a small size. The repository's perf record is
+// the benchmark/ harness, not these series.
 package bench
 
 import (
@@ -158,7 +160,7 @@ func (w *workload) queryFor(qid string) (string, error) {
 }
 
 // run measures the SQL best-of-Config.Reps. Raising -reps suppresses
-// scheduler noise when the run feeds a regression check.
+// scheduler noise.
 func run(cfg Config, e *engine.Engine, sql string) (Measurement, error) {
 	return runReps(e, sql, cfg.Reps)
 }

@@ -6,8 +6,8 @@ import (
 	"etsqp/internal/engine"
 )
 
-// small keeps the in-package tests quick; the root bench_test.go runs the
-// full-size sweeps.
+// small keeps the in-package tests quick; etsqp-bench runs the full-size
+// sweeps.
 var small = Config{Rows: 8000, Seed: 7, Workers: 2, PageSize: 1024}
 
 func TestFig10Shape(t *testing.T) {
@@ -152,7 +152,8 @@ func TestFig14Slices(t *testing.T) {
 	if ms[0].Extra["prefix_rows"] != 0 {
 		t.Fatal("one slice has no prefix work")
 	}
-	if ms[1].Extra["prefix_rows"] != float64(PrefixWork(small.Rows, 4)) {
+	// Four slices over r rows re-scan r*(4-1)/2 prefix rows (Figure 8).
+	if ms[1].Extra["prefix_rows"] != float64(small.Rows)*3/2 {
 		t.Fatalf("prefix work = %f", ms[1].Extra["prefix_rows"])
 	}
 }

@@ -645,13 +645,3 @@ func Table3(cfg Config) (map[string]string, error) {
 	}
 	return out, nil
 }
-
-// PrefixWork reports the analytic slice prefix cost of Figure 14(d):
-// with s slices over r rows, the Figure 8 dependency re-scans
-// r*(s-1)/2 rows in total.
-func PrefixWork(rows, slices int) int64 {
-	if slices <= 1 {
-		return 0
-	}
-	return int64(rows) * int64(slices-1) / 2
-}

@@ -72,18 +72,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteBytes appends whole bytes. It is only valid when the writer is
-// byte-aligned; use Align first if necessary. Misuse is a programmer
-// error on the encode path, hence the panic guard.
-//
-//etsqp:trusted
-func (w *Writer) WriteBytes(p []byte) {
-	if w.nCur != 0 {
-		panic("bitio: WriteBytes on unaligned writer")
-	}
-	w.buf = append(w.buf, p...)
-}
-
 // Align pads the current byte with zero bits so the writer is byte-aligned.
 func (w *Writer) Align() {
 	if w.nCur != 0 {
@@ -254,15 +242,4 @@ func (r *Reader) Seek(bitPos int) error {
 	}
 	r.pos = bitPos
 	return nil
-}
-
-// Remaining reports the number of unread bits.
-func (r *Reader) Remaining() int { return len(r.buf)*8 - r.pos }
-
-// PeekBits reads n bits without consuming them.
-func (r *Reader) PeekBits(n uint) (uint64, error) {
-	save := r.pos
-	v, err := r.ReadBits(n)
-	r.pos = save
-	return v, err
 }

@@ -119,23 +119,18 @@ func readBitsByBit(r *Reader, n uint) (uint64, error) {
 	return v, nil
 }
 
-// checkReadBits reads n bits from r with PeekBits and ReadBits and from
-// ref (at the same position) bit by bit; values, errors and positions
-// must agree.
+// checkReadBits reads n bits from r with ReadBits and from ref (at the
+// same position) bit by bit; values, errors and positions must agree.
 func checkReadBits(t *testing.T, r, ref *Reader, n uint) {
 	t.Helper()
 	pos := r.Pos()
 	want, wantErr := readBitsByBit(ref, n)
-	peek, peekErr := r.PeekBits(n)
-	if r.Pos() != pos {
-		t.Fatalf("PeekBits(%d) at bit %d moved to %d", n, pos, r.Pos())
-	}
 	got, err := r.ReadBits(n)
-	if err != wantErr || peekErr != wantErr {
-		t.Fatalf("%d bits at bit %d of %d bytes: ReadBits err %v, PeekBits err %v, ReadBit err %v", n, pos, len(r.buf), err, peekErr, wantErr)
+	if err != wantErr {
+		t.Fatalf("%d bits at bit %d of %d bytes: ReadBits err %v, ReadBit err %v", n, pos, len(r.buf), err, wantErr)
 	}
-	if got != want || peek != want {
-		t.Fatalf("%d bits at bit %d of %d bytes: ReadBits %#x, PeekBits %#x, ReadBit %#x", n, pos, len(r.buf), got, peek, want)
+	if got != want {
+		t.Fatalf("%d bits at bit %d of %d bytes: ReadBits %#x, ReadBit %#x", n, pos, len(r.buf), got, want)
 	}
 	if r.Pos() != ref.Pos() {
 		t.Fatalf("%d bits at bit %d: ReadBits left pos %d, ReadBit %d", n, pos, r.Pos(), ref.Pos())
@@ -165,7 +160,7 @@ func TestReadBitsMatchesReadBit(t *testing.T) {
 					if err := r.Seek(start); err != nil {
 						t.Fatal(err)
 					}
-					if over := uint(r.Remaining()) + 1; over <= 64 {
+					if over := uint(len(buf)*8-r.Pos()) + 1; over <= 64 {
 						if _, err := r.ReadBits(over); err != ErrShortBuffer || r.Pos() != start {
 							t.Fatalf("%d bits with %d left: err %v, pos %d -> %d", over, over-1, err, start, r.Pos())
 						}
@@ -198,7 +193,7 @@ func TestAlignWriter(t *testing.T) {
 	w := NewWriter(4)
 	w.WriteBits(0b101, 3)
 	w.Align()
-	w.WriteBytes([]byte{0xAB})
+	w.WriteBits(0xAB, 8)
 	got := w.Bytes()
 	want := []byte{0b10100000, 0xAB}
 	if !bytes.Equal(got, want) {
@@ -222,12 +217,6 @@ func TestSeekPeekSkip(t *testing.T) {
 	w := NewWriter(4)
 	w.WriteBits(0xDEAD, 16)
 	r := NewReader(w.Bytes())
-	if v, _ := r.PeekBits(8); v != 0xDE {
-		t.Fatalf("peek got %#x", v)
-	}
-	if r.Pos() != 0 {
-		t.Fatalf("peek moved pos to %d", r.Pos())
-	}
 	if err := r.Skip(8); err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +229,8 @@ func TestSeekPeekSkip(t *testing.T) {
 	if v, _ := r.ReadBits(8); v != 0xEA {
 		t.Fatalf("got %#x want 0xea", v)
 	}
-	if got := r.Remaining(); got != 4 {
-		t.Fatalf("remaining got %d want 4", got)
+	if got := r.Pos(); got != 12 {
+		t.Fatalf("pos got %d want 12", got)
 	}
 }
 
@@ -293,7 +282,7 @@ func BenchmarkReadBits10(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r.Remaining() < 10 {
+		if len(buf)*8-r.Pos() < 10 {
 			r.Seek(0)
 		}
 		if _, err := r.ReadBits(10); err != nil {

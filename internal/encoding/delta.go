@@ -48,27 +48,3 @@ func Delta2Decode(first, firstDelta int64, dd []int64) []int64 {
 	deltas := DeltaDecode(firstDelta, dd)
 	return DeltaDecode(first, deltas)
 }
-
-// XORDeltaEncode computes the XOR-with-previous transform over raw 64-bit
-// words (float bit patterns for Gorilla/Chimp/Elf). The first word passes
-// through unchanged.
-func XORDeltaEncode(words []uint64) []uint64 {
-	out := make([]uint64, len(words))
-	var prev uint64
-	for i, w := range words {
-		out[i] = w ^ prev
-		prev = w
-	}
-	return out
-}
-
-// XORDeltaDecode inverts XORDeltaEncode.
-func XORDeltaDecode(xs []uint64) []uint64 {
-	out := make([]uint64, len(xs))
-	var prev uint64
-	for i, x := range xs {
-		out[i] = x ^ prev
-		prev = out[i]
-	}
-	return out
-}

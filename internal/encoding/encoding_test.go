@@ -163,27 +163,6 @@ func TestDelta2Known(t *testing.T) {
 	}
 }
 
-func TestXORDeltaRoundTrip(t *testing.T) {
-	f := func(words []uint64) bool {
-		return reflect.DeepEqual(XORDeltaDecode(XORDeltaEncode(words)), words)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestXORDeltaCloseValues(t *testing.T) {
-	a := math.Float64bits(21.7)
-	b := math.Float64bits(21.8)
-	enc := XORDeltaEncode([]uint64{a, b})
-	if enc[0] != a {
-		t.Fatalf("first word must pass through")
-	}
-	if enc[1] != a^b {
-		t.Fatalf("second word must be XOR of neighbours")
-	}
-}
-
 func TestRLERoundTrip(t *testing.T) {
 	vals := []int64{5, 5, 5, 2, 2, 9, 5, 5}
 	runs := RLEEncode(vals)
@@ -262,6 +241,9 @@ func TestFibonacciKnownCodes(t *testing.T) {
 		if err := FibonacciEncode(w, c.v); err != nil {
 			t.Fatal(err)
 		}
+		if got := w.BitLen(); got != len(c.bits) {
+			t.Fatalf("v=%d: codeword of %d bits, want %d", c.v, got, len(c.bits))
+		}
 		r := bitio.NewReader(w.Bytes())
 		for i, want := range c.bits {
 			got, err := r.ReadBit()
@@ -271,9 +253,6 @@ func TestFibonacciKnownCodes(t *testing.T) {
 			if got != want {
 				t.Fatalf("v=%d bit %d: got %d want %d", c.v, i, got, want)
 			}
-		}
-		if got := FibonacciCodeLen(c.v); got != len(c.bits) {
-			t.Fatalf("FibonacciCodeLen(%d) = %d, want %d", c.v, got, len(c.bits))
 		}
 	}
 }

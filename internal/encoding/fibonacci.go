@@ -106,12 +106,3 @@ func FibonacciDecodeAll(buf []byte, n int) ([]uint64, error) {
 	}
 	return out, nil
 }
-
-// FibonacciCodeLen returns the codeword length in bits for v >= 1.
-func FibonacciCodeLen(v uint64) int {
-	hi := 0
-	for hi+1 < len(fibTable) && fibTable[hi+1] <= v {
-		hi++
-	}
-	return hi + 2 // digits F(2)..F(hi+2) plus terminator
-}

@@ -291,72 +291,3 @@ func BenchmarkDecodeScalar(b *testing.B) {
 		}
 	}
 }
-
-func TestStreamEncoderMatchesBatch(t *testing.T) {
-	vals := make([]int64, 10_500)
-	for i := range vals {
-		vals[i] = int64(i)*13 + int64(i%31)
-	}
-	s, err := NewStreamEncoder(Order1, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range vals {
-		if err := s.Write(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	blocks := s.Blocks()
-	if len(blocks) != 3 { // 4096 + 4096 + 2308
-		t.Fatalf("blocks = %d", len(blocks))
-	}
-	got, err := DecodeAll(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, vals) {
-		t.Fatal("streaming round trip mismatch")
-	}
-	if s.Buffered() != 0 {
-		t.Fatalf("buffered = %d after flush", s.Buffered())
-	}
-}
-
-func TestStreamEncoderShortSeries(t *testing.T) {
-	// Flexibility: a short series (buffer never fills) still flushes.
-	s, _ := NewStreamEncoder(Order2, 1024)
-	for i := int64(0); i < 10; i++ {
-		if err := s.Write(i * 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Buffered() != 10 {
-		t.Fatalf("buffered = %d", s.Buffered())
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeAll(s.Blocks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 || got[9] != 900 {
-		t.Fatalf("got %v", got)
-	}
-	// Double flush is a no-op.
-	if err := s.Flush(); err != nil || len(s.Blocks()) != 1 {
-		t.Fatal("empty flush must not add blocks")
-	}
-}
-
-func TestStreamEncoderValidation(t *testing.T) {
-	if _, err := NewStreamEncoder(Order(9), 100); err == nil {
-		t.Fatal("bad order must fail")
-	}
-	if _, err := NewStreamEncoder(Order1, 1); err == nil {
-		t.Fatal("tiny block size must fail")
-	}
-}

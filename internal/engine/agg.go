@@ -464,15 +464,13 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 	col.tuplesLoaded.Add(int64(sl.Rows()))
 	obs.EngineHistSliceRows.Observe(int64(sl.Rows()))
 
-	// Per-slice trace event: row window, fusion decision, and the
-	// Proposition 1 n_v the decode plan picks for this page's packing
-	// width. Tracing off is a single nil check.
+	// Per-slice trace event: row window, fusion decision and the page's
+	// packing width. Tracing off is a single nil check.
 	if col.trace != nil {
 		ev := SliceEvent{StartRow: sl.StartRow, EndRow: sl.EndRow, Rows: sl.Rows(), Fused: out >= outFused}
 		var blk ts2diff.Block
 		if ok, _ := pageBlockData(&blk, sl.Pair.Value, sl.Pair.Value.Data); ok {
-			ev.Width = blk.Width
-			ev.Nv = pipeline.ChooseNv(blk.Width, 32)
+			ev.Width, ev.packed = blk.Width, true
 		}
 		sliceStart := time.Now()
 		defer func() {
@@ -492,12 +490,12 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 
 	// Resolve the time-valid row range [lo, hi) within the slice.
 	lo, hi := sl.StartRow, sl.EndRow
-	var ts []int64 // decoded timestamps, when needed
-	if interval, ok := p.constantIntervalOf(sl.Pair.Time); ok {
+	interval, constant := p.constantIntervalOf(sl.Pair.Time)
+	clock := rowClock{start: sl.StartRow, first: sl.Pair.Time.Header.StartTime, interval: interval}
+	if constant {
 		// Proposition 4 constant-interval special case: positions come
 		// from arithmetic, no timestamp decoding at all.
-		first := sl.Pair.Time.Header.StartTime
-		plo, phi := prune.PositionsForConstantInterval(first, interval, sl.Pair.Count(), p.t1, p.t2)
+		plo, phi := prune.PositionsForConstantInterval(clock.first, clock.interval, sl.Pair.Count(), p.t1, p.t2)
 		lo, hi = max(lo, plo), min(hi, phi)
 	} else if rlo, rhi, ok, err := e.timeBoundsPruned(p, sl, col, arena); ok || err != nil {
 		// Proposition 4: the time column scan stopped as soon as the
@@ -507,11 +505,11 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 		}
 		lo, hi = rlo, rhi
 	} else {
-		var err error
-		ts, err = e.decodeColumnRange(p.series[0], sl.Pair.Time, sl.StartRow, sl.EndRow, col)
+		ts, err := e.decodeColumnRange(p.series[0], sl.Pair.Time, sl.StartRow, sl.EndRow, col)
 		if err != nil {
 			return err
 		}
+		clock.ts = ts
 		rlo, rhi := expr.TimeRangeBounds(ts, p.t1, p.t2)
 		lo, hi = sl.StartRow+rlo, sl.StartRow+rhi
 	}
@@ -524,7 +522,6 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 	one := [4]int{lo, hi, lo, hi}
 	winLo, winHi, cuts := one[0:1], one[1:2], one[2:4]
 	if len(p.windows) > 0 || p.needFL {
-		clock := p.rowClock(sl, ts)
 		if len(p.windows) > 0 {
 			var first int
 			first, winLo, winHi, cuts = p.windowCuts(clock, lo, hi, scratch)
@@ -886,14 +883,6 @@ type rowClock struct {
 	ts              []int64 // timestamps of rows start, start+1, ...
 	start           int
 	first, interval int64
-}
-
-func (p *plan) rowClock(sl pipeline.Slice, ts []int64) rowClock {
-	if ts != nil {
-		return rowClock{ts: ts, start: sl.StartRow}
-	}
-	interval, _ := p.constantIntervalOf(sl.Pair.Time)
-	return rowClock{first: sl.Pair.Time.Header.StartTime, interval: interval}
 }
 
 func (c rowClock) at(i int) int64 {

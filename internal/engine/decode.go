@@ -154,6 +154,9 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *s
 // constantIntervalOf reports the page's constant time interval, when its
 // time column is a width-0 order-2 TS2DIFF block and the strategy
 // exploits it (the Serial and SBoost baselines decode every timestamp).
+// A job that takes the interval never reads the time page again, so the
+// checksum is verified here: a corrupt page reports not-ok, and the
+// timestamp decode the caller falls back to returns storage.ErrCorrupt.
 func (p *plan) constantIntervalOf(page *storage.Page) (int64, bool) {
 	if !p.strat.constInterval {
 		return 0, false
@@ -162,7 +165,8 @@ func (p *plan) constantIntervalOf(page *storage.Page) (int64, bool) {
 	if ok, _ := pageBlockData(&blk, page, page.Data); !ok {
 		return 0, false
 	}
-	return pipeline.ConstantInterval(&blk)
+	interval, ok := pipeline.ConstantInterval(&blk)
+	return interval, ok && page.VerifyChecksum() == nil
 }
 
 // deltaRunsOfData extracts Delta-Repeat pairs when the page uses the

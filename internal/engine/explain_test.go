@@ -297,9 +297,9 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		"      merge <t>\n" +
 		"      other <t>\n" +
 		"    slices: 3 run, 3 recorded\n" +
-		"      slice [0, 1024) rows=1024 fused=true width=0 nv=1 dur=<t>\n" +
-		"      slice [0, 1024) rows=1024 fused=true width=0 nv=1 dur=<t>\n" +
-		"      slice [0, 1024) rows=1024 fused=true width=4 nv=7 dur=<t>\n"
+		"      slice [0, 1024) rows=1024 fused=true width=0 dur=<t>\n" +
+		"      slice [0, 1024) rows=1024 fused=true width=0 dur=<t>\n" +
+		"      slice [0, 1024) rows=1024 fused=true width=4 dur=<t>\n"
 	if got := normalizeAnalyze(info.String()); got != want {
 		t.Errorf("analyze mismatch\ngot:\n%s\nwant:\n%s", got, want)
 	}

@@ -90,9 +90,9 @@ func TestExplainAnalyzeWindowGolden(t *testing.T) {
 		"      merge <t>\n" +
 		"      other <t>\n" +
 		"    slices: 3 run, 3 recorded\n" +
-		"      slice [0, 1024) rows=1024 fused=true width=0 nv=1 dur=<t>\n" +
-		"      slice [0, 1024) rows=1024 fused=true width=0 nv=1 dur=<t>\n" +
-		"      slice [0, 1024) rows=1024 fused=true width=4 nv=7 dur=<t>\n"
+		"      slice [0, 1024) rows=1024 fused=true width=0 dur=<t>\n" +
+		"      slice [0, 1024) rows=1024 fused=true width=0 dur=<t>\n" +
+		"      slice [0, 1024) rows=1024 fused=true width=4 dur=<t>\n"
 	if got := normalizeAnalyze(info.String()); got != want {
 		t.Errorf("analyze mismatch\ngot:\n%s\nwant:\n%s", got, want)
 	}
@@ -216,9 +216,9 @@ func TestTraceJSONWindowJoinGolden(t *testing.T) {
 			`{"name":"agg","dur_ns":0},{"name":"window","dur_ns":0},` +
 			`{"name":"merge","dur_ns":0},{"name":"other","dur_ns":0}]},` +
 			`"slices":[` +
-			`{"start_row":0,"end_row":1024,"rows":1024,"fused":true,"nv":1,"dur_ns":0},` +
-			`{"start_row":0,"end_row":1024,"rows":1024,"fused":true,"nv":1,"dur_ns":0},` +
-			`{"start_row":0,"end_row":1024,"rows":1024,"fused":true,"width":4,"nv":7,"dur_ns":0}],` +
+			`{"start_row":0,"end_row":1024,"rows":1024,"fused":true,"dur_ns":0},` +
+			`{"start_row":0,"end_row":1024,"rows":1024,"fused":true,"dur_ns":0},` +
+			`{"start_row":0,"end_row":1024,"rows":1024,"fused":true,"width":4,"dur_ns":0}],` +
 			`"slices_total":3,"trace_id":"tid",` +
 			`"resources":{"cpu_ns":0,"morsels":3,"steals":0,"pages_read":3,` +
 			`"bytes_scanned":665,"values_decoded":0,"cache_hits":0,"cache_misses":0,` +

@@ -8,6 +8,7 @@ import (
 
 	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/rlbe"
+	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/storage"
 )
 
@@ -86,6 +87,45 @@ func TestPayloadCountMismatch(t *testing.T) {
 			for _, q := range queries {
 				if res, err := e.ExecuteSQL(q); !errors.Is(err, storage.ErrCorrupt) {
 					t.Errorf("%s, %v, %s: error %v, result %+v; want storage.ErrCorrupt", c.name, mode, q, err, res)
+				}
+			}
+		}
+	}
+}
+
+// TestConstantIntervalTimeCorrupt: a corrupt time page whose block still
+// parses as a constant interval is corrupt in every mode. The modes that
+// map a time range to rows by interval arithmetic (Proposition 4) never
+// decode the time page, so without a checksum test they answer over the
+// wrong rows: a flipped FirstDelta turns interval 100 into 101.
+func TestConstantIntervalTimeCorrupt(t *testing.T) {
+	const rows = 8192
+	ts, vals := make([]int64, rows), make([]int64, rows)
+	for i := range ts {
+		ts[i], vals[i] = 1_000_000+int64(i)*100, int64(i%50)
+	}
+	queries := []string{
+		"SELECT COUNT(A) FROM ts WHERE TIME >= 1000000 AND TIME <= 1200000",
+		"SELECT COUNT(A) FROM ts WHERE TIME >= 1000000 AND TIME <= 1200000 GROUP BY TIME(50000)",
+		"SELECT FIRST(A) FROM ts WHERE TIME >= 1100000 AND TIME <= 1200000",
+	}
+	for _, mode := range allModes {
+		st := storeFor(t, mode, ts, vals, 4096)
+		ser, _ := st.Series("ts")
+		page := ser.Pages[0].Time
+		// Byte 22 of a TS2DIFF payload is the low byte of FirstDelta.
+		page.Data[22] ^= 1
+		var blk ts2diff.Block
+		if err := blk.UnmarshalBinary(page.Data); err != nil || blk.FirstDelta != 101 {
+			t.Fatalf("%v: corrupt time page parses as %+v, %v; want FirstDelta 101", mode, blk, err)
+		}
+		for _, slices := range []int{0, 3} {
+			e := New(st, mode)
+			e.Workers, e.ForceSlices = 2, slices
+			for _, q := range queries {
+				if res, err := e.ExecuteSQL(q); !errors.Is(err, storage.ErrCorrupt) {
+					t.Errorf("%v, ForceSlices=%d, %s: error %v, result %+v; want storage.ErrCorrupt",
+						mode, slices, q, err, res)
 				}
 			}
 		}

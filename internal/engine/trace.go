@@ -29,15 +29,15 @@ type Span struct {
 
 // SliceEvent records one executed pipeline job: its row window, whether
 // it aggregated on encoded form, and — for TS2DIFF pages — the packing
-// width and the Proposition 1 vector count n_v the decode plan chose.
+// width.
 type SliceEvent struct {
 	StartRow int   `json:"start_row"`
 	EndRow   int   `json:"end_row"`
 	Rows     int   `json:"rows"`
 	Fused    bool  `json:"fused"`
 	Width    uint  `json:"width,omitempty"`
-	Nv       int   `json:"nv,omitempty"`
 	DurNs    int64 `json:"dur_ns"`
+	packed   bool  // a TS2DIFF page: Width is its packing width, 0 included
 }
 
 // Trace is the per-query span tree the engine assembles when tracing is
@@ -216,8 +216,8 @@ func (t *Trace) String() string {
 	}
 	for _, ev := range t.Slices {
 		fmt.Fprintf(&b, "      slice [%d, %d) rows=%d fused=%v", ev.StartRow, ev.EndRow, ev.Rows, ev.Fused)
-		if ev.Nv > 0 {
-			fmt.Fprintf(&b, " width=%d nv=%d", ev.Width, ev.Nv)
+		if ev.packed {
+			fmt.Fprintf(&b, " width=%d", ev.Width)
 		}
 		fmt.Fprintf(&b, " dur=%v\n", time.Duration(ev.DurNs))
 	}

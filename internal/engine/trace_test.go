@@ -73,8 +73,8 @@ func TestTraceSpanTreeShape(t *testing.T) {
 		if !ev.Fused {
 			t.Errorf("slice %+v not fused; the fused aggregate path should fuse all pages", ev)
 		}
-		if ev.Nv <= 0 {
-			t.Errorf("slice %+v missing Proposition 1 n_v", ev)
+		if !ev.packed {
+			t.Errorf("slice %+v missing the TS2DIFF packing width", ev)
 		}
 	}
 	if rows != 3072 {
@@ -97,7 +97,7 @@ func TestTraceJSONGolden(t *testing.T) {
 		PagesRead: 2, BytesScanned: 64, ValuesDecoded: 8,
 		CacheHits: 1, CacheMisses: 1, ArenaHighWater: 4096,
 	}, 400*time.Nanosecond)
-	tr.addSlice(SliceEvent{StartRow: 0, EndRow: 8, Rows: 8, Fused: true, Width: 4, Nv: 7, DurNs: 90})
+	tr.addSlice(SliceEvent{StartRow: 0, EndRow: 8, Rows: 8, Fused: true, Width: 4, DurNs: 90})
 	var b strings.Builder
 	if err := tr.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestTraceJSONGolden(t *testing.T) {
 		`{"name":"agg","dur_ns":70},{"name":"window","dur_ns":5},` +
 		`{"name":"merge","dur_ns":80},` +
 		`{"name":"other","dur_ns":65}]},` +
-		`"slices":[{"start_row":0,"end_row":8,"rows":8,"fused":true,"width":4,"nv":7,"dur_ns":90}],` +
+		`"slices":[{"start_row":0,"end_row":8,"rows":8,"fused":true,"width":4,"dur_ns":90}],` +
 		`"slices_total":1,"trace_id":"00f1e2d3c4b5a697",` +
 		`"resources":{"cpu_ns":100,"morsels":3,"steals":1,"pages_read":2,` +
 		`"bytes_scanned":64,"values_decoded":8,"cache_hits":1,"cache_misses":1,` +

@@ -18,10 +18,6 @@ type QueryStats struct {
 	arenaHigh atomic.Int64 //etsqp:atomic
 }
 
-// AddCPU folds already-measured nanoseconds of worker CPU time into the
-// query's total.
-func (q *QueryStats) AddCPU(ns int64) { q.cpuNanos.Add(ns) }
-
 // noteArena raises the arena high-water mark to b if larger.
 func (q *QueryStats) noteArena(b int64) {
 	for {

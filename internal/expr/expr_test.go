@@ -27,10 +27,6 @@ func TestMaskBasics(t *testing.T) {
 	if m.Get(1) || m.Get(128) {
 		t.Fatal("unexpected bits set")
 	}
-	m.Clear(63)
-	if m.Get(63) || m.Count() != 3 {
-		t.Fatal("clear failed")
-	}
 }
 
 func TestMaskSetRange(t *testing.T) {
@@ -72,21 +68,6 @@ func TestMaskNextSet(t *testing.T) {
 	}
 }
 
-func TestMaskAndOr(t *testing.T) {
-	a := NewMask(100)
-	b := NewMask(100)
-	a.SetRange(0, 50)
-	b.SetRange(25, 75)
-	a.And(b)
-	if a.Count() != 25 || !a.Get(25) || !a.Get(49) || a.Get(50) {
-		t.Fatalf("And: count %d", a.Count())
-	}
-	a.Or(b)
-	if a.Count() != 50 {
-		t.Fatalf("Or: count %d", a.Count())
-	}
-}
-
 func TestCmpOps(t *testing.T) {
 	cases := []struct {
 		op   CmpOp
@@ -113,15 +94,7 @@ func TestCmpOps(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	col := []int64{5, 10, 15, 20, 25}
-	m := Filter(col, OpGT, 12)
-	if m.Count() != 3 || m.Get(0) || m.Get(1) || !m.Get(2) {
-		t.Fatalf("filter mask wrong: %d", m.Count())
-	}
-}
-
-func TestTimeRangeFilterMatchesScan(t *testing.T) {
+func TestTimeRangeBoundsMatchesScan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(300)
@@ -133,9 +106,9 @@ func TestTimeRangeFilterMatchesScan(t *testing.T) {
 		}
 		t1 := rng.Int63n(cur + 10)
 		t2 := t1 + rng.Int63n(cur+1)
-		m := TimeRangeFilter(ts, t1, t2)
+		lo, hi := TimeRangeBounds(ts, t1, t2)
 		for i, v := range ts {
-			if m.Get(i) != (v >= t1 && v <= t2) {
+			if (i >= lo && i < hi) != (v >= t1 && v <= t2) {
 				return false
 			}
 		}
@@ -156,12 +129,8 @@ func TestMaskedSumMinMax(t *testing.T) {
 	if sum != 125 || count != 3 {
 		t.Fatalf("sum=%d count=%d", sum, count)
 	}
-	minV, maxV, ok := MaskedMinMax(col, m)
-	if !ok || minV != -5 || maxV != 100 {
-		t.Fatalf("min=%d max=%d ok=%v", minV, maxV, ok)
-	}
-	if _, _, ok := MaskedMinMax(col, NewMask(5)); ok {
-		t.Fatal("empty mask must be !ok")
+	if sum, count := MaskedSum(col, NewMask(5)); sum != 0 || count != 0 {
+		t.Fatalf("empty mask: sum=%d count=%d", sum, count)
 	}
 }
 
@@ -171,10 +140,6 @@ func TestNaturalJoin(t *testing.T) {
 	l, r := NaturalJoin(lt, rt)
 	if !reflect.DeepEqual(l, []int{1, 2, 4}) || !reflect.DeepEqual(r, []int{1, 2, 4}) {
 		t.Fatalf("l=%v r=%v", l, r)
-	}
-	lm, rm := JoinMasks(lt, rt)
-	if lm.Count() != 3 || rm.Count() != 3 || !lm.Get(1) || !rm.Get(4) {
-		t.Fatal("join masks wrong")
 	}
 }
 
@@ -226,8 +191,10 @@ func TestMergeByTime(t *testing.T) {
 	}
 }
 
+// TestSlidingWindows: with slide = width the windows tumble, each
+// starting where the previous ended.
 func TestSlidingWindows(t *testing.T) {
-	ws, err := SlidingWindows(0, 10, 35)
+	ws, err := SlidingWindowsHop(0, 10, 10, 35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +204,7 @@ func TestSlidingWindows(t *testing.T) {
 	if ws[3].Start != 30 || ws[3].End != 40 || ws[3].Index != 3 {
 		t.Fatalf("last window %+v", ws[3])
 	}
-	if _, err := SlidingWindows(0, 0, 100); err == nil {
+	if _, err := SlidingWindowsHop(0, 0, 0, 100); err == nil {
 		t.Fatal("zero width must fail")
 	}
 }
@@ -274,29 +241,6 @@ func TestSlidingWindowsHop(t *testing.T) {
 	}
 	if _, err := SlidingWindowsHop(0, 10, 1, int64(MaxWindowInstances)+10); err == nil {
 		t.Fatal("instance-count cap must trip")
-	}
-}
-
-func TestFractionAndAdd(t *testing.T) {
-	col := []int64{1, 2, 3, 4, 5}
-	if got := Fraction(col, 1, 3); !reflect.DeepEqual(got, []int64{2, 3}) {
-		t.Fatalf("got %v", got)
-	}
-	if got := Fraction(col, -5, 99); len(got) != 5 {
-		t.Fatal("clamping failed")
-	}
-	if got := Fraction(col, 3, 2); got != nil {
-		t.Fatal("inverted range must be nil")
-	}
-	sum, err := AddColumns([]int64{1, 2}, []int64{10, 20})
-	if err != nil || !reflect.DeepEqual(sum, []int64{11, 22}) {
-		t.Fatalf("AddColumns: %v %v", sum, err)
-	}
-	if _, err := AddColumns([]int64{1}, []int64{1, 2}); err == nil {
-		t.Fatal("length mismatch must fail")
-	}
-	if got := BitExtend(col); !reflect.DeepEqual(got, col) {
-		t.Fatal("BitExtend identity")
 	}
 }
 
@@ -348,16 +292,5 @@ func BenchmarkRangeMask(b *testing.B) {
 	b.SetBytes(int64(len(col) * 8))
 	for i := 0; i < b.N; i++ {
 		RangeMask(col, 1000, 3000)
-	}
-}
-
-func BenchmarkFilterScalar(b *testing.B) {
-	col := make([]int64, 65536)
-	for i := range col {
-		col[i] = int64(i % 4096)
-	}
-	b.SetBytes(int64(len(col) * 8))
-	for i := 0; i < b.N; i++ {
-		Filter(col, OpGE, 1000).And(Filter(col, OpLE, 3000))
 	}
 }

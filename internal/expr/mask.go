@@ -1,7 +1,7 @@
 // Package expr implements the time-series expression operators of
-// Definitions 1-2: filters producing mask vectors, masked aggregation,
-// natural join, concatenation (time-ordered merge), position fractions
-// and sliding-window enumeration. These are the pipeline nodes Algorithm 2
+// Definitions 1-2: range filters producing mask vectors, masked
+// aggregation, natural join, concatenation (time-ordered merge) and
+// sliding-window enumeration. These are the pipeline nodes Algorithm 2
 // appends after the decoders.
 package expr
 
@@ -24,9 +24,6 @@ func (m *Mask) Len() int { return m.n }
 
 // Set marks row i valid.
 func (m *Mask) Set(i int) { m.bits[i>>6] |= 1 << uint(i&63) }
-
-// Clear marks row i invalid.
-func (m *Mask) Clear(i int) { m.bits[i>>6] &^= 1 << uint(i&63) }
 
 // Get reports whether row i is valid.
 func (m *Mask) Get(i int) bool { return m.bits[i>>6]&(1<<uint(i&63)) != 0 }
@@ -62,22 +59,6 @@ func (m *Mask) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// And intersects two masks of equal length in place.
-func (m *Mask) And(other *Mask) *Mask {
-	for i := range m.bits {
-		m.bits[i] &= other.bits[i]
-	}
-	return m
-}
-
-// Or unions two masks of equal length in place.
-func (m *Mask) Or(other *Mask) *Mask {
-	for i := range m.bits {
-		m.bits[i] |= other.bits[i]
-	}
-	return m
 }
 
 // NextSet returns the first valid row >= i, or -1.

@@ -55,18 +55,6 @@ func (o CmpOp) Eval(v, c int64) bool {
 	return false
 }
 
-// Filter produces the validity mask of `op(v, c)` over a column — the
-// sigma_theta operator generating mask vectors.
-func Filter(col []int64, op CmpOp, c int64) *Mask {
-	m := NewMask(len(col))
-	for i, v := range col {
-		if op.Eval(v, c) {
-			m.Set(i)
-		}
-	}
-	return m
-}
-
 // RangeMask builds the validity mask of c1 <= v <= c2 over a column (the
 // mask-vector generation of Section VI-B). The engine's aggregate scans
 // filter and fold in one pass instead (engine.partialAgg.foldRange); the
@@ -78,16 +66,6 @@ func RangeMask(col []int64, c1, c2 int64) *Mask {
 			m.Set(i)
 		}
 	}
-	return m
-}
-
-// TimeRangeFilter exploits time order: timestamps are sorted, so the
-// valid rows for t1 <= T <= t2 form one contiguous range found by binary
-// search — no per-row comparison (the ordered-data shortcut of Example 2).
-func TimeRangeFilter(ts []int64, t1, t2 int64) *Mask {
-	m := NewMask(len(ts))
-	lo, hi := TimeRangeBounds(ts, t1, t2)
-	m.SetRange(lo, hi)
 	return m
 }
 
@@ -132,25 +110,6 @@ func MaskedSum(col []int64, m *Mask) (sum int64, count int) {
 	return sum, count
 }
 
-// MaskedMinMax returns min/max over valid values; ok is false when the
-// mask is empty.
-func MaskedMinMax(col []int64, m *Mask) (minV, maxV int64, ok bool) {
-	i := m.NextSet(0)
-	if i < 0 {
-		return 0, 0, false
-	}
-	minV, maxV = col[i], col[i]
-	for i = m.NextSet(i + 1); i >= 0; i = m.NextSet(i + 1) {
-		if col[i] < minV {
-			minV = col[i]
-		}
-		if col[i] > maxV {
-			maxV = col[i]
-		}
-	}
-	return minV, maxV, true
-}
-
 // NaturalJoin produces, for two sorted timestamp columns, the pairs of
 // row indices with equal timestamps (Definition 2's join masks). The
 // returned slices are parallel: left[i] joins right[i].
@@ -170,18 +129,6 @@ func NaturalJoin(lt, rt []int64) (left, right []int) {
 		}
 	}
 	return left, right
-}
-
-// JoinMasks converts NaturalJoin output into validity masks for both
-// sides (mask_1 = [-1 if t1[i] = t2[j] else 0] in the paper's notation).
-func JoinMasks(lt, rt []int64) (lm, rm *Mask) {
-	lm, rm = NewMask(len(lt)), NewMask(len(rt))
-	left, right := NaturalJoin(lt, rt)
-	for k := range left {
-		lm.Set(left[k])
-		rm.Set(right[k])
-	}
-	return lm, rm
 }
 
 // Row is one output tuple of a row-returning query.
@@ -224,13 +171,6 @@ type Window struct {
 	End   int64
 }
 
-// SlidingWindows enumerates the window instances of G_sw(Tmin, ΔT) up to
-// tMax (inclusive), per Definition 2: k >= 0 and Tmin + k·ΔT <= tMax.
-// The windows tumble: each starts where the previous ended.
-func SlidingWindows(tMin, dT, tMax int64) ([]Window, error) {
-	return SlidingWindowsHop(tMin, dT, dT, tMax)
-}
-
 // MaxWindowInstances bounds the number of window instances a single
 // query may enumerate. Per-window partial state is materialized per
 // worker, so an unbounded instance count (a tiny slide over a huge time
@@ -263,38 +203,6 @@ func SlidingWindowsHop(tMin, width, slide, tMax int64) ([]Window, error) {
 			break
 		}
 		out = append(out, Window{Index: int(k), Start: start, End: start + width})
-	}
-	return out, nil
-}
-
-// BitExtend implements Γ_ω→ω′ on already-unpacked small values: it is the
-// identity on int64 columns here because the pipeline widens during
-// unpacking; kept for expression completeness and used by tests.
-func BitExtend(col []int64) []int64 { return col }
-
-// Fraction returns the position-based fraction e[pos1:pos2].
-func Fraction(col []int64, pos1, pos2 int) []int64 {
-	if pos1 < 0 {
-		pos1 = 0
-	}
-	if pos2 > len(col) {
-		pos2 = len(col)
-	}
-	if pos1 >= pos2 {
-		return nil
-	}
-	return col[pos1:pos2]
-}
-
-// AddColumns is the element-wise arithmetic e1 + e2 used by Q4
-// (ts1.A + ts2.A on joined rows).
-func AddColumns(a, b []int64) ([]int64, error) {
-	if len(a) != len(b) {
-		return nil, errors.New("expr: column length mismatch")
-	}
-	out := make([]int64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
 	}
 	return out, nil
 }

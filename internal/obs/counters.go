@@ -56,7 +56,7 @@ var (
 // Pipeline: decode work (Section III).
 var (
 	PipelineValuesUnpacked = newCounter("pipeline.values_unpacked",
-		"values produced by the decode pipelines (DecodeBlock/DecodeRange/RangeScanner)")
+		"values produced by the decode pipelines (DecodeRange/RangeScanner)")
 	PipelineSlices = newCounter("pipeline.slices",
 		"slices created by the page-to-slice scheduler (Figure 8)")
 	PipelinePrefixFixups = newCounter("pipeline.prefix_fixups",
@@ -65,8 +65,6 @@ var (
 
 // Prune: Section V stop rules and page-statistics decisions.
 var (
-	PrunePagesTime = newCounter("prune.pages_skipped_time",
-		"whole pages skipped by the header time-range rule")
 	PrunePagesValue = newCounter("prune.pages_skipped_value",
 		"whole pages skipped by the header min/max value rule")
 	PruneStopsValue = newCounter("prune.stops_value",

@@ -37,9 +37,13 @@ func algorithm1Accumulate(p *Plan, out []int64, prev int64, packed []byte, minBa
 		for j := 1; j < p.Nv; j++ {
 			vecs[j] = simd.Add32(vecs[j-1], vecs[j])
 		}
-		// Line 13: lane prefix sum common to all partial-sum vectors.
+		// Line 13: lane prefix sum common to all partial-sum vectors,
+		// exclusive: lane l adds the totals of the lanes below it.
 		laneTot := vecs[p.Nv-1]
-		prefix := simd.ExclusivePrefixSum32(laneTot)
+		prefix := simd.InclusivePrefixSum32(laneTot)
+		for l := range prefix {
+			prefix[l] -= laneTot[l]
+		}
 		// Line 15 + store: add prefix and bases, widen, materialize.
 		for j := 0; j < p.Nv; j++ {
 			s := simd.Add32(vecs[j], prefix)

@@ -47,7 +47,7 @@ func TestDecodeBlockMatchesScalarAllWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeBlock(b)
+		got, err := DecodeRange(b, 0, b.Count)
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
@@ -77,7 +77,7 @@ func TestDecodeBlockOrder2(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := b.Decode()
-	got, err := DecodeBlock(b)
+	got, err := DecodeRange(b, 0, b.Count)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestDecodeBlockSmallCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeBlock(b)
+		got, err := DecodeRange(b, 0, b.Count)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -118,7 +118,7 @@ func TestDecodeBlockQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeBlock(b)
+		got, err := DecodeRange(b, 0, b.Count)
 		if err != nil {
 			return false
 		}
@@ -283,36 +283,6 @@ func TestUnpackFibonacciTruncated(t *testing.T) {
 	}
 }
 
-func TestTheoryEstimates(t *testing.T) {
-	// T_avg must be positive and reach a minimum near ChooseNv's pick.
-	best, bestNv := 1e18, 0
-	for nv := 1; nv <= 16; nv++ {
-		v := TAvg(10, 32, 256, nv)
-		if v <= 0 {
-			t.Fatalf("TAvg(nv=%d) = %f", nv, v)
-		}
-		if v < best {
-			best, bestNv = v, nv
-		}
-	}
-	chosen := ChooseNv(10, 32)
-	if d := bestNv - chosen; d < -1 || d > 1 {
-		t.Fatalf("TAvg minimum at nv=%d but ChooseNv=%d", bestNv, chosen)
-	}
-	// Theorem 2's worked example: ~15x with 16 threads on 10-bit data.
-	r := AccelerationRatio(10, 32, 256, 16, 4)
-	if r < 5 || r > 200 {
-		t.Fatalf("acceleration ratio %f out of plausible range", r)
-	}
-	// More cores → more acceleration.
-	if AccelerationRatio(10, 32, 256, 8, 4) >= r {
-		t.Fatal("ratio must grow with cores")
-	}
-	if AccelerationRatio(0, 32, 256, 8, 4) != 1 {
-		t.Fatal("width 0 ratio must be 1")
-	}
-}
-
 func TestSplitPagesWholePagesWhenEnough(t *testing.T) {
 	pairs := makePairs(t, 8, 100)
 	got := SplitPages(pairs, 4)
@@ -322,7 +292,7 @@ func TestSplitPagesWholePagesWhenEnough(t *testing.T) {
 	total := 0
 	for _, ws := range got {
 		for _, sl := range ws {
-			if sl.Dependent || sl.StartRow != 0 {
+			if sl.StartRow != 0 {
 				t.Fatal("whole pages must not be sliced")
 			}
 			total += sl.Rows()
@@ -344,9 +314,6 @@ func TestSplitPagesSlicesWhenScarce(t *testing.T) {
 			rows += sl.Rows()
 			if sl.StartRow%8 != 0 {
 				t.Fatalf("slice start %d not aligned", sl.StartRow)
-			}
-			if (sl.StartRow > 0) != sl.Dependent {
-				t.Fatal("Dependent flag wrong")
 			}
 		}
 	}

@@ -15,7 +15,7 @@ func TestDecodeRangeMatchesFullDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := DecodeBlock(b)
+		full, err := DecodeRange(b, 0, b.Count)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,8 +13,8 @@ import (
 // block: the prefix to the start row is resolved once, and each Next
 // call continues from the previous position in O(chunk) — the streaming
 // shape the Proposition 4/5 stop rules need, without re-resolving the
-// Figure 8 prefix per chunk. DecodeBlock, DecodeBlockInto and
-// DecodeRange are single Next calls on a stack-allocated scanner. Every
+// Figure 8 prefix per chunk. DecodeBlockInto and DecodeRange are
+// single Next calls on a stack-allocated scanner. Every
 // field, at every width, order and start row, comes from the scanner's
 // one bitio.Reader.
 type RangeScanner struct {

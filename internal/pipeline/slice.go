@@ -11,10 +11,6 @@ type Slice struct {
 	Pair     storage.PagePair
 	StartRow int // inclusive
 	EndRow   int // exclusive
-	// Dependent is true when StartRow > 0: decoding needs the prefix sum
-	// of the preceding slice of the same page (the P1S2-waits-for-P1S1
-	// dependency of Figure 8).
-	Dependent bool
 }
 
 // Rows returns the number of rows covered by the slice.
@@ -83,11 +79,11 @@ func SplitPage(pp storage.PagePair, n int) []Slice {
 		if end <= start {
 			continue
 		}
-		out = append(out, Slice{Pair: pp, StartRow: start, EndRow: end, Dependent: start > 0})
+		out = append(out, Slice{Pair: pp, StartRow: start, EndRow: end})
 		start = end
 	}
 	if start < rows {
-		out = append(out, Slice{Pair: pp, StartRow: start, EndRow: rows, Dependent: start > 0})
+		out = append(out, Slice{Pair: pp, StartRow: start, EndRow: rows})
 	}
 	obs.PipelineSlices.Add(int64(len(out)))
 	return out

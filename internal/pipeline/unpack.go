@@ -7,12 +7,6 @@ import (
 	"etsqp/internal/encoding/ts2diff"
 )
 
-// DecodeBlock decodes every row of a TS2DIFF block: one Next call on a
-// RangeScanner, with the same answers as ts2diff.Block.Decode.
-func DecodeBlock(b *ts2diff.Block) ([]int64, error) {
-	return DecodeRange(b, 0, b.Count)
-}
-
 // DecodeBlockInto decodes into a caller-provided slice of length b.Count.
 func DecodeBlockInto(out []int64, b *ts2diff.Block) error {
 	if len(out) != b.Count {

@@ -122,17 +122,6 @@ func PositionsForConstantInterval(first, interval int64, n int, t1, t2 int64) (l
 	return lo, hi
 }
 
-// SkipPageByTime reports whether a whole page can be skipped for the time
-// range [t1, t2] using only its header (the cheapest rule: no payload
-// read at all, the "pruned pages" counted by the throughput metric).
-func SkipPageByTime(h storage.PageHeader, t1, t2 int64) bool {
-	if h.EndTime < t1 || h.StartTime > t2 {
-		obs.PrunePagesTime.Inc()
-		return true
-	}
-	return false
-}
-
 // SkipPageByValue reports whether a whole page can be skipped for the
 // value range [c1, c2] using its min/max statistics.
 func SkipPageByValue(h storage.PageHeader, c1, c2 int64) bool {

@@ -153,12 +153,6 @@ func TestPositionsMatchScan(t *testing.T) {
 
 func TestSkipPage(t *testing.T) {
 	h := storage.PageHeader{StartTime: 100, EndTime: 200, MinValue: -5, MaxValue: 50}
-	if !SkipPageByTime(h, 300, 400) || !SkipPageByTime(h, 0, 50) {
-		t.Fatal("non-overlapping time range must skip")
-	}
-	if SkipPageByTime(h, 150, 160) || SkipPageByTime(h, 0, 100) || SkipPageByTime(h, 200, 300) {
-		t.Fatal("overlapping time range must not skip")
-	}
 	if !SkipPageByValue(h, 51, 100) || !SkipPageByValue(h, -100, -6) {
 		t.Fatal("non-overlapping value range must skip")
 	}

@@ -152,14 +152,6 @@ func InclusivePrefixSum32(v U32x8) U32x8 {
 	return v
 }
 
-// ExclusivePrefixSum32 computes out[i] = v[0] + ... + v[i-1], out[0] = 0.
-func ExclusivePrefixSum32(v U32x8) U32x8 {
-	inc := InclusivePrefixSum32(v)
-	// Shift lanes up by one and zero lane 0: one more permute+mask pair.
-	shifted := And32(Permutevar8x32(inc, PrefixSumIdx[0]), PrefixSumMask[0])
-	return shifted
-}
-
 // GatherBytes builds a vector from arbitrary byte offsets of a loaded
 // window. Offset values >= len(window) or negative produce zero bytes.
 //

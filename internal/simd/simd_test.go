@@ -84,15 +84,6 @@ func TestInclusivePrefixSum32(t *testing.T) {
 	}
 }
 
-func TestExclusivePrefixSum32(t *testing.T) {
-	v := U32x8{1, 2, 3, 4, 5, 6, 7, 8}
-	got := ExclusivePrefixSum32(v)
-	want := U32x8{0, 1, 3, 6, 10, 15, 21, 28}
-	if got != want {
-		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
 func TestPrefixSumQuick(t *testing.T) {
 	f := func(v U32x8) bool {
 		inc := InclusivePrefixSum32(v)

@@ -81,6 +81,9 @@ func run(root string) error {
 	if err := readFieldsCorpus(root); err != nil {
 		return err
 	}
+	if err := fibonacciCorpus(root); err != nil {
+		return err
+	}
 	return rlbeCorpus(root, series, runs)
 }
 
@@ -143,6 +146,46 @@ func readFieldsCorpus(root string) error {
 		{buf[:140], tail},
 	}
 	return writeBytePairEntries(filepath.Join(root, "internal/bitio/testdata/fuzz/FuzzReadFields"), entries)
+}
+
+// fibonacciCorpus seeds FuzzFibonacciDecode (internal/encoding): a
+// payload, the number of codewords to decode and the start bit. The
+// seeds are a stream of value-1 codewords ("11" repeated), all-ones
+// bytes read from an odd bit past their last codeword, a codeword longer
+// than one 64-bit window, a payload whose last codeword is cut short,
+// and one whose codewords end exactly on its last byte.
+func fibonacciCorpus(root string) error {
+	enc := func(vals ...uint64) []byte {
+		buf, err := encoding.FibonacciEncodeAll(vals)
+		if err != nil {
+			panic(err)
+		}
+		return buf
+	}
+	ones := make([]uint64, 37)
+	for i := range ones {
+		ones[i] = 1
+	}
+	cut := enc(5, 9, 1000, 123456)
+	type entry struct {
+		buf          []byte
+		count, start int
+	}
+	entries := []entry{
+		{enc(ones...), len(ones), 0},
+		{[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 200, 3},
+		{enc(5, 1<<62+12345, 7), 3, 0},
+		{cut[:len(cut)-1], 4, 0},
+		{enc(1000, 1000, 1000, 1000), 4, 0}, // four 16-bit codewords: 8 bytes
+	}
+	dir := filepath.Join(root, "internal/encoding/testdata/fuzz/FuzzFibonacciDecode")
+	for i, e := range entries {
+		lit := fmt.Sprintf("[]byte(%s)\nuint16(%d)\nuint8(%d)", strconv.Quote(string(e.buf)), e.count, e.start)
+		if err := writeEntry(dir, i, lit); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // overflowParityCorpus seeds FuzzOverflowParity (internal/fusion) with the

@@ -301,8 +301,7 @@ func TestFibonacciZeroRejected(t *testing.T) {
 }
 
 func TestFibonacciTruncated(t *testing.T) {
-	r := bitio.NewReader([]byte{0b01010101})
-	if _, err := FibonacciDecode(r); err == nil {
+	if _, err := FibonacciDecodeInto(make([]uint64, 1), []byte{0b01010101}, 0); err == nil {
 		t.Fatal("expected error decoding codeword without terminator")
 	}
 }

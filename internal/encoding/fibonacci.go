@@ -1,7 +1,9 @@
 package encoding
 
 import (
+	"encoding/binary"
 	"errors"
+	"math/bits"
 
 	"etsqp/internal/bitio"
 )
@@ -60,26 +62,124 @@ func FibonacciEncode(w *bitio.Writer, v uint64) error {
 	return nil
 }
 
-// FibonacciDecode reads one Fibonacci codeword from r.
-func FibonacciDecode(r *bitio.Reader) (uint64, error) {
-	var v uint64
-	prev := uint(0)
-	for i := 0; ; i++ {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if bit == 1 && prev == 1 {
-			return v, nil
-		}
-		if bit == 1 {
-			if i >= len(fibTable) {
-				return 0, ErrBadFibCode
+// fibByte[c][b] is the value of the Zeckendorf digits in byte b when b
+// is byte c of a codeword: Σ fibTable[8c+t] over the set bits t of b,
+// counted from the most significant. Eight tables cover every codeword
+// whose digits fit one 64-bit window.
+var fibByte = func() (t [8][256]uint64) {
+	for c := range t {
+		for b := range t[c] {
+			for d := 0; d < 8; d++ {
+				if b&(0x80>>d) != 0 {
+					t[c][b] += fibTable[8*c+d]
+				}
 			}
-			v += fibTable[i]
 		}
-		prev = bit
 	}
+	return t
+}()
+
+// FibonacciDecodeInto decodes len(dst) Fibonacci codewords into dst,
+// the first starting at bit pos of buf, and returns the bit position
+// after the last. It is the one Fibonacci decoder of the module: every
+// RLBE read runs it.
+//
+// Codewords are decoded one 64-bit window at a time, not bit by bit.
+// The window holds the bits from pos on, most significant first, so the
+// next codeword's terminator — the second 1 of its first "11" — is the
+// leading set bit of w & (w>>1); the digits above it resolve a byte at a
+// time through fibByte, and shifting the codeword out of the window
+// leaves the next one in place, so a window decodes every codeword it
+// holds whole before the next load. A codeword longer than
+// what is left of a window, or cut off by the end of buf, takes
+// fibonacciDecodeLong.
+//
+// Errors are those of a bit-at-a-time reader: bitio.ErrShortBuffer when
+// buf ends before a terminator, ErrBadFibCode at a digit beyond
+// fibTable. The codewords before the failing one are then in dst, and
+// the returned position is where such a reader would have stopped.
+//
+//etsqp:hotpath
+func FibonacciDecodeInto(dst []uint64, buf []byte, pos int) (next int, err error) {
+	for i := 0; i < len(dst); {
+		if pos >= 0 && pos>>3 < len(buf) {
+			w := window(buf, pos)
+			out, n := dst[i:], 0
+			for ; n < len(out); n++ {
+				// Bits past buf or shifted in are zero, so a terminator
+				// found is a whole codeword: digits [0, t), terminator t.
+				t := bits.LeadingZeros64(w & (w >> 1))
+				if t == 64 {
+					break
+				}
+				d := w &^ (^uint64(0) >> t) // t <= 63: digits inside fibTable
+				v := fibByte[0][d>>56] + fibByte[1][byte(d>>48)]
+				for c := 2; d<<16 != 0; c++ {
+					d <<= 8
+					v += fibByte[c&7][byte(d>>48)]
+				}
+				out[n] = v
+				w <<= t + 1
+				pos += t + 1
+			}
+			if n > 0 {
+				i += n
+				continue
+			}
+		}
+		if dst[i], pos, err = fibonacciDecodeLong(buf, pos); err != nil {
+			return pos, err
+		}
+		i++
+	}
+	return pos, nil
+}
+
+// window returns the 64 bits of buf from bit pos on, most significant
+// first, zero past the end of buf (0 <= pos < len(buf)*8).
+func window(buf []byte, pos int) uint64 {
+	var w uint64
+	if tail := buf[pos>>3:]; len(tail) >= 8 {
+		w = binary.BigEndian.Uint64(tail)
+	} else {
+		var pad [8]byte
+		copy(pad[:], tail)
+		w = binary.BigEndian.Uint64(pad[:])
+	}
+	return w << (pos & 7)
+}
+
+// fibonacciDecodeLong decodes the one codeword at bit pos of buf that
+// FibonacciDecodeInto's window does not hold whole. It walks windows,
+// carrying the last bit of one into the next so a terminator across the
+// boundary is seen, and sums digits from fibTable.
+func fibonacciDecodeLong(buf []byte, pos int) (v uint64, next int, err error) {
+	end := len(buf) * 8
+	base, prev := 0, uint64(0) // digit index of the window's first bit, the bit before it
+	for 0 <= pos && pos < end {
+		w := window(buf, pos)
+		n := min(64-pos&7, end-pos) // bits of the window inside buf
+		t := bits.LeadingZeros64(w & (w>>1 | prev<<63))
+		k := min(t, n) // digits in this window
+		d := w &^ (^uint64(0) >> k)
+		if over := max(len(fibTable)-base, 0); k > over {
+			if bad := bits.LeadingZeros64(d << over); bad < 64 {
+				return 0, pos + over + bad + 1, ErrBadFibCode
+			}
+		}
+		for d != 0 {
+			j := bits.LeadingZeros64(d)
+			v += fibTable[base+j]
+			d &^= 1 << (63 - j)
+		}
+		if t < n {
+			return v, pos + t + 1, nil
+		}
+		prev = w >> (64 - n) & 1
+		pos += n
+		base += n
+	}
+	return 0, end, bitio.ErrShortBuffer
 }
 
 // FibonacciEncodeAll encodes a slice of positive values back to back.
@@ -95,14 +195,9 @@ func FibonacciEncodeAll(vals []uint64) ([]byte, error) {
 
 // FibonacciDecodeAll decodes n codewords from buf.
 func FibonacciDecodeAll(buf []byte, n int) ([]uint64, error) {
-	r := bitio.NewReader(buf)
 	out := make([]uint64, n)
-	for i := range out {
-		v, err := FibonacciDecode(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+	if _, err := FibonacciDecodeInto(out, buf, 0); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -14,6 +14,7 @@ package rlbe
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"etsqp/internal/bitio"
 	"etsqp/internal/encoding"
@@ -50,40 +51,50 @@ func Encode(vals []int64) (*Block, error) {
 }
 
 // Pairs decodes the payload back to Delta-Repeat pairs without flattening —
-// the representation Section IV's fused aggregations consume directly.
-// The runs must cover exactly Count rows (row 0 is First, so they total
-// Count − 1; an empty block has none). Every reader of an RLBE page goes
-// through this one check: corrupt codewords can claim runs far past
-// Count, which a fused sum would add up and a flatten would materialize.
+// the representation Section IV's fused aggregations consume directly. It
+// is AppendPairs into a fresh slice.
 func (b *Block) Pairs() ([]encoding.DeltaRun, error) {
+	return b.AppendPairs(nil)
+}
+
+// AppendPairs appends the payload's Delta-Repeat pairs to dst, so a scan
+// can decode page after page into one reused buffer. The runs must cover
+// exactly Count rows (row 0 is First, so they total Count − 1; an empty
+// block has none). Every reader of an RLBE page goes through this one
+// check: corrupt codewords can claim runs far past Count, which a fused
+// sum would add up and a flatten would materialize. On error the pairs
+// appended so far are returned with it.
+func (b *Block) AppendPairs(dst []encoding.DeltaRun) ([]encoding.DeltaRun, error) {
 	if b.NumRuns < 0 || b.Count < 0 || b.Count == 0 && b.NumRuns > 0 {
-		return nil, ErrCorrupt
+		return dst, ErrCorrupt
 	}
-	r := bitio.NewReader(b.Payload)
 	// NumRuns comes from an untrusted header: cap the pre-allocation and
 	// let append grow it as codewords actually arrive (each run costs at
 	// least four payload bits, so a short buffer fails fast).
-	pairs := make([]encoding.DeltaRun, 0, min(b.NumRuns, 1<<16))
+	dst = slices.Grow(dst, min(b.NumRuns, 1<<16))
 	rows := min(b.Count, 1)
-	for i := 0; i < b.NumRuns; i++ {
-		zz, err := encoding.FibonacciDecode(r)
-		if err != nil {
-			return nil, err
+	var cw [128]uint64 // codewords of up to 64 runs: delta, length, delta, …
+	pos := 0
+	for done := 0; done < b.NumRuns; {
+		n := min(b.NumRuns-done, len(cw)/2)
+		var err error
+		if pos, err = encoding.FibonacciDecodeInto(cw[:2*n], b.Payload, pos); err != nil {
+			return dst, err
 		}
-		run, err := encoding.FibonacciDecode(r)
-		if err != nil {
-			return nil, err
+		for k := 0; k < n; k++ {
+			zz, run := cw[2*k], cw[2*k+1]
+			if run > uint64(b.Count-rows) {
+				return dst, ErrCorrupt
+			}
+			rows += int(run)
+			dst = append(dst, encoding.DeltaRun{Delta: encoding.UnZigZag(zz - 1), Count: int(run)})
 		}
-		if run > uint64(b.Count-rows) {
-			return nil, ErrCorrupt
-		}
-		rows += int(run)
-		pairs = append(pairs, encoding.DeltaRun{Delta: encoding.UnZigZag(zz - 1), Count: int(run)})
+		done += n
 	}
 	if rows != b.Count {
-		return nil, ErrCorrupt
+		return dst, ErrCorrupt
 	}
-	return pairs, nil
+	return dst, nil
 }
 
 // Decode recovers the original values.
@@ -116,22 +127,33 @@ func (b *Block) Marshal() []byte {
 	return append(out, b.Payload...)
 }
 
-// Unmarshal parses a serialized block.
+// Unmarshal parses a serialized block into a new Block.
 func Unmarshal(buf []byte) (*Block, error) {
-	if len(buf) < 21 || buf[0] != blockMagic {
-		return nil, ErrCorrupt
+	b := new(Block)
+	if err := b.UnmarshalBinary(buf); err != nil {
+		return nil, err
 	}
-	b := &Block{
-		Count:   int(binary.BigEndian.Uint32(buf[1:])),
-		First:   int64(binary.BigEndian.Uint64(buf[5:])),
-		NumRuns: int(binary.BigEndian.Uint32(buf[13:])),
+	return b, nil
+}
+
+// UnmarshalBinary parses a serialized block into b, which the caller
+// owns, so a scan parses page after page without a heap block each.
+// Payload aliases buf.
+func (b *Block) UnmarshalBinary(buf []byte) error {
+	if len(buf) < 21 || buf[0] != blockMagic {
+		return ErrCorrupt
 	}
 	plen := int(binary.BigEndian.Uint32(buf[17:]))
 	if len(buf) < 21+plen {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	b.Payload = buf[21 : 21+plen]
-	return b, nil
+	*b = Block{
+		Count:   int(binary.BigEndian.Uint32(buf[1:])),
+		First:   int64(binary.BigEndian.Uint64(buf[5:])),
+		NumRuns: int(binary.BigEndian.Uint32(buf[13:])),
+		Payload: buf[21 : 21+plen],
+	}
+	return nil
 }
 
 type codec struct{}

@@ -571,11 +571,8 @@ func (p *plan) windowCuts(clock rowClock, lo, hi int, scratch *[]int) (first int
 	}
 	buf := (*scratch)[:4*nw]
 	winLo, winHi, cuts = buf[:nw], buf[nw:2*nw], buf[2*nw:2*nw:4*nw]
-	rowOf := func(t int64) int {
-		return lo + sort.Search(hi-lo, func(i int) bool { return clock.at(lo+i) >= t })
-	}
 	for k, w := range windows[first:last] {
-		winLo[k], winHi[k] = rowOf(w.Start), rowOf(w.End)
+		winLo[k], winHi[k] = clock.row(w.Start, lo, hi), clock.row(w.End, lo, hi)
 		cuts = append(cuts, winLo[k], winHi[k])
 	}
 	slices.Sort(cuts)
@@ -602,7 +599,7 @@ func (e *Engine) foldSegments(p *plan, sl pipeline.Slice, fused bool, cuts, winL
 	var ns int64
 	if fused {
 		sums = arena.Int64(exec.ClassScratch, nseg)
-		ok, err := e.fusedSumSegments(sl.Pair.Value, cuts, sums, col)
+		ok, err := e.fusedSumSegments(sl.Pair.Value, cuts, sums, col, arena)
 		if err != nil {
 			return err
 		}
@@ -892,25 +889,43 @@ func (c rowClock) at(i int) int64 {
 	return c.first + int64(i)*c.interval
 }
 
+// row returns the first row in [lo, hi) whose timestamp is at least t,
+// or hi when there is none. A constant clock answers by arithmetic, the
+// lower-bound half of prune.PositionsForConstantInterval; decoded
+// timestamps (and a zero interval) by binary search.
+func (c rowClock) row(t int64, lo, hi int) int {
+	if c.ts != nil || c.interval <= 0 {
+		return lo + sort.Search(hi-lo, func(i int) bool { return c.at(lo+i) >= t })
+	}
+	if t <= c.at(lo) {
+		return lo
+	}
+	// t > first: the distance is exact as a uint64.
+	r := (uint64(t)-uint64(c.first)-1)/uint64(c.interval) + 1
+	return int(min(r, uint64(hi)))
+}
+
 // fusedSumSegments fills per-segment sums over the cut partition of a
 // value page without materializing values; a plain row range is one
 // segment. The page is loaded (charged to the IO stage like the decoding
-// paths), verified, and parsed once no matter how many windows cut it;
-// ok is false when the codec has no fused path.
+// paths), verified, and parsed once no matter how many windows cut it —
+// an RLBE page's runs into the arena's run buffer; ok is false when the
+// codec has no fused path.
 //
 // A fusion.ErrOverflow from the closed forms is reported as ok=false,
-// not as a failure: the fused polynomials can overflow on intermediates
-// (n·cur, Δ²·Σi²) even when the decoded fold stays in range, and the
+// not as a failure: the fused forms are conservative — an RLBE page's
+// bound rows·(|first| + Σ|Δ|·count), or a TS2DIFF running sum, can leave
+// int64 even when the decoded fold stays in range — and the
 // decoded fallback re-detects any genuine overflow exactly via the
 // checked accumulators — COUNT/MIN/MAX over the same rows then still
 // answer while SUM/AVG/VAR surface the Section VI-C error from final().
-func (e *Engine) fusedSumSegments(p *storage.Page, cuts []int, sums []int64, col *statsCollector) (ok bool, err error) {
+func (e *Engine) fusedSumSegments(p *storage.Page, cuts []int, sums []int64, col *statsCollector, arena *exec.Arena) (ok bool, err error) {
 	data, bufp := loadPage(p, col)
 	defer pageBufPool.Put(bufp)
 	if err := p.VerifyChecksum(); err != nil {
 		return false, err
 	}
-	first, pairs, isRLBE, err := deltaRunsOfData(p, data)
+	first, pairs, isRLBE, err := deltaRunsOfData(p, data, arena.Runs())
 	if err != nil {
 		return false, err
 	}

@@ -171,21 +171,23 @@ func (p *plan) constantIntervalOf(page *storage.Page) (int64, bool) {
 
 // deltaRunsOfData extracts Delta-Repeat pairs when the page uses the
 // RLBE codec — the representation Section IV's fused aggregations
-// consume. ok is false for other codecs; a block that does not parse,
-// whose runs do not total its count (rlbe.Block.Pairs), or whose count
-// is not the header's is an error, never a sum over what the runs hold.
-func deltaRunsOfData(p *storage.Page, data []byte) (first int64, pairs []encoding.DeltaRun, ok bool, err error) {
+// consume — into *runs, a buffer the caller reuses from page to page. ok
+// is false for other codecs; a block that does not parse, whose runs do
+// not total its count (rlbe.Block.AppendPairs), or whose count is not
+// the header's is an error, never a sum over what the runs hold.
+func deltaRunsOfData(p *storage.Page, data []byte, runs *[]encoding.DeltaRun) (first int64, pairs []encoding.DeltaRun, ok bool, err error) {
 	if p.Header.Codec != "rlbe" {
 		return 0, nil, false, nil
 	}
-	blk, err := rlbe.Unmarshal(data)
+	var blk rlbe.Block
+	err = blk.UnmarshalBinary(data)
 	rows := 0
 	if err == nil {
 		first, rows = blk.First, blk.Count
-		pairs, err = blk.Pairs()
+		*runs, err = blk.AppendPairs((*runs)[:0])
 	}
 	err = payloadRows(p, rows, err)
-	return first, pairs, err == nil, err
+	return first, *runs, err == nil, err
 }
 
 // jobsFor builds the pipeline jobs. ETSQP-family strategies deal whole

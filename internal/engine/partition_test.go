@@ -3,6 +3,9 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"sync/atomic"
 	"testing"
 )
@@ -165,5 +168,36 @@ func TestRunRangedClaims(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRowClockRowMatchesSearch: on a constant clock, rowClock.row's
+// arithmetic names the row a binary search over the same timestamps
+// finds, for times before, between, on and after the rows, and near the
+// int64 edges.
+func TestRowClockRowMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		c := rowClock{first: rng.Int63n(1<<40) - 1<<39, interval: 1 + rng.Int63n(5000)}
+		if trial%10 == 0 {
+			c.first = math.MinInt64/2 + rng.Int63n(1000)
+		}
+		ts := make([]int64, n)
+		for i := range ts {
+			ts[i] = c.at(i)
+		}
+		lo := rng.Intn(n)
+		hi := lo + rng.Intn(n-lo+1)
+		probes := []int64{math.MinInt64, math.MaxInt64, c.first - 1, c.first, ts[n-1], ts[n-1] + 1}
+		for k := 0; k < 20; k++ {
+			probes = append(probes, c.first+rng.Int63n(int64(n+2)*c.interval)-c.interval)
+		}
+		for _, tt := range probes {
+			want := lo + sort.Search(hi-lo, func(i int) bool { return ts[lo+i] >= tt })
+			if got := c.row(tt, lo, hi); got != want {
+				t.Fatalf("clock %+v rows [%d, %d): row(%d) = %d, search %d", c, lo, hi, tt, got, want)
+			}
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package exec
 
+import "etsqp/internal/encoding"
+
 // Scratch buffer classes. A morsel may need several live scratch
 // buffers at once (a timestamp column while the value column decodes,
 // a prune chunk while both are resolved), so the arena keys buffers by
@@ -19,8 +21,11 @@ const (
 // goroutine uses an arena at a time — so borrows need no
 // synchronization and steady-state morsel execution performs zero
 // allocations once the buffers have grown to the workload's page size.
+// Beside the int64 classes it holds one Delta-Repeat run buffer, which
+// RLBE pages are parsed into.
 type Arena struct {
 	bufs [numClasses][]int64
+	runs []encoding.DeltaRun
 }
 
 // Int64 borrows the class's buffer resized to n values, growing it
@@ -35,6 +40,11 @@ func (a *Arena) Int64(class, n int) []int64 {
 	return b[:n]
 }
 
+// Runs borrows the run buffer: the caller appends to (*Runs())[:0] and
+// stores the result back, so the buffer keeps whatever it grew to. The
+// borrow is valid until the next one.
+func (a *Arena) Runs() *[]encoding.DeltaRun { return &a.runs }
+
 // Bytes reports the arena's current footprint: the summed capacity of
 // every class buffer in bytes. Queries record it as their arena
 // high-water mark via exec.QueryStats.
@@ -43,7 +53,7 @@ func (a *Arena) Bytes() int64 {
 	for i := range a.bufs {
 		n += int64(cap(a.bufs[i])) * 8
 	}
-	return n
+	return n + int64(cap(a.runs))*16 // a run is two 8-byte words
 }
 
 // Reset drops every buffer, returning the memory to the collector.
@@ -51,4 +61,5 @@ func (a *Arena) Reset() {
 	for i := range a.bufs {
 		a.bufs[i] = nil
 	}
+	a.runs = nil
 }

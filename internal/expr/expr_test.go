@@ -29,28 +29,6 @@ func TestMaskBasics(t *testing.T) {
 	}
 }
 
-func TestMaskSetRange(t *testing.T) {
-	for _, rg := range [][2]int{{0, 0}, {0, 1}, {5, 130}, {63, 65}, {0, 200}, {64, 128}} {
-		m := NewMask(130)
-		m.SetRange(rg[0], rg[1])
-		want := rg[1]
-		if want > 130 {
-			want = 130
-		}
-		if want < rg[0] {
-			want = rg[0]
-		}
-		if got := m.Count(); got != want-rg[0] {
-			t.Fatalf("range %v: count %d want %d", rg, got, want-rg[0])
-		}
-		for i := 0; i < 130; i++ {
-			if m.Get(i) != (i >= rg[0] && i < want) {
-				t.Fatalf("range %v: bit %d wrong", rg, i)
-			}
-		}
-	}
-}
-
 func TestMaskNextSet(t *testing.T) {
 	m := NewMask(200)
 	m.Set(3)

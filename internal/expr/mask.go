@@ -28,30 +28,6 @@ func (m *Mask) Set(i int) { m.bits[i>>6] |= 1 << uint(i&63) }
 // Get reports whether row i is valid.
 func (m *Mask) Get(i int) bool { return m.bits[i>>6]&(1<<uint(i&63)) != 0 }
 
-// SetRange marks rows [lo, hi) valid in word-sized strokes.
-func (m *Mask) SetRange(lo, hi int) {
-	if hi > m.n {
-		hi = m.n
-	}
-	for i := lo; i < hi; {
-		w := i >> 6
-		bit := uint(i & 63)
-		remaining := hi - i
-		span := 64 - int(bit)
-		if span > remaining {
-			span = remaining
-		}
-		var chunk uint64
-		if span == 64 {
-			chunk = ^uint64(0)
-		} else {
-			chunk = (uint64(1)<<uint(span) - 1) << bit
-		}
-		m.bits[w] |= chunk
-		i += span
-	}
-}
-
 // Count returns the number of valid rows (popcount per word).
 func (m *Mask) Count() int {
 	c := 0

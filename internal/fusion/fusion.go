@@ -15,6 +15,8 @@ package fusion
 
 import (
 	"errors"
+	"math"
+	"math/bits"
 
 	"etsqp/internal/encoding"
 )
@@ -38,7 +40,10 @@ func addChecked(a, b int64) (int64, bool) {
 	return s, true
 }
 
-// mulChecked multiplies two int64 detecting overflow.
+// mulChecked multiplies two int64 detecting overflow: the 128-bit
+// product of the magnitudes must fit below 2^63, or reach exactly 2^63
+// when the signs differ (MinInt64). No division, so MinInt64·−1, whose
+// quotient test wraps back to MinInt64, is caught too.
 //
 //etsqp:checked mul
 //etsqp:hotpath
@@ -46,14 +51,16 @@ func addChecked(a, b int64) (int64, bool) {
 //etsqp:noescape
 //etsqp:inline
 func mulChecked(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	p := a * b
-	if p/b != a {
-		return p, false
-	}
-	return p, true
+	hi, lo := bits.Mul64(magnitude(a), magnitude(b))
+	return a * b, hi == 0 && lo <= math.MaxInt64+uint64(a^b)>>63
+}
+
+// magnitude is |v| as a uint64, exact for MinInt64.
+//
+//etsqp:inline
+func magnitude(v int64) uint64 {
+	s := v >> 63
+	return uint64((v ^ s) - s)
 }
 
 // sumArithChecked is Σ_{i=1..n} i = n(n+1)/2, detecting overflow. Exactly
@@ -132,33 +139,6 @@ func sumSquaresArithChecked(n int64) (int64, bool) {
 	p, ok1 := mulChecked(a, b)
 	q, ok2 := mulChecked(p, c)
 	return q, ok1 && ok2
-}
-
-// windowArithChecked is Σ_{i=j0..j1} i = (j0+j1)(j1−j0+1)/2, detecting
-// overflow — the windowed ramp weight of SumRangeSegments. The sum (j0+j1) and
-// width (j1−j0+1) always differ in parity, so halving the even one keeps
-// the product exact; the j1 < 2^62 guard keeps both factors wrap-free.
-//
-//etsqp:checked
-//etsqp:bounds return [0, 1<<63)
-//etsqp:hotpath
-//etsqp:nobce
-//etsqp:noescape
-func windowArithChecked(j0, j1 int64) (int64, bool) {
-	if j1 < j0 {
-		return 0, true
-	}
-	if j0 < 0 || j1 >= 1<<62 {
-		return 0, false
-	}
-	s := j0 + j1
-	w := j1 - j0 + 1
-	if s&1 == 0 {
-		s /= 2
-	} else {
-		w /= 2
-	}
-	return mulChecked(s, w)
 }
 
 // Sum aggregates Σ values over a Delta-Repeat series (first value plus

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"math"
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"etsqp/internal/baseline"
@@ -88,6 +89,8 @@ func assertOverflowParity(t *testing.T, name string, first int64, pairs []encodi
 		}
 	}
 
+	assertSegmentsExact(t, name, first, pairs)
+
 	// The exact value leaving int64 forces overflow reports on BOTH routes:
 	// conservative disagreement is allowed only in the fits-int64 direction.
 	if !bigSum.IsInt64() {
@@ -104,6 +107,54 @@ func assertOverflowParity(t *testing.T, name string, first int64, pairs []encodi
 		}
 		if !scOv {
 			t.Errorf("%s: SumSquares exact value %s exceeds int64 but checked scalar saw no overflow", name, bigSq)
+		}
+	}
+}
+
+// assertSegmentsExact cuts the page at random rows, drawn from a source
+// seeded by the page, and requires SumRangeSegments to be exact against
+// math/big in every segment whenever it does not report ErrOverflow.
+func assertSegmentsExact(t *testing.T, name string, first int64, pairs []encoding.DeltaRun) {
+	t.Helper()
+	rows := fusion.Count(pairs)
+	rng := rand.New(rand.NewSource(first ^ int64(rows)<<20 ^ int64(len(pairs))))
+	cuts := []int{rng.Intn(rows + 1)}
+	for k := 1 + rng.Intn(5); k > 0; k-- {
+		cuts = append(cuts, cuts[len(cuts)-1]+1+rng.Intn(rows/2+2))
+	}
+	sums := make([]int64, len(cuts)-1)
+	err := fusion.SumRangeSegments(first, pairs, cuts, sums)
+	if err != nil {
+		if !errors.Is(err, fusion.ErrOverflow) {
+			t.Fatalf("%s: SumRangeSegments returned unexpected error %v", name, err)
+		}
+		return
+	}
+	exact := make([]*big.Int, len(sums))
+	for i := range exact {
+		exact[i] = new(big.Int)
+	}
+	cur := big.NewInt(first)
+	add := func(row int) {
+		for s := range sums {
+			if cuts[s] <= row && row < cuts[s+1] {
+				exact[s].Add(exact[s], cur)
+			}
+		}
+	}
+	add(0)
+	row, d := 0, new(big.Int)
+	for _, p := range pairs {
+		d.SetInt64(p.Delta)
+		for k := 0; k < p.Count; k++ {
+			row++
+			cur.Add(cur, d)
+			add(row)
+		}
+	}
+	for s := range sums {
+		if !exact[s].IsInt64() || sums[s] != exact[s].Int64() {
+			t.Errorf("%s: SumRangeSegments cuts %v segment %d = %d, exact value %s", name, cuts, s, sums[s], exact[s])
 		}
 	}
 }
@@ -150,6 +201,10 @@ func TestOverflowParityExtremePages(t *testing.T) {
 	}
 	if sq != want.SumSquares {
 		t.Fatalf("moderate page: fused SumSquares = %d, oracle %d", sq, want.SumSquares)
+	}
+	var seg [2]int64
+	if err := fusion.SumRangeSegments(1<<20, moderate, []int{0, 77, 201}, seg[:]); err != nil || seg[0]+seg[1] != want.Sum {
+		t.Fatalf("moderate page: SumRangeSegments = %v, %v; oracle total %d", seg, err, want.Sum)
 	}
 }
 

@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"testing"
@@ -91,41 +92,66 @@ func TestSumSquaresArithCheckedAgainstBig(t *testing.T) {
 	}
 }
 
-func TestWindowArithCheckedAgainstBig(t *testing.T) {
-	windows := [][2]int64{
-		{0, 0}, {0, 1}, {5, 4}, {0, 4_000_000_000},
+// TestCheckedHelpersMatchBig pins every checked helper against math/big
+// on a grid of edge operands: ok must be exactly "the true result fits
+// int64" and the result exact when it does. mulChecked(MinInt64, -1) is
+// the case a quotient test cannot see: Go defines MinInt64 / -1 as
+// MinInt64, so p/b == a although the product does not fit.
+func TestCheckedHelpersMatchBig(t *testing.T) {
+	grid := []int64{0, 1, -1, 2, -2, 1 << 31, -1 << 31, 1 << 32, -1 << 32,
+		math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	check := func(name string, got int64, ok bool, z *big.Int) {
+		t.Helper()
+		want, fits := fitsInt64(z)
+		if ok != fits || ok && got != want {
+			t.Errorf("%s = %d, %v; exact %s", name, got, ok, z)
+		}
+	}
+	for _, a := range grid {
+		for _, b := range grid {
+			p, ok := mulChecked(a, b)
+			check(fmt.Sprintf("mulChecked(%d, %d)", a, b), p, ok, new(big.Int).Mul(big.NewInt(a), big.NewInt(b)))
+			s, ok := addChecked(a, b)
+			check(fmt.Sprintf("addChecked(%d, %d)", a, b), s, ok, new(big.Int).Add(big.NewInt(a), big.NewInt(b)))
+		}
+		// Σ_{i=1..n} i and Σ_{i=1..n-1} i; both helpers refuse n < 0.
+		n := big.NewInt(a)
+		sum := new(big.Int).Mul(n, new(big.Int).Add(n, big.NewInt(1)))
+		tri := new(big.Int).Mul(n, new(big.Int).Sub(n, big.NewInt(1)))
+		sum.Rsh(sum, 1)
+		tri.Rsh(tri, 1)
+		if a < 0 { // no such sum: the helpers must refuse
+			sum.SetUint64(1 << 63)
+			tri.SetUint64(1 << 63)
+		}
+		got, ok := sumArithChecked(a)
+		check(fmt.Sprintf("sumArithChecked(%d)", a), got, ok, sum)
+		got, ok = triangleChecked(a)
+		check(fmt.Sprintf("triangleChecked(%d)", a), got, ok, tri)
+	}
+}
+
+// TestRampWeightAgainstBig: rampWeight is Σ_{j0..j1} j modulo 2^64, so
+// exact wherever the true weight fits int64 — SumRangeSegments relies on
+// nothing more.
+func TestRampWeightAgainstBig(t *testing.T) {
+	windows := [][2]int{
+		{0, 0}, {0, 1}, {4, 5}, {0, 4_000_000_000},
 		{3_999_999_000, 4_000_000_000},
 		{0, 1<<32 - 1}, {1 << 31, 1 << 32},
 		{0, 1<<62 - 1}, {1<<62 - 10, 1<<62 - 1},
-		{-1, 5}, {0, 1 << 62}, {1, math.MaxInt64},
+		{0, 1 << 62}, {1, math.MaxInt64}, {math.MaxInt64 - 1, math.MaxInt64},
 	}
+	mod := new(big.Int).Lsh(big.NewInt(1), 64)
 	for _, w := range windows {
 		j0, j1 := w[0], w[1]
-		got, ok := windowArithChecked(j0, j1)
-		if j1 < j0 {
-			if !ok || got != 0 {
-				t.Errorf("windowArithChecked(%d, %d) = %d, %v; want 0, true for empty window", j0, j1, got, ok)
-			}
-			continue
-		}
-		if j0 < 0 || j1 >= 1<<62 {
-			if ok {
-				t.Errorf("windowArithChecked(%d, %d): accepted outside the supported domain", j0, j1)
-			}
-			continue
-		}
-		// Σ_{j0..j1} j = (j0+j1)(j1-j0+1)/2 exactly.
-		z := new(big.Int).SetInt64(j0)
-		z.Add(z, big.NewInt(j1))
-		z.Mul(z, big.NewInt(j1-j0+1))
-		z.Div(z, big.NewInt(2))
-		want, fits := fitsInt64(z)
-		if ok != fits {
-			t.Errorf("windowArithChecked(%d, %d): ok = %v, want %v (big value %s)", j0, j1, ok, fits, z)
-			continue
-		}
-		if ok && got != want {
-			t.Errorf("windowArithChecked(%d, %d) = %d, want %d", j0, j1, got, want)
+		z := big.NewInt(int64(j0))
+		z.Add(z, big.NewInt(int64(j1)))
+		z.Mul(z, new(big.Int).Add(big.NewInt(int64(j1-j0)), big.NewInt(1)))
+		z.Rsh(z, 1)
+		got := rampWeight(j0, j1)
+		if want := new(big.Int).Mod(z, mod); uint64(got) != want.Uint64() {
+			t.Errorf("rampWeight(%d, %d) = %d, want %s mod 2^64", j0, j1, got, z)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package fusion
 
 import (
 	"errors"
+	"math"
+	"math/bits"
 
 	"etsqp/internal/bitio"
 	"etsqp/internal/encoding"
@@ -40,8 +42,15 @@ func validateCuts(cuts []int, nsums int) error {
 // closed-form partial (Proposition 3) per overlapped segment; segments
 // beyond the series' row count stay partial or zero.
 //
+// Overflow is checked once per page, not per segment: the walk also
+// builds a bound B = |first| + Σ|Δ|·count, checked per run, that every
+// value it passes stays within. When rows·B fits int64 so does every
+// value, running value and segment sum, and the closed forms, computed
+// in wrapping int64, are exact. Otherwise it returns ErrOverflow, which
+// callers answer with a decoded, checked fold. (So the walk carries no
+// //etsqp:rangecheck: its sums wrap by design, and the bound decides.)
+//
 //etsqp:hotpath
-//etsqp:rangecheck
 func SumRangeSegments(first int64, pairs []encoding.DeltaRun, cuts []int, sums []int64) error {
 	if err := validateCuts(cuts, len(sums)); err != nil {
 		return err
@@ -58,6 +67,7 @@ func SumRangeSegments(first int64, pairs []encoding.DeltaRun, cuts []int, sums [
 		sums[0] = first
 	}
 	last := cuts[len(cuts)-1]
+	bound := magnitude(first)
 	cur := first
 	idx := 0
 	s := 0
@@ -66,42 +76,42 @@ func SumRangeSegments(first int64, pairs []encoding.DeltaRun, cuts []int, sums [
 		if idx+1 >= last {
 			break
 		}
+		carry, step := bits.Mul64(magnitude(p.Delta), uint64(p.Count))
+		bound += step
+		if carry != 0 || bound < step || bound > math.MaxInt64 {
+			return ErrOverflow
+		}
 		for s < len(sums) && cuts[s+1] <= idx+1 {
 			s++
 		}
 		for t := s; t < len(sums) && cuts[t] <= runEnd; t++ {
-			lo := cuts[t]
-			if lo < idx+1 {
-				lo = idx + 1
-			}
-			hi := cuts[t+1] - 1 // inclusive last row of the segment
-			if hi > runEnd {
-				hi = runEnd
-			}
+			lo := max(cuts[t], idx+1)
+			hi := min(cuts[t+1]-1, runEnd) // inclusive last row of the segment
 			if lo > hi {
 				continue
 			}
-			j0 := int64(lo - idx)
-			j1 := int64(hi - idx)
-			base, ok1 := mulChecked(cur, int64(hi-lo+1))
-			win, okW := windowArithChecked(j0, j1)
-			inc, ok2 := mulChecked(p.Delta, win)
-			runSum, ok3 := addChecked(base, inc)
-			var ok4 bool
-			sums[t], ok4 = addChecked(sums[t], runSum)
-			if !(ok1 && okW && ok2 && ok3 && ok4) {
-				return ErrOverflow
-			}
+			sums[t] += cur*int64(hi-lo+1) + p.Delta*rampWeight(lo-idx, hi-idx)
 		}
-		step, okS := mulChecked(p.Delta, int64(p.Count))
-		var okC bool
-		cur, okC = addChecked(cur, step)
-		if !(okS && okC) {
-			return ErrOverflow
-		}
+		cur += p.Delta * int64(p.Count)
 		idx = runEnd
 	}
+	if hi, lo := bits.Mul64(uint64(min(idx+1, last)), bound); hi != 0 || lo > math.MaxInt64 {
+		return ErrOverflow
+	}
 	return nil
+}
+
+// rampWeight is Σ_{j=j0..j1} j = (j0+j1)(j1−j0+1)/2 for 0 <= j0 <= j1,
+// modulo 2^64: the sum and the width differ in parity, so the even one
+// is halved exactly before the wrapping multiply (by shifts, not a
+// branch on data). SumRangeSegments uses it only where its page bound
+// makes the true product term fit.
+//
+//etsqp:inline
+func rampWeight(j0, j1 int) int64 {
+	s, w := uint64(j0)+uint64(j1), uint64(j1-j0)+1
+	odd := s & 1 // then w is the even one
+	return int64((s >> (odd ^ 1)) * (w >> odd))
 }
 
 // SumBlockSegments fills sums[i] with Σ values over rows

@@ -140,3 +140,33 @@ func TestSumBlockSegmentsWholeBlockMatchesSumBlock(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSumRangeSegments times the Delta-Repeat segment walk over a
+// 4 096-row page of plateaus (runs of 1…256 equal values), as one
+// segment and cut into 1 000-row windows.
+func BenchmarkSumRangeSegments(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	vals := make([]int64, 4096)
+	for i, v := 0, int64(50_000); i < len(vals); v += int64(rng.Intn(81) - 40) {
+		for l := 1 + rng.Intn(256); l > 0 && i < len(vals); l, i = l-1, i+1 {
+			vals[i] = v
+		}
+	}
+	first, pairs := encoding.DeltaRLEEncode(vals)
+	for _, width := range []int{len(vals), 1000} {
+		var cuts []int
+		for c := 0; c < len(vals); c += width {
+			cuts = append(cuts, c)
+		}
+		cuts = append(cuts, len(vals))
+		sums := make([]int64, len(cuts)-1)
+		b.Run(fmt.Sprintf("segments=%d", len(sums)), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := SumRangeSegments(first, pairs, cuts, sums); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/pair")
+		})
+	}
+}

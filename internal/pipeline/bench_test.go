@@ -172,26 +172,3 @@ func BenchmarkJITCache(b *testing.B) {
 	})
 	ResetPlanCache()
 }
-
-// BenchmarkFibonacciParallel measures the Section III-C variable-width
-// splitting at several worker counts.
-func BenchmarkFibonacciParallel(b *testing.B) {
-	vals := make([]uint64, 200000)
-	for i := range vals {
-		vals[i] = uint64(i%997) + 1
-	}
-	buf, err := encoding.FibonacciEncodeAll(vals)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.SetBytes(int64(len(vals) * 8))
-			for i := 0; i < b.N; i++ {
-				if _, err := UnpackFibonacciParallel(buf, len(vals), w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -363,63 +363,6 @@ func makePairs(t *testing.T, nPages, rowsPer int) []storage.PagePair {
 	return pairs
 }
 
-func TestUnpackFibonacciParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 40; trial++ {
-		n := rng.Intn(5000) + 1
-		vals := make([]uint64, n)
-		for i := range vals {
-			// Bias toward 1s and 2s: "11"-dense payloads stress the
-			// run-of-ones ambiguity the boundary pre-scan must resolve.
-			switch rng.Intn(4) {
-			case 0:
-				vals[i] = 1
-			case 1:
-				vals[i] = 2
-			default:
-				vals[i] = uint64(rng.Intn(100000)) + 1
-			}
-		}
-		buf, err := encoding.FibonacciEncodeAll(vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 3, 4, 8} {
-			got, err := UnpackFibonacciParallel(buf, n, workers)
-			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
-			}
-			if !reflect.DeepEqual(got, vals) {
-				t.Fatalf("trial %d workers %d: mismatch", trial, workers)
-			}
-		}
-	}
-}
-
-func TestUnpackFibonacciParallelAllOnes(t *testing.T) {
-	// The worst case: every codeword is "11".
-	n := 1000
-	vals := make([]uint64, n)
-	for i := range vals {
-		vals[i] = 1
-	}
-	buf, _ := encoding.FibonacciEncodeAll(vals)
-	got, err := UnpackFibonacciParallel(buf, n, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, vals) {
-		t.Fatal("all-ones payload mismatch")
-	}
-}
-
-func TestUnpackFibonacciParallelTruncated(t *testing.T) {
-	buf, _ := encoding.FibonacciEncodeAll([]uint64{5, 9, 1, 1, 7, 3, 2, 8})
-	if _, err := UnpackFibonacciParallel(buf, 100, 4); err == nil {
-		t.Fatal("claiming more codewords than present must fail")
-	}
-}
-
 func TestRangeScanner(t *testing.T) {
 	for _, w := range []uint{0, 4, 10, 22, 30} {
 		vals := seriesWithWidth(2000, w, int64(w)+3)

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/exec"
 	"etsqp/internal/expr"
@@ -48,23 +49,6 @@ type partialAgg struct {
 	hasFL          bool
 }
 
-// addCheck adds two int64 detecting overflow — the scalar Section VI-C
-// primitive the accumulators below fold through (fusion.addChecked is
-// the same shape on the fused side).
-//
-//etsqp:checked add
-//etsqp:hotpath
-//etsqp:nobce
-//etsqp:noescape
-//etsqp:inline
-func addCheck(a, b int64) (int64, bool) {
-	s := a + b
-	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
-		return s, false
-	}
-	return s, true
-}
-
 // addBoundary folds a slice's boundary rows into the FIRST/LAST state.
 //
 //etsqp:hotpath
@@ -87,14 +71,14 @@ func (p *partialAgg) addBoundary(firstT, firstV, lastT, lastV int64) {
 //etsqp:noescape
 //etsqp:rangecheck
 func (p *partialAgg) addValue(v int64) {
-	s, ok := addCheck(p.sum, v)
+	s, ok := encoding.AddChecked(p.sum, v)
 	if !ok {
 		p.overflow = true
 	}
 	p.sum = s
 	p.sumSq += float64(v) * float64(v)
 	var okC bool
-	p.count, okC = addCheck(p.count, 1)
+	p.count, okC = encoding.AddChecked(p.count, 1)
 	if !okC {
 		p.overflow = true
 	}
@@ -197,7 +181,7 @@ func rangeFold(vals []int64, c1 int64, span uint64) (count, sum, lo, hi int64) {
 //etsqp:rangecheck
 func (p *partialAgg) mergeChunk(count, sum, lo, hi int64) bool {
 	seen := p.seen
-	if !p.addBounded(count, sum, max(magnitude(lo), magnitude(hi))) {
+	if !p.addBounded(count, sum, max(encoding.Magnitude(lo), encoding.Magnitude(hi))) {
 		return false
 	}
 	if !seen || lo < p.min {
@@ -223,48 +207,17 @@ func (p *partialAgg) mergeChunk(count, sum, lo, hi int64) bool {
 //etsqp:rangecheck
 func (p *partialAgg) addBounded(count, sum int64, mag uint64) bool {
 	over, bound := bits.Mul64(uint64(count), mag)
-	bound, carry := bits.Add64(bound, magnitude(p.sum), 0)
+	bound, carry := bits.Add64(bound, encoding.Magnitude(p.sum), 0)
 	if over != 0 || carry != 0 || bound > math.MaxInt64 {
 		return false
 	}
-	s, okS := addCheck(p.sum, sum)
-	c, okC := addCheck(p.count, count)
+	s, okS := encoding.AddChecked(p.sum, sum)
+	c, okC := encoding.AddChecked(p.count, count)
 	if !okS || !okC {
 		return false
 	}
 	p.sum, p.count, p.seen = s, c, true
 	return true
-}
-
-// pageBound bounds the magnitude of every row of an order-1 block from
-// its header alone: row r is First plus r deltas, each in [MinBase,
-// MinBase+2^Width-1], so |v| <= |First| + (Count-1)·max(|Dm|, |DM|).
-// Rows are rebuilt in wrapping arithmetic, so this holds only when the
-// bound fits int64 — then no row's prefix left int64 — and ok is false
-// otherwise, as it is for order-2 blocks and widths of 63 and 64.
-func pageBound(b *ts2diff.Block) (bound uint64, ok bool) {
-	if b.Order != ts2diff.Order1 || b.Width >= 63 || b.Count == 0 {
-		return 0, false
-	}
-	span := uint64(1)<<b.Width - 1
-	top := uint64(b.MinBase) + span // |DM| for MinBase >= 0, below 2^64
-	if b.MinBase < 0 {
-		top = magnitude(b.MinBase + int64(span))
-	}
-	over, steps := bits.Mul64(uint64(b.Count-1), max(magnitude(b.MinBase), top))
-	bound, carry := bits.Add64(steps, magnitude(b.First), 0)
-	return bound, over == 0 && carry == 0 && bound <= math.MaxInt64
-}
-
-// magnitude returns |v| as a uint64; |MinInt64| = 2^63 fits.
-//
-//etsqp:hotpath
-//etsqp:inline
-func magnitude(v int64) uint64 {
-	if v < 0 {
-		return -uint64(v)
-	}
-	return uint64(v)
 }
 
 // addSum folds a fused per-block (sum, count) pair.
@@ -274,13 +227,13 @@ func magnitude(v int64) uint64 {
 //etsqp:noescape
 //etsqp:rangecheck
 func (p *partialAgg) addSum(sum int64, count int64) {
-	s, ok := addCheck(p.sum, sum)
+	s, ok := encoding.AddChecked(p.sum, sum)
 	if !ok {
 		p.overflow = true
 	}
 	p.sum = s
 	var okC bool
-	p.count, okC = addCheck(p.count, count)
+	p.count, okC = encoding.AddChecked(p.count, count)
 	if !okC {
 		p.overflow = true
 	}
@@ -488,30 +441,29 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 		return nil
 	}
 
-	// Resolve the time-valid row range [lo, hi) within the slice.
+	// Resolve the time-valid row range [lo, hi) within the slice with the
+	// job's row clock (Proposition 4: arithmetic on a constant-interval
+	// page, a search of the decoded timestamps otherwise), unless the
+	// prune mode's streaming time scan already stopped at the first
+	// timestamp past t2. p.t2 is at most MaxInt64-1, so t2+1 cannot wrap.
 	lo, hi := sl.StartRow, sl.EndRow
 	interval, constant := p.constantIntervalOf(sl.Pair.Time)
 	clock := rowClock{start: sl.StartRow, first: sl.Pair.Time.Header.StartTime, interval: interval}
-	if constant {
-		// Proposition 4 constant-interval special case: positions come
-		// from arithmetic, no timestamp decoding at all.
-		plo, phi := prune.PositionsForConstantInterval(clock.first, clock.interval, sl.Pair.Count(), p.t1, p.t2)
-		lo, hi = max(lo, plo), min(hi, phi)
-	} else if rlo, rhi, ok, err := e.timeBoundsPruned(p, sl, col, arena); ok || err != nil {
-		// Proposition 4: the time column scan stopped as soon as the
-		// sorted timestamps passed t2 — the tail was never decoded.
+	streamed := false
+	if !constant {
+		rlo, rhi, ok, err := e.timeBoundsPruned(p, sl, col, arena)
 		if err != nil {
 			return err
 		}
-		lo, hi = rlo, rhi
-	} else {
-		ts, err := e.decodeColumnRange(p.series[0], sl.Pair.Time, sl.StartRow, sl.EndRow, col)
-		if err != nil {
+		if streamed = ok; streamed {
+			lo, hi = rlo, rhi
+		} else if clock.ts, err = e.decodeColumnRange(p.series[0], sl.Pair.Time, lo, hi, col); err != nil {
 			return err
 		}
-		clock.ts = ts
-		rlo, rhi := expr.TimeRangeBounds(ts, p.t1, p.t2)
-		lo, hi = sl.StartRow+rlo, sl.StartRow+rhi
+	}
+	if !streamed {
+		lo = clock.row(p.t1, lo, hi)
+		hi = clock.row(p.t2+1, lo, hi)
 	}
 	if lo >= hi {
 		return nil
@@ -725,13 +677,16 @@ func openScan(scanner *pipeline.RangeScanner, blk *ts2diff.Block, pg *storage.Pa
 
 // aggPrunedScan is the value pass of a planned pruned scan, a job with
 // one segment [lo, hi) and one partial: it streams the value column
-// through a RangeScanner chunk by chunk, and stops as soon as the
-// Proposition 5 bounds show nothing ahead can satisfy the filter. A
-// sumFold plan over a page pageBound bounds takes the one pass
-// (scanFold), whose time is all decode stage; any other scan decodes each
-// chunk and folds it (foldValues), timed per phase. done reports whether
-// the rows were handled; otherwise (not a TS2DIFF page, or a shape the
-// scanner does not take) the caller decodes them.
+// through a RangeScanner chunk by chunk. One header reach
+// (prune.Bounds.Reach) serves two rules. Over the rest of the page it
+// stops the scan as soon as nothing ahead can satisfy the filter
+// (Proposition 5). Over the whole page it bounds every row's magnitude,
+// which admits a sumFold plan to the one pass (scanFold), whose time is
+// all decode stage. Any other scan decodes each chunk and folds it
+// (foldValues), timed per phase. An order-2 or width-63/64 page has no
+// reach: it never stops early and takes the checked fold. done reports
+// whether the rows were handled; otherwise (not a TS2DIFF page, or a
+// shape the scanner does not take) the caller decodes them.
 func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, lo, hi int,
 	local *partialAgg, col *statsCollector, arena *exec.Arena) (done bool, err error) {
 	var blk ts2diff.Block
@@ -742,7 +697,8 @@ func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, lo, hi int,
 	bounds := prune.BoundsFromBlock(&blk)
 	n := sl.Pair.Count()
 	buf := arena.Int64(exec.ClassPrune, pruneChunk)
-	bound, onePass := pageBound(&blk)
+	vlo, vhi, onePass := bounds.Reach(blk.First, uint64(blk.Count-1))
+	bound := max(encoding.Magnitude(vlo), encoding.Magnitude(vhi))
 	onePass = onePass && p.sumFold
 	// One clock read per phase boundary: each fold's end starts the next
 	// decode, and the stage counters are charged once per scan.
@@ -873,9 +829,9 @@ func (e *Engine) addBoundaries(p *plan, sl pipeline.Slice, lo, hi int, clock row
 	return nil
 }
 
-// rowClock maps an absolute row index of a job to its timestamp, from
-// the job's decoded timestamps when it has them or constant-interval
-// arithmetic otherwise.
+// rowClock maps an absolute row index of a job to its timestamp (at)
+// and a timestamp to a row (row), from the job's decoded timestamps when
+// it has them or constant-interval arithmetic otherwise.
 type rowClock struct {
 	ts              []int64 // timestamps of rows start, start+1, ...
 	start           int
@@ -890,15 +846,31 @@ func (c rowClock) at(i int) int64 {
 }
 
 // row returns the first row in [lo, hi) whose timestamp is at least t,
-// or hi when there is none. A constant clock answers by arithmetic, the
-// lower-bound half of prune.PositionsForConstantInterval; decoded
-// timestamps (and a zero interval) by binary search.
+// or hi when there is none. It is the job's one map from time to rows:
+// [row(t1), row(t2+1)) is the range Proposition 4 keeps, and row(Start)
+// and row(End) a window's rows. A constant clock answers by arithmetic,
+// with no timestamp decoded; decoded timestamps by a binary search,
+// written out because sort.Search's closure would move the clock to the
+// heap on the batch cursor's path.
+//
+//etsqp:noescape
 func (c rowClock) row(t int64, lo, hi int) int {
-	if c.ts != nil || c.interval <= 0 {
-		return lo + sort.Search(hi-lo, func(i int) bool { return c.at(lo+i) >= t })
+	if c.ts != nil {
+		for lo < hi {
+			h := int(uint(lo+hi) >> 1)
+			if c.ts[h-c.start] < t {
+				lo = h + 1
+			} else {
+				hi = h
+			}
+		}
+		return lo
 	}
 	if t <= c.at(lo) {
 		return lo
+	}
+	if c.interval <= 0 {
+		return hi // every row reads first, and t is past it
 	}
 	// t > first: the distance is exact as a uint64.
 	r := (uint64(t)-uint64(c.first)-1)/uint64(c.interval) + 1

@@ -71,8 +71,11 @@ func (c *batchCursor) Next() (Int64Batch, error) {
 			return Int64Batch{}, err
 		}
 		c.col.valuesDecoded.Add(int64(len(vals)))
-		// Clip to the requested time range (page granularity loads extra).
-		lo, hi := expr.TimeRangeBounds(ts, c.t1, c.t2)
+		// Clip to the requested time range (page granularity loads extra);
+		// a range's t2 is at most the plan's, MaxInt64-1, so t2+1 cannot wrap.
+		clock := rowClock{ts: ts}
+		lo := clock.row(c.t1, 0, len(ts))
+		hi := clock.row(c.t2+1, lo, len(ts))
 		if c.col.trace != nil {
 			c.col.trace.addSlice(SliceEvent{
 				StartRow: lo, EndRow: hi, Rows: hi - lo,

@@ -10,8 +10,10 @@ import (
 	"slices"
 	"testing"
 
+	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/pipeline"
+	"etsqp/internal/prune"
 )
 
 // foldByValue is foldRange's reference: the range test and addValue,
@@ -162,13 +164,20 @@ func walkPage(n int, first int64, width uint, seed uint64) []int64 {
 	return vals
 }
 
+// headerBound is the one pass's magnitude bound over b, as aggPrunedScan
+// takes it from the header's reach over the whole page.
+func headerBound(b *ts2diff.Block) (uint64, bool) {
+	lo, hi, ok := prune.BoundsFromBlock(b).Reach(b.First, uint64(b.Count-1))
+	return max(encoding.Magnitude(lo), encoding.Magnitude(hi)), ok
+}
+
 // checkScanFold scans vals from row from in chunks of chunk rows twice:
 // through plan.scanFold, and through Next + foldRange, the decode-then-fold
 // path it replaces, each from the running partial start, with c1 <= c2
 // (the plan's sumFold condition). After every chunk both scanners must
 // stand at the same place and both partials agree on everything but the
 // minimum and maximum, which the one pass does not keep. A page without a
-// pageBound runs with bound MaxUint64, which no chunk passes, so every
+// header bound runs with bound MaxUint64, which no chunk passes, so every
 // chunk takes the redo; a page with one must have no row beyond it.
 func checkScanFold(t *testing.T, vals []int64, from, chunk int, c1, c2 int64, start partialAgg) {
 	t.Helper()
@@ -176,10 +185,10 @@ func checkScanFold(t *testing.T, vals []int64, from, chunk int, c1, c2 int64, st
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, ok := pageBound(b)
+	bound, ok := headerBound(b)
 	for _, v := range vals {
-		if ok && magnitude(v) > bound {
-			t.Fatalf("width %d: row %d beyond pageBound %d", b.Width, v, bound)
+		if ok && encoding.Magnitude(v) > bound {
+			t.Fatalf("width %d: row %d beyond header bound %d", b.Width, v, bound)
 		}
 	}
 	if !ok {
@@ -307,7 +316,7 @@ func BenchmarkScanFold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bound, ok := pageBound(blk)
+	bound, ok := headerBound(blk)
 	if !ok {
 		b.Fatal("no page bound")
 	}

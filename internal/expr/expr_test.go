@@ -72,31 +72,6 @@ func TestCmpOps(t *testing.T) {
 	}
 }
 
-func TestTimeRangeBoundsMatchesScan(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(300)
-		ts := make([]int64, n)
-		cur := int64(0)
-		for i := range ts {
-			cur += rng.Int63n(100) + 1
-			ts[i] = cur
-		}
-		t1 := rng.Int63n(cur + 10)
-		t2 := t1 + rng.Int63n(cur+1)
-		lo, hi := TimeRangeBounds(ts, t1, t2)
-		for i, v := range ts {
-			if (i >= lo && i < hi) != (v >= t1 && v <= t2) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMaskedSumMinMax(t *testing.T) {
 	col := []int64{10, -5, 30, 7, 100}
 	m := NewMask(5)

@@ -69,37 +69,6 @@ func RangeMask(col []int64, c1, c2 int64) *Mask {
 	return m
 }
 
-// TimeRangeBounds returns the half-open row range [lo, hi) of timestamps
-// within [t1, t2]. The binary searches are hand-rolled rather than
-// sort.Search: the closures sort.Search takes capture ts and the bound,
-// which escapes them to the heap, and this sits on the per-batch cursor
-// path where steady state must stay allocation-free.
-func TimeRangeBounds(ts []int64, t1, t2 int64) (lo, hi int) {
-	// lo = first index with ts[i] >= t1.
-	i, j := 0, len(ts)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if ts[h] < t1 {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	lo = i
-	// hi = first index with ts[i] > t2; rows before lo are < t1 <= t2,
-	// so the search can start at lo.
-	i, j = lo, len(ts)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if ts[h] <= t2 {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return lo, i
-}
-
 // MaskedSum computes f(e, mask) for f = SUM, returning the sum of valid
 // values and the valid count.
 func MaskedSum(col []int64, m *Mask) (sum int64, count int) {

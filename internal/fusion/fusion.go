@@ -25,21 +25,6 @@ import (
 // behaviour of Section VI-C: detect, don't wrap).
 var ErrOverflow = errors.New("fusion: aggregate overflow")
 
-// addChecked adds two int64 detecting overflow.
-//
-//etsqp:checked add
-//etsqp:hotpath
-//etsqp:nobce
-//etsqp:noescape
-//etsqp:inline
-func addChecked(a, b int64) (int64, bool) {
-	s := a + b
-	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
-		return s, false
-	}
-	return s, true
-}
-
 // mulChecked multiplies two int64 detecting overflow: the 128-bit
 // product of the magnitudes must fit below 2^63, or reach exactly 2^63
 // when the signs differ (MinInt64). No division, so MinInt64·−1, whose
@@ -51,16 +36,8 @@ func addChecked(a, b int64) (int64, bool) {
 //etsqp:noescape
 //etsqp:inline
 func mulChecked(a, b int64) (int64, bool) {
-	hi, lo := bits.Mul64(magnitude(a), magnitude(b))
+	hi, lo := bits.Mul64(encoding.Magnitude(a), encoding.Magnitude(b))
 	return a * b, hi == 0 && lo <= math.MaxInt64+uint64(a^b)>>63
-}
-
-// magnitude is |v| as a uint64, exact for MinInt64.
-//
-//etsqp:inline
-func magnitude(v int64) uint64 {
-	s := v >> 63
-	return uint64((v ^ s) - s)
 }
 
 // sumArithChecked is Σ_{i=1..n} i = n(n+1)/2, detecting overflow. Exactly
@@ -157,12 +134,12 @@ func Sum(first int64, pairs []encoding.DeltaRun) (int64, error) {
 		runSum, ok1 := mulChecked(cur, n)
 		tri, ok2 := sumArithChecked(n)
 		inc, ok3 := mulChecked(p.Delta, tri)
-		runSum, ok4 := addChecked(runSum, inc)
+		runSum, ok4 := encoding.AddChecked(runSum, inc)
 		var ok5 bool
-		total, ok5 = addChecked(total, runSum)
+		total, ok5 = encoding.AddChecked(total, runSum)
 		step, ok6 := mulChecked(p.Delta, n)
 		var ok7 bool
-		cur, ok7 = addChecked(cur, step)
+		cur, ok7 = encoding.AddChecked(cur, step)
 		if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7) {
 			return 0, ErrOverflow
 		}
@@ -203,13 +180,13 @@ func SumSquares(first int64, pairs []encoding.DeltaRun) (int64, error) {
 		d2, ok7 := mulChecked(p.Delta, p.Delta)
 		sq, ok8 := sumSquaresArithChecked(n)
 		d2, ok9 := mulChecked(d2, sq)
-		s, ok10 := addChecked(t1, cross)
-		s, ok11 := addChecked(s, d2)
+		s, ok10 := encoding.AddChecked(t1, cross)
+		s, ok11 := encoding.AddChecked(s, d2)
 		var ok12 bool
-		total, ok12 = addChecked(total, s)
+		total, ok12 = encoding.AddChecked(total, s)
 		step, ok13 := mulChecked(p.Delta, n)
 		var ok14 bool
-		cur, ok14 = addChecked(cur, step)
+		cur, ok14 = encoding.AddChecked(cur, step)
 		if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7 && ok8 &&
 			ok9 && ok10 && ok11 && ok12 && ok13 && ok14) {
 			return 0, ErrOverflow

@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"testing"
 
+	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/ts2diff"
 )
 
@@ -111,8 +112,8 @@ func TestCheckedHelpersMatchBig(t *testing.T) {
 		for _, b := range grid {
 			p, ok := mulChecked(a, b)
 			check(fmt.Sprintf("mulChecked(%d, %d)", a, b), p, ok, new(big.Int).Mul(big.NewInt(a), big.NewInt(b)))
-			s, ok := addChecked(a, b)
-			check(fmt.Sprintf("addChecked(%d, %d)", a, b), s, ok, new(big.Int).Add(big.NewInt(a), big.NewInt(b)))
+			s, ok := encoding.AddChecked(a, b)
+			check(fmt.Sprintf("encoding.AddChecked(%d, %d)", a, b), s, ok, new(big.Int).Add(big.NewInt(a), big.NewInt(b)))
 		}
 		// Σ_{i=1..n} i and Σ_{i=1..n-1} i; both helpers refuse n < 0.
 		n := big.NewInt(a)

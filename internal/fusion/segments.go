@@ -67,7 +67,7 @@ func SumRangeSegments(first int64, pairs []encoding.DeltaRun, cuts []int, sums [
 		sums[0] = first
 	}
 	last := cuts[len(cuts)-1]
-	bound := magnitude(first)
+	bound := encoding.Magnitude(first)
 	cur := first
 	idx := 0
 	s := 0
@@ -76,7 +76,7 @@ func SumRangeSegments(first int64, pairs []encoding.DeltaRun, cuts []int, sums [
 		if idx+1 >= last {
 			break
 		}
-		carry, step := bits.Mul64(magnitude(p.Delta), uint64(p.Count))
+		carry, step := bits.Mul64(encoding.Magnitude(p.Delta), uint64(p.Count))
 		bound += step
 		if carry != 0 || bound < step || bound > math.MaxInt64 {
 			return ErrOverflow
@@ -191,13 +191,13 @@ func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
 			for _, d := range ds[:n] {
 				okC, okD, okA := true, true, true
 				if b.Order == ts2diff.Order1 {
-					cur, okC = addChecked(cur, d)
+					cur, okC = encoding.AddChecked(cur, d)
 				} else {
-					cur, okC = addChecked(cur, delta)
-					delta, okD = addChecked(delta, d)
+					cur, okC = encoding.AddChecked(cur, delta)
+					delta, okD = encoding.AddChecked(delta, d)
 				}
 				if summed {
-					acc, okA = addChecked(acc, cur)
+					acc, okA = encoding.AddChecked(acc, cur)
 				}
 				if !(okC && okD && okA) {
 					return ErrOverflow

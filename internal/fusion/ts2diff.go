@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"etsqp/internal/bitio"
+	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/pipeline"
 )
@@ -33,7 +34,7 @@ func SumBlock(b *ts2diff.Block) (int64, error) {
 	}
 	tri, okT := triangleChecked(n)
 	ramp, ok2 := mulChecked(b.MinBase, tri)
-	total, ok3 := addChecked(total, ramp)
+	total, ok3 := encoding.AddChecked(total, ramp)
 	if !okT || !ok2 || !ok3 {
 		return 0, ErrOverflow
 	}
@@ -41,7 +42,7 @@ func SumBlock(b *ts2diff.Block) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	total, ok = addChecked(total, sumP)
+	total, ok = encoding.AddChecked(total, sumP)
 	if !ok {
 		return 0, ErrOverflow
 	}
@@ -70,8 +71,8 @@ func sumPrefixes(packed []byte, m int, width uint) (int64, error) {
 		}
 		for _, f := range fields[:n] {
 			var okP, ok bool
-			prefix, okP = addChecked(prefix, f)
-			sumP, ok = addChecked(sumP, prefix)
+			prefix, okP = encoding.AddChecked(prefix, f)
+			sumP, ok = encoding.AddChecked(sumP, prefix)
 			if !(okP && ok) {
 				return 0, ErrOverflow
 			}
@@ -109,7 +110,7 @@ func SumBlockOrder2(b *ts2diff.Block) (int64, error) {
 	}
 	tri, okT := triangleChecked(n)
 	ramp, ok1 := mulChecked(b.FirstDelta, tri)
-	total, ok2 := addChecked(total, ramp)
+	total, ok2 := encoding.AddChecked(total, ramp)
 	if !okT || !ok1 || !ok2 {
 		return 0, ErrOverflow
 	}
@@ -144,7 +145,7 @@ func SumBlockOrder2(b *ts2diff.Block) (int64, error) {
 			w, okW := triangleChecked(n - 1 - j)
 			term, ok1 := mulChecked(d, w)
 			var ok2 bool
-			total, ok2 = addChecked(total, term)
+			total, ok2 = encoding.AddChecked(total, term)
 			if !okW || !ok1 || !ok2 {
 				return 0, ErrOverflow
 			}

@@ -16,7 +16,7 @@ import (
 // lattice over the shared walker in flow.go, from //etsqp:bounds
 // directives, constants, branch guards and loop fixpoints — can leave
 // int64 must instead flow through an //etsqp:checked helper
-// (fusion.addChecked, fusion.mulChecked, ...) or have its operands
+// (encoding.AddChecked, fusion.mulChecked, ...) or have its operands
 // provably bounded. Declared //etsqp:bounds return
 // intervals are verified against the computed return-value intervals,
 // the ok result of a checked helper must not be discarded, and

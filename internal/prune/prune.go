@@ -1,17 +1,19 @@
 // Package prune implements Section V: stopping rules that terminate
 // decoding early from encoder statistics alone.
 //
-// A page header stores the packing parameters of its Delta stream. Those
-// bound every future delta —
+// A page header stores the packing parameters of its Delta stream. On an
+// order-1 page those bound every future delta —
 //
 //	D_m >= minBase,   D_M <= minBase + 2^w - 1
 //
 // Given the last decoded element and a range filter, Proposition 5
 // decides whether any remaining element can still satisfy the filter; if
-// not, the rest of the page is skipped. Proposition 4's time rules need
-// no bounds: timestamps are sorted, so a scan stops at the first one past
-// the range, and a constant interval maps the range to rows directly
-// (PositionsForConstantInterval).
+// not, the rest of the page is skipped. The same reach bounds every row's
+// magnitude, which is what lets a one-pass sum skip per-value overflow
+// checks. Proposition 4's time rules need no bounds: timestamps are
+// sorted, so a scan stops at the first one past the range, and a
+// constant interval maps the range to rows by arithmetic (the engine's
+// row clock).
 package prune
 
 import (
@@ -27,11 +29,23 @@ import (
 type Bounds struct {
 	Dm int64 // lower bound of every delta (minBase)
 	DM int64 // upper bound of every delta (minBase + 2^w - 1)
+
+	// unbounded marks a page whose header bounds none of its values: no
+	// reach holds and no stop rule fires, whatever Dm and DM read.
+	unbounded bool
 }
 
-// BoundsFromBlock derives delta bounds from a TS2DIFF block header.
+// BoundsFromBlock derives delta bounds from a TS2DIFF block header. It is
+// the one place that decides whether a header bounds its values: only an
+// order-1 block of width below 63 does. An order-2 header bounds second
+// differences, not the steps between values; at widths 63 and 64, as
+// whenever minBase + 2^w - 1 passes MaxInt64, a decoded delta can wrap
+// out of [D_m, D_M].
 func BoundsFromBlock(b *ts2diff.Block) Bounds {
 	dm, dM := b.DeltaBounds()
+	if b.Order != ts2diff.Order1 || b.Width >= 63 || uint64(dM-dm) != 1<<b.Width-1 {
+		return Bounds{unbounded: true}
+	}
 	return Bounds{Dm: dm, DM: dM}
 }
 
@@ -45,7 +59,7 @@ func (b Bounds) StopValueLow(ak int64, k, n int, c1 int64) bool {
 	if ak >= c1 {
 		return false
 	}
-	_, hi, ok := b.reach(ak, uint64(n-k-1))
+	_, hi, ok := b.Reach(ak, uint64(n-k-1))
 	return ok && hi < c1
 }
 
@@ -59,67 +73,35 @@ func (b Bounds) StopValueHigh(ak int64, k, n int, c2 int64) bool {
 	if ak <= c2 {
 		return false
 	}
-	lo, _, ok := b.reach(ak, uint64(n-k-1))
+	lo, _, ok := b.Reach(ak, uint64(n-k-1))
 	return ok && lo > c2
 }
 
-// reach bounds every value steps or fewer deltas after ak: each lies in
+// Reach bounds every value steps or fewer deltas after ak: each lies in
 // [ak + steps·min(D_m, 0), ak + steps·max(D_M, 0)]. Values are rebuilt
 // in wrapping arithmetic, so the interval holds only when both ends fit
 // int64 — then no prefix sum can wrap — and ok is false otherwise: a
-// wrapping walk can land anywhere, so no stop rule may fire.
-func (b Bounds) reach(ak int64, steps uint64) (lo, hi int64, ok bool) {
+// wrapping walk can land anywhere, so no stop rule may fire. ok is false
+// on an unbounded page too, even at zero steps.
+func (b Bounds) Reach(ak int64, steps uint64) (lo, hi int64, ok bool) {
 	upHi, up := bits.Mul64(uint64(max(b.DM, 0)), steps)
 	downHi, down := bits.Mul64(-uint64(min(b.Dm, 0)), steps)
 	// Room above and below ak, as exact unsigned distances.
 	roomUp, roomDown := uint64(math.MaxInt64)-uint64(ak), uint64(ak)+1<<63
-	if upHi != 0 || downHi != 0 || up > roomUp || down > roomDown {
+	if b.unbounded || upHi != 0 || downHi != 0 || up > roomUp || down > roomDown {
 		return 0, 0, false
 	}
 	return int64(uint64(ak) - down), int64(uint64(ak) + up), true
 }
 
-// StopValue combines both directions for a range filter c1 < A < c2.
+// StopValue combines both directions for a range filter c1 < A < c2. It
+// never fires on an unbounded page.
 func (b Bounds) StopValue(ak int64, k, n int, c1, c2 int64) bool {
-	if b.StopValueLow(ak, k, n, c1) || b.StopValueHigh(ak, k, n, c2) {
+	if !b.unbounded && (b.StopValueLow(ak, k, n, c1) || b.StopValueHigh(ak, k, n, c2)) {
 		obs.PruneStopsValue.Inc()
 		return true
 	}
 	return false
-}
-
-// PositionsForConstantInterval handles the special case at the end of
-// Proposition 4: when the time interval D is constant (width-0 packing),
-// the valid positions for t1 <= T <= t2 are computed directly with no
-// decoding at all. It returns the half-open row range [lo, hi).
-func PositionsForConstantInterval(first, interval int64, n int, t1, t2 int64) (lo, hi int) {
-	if n == 0 || t2 < t1 {
-		return 0, 0
-	}
-	if interval <= 0 {
-		// Degenerate: all timestamps equal first.
-		if first >= t1 && first <= t2 {
-			return 0, n
-		}
-		return 0, 0
-	}
-	// Smallest i with first + i*interval >= t1.
-	lo = 0
-	if first < t1 {
-		lo = int((t1 - first + interval - 1) / interval)
-	}
-	// Largest i with first + i*interval <= t2, exclusive bound.
-	if first > t2 {
-		return 0, 0
-	}
-	hi = int((t2-first)/interval) + 1
-	if hi > n {
-		hi = n
-	}
-	if lo >= hi {
-		return 0, 0
-	}
-	return lo, hi
 }
 
 // SkipPageByValue reports whether a whole page can be skipped for the

@@ -19,6 +19,57 @@ func TestBoundsFromBlock(t *testing.T) {
 	if bd.Dm != 4 || bd.DM != 7 {
 		t.Fatalf("bounds = %+v", bd)
 	}
+	if lo, hi, ok := bd.Reach(0, 4); !ok || lo != 0 || hi != 28 {
+		t.Fatalf("Reach(0, 4) = [%d, %d] %v, want [0, 28] true", lo, hi, ok)
+	}
+
+	// Headers that bound no value: an order-2 header bounds second
+	// differences, and at widths 63 and 64 a decoded delta can wrap. The
+	// order-2 page is the Sine shape, whose first differences change
+	// sign: its second-difference bounds would stop a scan for A < 0 at
+	// the crest while the wave still comes back down.
+	wave := make([]int64, 2000)
+	for i := range wave {
+		wave[i] = int64(10000 * math.Sin(2*math.Pi*float64(i)/997))
+	}
+	edge := func(width uint) []int64 {
+		if width == 64 {
+			return []int64{0, math.MinInt64, 0, math.MaxInt64}
+		}
+		return []int64{0, 1 << 62, 1 << 62, 1<<62 - 1} // deltas span 2^62 + 1
+	}
+	for _, c := range []struct {
+		name  string
+		vals  []int64
+		order ts2diff.Order
+		width uint
+	}{
+		{"order 2, Sine", wave, ts2diff.Order2, 0},
+		{"order 2, constant", []int64{5, 5, 5, 5}, ts2diff.Order2, 0},
+		{"order 1, width 63", edge(63), ts2diff.Order1, 63},
+		{"order 1, width 64", edge(64), ts2diff.Order1, 64},
+	} {
+		b, err := ts2diff.Encode(c.vals, c.order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.width != 0 && b.Width != c.width {
+			t.Fatalf("%s: packed at width %d", c.name, b.Width)
+		}
+		bd := BoundsFromBlock(b)
+		for _, steps := range []uint64{0, 1, uint64(b.Count - 1)} {
+			if lo, hi, ok := bd.Reach(c.vals[0], steps); ok {
+				t.Errorf("%s: Reach(%d steps) = [%d, %d], want no bound", c.name, steps, lo, hi)
+			}
+		}
+		for k := range c.vals {
+			for _, r := range [][2]int64{{1, 1}, {math.MinInt64, -1}, {1, math.MaxInt64}, {c.vals[k] + 1, math.MaxInt64}} {
+				if bd.StopValue(c.vals[k], k, b.Count, r[0], r[1]) {
+					t.Fatalf("%s: StopValue fired at row %d for [%d, %d]", c.name, k, r[0], r[1])
+				}
+			}
+		}
+	}
 }
 
 // pruneIsSound: whenever a stop rule fires at position k, no element after
@@ -95,59 +146,6 @@ func TestStopValueFires(t *testing.T) {
 	bd = Bounds{Dm: 0, DM: 2}
 	if bd.StopValueHigh(math.MaxInt64-1, 0, 3, 0) {
 		t.Fatal("StopValueHigh fired above a walk that wraps to MinInt64")
-	}
-}
-
-func TestPositionsForConstantInterval(t *testing.T) {
-	cases := []struct {
-		first, interval int64
-		n               int
-		t1, t2          int64
-		lo, hi          int
-	}{
-		{0, 10, 100, 25, 55, 3, 6},   // 30,40,50
-		{0, 10, 100, 0, 990, 0, 100}, // everything
-		{0, 10, 100, -50, -1, 0, 0},  // before start
-		{0, 10, 10, 95, 200, 0, 0},   // after end
-		{0, 10, 100, 30, 30, 3, 4},   // exact hit
-		{0, 10, 100, 31, 39, 0, 0},   // between points
-		{100, 10, 5, 0, 1000, 0, 5},  // full range
-		{100, 0, 5, 100, 100, 0, 5},  // degenerate interval, match
-		{100, 0, 5, 0, 50, 0, 0},     // degenerate interval, no match
-		{0, 10, 100, 55, 25, 0, 0},   // inverted range
-	}
-	for i, c := range cases {
-		lo, hi := PositionsForConstantInterval(c.first, c.interval, c.n, c.t1, c.t2)
-		if lo != c.lo || hi != c.hi {
-			t.Errorf("case %d: got [%d,%d) want [%d,%d)", i, lo, hi, c.lo, c.hi)
-		}
-	}
-}
-
-func TestPositionsMatchScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 200; trial++ {
-		first := rng.Int63n(1000)
-		interval := rng.Int63n(50) + 1
-		n := rng.Intn(200) + 1
-		t1 := rng.Int63n(first + interval*int64(n) + 100)
-		t2 := t1 + rng.Int63n(interval*int64(n)+1)
-		lo, hi := PositionsForConstantInterval(first, interval, n, t1, t2)
-		wantLo, wantHi := 0, 0
-		found := false
-		for i := 0; i < n; i++ {
-			ts := first + int64(i)*interval
-			if ts >= t1 && ts <= t2 {
-				if !found {
-					wantLo = i
-					found = true
-				}
-				wantHi = i + 1
-			}
-		}
-		if lo != wantLo || hi != wantHi {
-			t.Fatalf("trial %d: got [%d,%d) want [%d,%d)", trial, lo, hi, wantLo, wantHi)
-		}
 	}
 }
 

@@ -1,4 +1,4 @@
-// Command etsqp-lint is the project's static-analysis multichecker: it
+// Command etsqp-lint is the project's one static-analysis tool: it
 // loads the whole module with the standard library's type checker and
 // runs the invariant suite in internal/lint/analyzers —
 //
@@ -6,12 +6,19 @@
 //	boundscontract call sites satisfy callees' //etsqp:bounds parameter intervals
 //	guardedby      //etsqp:guardedby fields accessed holding the named mutex
 //	hotpathalloc   no allocating constructs reachable from //etsqp:hotpath
+//	inline         //etsqp:inline functions within the compiler's inlining budget
 //	lockorder      the module-wide lock-acquisition graph stays acyclic
+//	nobce          //etsqp:nobce functions compile with zero retained bounds checks
+//	noescape       nothing in //etsqp:noescape functions escapes to the heap
 //	nopanic        no panics reachable from Decode/Read/Unmarshal entries
 //	obsguard       obs counters via atomic helpers, Enabled()-gated in hot paths
 //	querydoc       SQL grammar surface and docs/QUERYING.md stay in sync
 //	rangecheck     int64 arithmetic in //etsqp:rangecheck kernels is checked or in range
 //	sharedwrite    parallel fan-outs write disjoint index ranges
+//
+// The three compiler contracts (inline, nobce, noescape) read the
+// diagnostics of one `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'`
+// of the module, run only when one of them is selected.
 //
 // Usage:
 //
@@ -29,11 +36,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"etsqp/internal/lint"
 	"etsqp/internal/lint/analyzers"
-	"etsqp/internal/lint/findings"
 )
 
 func main() {
@@ -50,28 +55,16 @@ func main() {
 		return
 	}
 
-	suite := analyzers.All
-	if *run != "" {
-		byName := map[string]*lint.Analyzer{}
-		for _, a := range analyzers.All {
-			byName[a.Name] = a
-		}
-		suite = nil
-		for _, name := range strings.Split(*run, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "etsqp-lint: unknown analyzer %q\n", name)
-				os.Exit(2)
-			}
-			suite = append(suite, a)
-		}
+	suite, err := analyzers.Select(*run)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "etsqp-lint: %v\n", err)
+		os.Exit(2)
 	}
 
-	root := *dir
 	// Package patterns (./...) are accepted for familiarity; the loader
 	// always analyzes the whole module, which is what the suite's
 	// cross-package invariants need anyway.
-	m, err := lint.Load(root)
+	m, err := lint.Load(*dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "etsqp-lint: %v\n", err)
 		os.Exit(2)
@@ -82,7 +75,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *jsonOut {
-		if err := findings.WriteJSON(os.Stdout, diags); err != nil {
+		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
 			fmt.Fprintf(os.Stderr, "etsqp-lint: %v\n", err)
 			os.Exit(2)
 		}

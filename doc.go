@@ -32,9 +32,9 @@
 // kernels (//etsqp:rangecheck interval analysis with //etsqp:bounds
 // contracts, so Section VI-C overflow surfaces as an error rather than
 // a wrapped sum) — are enforced by the cmd/etsqp-lint analyzer
-// suite, and cmd/etsqp-vet checks the compiler's own diagnostics
-// against per-kernel bounds-check-elimination, escape and inlining
-// contracts (docs/STATIC_ANALYSIS.md).
+// suite, whose compiler-contract analyzers also check the compiler's
+// own diagnostics against per-kernel bounds-check-elimination, escape
+// and inlining contracts (docs/STATIC_ANALYSIS.md).
 //
 // The library lives under internal/ (see DESIGN.md for the module map);
 // runnable entry points are cmd/etsqp-bench (regenerates every table and

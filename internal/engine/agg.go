@@ -543,7 +543,7 @@ func (p *plan) windowCuts(clock rowClock, lo, hi int, scratch *[]int) (first int
 // the covering windows are a contiguous run that slides right. The
 // pass's time, less the decode's, is the aggregate stage of a plain
 // aggregate and the window stage of a window.
-func (e *Engine) foldSegments(p *plan, sl pipeline.Slice, fused bool, cuts, winLo, winHi []int,
+func (e *Engine) foldSegments(p *plan, sl Slice, fused bool, cuts, winLo, winHi []int,
 	part []partialAgg, col *statsCollector, arena *exec.Arena) error {
 	nseg := len(cuts) - 1
 	var sums, vals []int64
@@ -613,7 +613,7 @@ func (e *Engine) foldSegments(p *plan, sl pipeline.Slice, fused bool, cuts, winL
 // applies under the prune strategy over order-1-scannable time pages
 // without windows or FIRST/LAST, which need the full timestamp column
 // for their boundaries.
-func (e *Engine) timeBoundsPruned(p *plan, sl pipeline.Slice,
+func (e *Engine) timeBoundsPruned(p *plan, sl Slice,
 	col *statsCollector, arena *exec.Arena) (lo, hi int, ok bool, err error) {
 	t1, t2 := p.t1, p.t2
 	if !p.strat.prune || len(p.windows) > 0 || p.needFL {
@@ -687,7 +687,7 @@ func openScan(scanner *pipeline.RangeScanner, blk *ts2diff.Block, pg *storage.Pa
 // reach: it never stops early and takes the checked fold. done reports
 // whether the rows were handled; otherwise (not a TS2DIFF page, or a
 // shape the scanner does not take) the caller decodes them.
-func (e *Engine) aggPrunedScan(p *plan, sl pipeline.Slice, lo, hi int,
+func (e *Engine) aggPrunedScan(p *plan, sl Slice, lo, hi int,
 	local *partialAgg, col *statsCollector, arena *exec.Arena) (done bool, err error) {
 	var blk ts2diff.Block
 	var scanner pipeline.RangeScanner
@@ -815,7 +815,7 @@ func predsMatch(vp []sqlparse.Pred, v int64) bool {
 // addBoundaries decodes only the first and last valid rows of a slice
 // and folds them into the FIRST/LAST state — the fused-compatible path
 // for boundary aggregates.
-func (e *Engine) addBoundaries(p *plan, sl pipeline.Slice, lo, hi int, clock rowClock,
+func (e *Engine) addBoundaries(p *plan, sl Slice, lo, hi int, clock rowClock,
 	local *partialAgg, col *statsCollector) error {
 	fv, err := e.decodeColumnRange(p.series[0], sl.Pair.Value, lo, lo+1, col)
 	if err != nil {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -40,31 +39,17 @@ func loadPage(p *storage.Page, col *statsCollector) (data []byte, bufp *[]byte) 
 // pageBlockData parses a ts2diff page payload (the structured view the
 // vectorized paths need) from data, p.Data or a loaded copy of it, into
 // the caller's blk, so a scan parses page after page without a heap
-// block each. ok is false for other codecs and, with payloadRows's
+// block each. ok is false for other codecs and, with PayloadRows's
 // error, for a payload that does not parse or match the header.
 func pageBlockData(blk *ts2diff.Block, p *storage.Page, data []byte) (ok bool, err error) {
 	switch p.Header.Codec {
 	case "ts2diff", "ts2diff2":
 		err = blk.UnmarshalBinary(data)
-		err = payloadRows(p, blk.Count, err)
+		err = p.PayloadRows(blk.Count, err)
 		return err == nil, err
 	default:
 		return false, nil
 	}
-}
-
-// payloadRows is the one check every payload parse of the engine passes
-// through: a payload that fails to parse, or holds another number of rows
-// than its page header, makes the page corrupt. Without it a query would
-// answer over the rows the payload happens to hold, or index past them.
-func payloadRows(p *storage.Page, rows int, err error) error {
-	if err == nil && rows != p.Header.Count {
-		err = fmt.Errorf("%d rows, header %d", rows, p.Header.Count)
-	}
-	if err != nil {
-		return fmt.Errorf("engine: %s payload: %w: %w", p.Header.Codec, err, storage.ErrCorrupt)
-	}
-	return nil
 }
 
 // decodeColumnRange decodes rows [from, to) of a page column, consulting
@@ -142,7 +127,7 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *s
 		return nil, err
 	}
 	all, err := c.Decode(data)
-	if err := payloadRows(p, len(all), err); err != nil {
+	if err := p.PayloadRows(len(all), err); err != nil {
 		return nil, err
 	}
 	if full {
@@ -186,28 +171,65 @@ func deltaRunsOfData(p *storage.Page, data []byte, runs *[]encoding.DeltaRun) (f
 		first, rows = blk.First, blk.Count
 		*runs, err = blk.AppendPairs((*runs)[:0])
 	}
-	err = payloadRows(p, rows, err)
+	err = p.PayloadRows(rows, err)
 	return first, *runs, err == nil, err
 }
 
-// jobsFor builds the pipeline jobs. ETSQP-family strategies deal whole
-// pages when possible (Section III-C); SBoost always slices every page
-// across all workers, paying the per-slice prefix dependency.
-func (e *Engine) jobsFor(pairs []storage.PagePair) []pipeline.Slice {
+// Slice is one unit of core-level work: either a whole page pair or a
+// row range of one (Section III-C / Figure 8).
+type Slice struct {
+	Pair     storage.PagePair
+	StartRow int // inclusive
+	EndRow   int // exclusive
+}
+
+// Rows returns the number of rows covered by the slice.
+func (s Slice) Rows() int { return s.EndRow - s.StartRow }
+
+// jobsFor builds the pipeline jobs, in page order. Following the paper's
+// scheduler (Section III-C), ETSQP-family strategies deal whole pages
+// when there are at least as many pages as workers (no slice
+// dependencies, no idle cores); only when pages are scarce is each page
+// cut into ceil(workers/#pages) slices so every core gets work. SBoost
+// always slices every page across all workers, paying the per-slice
+// prefix dependency.
+func (e *Engine) jobsFor(pairs []storage.PagePair) []Slice {
 	w := e.workers()
 	per := e.ForceSlices
 	if per <= 0 && e.Mode.strategy().sliceEveryPage {
 		per = w
 	}
-	out := make([]pipeline.Slice, 0, len(pairs))
-	if per > 0 {
-		for _, pp := range pairs {
-			out = append(out, pipeline.SplitPage(pp, per)...)
-		}
-		return out
+	if per <= 0 && len(pairs) > 0 {
+		per = (w + len(pairs) - 1) / len(pairs)
 	}
-	for _, js := range pipeline.SplitPages(pairs, w) {
-		out = append(out, js...)
+	out := make([]Slice, 0, len(pairs))
+	for _, pp := range pairs {
+		out = appendSlices(out, pp, per)
 	}
 	return out
+}
+
+// appendSlices cuts one page pair into up to n row-aligned slices and
+// appends them to dst. Interior boundaries are aligned to 8-row
+// multiples so constant-width slices start on whole unpack vectors (same
+// bits per element, as the paper requires for constant packing widths);
+// the final slice absorbs the remainder.
+func appendSlices(dst []Slice, pp storage.PagePair, n int) []Slice {
+	rows := pp.Count()
+	n = max(min(n, rows), 1)
+	start, first := 0, len(dst)
+	for i := 0; i < n-1; i++ {
+		end := start + rows/n
+		end -= end % 8
+		if end <= start {
+			continue
+		}
+		dst = append(dst, Slice{Pair: pp, StartRow: start, EndRow: end})
+		start = end
+	}
+	if start < rows || rows == 0 {
+		dst = append(dst, Slice{Pair: pp, StartRow: start, EndRow: rows})
+	}
+	obs.PipelineSlices.Add(int64(len(dst) - first))
+	return dst
 }

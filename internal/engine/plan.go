@@ -7,7 +7,6 @@ import (
 
 	"etsqp/internal/expr"
 	"etsqp/internal/obs"
-	"etsqp/internal/pipeline"
 	"etsqp/internal/prune"
 	"etsqp/internal/sqlparse"
 	"etsqp/internal/storage"
@@ -90,7 +89,7 @@ type plan struct {
 	pagesPruned  int
 	prunedTuples int64
 	pages        []storage.PagePair
-	slices       []pipeline.Slice
+	slices       []Slice
 	outcomes     []sliceOutcome // aggregate shapes: one per job
 	pruneNs      int64          // page selection, reported as the prune stage
 
@@ -237,7 +236,7 @@ func (p *plan) checkAggregates() error {
 // outcomeOf plans one aggregation job. fusible says the aggregate set
 // can run on encoded form under this strategy; whether this job does
 // also depends on its page statistics versus the value predicates.
-func (p *plan) outcomeOf(sl pipeline.Slice, fusible, headerStats bool) sliceOutcome {
+func (p *plan) outcomeOf(sl Slice, fusible, headerStats bool) sliceOutcome {
 	h := sl.Pair.Value.Header
 	fused := fusible && len(p.vp) == 0
 	if !fused && fusible && p.rangeOnly && prune.AllValuesInRange(h, p.c1, p.c2) {

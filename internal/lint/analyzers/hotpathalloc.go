@@ -11,8 +11,9 @@ import (
 	"etsqp/internal/lint"
 )
 
-// All is the analyzer suite cmd/etsqp-lint runs.
-var All = []*lint.Analyzer{AtomicField, BoundsContract, GuardedBy, HotPathAlloc, LockOrder, NoPanic, ObsGuard, QueryDoc, RangeCheck, SharedWrite}
+// All is the analyzer suite cmd/etsqp-lint runs: the source analyzers
+// and the three compiler contracts (contracts.go).
+var All = []*lint.Analyzer{AtomicField, BoundsContract, GuardedBy, HotPathAlloc, Inline, LockOrder, NoBCE, NoEscape, NoPanic, ObsGuard, QueryDoc, RangeCheck, SharedWrite}
 
 // HotPathAlloc enforces that functions annotated //etsqp:hotpath — and
 // every module function they statically call — contain no allocating

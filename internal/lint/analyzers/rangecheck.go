@@ -24,7 +24,7 @@ import (
 //
 // Plain `int` index arithmetic is deliberately out of scope: indices are
 // policed dynamically by slice bounds checks and statically by the
-// //etsqp:nobce budget of etsqp-vet; int64 is the aggregate-value
+// //etsqp:nobce budget of the nobce analyzer; int64 is the aggregate-value
 // domain where a wrap is a silent wrong answer, not a panic.
 var RangeCheck = &lint.Analyzer{
 	Name: "rangecheck",

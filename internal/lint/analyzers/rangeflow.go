@@ -39,7 +39,7 @@ package analyzers
 // Not modeled: relational facts (i <= j+k), per-element slice intervals,
 // and anything about float64 — the int64 value domain of Section VI-C is
 // the whole scope; plain `int` index math is covered dynamically by the
-// bounds-check-elimination budget of etsqp-vet instead.
+// bounds-check-elimination budget of the nobce analyzer instead.
 
 import (
 	"fmt"

@@ -16,9 +16,11 @@ import (
 // spawning function must come after a sync.WaitGroup Wait call.
 //
 // Channel sends are always allowed (they synchronize), and mutating
-// shared state through method calls is not flagged — the mutex-guarded
-// merge in executeAgg (lock, global.merge(local), unlock) is the blessed
-// pattern for non-slot accumulation.
+// shared state through method calls is not flagged, so goroutine-local
+// state merged under a mutex (lock, global.merge(local), unlock) is the
+// alternative to slot writes. The aggregate executor needs neither:
+// executeAgg's pool workers fold into per-slot partials, which it merges
+// sequentially after RunWith returns.
 var SharedWrite = &lint.Analyzer{
 	Name: "sharedwrite",
 	Doc:  "goroutines spawned in loops write only disjoint per-worker slots",

@@ -20,13 +20,13 @@
 package lint
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"io"
+	"sort"
 	"strings"
-
-	"etsqp/internal/lint/findings"
 )
 
 // An Analyzer describes one invariant check over a loaded Module.
@@ -52,13 +52,21 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// A Diagnostic is one reported finding. It is the shared schema of
-// internal/lint/findings, so etsqp-lint and etsqp-vet findings are
-// interchangeable (one sort order, one JSON shape, one problem matcher).
-type Diagnostic = findings.Finding
+// A Diagnostic is one reported finding: a position, the analyzer that
+// produced it, and a message.
+type Diagnostic struct {
+	Pos      token.Position
+	Analyzer string
+	Message  string
+}
+
+func (d Diagnostic) String() string {
+	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+}
 
 // Run executes the analyzers over the module and returns all diagnostics
-// sorted by position.
+// in a deterministic order — file, line, column, analyzer, message — so
+// repeated runs (and CI annotation diffs) are stable.
 func Run(m *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, a := range analyzers {
@@ -68,19 +76,50 @@ func Run(m *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		out = append(out, pass.diags...)
 	}
-	Sort(out)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
+	})
 	return out, nil
 }
 
-// Sort orders diagnostics deterministically. It forwards to
-// findings.Sort; kept so analyzers and tests can stay on the lint API.
-func Sort(diags []Diagnostic) { findings.Sort(diags) }
+// jsonDiagnostic is the stable machine-readable shape of -json output.
+type jsonDiagnostic struct {
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Column   int    `json:"column"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
+}
 
 // WriteJSON writes diagnostics as an indented JSON array (never null:
-// zero findings encode as []), in the order given. It forwards to
-// findings.WriteJSON.
+// zero findings encode as []), in the order given.
 func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	return findings.WriteJSON(w, diags)
+	out := make([]jsonDiagnostic, 0, len(diags))
+	for _, d := range diags {
+		out = append(out, jsonDiagnostic{
+			File:     d.Pos.Filename,
+			Line:     d.Pos.Line,
+			Column:   d.Pos.Column,
+			Analyzer: d.Analyzer,
+			Message:  d.Message,
+		})
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
 }
 
 // WalkStack walks the AST rooted at n, calling fn with each node and the

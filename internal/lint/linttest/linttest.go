@@ -32,6 +32,8 @@ type posKey struct {
 // Run loads the fixture module rooted at dir (which must contain its own
 // go.mod so the surrounding module's build ignores it), runs the given
 // analyzers and compares diagnostics with the fixture's want comments.
+// The compiler-contract analyzers build the fixture, so their fixtures
+// must be complete modules that compile on their own.
 func Run(t *testing.T, dir string, analyzers ...*lint.Analyzer) {
 	t.Helper()
 	m, err := lint.Load(dir)
@@ -42,13 +44,6 @@ func Run(t *testing.T, dir string, analyzers ...*lint.Analyzer) {
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", dir, err)
 	}
-	CheckExpectations(t, m, diags)
-}
-
-// CheckExpectations compares diagnostics (however produced — analyzers
-// here, compiler facts in vettest) against the module's want comments.
-func CheckExpectations(t *testing.T, m *lint.Module, diags []lint.Diagnostic) {
-	t.Helper()
 	wants := collectWants(t, m)
 	for _, d := range diags {
 		key := posKey{d.Pos.Filename, d.Pos.Line}

@@ -42,6 +42,10 @@ type Module struct {
 	// //etsqp:atomic) to their directives, keyed by name so lookups work
 	// across analysis units.
 	Fields map[FieldKey]*FieldDir
+
+	// facts memoizes CompilerFacts: one build per loaded module.
+	facts    *CompilerFacts
+	factsErr error
 }
 
 // loader type-checks the module bottom-up. Module-internal imports are

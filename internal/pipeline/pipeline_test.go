@@ -8,7 +8,6 @@ import (
 
 	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/ts2diff"
-	"etsqp/internal/storage"
 )
 
 // seriesWithWidth builds n values whose TS2DIFF packing width is exactly w.
@@ -281,86 +280,6 @@ func TestUnpackFibonacciTruncated(t *testing.T) {
 	if _, err := encoding.FibonacciDecodeAll(buf, 3); err == nil {
 		t.Fatal("expected error for missing codewords (reference)")
 	}
-}
-
-func TestSplitPagesWholePagesWhenEnough(t *testing.T) {
-	pairs := makePairs(t, 8, 100)
-	got := SplitPages(pairs, 4)
-	if len(got) != 4 {
-		t.Fatalf("workers = %d", len(got))
-	}
-	total := 0
-	for _, ws := range got {
-		for _, sl := range ws {
-			if sl.StartRow != 0 {
-				t.Fatal("whole pages must not be sliced")
-			}
-			total += sl.Rows()
-		}
-	}
-	if total != 800 {
-		t.Fatalf("rows covered = %d", total)
-	}
-}
-
-func TestSplitPagesSlicesWhenScarce(t *testing.T) {
-	pairs := makePairs(t, 2, 1000)
-	got := SplitPages(pairs, 8)
-	nSlices := 0
-	rows := 0
-	for _, ws := range got {
-		for _, sl := range ws {
-			nSlices++
-			rows += sl.Rows()
-			if sl.StartRow%8 != 0 {
-				t.Fatalf("slice start %d not aligned", sl.StartRow)
-			}
-		}
-	}
-	if rows != 2000 {
-		t.Fatalf("rows covered = %d", rows)
-	}
-	if nSlices < 5 {
-		t.Fatalf("expected each page split into ~4 slices, got %d total", nSlices)
-	}
-}
-
-func TestSplitPagesEdgeCases(t *testing.T) {
-	if got := SplitPages(nil, 4); len(got) != 4 {
-		t.Fatal("empty input must still return worker lists")
-	}
-	pairs := makePairs(t, 1, 5)
-	got := SplitPages(pairs, 0)
-	if len(got) != 1 {
-		t.Fatal("workers < 1 clamps to 1")
-	}
-	// Page smaller than worker count.
-	got = SplitPages(makePairs(t, 1, 3), 16)
-	rows := 0
-	for _, ws := range got {
-		for _, sl := range ws {
-			rows += sl.Rows()
-		}
-	}
-	if rows != 3 {
-		t.Fatalf("rows = %d", rows)
-	}
-}
-
-func makePairs(t *testing.T, nPages, rowsPer int) []storage.PagePair {
-	t.Helper()
-	n := nPages * rowsPer
-	ts := make([]int64, n)
-	vals := make([]int64, n)
-	for i := 0; i < n; i++ {
-		ts[i] = int64(i) * 1000
-		vals[i] = int64(i % 100)
-	}
-	pairs, err := storage.EncodePages(ts, vals, storage.Options{PageSize: rowsPer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pairs
 }
 
 func TestRangeScanner(t *testing.T) {

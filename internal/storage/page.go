@@ -77,13 +77,25 @@ func (p *Page) Decode() ([]int64, error) {
 		return nil, err
 	}
 	vals, err := c.Decode(p.Data)
-	if err != nil {
-		return nil, fmt.Errorf("storage: page decode (%s): %w", p.Header.Codec, err)
-	}
-	if len(vals) != p.Header.Count {
-		return nil, fmt.Errorf("storage: page count %d, decoded %d", p.Header.Count, len(vals))
+	if err := p.PayloadRows(len(vals), err); err != nil {
+		return nil, err
 	}
 	return vals, nil
+}
+
+// PayloadRows is the one check every payload parse passes through, given
+// the rows the parse found and its error: a payload that fails to parse,
+// or holds another number of rows than the header (which the checksum
+// does not cover), makes the page corrupt. Without it a reader would
+// answer over the rows the payload happens to hold, or index past them.
+func (p *Page) PayloadRows(rows int, err error) error {
+	if err == nil && rows != p.Header.Count {
+		err = fmt.Errorf("%d rows, header %d", rows, p.Header.Count)
+	}
+	if err != nil {
+		return fmt.Errorf("storage: %s payload: %w: %w", p.Header.Codec, err, ErrCorrupt)
+	}
+	return nil
 }
 
 // PagePair groups the timestamp page and value page covering the same rows

@@ -381,6 +381,36 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestPayloadMismatchIsCorrupt: the checksum covers the payload only, so
+// a page whose header count disagrees with its payload passes it, and a
+// page without a checksum has none to fail. Both are still corrupt pages
+// to every reader of the store, as they are to the engine.
+func TestPayloadMismatchIsCorrupt(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spoil func(*Page)
+	}{
+		{"header count 257 over 256 rows", func(p *Page) { p.Header.Count++ }},
+		{"checksum-less payload cut short", func(p *Page) {
+			p.Data, p.Header.Checksum = p.Data[:len(p.Data)-2], 0
+		}},
+	} {
+		st := NewStore()
+		ts, vals := genSeries(512)
+		if err := st.Append("s", ts, vals, Options{PageSize: 256}); err != nil {
+			t.Fatal(err)
+		}
+		ser, _ := st.Series("s")
+		c.spoil(ser.Pages[1].Value)
+		if _, _, err := st.ReadColumns("s"); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: ReadColumns error %v, want ErrCorrupt", c.name, err)
+		}
+		if err := st.Compact("s", Options{PageSize: 512}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Compact error %v, want ErrCorrupt", c.name, err)
+		}
+	}
+}
+
 // TestStoreConcurrentIngestAndQuery pins the serve-loop contract under
 // the race detector: ingest goroutines append pages through
 // Store.Append/AppendPages while query goroutines hold a *Series — the

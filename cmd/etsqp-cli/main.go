@@ -8,9 +8,8 @@
 // dump on exit.
 //
 // The serve subcommand runs the live observability surface instead of
-// the shell: an HTTP server with /metrics (Prometheus exposition with
-// trace-ID exemplars), /debug/vars, /debug/windows (rolling-window
-// rates and quantiles), /debug/dash (browser ops console),
+// the shell: an HTTP server with /metrics (Prometheus text exposition),
+// /debug/windows (rolling-window rates, quantiles and top queries),
 // /debug/pprof, and /query endpoints, an optional transport ingest
 // listener, and a bounded slow-query log of span-tree JSON lines.
 //
@@ -156,7 +155,7 @@ func runServe(args []string) {
 		eng.Cache = cache
 	}
 	obs.Enable() // the serving surface exists to be scraped
-	// The rolling-window sampler behind /debug/windows and /debug/dash:
+	// The rolling-window sampler behind /debug/windows:
 	// one registry snapshot per second, 5m30s of history.
 	windows := obs.NewWindow(time.Second, 0)
 	stopWindows := windows.Start()
@@ -174,7 +173,7 @@ func runServe(args []string) {
 		fmt.Printf("ingest: %s\n", l.Addr())
 		go func() { log.Fatal(srv.ServeIngest(l)) }()
 	}
-	fmt.Printf("http: %s (endpoints: /metrics /debug/vars /debug/windows /debug/dash /debug/pprof /query /healthz)\n", *httpAddr)
+	fmt.Printf("http: %s (endpoints: /metrics /debug/windows /debug/pprof /query /healthz)\n", *httpAddr)
 	log.Fatal(http.ListenAndServe(*httpAddr, srv.Handler()))
 }
 

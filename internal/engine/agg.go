@@ -420,7 +420,7 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 	// Per-slice trace event: row window, fusion decision and the page's
 	// packing width. Tracing off is a single nil check.
 	if col.trace != nil {
-		ev := SliceEvent{StartRow: sl.StartRow, EndRow: sl.EndRow, Rows: sl.Rows(), Fused: out >= outFused}
+		ev := SliceEvent{StartRow: sl.StartRow, EndRow: sl.EndRow, Rows: sl.Rows(), Fused: out == outFused}
 		var blk ts2diff.Block
 		if ok, _ := pageBlockData(&blk, sl.Pair.Value, sl.Pair.Value.Data); ok {
 			ev.Width, ev.packed = blk.Width, true
@@ -430,15 +430,6 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 			ev.DurNs = int64(time.Since(sliceStart))
 			col.trace.addSlice(ev)
 		}()
-	}
-
-	// Statistics-level answer: the plan proved the whole page lies in
-	// the time range and its header sum is valid, so neither column's
-	// payload is touched.
-	if out == outHeader {
-		part[0].addSum(sl.Pair.Value.Header.SumValue, int64(sl.Rows()))
-		col.statAnswered.Add(1)
-		return nil
 	}
 
 	// Resolve the time-valid row range [lo, hi) within the slice with the

@@ -32,8 +32,8 @@ func (a *AnalyzeInfo) String() string {
 		b.WriteByte('\n')
 	}
 	write("analyze:")
-	write("  pages: relevant=%d read=%d pruned=%d stat-answered=%d",
-		st.PagesTotal, st.PagesRead, st.PagesPruned, st.StatAnswered)
+	write("  pages: relevant=%d read=%d pruned=%d",
+		st.PagesTotal, st.PagesRead, st.PagesPruned)
 	write("  slices: %d  tuples loaded: %d  rows pruned: %d  rows out: %d",
 		st.SlicesRun, st.TuplesLoaded, st.RowsPruned, a.Result.rowsOut())
 	write("  values: fused=%d decoded=%d", st.ValuesFused, st.ValuesDecoded)

@@ -58,11 +58,6 @@ type Engine struct {
 	// regardless of page availability — the Figure 14(c,d) ablation knob
 	// for studying slice-dependency idle time vs materialization cost.
 	ForceSlices int
-	// UseHeaderStats answers SUM/COUNT/AVG over fully-covered pages from
-	// the page-header sum statistic without touching the payload
-	// (IoTDB-style statistics-level aggregation). Off by default so the
-	// benchmark comparisons exercise the decoding pipelines.
-	UseHeaderStats bool
 	// Pool is the shared execution pool slice/page morsels run on. Nil
 	// selects the process-wide exec.Default() pool, so concurrent engines
 	// share one set of workers unless a test or server wires its own.
@@ -204,13 +199,7 @@ func (e *Engine) run(p *plan, tr *Trace, start time.Time) (*Result, error) {
 		elapsed := time.Since(start)
 		if obs.Enabled() {
 			obs.EngineTimeQuery.AddNanos(int64(elapsed))
-			if tr != nil {
-				// A traced query stamps its ID on the latency histogram as
-				// an exemplar, so a /metrics bucket links to the trace.
-				obs.EngineHistQuery.ObserveExemplar(int64(elapsed), tr.TraceID)
-			} else {
-				obs.EngineHistQuery.Observe(int64(elapsed))
-			}
+			obs.EngineHistQuery.Observe(int64(elapsed))
 		}
 		if tr != nil {
 			tr.finish(res.Stats, elapsed)

@@ -824,48 +824,6 @@ func TestTimeCuts(t *testing.T) {
 	}
 }
 
-func TestHeaderStatsAggregation(t *testing.T) {
-	ts, vals := testData(20_000, 60, false)
-	st := storeFor(t, ModeETSQP, ts, vals, 1000)
-	t1, t2 := ts[0], ts[len(ts)-1]
-	want, wantCount := sumRange(ts, vals, t1, t2, func(int64) bool { return true })
-	sql := fmt.Sprintf("SELECT SUM(A), COUNT(A) FROM ts WHERE TIME >= %d AND TIME <= %d", t1, t2)
-	e := New(st, ModeETSQP)
-	e.UseHeaderStats = true
-	res, err := e.ExecuteSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Aggregates["SUM(A)"] != float64(want) || res.Aggregates["COUNT(A)"] != float64(wantCount) {
-		t.Fatalf("got %v", res.Aggregates)
-	}
-	if res.Stats.StatAnswered != 20 {
-		t.Fatalf("StatAnswered = %d want 20 (all pages)", res.Stats.StatAnswered)
-	}
-	// A partial range must fall back to the pipeline for edge pages.
-	res2, err := e.ExecuteSQL(fmt.Sprintf(
-		"SELECT SUM(A) FROM ts WHERE TIME >= %d AND TIME <= %d", ts[500], ts[19_000]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2, _ := sumRange(ts, vals, ts[500], ts[19_000], func(int64) bool { return true })
-	if res2.Aggregates["SUM(A)"] != float64(want2) {
-		t.Fatalf("partial: got %v want %d", res2.Aggregates["SUM(A)"], want2)
-	}
-	if res2.Stats.StatAnswered == 0 || res2.Stats.StatAnswered >= 20 {
-		t.Fatalf("partial StatAnswered = %d", res2.Stats.StatAnswered)
-	}
-	// Off by default.
-	e2 := New(st, ModeETSQP)
-	res3, err := e2.ExecuteSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Stats.StatAnswered != 0 {
-		t.Fatal("stats answering must be opt-in")
-	}
-}
-
 func TestJoinCorrelation(t *testing.T) {
 	n := 5000
 	ts := make([]int64, n)

@@ -18,7 +18,7 @@ type PlanInfo struct {
 	Jobs        int  // pipeline jobs (pages or slices) over the unpruned pages
 	Sliced      bool // any page split into slices
 	Fused       bool // some job aggregates on encoded form (Section IV)
-	FusedJobs   int  // how many do, header-answered pages included
+	FusedJobs   int  // how many do
 	Pruning     bool // Section V rules active
 	Windows     int  // sliding-window instances
 	MergeRanges int  // time-range merge nodes (Figure 9)

@@ -277,7 +277,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		"  pages: 3  workers: 2  jobs: 3  sliced: false\n" +
 		"  fused decoders: true  pruning: false\n" +
 		"  analyze:\n" +
-		"    pages: relevant=3 read=3 pruned=0 stat-answered=0\n" +
+		"    pages: relevant=3 read=3 pruned=0\n" +
 		"    slices: 3  tuples loaded: 3072  rows pruned: 0  rows out: 2\n" +
 		"    values: fused=3072 decoded=0\n" +
 		"    bytes scanned: <n>\n" +

@@ -69,7 +69,7 @@ func TestExplainAnalyzeWindowGolden(t *testing.T) {
 		"  fused decoders: true  pruning: false\n" +
 		"  window instances: 6\n" +
 		"  analyze:\n" +
-		"    pages: relevant=3 read=3 pruned=0 stat-answered=0\n" +
+		"    pages: relevant=3 read=3 pruned=0\n" +
 		"    slices: 3  tuples loaded: 3072  rows pruned: 0  rows out: 6\n" +
 		"    values: fused=3072 decoded=0\n" +
 		"    window segments: 6\n" +
@@ -133,7 +133,7 @@ func TestExplainAnalyzeJoinLimitGolden(t *testing.T) {
 		"  pages: 8  workers: 1  jobs: 8  sliced: false\n" +
 		"  merge ranges: 1\n" +
 		"  analyze:\n" +
-		"    pages: relevant=16 read=4 pruned=0 stat-answered=0\n" +
+		"    pages: relevant=16 read=4 pruned=0\n" +
 		"    slices: 0  tuples loaded: 2048  rows pruned: 0  rows out: 4\n" +
 		"    values: fused=0 decoded=2048\n" +
 		"    merge ranges: 1\n" +

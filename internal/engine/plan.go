@@ -51,7 +51,6 @@ const (
 	outDecoded    sliceOutcome = iota // decode the rows, filter, fold
 	outPrunedScan                     // chunked scan with Proposition 5 stop checks
 	outFused                          // aggregate on encoded form (Section IV)
-	outHeader                         // answered from the page-header sum, payload untouched
 )
 
 // Query shapes, as PlanInfo.Shape prints them.
@@ -198,7 +197,7 @@ func (e *Engine) newPlan(q *sqlparse.Query) (*plan, error) {
 	p.outcomes = make([]sliceOutcome, len(p.slices))
 	fusible := p.strat.fuse && !needsValues(q.Items)
 	for i, sl := range p.slices {
-		p.outcomes[i] = p.outcomeOf(sl, fusible, e.UseHeaderStats)
+		p.outcomes[i] = p.outcomeOf(sl, fusible)
 	}
 	return p, nil
 }
@@ -236,7 +235,7 @@ func (p *plan) checkAggregates() error {
 // outcomeOf plans one aggregation job. fusible says the aggregate set
 // can run on encoded form under this strategy; whether this job does
 // also depends on its page statistics versus the value predicates.
-func (p *plan) outcomeOf(sl Slice, fusible, headerStats bool) sliceOutcome {
+func (p *plan) outcomeOf(sl Slice, fusible bool) sliceOutcome {
 	h := sl.Pair.Value.Header
 	fused := fusible && len(p.vp) == 0
 	if !fused && fusible && p.rangeOnly && prune.AllValuesInRange(h, p.c1, p.c2) {
@@ -250,11 +249,6 @@ func (p *plan) outcomeOf(sl Slice, fusible, headerStats bool) sliceOutcome {
 		}
 	}
 	switch {
-	case fused && headerStats && !p.needFL && len(p.windows) == 0 && h.SumValid &&
-		sl.Rows() == sl.Pair.Count() && sl.Pair.StartTime() >= p.t1 && sl.Pair.EndTime() <= p.t2:
-		// Every row of the page is inside the time range (timestamps are
-		// sorted, so the header's first/last bound them all).
-		return outHeader
 	case fused:
 		return outFused
 	case p.strat.prune && len(p.vp) > 0 && len(p.windows) == 0:
@@ -278,7 +272,7 @@ func (p *plan) info() *PlanInfo {
 		if sl.Rows() < sl.Pair.Count() {
 			info.Sliced = true
 		}
-		if p.outcomes != nil && p.outcomes[i] >= outFused {
+		if p.outcomes != nil && p.outcomes[i] == outFused {
 			info.FusedJobs++
 		}
 	}

@@ -30,7 +30,6 @@ type Stats struct {
 	SlicesRun    int64 // pipeline jobs executed
 	TuplesLoaded int64 // tuples covered by loaded (or pruned) pages
 	RowsPruned   int64 // rows skipped by in-page stop rules
-	StatAnswered int64 // pages answered from header statistics alone
 
 	PagesRead     int64 // page payload loads (a failed fused attempt re-reads)
 	BytesScanned  int64 // encoded payload bytes moved into worker buffers
@@ -72,7 +71,6 @@ type statsCollector struct {
 	slicesRun    atomic.Int64 //etsqp:atomic
 	tuplesLoaded atomic.Int64 //etsqp:atomic
 	rowsPruned   atomic.Int64 //etsqp:atomic
-	statAnswered atomic.Int64 //etsqp:atomic
 
 	pagesRead     atomic.Int64 //etsqp:atomic
 	bytesScanned  atomic.Int64 //etsqp:atomic
@@ -117,7 +115,6 @@ func (c *statsCollector) snapshot() Stats {
 		SlicesRun:    c.slicesRun.Load(),
 		TuplesLoaded: c.tuplesLoaded.Load(),
 		RowsPruned:   c.rowsPruned.Load(),
-		StatAnswered: c.statAnswered.Load(),
 
 		PagesRead:     c.pagesRead.Load(),
 		BytesScanned:  c.bytesScanned.Load(),
@@ -155,7 +152,6 @@ func (c *statsCollector) finish() Stats {
 		obs.EngineSlicesRun.Add(st.SlicesRun)
 		obs.EngineValuesFused.Add(st.ValuesFused)
 		obs.EngineValuesDecoded.Add(st.ValuesDecoded)
-		obs.EnginePagesStatAnswered.Add(st.StatAnswered)
 		obs.EngineMergeRanges.Add(st.MergeRanges)
 		obs.EngineWindowSegments.Add(st.WindowSegments)
 		obs.EngineCursorBatches.Add(st.CursorBatches)

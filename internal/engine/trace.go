@@ -61,9 +61,9 @@ type Trace struct {
 	// aggregate overflow — still explains itself. Appended to the schema;
 	// omitted when empty, so successful-trace goldens are unchanged.
 	Error string `json:"error,omitempty"`
-	// TraceID is a process-unique identifier stamped on the engine's
-	// latency-histogram exemplar, so a /metrics bucket links back to the
-	// matching slow-query-log line. Appended to the schema.
+	// TraceID is a process-unique identifier carried by the slow-query
+	// log line and the /debug/windows top-query list, so a query seen in
+	// one can be found in the other. Appended to the schema.
 	TraceID string `json:"trace_id,omitempty"`
 	// Resources attributes shared-pool and storage consumption to this
 	// query (nil when execution recorded none). Appended to the schema.

@@ -15,10 +15,10 @@ import (
 // ObsGuard enforces the observability layer's overhead contract:
 //
 //  1. Inside the obs package, the metric storage fields (Counter.v,
-//     Gauge.v, and Histogram's buckets/sum/count/ex) may only be touched
-//     by the atomic helper methods (Counter/Timer/Gauge/Histogram
-//     receivers) and the registry-wide capture/reset helpers — never by
-//     ad-hoc code that could race or bypass the enable gate.
+//     Gauge.v, and Histogram's buckets/sum) may only be touched by the
+//     atomic helper methods (Counter/Timer/Gauge/Histogram receivers)
+//     and the registry-wide capture/reset helpers — never by ad-hoc code
+//     that could race or bypass the enable gate.
 //  2. In //etsqp:hotpath functions (and their module callees), every
 //     counter/timer/gauge/histogram mutation must sit behind an
 //     obs.Enabled() check so a disabled build pays one predicted branch,
@@ -38,7 +38,7 @@ var ObsGuard = &lint.Analyzer{
 // a metric.
 var obsMutators = map[string]bool{
 	"Add": true, "Inc": true, "AddNanos": true, "Since": true,
-	"Observe": true, "ObserveN": true, "ObserveExemplar": true, "Set": true,
+	"Observe": true, "ObserveN": true, "Set": true,
 }
 
 func runObsGuard(pass *lint.Pass) error {
@@ -94,10 +94,8 @@ func checkObsFieldAccess(pass *lint.Pass, pkg *lint.Package) {
 				switch field.Name() {
 				case "v":
 					pass.Reportf(sel.Pos(), "direct access to counter storage outside the atomic helpers; use Add/Inc/Load")
-				case "buckets", "sum", "count":
+				case "buckets", "sum":
 					pass.Reportf(sel.Pos(), "direct access to histogram storage outside the atomic helpers; use Observe/Snapshot")
-				case "ex":
-					pass.Reportf(sel.Pos(), "direct access to histogram exemplar storage outside the seqlock helpers; use ObserveExemplar/Exemplars")
 				}
 				return true
 			})
@@ -111,7 +109,7 @@ func checkObsFieldAccess(pass *lint.Pass, pkg *lint.Package) {
 func obsHelperFunc(pkg *lint.Package, fd *ast.FuncDecl) bool {
 	if fd.Recv == nil {
 		switch fd.Name.Name {
-		case "Capture", "CaptureHistograms", "CaptureGauges", "CaptureExemplars", "Reset":
+		case "Capture", "CaptureHistograms", "CaptureGauges", "Reset":
 			return true
 		}
 		return false

@@ -44,18 +44,10 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// exemplarCell mirrors the real seqlock exemplar slot.
-type exemplarCell struct {
-	seq atomic.Uint64
-	val atomic.Int64
-}
-
 // Histogram mirrors the real power-of-two-bucket distribution metric.
 type Histogram struct {
 	buckets [4]atomic.Int64
 	sum     atomic.Int64
-	count   atomic.Int64
-	ex      [4]exemplarCell
 	name    string
 }
 
@@ -66,17 +58,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.buckets[0].Add(1)
 	h.sum.Add(v)
-	h.count.Add(1)
-}
-
-// ObserveExemplar records one value with an exemplar trace ID.
-func (h *Histogram) ObserveExemplar(v int64, traceID string) {
-	h.Observe(v)
-	if !Enabled() || traceID == "" {
-		return
-	}
-	h.ex[0].val.Store(v)
-	h.ex[0].seq.Add(2)
 }
 
 // registry mirrors the real package's declaration-order metric list.
@@ -107,17 +88,12 @@ func Capture() int64 {
 
 // CaptureHistograms is likewise sanctioned for histogram storage.
 func CaptureHistograms() int64 {
-	return Latency.count.Load()
+	return Latency.sum.Load()
 }
 
 // CaptureGauges is sanctioned for gauge storage.
 func CaptureGauges() int64 {
 	return Goroutines.v.Load()
-}
-
-// CaptureExemplars is sanctioned for exemplar storage.
-func CaptureExemplars() uint64 {
-	return Latency.ex[0].seq.Load()
 }
 
 // Zero bypasses the helpers; rule 1 flags the storage access.
@@ -133,9 +109,4 @@ func Drain(h *Histogram) int64 {
 // Peek bypasses the gauge helpers; rule 1 flags gauge storage too.
 func Peek(g *Gauge) int64 {
 	return g.v.Load() // want `direct access to counter storage outside the atomic helpers; use Add/Inc/Load`
-}
-
-// Steal bypasses the seqlock; rule 1 flags exemplar storage.
-func Steal(h *Histogram) uint64 {
-	return h.ex[1].seq.Load() // want `direct access to histogram exemplar storage outside the seqlock helpers; use ObserveExemplar/Exemplars`
 }

@@ -59,15 +59,13 @@ func GaugeSet(vals []int64) int64 {
 }
 
 //etsqp:hotpath
-func Exemplar(vals []int64) int64 {
+func GaugeSetGated(vals []int64) int64 {
 	var s int64
 	for _, v := range vals {
 		s += v
 	}
-	obs.Latency.ObserveExemplar(s, "tid") // want `obs counter update in hot path Exemplar is not behind obs\.Enabled\(\)`
 	if obs.Enabled() {
-		obs.Latency.ObserveExemplar(s, "tid") // gated: not flagged
-		obs.Goroutines.Set(s)                 // gated: not flagged
+		obs.Goroutines.Set(s) // gated: not flagged
 	}
 	return s
 }
@@ -78,5 +76,4 @@ func Cold(vals []int64) {
 	obs.Ops.Add(int64(len(vals)))
 	obs.Latency.Observe(int64(len(vals)))
 	obs.Goroutines.Set(int64(len(vals)))
-	obs.Latency.ObserveExemplar(int64(len(vals)), "tid")
 }

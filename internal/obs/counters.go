@@ -22,8 +22,6 @@ var (
 		"values aggregated on encoded form, never materialized (Section IV)")
 	EngineValuesDecoded = newCounter("engine.values_decoded",
 		"values materialized for filtering or aggregation")
-	EnginePagesStatAnswered = newCounter("engine.pages_stat_answered",
-		"pages answered from header statistics alone, payload untouched")
 	EngineMergeRanges = newCounter("engine.merge_ranges",
 		"time-range merge nodes executed for row-producing queries (Figure 9)")
 	EngineWindowSegments = newCounter("engine.window_segments",

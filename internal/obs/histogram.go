@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // HistBuckets is the number of power-of-two histogram buckets. Bucket 0
@@ -14,11 +13,11 @@ import (
 const HistBuckets = 64
 
 // Histogram is a lock-free distribution metric: a fixed array of
-// power-of-two buckets plus a sum and a count, all atomic int64s behind
-// the same package-wide enable gate as Counter. An Observe is bucket
-// selection (one bits.Len64) plus three atomic adds — no locks, no
-// allocation — so per-query stage latencies and per-page decode costs
-// can be recorded even on instrumented paths that run millions of times.
+// power-of-two buckets plus a sum, all atomic int64s behind the same
+// package-wide enable gate as Counter. An Observe is bucket selection
+// (one bits.Len64) plus two atomic adds — no locks, no allocation — so
+// per-query stage latencies and per-page decode costs can be recorded
+// even on instrumented paths that run millions of times.
 //
 // Quantiles are estimated from the bucket counts with linear
 // interpolation inside the winning bucket, so the relative error of a
@@ -28,26 +27,8 @@ const HistBuckets = 64
 type Histogram struct {
 	buckets [HistBuckets]atomic.Int64 //etsqp:atomic
 	sum     atomic.Int64              //etsqp:atomic
-	count   atomic.Int64              //etsqp:atomic
-	ex      [HistBuckets]exemplarCell
 	name    string
 	help    string
-}
-
-// exemplarCell retains the most recent exemplar landed in one bucket: a
-// value, its trace ID and a timestamp. The cell is a seqlock built from
-// atomics so readers and the writer never race at the memory level (the
-// race detector sees only atomic traffic) while the sequence word still
-// guarantees the three fields are read as a consistent triple: the
-// writer CASes seq even→odd, stores the fields, then publishes seq+2; a
-// reader that observes an odd or changed seq retries. A writer that
-// loses the CAS simply skips — the cell holds "most recent", so a
-// concurrent writer's exemplar is an equally good winner.
-type exemplarCell struct {
-	seq atomic.Uint64          //etsqp:atomic
-	val atomic.Int64           //etsqp:atomic
-	at  atomic.Int64           //etsqp:atomic — unix nanoseconds
-	id  atomic.Pointer[string] //etsqp:atomic
 }
 
 // histBucket maps a value to its bucket index. Negative values clamp to
@@ -70,7 +51,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.buckets[histBucket(v)].Add(1)
 	h.sum.Add(v)
-	h.count.Add(1)
 }
 
 // ObserveN records n observations of the same value when collection is
@@ -82,78 +62,6 @@ func (h *Histogram) ObserveN(v, n int64) {
 	}
 	h.buckets[histBucket(v)].Add(n)
 	h.sum.Add(v * n)
-	h.count.Add(n)
-}
-
-// ObserveExemplar records one value like Observe and, when traceID is
-// non-empty, retains it as the bucket's exemplar: the most recent
-// (value, trace ID, timestamp) triple that landed there, exposed in
-// OpenMetrics exemplar syntax on /metrics so a histogram bucket links
-// back to the trace that filled it. The exemplar store is best-effort
-// under contention (a concurrent writer wins the cell and this one
-// skips); the bucket counts themselves are always exact.
-func (h *Histogram) ObserveExemplar(v int64, traceID string) {
-	if !enabled.Load() {
-		return
-	}
-	b := histBucket(v)
-	h.buckets[b].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
-	if traceID == "" {
-		return
-	}
-	cell := &h.ex[b]
-	seq := cell.seq.Load()
-	if seq&1 != 0 || !cell.seq.CompareAndSwap(seq, seq+1) {
-		return // another writer owns the cell; newest-wins either way
-	}
-	cell.val.Store(v)
-	cell.at.Store(time.Now().UnixNano())
-	cell.id.Store(&traceID)
-	cell.seq.Store(seq + 2)
-}
-
-// Exemplar is one retained (value, trace ID, timestamp) triple.
-type Exemplar struct {
-	Value     int64
-	TraceID   string
-	UnixNanos int64
-}
-
-// Exemplars returns the current exemplar of every bucket that has one,
-// keyed by bucket index. Each cell is read under its sequence word, so
-// every returned triple is consistent; a cell whose writer is mid-update
-// after a few retries is skipped rather than returned torn.
-func (h *Histogram) Exemplars() map[int]Exemplar {
-	var out map[int]Exemplar
-	for b := range h.ex {
-		cell := &h.ex[b]
-		for attempt := 0; attempt < 4; attempt++ {
-			s1 := cell.seq.Load()
-			if s1 == 0 {
-				break // never written
-			}
-			if s1&1 != 0 {
-				continue // writer mid-update
-			}
-			v := cell.val.Load()
-			at := cell.at.Load()
-			idp := cell.id.Load()
-			if cell.seq.Load() != s1 {
-				continue
-			}
-			if idp == nil {
-				break
-			}
-			if out == nil {
-				out = make(map[int]Exemplar)
-			}
-			out[b] = Exemplar{Value: v, TraceID: *idp, UnixNanos: at}
-			break
-		}
-	}
-	return out
 }
 
 // Name returns the registered dotted metric name.
@@ -161,9 +69,6 @@ func (h *Histogram) Name() string { return h.name }
 
 // Help returns the one-line metric description.
 func (h *Histogram) Help() string { return h.help }
-
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of recorded observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
@@ -181,19 +86,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// reset zeroes the histogram, dropping retained exemplars.
+// reset zeroes the histogram.
 func (h *Histogram) reset() {
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
 	}
 	h.sum.Store(0)
-	h.count.Store(0)
-	for i := range h.ex {
-		h.ex[i].id.Store(nil)
-		h.ex[i].val.Store(0)
-		h.ex[i].at.Store(0)
-		h.ex[i].seq.Store(0)
-	}
 }
 
 // HistogramSnapshot is a point-in-time copy of one histogram. Count is
@@ -295,24 +193,6 @@ func CaptureHistograms() []HistogramSnapshot {
 	out := make([]HistogramSnapshot, len(histRegistry))
 	for i, h := range histRegistry {
 		out[i] = h.Snapshot()
-	}
-	return out
-}
-
-// HistogramExemplars pairs one histogram's name with its current
-// per-bucket exemplars.
-type HistogramExemplars struct {
-	Name     string
-	ByBucket map[int]Exemplar
-}
-
-// CaptureExemplars copies the current exemplars of every registered
-// histogram, in declaration order (index-aligned with Histograms and
-// CaptureHistograms). Histograms with no exemplars contribute a nil map.
-func CaptureExemplars() []HistogramExemplars {
-	out := make([]HistogramExemplars, len(histRegistry))
-	for i, h := range histRegistry {
-		out[i] = HistogramExemplars{Name: h.name, ByBucket: h.Exemplars()}
 	}
 	return out
 }

@@ -9,7 +9,7 @@ import (
 // pauseHistCount reads the current go.hist.gc_pause_ns observation
 // count.
 func pauseHistCount() int64 {
-	return GoHistGCPause.Count()
+	return GoHistGCPause.Snapshot().Count
 }
 
 // TestFeedPauseHistogramBaselinesFirstSample checks the first runtime

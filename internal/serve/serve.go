@@ -1,11 +1,12 @@
 // Package serve is the live observability surface of the engine: an
 // HTTP server exposing the obs registry as Prometheus text exposition
-// (/metrics), as a /debug/vars-style JSON document, the stdlib pprof
+// (/metrics), rolling-window rates and a top-query list as JSON
+// (/debug/windows, rendered in a terminal by RunTop), the stdlib pprof
 // profiling handlers, and a /query endpoint that executes SQL with
 // tracing on and emits a span-tree JSON line to the slow-query log for
 // any query over the configured threshold. An optional TCP listener
 // ingests transport frames into the served store, so a running server
-// is a complete device-to-dashboard loop: devices ship encoded pages
+// is a complete device-to-console loop: devices ship encoded pages
 // in, operators read quantiles and profiles out.
 package serve
 
@@ -50,13 +51,13 @@ type Server struct {
 	SlowLog io.Writer
 	// MaxRows caps row output on /query (0 = unlimited).
 	MaxRows int
-	// SlowMax caps the slow-query traces retained in memory for
-	// /debug/windows and exemplar resolution; when the ring is full the
-	// oldest entry is dropped and counted (obs serve.slow_dropped). Zero
-	// selects defaultSlowMax; negative retains none.
+	// SlowMax caps the slow-query traces retained in memory; when the
+	// ring is full the oldest entry is dropped and counted (obs
+	// serve.slow_dropped). Zero selects defaultSlowMax; negative retains
+	// none.
 	SlowMax int
 	// Windows, when non-nil, is the rolling-window sampler backing
-	// /debug/windows and /debug/dash. The caller owns its lifecycle
+	// /debug/windows. The caller owns its lifecycle
 	// (obs.NewWindow(...).Start()).
 	Windows *obs.Window
 
@@ -74,28 +75,18 @@ type Server struct {
 
 // Handler builds the HTTP mux:
 //
-//	/metrics          Prometheus text exposition of every obs metric
-//	/debug/vars       JSON registry dump (counters + histogram summaries)
+//	/metrics          Prometheus text exposition (0.0.4) of every obs metric
+//	/debug/windows    rolling-window rates, quantiles and top queries (JSON)
 //	/debug/pprof/...  stdlib profiling endpoints
 //	/query?q=SQL      execute a statement with tracing on
 //	/healthz          liveness probe
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Exemplars are OpenMetrics-only syntax: a classic text-format
-		// parser errors on the trailing "# {...}", so the richer format is
-		// served only to scrapers that negotiate it via Accept.
-		if acceptsOpenMetrics(r.Header.Get("Accept")) {
-			w.Header().Set("Content-Type", openMetricsContentType)
-			_ = WriteOpenMetrics(w)
-			return
-		}
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		// One format whatever Accept asks for: Prometheus scrapes 0.0.4
+		// text even when it prefers OpenMetrics.
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = WriteMetrics(w)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = WriteVars(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -103,7 +94,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/debug/windows", s.handleWindows)
-	mux.HandleFunc("/debug/dash", handleDash)
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -318,33 +308,6 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// openMetricsContentType is the content type negotiated for the
-// exemplar-bearing exposition.
-const openMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-
-// acceptsOpenMetrics reports whether an Accept header asks for the
-// OpenMetrics exposition format. Parameters (version, q-weights) are
-// ignored: offering the media type at all is taken as the opt-in, which
-// matches how Prometheus negotiates its scrape format.
-func acceptsOpenMetrics(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mediaType, _, _ := strings.Cut(part, ";")
-		if strings.EqualFold(strings.TrimSpace(mediaType), "application/openmetrics-text") {
-			return true
-		}
-	}
-	return false
-}
-
-// promExemplar renders an OpenMetrics exemplar suffix for a bucket
-// line: " # {trace_id=\"...\"} value timestamp" with the timestamp in
-// seconds.
-func promExemplar(e obs.Exemplar) string {
-	return fmt.Sprintf(" # {trace_id=%q} %d %s",
-		e.TraceID, e.Value,
-		strconv.FormatFloat(float64(e.UnixNanos)/1e9, 'f', 3, 64))
-}
-
 // metricFamily is one exposition family, assembled before writing so
 // the output can be sorted by series name regardless of registration
 // order.
@@ -354,32 +317,16 @@ type metricFamily struct {
 	kind string // "counter", "gauge", or "histogram"
 	val  int64  // counter/gauge value
 	hist obs.HistogramSnapshot
-	ex   map[int]obs.Exemplar // histogram bucket exemplars
 }
 
 // WriteMetrics writes every obs counter, gauge, and histogram in the
-// classic Prometheus text exposition format (version 0.0.4), families
-// sorted by series name. Counters and timers expose as counter series;
-// gauges (sampled from runtime/metrics just before capture) as gauge
-// series; histograms as cumulative _bucket{le=...} series over their
-// non-empty power-of-two buckets plus the mandatory le="+Inf" bucket,
-// and _sum/_count series. Exemplars are omitted — they are not valid in
-// this format; scrapers that want them negotiate WriteOpenMetrics.
+// Prometheus text exposition format (version 0.0.4), families sorted by
+// series name. Counters and timers expose as counter series; gauges
+// (sampled from runtime/metrics just before capture) as gauge series;
+// histograms as cumulative _bucket{le=...} series over their non-empty
+// power-of-two buckets plus the mandatory le="+Inf" bucket, and
+// _sum/_count series.
 func WriteMetrics(w io.Writer) error {
-	return writeMetrics(w, false)
-}
-
-// WriteOpenMetrics writes the same registry in OpenMetrics 1.0 syntax:
-// counter samples carry the mandated _total suffix, a bucket whose
-// histogram holds an exemplar (the most recent traced observation
-// landing in it) carries an exemplar suffix with the trace ID — so a
-// scrape links a latency bucket to a resolvable slow-query-log entry —
-// and the exposition ends with the required "# EOF" trailer.
-func WriteOpenMetrics(w io.Writer) error {
-	return writeMetrics(w, true)
-}
-
-func writeMetrics(w io.Writer, openMetrics bool) error {
 	obs.SampleRuntime()
 	var fams []metricFamily
 	snap := obs.Capture()
@@ -395,11 +342,9 @@ func writeMetrics(w io.Writer, openMetrics bool) error {
 		})
 	}
 	helps := obs.Histograms()
-	exemplars := obs.CaptureExemplars()
 	for i, hs := range obs.CaptureHistograms() {
 		fams = append(fams, metricFamily{
-			name: promName(hs.Name), help: helps[i].Help, kind: "histogram",
-			hist: hs, ex: exemplars[i].ByBucket,
+			name: promName(hs.Name), help: helps[i].Help, kind: "histogram", hist: hs,
 		})
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
@@ -409,13 +354,7 @@ func writeMetrics(w io.Writer, openMetrics bool) error {
 			return err
 		}
 		if f.kind != "histogram" {
-			sample := f.name
-			if openMetrics && f.kind == "counter" {
-				// OpenMetrics mandates the _total suffix on counter samples
-				// (the family name in TYPE/HELP stays bare).
-				sample += "_total"
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", sample, f.val); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %d\n", f.name, f.val); err != nil {
 				return err
 			}
 			continue
@@ -429,72 +368,15 @@ func writeMetrics(w io.Writer, openMetrics bool) error {
 				continue
 			}
 			cum += f.hist.Buckets[b]
-			suffix := ""
-			if openMetrics {
-				if e, ok := f.ex[b]; ok {
-					suffix = promExemplar(e)
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d%s\n",
-				f.name, promFloat(obs.BucketUpperBound(b)), cum, suffix); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n",
+				f.name, promFloat(obs.BucketUpperBound(b)), cum); err != nil {
 				return err
 			}
 		}
-		suffix := ""
-		if openMetrics {
-			if e, ok := f.ex[obs.HistBuckets-1]; ok {
-				suffix = promExemplar(e)
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d%s\n%s_sum %d\n%s_count %d\n",
-			f.name, f.hist.Count, suffix, f.name, f.hist.Sum, f.name, f.hist.Count); err != nil {
-			return err
-		}
-	}
-	if openMetrics {
-		if _, err := io.WriteString(w, "# EOF\n"); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
+			f.name, f.hist.Count, f.name, f.hist.Sum, f.name, f.hist.Count); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// histVar is the JSON summary of one histogram in the /debug/vars dump.
-type histVar struct {
-	Count int64   `json:"count"`
-	Sum   int64   `json:"sum"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-// WriteVars writes the whole obs registry as one JSON object — the
-// /debug/vars-style surface. Counter and gauge names map to their values;
-// histogram names map to {count, sum, p50, p90, p99} objects. Keys are
-// the dotted metric names, sorted (encoding/json sorts map keys), so
-// the document layout is stable.
-func WriteVars(w io.Writer) error {
-	obs.SampleRuntime()
-	vars := make(map[string]any)
-	for name, v := range obs.Capture() {
-		vars[name] = v
-	}
-	for name, v := range obs.CaptureGauges() {
-		vars[name] = v
-	}
-	for _, hs := range obs.CaptureHistograms() {
-		vars[hs.Name] = histVar{
-			Count: hs.Count, Sum: hs.Sum,
-			P50: hs.Quantile(0.50), P90: hs.Quantile(0.90), P99: hs.Quantile(0.99),
-		}
-	}
-	out, err := json.MarshalIndent(vars, "", "  ")
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(out); err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, "\n")
-	return err
 }

@@ -190,51 +190,8 @@ func TestMetricsExpositionValid(t *testing.T) {
 	}
 }
 
-// TestOpenMetricsExpositionValid checks the negotiated OpenMetrics
-// exposition: counter samples carry the mandated _total suffix,
-// exemplar suffixes are well-formed, and the document ends with # EOF.
-func TestOpenMetricsExpositionValid(t *testing.T) {
-	obs.Reset()
-	obs.Enable()
-	defer func() {
-		obs.Disable()
-		obs.Reset()
-	}()
-	e := engine.New(testStore(t), engine.ModeETSQP)
-	if _, err := e.ExecuteSQL("SELECT SUM(A), COUNT(A) FROM ts"); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := WriteOpenMetrics(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasSuffix(out, "\n# EOF\n") {
-		t.Error("OpenMetrics exposition does not end with # EOF")
-	}
-	sampleRe := regexp.MustCompile(`^etsqp_[a-z0-9_]+(_bucket\{le="([0-9.e+]+|\+Inf)"\})? -?\d+` +
-		`( # \{trace_id="[0-9a-f]+"\} -?\d+ \d+\.\d{3})?$`)
-	for _, ln := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-		if strings.HasPrefix(ln, "# ") {
-			continue // HELP/TYPE/EOF lines, covered by the plain-format test
-		}
-		if !sampleRe.MatchString(ln) {
-			t.Errorf("malformed OpenMetrics sample line: %q", ln)
-		}
-	}
-	for _, m := range obs.Metrics() {
-		if !strings.Contains(out, promName(m.Name)+"_total ") {
-			t.Errorf("counter %s missing its _total sample", m.Name)
-		}
-		if strings.Contains(out, "# TYPE "+promName(m.Name)+"_total ") {
-			t.Errorf("counter %s family metadata must not carry _total", m.Name)
-		}
-	}
-}
-
-// TestMetricsContentNegotiation checks /metrics serves the classic
-// text format by default and the exemplar-bearing OpenMetrics format
-// only to scrapers that ask for it via Accept.
+// TestMetricsContentNegotiation checks a plain /metrics scrape gets
+// the classic 0.0.4 text format with bare counter samples.
 func TestMetricsContentNegotiation(t *testing.T) {
 	obs.Reset()
 	obs.Enable()
@@ -245,87 +202,47 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	s := testServer(t, nil)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	httpGet(t, srv.URL+"/query?q=SELECT+SUM(A)+FROM+ts") // seeds a latency exemplar
+	httpGet(t, srv.URL+"/query?q=SELECT+SUM(A)+FROM+ts")
 
-	get := func(accept string) (string, string) {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, srv.URL+"/metrics", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		res, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer res.Body.Close()
-		body, err := io.ReadAll(res.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body), res.Header.Get("Content-Type")
-	}
-
-	plain, ct := get("")
+	plain, ct := httpGetAccept(t, srv.URL+"/metrics", "")
 	if !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("default scrape Content-Type = %q, want classic 0.0.4", ct)
-	}
-	if strings.Contains(plain, " # {") || strings.Contains(plain, "# EOF") {
-		t.Error("classic scrape carries OpenMetrics-only syntax")
 	}
 	if !strings.Contains(plain, "etsqp_engine_queries 1\n") {
 		t.Error("classic scrape missing bare counter sample etsqp_engine_queries")
 	}
-
-	// The Prometheus scraper offers both formats, OpenMetrics preferred.
-	om, ct := get("application/openmetrics-text; version=1.0.0; q=0.5, text/plain; version=0.0.4; q=0.4")
-	if ct != openMetricsContentType {
-		t.Errorf("negotiated Content-Type = %q, want %q", ct, openMetricsContentType)
-	}
-	if !strings.HasSuffix(om, "\n# EOF\n") {
-		t.Error("OpenMetrics scrape missing # EOF trailer")
-	}
-	if !strings.Contains(om, " # {trace_id=") {
-		t.Error("OpenMetrics scrape missing the seeded exemplar")
-	}
-	if !strings.Contains(om, "etsqp_engine_queries_total 1\n") {
-		t.Error("OpenMetrics scrape missing _total counter sample")
-	}
 }
 
-// TestVarsJSON checks the /debug/vars document parses and carries both
-// counter values and histogram summaries.
-func TestVarsJSON(t *testing.T) {
+// TestMetricsIgnoresOpenMetricsAccept checks a scrape that prefers
+// OpenMetrics, as Prometheus's does, still gets the 0.0.4 text: the
+// same content type and body as a plain GET, with no OpenMetrics
+// trailer and no exemplar.
+func TestMetricsIgnoresOpenMetricsAccept(t *testing.T) {
 	obs.Reset()
 	obs.Enable()
 	defer func() {
 		obs.Disable()
 		obs.Reset()
 	}()
-	e := engine.New(testStore(t), engine.ModeETSQP)
-	if _, err := e.ExecuteSQL("SELECT SUM(A) FROM ts"); err != nil {
-		t.Fatal(err)
+	s := testServer(t, nil)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	httpGet(t, srv.URL+"/query?q=SELECT+SUM(A)+FROM+ts")
+	// With collection off, neither scrape moves a counter or samples a
+	// runtime gauge, so the two bodies must match byte for byte.
+	obs.Disable()
+
+	plain, _ := httpGetAccept(t, srv.URL+"/metrics", "")
+	om, ct := httpGetAccept(t, srv.URL+"/metrics",
+		"application/openmetrics-text; version=1.0.0; q=0.5, text/plain; version=0.0.4; q=0.4")
+	if !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("OpenMetrics-preferring scrape Content-Type = %q, want classic 0.0.4", ct)
 	}
-	var b strings.Builder
-	if err := WriteVars(&b); err != nil {
-		t.Fatal(err)
+	if strings.Contains(om, "# EOF") || strings.Contains(om, "trace_id=") {
+		t.Error("scrape carries OpenMetrics-only syntax")
 	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(b.String()), &vars); err != nil {
-		t.Fatalf("vars document does not parse: %v", err)
-	}
-	var queries int64
-	if err := json.Unmarshal(vars["engine.queries"], &queries); err != nil || queries != 1 {
-		t.Errorf("engine.queries = %d (err %v), want 1", queries, err)
-	}
-	var h histVar
-	if err := json.Unmarshal(vars["engine.hist.query_ns"], &h); err != nil {
-		t.Fatalf("engine.hist.query_ns does not parse as a histogram summary: %v", err)
-	}
-	if h.Count != 1 || h.Sum <= 0 || h.P50 <= 0 {
-		t.Errorf("histogram summary implausible: %+v", h)
+	if om != plain {
+		t.Errorf("OpenMetrics-preferring scrape differs from a plain GET:\n%s\n---\n%s", om, plain)
 	}
 }
 
@@ -439,19 +356,22 @@ func TestQueryErrors(t *testing.T) {
 }
 
 // TestPprofAndHealthz checks the profiling index and liveness endpoints
-// are mounted.
+// are mounted, and the retired /debug/vars and /debug/dash are not.
 func TestPprofAndHealthz(t *testing.T) {
 	s := testServer(t, nil)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	for _, url := range []string{"/debug/pprof/", "/healthz", "/metrics", "/debug/vars"} {
+	for url, want := range map[string]int{
+		"/debug/pprof/": 200, "/healthz": 200, "/metrics": 200,
+		"/debug/vars": 404, "/debug/dash": 404,
+	} {
 		res, err := srv.Client().Get(srv.URL + url)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res.Body.Close()
-		if res.StatusCode != 200 {
-			t.Errorf("%s: status %d, want 200", url, res.StatusCode)
+		if res.StatusCode != want {
+			t.Errorf("%s: status %d, want %d", url, res.StatusCode, want)
 		}
 	}
 }
@@ -508,12 +428,13 @@ func TestIngestListenerFeedsQueries(t *testing.T) {
 
 func httpGet(t *testing.T, url string) string {
 	t.Helper()
-	return httpGetAccept(t, url, "")
+	body, _ := httpGetAccept(t, url, "")
+	return body
 }
 
 // httpGetAccept is httpGet with an explicit Accept header, for
-// content-negotiation tests.
-func httpGetAccept(t *testing.T, url, accept string) string {
+// content-negotiation tests; it also returns the Content-Type.
+func httpGetAccept(t *testing.T, url, accept string) (body, contentType string) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
@@ -527,12 +448,12 @@ func httpGetAccept(t *testing.T, url, accept string) string {
 		t.Fatal(err)
 	}
 	defer res.Body.Close()
-	body, err := io.ReadAll(res.Body)
+	b, err := io.ReadAll(res.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.StatusCode != 200 {
-		t.Fatalf("GET %s: status %d\n%s", url, res.StatusCode, body)
+		t.Fatalf("GET %s: status %d\n%s", url, res.StatusCode, b)
 	}
-	return string(body)
+	return string(b), res.Header.Get("Content-Type")
 }

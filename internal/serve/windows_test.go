@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/http/httptest"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,52 +12,6 @@ import (
 	"etsqp/internal/engine"
 	"etsqp/internal/obs"
 )
-
-// TestMetricsExemplarGolden pins the OpenMetrics exemplar syntax: a
-// bucket line whose histogram holds an exemplar carries
-// `# {trace_id="..."} value timestamp` with the timestamp in seconds,
-// and the exposition ends with the mandatory "# EOF" trailer.
-func TestMetricsExemplarGolden(t *testing.T) {
-	obs.Reset()
-	obs.Enable()
-	defer func() {
-		obs.Disable()
-		obs.Reset()
-	}()
-	obs.TransportHistFrameBytes.ObserveExemplar(3, "00f1e2d3c4b5a697") // bucket le="4"
-	obs.TransportHistFrameBytes.ObserveExemplar(1<<62, "ffff00001111aaaa")
-	ex := obs.TransportHistFrameBytes.Exemplars()
-	var b strings.Builder
-	if err := WriteOpenMetrics(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(b.String(), "\n# EOF\n") {
-		t.Error("OpenMetrics exposition does not end with the # EOF trailer")
-	}
-	stamp := func(e obs.Exemplar) string {
-		return strconv.FormatFloat(float64(e.UnixNanos)/1e9, 'f', 3, 64)
-	}
-	e4, ok := ex[2] // histBucket(3) = 2, bound 4
-	if !ok {
-		t.Fatal("no exemplar recorded in bucket 2")
-	}
-	wantBucket := fmt.Sprintf(
-		`etsqp_transport_hist_frame_bytes_bucket{le="4"} 1 # {trace_id="00f1e2d3c4b5a697"} 3 %s`,
-		stamp(e4))
-	if !strings.Contains(b.String(), wantBucket+"\n") {
-		t.Errorf("exposition missing exemplar line %q in:\n%s", wantBucket, b.String())
-	}
-	eInf, ok := ex[obs.HistBuckets-1]
-	if !ok {
-		t.Fatal("no exemplar recorded in the top bucket")
-	}
-	wantInf := fmt.Sprintf(
-		`etsqp_transport_hist_frame_bytes_bucket{le="+Inf"} 2 # {trace_id="ffff00001111aaaa"} %d %s`,
-		int64(1)<<62, stamp(eInf))
-	if !strings.Contains(b.String(), wantInf+"\n") {
-		t.Errorf("exposition missing top-bucket exemplar line %q in:\n%s", wantInf, b.String())
-	}
-}
 
 // TestSlowRingBoundedAndDropped checks the in-memory slow-query ring
 // holds at most SlowMax traces, evicts oldest-first, and counts every
@@ -114,48 +66,6 @@ func TestSlowMaxDisabled(t *testing.T) {
 	}
 	if count, _ := s.SlowStats(); count != 1 {
 		t.Errorf("slow count = %d, want 1", count)
-	}
-}
-
-// TestExemplarResolvesToSlowLogEntry is the acceptance scenario: run a
-// query, scrape /metrics, take the trace ID off the query-latency
-// bucket exemplar, and resolve it to the matching trace in the
-// slow-query ring.
-func TestExemplarResolvesToSlowLogEntry(t *testing.T) {
-	obs.Reset()
-	obs.Enable()
-	defer func() {
-		obs.Disable()
-		obs.Reset()
-	}()
-	var slowLog bytes.Buffer
-	s := testServer(t, &slowLog)
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	httpGet(t, srv.URL+"/query?q=SELECT+SUM(A)+FROM+ts")
-	metrics := httpGetAccept(t, srv.URL+"/metrics", "application/openmetrics-text; version=1.0.0")
-	re := regexp.MustCompile(`etsqp_engine_hist_query_ns_bucket\{le="[^"]+"\} \d+ # \{trace_id="([0-9a-f]+)"\}`)
-	m := re.FindStringSubmatch(metrics)
-	if m == nil {
-		t.Fatalf("no exemplar on etsqp_engine_hist_query_ns buckets:\n%s", metrics)
-	}
-	traceID := m[1]
-	var found *engine.Trace
-	for _, tr := range s.SlowEntries() {
-		if tr.TraceID == traceID {
-			found = tr
-		}
-	}
-	if found == nil {
-		t.Fatalf("exemplar trace %s not in the slow-query ring", traceID)
-	}
-	if found.Query != "SELECT SUM(A) FROM ts" || found.ElapsedNs <= 0 {
-		t.Errorf("resolved trace implausible: %+v", found)
-	}
-	// The stderr-style log line carries the same ID.
-	if !strings.Contains(slowLog.String(), `"trace_id":"`+traceID+`"`) {
-		t.Errorf("slow log line missing trace_id %s:\n%s", traceID, slowLog.String())
 	}
 }
 
@@ -274,23 +184,6 @@ func TestWindowsEndpointNoSampler(t *testing.T) {
 	}
 	if len(doc.Windows) != 0 {
 		t.Errorf("got %d windows without a sampler, want 0", len(doc.Windows))
-	}
-}
-
-// TestDashServes checks the ops dashboard is mounted and
-// self-contained.
-func TestDashServes(t *testing.T) {
-	s := testServer(t, nil)
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	body := httpGet(t, srv.URL+"/debug/dash")
-	for _, want := range []string{"<html", "/debug/windows", "etsqp ops"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("dashboard missing %q", want)
-		}
-	}
-	if strings.Contains(body, "src=\"http") || strings.Contains(body, "href=\"http") {
-		t.Error("dashboard references external assets")
 	}
 }
 

@@ -1,8 +1,10 @@
 package baseline
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,28 +17,32 @@ import (
 
 // The differential harness: the engine's shared-segment window path and
 // streaming cursor merge/join must agree bit-for-bit with the naive
-// decode-then-compute oracles in oracle.go. Values are clamped to
-// |v| <= 2^20 and windows cover < 2^12 rows, so every Σv² partial stays
-// below 2^53 and float accumulation is exact in any association order —
-// AVG and VAR compare with ==, not a tolerance.
-
-const walkClamp = 1 << 20
+// decode-then-compute oracles in oracle.go, at any magnitude: AVG, VAR
+// and CORR compare with ==, not a tolerance, and a SUM, AVG or VAR whose
+// Σv leaves int64 must be the Section VI-C error.
 
 // genWalk builds a strictly-increasing timestamp column with random
-// gaps and a clamped random-walk value column.
+// gaps and a random-walk value column from a base of any sign and
+// magnitude, the int64 edges included, saturating at the edges.
 func genWalk(rng *rand.Rand, n int, t0 int64) (ts, vals []int64) {
 	ts = make([]int64, n)
 	vals = make([]int64, n)
 	t := t0
-	var v int64
+	v := int64(rng.Uint64()) >> rng.Intn(64)
+	if rng.Intn(4) == 0 {
+		v = []int64{math.MinInt64, math.MaxInt64}[rng.Intn(2)]
+	}
 	for i := 0; i < n; i++ {
 		t += 1 + int64(rng.Intn(20))
-		v += int64(rng.Intn(2001)) - 1000
-		if v > walkClamp {
-			v = walkClamp
-		}
-		if v < -walkClamp {
-			v = -walkClamp
+		step := int64(rng.Intn(2001)) - 1000
+		next, ok := addCheck(v, step)
+		switch {
+		case ok:
+			v = next
+		case step > 0:
+			v = math.MaxInt64
+		default:
+			v = math.MinInt64
 		}
 		ts[i] = t
 		vals[i] = v
@@ -44,8 +50,19 @@ func genWalk(rng *rand.Rand, n int, t0 int64) (ts, vals []int64) {
 	return ts, vals
 }
 
-// wantWindowValue replicates the engine's finalization (operation order
-// included) from the oracle's per-window scalars.
+// overflows reports whether agg over the oracle's windows must be the
+// Section VI-C error: a SUM, AVG or VAR whose Σv leaves int64 in a window.
+func overflows(agg string, want []ScalarWindow) bool {
+	for _, w := range want {
+		if w.Overflow && (agg == "SUM" || agg == "AVG" || agg == "VAR") {
+			return true
+		}
+	}
+	return false
+}
+
+// wantWindowValue is the engine's answer from the oracle's per-window
+// scalars.
 func wantWindowValue(agg string, w ScalarWindow) float64 {
 	if w.Count == 0 {
 		return 0
@@ -61,9 +78,11 @@ func wantWindowValue(agg string, w ScalarWindow) float64 {
 		return float64(w.Min)
 	case "MAX":
 		return float64(w.Max)
-	case "VAR":
-		mean := float64(w.Sum) / float64(w.Count)
-		return w.SumSq/float64(w.Count) - mean*mean
+	case "VAR": // (n·Σv² − (Σv)²) / n², exact, rounded once
+		n, s := big.NewInt(w.Count), big.NewInt(w.Sum)
+		num := new(big.Int).Mul(n, w.SumSq)
+		v, _ := new(big.Rat).SetFrac(num.Sub(num, s.Mul(s, s)), n.Mul(n, n)).Float64()
+		return v
 	case "FIRST":
 		return float64(w.First)
 	case "LAST":
@@ -90,6 +109,12 @@ func checkWindowed(t testing.TB, ts, vals []int64, pageSize int,
 	for _, mode := range []engine.Mode{engine.ModeSerial, engine.ModeETSQP, engine.ModeETSQPPrune} {
 		e := engine.New(st, mode)
 		res, err := e.ExecuteSQL(sql)
+		if overflows(agg, want) {
+			if !errors.Is(err, engine.ErrOverflow) {
+				t.Fatalf("%v %q: error %v, want ErrOverflow", mode, sql, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%v %q: %v", mode, sql, err)
 		}
@@ -173,6 +198,12 @@ func TestWindowDifferentialTimeBounds(t *testing.T) {
 		for _, mode := range []engine.Mode{engine.ModeSerial, engine.ModeETSQP, engine.ModeETSQPPrune} {
 			e := engine.New(st, mode)
 			res, err := e.ExecuteSQL(sql)
+			if overflows("SUM", want) {
+				if !errors.Is(err, engine.ErrOverflow) {
+					t.Fatalf("%v: error %v, want ErrOverflow", mode, err)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("%v: %v", mode, err)
 			}
@@ -196,10 +227,23 @@ func TestWindowDifferentialTimeBounds(t *testing.T) {
 // slices, against the re-scan oracle over the rows the predicate keeps.
 // A window spanning the whole series must then equal the plain
 // aggregate with the same WHERE bit for bit: both are one window over
-// the same segments.
+// the same segments. The walk runs as drawn and moved to start at 0, so
+// the fused forms see sums that fit int64 whatever base it drew.
 func TestWindowDifferentialValueFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ts, vals := genWalk(rng, 1500, 2_000_000)
+	moved := make([]int64, len(vals))
+	for i, v := range vals {
+		moved[i] = v - vals[0] // a walk's steps, so no wrap
+	}
+	checkValueFilter(t, ts, vals)
+	checkValueFilter(t, ts, moved)
+}
+
+// checkValueFilter is TestWindowDifferentialValueFilter over one value
+// column.
+func checkValueFilter(t *testing.T, ts, vals []int64) {
+	t.Helper()
 	sorted := slices.Clone(vals)
 	slices.Sort(sorted)
 	preds := []struct {
@@ -208,7 +252,7 @@ func TestWindowDifferentialValueFilter(t *testing.T) {
 	}{
 		{fmt.Sprintf("A > %d", sorted[len(sorted)/2]),
 			func(v int64) bool { return v > sorted[len(sorted)/2] }},
-		{fmt.Sprintf("A >= %d AND A <= %d", sorted[0]-1, sorted[len(sorted)-1]+1),
+		{fmt.Sprintf("A >= %d AND A <= %d", sorted[0], sorted[len(sorted)-1]),
 			func(int64) bool { return true }},
 		{fmt.Sprintf("A != %d AND A > %d", vals[700], sorted[len(sorted)/4]),
 			func(v int64) bool { return v != vals[700] && v > sorted[len(sorted)/4] }},
@@ -246,10 +290,19 @@ func TestWindowDifferentialValueFilter(t *testing.T) {
 						sql := fmt.Sprintf("SELECT %s(A) FROM ts WHERE %s %s", agg, pr.sql, w.clause)
 						want := ScalarWindowed(fts, fvs, w.anchor, width, w.hop, ts[len(ts)-1])
 						res, err := e.ExecuteSQL(sql)
+						if overflows(agg, want) {
+							if !errors.Is(err, engine.ErrOverflow) {
+								t.Fatalf("%v fs=%d %q: error %v, want ErrOverflow", mode, fs, sql, err)
+							}
+							continue
+						}
 						if err != nil {
 							t.Fatalf("%v fs=%d %q: %v", mode, fs, sql, err)
 						}
-						if fused := pi == 1 && ai < 3 && mode <= engine.ModeETSQPPrune; fused && res.Stats.ValuesFused == 0 {
+						// The fused closed forms decline, by design, where a sum
+						// leaves int64; COUNT's as well.
+						fused := pi == 1 && ai < 3 && mode <= engine.ModeETSQPPrune && !overflows("SUM", want)
+						if fused && res.Stats.ValuesFused == 0 {
 							t.Fatalf("%v fs=%d %q: no job fused under an all-pages range", mode, fs, sql)
 						}
 						if len(res.Windows) != len(want) {
@@ -266,14 +319,14 @@ func TestWindowDifferentialValueFilter(t *testing.T) {
 						}
 					}
 
-					plain, err := e.ExecuteSQL(fmt.Sprintf("SELECT %s(A) FROM ts WHERE %s", agg, pr.sql))
-					if err != nil {
-						t.Fatal(err)
-					}
-					one, err := e.ExecuteSQL(fmt.Sprintf("SELECT %s(A) FROM ts WHERE %s SW(%d, %d)",
+					plain, errP := e.ExecuteSQL(fmt.Sprintf("SELECT %s(A) FROM ts WHERE %s", agg, pr.sql))
+					one, errO := e.ExecuteSQL(fmt.Sprintf("SELECT %s(A) FROM ts WHERE %s SW(%d, %d)",
 						agg, pr.sql, ts[0], span))
-					if err != nil {
-						t.Fatal(err)
+					if errors.Is(errP, engine.ErrOverflow) && errors.Is(errO, engine.ErrOverflow) {
+						continue
+					}
+					if errP != nil || errO != nil {
+						t.Fatalf("%v fs=%d %s WHERE %s: plain %v, spanning window %v", mode, fs, agg, pr.sql, errP, errO)
 					}
 					key := agg + "(A)"
 					if len(one.Windows) != 1 || one.Windows[0].Value != plain.Aggregates[key] {
@@ -293,7 +346,7 @@ func sharedGrid(rng *rand.Rand, n int) (lts, lvs, rts, rvs []int64) {
 	t := int64(10_000)
 	for i := 0; i < n; i++ {
 		t += 1 + int64(rng.Intn(10))
-		v := int64(rng.Intn(2*walkClamp)) - walkClamp
+		v := int64(rng.Intn(1<<21)) - 1<<20
 		if rng.Intn(10) < 7 {
 			lts = append(lts, t)
 			lvs = append(lvs, v)
@@ -370,28 +423,26 @@ func checkScanCorr(t testing.TB, e *engine.Engine, lts, lvs, rts, rvs []int64, c
 		}
 	}
 
-	var n, sa, sb, saa, sbb, sab float64
+	var pairs []JoinedRow
 	for _, r := range ScalarJoin(lts, lvs, rts, bendAt(rvs, c)) {
 		if r.L < c {
-			a, b := float64(r.L), float64(r.R)
-			n, sa, sb, saa, sbb, sab = n+1, sa+a, sb+b, saa+a*a, sbb+b*b, sab+a*b
+			pairs = append(pairs, r)
 		}
 	}
 	sql := fmt.Sprintf("SELECT CORR(ts1.A, ts3.A) FROM ts1, ts3 WHERE ts1.A < %d", c)
 	res, err := e.ExecuteSQL(sql)
-	va, vb := saa/n-sa/n*sa/n, sbb/n-sb/n*sb/n
-	if n == 0 || va <= 0 || vb <= 0 {
+	r, ok, _ := exactCorr(pairs)
+	if !ok {
 		if err == nil {
-			t.Fatalf("%v %q over %v pairs: %v, want an error", e.Mode, sql, n, res.Aggregates)
+			t.Fatalf("%v %q over %d pairs: %v, want an error", e.Mode, sql, len(pairs), res.Aggregates)
 		}
 		return
 	}
 	if err != nil {
 		t.Fatalf("%v %q: %v", e.Mode, sql, err)
 	}
-	r := (sab/n - sa/n*sb/n) / math.Sqrt(va*vb)
-	if got := res.Aggregates["CORR(A,B)"]; math.Abs(got-r) > 1e-9 {
-		t.Fatalf("%v %q: %v, oracle %v over %v pairs", e.Mode, sql, got, r, n)
+	if got := res.Aggregates["CORR(A,B)"]; got != r {
+		t.Fatalf("%v %q: %v, oracle %v over %d pairs", e.Mode, sql, got, r, len(pairs))
 	}
 }
 
@@ -476,6 +527,12 @@ func FuzzWindowDifferential(f *testing.F) {
 		st := windowStore(t, ts, vals, 256)
 		e := engine.New(st, engine.ModeETSQP)
 		res, err := e.ExecuteSQL(sql)
+		if overflows(agg, want) {
+			if !errors.Is(err, engine.ErrOverflow) {
+				t.Fatalf("%q: error %v, want ErrOverflow", sql, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}

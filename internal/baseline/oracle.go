@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"math/big"
 	"sort"
 
 	"etsqp/internal/expr"
@@ -17,8 +18,9 @@ import (
 // over the covered rows [Start, End).
 type ScalarWindow struct {
 	Start, End int64
-	Sum        int64
-	SumSq      float64
+	Sum        int64    // valid when !Overflow
+	SumSq      *big.Int // Σv², exact
+	Overflow   bool     // Σv leaves int64: SUM, AVG and VAR are the Section VI-C error
 	Count      int64
 	Min, Max   int64 // valid when Count > 0
 	First      int64 // value at the earliest covered timestamp
@@ -28,19 +30,21 @@ type ScalarWindow struct {
 // ScalarWindowed enumerates the hopping windows w_k = [anchor + k·slide,
 // anchor + k·slide + width) for k >= 0 while the start does not exceed
 // tMax, and aggregates each window with a full re-scan of the rows — the
-// O(windows × rows) route the engine's shared segments avoid. Float
-// accumulation (Σv²) uses per-value adds in row order.
+// O(windows × rows) route the engine's shared segments avoid. Σv and Σv²
+// are exact big-integer sums.
 func ScalarWindowed(ts, vals []int64, anchor, width, slide, tMax int64) []ScalarWindow {
 	if width <= 0 || slide <= 0 {
 		return nil
 	}
 	var out []ScalarWindow
+	x := new(big.Int)
 	for k := int64(0); ; k++ {
 		start := anchor + k*slide
 		if start > tMax {
 			break
 		}
-		w := ScalarWindow{Start: start, End: start + width}
+		w := ScalarWindow{Start: start, End: start + width, SumSq: new(big.Int)}
+		sum := new(big.Int)
 		for i := range ts {
 			if ts[i] < w.Start || ts[i] >= w.End {
 				continue
@@ -57,11 +61,12 @@ func ScalarWindowed(ts, vals []int64, anchor, width, slide, tMax int64) []Scalar
 					w.Max = v
 				}
 			}
-			w.Sum += v
-			w.SumSq += float64(v) * float64(v)
+			sum.Add(sum, x.SetInt64(v))
+			w.SumSq.Add(w.SumSq, x.Mul(x, x))
 			w.Last = v
 			w.Count++
 		}
+		w.Sum, w.Overflow = sum.Int64(), !sum.IsInt64()
 		out = append(out, w)
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/bits"
 	"slices"
 	"sort"
@@ -36,7 +37,7 @@ var ErrOverflow = fusion.ErrOverflow
 // partialAgg is one worker's accumulation state, merged at the merge node.
 type partialAgg struct {
 	sum      int64
-	sumSq    float64
+	sumSq    wide
 	count    int64
 	min      int64
 	max      int64
@@ -76,7 +77,7 @@ func (p *partialAgg) addValue(v int64) {
 		p.overflow = true
 	}
 	p.sum = s
-	p.sumSq += float64(v) * float64(v)
+	p.sumSq.addMul(v, v)
 	var okC bool
 	p.count, okC = encoding.AddChecked(p.count, 1)
 	if !okC {
@@ -98,8 +99,8 @@ func (p *partialAgg) addValue(v int64) {
 // folds them in when a magnitude bound proves the per-value sums could
 // not have overflowed, and only otherwise is the chunk redone value by
 // value through addValue, which sets the sticky overflow flag where the
-// running sum leaves int64. sumSq is a float accumulation, so it is added
-// in row order, and only when sq says the plan has a VAR to answer.
+// running sum leaves int64. With sq (the plan has a VAR to answer) every
+// chunk takes addValue, the one fold that keeps Σv².
 //
 //etsqp:hotpath
 //etsqp:noescape
@@ -115,18 +116,10 @@ func (p *partialAgg) foldRange(vals []int64, c1, c2 int64, sq bool) {
 		if count == 0 {
 			continue
 		}
-		if !p.mergeChunk(count, sum, lo, hi) {
+		if sq || !p.mergeChunk(count, sum, lo, hi) {
 			for _, v := range chunk {
 				if inSpan(v, c1, span) {
 					p.addValue(v)
-				}
-			}
-			continue
-		}
-		if sq {
-			for _, v := range chunk {
-				if inSpan(v, c1, span) {
-					p.sumSq += float64(v) * float64(v)
 				}
 			}
 		}
@@ -257,7 +250,7 @@ func (p *partialAgg) merge(o *partialAgg) {
 	}
 	p.overflow = p.overflow || o.overflow
 	p.addSum(o.sum, o.count)
-	p.sumSq += o.sumSq
+	p.sumSq.add(o.sumSq)
 	if o.hasFL {
 		p.addBoundary(o.firstT, o.firstV, o.lastT, o.lastV)
 	}
@@ -295,8 +288,9 @@ func (p *partialAgg) final(agg sqlparse.AggFunc) (float64, error) {
 		if p.count == 0 {
 			return 0, nil
 		}
-		mean := float64(p.sum) / float64(p.count)
-		return p.sumSq/float64(p.count) - mean*mean, nil
+		n := big.NewInt(p.count)
+		v, _ := new(big.Rat).SetFrac(p.spread(), n.Mul(n, n)).Float64() // rounded once
+		return v, nil
 	case sqlparse.AggFirst:
 		if !p.hasFL {
 			return 0, fmt.Errorf("engine: FIRST over empty input")
@@ -310,6 +304,35 @@ func (p *partialAgg) final(agg sqlparse.AggFunc) (float64, error) {
 	default:
 		return 0, fmt.Errorf("engine: unsupported aggregate %q", agg)
 	}
+}
+
+// spread is n·Σv² − (Σv)², n² times the population variance, exactly.
+func (p *partialAgg) spread() *big.Int {
+	n, s := big.NewInt(p.count), big.NewInt(p.sum)
+	return n.Mul(n, p.sumSq.big()).Sub(n, s.Mul(s, s))
+}
+
+// wide is an exact unsigned sum of 128-bit products |x|·|y| (addMul): no
+// merge order can change it. Fewer than 2^63 terms of at most 2^126 stay
+// below 2^189, so three words never carry out before the count overflows.
+type wide struct{ hi, mid, lo uint64 }
+
+func (w *wide) addMul(x, y int64) {
+	hi, lo := bits.Mul64(encoding.Magnitude(x), encoding.Magnitude(y))
+	w.add(wide{0, hi, lo})
+}
+
+func (w *wide) add(o wide) {
+	var c uint64
+	w.lo, c = bits.Add64(w.lo, o.lo, 0)
+	w.mid, c = bits.Add64(w.mid, o.mid, c)
+	w.hi += o.hi + c
+}
+
+func (w *wide) big() *big.Int {
+	x := new(big.Int).SetUint64(w.hi)
+	x.Lsh(x, 64).Or(x, new(big.Int).SetUint64(w.mid))
+	return x.Lsh(x, 64).Or(x, new(big.Int).SetUint64(w.lo))
 }
 
 // needsValues reports whether the aggregate set requires materialized

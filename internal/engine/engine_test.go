@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -452,6 +454,24 @@ func TestRLBEFusedPath(t *testing.T) {
 	}
 }
 
+// exactVar is the population variance of vals, Σ(v − mean)² / n, in
+// rationals, rounded once: the correctly rounded value VAR must return.
+func exactVar(vals []int64) float64 {
+	n := big.NewRat(int64(len(vals)), 1)
+	mean := new(big.Rat)
+	for _, v := range vals {
+		mean.Add(mean, big.NewRat(v, 1))
+	}
+	mean.Quo(mean, n)
+	sum, d := new(big.Rat), new(big.Rat)
+	for _, v := range vals {
+		d.Sub(big.NewRat(v, 1), mean)
+		sum.Add(sum, d.Mul(d, d))
+	}
+	f, _ := sum.Quo(sum, n).Float64()
+	return f
+}
+
 func TestVarAggregation(t *testing.T) {
 	ts, vals := testData(5000, 10, false)
 	st := storeFor(t, ModeETSQP, ts, vals, 1000)
@@ -460,17 +480,7 @@ func TestVarAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean := 0.0
-	for _, v := range vals {
-		mean += float64(v)
-	}
-	mean /= float64(len(vals))
-	want := 0.0
-	for _, v := range vals {
-		want += (float64(v) - mean) * (float64(v) - mean)
-	}
-	want /= float64(len(vals))
-	if got := res.Aggregates["VAR(A)"]; math.Abs(got-want) > 1e-6*(1+want) {
+	if got, want := res.Aggregates["VAR(A)"], exactVar(vals); got != want {
 		t.Fatalf("VAR = %v want %v", got, want)
 	}
 }
@@ -886,6 +896,31 @@ func TestJoinCorrelation(t *testing.T) {
 	}
 	if _, err := e.ExecuteSQL("SELECT CORR(ts1.A, tso.A) FROM ts1, tso"); err == nil {
 		t.Fatal("empty join must fail")
+	}
+	// Large magnitudes, where float sums of squares cancel to noise: a
+	// constant 1e9+7 has no variance, a near 2^40 against a+1 is exactly
+	// linear, and a Σa that leaves int64 is the Section VI-C error — at
+	// every worker count.
+	flat, a40, b40, a62 := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range a {
+		flat[i], a40[i], b40[i], a62[i] = 1e9+7, 1<<40+a[i], 1<<40+a[i]+1, 1<<62+a[i]
+	}
+	for name, vals := range map[string][]int64{"tsk": flat, "ts40": a40, "ts41": b40, "ts62": a62} {
+		if err := st.Append(name, ts, vals, storage.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range []int{1, 2, 4} {
+		e.Workers = w
+		if _, err := e.ExecuteSQL("SELECT CORR(ts1.A, tsk.A) FROM ts1, tsk"); err == nil || !strings.Contains(err.Error(), "zero variance") {
+			t.Errorf("workers=%d: CORR against a constant 1e9+7: error %v, want zero variance", w, err)
+		}
+		if res, err := e.ExecuteSQL("SELECT CORR(ts40.A, ts41.A) FROM ts40, ts41"); err != nil || res.Aggregates["CORR(A,B)"] != 1 {
+			t.Errorf("workers=%d: CORR(a, a+1) near 2^40 = %v (error %v), want exactly 1", w, res, err)
+		}
+		if _, err := e.ExecuteSQL("SELECT CORR(ts62.A, ts1.A) FROM ts62, ts1"); !errors.Is(err, ErrOverflow) {
+			t.Errorf("workers=%d: CORR with Σa past int64: error %v, want ErrOverflow", w, err)
+		}
 	}
 }
 

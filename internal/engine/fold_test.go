@@ -84,9 +84,9 @@ func TestFoldRangeParity(t *testing.T) {
 			got.foldRange(vals, c1, c2, sq)
 			foldByValue(&want, vals, c1, c2)
 			if !sq {
-				got.sumSq, want.sumSq = 0, 0 // not kept unless VAR is planned
+				got.sumSq, want.sumSq = wide{}, wide{} // not kept unless VAR is planned
 			}
-			if got != want && !(math.IsNaN(got.sumSq) && math.IsNaN(want.sumSq)) {
+			if got != want {
 				t.Fatalf("iter %d: %d values in [%d, %d] from %+v (sq=%v):\nfoldRange %+v\naddValue  %+v", iter, n, c1, c2, start, sq, got, want)
 			}
 		}
@@ -424,28 +424,27 @@ func TestFoldOverflowByQuery(t *testing.T) {
 	}
 }
 
-// TestFoldVarianceWithFilter: VAR over a value range is the one query
-// shape that needs the chunk fold's row-order sumSq pass (plan.needSq);
-// every mode must agree with a plain loop to float rounding.
+// TestFoldVarianceWithFilter: VAR over a value range is the query shape
+// whose chunk fold keeps Σv² (plan.needSq sends every chunk through
+// addValue); every mode must return the correctly rounded variance of the
+// selected values.
 func TestFoldVarianceWithFilter(t *testing.T) {
 	ts, vals := testData(9000, 31, true)
 	const c1, c2 = 480, 530
-	var n, sum, sumSq float64
+	var kept []int64
 	for _, v := range vals {
 		if v >= c1 && v <= c2 {
-			n++
-			sum += float64(v)
-			sumSq += float64(v) * float64(v)
+			kept = append(kept, v)
 		}
 	}
-	want := sumSq/n - (sum/n)*(sum/n)
+	want, n := exactVar(kept), float64(len(kept))
 	for _, mode := range allModes {
 		e := New(storeFor(t, mode, ts, vals, 2048), mode)
 		res, err := e.ExecuteSQL(fmt.Sprintf("SELECT VAR(A), COUNT(A) FROM ts WHERE A >= %d AND A <= %d", c1, c2))
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if got := res.Aggregates["VAR(A)"]; math.Abs(got-want) > 1e-6*(1+want) || res.Aggregates["COUNT(A)"] != n {
+		if got := res.Aggregates["VAR(A)"]; got != want || res.Aggregates["COUNT(A)"] != n {
 			t.Errorf("%v: VAR %v COUNT %v, want %v and %v", mode, got, res.Aggregates["COUNT(A)"], want, n)
 		}
 	}

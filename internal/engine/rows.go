@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"math"
+	"math/big"
 
 	"etsqp/internal/sqlparse"
 )
@@ -15,15 +15,15 @@ import (
 // ts2 ORDER BY TIME (Figure 9(a)). Join is Q4 (projection over join) and
 // Q6 (natural join): join masks are produced within each shared time
 // range (Figure 9(b)) and the merge node concatenates them (Equation 6).
-// CORR over a join folds each range's matching pairs into its own Pearson
-// sums, which the merge node adds up in range order.
+// CORR over a join folds each range's matching pairs into its own exact
+// moments, which the merge node adds up.
 func (e *Engine) executeRanged(p *plan, tr *Trace) (*Result, error) {
 	limit, item := p.q.Limit, p.q.Items[0]
 	col := newCollector(tr)
 	col.mergeRanges.Add(int64(len(p.cuts)))
-	var sums []pearson
+	var sums []moments
 	if p.corr() {
-		sums = make([]pearson, len(p.cuts))
+		sums = make([]moments, len(p.cuts))
 	}
 	rows, err := e.runRanged(p.cuts, col, func(i int, a, b int64) ([]Row, error) {
 		lc, err := e.newBatchCursor(p.series[0], a, b, col)
@@ -57,7 +57,7 @@ func (e *Engine) executeRanged(p *plan, tr *Trace) (*Result, error) {
 			case !joinPredsMatch(p.vp, p.series, lv, rv):
 				return true
 			case sums != nil:
-				sums[i].add(float64(lv), float64(rv))
+				sums[i].add(lv, rv)
 				return true
 			case item.Star:
 				out = append(out, Row{Time: t, Values: []int64{lv, rv}})
@@ -72,11 +72,10 @@ func (e *Engine) executeRanged(p *plan, tr *Trace) (*Result, error) {
 		return nil, err
 	}
 	if sums != nil {
-		var all pearson
-		for i := range sums {
-			all.merge(&sums[i])
+		for i := 1; i < len(sums); i++ {
+			sums[0].merge(&sums[i])
 		}
-		r, err := all.corr()
+		r, err := sums[0].corr()
 		if err != nil {
 			return nil, err
 		}
@@ -102,32 +101,45 @@ func joinPredsMatch(vp []sqlparse.Pred, series []string, lv, rv int64) bool {
 	return true
 }
 
-// pearson holds the sums a Pearson correlation is evaluated from: the
-// pair count n, Σa, Σb, Σa², Σb² and Σab over the joined rows.
-type pearson struct{ n, sa, sb, saa, sbb, sab float64 }
-
-func (s *pearson) add(a, b float64) { s.merge(&pearson{1, a, b, a * a, b * b, a * b}) }
-
-func (s *pearson) merge(o *pearson) {
-	s.n += o.n
-	s.sa += o.sa
-	s.sb += o.sb
-	s.saa += o.saa
-	s.sbb += o.sbb
-	s.sab += o.sab
+// moments holds the exact sums a Pearson correlation is evaluated from:
+// each side's count, Σ and Σ² (the moments VAR uses), and Σa·b as the
+// sums of the products of like (ab[0]) and unlike (ab[1]) signs.
+type moments struct {
+	a, b partialAgg
+	ab   [2]wide
 }
 
-// corr evaluates the correlation coefficient from the sums.
-func (s *pearson) corr() (float64, error) {
-	n := s.n
-	if n == 0 {
+func (s *moments) add(a, b int64) {
+	s.a.addValue(a)
+	s.b.addValue(b)
+	s.ab[uint64(a^b)>>63].addMul(a, b)
+}
+
+func (s *moments) merge(o *moments) {
+	s.a.merge(&o.a)
+	s.b.merge(&o.b)
+	s.ab[0].add(o.ab[0])
+	s.ab[1].add(o.ab[1])
+}
+
+// corr evaluates r = (n·Σab − Σa·Σb) / √(spread(a)·spread(b)): exact but
+// for a root and a quotient at 512 bits, which hold the product of two
+// spreads (each below 2^63·2^189), and rounded once, so |r| <= 1.
+func (s *moments) corr() (float64, error) {
+	if s.a.overflow || s.b.overflow {
+		return 0, fmt.Errorf("engine: CORR overflow (Section VI-C check): %w", ErrOverflow)
+	}
+	if s.a.count == 0 {
 		return 0, fmt.Errorf("engine: CORR over empty join")
 	}
-	cov := s.sab/n - s.sa/n*s.sb/n
-	va := s.saa/n - s.sa/n*s.sa/n
-	vb := s.sbb/n - s.sb/n*s.sb/n
-	if va <= 0 || vb <= 0 {
+	da, db := s.a.spread(), s.b.spread()
+	if da.Sign() == 0 || db.Sign() == 0 {
 		return 0, fmt.Errorf("engine: CORR undefined for zero variance")
 	}
-	return cov / math.Sqrt(va*vb), nil
+	num := new(big.Int).Sub(s.ab[0].big(), s.ab[1].big())
+	num.Mul(num, big.NewInt(s.a.count)).Sub(num, new(big.Int).Mul(big.NewInt(s.a.sum), big.NewInt(s.b.sum)))
+	den := new(big.Float).SetPrec(512).SetInt(da.Mul(da, db))
+	r := new(big.Float).SetPrec(512).SetInt(num)
+	f, _ := r.Quo(r, den.Sqrt(den)).Float64()
+	return f, nil
 }

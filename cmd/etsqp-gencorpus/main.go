@@ -335,7 +335,15 @@ func scanFoldCorpus(root string) error {
 		scan(2, 62, 0, 1024, 0, 5, 77, 0, 8),          // bound overflows at width 62
 		scan(0, 63, 3, 200, edgeC1, 2, 40, 3, 4),      // width 63
 		scan(0, 64, 0, 1024, edges, 0, 3, 6, 4),       // width 64, wrapping rows
-		truncated(w12), flipped(w12, 3))
+		truncated(w12), flipped(w12, 3),
+		// The pruned scan's chunks end on the 64-field grid (row ≡ 1
+		// mod 64); these chunk sizes put the ends on it and just off it.
+		scan(0, 12, 0, 961, 0, 17, 200, 0, 16),    // first chunk ends on the grid, later ones straddle it
+		scan(0, 16, 1, 1024, 0, 5, 250, 0, 16),    // every chunk on the grid
+		scan(0, 8, 29, 996, edgeC2, 40, 3, 0, 16), // mid-group start, first end on the grid
+		scan(0, 20, 65, 1023, 0, 9, 99, 1, 16),    // a field short of the grid, every chunk redone
+		scan(0, 33, 1, 128, edgeC1, 2, 40, 0, 8),  // past the widest kernel, grid chunks
+		scan(0, 1, 0, 1024, edges, 0, 3, 0, 0))    // a one-row page
 }
 
 func sqlCorpus(root string) error {

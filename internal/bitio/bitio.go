@@ -172,9 +172,10 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 // unpacked by the width's generated straight-line kernel (unpack_gen.go)
 // with no per-field bounds test, error return or position store. A last
 // partial group is unpacked whole into a stack buffer and its leading
-// fields copied, as long as the buffer holds the group's 8n bytes. What
-// remains — the end of the buffer, and every field wider than 32 bits —
-// is read with ReadBits again.
+// fields copied; when the buffer ends before the group's 8n bytes, the
+// kernel reads a zero-padded stack copy of what is left, whose padding
+// lands only in fields past the run. Every field wider than 32 bits is
+// read with ReadBits again.
 //
 //etsqp:hotpath
 //etsqp:noescape
@@ -202,7 +203,12 @@ func (r *Reader) ReadFields(dst []int64, n uint) error {
 			unpack64((*[64]int64)(dst[i:i+64]), src, n)
 			src = src[8*n:]
 		}
-		if rest := dst[i:]; len(rest) > 0 && len(src) >= 8*int(n) {
+		if rest := dst[i:]; len(rest) > 0 {
+			if len(src) < 8*int(n) {
+				var pad [8 * maxUnpackWidth]byte
+				copy(pad[:], src)
+				src = pad[:]
+			}
 			var group [64]int64
 			unpack64(&group, src, n)
 			i += copy(rest, group[:])

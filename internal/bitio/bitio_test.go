@@ -2,6 +2,7 @@ package bitio
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -367,6 +368,42 @@ func TestReadFieldsMatchesReadBits(t *testing.T) {
 					if r.Pos() != off {
 						t.Fatalf("%d fields of %d bits over %d bytes consumed %d bits", over, n, len(buf), r.Pos()-off)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestReadFieldsTailGroup: a run whose last partial group ends exactly
+// at the end of the buffer, fewer than 8n bytes after the group's start,
+// as every page's last fields do. Widths up to 32 unpack it through a
+// zero-padded copy, wider ones read it field by field; both must equal
+// the ReadBits loop from the grid and from mid-group starts, and one
+// field more must fail with ErrShortBuffer without consuming.
+func TestReadFieldsTailGroup(t *testing.T) {
+	for n := uint(1); n <= 40; n++ {
+		for tail := 1; tail < 64; tail++ {
+			for _, head := range []int{0, 3, 64} {
+				bits := (head + tail) * int(n)
+				buf := make([]byte, (bits+7)/8)
+				for i := range buf {
+					buf[i] = byte(i*0x9D ^ int(n)*0x35 ^ tail)
+				}
+				start := head * int(n)
+				r, ref := NewReader(buf), NewReader(buf)
+				if r.Seek(start) != nil || ref.Seek(start) != nil {
+					t.Fatal("seek")
+				}
+				checkReadFields(t, r, ref, tail, n)
+				if r.Pos() != bits {
+					t.Fatalf("%d fields of %d bits from field %d: pos %d, want %d", tail, n, head, r.Pos(), bits)
+				}
+				if r.Seek(start) != nil {
+					t.Fatal("seek back")
+				}
+				over := (len(buf)*8-start)/int(n) + 1
+				if err := r.ReadFields(make([]int64, over), n); !errors.Is(err, ErrShortBuffer) || r.Pos() != start {
+					t.Fatalf("%d fields of %d bits from field %d of %d bytes: err %v at pos %d, want ErrShortBuffer at %d", over, n, head, len(buf), err, r.Pos(), start)
 				}
 			}
 		}

@@ -26,6 +26,12 @@ import (
 // checks on value-filtered scans.
 const pruneChunk = 1024
 
+// gridChunk is the length of a pruned scan's chunk from row, at most
+// pruneChunk rows and none past hi. Row r consumes packed field r-1, so
+// a chunk that ends at a row ≡ 1 (mod 64) ends on the payload's 64-field
+// grid, and no chunk but the last splits a group between two unpacks.
+func gridChunk(row, hi int) int { return min(hi-row, pruneChunk-(row-1)&63) }
+
 // ErrOverflow is the Section VI-C aggregate-overflow sentinel. It is the
 // fusion package's sentinel re-exported, so a single errors.Is covers
 // both detection sites: the fused closed forms (which return it
@@ -647,7 +653,7 @@ func (e *Engine) timeBoundsPruned(p *plan, sl Slice,
 scan:
 	for scanner.Row() < sl.EndRow {
 		base := scanner.Row()
-		k, derr := scanner.Next(buf[:min(sl.EndRow-base, pruneChunk)])
+		k, derr := scanner.Next(buf[:gridChunk(base, sl.EndRow)])
 		if derr != nil || k == 0 {
 			err = derr
 			break
@@ -691,7 +697,7 @@ func openScan(scanner *pipeline.RangeScanner, blk *ts2diff.Block, pg *storage.Pa
 
 // aggPrunedScan is the value pass of a planned pruned scan, a job with
 // one segment [lo, hi) and one partial: it streams the value column
-// through a RangeScanner chunk by chunk. One header reach
+// through a RangeScanner in gridChunk chunks. One header reach
 // (prune.Bounds.Reach) serves two rules. Over the rest of the page it
 // stops the scan as soon as nothing ahead can satisfy the filter
 // (Proposition 5). Over the whole page it bounds every row's magnitude,
@@ -719,8 +725,10 @@ func (e *Engine) aggPrunedScan(p *plan, sl Slice, lo, hi int,
 	start := time.Now()
 	mark := start
 	var decodeNs, aggNs int64
-	for row := scanner.Row(); row < hi; {
-		want := min(hi-row, pruneChunk)
+	from := scanner.Row()
+	row := from
+	for row < hi {
+		want := gridChunk(row, hi)
 		var last int64
 		if onePass {
 			last, err = p.scanFold(&scanner, want, bound, local, buf)
@@ -740,40 +748,44 @@ func (e *Engine) aggPrunedScan(p *plan, sl Slice, lo, hi int,
 		if err != nil || k == 0 {
 			break
 		}
-		col.valuesDecoded.Add(int64(k))
 		row += k
 		if row < hi && bounds.StopValue(last, row-1, n, p.c1, p.c2) {
 			col.rowsPruned.Add(int64(hi - row))
 			break
 		}
 	}
+	// The rows counters are shared by the workers: one add per scan.
+	col.valuesDecoded.Add(int64(row - from))
+	elapsed := int64(time.Since(start))
 	if onePass {
-		decodeNs = int64(time.Since(start))
+		decodeNs = elapsed
+		obs.PipelineValuesUnpacked.Add(int64(row - from))
 	}
 	col.decodeNanos.Add(decodeNs)
 	col.aggNanos.Add(aggNs)
 	if obs.Enabled() {
-		obs.EngineHistPageDecode.Observe(int64(time.Since(start)))
+		obs.EngineHistPageDecode.Observe(elapsed)
 	}
 	return true, err
 }
 
-// scanFold is one chunk of a sumFold plan's pruned scan in one pass: up
-// to n rows are unpacked, filtered and counted and summed without being
-// stored (RangeScanner.ScanFold), then merged when bound, the page's
-// magnitude bound, proves no per-value fold could have overflowed. Else
-// the chunk is redone by decode-then-fold (Next into buf, foldRange) on a
-// copy of the scanner taken before it, which sets the sticky overflow
-// flag exactly where addValue would; s has already passed the chunk
-// either way. It returns the chunk's last value; the partial's minimum
-// and maximum are kept only on the redo.
+// scanFold is one chunk of a sumFold plan's pruned scan in one pass: the
+// fields of up to n rows are unpacked into buf by one ReadFields call,
+// and the rows filtered, counted and summed without being stored
+// (RangeScanner.ScanFold), then merged when bound, the page's magnitude
+// bound, proves no per-value fold could have overflowed. Else the chunk
+// is redone by decode-then-fold (Next into buf, foldRange) on a copy of
+// the scanner taken before it, which sets the sticky overflow flag
+// exactly where addValue would; s has already passed the chunk either
+// way. It returns the chunk's last value; the partial's minimum and
+// maximum are kept only on the redo.
 //
 //etsqp:hotpath
 //etsqp:noescape
 func (p *plan) scanFold(s *pipeline.RangeScanner, n int, bound uint64,
 	local *partialAgg, buf []int64) (last int64, err error) {
 	before := *s
-	count, sum, last, err := s.ScanFold(n, p.c1, uint64(p.c2)-uint64(p.c1))
+	count, sum, last, err := s.ScanFold(buf[:n], p.c1, uint64(p.c2)-uint64(p.c1))
 	if err != nil || count == 0 || local.addBounded(count, sum, bound) {
 		return last, err
 	}

@@ -430,3 +430,53 @@ func TestObsCountersTrackQuery(t *testing.T) {
 		t.Errorf("engine.rows_out delta = %d, want 2", got)
 	}
 }
+
+// TestOnePassCounters: a filtered SUM over pages that all straddle the
+// constant scans every row, and counts each row once in the query's
+// ValuesDecoded, in every mode at one and two workers; and
+// pipeline.values_unpacked counts each row once per column the mode
+// decodes through the pipeline. The prune mode answers the query in one
+// pass, whose rows counters are added once per page job rather than per
+// chunk.
+func TestOnePassCounters(t *testing.T) {
+	columns := map[Mode]int64{
+		ModeETSQP:      1,
+		ModeETSQPPrune: 1,
+		ModeSerial:     0, // the codec's value-at-a-time decoder
+		ModeSBoost:     2, // timestamps too: no constant-interval shortcut
+		ModeFastLanes:  0,
+	}
+	const n = 10_000
+	ts, vals := make([]int64, n), make([]int64, n)
+	for i := range ts {
+		ts[i] = int64(i) * 100
+		vals[i] = int64(uint64(i)*0x9E3779B97F4A7C15>>54) - 512 // i.i.d.-like in [-512, 512)
+	}
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	for _, mode := range allModes {
+		for _, workers := range []int{1, 2} {
+			e := New(storeFor(t, mode, ts, vals, 1024), mode)
+			e.Workers = workers
+			before := obs.Capture()
+			res, err := e.ExecuteSQL("SELECT SUM(A), COUNT(A) FROM ts WHERE A > 0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			unpacked := obs.Capture().Delta(before)[obs.PipelineValuesUnpacked.Name()]
+			st := res.Stats
+			if st.PagesPruned != 0 || st.RowsPruned != 0 || st.ValuesFused != 0 {
+				t.Fatalf("%v/%d: pruned %d pages and %d rows, fused %d: every row must be scanned", mode, workers, st.PagesPruned, st.RowsPruned, st.ValuesFused)
+			}
+			if mode == ModeETSQPPrune && st.AggNanos != 0 {
+				t.Fatalf("%v/%d: agg stage %d ns: the one pass charges decode only", mode, workers, st.AggNanos)
+			}
+			if st.ValuesDecoded != n || unpacked != columns[mode]*n {
+				t.Errorf("%v/%d workers: ValuesDecoded %d, pipeline.values_unpacked delta %d; want %d and %d", mode, workers, st.ValuesDecoded, unpacked, n, columns[mode]*n)
+			}
+		}
+	}
+}

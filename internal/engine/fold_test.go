@@ -181,6 +181,17 @@ func headerBound(b *ts2diff.Block) (uint64, bool) {
 // chunk takes the redo; a page with one must have no row beyond it.
 func checkScanFold(t *testing.T, vals []int64, from, chunk int, c1, c2 int64, start partialAgg) {
 	t.Helper()
+	var chunks []int
+	for row := from; row < len(vals); row += chunk {
+		chunks = append(chunks, min(chunk, len(vals)-row))
+	}
+	checkScanFoldChunks(t, vals, from, chunks, c1, c2, start)
+}
+
+// checkScanFoldChunks is checkScanFold over a given sequence of chunk
+// lengths from row from.
+func checkScanFoldChunks(t *testing.T, vals []int64, from int, chunks []int, c1, c2 int64, start partialAgg) {
+	t.Helper()
 	b, err := ts2diff.Encode(vals, ts2diff.Order1)
 	if err != nil {
 		t.Fatal(err)
@@ -203,10 +214,13 @@ func checkScanFold(t *testing.T, vals []int64, from, chunk int, c1, c2 int64, st
 		t.Fatal(err)
 	}
 	got, want := start, start
-	buf, refBuf := make([]int64, chunk), make([]int64, chunk)
-	for ref.Row() < b.Count {
-		n := min(chunk, b.Count-ref.Row())
-		last, err := p.scanFold(&one, n, bound, &got, buf)
+	size := 0
+	for _, n := range chunks {
+		size = max(size, n)
+	}
+	buf, refBuf := make([]int64, size), make([]int64, size)
+	for _, n := range chunks {
+		last, err := p.scanFold(&one, n, bound, &got, buf[:n])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,8 +232,8 @@ func checkScanFold(t *testing.T, vals []int64, from, chunk int, c1, c2 int64, st
 		g, w := got, want
 		g.min, g.max, w.min, w.max = 0, 0, 0, 0
 		if last != refBuf[k-1] || !reflect.DeepEqual(one, ref) || g != w {
-			t.Fatalf("width %d, rows [%d, %d) in chunks of %d, [%d, %d] from %+v: at row %d\none pass %+v last %d (row %d)\nNext+foldRange %+v last %d",
-				b.Width, from, b.Count, chunk, c1, c2, start, ref.Row(), got, last, one.Row(), want, refBuf[k-1])
+			t.Fatalf("width %d, rows [%d, %d) in chunks of %v, [%d, %d] from %+v: at row %d\none pass %+v last %d (row %d)\nNext+foldRange %+v last %d",
+				b.Width, from, b.Count, chunks, c1, c2, start, ref.Row(), got, last, one.Row(), want, refBuf[k-1])
 		}
 	}
 }
@@ -267,6 +281,47 @@ func TestScanFoldParity(t *testing.T) {
 			checkScanFold(t, vals, from, chunk, c1, c2, foldStarts[r.Intn(len(foldStarts))])
 		}
 	}
+	// The pruned scan's own geometry (gridChunk): chunks that end on the
+	// 64-field grid and a last one that ends off it at the slice end,
+	// starts in the middle of a group, widths at and inside the unpack
+	// kernels' edges, one-row pages, and running sums (or a width-63
+	// page, which has no header bound) that send chunks to the bound redo.
+	g := rand.New(rand.NewSource(37))
+	for _, width := range []uint{0, 1, 12, 32, 33, 63} {
+		for _, n := range []int{1, 2, 64, 66, 1025, 2113, 3000} {
+			for iter, start := range foldStarts {
+				first := []int64{0, -1, 1 << 40, math.MaxInt64, math.MinInt64}[g.Intn(5)]
+				vals := walkPage(n, first, width, g.Uint64())
+				from := min(n, []int{0, 1, 37, 64 + 29, 960, g.Intn(n + 1)}[iter%6])
+				to := n
+				if iter%2 == 1 {
+					to = from + g.Intn(n-from+1) // a slice that ends mid-page
+				}
+				c1, c2 := vals[g.Intn(n)], vals[g.Intn(n)]
+				if c1 > c2 {
+					c1, c2 = c2, c1
+				}
+				checkScanFoldChunks(t, vals, from, gridChunks(t, from, to), c1, c2, start)
+			}
+		}
+	}
+}
+
+// gridChunks is the chunk sequence aggPrunedScan takes over rows [from,
+// to): every chunk holds 1..pruneChunk rows and ends on the 64-field grid
+// (at a row ≡ 1 mod 64) or at to.
+func gridChunks(t *testing.T, from, to int) []int {
+	t.Helper()
+	var chunks []int
+	for row := from; row < to; {
+		k := gridChunk(row, to)
+		if end := row + k; k <= 0 || k > pruneChunk || (end != to && (end-1)&63 != 0) {
+			t.Fatalf("gridChunk(%d, %d) = %d", row, to, k)
+		}
+		chunks = append(chunks, k)
+		row += k
+	}
+	return chunks
 }
 
 // FuzzScanFold is TestScanFoldParity over fuzz-chosen pages. Input: a
@@ -307,9 +362,32 @@ func FuzzScanFold(f *testing.F) {
 	})
 }
 
+// wavePage is a page of n rows oscillating around center whose deltas
+// pack at exactly width bits (2..62), the shape of the decode_scan
+// benchmark workload's pages: the second and third rows take the largest
+// and smallest delta, and every row is drawn from the band that keeps
+// all later deltas within them.
+func wavePage(n int, center int64, width uint, seed uint64) []int64 {
+	lo, hi := -(int64(1) << (width - 1)), int64(1)<<(width-1)-1
+	vals := make([]int64, n)
+	for i := range vals {
+		seed = (seed + 1) * 0x9E3779B97F4A7C15
+		vals[i] = center + lo/2 + int64((seed^seed>>29)%uint64(hi/2-lo/2+1))
+	}
+	if n >= 3 {
+		vals[0] = center + lo/2 + 1
+		vals[1] = vals[0] + hi
+		vals[2] = vals[1] + lo
+	}
+	return vals
+}
+
 // BenchmarkScanFold times one chunk-by-chunk pass over a wave-width page
 // both ways — the one pass, and Next + foldRange — at a selectivity
-// branches mispredict on (half) and one they predict.
+// branches mispredict on (half) and one they predict; then the one pass
+// alone as the pruned scan runs it (gridChunk chunks, page bound
+// merged) over wave pages at the decode_scan widths, under its two
+// filter shapes: A > c about the page's centre, and a narrow band.
 func BenchmarkScanFold(b *testing.B) {
 	vals := walkPage(4096, 1<<20, 12, 1)
 	blk, err := ts2diff.Encode(vals, ts2diff.Order1)
@@ -354,6 +432,39 @@ func BenchmarkScanFold(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.Count), "ns/value")
 		})
+	}
+	const center = 1 << 21
+	for _, width := range []uint{4, 8, 12, 16, 20} {
+		blk, err := ts2diff.Encode(wavePage(4096, center, width, uint64(width)), ts2diff.Order1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if blk.Width != width {
+			b.Fatalf("wave page packs at width %d, want %d", blk.Width, width)
+		}
+		bound, ok := headerBound(blk)
+		if !ok {
+			b.Fatal("no page bound")
+		}
+		for _, f := range []struct {
+			name   string
+			c1, c2 int64
+		}{{"gt", center + 1, math.MaxInt64}, {"band", center, center + 44}} {
+			p := &plan{c1: f.c1, c2: f.c2}
+			b.Run(fmt.Sprintf("wave/w%02d/%s", width, f.name), func(b *testing.B) {
+				var s pipeline.RangeScanner
+				for i := 0; i < b.N; i++ {
+					var acc partialAgg
+					_ = s.Reset(blk, 0)
+					for row := 0; row < blk.Count; row = s.Row() {
+						if _, err := p.scanFold(&s, gridChunk(row, blk.Count), bound, &acc, buf); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.Count), "ns/value")
+			})
+		}
 	}
 }
 

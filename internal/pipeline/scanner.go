@@ -148,65 +148,54 @@ func (s *RangeScanner) next1(dst []int64) error {
 // next2's two-level recurrence.
 var errNotOrder1 = errors.New("pipeline: ScanFold takes order-1 blocks only")
 
-// ScanFold advances an order-1 scan by up to n rows without storing them.
-// It returns the count and the wrapping sum of the rows v with v-c1 <=
-// span as unsigned distances (for c1 <= c2 and span = c2-c1, exactly the
-// rows in [c1, c2]), and the value of the last row it advanced over.
-// This is next1 and the engine's branch-free range fold in one loop: each
-// group of up to 64 fields is unpacked by ReadFields into a stack array,
-// and the prefix, the range test and the accumulation run over it at
-// once. The recurrence runs on d = v-c1 rather than on v, which the range
-// test needs anyway; the selected rows' sum is then count·c1 plus theirs.
-// Groups follow the payload's 64-field grid, so every group after the
-// first starts byte-aligned and is one generated-kernel call. Like Next
-// it is all or nothing: on an error the scanner has not moved.
+// ScanFold advances an order-1 scan by up to len(scratch) rows without
+// keeping them. It returns the count and the wrapping sum of the rows v
+// with v-c1 <= span as unsigned distances (for c1 <= c2 and span =
+// c2-c1, exactly the rows in [c1, c2]), and the value of the last row it
+// advanced over. This is next1 and the engine's branch-free range fold
+// in one pass: the chunk's fields are unpacked into scratch by one
+// ReadFields call, and the prefix, the range test and the accumulation
+// run over them in one loop. The recurrence runs on d = v-c1 rather
+// than on v, which the range test needs anyway; the selected rows' sum
+// is then count·c1 plus theirs. A chunk that starts on the payload's
+// 64-field grid (at a row ≡ 1 mod 64) unpacks as whole generated-kernel
+// groups, plus the page's last partial group. Like Next it is all or
+// nothing: on an error the scanner has not moved. Unlike Next it leaves
+// pipeline.values_unpacked to its caller, which adds a page's rows once.
 //
 //etsqp:hotpath
 //etsqp:noescape
-func (s *RangeScanner) ScanFold(n int, c1 int64, span uint64) (count, sum, last int64, err error) {
+func (s *RangeScanner) ScanFold(scratch []int64, c1 int64, span uint64) (count, sum, last int64, err error) {
 	if s.b.Order != ts2diff.Order1 {
 		return 0, 0, 0, errNotOrder1
 	}
-	end := s.row + min(n, s.b.Count-s.row)
-	row, pos := s.row, s.r.Pos()
+	fields := scratch[:min(len(scratch), s.b.Count-s.row)]
+	n := len(fields)
 	d := uint64(s.cur) - uint64(c1)
 	var selected, total uint64
-	if row == 0 && row < end {
+	if s.row == 0 && n > 0 {
+		// Row 0 is First and consumes no field.
 		d = uint64(s.b.First) - uint64(c1)
 		if d <= span {
 			selected, total = 1, d
 		}
-		row = 1
+		fields = fields[1:]
 	}
-	var group [64]int64
-	minBase, width := uint64(s.b.MinBase), s.b.Width
-	for row < end {
-		// Row r consumes field r-1; the group runs to the grid line.
-		g := 64 - (row-1)&63
-		if rem := end - row; rem < g {
-			g = rem
-		}
-		fields := group[:g]
-		if err := s.r.ReadFields(fields, width); err != nil {
-			_ = s.r.Seek(pos) // where the scan stood: in the buffer
-			return 0, 0, 0, err
-		}
-		for _, f := range fields {
-			d += minBase + uint64(f)
-			keep := uint64(0)
-			if d <= span {
-				keep = ^uint64(0)
-			}
-			selected -= keep
-			total += d & keep
-		}
-		row += g
+	if err := s.r.ReadFields(fields, s.b.Width); err != nil {
+		return 0, 0, 0, err
 	}
-	if obs.Enabled() {
-		obs.PipelineValuesUnpacked.Add(int64(row - s.row))
+	minBase := uint64(s.b.MinBase)
+	for _, f := range fields {
+		d += minBase + uint64(f)
+		keep := uint64(0)
+		if d <= span {
+			keep = ^uint64(0)
+		}
+		selected -= keep
+		total += d & keep
 	}
 	last = int64(d + uint64(c1))
-	s.row, s.cur = row, last
+	s.row, s.cur = s.row+n, last
 	return int64(selected), int64(total + selected*uint64(c1)), last, nil
 }
 

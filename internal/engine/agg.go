@@ -367,6 +367,12 @@ func (e *Engine) executeAgg(p *plan, tr *Trace) (*Result, error) {
 	col.pagesPruned.Add(int64(p.pagesPruned))
 	col.tuplesLoaded.Add(p.prunedTuples)
 	col.pruneNanos.Add(p.pruneNs)
+	if obs.Enabled() {
+		// Plan-time decisions count once the plan runs: EXPLAIN builds
+		// the same plan and must not move them.
+		obs.PrunePagesValue.Add(int64(p.pagesPruned))
+		obs.PrunePagesVacuous.Add(int64(p.pagesVacuous))
+	}
 
 	// Per-slot partials and cut scratch: Worker.Slot is assigned exactly
 	// once per batch, so each participant folds into its own cells with

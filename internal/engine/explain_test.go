@@ -431,6 +431,33 @@ func TestObsCountersTrackQuery(t *testing.T) {
 	}
 }
 
+// TestExplainLeavesPruneCounters: a plan-only EXPLAIN prunes one page and
+// finds one filter vacuous, yet nothing ran, so the process-global prune
+// counters stay where they were (they count executed plans only).
+func TestExplainLeavesPruneCounters(t *testing.T) {
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	e := New(planStore(t), ModeETSQPPrune)
+	e.Workers = 2
+	before := obs.Capture()
+	info, err := e.Explain("SELECT SUM(A), COUNT(A) FROM ts WHERE A >= 3 AND A <= 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.PagesPruned != 1 {
+		t.Fatalf("plan prunes %d pages, want 1", info.PagesPruned)
+	}
+	delta := obs.Capture().Delta(before)
+	for _, c := range []*obs.Counter{obs.EngineQueries, obs.PrunePagesValue, obs.PrunePagesVacuous} {
+		if got := delta[c.Name()]; got != 0 {
+			t.Errorf("EXPLAIN moved %s by %d, want 0", c.Name(), got)
+		}
+	}
+}
+
 // TestOnePassCounters: a filtered SUM over pages that all straddle the
 // constant scans every row, and counts each row once in the query's
 // ValuesDecoded, in every mode at one and two workers; and

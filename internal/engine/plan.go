@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"etsqp/internal/expr"
-	"etsqp/internal/obs"
 	"etsqp/internal/prune"
 	"etsqp/internal/sqlparse"
 	"etsqp/internal/storage"
@@ -87,6 +86,7 @@ type plan struct {
 	pagesTotal   int
 	pagesPruned  int
 	prunedTuples int64
+	pagesVacuous int // kept pages whose statistics make the range filter vacuous
 	pages        []storage.PagePair
 	slices       []Slice
 	outcomes     []sliceOutcome // aggregate shapes: one per job
@@ -162,16 +162,7 @@ func (e *Engine) newPlan(q *sqlparse.Query) (*plan, error) {
 	p.pages = ser.PagesInRange(p.t1, p.t2)
 	p.pagesTotal = len(p.pages)
 	if agg && p.strat.prune && len(p.vp) > 0 {
-		kept := make([]storage.PagePair, 0, len(p.pages))
-		for _, pp := range p.pages {
-			if prune.SkipPageByValue(pp.Value.Header, p.c1, p.c2) {
-				p.pagesPruned++
-				p.prunedTuples += int64(pp.Count())
-				continue
-			}
-			kept = append(kept, pp)
-		}
-		p.pages = kept
+		p.pages, p.pagesPruned, p.prunedTuples = prune.SkipPagesByValue(p.pages, p.c1, p.c2)
 	}
 	p.pruneNs = int64(time.Since(pruneStart))
 
@@ -245,7 +236,7 @@ func (p *plan) outcomeOf(sl Slice, fusible bool) sliceOutcome {
 		// Section V statistics reused to keep Section IV fusion on).
 		fused = true
 		if sl.StartRow == 0 {
-			obs.PrunePagesVacuous.Inc()
+			p.pagesVacuous++
 		}
 	}
 	switch {

@@ -119,7 +119,9 @@ func rampWeight(j0, j1 int) int64 {
 // once through a fixed-size stack chunk (the SumBlockOrder2 idiom) for
 // both orders — one decode pass regardless of how many windows cut the
 // block, and a plain range is the one-segment case. Cuts past b.Count
-// contribute what exists.
+// contribute what exists. The walk starts near cuts[0], not at row 1:
+// pipeline.Prefix, the resolution RangeScanner.Reset uses, supplies the
+// value there. Rows from the seek point on are added checked.
 //
 //etsqp:hotpath
 //etsqp:rangecheck
@@ -146,14 +148,25 @@ func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
 	}
 	delta := b.FirstDelta // order-2 running first difference
 	m := b.NumPacked()
-	// 128 fields are whole bytes at every width, so each chunk starts
-	// byte-aligned in the packed stream.
-	var chunk [128]int64
 	// Row r (r >= 1) is one step of the recurrence and consumes packed
 	// field r-1. Order-2 blocks pack n-2 fields for n-1 steps: the last
 	// row advances by the accumulated first difference alone, which a
 	// zero field expresses.
 	row, s := 1, 0
+	// Rows before cuts[0] lie in no segment: seek to the last multiple of
+	// 8 fields at or before it (whole bytes at every width), its prefix
+	// resolved without a walk. The prefix wraps like the decode, so a
+	// wrapping step there leaves the stored row it reaches exact.
+	if e := (cuts[0] - 1) &^ 7; e > 0 {
+		var err error
+		if cur, delta, err = pipeline.Prefix(b, e); err != nil {
+			return err
+		}
+		row = e + 1
+	}
+	// 128 fields are whole bytes at every width, so each chunk starts
+	// byte-aligned in the packed stream.
+	var chunk [128]int64
 	for row < to {
 		e := row - 1 // fields consumed so far
 		steps := to - row

@@ -1,7 +1,9 @@
 package fusion
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -167,6 +169,156 @@ func BenchmarkSumRangeSegments(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/pair")
+		})
+	}
+}
+
+// seekPage builds an n-row TS2DIFF page whose packed fields are exactly
+// width bits wide. Its steps (order-1 deltas, order-2 second
+// differences) are small noise plus, from width 2 on, one −X, +X, +X, −X
+// run with 2X = 2^(width−1), which stretches the field range to the full
+// width while every value and every segment sum stays in int64.
+func seekPage(t *testing.T, rng *rand.Rand, order ts2diff.Order, width uint, n int) (*ts2diff.Block, []int64) {
+	t.Helper()
+	steps := make([]int64, n)
+	for i := range steps {
+		switch width {
+		case 0:
+			steps[i] = 3
+		case 1:
+			steps[i] = -rng.Int63n(2)
+		default:
+			steps[i] = rng.Int63n(3) - 1
+		}
+	}
+	if width >= 2 {
+		x := int64(1) << (width - 2)
+		p := rng.Intn(n - 4)
+		copy(steps[p:], []int64{-x, x, x, -x})
+	}
+	vals := make([]int64, n)
+	v, d := int64(1e9), int64(0)
+	for i := range vals {
+		vals[i] = v
+		if order == ts2diff.Order1 {
+			v += steps[i]
+		} else {
+			v += d
+			d += steps[i]
+		}
+	}
+	b, err := ts2diff.Encode(vals, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Width != width {
+		t.Fatalf("order %v page packs %d bits, want %d", order, b.Width, width)
+	}
+	return b, vals
+}
+
+// seekCuts returns, for a first cut c0 on an n-row page, one segment to
+// the end and 1 000-row windows whose last cut lies past the page.
+func seekCuts(c0, n int) [][]int {
+	windows := []int{c0}
+	for c := c0; c < n; {
+		c += 1000
+		windows = append(windows, c)
+	}
+	return [][]int{{c0, n}, windows}
+}
+
+// TestSumBlockSegmentsSeek holds the segment walk, which seeks past the
+// rows before its first cut, to the decoded sums at every first cut
+// around the 8-field seek grid and the 128-field chunk grid, at the
+// field widths that end a byte, a word or the int64 range.
+func TestSumBlockSegmentsSeek(t *testing.T) {
+	const n = 4096
+	for _, order := range []ts2diff.Order{ts2diff.Order1, ts2diff.Order2} {
+		for _, width := range []uint{0, 1, 7, 33, 63, 64} {
+			for seed := int64(0); seed < 3; seed++ {
+				rng := rand.New(rand.NewSource(seed<<8 | int64(width)<<1 | int64(order)))
+				b, vals := seekPage(t, rng, order, width, n)
+				for _, c0 := range []int{0, 1, 2, 8, 9, 127, 128, 129, 2049, n - 1} {
+					for _, cuts := range seekCuts(c0, n) {
+						sums := make([]int64, len(cuts)-1)
+						name := fmt.Sprintf("order %v width %d seed %d cuts %v", order, width, seed, cuts)
+						if err := SumBlockSegments(b, cuts, sums); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						checkSegments(t, name, vals, cuts, sums)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSumBlockSegmentsSeekWrap: a step that wraps int64 is exact mod 2^64
+// in the prefix the walk seeks past, so the page answers fused with the
+// decoded sums; the same step inside a segment still overflows the
+// walk's checked adds and returns ErrOverflow, for the decoded redo.
+func TestSumBlockSegmentsSeekWrap(t *testing.T) {
+	const n, spike = 4096, 100
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = 1000 + int64(i%7)
+	}
+	// -10 → MaxInt64-5 is a step of MaxInt64+5: it wraps.
+	vals[spike-1], vals[spike] = -10, math.MaxInt64-5
+	for _, order := range []ts2diff.Order{ts2diff.Order1, ts2diff.Order2} {
+		b, err := ts2diff.Encode(vals, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cuts := range seekCuts(2049, n) {
+			sums := make([]int64, len(cuts)-1)
+			if err := SumBlockSegments(b, cuts, sums); err != nil {
+				t.Fatalf("order %v cuts %v: wrap before the first cut: %v", order, cuts, err)
+			}
+			checkSegments(t, fmt.Sprintf("order %v cuts %v", order, cuts), vals, cuts, sums)
+		}
+		for _, cuts := range seekCuts(spike-50, n) {
+			sums := make([]int64, len(cuts)-1)
+			if err := SumBlockSegments(b, cuts, sums); !errors.Is(err, ErrOverflow) {
+				t.Fatalf("order %v cuts %v: wrap inside a segment returned %v, want ErrOverflow", order, cuts, err)
+			}
+		}
+	}
+}
+
+// BenchmarkSumBlockSegments times the TS2DIFF segment walk over a
+// 4 096-row order-1 page of width 8: the whole page, one 2 000-row range
+// that starts mid-page, and 1 000-row windows. ns/row counts the rows the
+// segments cover, so rows the walk seeks past cost per covered row.
+func BenchmarkSumBlockSegments(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]int64, 4096)
+	for i, v := 0, int64(50_000); i < len(vals); i++ {
+		vals[i] = v
+		v += int64(rng.Intn(256) - 128)
+	}
+	blk, err := ts2diff.Encode(vals, ts2diff.Order1)
+	if err != nil || blk.Width != 8 {
+		b.Fatalf("page: width %d, err %v", blk.Width, err)
+	}
+	for _, c := range []struct {
+		name string
+		cuts []int
+	}{
+		{"page", []int{0, len(vals)}},
+		{"range2000", []int{1500, 3500}},
+		{"windows1000", []int{0, 1000, 2000, 3000, 4000, len(vals)}},
+	} {
+		sums := make([]int64, len(c.cuts)-1)
+		rows := c.cuts[len(c.cuts)-1] - c.cuts[0]
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := SumBlockSegments(blk, c.cuts, sums); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})
 	}
 }

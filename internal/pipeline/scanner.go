@@ -47,12 +47,9 @@ func decodeRows(out []int64, b *ts2diff.Block, from int) error {
 }
 
 // Reset positions the scanner at startRow of a block, so a caller that
-// scans page after page keeps one scanner by value. It resolves the
-// slice prefix dependency (Figure 8: P1S2 waits on P1S1): an order-1
-// start value is First plus SumPacked over the skipped fields; an
-// order-2 start depends on a second prefix level, so the recurrence is
-// replayed through next2 (time pages are usually width 0 and never
-// decoded at all — see ConstantInterval).
+// scans page after page keeps one scanner by value. Row r consumes
+// packed field r-1 at order 1 and field r-2 at order 2 (rows 0 and 1
+// consume none); Prefix resolves the fields before startRow.
 func (s *RangeScanner) Reset(b *ts2diff.Block, startRow int) error {
 	if b.Order != ts2diff.Order1 && b.Order != ts2diff.Order2 {
 		return fmt.Errorf("pipeline: unknown order %d", b.Order)
@@ -64,27 +61,65 @@ func (s *RangeScanner) Reset(b *ts2diff.Block, startRow int) error {
 	if startRow == 0 {
 		return nil
 	}
-	obs.PipelinePrefixFixups.Inc()
+	e := startRow - 1
 	if b.Order == ts2diff.Order2 {
-		var skipped [256]int64
-		for s.row < startRow {
-			n := startRow - s.row
-			if n > len(skipped) {
-				n = len(skipped)
-			}
-			if err := s.next2(skipped[:n]); err != nil {
-				return err
-			}
-		}
-		return nil
+		e = max(startRow-2, 0)
 	}
-	skip, err := SumPacked(b.Packed, startRow-1, b.Width)
+	cur, delta, err := Prefix(b, e)
 	if err != nil {
 		return err
 	}
-	s.row = startRow
-	s.cur = b.First + b.MinBase*int64(startRow-1) + int64(skip)
-	return s.r.Seek((startRow - 1) * int(b.Width))
+	s.row, s.cur, s.delta = startRow, cur, delta
+	if b.Order == ts2diff.Order2 && startRow > 1 {
+		// next2 keeps the difference it last applied: row startRow-1 is
+		// row e plus that difference.
+		s.cur += delta
+	}
+	return s.r.Seek(e * int(b.Width))
+}
+
+// errPrefixRange is Prefix's answer for a field count outside the block.
+var errPrefixRange = errors.New("pipeline: prefix past the packed fields")
+
+// Prefix resolves the slice prefix dependency (Figure 8: P1S2 waits on
+// P1S1) without producing rows. It returns the recurrence state after
+// the first e packed fields of a block, 0 <= e <= b.NumPacked(): value
+// is row e, and on an order-2 block delta is the first difference that
+// row e+1 adds (FirstDelta plus the first e fields). An order-1 value is
+// First plus SumPacked over the fields; an order-2 start depends on a
+// second prefix level, so the recurrence is replayed (time pages are
+// usually width 0 and never decoded at all — see ConstantInterval).
+// Both wrap mod 2^64 like the decode they stand in for, so a stored
+// value comes out exact whatever its prefix passed through.
+func Prefix(b *ts2diff.Block, e int) (value, delta int64, err error) {
+	if e < 0 || e > b.NumPacked() {
+		return 0, 0, errPrefixRange
+	}
+	if obs.Enabled() {
+		obs.PipelinePrefixFixups.Inc()
+	}
+	if b.Order != ts2diff.Order2 {
+		skip, err := SumPacked(b.Packed, e, b.Width)
+		if err != nil {
+			return 0, 0, err
+		}
+		return b.First + b.MinBase*int64(e) + int64(skip), 0, nil
+	}
+	r := bitio.NewReader(b.Packed)
+	var fields [256]int64
+	value, delta = b.First, b.FirstDelta
+	for e > 0 {
+		n := min(e, len(fields))
+		if err := r.ReadFields(fields[:n], b.Width); err != nil {
+			return 0, 0, err
+		}
+		for _, f := range fields[:n] {
+			value += delta
+			delta += b.MinBase + f
+		}
+		e -= n
+	}
+	return value, delta, nil
 }
 
 // Row reports the next row the scanner will emit.

@@ -105,13 +105,42 @@ func (b Bounds) StopValue(ak int64, k, n int, c1, c2 int64) bool {
 }
 
 // SkipPageByValue reports whether a whole page can be skipped for the
-// value range [c1, c2] using its min/max statistics.
+// value range [c1, c2] using its min/max statistics. It counts nothing:
+// the engine adds the pages a query skipped once, when the plan runs.
 func SkipPageByValue(h storage.PageHeader, c1, c2 int64) bool {
-	if h.MaxValue < c1 || h.MinValue > c2 {
-		obs.PrunePagesValue.Inc()
-		return true
+	return skipByValue(&h, c1, c2)
+}
+
+// skipByValue is SkipPageByValue's rule on a header read in place.
+//
+//etsqp:inline
+func skipByValue(h *storage.PageHeader, c1, c2 int64) bool {
+	return h.MaxValue < c1 || h.MinValue > c2
+}
+
+// SkipPagesByValue applies SkipPageByValue's rule to every page's value
+// header in place, reading only its min/max and, for a skipped page,
+// its row count: it returns the pages kept, how many were skipped and
+// their rows. pages is never written; while nothing is skipped the
+// result is pages itself, so a filter that prunes nothing allocates
+// nothing, and the survivors are copied out once, at their exact count.
+func SkipPagesByValue(pages []storage.PagePair, c1, c2 int64) (kept []storage.PagePair, skipped int, rows int64) {
+	for i := range pages {
+		if h := &pages[i].Value.Header; skipByValue(h, c1, c2) {
+			skipped++
+			rows += int64(h.Count)
+		}
 	}
-	return false
+	if skipped == 0 {
+		return pages, 0, 0
+	}
+	kept = make([]storage.PagePair, 0, len(pages)-skipped)
+	for i := range pages {
+		if !skipByValue(&pages[i].Value.Header, c1, c2) {
+			kept = append(kept, pages[i])
+		}
+	}
+	return kept, skipped, rows
 }
 
 // AllValuesInRange is the dual of SkipPageByValue: the header statistics

@@ -291,3 +291,27 @@ func TestParseCorr(t *testing.T) {
 		}
 	}
 }
+
+// TestParseProbeAllocs pins the allocations of parsing the two probe
+// shapes the selective_probe benchmark sends: a time-range aggregate and
+// a rare-value filter. The lexer sizes its token slice once and slices
+// symbols out of the source, so what remains is the Query and its slices.
+func TestParseProbeAllocs(t *testing.T) {
+	for _, c := range []struct {
+		sql string
+		max float64
+	}{
+		{"SELECT AVG(A) FROM trend WHERE TIME >= 1700000012345678 AND TIME <= 1700000099999999", 9},
+		{"SELECT MIN(A), MAX(A) FROM trend WHERE TIME >= 1700000012345678 AND TIME <= 1700000099999999", 11},
+		{"SELECT COUNT(A), SUM(A) FROM trend WHERE A > 123456789", 9},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := Parse(c.sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.max {
+			t.Errorf("Parse(%q): %v allocs, want <= %v", c.sql, got, c.max)
+		}
+	}
+}

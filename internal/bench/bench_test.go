@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"etsqp/internal/engine"
@@ -26,13 +28,47 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
+// TestFig11Shape checks the work shape behind Figure 11's scaling
+// (EXPERIMENTS.md, Figure 11 "Shape check"), from exact counters:
+// ETSQP deals one job per page whenever pages are at least threads
+// (Section III-C), while SBoost cuts every page into one slice per
+// thread and pays the Figure 8 prefix dependency pages × threads times.
 func TestFig11Shape(t *testing.T) {
-	ms, err := Fig11(small, []int{1, 2})
+	threads := []int{1, 2, 8}
+	ms, err := Fig11(small, threads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 2*4*2 {
+	if len(ms) != 2*4*len(threads) {
 		t.Fatalf("measurements = %d", len(ms))
+	}
+	checked := 0
+	for _, m := range ms {
+		_, thStr, _ := strings.Cut(m.X, "threads=")
+		th, err := strconv.Atoi(thStr)
+		if err != nil {
+			t.Fatalf("%s/%s: no thread count", m.Series, m.X)
+		}
+		pages, slices := m.Extra["pages"], m.Extra["slices"]
+		var want float64
+		switch m.Series {
+		case engine.ModeETSQP.String():
+			if pages < float64(th) {
+				continue
+			}
+			want = pages
+		case engine.ModeSBoost.String():
+			want = pages * float64(th)
+		default:
+			continue
+		}
+		if pages < 1 || slices != want {
+			t.Errorf("%s/%s: %v slices over %v pages, want %v", m.Series, m.X, slices, pages, want)
+		}
+		checked++
+	}
+	if checked != 2*2*len(threads) {
+		t.Errorf("checked %d ETSQP/SBoost runs, want %d", checked, 2*2*len(threads))
 	}
 }
 

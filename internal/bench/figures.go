@@ -429,8 +429,9 @@ func FigConcurrent(cfg Config, clients []int) ([]Measurement, error) {
 		return nil, err
 	}
 	// Skewed page widths: ingest in chunks under cycling page sizes, so
-	// morsels differ widely in cost — the static-split worst case the
-	// work-stealing scheduler exists for.
+	// morsels differ widely in cost — the static-split worst case that
+	// the pool's shared claim counter absorbs: a free participant takes
+	// the next morsel, so no slow page holds back a pre-dealt share.
 	widths := []int{cfg.PageSize / 16, cfg.PageSize, cfg.PageSize / 4}
 	for i, w := range widths {
 		if w < 1 {

@@ -457,7 +457,7 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 	if col.trace != nil {
 		ev := SliceEvent{StartRow: sl.StartRow, EndRow: sl.EndRow, Rows: sl.Rows(), Fused: out == outFused}
 		var blk ts2diff.Block
-		if ok, _ := pageBlockData(&blk, sl.Pair.Value, sl.Pair.Value.Data); ok {
+		if ok, _ := pageBlock(&blk, sl.Pair.Value); ok {
 			ev.Width, ev.packed = blk.Width, true
 		}
 		sliceStart := time.Now()
@@ -693,12 +693,10 @@ scan:
 // take its shape: the caller's full decode then reads (and reports) it.
 func openScan(scanner *pipeline.RangeScanner, blk *ts2diff.Block, pg *storage.Page, row int,
 	col *statsCollector) (ok bool, err error) {
-	if ok, _ := pageBlockData(blk, pg, pg.Data); !ok || scanner.Reset(blk, row) != nil {
+	if ok, _ := pageBlock(blk, pg); !ok || scanner.Reset(blk, row) != nil {
 		return false, nil
 	}
-	col.pagesRead.Add(1)
-	col.bytesScanned.Add(int64(len(pg.Data)))
-	return true, pg.VerifyChecksum()
+	return true, readPage(pg, col)
 }
 
 // aggPrunedScan is the value pass of a planned pruned scan, a job with
@@ -911,10 +909,10 @@ func (c rowClock) row(t int64, lo, hi int) int {
 
 // fusedSumSegments fills per-segment sums over the cut partition of a
 // value page without materializing values; a plain row range is one
-// segment. The page is loaded (charged to the IO stage like the decoding
-// paths), verified, and parsed once no matter how many windows cut it —
-// an RLBE page's runs into the arena's run buffer; ok is false when the
-// codec has no fused path.
+// segment. The page is read (readPage, like the decoding paths) and
+// parsed once no matter how many windows cut it — an RLBE page's runs
+// into the arena's run buffer; ok is false when the codec has no fused
+// path.
 //
 // A fusion.ErrOverflow from the closed forms is reported as ok=false,
 // not as a failure: the fused forms are conservative — an RLBE page's
@@ -924,19 +922,17 @@ func (c rowClock) row(t int64, lo, hi int) int {
 // checked accumulators — COUNT/MIN/MAX over the same rows then still
 // answer while SUM/AVG/VAR surface the Section VI-C error from final().
 func (e *Engine) fusedSumSegments(p *storage.Page, cuts []int, sums []int64, col *statsCollector, arena *exec.Arena) (ok bool, err error) {
-	data, bufp := loadPage(p, col)
-	defer pageBufPool.Put(bufp)
-	if err := p.VerifyChecksum(); err != nil {
+	if err := readPage(p, col); err != nil {
 		return false, err
 	}
-	first, pairs, isRLBE, err := deltaRunsOfData(p, data, arena.Runs())
+	first, pairs, isRLBE, err := deltaRuns(p, arena.Runs())
 	if err != nil {
 		return false, err
 	}
 	var blk ts2diff.Block
 	if isRLBE {
 		err = fusion.SumRangeSegments(first, pairs, cuts, sums)
-	} else if isBlock, berr := pageBlockData(&blk, p, data); !isBlock {
+	} else if isBlock, berr := pageBlock(&blk, p); !isBlock {
 		return false, berr
 	} else {
 		err = fusion.SumBlockSegments(&blk, cuts, sums)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"runtime/debug"
 	"strconv"
 	"testing"
 )
@@ -10,15 +9,12 @@ import (
 // allocation count. Every shape below runs one job per page and none
 // decodes a page column into a fresh slice, so a job needs no heap at
 // all: its cut partition lives on the stack or in per-worker scratch,
-// fused segment sums and prune chunks in the worker arena, page loads in
-// the pooled buffers. What remains is per query (parse, plan, window
+// fused segment sums and prune chunks in the worker arena, and payloads
+// are read in place. What remains is per query (parse, plan, window
 // list, partials, fan-out), so each budget is a constant over the page
 // count with a slack of 3, below the job count: one allocation per job
 // breaks it.
 func TestAggregateExecutorAllocs(t *testing.T) {
-	if raceBuild() {
-		t.Skip("the race detector makes sync.Pool drop buffers at random")
-	}
 	ts, vals := testData(8192, 7, true)
 	st := storeFor(t, ModeETSQP, ts, vals, 512)
 	mid := strconv.FormatInt(vals[len(vals)/2], 10)
@@ -57,18 +53,4 @@ func TestAggregateExecutorAllocs(t *testing.T) {
 		}
 		t.Logf("%s: %.1f allocs/op over %d pages (%d jobs)", c.name, n, warm.Stats.PagesTotal, jobs)
 	}
-}
-
-// raceBuild reports whether the test binary runs under the race detector.
-func raceBuild() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
 }

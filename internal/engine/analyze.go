@@ -57,8 +57,8 @@ func (a *AnalyzeInfo) String() string {
 		time.Duration(st.FilterNanos), time.Duration(st.AggNanos),
 		time.Duration(st.WindowNanos), time.Duration(st.MergeNanos))
 	if st.MorselsRun > 0 {
-		write("  resources: cpu=%v morsels=%d stolen=%d arena=%dB",
-			time.Duration(st.CPUNanos), st.MorselsRun, st.MorselsStolen, st.ArenaHighWater)
+		write("  resources: cpu=%v morsels=%d arena=%dB",
+			time.Duration(st.CPUNanos), st.MorselsRun, st.ArenaHighWater)
 	}
 	if a.Trace != nil {
 		b.WriteString(a.Trace.String())

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync"
 	"time"
 
 	"etsqp/internal/encoding"
@@ -13,38 +12,32 @@ import (
 	"etsqp/internal/storage"
 )
 
-// pageBufPool recycles the worker-local buffers pages are loaded into.
-var pageBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// loadPage copies a page's payload into a worker-local buffer — the
-// memory-I/O stage of the pipeline (pages move from the shared buffer
-// into the core's working set; Figure 14(b) charges this separately).
-// The caller hands bufp back to pageBufPool once it is done with data.
-func loadPage(p *storage.Page, col *statsCollector) (data []byte, bufp *[]byte) {
+// readPage is the memory-I/O stage of the pipeline, charged once per
+// page on every path that reads a payload: it verifies the page's
+// checksum and adds one page read to col — pagesRead, bytesScanned and
+// the verification's time as the io stage (Figure 14(b)). Payloads are
+// read in place: a published page is immutable, so no path copies one.
+func readPage(p *storage.Page, col *statsCollector) error {
+	if col == nil {
+		return p.VerifyChecksum()
+	}
 	start := time.Now()
-	bufp = pageBufPool.Get().(*[]byte)
-	if cap(*bufp) < len(p.Data) {
-		*bufp = make([]byte, len(p.Data))
-	}
-	buf := (*bufp)[:len(p.Data)]
-	copy(buf, p.Data)
-	if col != nil {
-		col.pagesRead.Add(1)
-		col.bytesScanned.Add(int64(len(p.Data)))
-		col.ioNanos.Add(int64(time.Since(start)))
-	}
-	return buf, bufp
+	err := p.VerifyChecksum()
+	col.pagesRead.Add(1)
+	col.bytesScanned.Add(int64(len(p.Data)))
+	col.ioNanos.Add(int64(time.Since(start)))
+	return err
 }
 
-// pageBlockData parses a ts2diff page payload (the structured view the
-// vectorized paths need) from data, p.Data or a loaded copy of it, into
-// the caller's blk, so a scan parses page after page without a heap
-// block each. ok is false for other codecs and, with PayloadRows's
-// error, for a payload that does not parse or match the header.
-func pageBlockData(blk *ts2diff.Block, p *storage.Page, data []byte) (ok bool, err error) {
+// pageBlock parses a ts2diff page payload (the structured view the
+// vectorized paths need) into the caller's blk, so a scan parses page
+// after page without a heap block each. ok is false for other codecs
+// and, with PayloadRows's error, for a payload that does not parse or
+// match the header.
+func pageBlock(blk *ts2diff.Block, p *storage.Page) (ok bool, err error) {
 	switch p.Header.Codec {
 	case "ts2diff", "ts2diff2":
-		err = blk.UnmarshalBinary(data)
+		err = blk.UnmarshalBinary(p.Data)
 		err = p.PayloadRows(blk.Count, err)
 		return err == nil, err
 	default:
@@ -93,9 +86,7 @@ func (e *Engine) decodeColumnRange(ser string, p *storage.Page, from, to int, co
 //
 //etsqp:coldpath
 func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *statsCollector) (vals []int64, err error) {
-	data, bufp := loadPage(p, col)
-	defer pageBufPool.Put(bufp)
-	if err := p.VerifyChecksum(); err != nil {
+	if err := readPage(p, col); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -115,9 +106,9 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *s
 		if p.Header.Codec == "fastlanes" && !full {
 			// Block-granular slicing: decode only the FLMM1024 blocks the
 			// range touches (fair thread distribution, Section VII-C).
-			return fastlanes.DecodeRangeBlocks(data, from, to)
+			return fastlanes.DecodeRangeBlocks(p.Data, from, to)
 		}
-	} else if ok, err := pageBlockData(&blk, p, data); err != nil {
+	} else if ok, err := pageBlock(&blk, p); err != nil {
 		return nil, err
 	} else if ok {
 		return pipeline.DecodeRange(&blk, from, to)
@@ -126,7 +117,7 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *s
 	if err != nil {
 		return nil, err
 	}
-	all, err := c.Decode(data)
+	all, err := c.Decode(p.Data)
 	if err := p.PayloadRows(len(all), err); err != nil {
 		return nil, err
 	}
@@ -147,25 +138,25 @@ func (p *plan) constantIntervalOf(page *storage.Page) (int64, bool) {
 		return 0, false
 	}
 	var blk ts2diff.Block
-	if ok, _ := pageBlockData(&blk, page, page.Data); !ok {
+	if ok, _ := pageBlock(&blk, page); !ok {
 		return 0, false
 	}
 	interval, ok := pipeline.ConstantInterval(&blk)
 	return interval, ok && page.VerifyChecksum() == nil
 }
 
-// deltaRunsOfData extracts Delta-Repeat pairs when the page uses the
+// deltaRuns extracts Delta-Repeat pairs when the page uses the
 // RLBE codec — the representation Section IV's fused aggregations
 // consume — into *runs, a buffer the caller reuses from page to page. ok
 // is false for other codecs; a block that does not parse, whose runs do
 // not total its count (rlbe.Block.AppendPairs), or whose count is not
 // the header's is an error, never a sum over what the runs hold.
-func deltaRunsOfData(p *storage.Page, data []byte, runs *[]encoding.DeltaRun) (first int64, pairs []encoding.DeltaRun, ok bool, err error) {
+func deltaRuns(p *storage.Page, runs *[]encoding.DeltaRun) (first int64, pairs []encoding.DeltaRun, ok bool, err error) {
 	if p.Header.Codec != "rlbe" {
 		return 0, nil, false, nil
 	}
 	var blk rlbe.Block
-	err = blk.UnmarshalBinary(data)
+	err = blk.UnmarshalBinary(p.Data)
 	rows := 0
 	if err == nil {
 		first, rows = blk.First, blk.Count

@@ -220,7 +220,7 @@ func TestTraceJSONWindowJoinGolden(t *testing.T) {
 			`{"start_row":0,"end_row":1024,"rows":1024,"fused":true,"dur_ns":0},` +
 			`{"start_row":0,"end_row":1024,"rows":1024,"fused":true,"width":4,"dur_ns":0}],` +
 			`"slices_total":3,"trace_id":"tid",` +
-			`"resources":{"cpu_ns":0,"morsels":3,"steals":0,"pages_read":3,` +
+			`"resources":{"cpu_ns":0,"morsels":3,"pages_read":3,` +
 			`"bytes_scanned":665,"values_decoded":0,"cache_hits":0,"cache_misses":0,` +
 			`"arena_high_bytes":0}}` + "\n"
 		if got := b.String(); got != want {
@@ -254,7 +254,7 @@ func TestTraceJSONWindowJoinGolden(t *testing.T) {
 			`{"start_row":0,"end_row":1024,"rows":1024,"fused":false,"dur_ns":0},` +
 			`{"start_row":0,"end_row":1024,"rows":1024,"fused":false,"dur_ns":0}],` +
 			`"slices_total":0,"trace_id":"tid",` +
-			`"resources":{"cpu_ns":0,"morsels":1,"steals":0,"pages_read":4,` +
+			`"resources":{"cpu_ns":0,"morsels":1,"pages_read":4,` +
 			`"bytes_scanned":972,"values_decoded":2048,"cache_hits":0,"cache_misses":0,` +
 			`"arena_high_bytes":0}}` + "\n"
 		if got := b.String(); got != want {

@@ -56,10 +56,13 @@ type Stats struct {
 
 	// Shared-pool resource attribution (exec.QueryStats): worker CPU time
 	// summed over the query's morsel executions (exceeds wall time on
-	// parallel queries by design), morsels run and stolen on its behalf,
-	// and the largest scratch-arena footprint any participant held.
-	CPUNanos       int64
-	MorselsRun     int64
+	// parallel queries by design), morsels run on its behalf, and the
+	// largest scratch-arena footprint any participant held.
+	CPUNanos   int64
+	MorselsRun int64
+	// MorselsStolen is always 0: participants take morsels from one
+	// shared claim counter, so no morsel belongs to a slot to be stolen.
+	// It stays for readers that still report a stolen share.
 	MorselsStolen  int64
 	ArenaHighWater int64 // bytes
 }
@@ -137,7 +140,6 @@ func (c *statsCollector) snapshot() Stats {
 
 		CPUNanos:       c.execStats.CPUNanos(),
 		MorselsRun:     c.execStats.Morsels(),
-		MorselsStolen:  c.execStats.Steals(),
 		ArenaHighWater: c.execStats.ArenaHighWater(),
 	}
 }

@@ -81,7 +81,6 @@ type Trace struct {
 type TraceResources struct {
 	CPUNanos       int64 `json:"cpu_ns"`
 	Morsels        int64 `json:"morsels"`
-	Steals         int64 `json:"steals"`
 	PagesRead      int64 `json:"pages_read"`
 	BytesScanned   int64 `json:"bytes_scanned"`
 	ValuesDecoded  int64 `json:"values_decoded"`
@@ -159,7 +158,6 @@ func (t *Trace) finish(st Stats, elapsed time.Duration) {
 		t.Resources = &TraceResources{
 			CPUNanos:       st.CPUNanos,
 			Morsels:        st.MorselsRun,
-			Steals:         st.MorselsStolen,
 			PagesRead:      st.PagesRead,
 			BytesScanned:   st.BytesScanned,
 			ValuesDecoded:  st.ValuesDecoded,

@@ -112,7 +112,7 @@ func TestTraceJSONGolden(t *testing.T) {
 		`{"name":"other","dur_ns":65}]},` +
 		`"slices":[{"start_row":0,"end_row":8,"rows":8,"fused":true,"width":4,"dur_ns":90}],` +
 		`"slices_total":1,"trace_id":"00f1e2d3c4b5a697",` +
-		`"resources":{"cpu_ns":100,"morsels":3,"steals":1,"pages_read":2,` +
+		`"resources":{"cpu_ns":100,"morsels":3,"pages_read":2,` +
 		`"bytes_scanned":64,"values_decoded":8,"cache_hits":1,"cache_misses":1,` +
 		`"arena_high_bytes":4096}}` + "\n"
 	if got := b.String(); got != want {

@@ -1,23 +1,22 @@
 // Package exec is the shared execution layer: a process-wide worker
 // pool that every concurrent query draws from, fed by morsel batches
-// (one morsel = one page or slice) with per-participant index deques
-// and work stealing, so a skewed page no longer gates query latency the
-// way the paper's static core-level splits do (Section III-C). Each
-// worker owns a reusable scratch arena (arena.go) and the layer fronts
-// storage with a byte-budgeted decoded-page cache (cache.go), so hot
-// pages decode once across the whole query stream.
+// (one morsel = one page or slice) whose participants take the next
+// unclaimed morsel from one shared counter, so a skewed page no longer
+// gates query latency the way the paper's static core-level splits do
+// (Section III-C). Each worker owns a reusable scratch arena (arena.go)
+// and the layer fronts storage with a byte-budgeted decoded-page cache
+// (cache.go), so hot pages decode once across the whole query stream.
 //
 // # Scheduling model
 //
 // A call to Pool.Run(n, par, fn) submits a batch of n morsels executed
 // by at most par participants: the submitting goroutine itself plus up
-// to par-1 pool workers. The index space [0, n) is pre-split into par
-// contiguous chunks, one per participant slot; a participant claims
-// from the front of its own chunk and, when that drains, steals single
-// morsels from the back of the other chunks. Claims and steals are one
-// CAS on a packed (next, limit) word, so the steady-state scheduling
-// cost is a handful of atomic operations per morsel and zero
-// allocations (batches, chunk words and submitter identities are all
+// to par-1 pool workers. Every participant claims the next morsel index
+// with one atomic add on the batch's claim counter until the counter
+// passes n. No morsel is owned by a slot in advance, so a participant
+// held up by a slow morsel holds up only that morsel: the others keep
+// taking the rest. The steady-state scheduling cost is two atomic adds
+// per morsel (claim and completion) and zero allocations (batches and submitter identities are
 // recycled through freelists; enforced by AllocsPerRun tests).
 //
 // The submitter always participates, so Run makes progress even when
@@ -39,9 +38,6 @@ import (
 // goroutine that submitted the batch. Its Arena is scratch space owned
 // exclusively by the participant for the duration of a morsel.
 type Worker struct {
-	// ID identifies the worker within the pool (submitter identities are
-	// numbered past the pool size). Diagnostic only.
-	ID int
 	// Slot is the participant's slot in the batch currently being
 	// executed, in [0, par). Slots are assigned exactly once per batch,
 	// so Slot-indexed state (per-slot partial aggregates) is
@@ -57,13 +53,6 @@ type batch struct {
 	par int
 	fn  func(w *Worker, i int) error
 
-	// chunks[s] packs the (next, limit) index range owned by slot s.
-	// The owner claims next (front); thieves decrement limit (back).
-	// Elements are touched only through claimFront/stealBack CAS loops,
-	// but the slice header itself is resized in getBatchLocked, so the
-	// field cannot carry the //etsqp:atomic contract.
-	chunks []atomic.Uint64
-
 	// Guarded by the POOL's mutex, not a field of this struct, which the
 	// //etsqp:guardedby directive cannot express: helper slots remaining
 	// and helpers that joined. Joining is only possible while the batch
@@ -78,8 +67,8 @@ type batch struct {
 	// ordered; cleared on recycle so the sink cannot outlive its query.
 	qs *QueryStats
 
+	next   atomic.Int64 //etsqp:atomic — morsel indices claimed so far; the next claim gets this one
 	done   atomic.Int64 //etsqp:atomic — morsels completed (executed or skipped after failure)
-	steals atomic.Int64 //etsqp:atomic
 	failed atomic.Bool  //etsqp:atomic
 
 	errMu sync.Mutex
@@ -104,7 +93,6 @@ type Pool struct {
 	size      int            // immutable after NewPool
 	freeBatch []*batch       //etsqp:guardedby mu
 	freeSub   []*Worker      //etsqp:guardedby mu — recycled submitter identities
-	nextSubID int            //etsqp:guardedby mu
 	wg        sync.WaitGroup // worker goroutines, for Close
 }
 
@@ -114,12 +102,11 @@ func NewPool(n int) *Pool {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{size: n, nextSubID: n}
+	p := &Pool{size: n}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
-		w := &Worker{ID: i, Arena: &Arena{}}
-		go p.workerLoop(w)
+		go p.workerLoop(&Worker{Arena: &Arena{}})
 	}
 	return p
 }
@@ -151,81 +138,19 @@ func Default() *Pool {
 	return defaultPool
 }
 
-// pack encodes a chunk's (next, limit) index pair into one word.
-func pack(next, limit int) uint64 {
-	return uint64(next)<<32 | uint64(uint32(limit))
-}
-
-// claimFront pops the next index off the front of a chunk (the owner's
-// side of the deque). Returns -1 when the chunk is empty.
-//
-//etsqp:hotpath
-func claimFront(c *atomic.Uint64) int {
-	for {
-		v := c.Load()
-		next, limit := int(v>>32), int(uint32(v))
-		if next >= limit {
-			return -1
-		}
-		if c.CompareAndSwap(v, v+(1<<32)) {
-			return next
-		}
-	}
-}
-
-// stealBack pops one index off the back of a chunk (the thief's side).
-// Returns -1 when the chunk is empty.
-//
-//etsqp:hotpath
-func stealBack(c *atomic.Uint64) int {
-	for {
-		v := c.Load()
-		next, limit := int(v>>32), int(uint32(v))
-		if next >= limit {
-			return -1
-		}
-		if c.CompareAndSwap(v, v-1) {
-			return limit - 1
-		}
-	}
-}
-
-// claim returns the next morsel index for the participant in slot, and
-// whether it was stolen from another slot's chunk. Own chunk first
-// (front), then the other chunks round-robin (back). Returns -1 when
-// the batch has no unclaimed morsels.
-//
-//etsqp:hotpath
-func (b *batch) claim(slot int) (int, bool) {
-	if i := claimFront(&b.chunks[slot]); i >= 0 {
-		return i, false
-	}
-	for k := 1; k < len(b.chunks); k++ {
-		t := slot + k
-		if t >= len(b.chunks) {
-			t -= len(b.chunks)
-		}
-		if i := stealBack(&b.chunks[t]); i >= 0 {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
 // runLoop claims and executes morsels until none remain. After a morsel
 // fails, remaining claims drain without executing fn so completion
 // accounting stays exact. Per-morsel timing is shared between the obs
 // histogram and the batch's QueryStats sink: the clock is read once and
 // only when at least one consumer wants it, so the plain Run path with
 // collection off still pays nothing.
+//
+//etsqp:hotpath
 func (b *batch) runLoop(w *Worker) {
 	for {
-		i, stolen := b.claim(w.Slot)
-		if i < 0 {
+		i := int(b.next.Add(1) - 1)
+		if i >= b.n {
 			break
-		}
-		if stolen {
-			b.steals.Add(1)
 		}
 		if !b.failed.Load() {
 			if b.qs != nil || obs.Enabled() {
@@ -307,24 +232,19 @@ func (p *Pool) workerLoop(w *Worker) {
 // It returns the first error any morsel produced; once a morsel fails,
 // unclaimed morsels are skipped. Run blocks until every claimed morsel
 // has finished, so all writes made by fn happen-before Run returns.
-// n must be below 1<<31: chunk (next, limit) pairs are packed into 32
-// bits each, so larger batches would silently truncate their bounds.
 func (p *Pool) Run(n, par int, fn func(w *Worker, i int) error) error {
 	return p.RunWith(nil, n, par, fn)
 }
 
 // RunWith is Run with a per-query resource-attribution sink: when qs is
-// non-nil the batch charges it per-morsel CPU nanoseconds, morsel and
-// steal counts, and the participants' arena high-water mark. A nil qs
+// non-nil the batch charges it per-morsel CPU nanoseconds, the morsel
+// count, and the participants' arena high-water mark. A nil qs
 // is exactly Run — the accounting is nil-gated like tracing, so the
 // plain path pays one predicted branch per morsel and allocates
 // nothing either way (the sink is caller-allocated).
 func (p *Pool) RunWith(qs *QueryStats, n, par int, fn func(w *Worker, i int) error) error {
 	if n <= 0 {
 		return nil
-	}
-	if int64(n) >= 1<<31 {
-		panic("exec: Run batch size exceeds 1<<31 morsels")
 	}
 	if par < 1 {
 		par = 1
@@ -369,12 +289,10 @@ func (p *Pool) RunWith(qs *QueryStats, n, par int, fn func(w *Worker, i int) err
 	err := b.firstErr()
 	if qs != nil {
 		qs.morsels.Add(int64(n))
-		qs.steals.Add(b.steals.Load())
 	}
 	if obs.Enabled() {
 		obs.ExecBatches.Inc()
 		obs.ExecMorsels.Add(int64(n))
-		obs.ExecSteals.Add(b.steals.Load())
 	}
 	p.mu.Lock()
 	p.putBatchLocked(b)
@@ -383,8 +301,7 @@ func (p *Pool) RunWith(qs *QueryStats, n, par int, fn func(w *Worker, i int) err
 	return err
 }
 
-// getBatchLocked recycles (or builds) a batch and carves the morsel
-// index space into one contiguous chunk per participant slot. A
+// getBatchLocked recycles (or builds) a batch for n morsels. A
 // recycled batch is quiescent — Run waited for every participant — but
 // exited and err live under the batch's own mutexes, so their resets
 // take those (uncontended) locks rather than racing by fiat.
@@ -405,26 +322,12 @@ func (p *Pool) getBatchLocked(qs *QueryStats, n, par int, fn func(w *Worker, i i
 	b.mu.Lock()
 	b.exited = 0
 	b.mu.Unlock()
+	b.next.Store(0)
 	b.done.Store(0)
-	b.steals.Store(0)
 	b.failed.Store(false)
 	b.errMu.Lock()
 	b.err = nil
 	b.errMu.Unlock()
-	if cap(b.chunks) < par {
-		b.chunks = make([]atomic.Uint64, par)
-	}
-	b.chunks = b.chunks[:par]
-	base, rem := n/par, n%par
-	lo := 0
-	for s := 0; s < par; s++ {
-		size := base
-		if s < rem {
-			size++
-		}
-		b.chunks[s].Store(pack(lo, lo+size))
-		lo += size
-	}
 	return b
 }
 
@@ -448,9 +351,7 @@ func (p *Pool) getSubmitterLocked() *Worker {
 		p.freeSub = p.freeSub[:k-1]
 		return w
 	}
-	w := &Worker{ID: p.nextSubID, Arena: &Arena{}}
-	p.nextSubID++
-	return w
+	return &Worker{Arena: &Arena{}}
 }
 
 // unlistLocked removes the batch from the active list, preserving

@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // QueryStats is a per-query resource-attribution sink threaded through
 // Pool.RunWith: every batch a query submits accumulates worker CPU
-// nanoseconds (summed per-morsel wall time across participants), morsel
-// and steal counts, and the arena high-water mark of the participants
+// nanoseconds (summed per-morsel wall time across participants), the
+// morsel count, and the arena high-water mark of the participants
 // that ran its morsels. The struct is pre-allocated by the caller (the
 // engine embeds one per-query collector by value) and every update is a
 // plain atomic add or CAS-max, so the accounting path performs zero
@@ -14,7 +14,6 @@ import "sync/atomic"
 type QueryStats struct {
 	cpuNanos  atomic.Int64 //etsqp:atomic
 	morsels   atomic.Int64 //etsqp:atomic
-	steals    atomic.Int64 //etsqp:atomic
 	arenaHigh atomic.Int64 //etsqp:atomic
 }
 
@@ -36,10 +35,6 @@ func (q *QueryStats) CPUNanos() int64 { return q.cpuNanos.Load() }
 // Morsels returns how many morsels ran on the query's behalf.
 func (q *QueryStats) Morsels() int64 { return q.morsels.Load() }
 
-// Steals returns how many of those morsels were claimed from another
-// participant's chunk.
-func (q *QueryStats) Steals() int64 { return q.steals.Load() }
-
 // ArenaHighWater returns the largest scratch-arena footprint (bytes)
 // any participant held while running the query's morsels.
 func (q *QueryStats) ArenaHighWater() int64 { return q.arenaHigh.Load() }
@@ -48,6 +43,5 @@ func (q *QueryStats) ArenaHighWater() int64 { return q.arenaHigh.Load() }
 func (q *QueryStats) Reset() {
 	q.cpuNanos.Store(0)
 	q.morsels.Store(0)
-	q.steals.Store(0)
 	q.arenaHigh.Store(0)
 }

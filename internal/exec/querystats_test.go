@@ -7,7 +7,7 @@ import (
 )
 
 // TestRunWithQueryStats checks RunWith charges the caller's collector
-// with the batch's morsel count, steal count, per-morsel CPU time and
+// with the batch's morsel count, per-morsel CPU time and
 // the participants' arena high-water mark.
 func TestRunWithQueryStats(t *testing.T) {
 	p := NewPool(4)
@@ -36,9 +36,6 @@ func TestRunWithQueryStats(t *testing.T) {
 	if got := qs.CPUNanos(); got < int64(200*time.Microsecond) {
 		t.Errorf("CPUNanos() = %d, want at least the slept 200µs", got)
 	}
-	if s := qs.Steals(); s < 0 || s > 32 {
-		t.Errorf("Steals() = %d, want within [0, 32]", s)
-	}
 	// Every participant that ran a morsel borrowed at least 512 int64s.
 	if got := qs.ArenaHighWater(); got < 512*8 {
 		t.Errorf("ArenaHighWater() = %d bytes, want >= %d", got, 512*8)
@@ -54,10 +51,9 @@ func TestRunWithQueryStats(t *testing.T) {
 	}
 
 	qs.Reset()
-	if qs.Morsels() != 0 || qs.Steals() != 0 || qs.CPUNanos() != 0 || qs.ArenaHighWater() != 0 {
+	if qs.Morsels() != 0 || qs.CPUNanos() != 0 || qs.ArenaHighWater() != 0 {
 		t.Errorf("Reset left residue: %+v", map[string]int64{
-			"morsels": qs.Morsels(), "steals": qs.Steals(),
-			"cpu": qs.CPUNanos(), "arena": qs.ArenaHighWater(),
+			"morsels": qs.Morsels(), "cpu": qs.CPUNanos(), "arena": qs.ArenaHighWater(),
 		})
 	}
 }

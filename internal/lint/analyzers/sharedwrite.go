@@ -194,8 +194,8 @@ func (s *spawnCheck) checkSharedWrite(base *ast.Ident, obj *types.Var, indexes [
 // per-worker slot: the spawn loop variable itself (per-iteration since go
 // 1.22), a parameter of the literal whose call argument is the loop
 // variable, or an index the goroutine claimed from a shared atomic
-// counter (the work-stealing deque/morsel ownership pattern of
-// internal/exec: each Add return value is handed to exactly one
+// counter (the morsel ownership pattern of internal/exec's claim
+// counter: each Add return value is handed to exactly one
 // goroutine, so claimed indices never overlap).
 func (s *spawnCheck) isSlotIndex(idx ast.Expr) bool {
 	if idx == nil {

@@ -34,7 +34,7 @@ var (
 // parallel query can accumulate more stage time than wall time.
 var (
 	EngineTimeIO = newTimer("engine.time.io_ns",
-		"wall time loading page payloads into worker buffers")
+		"wall time reading page payloads: checksum verification, once per page read")
 	EngineTimeDecode = newTimer("engine.time.decode_ns",
 		"wall time in decoding pipelines")
 	EngineTimeFilter = newTimer("engine.time.filter_ns",
@@ -107,7 +107,7 @@ var (
 	EngineHistMerge = newHistogram("engine.hist.merge_ns",
 		"per-query distribution of summed merge stage time")
 	EngineHistPageDecode = newHistogram("engine.hist.page_decode_ns",
-		"per-call distribution of page load+decode wall time (Section VII per-page decode cost)")
+		"per-call distribution of page decode wall time, after the page read (Section VII per-page decode cost)")
 	EngineHistSliceRows = newHistogram("engine.hist.slice_rows",
 		"distribution of rows per executed pipeline job (Figure 8 slice sizing)")
 	TransportHistFrameBytes = newHistogram("transport.hist.frame_bytes",
@@ -122,8 +122,11 @@ var (
 		"morsel batches submitted to the shared worker pool")
 	ExecMorsels = newCounter("exec.morsels",
 		"morsels (pages or slices) executed by batch participants")
+	// ExecSteals is always 0: pool participants share one claim counter
+	// per batch, so there is nothing to steal. It stays registered for
+	// the readers that still report a stolen share.
 	ExecSteals = newCounter("exec.steals",
-		"morsels claimed from another participant's chunk (work stealing)")
+		"always 0: morsels are claimed from one shared counter per batch, none are stolen")
 	ExecCacheHits = newCounter("exec.cache.hits",
 		"decoded-page cache lookups served without re-decoding")
 	ExecCacheMisses = newCounter("exec.cache.misses",

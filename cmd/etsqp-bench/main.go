@@ -174,19 +174,21 @@ func printMeasurements(ms []bench.Measurement) {
 }
 
 func printStages(ms []bench.Measurement) {
+	stages := []string{"io", "decode", "filter", "agg", "window", "merge"}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "dataset\tio\tdecode\tagg\tmerge\tio-share")
+	fmt.Fprintf(w, "dataset\t%s\tio-share\n", strings.Join(stages, "\t"))
 	for _, m := range ms {
-		io := m.Extra["io_ms"]
-		dec := m.Extra["decode_ms"]
-		agg := m.Extra["agg_ms"]
-		mrg := m.Extra["merge_ms"]
-		total := io + dec + agg + mrg
+		fmt.Fprintf(w, "%s", m.X)
+		total := 0.0
+		for _, s := range stages {
+			total += m.Extra[s+"_ms"]
+			fmt.Fprintf(w, "\t%.2f", m.Extra[s+"_ms"])
+		}
 		share := 0.0
 		if total > 0 {
-			share = io / total * 100
+			share = m.Extra["io_ms"] / total * 100
 		}
-		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.2f\t%.2f\t%.0f%%\n", m.X, io, dec, agg, mrg, share)
+		fmt.Fprintf(w, "\t%.0f%%\n", share)
 	}
 	w.Flush()
 }

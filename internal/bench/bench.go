@@ -197,7 +197,9 @@ func runReps(e *engine.Engine, sql string, reps int) (Measurement, error) {
 			"slices":       float64(res.Stats.SlicesRun),
 			"io_ms":        float64(res.Stats.IONanos) / 1e6,
 			"decode_ms":    float64(res.Stats.DecodeNanos) / 1e6,
+			"filter_ms":    float64(res.Stats.FilterNanos) / 1e6,
 			"agg_ms":       float64(res.Stats.AggNanos) / 1e6,
+			"window_ms":    float64(res.Stats.WindowNanos) / 1e6,
 			"merge_ms":     float64(res.Stats.MergeNanos) / 1e6,
 		},
 	}

@@ -174,6 +174,14 @@ func TestFig14Stages(t *testing.T) {
 		if m.Extra["io_ms"] < 0 || m.Extra["decode_ms"] < 0 {
 			t.Fatalf("%s: negative stage time", m.X)
 		}
+		// Q1 is a sliding window, so its fold is window stage time; Q3
+		// has no windows, so it has none.
+		switch win := m.Extra["window_ms"]; {
+		case strings.HasSuffix(m.X, "/Q1") && win <= 0:
+			t.Errorf("%s: window stage %v ms, want > 0", m.X, win)
+		case strings.HasSuffix(m.X, "/Q3") && win != 0:
+			t.Errorf("%s: window stage %v ms, want 0", m.X, win)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"etsqp/internal/encoding"
-	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/exec"
 	"etsqp/internal/expr"
 	"etsqp/internal/fusion"
@@ -343,7 +343,8 @@ func (w *wide) big() *big.Int {
 
 // needsValues reports whether the aggregate set requires materialized
 // values (MIN/MAX/VAR) or can use the fused SUM/COUNT path. FIRST/LAST
-// are served by boundary-row decodes, so they stay fused-compatible.
+// read their boundary rows from the fused job's read of the page, so
+// they stay fused-compatible.
 func needsValues(items []sqlparse.SelectItem) bool {
 	for _, it := range items {
 		switch it.Agg {
@@ -452,16 +453,16 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 	col.tuplesLoaded.Add(int64(sl.Rows()))
 	obs.EngineHistSliceRows.Observe(int64(sl.Rows()))
 
-	// Per-slice trace event: row window, fusion decision and the page's
-	// packing width. Tracing off is a single nil check.
+	var vr pageRead // the job's one read of its value page
+	// Per-slice trace event: row window, fusion decision and the packing
+	// width of a TS2DIFF page the job read. Tracing off is a nil check.
 	if col.trace != nil {
 		ev := SliceEvent{StartRow: sl.StartRow, EndRow: sl.EndRow, Rows: sl.Rows(), Fused: out == outFused}
-		var blk ts2diff.Block
-		if ok, _ := pageBlock(&blk, sl.Pair.Value); ok {
-			ev.Width, ev.packed = blk.Width, true
-		}
 		sliceStart := time.Now()
 		defer func() {
+			if vr.form == formBlock {
+				ev.Width, ev.packed = vr.blk.Width, true
+			}
 			ev.DurNs = int64(time.Since(sliceStart))
 			col.trace.addSlice(ev)
 		}()
@@ -483,7 +484,7 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 		}
 		if streamed = ok; streamed {
 			lo, hi = rlo, rhi
-		} else if clock.ts, err = e.decodeColumnRange(p.series[0], sl.Pair.Time, lo, hi, col); err != nil {
+		} else if clock.ts, err = e.decodeColumnRange(p.series[0], sl.Pair.Time, &pageRead{}, lo, hi, col); err != nil {
 			return err
 		}
 	}
@@ -499,34 +500,16 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 	// part[k], and the sorted cuts bound the disjoint segments.
 	one := [4]int{lo, hi, lo, hi}
 	winLo, winHi, cuts := one[0:1], one[1:2], one[2:4]
-	if len(p.windows) > 0 || p.needFL {
-		if len(p.windows) > 0 {
-			var first int
-			first, winLo, winHi, cuts = p.windowCuts(clock, lo, hi, scratch)
-			if len(cuts) < 2 {
-				return nil
-			}
-			part = part[first : first+len(winLo)]
-			col.windowSegments.Add(int64(len(cuts) - 1))
+	if len(p.windows) > 0 {
+		var first int
+		first, winLo, winHi, cuts = p.windowCuts(clock, lo, hi, scratch)
+		if len(cuts) < 2 {
+			return nil
 		}
-		// Boundary rows are per window by definition; they cost two
-		// single-row decodes each regardless of overlap.
-		for k := 0; p.needFL && k < len(winLo); k++ {
-			if winLo[k] == winHi[k] {
-				continue
-			}
-			if err := e.addBoundaries(p, sl, winLo[k], winHi[k], clock, &part[k], col); err != nil {
-				return err
-			}
-		}
+		part = part[first : first+len(winLo)]
+		col.windowSegments.Add(int64(len(cuts) - 1))
 	}
-	if out == outPrunedScan {
-		// Only planned without windows: the one segment is [lo, hi).
-		if done, err := e.aggPrunedScan(p, sl, lo, hi, &part[0], col, arena); done || err != nil {
-			return err
-		}
-	}
-	return e.foldSegments(p, sl, out == outFused, cuts, winLo, winHi, part, col, arena)
+	return e.foldSegments(p, sl.Pair.Value, out, &vr, cuts, winLo, winHi, clock, part, col, arena)
 }
 
 // windowCuts maps the windows that intersect rows [lo, hi) to row
@@ -558,73 +541,111 @@ func (p *plan) windowCuts(clock rowClock, lo, hi int, scratch *[]int) (first int
 }
 
 // foldSegments is the one value pass of an aggregate job over the cut
-// partition: per-segment sums on encoded form when the job is fused
-// (Proposition 3), else rows [cuts[0], cuts[n]) decoded once and folded
-// segment by segment. Each segment goes to the windows covering it —
+// partition, from one read of the value page (vr), by one of three
+// routes: per-segment sums on encoded form when the job is fused
+// (Proposition 3); the scanner when the plan scans under the prune
+// strategy; else rows [cuts[0], cuts[n]) decoded once — from the cache,
+// or from vr — and folded segment by segment. A fused page without a
+// closed form, or whose closed form overflows, takes the decoded route
+// from the same read. Each segment goes to the windows covering it —
 // straight into the partial when one window does (a plain aggregate's
 // only segment, a tumbling window's), else through one segment partial
 // merged into each — so overlapping windows share the page parse and
 // the decode instead of re-scanning per window: Section VI's G_sw,
-// evaluated incrementally. Window starts and ends are both sorted, so
-// the covering windows are a contiguous run that slides right. The
-// pass's time, less the decode's, is the aggregate stage of a plain
-// aggregate and the window stage of a window.
-func (e *Engine) foldSegments(p *plan, sl Slice, fused bool, cuts, winLo, winHi []int,
-	part []partialAgg, col *statsCollector, arena *exec.Arena) error {
-	nseg := len(cuts) - 1
+// evaluated incrementally. FIRST/LAST read each window's boundary rows
+// from the same read. The pass's time, less the decode's, is the
+// aggregate stage of a plain aggregate and the window stage of a window.
+func (e *Engine) foldSegments(p *plan, page *storage.Page, out sliceOutcome, vr *pageRead,
+	cuts, winLo, winHi []int, clock rowClock, part []partialAgg, col *statsCollector, arena *exec.Arena) error {
+	from, to := cuts[0], cuts[len(cuts)-1]
 	var sums, vals []int64
-	start := time.Now()
+	var sc segScan
 	var ns int64
-	if fused {
-		sums = arena.Int64(exec.ClassScratch, nseg)
-		ok, err := e.fusedSumSegments(sl.Pair.Value, cuts, sums, col, arena)
-		if err != nil {
+	scan := false
+	switch out {
+	case outFused:
+		start := time.Now()
+		if ok, err := vr.read(page, arena.Runs(), col); err != nil {
 			return err
+		} else if ok {
+			sums, err = vr.segmentSums(cuts, arena.Int64(exec.ClassScratch, len(cuts)-1))
+			if err != nil {
+				return err
+			}
 		}
-		if ok {
-			col.valuesFused.Add(int64(cuts[nseg] - cuts[0]))
-		} else {
-			sums = nil // no closed form for this page: decode after all
+		ns = int64(time.Since(start))
+	case outPrunedScan:
+		// A value filter excludes FIRST/LAST, so a scan has no boundaries.
+		// A page that is not TS2DIFF is decoded below.
+		if ok, err := vr.read(page, nil, col); err != nil {
+			return err
+		} else if scan = ok; scan {
+			sc = segScan{bounds: prune.BoundsFromBlock(&vr.blk), n: vr.blk.Count, hi: to,
+				buf: arena.Int64(exec.ClassPrune, pruneChunk)}
+			vlo, vhi, reach := sc.bounds.Reach(vr.blk.First, uint64(sc.n-1))
+			sc.bound, sc.onePass = max(encoding.Magnitude(vlo), encoding.Magnitude(vhi)), reach && p.sumFold
+			if err := sc.s.Reset(&vr.blk, from); err != nil {
+				return err
+			}
 		}
 	}
-	if sums == nil {
-		ns = int64(time.Since(start))
+	if sums != nil {
+		col.valuesFused.Add(int64(to - from))
+	} else if !scan {
 		var err error
-		if vals, err = e.decodeColumnRange(p.series[0], sl.Pair.Value, cuts[0], cuts[nseg], col); err != nil {
+		if vals, err = e.decodeColumnRange(p.series[0], page, vr, from, to, col); err != nil {
 			return err
 		}
 		col.valuesDecoded.Add(int64(len(vals)))
-		start = time.Now()
 	}
-	for s, kLo, kHi := 0, 0, 0; s < nseg; s++ {
-		// Windows [kLo, kHi) start at or before the segment and end after it.
-		for kHi < len(part) && winLo[kHi] <= cuts[s] {
+	start := time.Now()
+	for k := 0; p.needFL && k < len(winLo); k++ {
+		if err := addBoundary(&part[k], vr, vals, from, winLo[k], winHi[k], clock); err != nil {
+			return err
+		}
+	}
+	for s, kLo, kHi := 0, 0, 0; s < len(cuts)-1; s++ {
+		// Windows [kLo, kHi) start at or before the segment and end after
+		// it. Starts and ends are both sorted, so the run only slides right.
+		for kHi < len(winLo) && winLo[kHi] <= cuts[s] {
 			kHi++
 		}
 		for kLo < kHi && winHi[kLo] <= cuts[s] {
 			kLo++
 		}
-		ws := part[kLo:kHi]
-		if sums != nil {
-			for k := range ws {
-				ws[k].addSum(sums[s], int64(cuts[s+1]-cuts[s]))
-			}
-			continue
+		ws := part[kLo:kHi] // none in a gap between windows
+		var acc partialAgg
+		local := &acc
+		if len(ws) == 1 {
+			local = &ws[0]
 		}
-		seg := vals[cuts[s]-cuts[0] : cuts[s+1]-cuts[0]]
-		switch len(ws) {
-		case 0: // a gap between windows
-		case 1:
-			p.foldValues(seg, &ws[0])
-		default:
-			var acc partialAgg
-			p.foldValues(seg, &acc)
-			for k := range ws {
-				ws[k].merge(&acc)
+		switch {
+		case sums != nil:
+			local.addSum(sums[s], int64(cuts[s+1]-cuts[s]))
+		case scan:
+			if err := sc.fold(p, cuts[s+1], local, col); err != nil {
+				return err
 			}
+		default:
+			p.foldValues(vals[cuts[s]-from:cuts[s+1]-from], local)
+		}
+		for k := 0; len(ws) > 1 && k < len(ws); k++ {
+			ws[k].merge(&acc)
 		}
 	}
 	ns += int64(time.Since(start))
+	if scan {
+		// The rows counters are shared by the workers: one add per scan.
+		rows := int64(sc.s.Row() - from)
+		col.valuesDecoded.Add(rows)
+		if sc.onePass {
+			sc.decodeNs = ns
+			obs.PipelineValuesUnpacked.Add(rows)
+		}
+		col.decodeNanos.Add(sc.decodeNs)
+		obs.EngineHistPageDecode.Observe(ns)
+		ns -= sc.decodeNs
+	}
 	if len(p.windows) > 0 {
 		col.windowNanos.Add(ns)
 	} else {
@@ -633,12 +654,103 @@ func (e *Engine) foldSegments(p *plan, sl Slice, fused bool, cuts, winLo, winHi 
 	return nil
 }
 
+// segmentSums fills sums over the cut partition on encoded form:
+// fusion.SumRangeSegments over the runs, SumBlockSegments over a block.
+// A closed form that overflows returns nil sums and no error: the forms
+// are conservative — an RLBE page's bound rows·(|first| + Σ|Δ|·count),
+// or a TS2DIFF running sum, can leave int64 even when the decoded fold
+// stays in range — so the decoded route re-detects any genuine overflow
+// exactly via the checked accumulators. COUNT/MIN/MAX over the same rows
+// then still answer while SUM/AVG/VAR surface the Section VI-C error
+// from final().
+func (r *pageRead) segmentSums(cuts []int, sums []int64) ([]int64, error) {
+	var err error
+	if r.form == formRuns {
+		err = fusion.SumRangeSegments(r.first, r.runs, cuts, sums)
+	} else {
+		err = fusion.SumBlockSegments(&r.blk, cuts, sums)
+	}
+	if errors.Is(err, fusion.ErrOverflow) {
+		return nil, nil
+	}
+	return sums, err
+}
+
+// addBoundary folds the first and last row of a window's rows [lo, hi)
+// into its FIRST/LAST state: from the decoded values (rows from base on)
+// when the job decoded, else from the job's read of the page.
+func addBoundary(part *partialAgg, vr *pageRead, vals []int64, base, lo, hi int, clock rowClock) error {
+	if lo == hi {
+		return nil
+	}
+	if vals != nil {
+		part.addBoundary(clock.at(lo), vals[lo-base], clock.at(hi-1), vals[hi-1-base])
+		return nil
+	}
+	fv, err := vr.at(lo)
+	lv, err2 := vr.at(hi - 1)
+	part.addBoundary(clock.at(lo), fv, clock.at(hi-1), lv)
+	return cmp.Or(err, err2)
+}
+
+// segScan is the scanner route of foldSegments: one RangeScanner walks
+// the job's rows of a TS2DIFF block in gridChunk chunks, cut short at
+// each segment's end. One header reach (prune.Bounds.Reach) serves two
+// rules. Over the rest of the page it stops the scan as soon as nothing
+// ahead can satisfy the filter (Proposition 5), and the segments after
+// the stop get no rows. Over the whole page it bounds every row's
+// magnitude, which admits a sumFold plan to the one pass (scanFold),
+// whose time is all decode stage. Any other scan decodes each chunk and
+// folds it (foldValues). An order-2 or width-63/64 page has no reach: it
+// never stops early and takes the checked fold.
+type segScan struct {
+	s        pipeline.RangeScanner
+	bounds   prune.Bounds
+	buf      []int64 // the chunk buffer, in the worker's arena
+	bound    uint64  // every row's magnitude, when onePass
+	onePass  bool
+	n, hi    int   // the page's rows; the scan's end, which a stop lowers
+	decodeNs int64 // the decode phases, when not onePass
+}
+
+// fold scans the rows before end, a segment's, into local.
+//
+//etsqp:hotpath
+//etsqp:noescape
+func (sc *segScan) fold(p *plan, end int, local *partialAgg, col *statsCollector) error {
+	for row := sc.s.Row(); row < min(end, sc.hi); row = sc.s.Row() {
+		want := min(gridChunk(row, sc.hi), end-row)
+		var last int64
+		var err error
+		if sc.onePass {
+			last, err = p.scanFold(&sc.s, want, sc.bound, local, sc.buf)
+		} else {
+			start := time.Now()
+			var k int
+			k, err = sc.s.Next(sc.buf[:want])
+			sc.decodeNs += int64(time.Since(start))
+			if k > 0 {
+				p.foldValues(sc.buf[:k], local)
+				last = sc.buf[k-1]
+			}
+		}
+		if err != nil || sc.s.Row() == row {
+			return err
+		}
+		if next := sc.s.Row(); next < sc.hi && sc.bounds.StopValue(last, next-1, sc.n, p.c1, p.c2) {
+			col.rowsPruned.Add(int64(sc.hi - next))
+			sc.hi = next
+		}
+	}
+	return nil
+}
+
 // timeBoundsPruned resolves the time-valid row range of a slice with a
 // streaming scan that stops once the sorted timestamps pass t2
 // (Proposition 4's early termination on the time filter). It only
-// applies under the prune strategy over order-1-scannable time pages
-// without windows or FIRST/LAST, which need the full timestamp column
-// for their boundaries.
+// applies under the prune strategy over TS2DIFF time pages without
+// windows or FIRST/LAST, which need the full timestamp column for their
+// boundaries; ok is false, with the page unread, otherwise.
 func (e *Engine) timeBoundsPruned(p *plan, sl Slice,
 	col *statsCollector, arena *exec.Arena) (lo, hi int, ok bool, err error) {
 	t1, t2 := p.t1, p.t2
@@ -648,10 +760,13 @@ func (e *Engine) timeBoundsPruned(p *plan, sl Slice,
 	if sl.Pair.Time.Header.EndTime <= t2 {
 		return 0, 0, false, nil // nothing to cut; full decode is optimal
 	}
-	var blk ts2diff.Block
-	var scanner pipeline.RangeScanner
-	if ok, err := openScan(&scanner, &blk, sl.Pair.Time, sl.StartRow, col); !ok || err != nil {
+	var tr pageRead
+	if ok, err := tr.read(sl.Pair.Time, nil, col); !ok || err != nil {
 		return 0, 0, ok, err
+	}
+	var scanner pipeline.RangeScanner
+	if err := scanner.Reset(&tr.blk, sl.StartRow); err != nil {
+		return 0, 0, true, err
 	}
 	lo, hi = -1, sl.StartRow
 	buf := arena.Int64(exec.ClassPrune, pruneChunk)
@@ -685,92 +800,6 @@ scan:
 		lo = hi // no row reached t1
 	}
 	return lo, hi, true, nil
-}
-
-// openScan parses a TS2DIFF page into blk and positions scanner at row,
-// charging the page read and verifying its checksum. ok is false, with
-// nothing charged, when the page is not TS2DIFF or the scanner does not
-// take its shape: the caller's full decode then reads (and reports) it.
-func openScan(scanner *pipeline.RangeScanner, blk *ts2diff.Block, pg *storage.Page, row int,
-	col *statsCollector) (ok bool, err error) {
-	if ok, _ := pageBlock(blk, pg); !ok || scanner.Reset(blk, row) != nil {
-		return false, nil
-	}
-	return true, readPage(pg, col)
-}
-
-// aggPrunedScan is the value pass of a planned pruned scan, a job with
-// one segment [lo, hi) and one partial: it streams the value column
-// through a RangeScanner in gridChunk chunks. One header reach
-// (prune.Bounds.Reach) serves two rules. Over the rest of the page it
-// stops the scan as soon as nothing ahead can satisfy the filter
-// (Proposition 5). Over the whole page it bounds every row's magnitude,
-// which admits a sumFold plan to the one pass (scanFold), whose time is
-// all decode stage. Any other scan decodes each chunk and folds it
-// (foldValues), timed per phase. An order-2 or width-63/64 page has no
-// reach: it never stops early and takes the checked fold. done reports
-// whether the rows were handled; otherwise (not a TS2DIFF page, or a
-// shape the scanner does not take) the caller decodes them.
-func (e *Engine) aggPrunedScan(p *plan, sl Slice, lo, hi int,
-	local *partialAgg, col *statsCollector, arena *exec.Arena) (done bool, err error) {
-	var blk ts2diff.Block
-	var scanner pipeline.RangeScanner
-	if ok, err := openScan(&scanner, &blk, sl.Pair.Value, lo, col); !ok || err != nil {
-		return ok, err
-	}
-	bounds := prune.BoundsFromBlock(&blk)
-	n := sl.Pair.Count()
-	buf := arena.Int64(exec.ClassPrune, pruneChunk)
-	vlo, vhi, onePass := bounds.Reach(blk.First, uint64(blk.Count-1))
-	bound := max(encoding.Magnitude(vlo), encoding.Magnitude(vhi))
-	onePass = onePass && p.sumFold
-	// One clock read per phase boundary: each fold's end starts the next
-	// decode, and the stage counters are charged once per scan.
-	start := time.Now()
-	mark := start
-	var decodeNs, aggNs int64
-	from := scanner.Row()
-	row := from
-	for row < hi {
-		want := gridChunk(row, hi)
-		var last int64
-		if onePass {
-			last, err = p.scanFold(&scanner, want, bound, local, buf)
-		} else {
-			var k int
-			k, err = scanner.Next(buf[:want])
-			decoded := time.Now()
-			decodeNs += int64(decoded.Sub(mark))
-			if err == nil && k > 0 {
-				p.foldValues(buf[:k], local)
-				last = buf[k-1]
-			}
-			mark = time.Now()
-			aggNs += int64(mark.Sub(decoded))
-		}
-		k := scanner.Row() - row
-		if err != nil || k == 0 {
-			break
-		}
-		row += k
-		if row < hi && bounds.StopValue(last, row-1, n, p.c1, p.c2) {
-			col.rowsPruned.Add(int64(hi - row))
-			break
-		}
-	}
-	// The rows counters are shared by the workers: one add per scan.
-	col.valuesDecoded.Add(int64(row - from))
-	elapsed := int64(time.Since(start))
-	if onePass {
-		decodeNs = elapsed
-		obs.PipelineValuesUnpacked.Add(int64(row - from))
-	}
-	col.decodeNanos.Add(decodeNs)
-	col.aggNanos.Add(aggNs)
-	if obs.Enabled() {
-		obs.EngineHistPageDecode.Observe(elapsed)
-	}
-	return true, err
 }
 
 // scanFold is one chunk of a sumFold plan's pruned scan in one pass: the
@@ -842,23 +871,6 @@ func predsMatch(vp []sqlparse.Pred, v int64) bool {
 	return true
 }
 
-// addBoundaries decodes only the first and last valid rows of a slice
-// and folds them into the FIRST/LAST state — the fused-compatible path
-// for boundary aggregates.
-func (e *Engine) addBoundaries(p *plan, sl Slice, lo, hi int, clock rowClock,
-	local *partialAgg, col *statsCollector) error {
-	fv, err := e.decodeColumnRange(p.series[0], sl.Pair.Value, lo, lo+1, col)
-	if err != nil {
-		return err
-	}
-	lv, err := e.decodeColumnRange(p.series[0], sl.Pair.Value, hi-1, hi, col)
-	if err != nil {
-		return err
-	}
-	local.addBoundary(clock.at(lo), fv[0], clock.at(hi-1), lv[0])
-	return nil
-}
-
 // rowClock maps an absolute row index of a job to its timestamp (at)
 // and a timestamp to a row (row), from the job's decoded timestamps when
 // it has them or constant-interval arithmetic otherwise.
@@ -905,40 +917,4 @@ func (c rowClock) row(t int64, lo, hi int) int {
 	// t > first: the distance is exact as a uint64.
 	r := (uint64(t)-uint64(c.first)-1)/uint64(c.interval) + 1
 	return int(min(r, uint64(hi)))
-}
-
-// fusedSumSegments fills per-segment sums over the cut partition of a
-// value page without materializing values; a plain row range is one
-// segment. The page is read (readPage, like the decoding paths) and
-// parsed once no matter how many windows cut it — an RLBE page's runs
-// into the arena's run buffer; ok is false when the codec has no fused
-// path.
-//
-// A fusion.ErrOverflow from the closed forms is reported as ok=false,
-// not as a failure: the fused forms are conservative — an RLBE page's
-// bound rows·(|first| + Σ|Δ|·count), or a TS2DIFF running sum, can leave
-// int64 even when the decoded fold stays in range — and the
-// decoded fallback re-detects any genuine overflow exactly via the
-// checked accumulators — COUNT/MIN/MAX over the same rows then still
-// answer while SUM/AVG/VAR surface the Section VI-C error from final().
-func (e *Engine) fusedSumSegments(p *storage.Page, cuts []int, sums []int64, col *statsCollector, arena *exec.Arena) (ok bool, err error) {
-	if err := readPage(p, col); err != nil {
-		return false, err
-	}
-	first, pairs, isRLBE, err := deltaRuns(p, arena.Runs())
-	if err != nil {
-		return false, err
-	}
-	var blk ts2diff.Block
-	if isRLBE {
-		err = fusion.SumRangeSegments(first, pairs, cuts, sums)
-	} else if isBlock, berr := pageBlock(&blk, p); !isBlock {
-		return false, berr
-	} else {
-		err = fusion.SumBlockSegments(&blk, cuts, sums)
-	}
-	if errors.Is(err, fusion.ErrOverflow) {
-		return false, nil
-	}
-	return err == nil, err
 }

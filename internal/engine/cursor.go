@@ -62,11 +62,12 @@ func (c *batchCursor) Next() (Int64Batch, error) {
 		if c.col.trace != nil {
 			batchStart = time.Now()
 		}
-		ts, err := c.e.decodeColumnRange(c.name, pp.Time, 0, pp.Count(), c.col)
+		var tr, vr pageRead
+		ts, err := c.e.decodeColumnRange(c.name, pp.Time, &tr, 0, pp.Count(), c.col)
 		if err != nil {
 			return Int64Batch{}, err
 		}
-		vals, err := c.e.decodeColumnRange(c.name, pp.Value, 0, pp.Count(), c.col)
+		vals, err := c.e.decodeColumnRange(c.name, pp.Value, &vr, 0, pp.Count(), c.col)
 		if err != nil {
 			return Int64Batch{}, err
 		}

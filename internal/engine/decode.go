@@ -18,9 +18,6 @@ import (
 // the verification's time as the io stage (Figure 14(b)). Payloads are
 // read in place: a published page is immutable, so no path copies one.
 func readPage(p *storage.Page, col *statsCollector) error {
-	if col == nil {
-		return p.VerifyChecksum()
-	}
 	start := time.Now()
 	err := p.VerifyChecksum()
 	col.pagesRead.Add(1)
@@ -29,89 +26,138 @@ func readPage(p *storage.Page, col *statsCollector) error {
 	return err
 }
 
-// pageBlock parses a ts2diff page payload (the structured view the
-// vectorized paths need) into the caller's blk, so a scan parses page
-// after page without a heap block each. ok is false for other codecs
-// and, with PayloadRows's error, for a payload that does not parse or
-// match the header.
-func pageBlock(blk *ts2diff.Block, p *storage.Page) (ok bool, err error) {
-	switch p.Header.Codec {
-	case "ts2diff", "ts2diff2":
-		err = blk.UnmarshalBinary(p.Data)
-		err = p.PayloadRows(blk.Count, err)
-		return err == nil, err
+// What a page read parsed its payload as.
+const (
+	formNone  = iota // not read: the codec's own decoder reads the page
+	formBlock        // a TS2DIFF block
+	formRuns         // an RLBE page's Delta-Repeat runs
+)
+
+// pageRead is a job's one read of a page: the checksum verified and the
+// read charged once (readPage), and the payload parsed once by codec.
+// Every route that reads the job's values — the closed forms, the
+// scanner, the decode and the FIRST/LAST boundary rows — reads this one
+// parse, so no route reads the page again.
+type pageRead struct {
+	form  uint8
+	blk   ts2diff.Block       // formBlock
+	first int64               // formRuns: row 0
+	runs  []encoding.DeltaRun // formRuns: the runs after row 0
+}
+
+// read reads pg into r once — the payload parsed, the checksum verified
+// and the read charged (readPage) — when it is a TS2DIFF block or, given
+// a run buffer the caller reuses from page to page, RLBE runs: the
+// representation Section IV's fused aggregations consume. For any other
+// codec it reports false with nothing read or charged, and the caller
+// decodes the page the codec's way. A payload that does not parse, or
+// holds another number of rows than the header (PayloadRows; RLBE runs
+// that do not total the block's count fail AppendPairs), is an error.
+func (r *pageRead) read(pg *storage.Page, runs *[]encoding.DeltaRun, col *statsCollector) (ok bool, err error) {
+	var rows int
+	switch c := pg.Header.Codec; {
+	case c == "ts2diff" || c == "ts2diff2":
+		err = r.blk.UnmarshalBinary(pg.Data)
+		rows, r.form = r.blk.Count, formBlock
+	case c == "rlbe" && runs != nil:
+		var blk rlbe.Block
+		if err = blk.UnmarshalBinary(pg.Data); err == nil {
+			*runs, err = blk.AppendPairs((*runs)[:0])
+		}
+		r.first, r.runs, rows, r.form = blk.First, *runs, blk.Count, formRuns
 	default:
 		return false, nil
 	}
+	if err = pg.PayloadRows(rows, err); err != nil {
+		r.form = formNone
+		return false, err
+	}
+	return true, readPage(pg, col)
+}
+
+// at returns row i of the page r read: on a block from pipeline.Prefix,
+// whose difference an order-2 page's last row adds, and on runs by
+// walking them. Both wrap mod 2^64 like the decode they stand in for.
+func (r *pageRead) at(i int) (int64, error) {
+	if r.form == formRuns {
+		v, row := r.first, 0
+		for _, p := range r.runs {
+			if i <= row+p.Count {
+				return v + int64(i-row)*p.Delta, nil
+			}
+			v += int64(p.Count) * p.Delta
+			row += p.Count
+		}
+		return v, nil
+	}
+	e := min(i, r.blk.NumPacked())
+	v, d, err := pipeline.Prefix(&r.blk, e)
+	if i > e {
+		v += d
+	}
+	return v, err
 }
 
 // decodeColumnRange decodes rows [from, to) of a page column, consulting
 // the decoded-page cache first. A hit returns the shared cached slice
 // (or a subslice of it) without touching the payload — no load, no
 // checksum, no decode — which is the concurrent-workload win the cache
-// exists for. Full-page misses are decoded and admitted; partial-range
-// decodes are never admitted (they would poison the full-page key).
-// Cached slices are shared across queries: callers must treat every
-// return value as read-only.
-func (e *Engine) decodeColumnRange(ser string, p *storage.Page, from, to int, col *statsCollector) ([]int64, error) {
-	if e.Cache == nil {
-		return e.decodeColumnRangeUncached(p, from, to, col)
-	}
-	full := from == 0 && to == p.Header.Count
-	if v, ok := e.Cache.Get(p); ok {
-		if col != nil {
+// exists for. A miss decodes from r, reading the page into it first
+// unless the job already did. Full-page misses are decoded and admitted;
+// partial-range decodes are never admitted (they would poison the
+// full-page key). Cached slices are shared across queries: callers must
+// treat every return value as read-only.
+func (e *Engine) decodeColumnRange(ser string, p *storage.Page, r *pageRead, from, to int, col *statsCollector) ([]int64, error) {
+	if e.Cache != nil {
+		if v, ok := e.Cache.Get(p); ok {
 			col.cacheHits.Add(1)
+			return v[from:to], nil
 		}
-		if full {
-			return v, nil
-		}
-		return v[from:to], nil
-	}
-	if col != nil {
 		col.cacheMisses.Add(1)
 	}
-	vals, err := e.decodeColumnRangeUncached(p, from, to, col)
-	if err == nil && full {
+	vals, err := e.decodeColumnRangeUncached(p, r, from, to, col)
+	if err == nil && e.Cache != nil && from == 0 && to == p.Header.Count {
 		e.Cache.Put(ser, p, vals)
 	}
 	return vals, err
 }
 
 // decodeColumnRangeUncached is the decode path proper. Vectorized
-// strategies resolve slice prefix dependencies with SumPacked; a
-// value-wise decoder decodes the whole page and slices (which is what it
-// must do). A miss necessarily materializes the decoded column, so this
-// is where the hot cursor path is allowed to allocate (amortized by the
-// cache).
+// strategies decode a TS2DIFF block through the RangeScanner, which
+// resolves a slice's prefix dependency with SumPacked; a value-wise
+// decoder decodes the whole page and slices (which is what it must do).
+// A miss necessarily materializes the decoded column, so this is where
+// the hot cursor path is allowed to allocate (amortized by the cache).
 //
 //etsqp:coldpath
-func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *statsCollector) (vals []int64, err error) {
-	if err := readPage(p, col); err != nil {
+func (e *Engine) decodeColumnRangeUncached(p *storage.Page, r *pageRead, from, to int, col *statsCollector) (vals []int64, err error) {
+	valueWise := e.Mode.strategy().valueWiseDecode
+	ok := r.form != formNone
+	if !ok && !valueWise {
+		ok, err = r.read(p, nil, col)
+	}
+	if !ok && err == nil {
+		err = readPage(p, col)
+	}
+	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	defer func() {
-		if col == nil && !obs.Enabled() {
-			return
-		}
 		elapsed := int64(time.Since(start))
-		if col != nil {
-			col.decodeNanos.Add(elapsed)
-		}
+		col.decodeNanos.Add(elapsed)
 		obs.EngineHistPageDecode.Observe(elapsed)
 	}()
 	full := from == 0 && to == p.Header.Count
-	var blk ts2diff.Block
-	if e.Mode.strategy().valueWiseDecode {
-		if p.Header.Codec == "fastlanes" && !full {
-			// Block-granular slicing: decode only the FLMM1024 blocks the
-			// range touches (fair thread distribution, Section VII-C).
-			return fastlanes.DecodeRangeBlocks(p.Data, from, to)
-		}
-	} else if ok, err := pageBlock(&blk, p); err != nil {
-		return nil, err
-	} else if ok {
-		return pipeline.DecodeRange(&blk, from, to)
+	switch {
+	case r.form == formBlock:
+		return pipeline.DecodeRange(&r.blk, from, to)
+	case r.form == formRuns:
+		return encoding.DeltaRLEDecode(r.first, r.runs)[from:to], nil
+	case valueWise && p.Header.Codec == "fastlanes" && !full:
+		// Block-granular slicing: decode only the FLMM1024 blocks the
+		// range touches (fair thread distribution, Section VII-C).
+		return fastlanes.DecodeRangeBlocks(p.Data, from, to)
 	}
 	c, err := encoding.Lookup(p.Header.Codec)
 	if err != nil {
@@ -120,9 +166,6 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, from, to int, col *s
 	all, err := c.Decode(p.Data)
 	if err := p.PayloadRows(len(all), err); err != nil {
 		return nil, err
-	}
-	if full {
-		return all, nil
 	}
 	return all[from:to], nil
 }
@@ -138,32 +181,11 @@ func (p *plan) constantIntervalOf(page *storage.Page) (int64, bool) {
 		return 0, false
 	}
 	var blk ts2diff.Block
-	if ok, _ := pageBlock(&blk, page); !ok {
+	if c := page.Header.Codec; c != "ts2diff" && c != "ts2diff2" || blk.UnmarshalBinary(page.Data) != nil {
 		return 0, false
 	}
 	interval, ok := pipeline.ConstantInterval(&blk)
-	return interval, ok && page.VerifyChecksum() == nil
-}
-
-// deltaRuns extracts Delta-Repeat pairs when the page uses the
-// RLBE codec — the representation Section IV's fused aggregations
-// consume — into *runs, a buffer the caller reuses from page to page. ok
-// is false for other codecs; a block that does not parse, whose runs do
-// not total its count (rlbe.Block.AppendPairs), or whose count is not
-// the header's is an error, never a sum over what the runs hold.
-func deltaRuns(p *storage.Page, runs *[]encoding.DeltaRun) (first int64, pairs []encoding.DeltaRun, ok bool, err error) {
-	if p.Header.Codec != "rlbe" {
-		return 0, nil, false, nil
-	}
-	var blk rlbe.Block
-	err = blk.UnmarshalBinary(p.Data)
-	rows := 0
-	if err == nil {
-		first, rows = blk.First, blk.Count
-		*runs, err = blk.AppendPairs((*runs)[:0])
-	}
-	err = p.PayloadRows(rows, err)
-	return first, *runs, err == nil, err
+	return interval, ok && page.PayloadRows(blk.Count, nil) == nil && page.VerifyChecksum() == nil
 }
 
 // Slice is one unit of core-level work: either a whole page pair or a

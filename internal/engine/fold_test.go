@@ -164,8 +164,9 @@ func walkPage(n int, first int64, width uint, seed uint64) []int64 {
 	return vals
 }
 
-// headerBound is the one pass's magnitude bound over b, as aggPrunedScan
-// takes it from the header's reach over the whole page.
+// headerBound is the one pass's magnitude bound over b, as the scanner
+// route of foldSegments takes it from the header's reach over the whole
+// page.
 func headerBound(b *ts2diff.Block) (uint64, bool) {
 	lo, hi, ok := prune.BoundsFromBlock(b).Reach(b.First, uint64(b.Count-1))
 	return max(encoding.Magnitude(lo), encoding.Magnitude(hi)), ok
@@ -307,9 +308,9 @@ func TestScanFoldParity(t *testing.T) {
 	}
 }
 
-// gridChunks is the chunk sequence aggPrunedScan takes over rows [from,
-// to): every chunk holds 1..pruneChunk rows and ends on the 64-field grid
-// (at a row ≡ 1 mod 64) or at to.
+// gridChunks is the chunk sequence a one-segment scan takes over rows
+// [from, to): every chunk holds 1..pruneChunk rows and ends on the
+// 64-field grid (at a row ≡ 1 mod 64) or at to.
 func gridChunks(t *testing.T, from, to int) []int {
 	t.Helper()
 	var chunks []int

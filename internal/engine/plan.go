@@ -48,7 +48,7 @@ type sliceOutcome uint8
 
 const (
 	outDecoded    sliceOutcome = iota // decode the rows, filter, fold
-	outPrunedScan                     // chunked scan with Proposition 5 stop checks
+	outPrunedScan                     // scan in chunks with Proposition 5 stop checks
 	outFused                          // aggregate on encoded form (Section IV)
 )
 
@@ -242,7 +242,7 @@ func (p *plan) outcomeOf(sl Slice, fusible bool) sliceOutcome {
 	switch {
 	case fused:
 		return outFused
-	case p.strat.prune && len(p.vp) > 0 && len(p.windows) == 0:
+	case p.strat.prune && len(p.vp) > 0:
 		return outPrunedScan
 	}
 	return outDecoded

@@ -1,0 +1,138 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"etsqp/internal/storage"
+)
+
+// plateauData builds a regular series (interval 100) whose values hold
+// for a few rows and then step, so an RLBE page holds runs longer than
+// one row and a TS2DIFF page packs small deltas.
+func plateauData(n int, seed int64) (ts, vals []int64) {
+	rng := rand.New(rand.NewSource(seed))
+	ts, vals = make([]int64, n), make([]int64, n)
+	v := int64(-300)
+	for i := range ts {
+		ts[i] = 1_000_000 + int64(i)*100
+		if rng.Intn(3) == 0 {
+			v += rng.Int63n(41) - 20
+		}
+		vals[i] = v
+	}
+	return ts, vals
+}
+
+// TestWindowBoundariesReadOnce: FIRST and LAST over many windows read
+// each boundary row from the job's one read of its value page — a
+// TS2DIFF block's prefix (order 2 included, whose last row adds the
+// running difference), an RLBE page's runs, or the decoded values —
+// and answer what ModeSerial answers, in every mode, with whole pages
+// and with pages cut into slices. The job reads no page more than the
+// same query's SUM does: one value page per job, plus the time page
+// where the mode decodes timestamps (a job whose rows all fall outside
+// a TIME range reads no value page).
+func TestWindowBoundariesReadOnce(t *testing.T) {
+	ts, vals := plateauData(6_000, 7)
+	queries := []string{
+		"SELECT %s(A) FROM ts GROUP BY TIME(25000)",
+		"SELECT %s(A) FROM ts GROUP BY TIME(70000, 30000)",
+		"SELECT %s(A) FROM ts WHERE TIME >= 1012345 AND TIME < 1543210 GROUP BY TIME(33300)",
+		"SELECT %s(A) FROM ts WHERE TIME >= 1012345 AND TIME < 1543210",
+	}
+	for _, codec := range []string{"ts2diff", "ts2diff2", "rlbe"} {
+		st := storage.NewStore()
+		if err := st.Append("ts", ts, vals, storage.Options{PageSize: 1000, ValueCodec: codec}); err != nil {
+			t.Fatal(err)
+		}
+		for _, slices := range []int{0, 3} {
+			for _, q := range queries {
+				run := func(mode Mode, agg string) *Result {
+					t.Helper()
+					e := New(st, mode)
+					e.Workers, e.ForceSlices = 2, slices
+					res, err := e.ExecuteSQL(fmt.Sprintf(q, agg))
+					if err != nil {
+						t.Fatalf("%s, %v, %s: %v", codec, mode, fmt.Sprintf(q, agg), err)
+					}
+					return res
+				}
+				for _, agg := range []string{"FIRST", "LAST"} {
+					want := run(ModeSerial, agg)
+					for _, mode := range allModes {
+						got, sum := run(mode, agg), run(mode, "SUM")
+						where := fmt.Sprintf("%s, ForceSlices=%d, %v, %s", codec, slices, mode, fmt.Sprintf(q, agg))
+						if !reflect.DeepEqual(got.Windows, want.Windows) || !reflect.DeepEqual(got.Aggregates, want.Aggregates) {
+							t.Errorf("%s:\ngot  %v %v\nwant %v %v", where, got.Windows, got.Aggregates, want.Windows, want.Aggregates)
+						}
+						perJob := int64(2) // the time page and the value page
+						if mode.strategy().constInterval {
+							perJob = 1 // rows by interval arithmetic: the value page alone
+						}
+						st := got.Stats
+						allRows := !strings.Contains(q, "WHERE TIME")
+						if allRows && st.PagesRead != perJob*st.SlicesRun || st.PagesRead != sum.Stats.PagesRead ||
+							st.BytesScanned != sum.Stats.BytesScanned {
+							t.Errorf("%s: read %d pages, %d bytes in %d jobs; SUM reads %d pages, %d bytes",
+								where, st.PagesRead, st.BytesScanned, st.SlicesRun, sum.Stats.PagesRead, sum.Stats.BytesScanned)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPrunedWindowScanStops: under the prune strategy a value-filtered
+// window aggregate takes the scanner, per segment, with the
+// Proposition 5 stop. Every page rises from 0 by steps of 1 to 3, so
+// once a scan passes the filter's upper end nothing ahead on the page
+// can meet it, and the rest of the page is skipped. Every window must
+// still answer what ModeSerial answers, and rows must be pruned.
+func TestPrunedWindowScanStops(t *testing.T) {
+	const n, page = 8_192, 1024
+	rng := rand.New(rand.NewSource(3))
+	ts, vals := make([]int64, n), make([]int64, n)
+	for i := range ts {
+		ts[i] = 1_000_000 + int64(i)*100
+		if i%page != 0 {
+			vals[i] = vals[i-1] + 1 + rng.Int63n(3)
+		}
+	}
+	st := storage.NewStore()
+	if err := st.Append("ts", ts, vals, storage.Options{PageSize: page}); err != nil {
+		t.Fatal(err)
+	}
+	for _, agg := range []string{"SUM", "COUNT", "AVG"} {
+		for _, q := range []string{
+			"SELECT %s(A) FROM ts WHERE A < 600 GROUP BY TIME(30000)",
+			"SELECT %s(A) FROM ts WHERE A >= 10 AND A <= 900 GROUP BY TIME(45000, 15000)",
+			"SELECT %s(A) FROM ts WHERE A <= 900 AND A != 400 GROUP BY TIME(45000, 15000)",
+		} {
+			sql := fmt.Sprintf(q, agg)
+			for _, workers := range []int{1, 2} {
+				results := map[Mode]*Result{}
+				for _, mode := range []Mode{ModeSerial, ModeETSQPPrune} {
+					e := New(st, mode)
+					e.Workers = workers
+					res, err := e.ExecuteSQL(sql)
+					if err != nil {
+						t.Fatalf("%v, %s: %v", mode, sql, err)
+					}
+					results[mode] = res
+				}
+				got, want := results[ModeETSQPPrune], results[ModeSerial]
+				if !reflect.DeepEqual(got.Windows, want.Windows) {
+					t.Errorf("%s, %d workers:\nprune  %v\nserial %v", sql, workers, got.Windows, want.Windows)
+				}
+				if got.Stats.RowsPruned == 0 {
+					t.Errorf("%s, %d workers: no rows pruned", sql, workers)
+				}
+			}
+		}
+	}
+}

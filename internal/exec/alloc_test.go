@@ -78,12 +78,12 @@ func TestCacheGetAllocs(t *testing.T) {
 // the class buffers have grown.
 func TestArenaAllocs(t *testing.T) {
 	a := &Arena{}
-	a.Int64(ClassTime, 4096)
-	a.Int64(ClassValue, 4096)
+	a.Int64(ClassPrune, 4096)
+	a.Int64(ClassScratch, 4096)
 	var n int64
 	got := testing.AllocsPerRun(100, func() {
-		ts := a.Int64(ClassTime, 4096)
-		vs := a.Int64(ClassValue, 1024)
+		ts := a.Int64(ClassPrune, 4096)
+		vs := a.Int64(ClassScratch, 1024)
 		n += ts[0] + vs[0]
 	})
 	if got != 0 {

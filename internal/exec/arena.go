@@ -2,17 +2,13 @@ package exec
 
 import "etsqp/internal/encoding"
 
-// Scratch buffer classes. A morsel may need several live scratch
-// buffers at once (a timestamp column while the value column decodes,
-// a prune chunk while both are resolved), so the arena keys buffers by
-// a small fixed class: two borrows of different classes never alias,
-// while re-borrowing the same class reuses (and may overwrite) the
-// previous buffer of that class.
+// Scratch buffer classes. The arena keys buffers by a small fixed
+// class, one per kind of borrow the engine makes: two borrows of
+// different classes never alias, while re-borrowing the same class
+// reuses (and may overwrite) the previous buffer of that class.
 const (
-	ClassTime    = iota // timestamp-column scratch
-	ClassValue          // value-column scratch
-	ClassPrune          // chunked prune-scan buffers
-	ClassScratch        // anything else
+	ClassPrune   = iota // chunk buffers of the prune strategy's time and value scans
+	ClassScratch        // per-segment sums of a fused job
 	numClasses
 )
 

@@ -31,7 +31,6 @@ type PageCache struct {
 	entries map[*storage.Page]*cacheEntry //etsqp:guardedby mu
 	ring    []*cacheEntry                 //etsqp:guardedby mu
 	hand    int                           //etsqp:guardedby mu
-	free    []*cacheEntry                 //etsqp:guardedby mu
 }
 
 type cacheEntry struct {
@@ -57,11 +56,9 @@ func NewPageCache(budget int64) *PageCache {
 //
 //etsqp:hotpath
 func (c *PageCache) Get(p *storage.Page) ([]int64, bool) {
-	// vals must be captured under the lock: a concurrent eviction or
-	// invalidation nils e.vals and recycles the entry onto the free
-	// list, where a Put can reassign it to a different page. The
-	// underlying array is immutable, so holding the slice past eviction
-	// is safe; only the field read needs synchronizing.
+	// The entry is read under the lock that publishes it. Its values
+	// array is immutable, so holding the slice past a concurrent
+	// eviction is safe.
 	var vals []int64
 	c.mu.Lock()
 	e, ok := c.entries[p]
@@ -108,8 +105,7 @@ func (c *PageCache) Put(series string, p *storage.Page, vals []int64) {
 		return // raced with another decode of the same page
 	}
 	evictions, evictedBytes := c.evictForLocked(bytes)
-	e := c.getEntryLocked()
-	e.page, e.series, e.vals, e.bytes, e.ref = p, series, vals, bytes, false
+	e := &cacheEntry{page: p, series: series, vals: vals, bytes: bytes}
 	c.entries[p] = e
 	c.ring = append(c.ring, e)
 	c.used += bytes
@@ -138,7 +134,6 @@ func (c *PageCache) InvalidateSeries(series string) int {
 		}
 		delete(c.entries, e.page)
 		c.used -= e.bytes
-		c.putEntryLocked(e)
 		dropped++
 	}
 	for i := len(kept); i < len(c.ring); i++ {
@@ -191,23 +186,6 @@ func (c *PageCache) evictForLocked(need int64) (evictions, evictedBytes int64) {
 		c.ring[c.hand] = c.ring[last]
 		c.ring[last] = nil
 		c.ring = c.ring[:last]
-		c.putEntryLocked(e)
 	}
 	return evictions, evictedBytes
-}
-
-//etsqp:locked mu
-func (c *PageCache) getEntryLocked() *cacheEntry {
-	if k := len(c.free); k > 0 {
-		e := c.free[k-1]
-		c.free = c.free[:k-1]
-		return e
-	}
-	return &cacheEntry{}
-}
-
-//etsqp:locked mu
-func (c *PageCache) putEntryLocked(e *cacheEntry) {
-	e.page, e.vals, e.series = nil, nil, ""
-	c.free = append(c.free, e)
 }

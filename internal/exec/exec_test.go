@@ -239,8 +239,8 @@ func TestPoolClose(t *testing.T) {
 // TestArenaClasses checks class isolation and grow-only reuse.
 func TestArenaClasses(t *testing.T) {
 	a := &Arena{}
-	ts := a.Int64(ClassTime, 8)
-	vs := a.Int64(ClassValue, 8)
+	ts := a.Int64(ClassPrune, 8)
+	vs := a.Int64(ClassScratch, 8)
 	for i := range ts {
 		ts[i] = 100 + int64(i)
 		vs[i] = 200 + int64(i)
@@ -253,16 +253,16 @@ func TestArenaClasses(t *testing.T) {
 			t.Fatal("class buffers overwrote each other")
 		}
 	}
-	ts2 := a.Int64(ClassTime, 4)
+	ts2 := a.Int64(ClassPrune, 4)
 	if &ts2[0] != &ts[0] {
 		t.Fatal("same-class re-borrow did not reuse the buffer")
 	}
-	big := a.Int64(ClassTime, 1024)
+	big := a.Int64(ClassPrune, 1024)
 	if len(big) != 1024 {
 		t.Fatalf("grow returned len %d", len(big))
 	}
 	a.Reset()
-	if a.bufs[ClassTime] != nil {
+	if a.bufs[ClassPrune] != nil {
 		t.Fatal("Reset kept a buffer")
 	}
 }

@@ -14,7 +14,7 @@ func TestRunWithQueryStats(t *testing.T) {
 	defer p.Close()
 	var ran atomic.Int64
 	fn := func(w *Worker, i int) error {
-		w.Arena.Int64(ClassTime, 512)
+		w.Arena.Int64(ClassPrune, 512)
 		if i == 0 {
 			// Make at least one morsel take measurable wall time so the
 			// CPU accumulator is provably nonzero.

@@ -78,7 +78,7 @@ var (
 // Storage: page payload traffic.
 var (
 	StoragePagesRead = newCounter("storage.pages_read",
-		"page payload loads (a page re-read after a failed fused attempt counts twice)")
+		"page payload loads, at most one per page per job or cursor batch (a page cut into k slices is read k times)")
 	StorageBytesScanned = newCounter("storage.bytes_scanned",
 		"encoded payload bytes moved into working buffers")
 	StoragePagesEncoded = newCounter("storage.pages_encoded",

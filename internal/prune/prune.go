@@ -98,7 +98,9 @@ func (b Bounds) Reach(ak int64, steps uint64) (lo, hi int64, ok bool) {
 // never fires on an unbounded page.
 func (b Bounds) StopValue(ak int64, k, n int, c1, c2 int64) bool {
 	if !b.unbounded && (b.StopValueLow(ak, k, n, c1) || b.StopValueHigh(ak, k, n, c2)) {
-		obs.PruneStopsValue.Inc()
+		if obs.Enabled() {
+			obs.PruneStopsValue.Inc()
+		}
 		return true
 	}
 	return false

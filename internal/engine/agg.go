@@ -22,8 +22,8 @@ import (
 	"etsqp/internal/storage"
 )
 
-// pruneChunk is the number of rows decoded between Proposition 5 stop
-// checks on value-filtered scans.
+// pruneChunk is the most rows decoded between stop checks: Proposition
+// 5's on value-filtered scans, Proposition 4's on timestamp decodes.
 const pruneChunk = 1024
 
 // gridChunk is the length of a pruned scan's chunk from row, at most
@@ -468,30 +468,14 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 		}()
 	}
 
-	// Resolve the time-valid row range [lo, hi) within the slice with the
-	// job's row clock (Proposition 4: arithmetic on a constant-interval
-	// page, a search of the decoded timestamps otherwise), unless the
-	// prune mode's streaming time scan already stopped at the first
-	// timestamp past t2. p.t2 is at most MaxInt64-1, so t2+1 cannot wrap.
-	lo, hi := sl.StartRow, sl.EndRow
-	interval, constant := p.constantIntervalOf(sl.Pair.Time)
-	clock := rowClock{start: sl.StartRow, first: sl.Pair.Time.Header.StartTime, interval: interval}
-	streamed := false
-	if !constant {
-		rlo, rhi, ok, err := e.timeBoundsPruned(p, sl, col, arena)
-		if err != nil {
-			return err
-		}
-		if streamed = ok; streamed {
-			lo, hi = rlo, rhi
-		} else if clock.ts, err = e.decodeColumnRange(p.series[0], sl.Pair.Time, &pageRead{}, lo, hi, col); err != nil {
-			return err
-		}
+	// The time-valid row range [lo, hi) within the clock's rows. p.t2 is
+	// at most MaxInt64-1, so t2+1 cannot wrap.
+	clock, end, err := e.clockOf(p, sl, col, arena)
+	if err != nil {
+		return err
 	}
-	if !streamed {
-		lo = clock.row(p.t1, lo, hi)
-		hi = clock.row(p.t2+1, lo, hi)
-	}
+	lo := clock.row(p.t1, sl.StartRow, end)
+	hi := clock.row(p.t2+1, lo, end)
 	if lo >= hi {
 		return nil
 	}
@@ -510,6 +494,33 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 		col.windowSegments.Add(int64(len(cuts) - 1))
 	}
 	return e.foldSegments(p, sl.Pair.Value, out, &vr, cuts, winLo, winHi, clock, part, col, arena)
+}
+
+// clockOf builds job sl's row clock from one read of its time page and
+// returns the end of the rows the clock maps: interval arithmetic on a
+// width-0 order-2 block under a constInterval strategy (its checksum
+// verified, no read charged), else the cache or a decode of that parse.
+// Under the prune strategy a page reaching past t2 decodes into the
+// arena and stops after the first chunk past t2 (decodeUntil): no later
+// row is in range, in a window or a FIRST/LAST boundary.
+func (e *Engine) clockOf(p *plan, sl Slice, col *statsCollector, arena *exec.Arena) (c rowClock, end int, err error) {
+	pg := sl.Pair.Time
+	c = rowClock{start: sl.StartRow, first: pg.Header.StartTime}
+	var tr pageRead
+	if p.strat.constInterval {
+		if ok, _ := tr.parse(pg, nil); ok { // else a cache miss fails
+			if interval, ok := pipeline.ConstantInterval(&tr.blk); ok {
+				c.interval = interval
+				return c, sl.EndRow, pg.VerifyChecksum()
+			}
+		}
+	}
+	stop, buf := int64(math.MaxInt64), []int64(nil)
+	if p.strat.prune && p.t2 < pg.Header.EndTime {
+		stop, buf = p.t2, arena.Int64(exec.ClassClock, sl.Rows())
+	}
+	c.ts, err = e.decodeColumnRange(p.series[0], pg, &tr, sl.StartRow, sl.EndRow, stop, buf, col)
+	return c, sl.StartRow + len(c.ts), err
 }
 
 // windowCuts maps the windows that intersect rows [lo, hi) to row
@@ -543,57 +554,59 @@ func (p *plan) windowCuts(clock rowClock, lo, hi int, scratch *[]int) (first int
 // foldSegments is the one value pass of an aggregate job over the cut
 // partition, from one read of the value page (vr), by one of three
 // routes: per-segment sums on encoded form when the job is fused
-// (Proposition 3); the scanner when the plan scans under the prune
-// strategy; else rows [cuts[0], cuts[n]) decoded once — from the cache,
-// or from vr — and folded segment by segment. A fused page without a
-// closed form, or whose closed form overflows, takes the decoded route
-// from the same read. Each segment goes to the windows covering it —
-// straight into the partial when one window does (a plain aggregate's
-// only segment, a tumbling window's), else through one segment partial
-// merged into each — so overlapping windows share the page parse and
-// the decode instead of re-scanning per window: Section VI's G_sw,
-// evaluated incrementally. FIRST/LAST read each window's boundary rows
-// from the same read. The pass's time, less the decode's, is the
-// aggregate stage of a plain aggregate and the window stage of a window.
+// (Proposition 3), or row counts alone when the plan reads no sum; the
+// scanner when the plan scans under the prune strategy; else rows
+// [cuts[0], cuts[n]) decoded once — from the cache, or from vr — and
+// folded segment by segment. A fused job whose closed form overflows
+// takes the decoded route from the same read. Each segment goes to the
+// windows covering it — straight into the partial when one window does
+// (a plain aggregate's only segment, a tumbling window's), else through
+// one segment partial merged into each — so overlapping windows share
+// the page parse and the decode instead of re-scanning per window:
+// Section VI's G_sw, evaluated incrementally. FIRST/LAST read each
+// window's boundary rows from the same read. The pass's time, less the
+// decode's, is the aggregate stage of a plain aggregate and the window
+// stage of a window.
 func (e *Engine) foldSegments(p *plan, page *storage.Page, out sliceOutcome, vr *pageRead,
 	cuts, winLo, winHi []int, clock rowClock, part []partialAgg, col *statsCollector, arena *exec.Arena) error {
 	from, to := cuts[0], cuts[len(cuts)-1]
 	var sums, vals []int64
 	var sc segScan
 	var ns int64
-	scan := false
+	var err error
 	switch out {
 	case outFused:
 		start := time.Now()
-		if ok, err := vr.read(page, arena.Runs(), col); err != nil {
+		if _, err = vr.read(page, arena.Runs(), col); err != nil {
 			return err
-		} else if ok {
-			sums, err = vr.segmentSums(cuts, arena.Int64(exec.ClassScratch, len(cuts)-1))
-			if err != nil {
+		}
+		// COUNT, FIRST and LAST read no sum: the fold adds row counts.
+		if p.needSum {
+			if sums, err = vr.segmentSums(cuts, arena.Int64(exec.ClassScratch, len(cuts)-1)); err != nil {
 				return err
+			} else if sums == nil {
+				out = outDecoded // the closed form overflowed
 			}
 		}
 		ns = int64(time.Since(start))
 	case outPrunedScan:
 		// A value filter excludes FIRST/LAST, so a scan has no boundaries.
-		// A page that is not TS2DIFF is decoded below.
-		if ok, err := vr.read(page, nil, col); err != nil {
+		if _, err = vr.read(page, nil, col); err != nil {
 			return err
-		} else if scan = ok; scan {
-			sc = segScan{bounds: prune.BoundsFromBlock(&vr.blk), n: vr.blk.Count, hi: to,
-				buf: arena.Int64(exec.ClassPrune, pruneChunk)}
-			vlo, vhi, reach := sc.bounds.Reach(vr.blk.First, uint64(sc.n-1))
-			sc.bound, sc.onePass = max(encoding.Magnitude(vlo), encoding.Magnitude(vhi)), reach && p.sumFold
-			if err := sc.s.Reset(&vr.blk, from); err != nil {
-				return err
-			}
+		}
+		sc = segScan{bounds: prune.BoundsFromBlock(&vr.blk), n: vr.blk.Count, hi: to,
+			buf: arena.Int64(exec.ClassPrune, pruneChunk)}
+		vlo, vhi, reach := sc.bounds.Reach(vr.blk.First, uint64(sc.n-1))
+		sc.bound, sc.onePass = max(encoding.Magnitude(vlo), encoding.Magnitude(vhi)), reach && p.sumFold
+		if err = sc.s.Reset(&vr.blk, from); err != nil {
+			return err
 		}
 	}
-	if sums != nil {
+	fused, scan := out == outFused, out == outPrunedScan
+	if fused {
 		col.valuesFused.Add(int64(to - from))
 	} else if !scan {
-		var err error
-		if vals, err = e.decodeColumnRange(p.series[0], page, vr, from, to, col); err != nil {
+		if vals, err = e.decodeColumnRange(p.series[0], page, vr, from, to, math.MaxInt64, nil, col); err != nil {
 			return err
 		}
 		col.valuesDecoded.Add(int64(len(vals)))
@@ -620,7 +633,9 @@ func (e *Engine) foldSegments(p *plan, page *storage.Page, out sliceOutcome, vr 
 			local = &ws[0]
 		}
 		switch {
-		case sums != nil:
+		case fused && sums == nil:
+			local.addSum(0, int64(cuts[s+1]-cuts[s]))
+		case fused:
 			local.addSum(sums[s], int64(cuts[s+1]-cuts[s]))
 		case scan:
 			if err := sc.fold(p, cuts[s+1], local, col); err != nil {
@@ -660,9 +675,8 @@ func (e *Engine) foldSegments(p *plan, page *storage.Page, out sliceOutcome, vr 
 // are conservative — an RLBE page's bound rows·(|first| + Σ|Δ|·count),
 // or a TS2DIFF running sum, can leave int64 even when the decoded fold
 // stays in range — so the decoded route re-detects any genuine overflow
-// exactly via the checked accumulators. COUNT/MIN/MAX over the same rows
-// then still answer while SUM/AVG/VAR surface the Section VI-C error
-// from final().
+// exactly via the checked accumulators. A COUNT beside them then still
+// answers while SUM/AVG surface the Section VI-C error from final().
 func (r *pageRead) segmentSums(cuts []int, sums []int64) ([]int64, error) {
 	var err error
 	if r.form == formRuns {
@@ -743,63 +757,6 @@ func (sc *segScan) fold(p *plan, end int, local *partialAgg, col *statsCollector
 		}
 	}
 	return nil
-}
-
-// timeBoundsPruned resolves the time-valid row range of a slice with a
-// streaming scan that stops once the sorted timestamps pass t2
-// (Proposition 4's early termination on the time filter). It only
-// applies under the prune strategy over TS2DIFF time pages without
-// windows or FIRST/LAST, which need the full timestamp column for their
-// boundaries; ok is false, with the page unread, otherwise.
-func (e *Engine) timeBoundsPruned(p *plan, sl Slice,
-	col *statsCollector, arena *exec.Arena) (lo, hi int, ok bool, err error) {
-	t1, t2 := p.t1, p.t2
-	if !p.strat.prune || len(p.windows) > 0 || p.needFL {
-		return 0, 0, false, nil
-	}
-	if sl.Pair.Time.Header.EndTime <= t2 {
-		return 0, 0, false, nil // nothing to cut; full decode is optimal
-	}
-	var tr pageRead
-	if ok, err := tr.read(sl.Pair.Time, nil, col); !ok || err != nil {
-		return 0, 0, ok, err
-	}
-	var scanner pipeline.RangeScanner
-	if err := scanner.Reset(&tr.blk, sl.StartRow); err != nil {
-		return 0, 0, true, err
-	}
-	lo, hi = -1, sl.StartRow
-	buf := arena.Int64(exec.ClassPrune, pruneChunk)
-	start := time.Now()
-scan:
-	for scanner.Row() < sl.EndRow {
-		base := scanner.Row()
-		k, derr := scanner.Next(buf[:gridChunk(base, sl.EndRow)])
-		if derr != nil || k == 0 {
-			err = derr
-			break
-		}
-		for i, t := range buf[:k] {
-			if lo < 0 && t >= t1 {
-				lo = base + i
-			}
-			if t > t2 {
-				col.rowsPruned.Add(int64(sl.EndRow - (base + i)))
-				obs.PruneStopsTime.Inc()
-				hi = base + i
-				break scan
-			}
-		}
-		hi = base + k
-	}
-	col.decodeNanos.Add(int64(time.Since(start)))
-	if err != nil {
-		return 0, 0, true, err
-	}
-	if lo < 0 {
-		lo = hi // no row reached t1
-	}
-	return lo, hi, true, nil
 }
 
 // scanFold is one chunk of a sumFold plan's pruned scan in one pass: the

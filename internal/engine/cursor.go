@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"etsqp/internal/expr"
@@ -63,11 +64,11 @@ func (c *batchCursor) Next() (Int64Batch, error) {
 			batchStart = time.Now()
 		}
 		var tr, vr pageRead
-		ts, err := c.e.decodeColumnRange(c.name, pp.Time, &tr, 0, pp.Count(), c.col)
+		ts, err := c.e.decodeColumnRange(c.name, pp.Time, &tr, 0, pp.Count(), math.MaxInt64, nil, c.col)
 		if err != nil {
 			return Int64Batch{}, err
 		}
-		vals, err := c.e.decodeColumnRange(c.name, pp.Value, &vr, 0, pp.Count(), c.col)
+		vals, err := c.e.decodeColumnRange(c.name, pp.Value, &vr, 0, pp.Count(), math.MaxInt64, nil, c.col)
 		if err != nil {
 			return Int64Batch{}, err
 		}

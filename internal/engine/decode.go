@@ -33,33 +33,46 @@ const (
 	formRuns         // an RLBE page's Delta-Repeat runs
 )
 
-// pageRead is a job's one read of a page: the checksum verified and the
-// read charged once (readPage), and the payload parsed once by codec.
+// pageRead is a job's one read of a page: the payload parsed once by
+// codec, and the checksum verified and the read charged once (readPage).
 // Every route that reads the job's values — the closed forms, the
 // scanner, the decode and the FIRST/LAST boundary rows — reads this one
 // parse, so no route reads the page again.
 type pageRead struct {
-	form  uint8
-	blk   ts2diff.Block       // formBlock
-	first int64               // formRuns: row 0
-	runs  []encoding.DeltaRun // formRuns: the runs after row 0
+	form    uint8
+	charged bool                // readPage has charged the read
+	blk     ts2diff.Block       // formBlock
+	first   int64               // formRuns: row 0
+	runs    []encoding.DeltaRun // formRuns: the runs after row 0
 }
 
-// read reads pg into r once — the payload parsed, the checksum verified
-// and the read charged (readPage) — when it is a TS2DIFF block or, given
-// a run buffer the caller reuses from page to page, RLBE runs: the
-// representation Section IV's fused aggregations consume. For any other
-// codec it reports false with nothing read or charged, and the caller
-// decodes the page the codec's way. A payload that does not parse, or
-// holds another number of rows than the header (PayloadRows; RLBE runs
-// that do not total the block's count fail AppendPairs), is an error.
-func (r *pageRead) read(pg *storage.Page, runs *[]encoding.DeltaRun, col *statsCollector) (ok bool, err error) {
+// formOf names what a page of the codec parses as: a TS2DIFF block, RLBE
+// runs — the representations Section IV's fused aggregations consume,
+// and the block the scanner reads — or neither.
+func formOf(codec string) uint8 {
+	switch codec {
+	case "ts2diff", "ts2diff2":
+		return formBlock
+	case "rlbe":
+		return formRuns
+	}
+	return formNone
+}
+
+// parse parses pg into r, when it is a TS2DIFF block or, given a run
+// buffer the caller reuses from page to page, RLBE runs; it charges no
+// read. For any other codec it reports false with nothing parsed, and
+// the caller decodes the page the codec's way. A payload that does not
+// parse, or holds another number of rows than the header (PayloadRows;
+// RLBE runs that do not total the block's count fail AppendPairs), is
+// an error.
+func (r *pageRead) parse(pg *storage.Page, runs *[]encoding.DeltaRun) (ok bool, err error) {
 	var rows int
-	switch c := pg.Header.Codec; {
-	case c == "ts2diff" || c == "ts2diff2":
+	switch form := formOf(pg.Header.Codec); {
+	case form == formBlock:
 		err = r.blk.UnmarshalBinary(pg.Data)
 		rows, r.form = r.blk.Count, formBlock
-	case c == "rlbe" && runs != nil:
+	case form == formRuns && runs != nil:
 		var blk rlbe.Block
 		if err = blk.UnmarshalBinary(pg.Data); err == nil {
 			*runs, err = blk.AppendPairs((*runs)[:0])
@@ -72,7 +85,22 @@ func (r *pageRead) read(pg *storage.Page, runs *[]encoding.DeltaRun, col *statsC
 		r.form = formNone
 		return false, err
 	}
-	return true, readPage(pg, col)
+	return true, nil
+}
+
+// read completes r as the job's read of pg: the payload parsed unless
+// it already is, and the read charged unless it already was.
+func (r *pageRead) read(pg *storage.Page, runs *[]encoding.DeltaRun, col *statsCollector) (ok bool, err error) {
+	if r.form == formNone {
+		if ok, err = r.parse(pg, runs); !ok {
+			return false, err
+		}
+	}
+	if !r.charged {
+		r.charged = true
+		err = readPage(pg, col)
+	}
+	return true, err
 }
 
 // at returns row i of the page r read: on a block from pipeline.Prefix,
@@ -102,12 +130,12 @@ func (r *pageRead) at(i int) (int64, error) {
 // the decoded-page cache first. A hit returns the shared cached slice
 // (or a subslice of it) without touching the payload — no load, no
 // checksum, no decode — which is the concurrent-workload win the cache
-// exists for. A miss decodes from r, reading the page into it first
-// unless the job already did. Full-page misses are decoded and admitted;
-// partial-range decodes are never admitted (they would poison the
-// full-page key). Cached slices are shared across queries: callers must
-// treat every return value as read-only.
-func (e *Engine) decodeColumnRange(ser string, p *storage.Page, r *pageRead, from, to int, col *statsCollector) ([]int64, error) {
+// exists for. A miss decodes from r, completing the job's read of the
+// page first. A stop below the page's last value lets a TS2DIFF decode
+// stop short (decodeUntil) in the caller's buf; such a decode is not
+// admitted, nor is a partial one, which would poison the full-page key.
+// Cached slices are shared: callers must treat every return as read-only.
+func (e *Engine) decodeColumnRange(ser string, p *storage.Page, r *pageRead, from, to int, stop int64, buf []int64, col *statsCollector) ([]int64, error) {
 	if e.Cache != nil {
 		if v, ok := e.Cache.Get(p); ok {
 			col.cacheHits.Add(1)
@@ -115,8 +143,8 @@ func (e *Engine) decodeColumnRange(ser string, p *storage.Page, r *pageRead, fro
 		}
 		col.cacheMisses.Add(1)
 	}
-	vals, err := e.decodeColumnRangeUncached(p, r, from, to, col)
-	if err == nil && e.Cache != nil && from == 0 && to == p.Header.Count {
+	vals, err := e.decodeColumnRangeUncached(p, r, from, to, stop, buf, col)
+	if err == nil && e.Cache != nil && from == 0 && to == p.Header.Count && stop >= p.Header.EndTime {
 		e.Cache.Put(ser, p, vals)
 	}
 	return vals, err
@@ -130,10 +158,10 @@ func (e *Engine) decodeColumnRange(ser string, p *storage.Page, r *pageRead, fro
 // the hot cursor path is allowed to allocate (amortized by the cache).
 //
 //etsqp:coldpath
-func (e *Engine) decodeColumnRangeUncached(p *storage.Page, r *pageRead, from, to int, col *statsCollector) (vals []int64, err error) {
+func (e *Engine) decodeColumnRangeUncached(p *storage.Page, r *pageRead, from, to int, stop int64, buf []int64, col *statsCollector) (vals []int64, err error) {
 	valueWise := e.Mode.strategy().valueWiseDecode
-	ok := r.form != formNone
-	if !ok && !valueWise {
+	ok := false
+	if !valueWise {
 		ok, err = r.read(p, nil, col)
 	}
 	if !ok && err == nil {
@@ -148,13 +176,14 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, r *pageRead, from, t
 		col.decodeNanos.Add(elapsed)
 		obs.EngineHistPageDecode.Observe(elapsed)
 	}()
-	full := from == 0 && to == p.Header.Count
 	switch {
+	case r.form == formBlock && stop < p.Header.EndTime:
+		return decodeUntil(&r.blk, from, to, stop, buf, col)
 	case r.form == formBlock:
 		return pipeline.DecodeRange(&r.blk, from, to)
 	case r.form == formRuns:
 		return encoding.DeltaRLEDecode(r.first, r.runs)[from:to], nil
-	case valueWise && p.Header.Codec == "fastlanes" && !full:
+	case valueWise && p.Header.Codec == "fastlanes" && (from > 0 || to < p.Header.Count):
 		// Block-granular slicing: decode only the FLMM1024 blocks the
 		// range touches (fair thread distribution, Section VII-C).
 		return fastlanes.DecodeRangeBlocks(p.Data, from, to)
@@ -170,22 +199,29 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, r *pageRead, from, t
 	return all[from:to], nil
 }
 
-// constantIntervalOf reports the page's constant time interval, when its
-// time column is a width-0 order-2 TS2DIFF block and the strategy
-// exploits it (the Serial and SBoost baselines decode every timestamp).
-// A job that takes the interval never reads the time page again, so the
-// checksum is verified here: a corrupt page reports not-ok, and the
-// timestamp decode the caller falls back to returns storage.ErrCorrupt.
-func (p *plan) constantIntervalOf(page *storage.Page) (int64, bool) {
-	if !p.strat.constInterval {
-		return 0, false
+// decodeUntil decodes rows [from, to) of a sorted time block into buf
+// in gridChunk chunks and stops after the first chunk holding a
+// timestamp past stop (Proposition 4's stop). The rows from the first
+// such one on count as pruned; the decode returns the rows up to its
+// chunk's end.
+func decodeUntil(b *ts2diff.Block, from, to int, stop int64, buf []int64, col *statsCollector) ([]int64, error) {
+	var s pipeline.RangeScanner
+	if err := s.Reset(b, from); err != nil {
+		return nil, err
 	}
-	var blk ts2diff.Block
-	if c := page.Header.Codec; c != "ts2diff" && c != "ts2diff2" || blk.UnmarshalBinary(page.Data) != nil {
-		return 0, false
+	ts := buf[:to-from]
+	for n := 0; n < len(ts); {
+		k, err := s.Next(ts[n : n+gridChunk(from+n, to)])
+		if err != nil || k == 0 {
+			return ts[:n], err
+		}
+		if n += k; ts[n-1] > stop {
+			col.rowsPruned.Add(int64(to - rowClock{ts: ts[:n], start: from}.row(stop+1, from+n-k, from+n)))
+			obs.PruneStopsTime.Inc()
+			return ts[:n], nil
+		}
 	}
-	interval, ok := pipeline.ConstantInterval(&blk)
-	return interval, ok && page.PayloadRows(blk.Count, nil) == nil && page.VerifyChecksum() == nil
+	return ts, nil
 }
 
 // Slice is one unit of core-level work: either a whole page pair or a

@@ -1030,10 +1030,10 @@ func TestTimeScanEarlyStop(t *testing.T) {
 
 // TestFirstLastSlicedTimeBound runs FIRST/LAST under a time bound that
 // ends inside a sliced page with irregular timestamps in every mode. The
-// prune mode's early-stopping time scan yields no timestamps, so it must
-// not serve FIRST/LAST: the boundary rows of different slices of one
-// page would all carry the page's first timestamp and LAST would pick
-// an arbitrary slice.
+// prune mode's time stop keeps every timestamp up to its stopping chunk,
+// so each slice's boundary rows carry their own timestamps: were they
+// lost, the slices of one page would all carry the page's first
+// timestamp and LAST would pick an arbitrary slice.
 func TestFirstLastSlicedTimeBound(t *testing.T) {
 	ts, vals := testData(4000, 3, false)
 	t1, t2 := ts[100], ts[3500]

@@ -14,6 +14,13 @@ import (
 // page 0 all zeros, page 1 all fives, page 2 cycling 0..10.
 func planStore(t *testing.T) *storage.Store {
 	t.Helper()
+	return planStoreCodec(t, "")
+}
+
+// planStoreCodec is planStore with its values stored in the named codec
+// ("" for the default).
+func planStoreCodec(t *testing.T, codec string) *storage.Store {
+	t.Helper()
 	const pageSize = 1024
 	n := 3 * pageSize
 	ts := make([]int64, n)
@@ -30,7 +37,7 @@ func planStore(t *testing.T) *storage.Store {
 		}
 	}
 	st := storage.NewStore()
-	if err := st.Append("ts", ts, vals, storage.Options{PageSize: pageSize}); err != nil {
+	if err := st.Append("ts", ts, vals, storage.Options{PageSize: pageSize, ValueCodec: codec}); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -139,10 +146,13 @@ func TestPlanInfoGolden(t *testing.T) {
 // jobs, windows, merge ranges — is what the run's statistics and trace
 // then report. The vacuous-filter rows are the regression: EXPLAIN used
 // to re-derive "fused" with its own condition and said false for range
-// filters the page statistics prove vacuous, which execution fuses.
+// filters the page statistics prove vacuous, which execution fuses. The
+// sprintz and gorilla rows are the other: no closed form reads those
+// codecs, so EXPLAIN must not plan their jobs fused.
 func TestExplainAgreesWithExecution(t *testing.T) {
 	single := planStore(t)
 	double := twoSeriesStore(t)
+	sprintz, gorilla := planStoreCodec(t, "sprintz"), planStoreCodec(t, "gorilla")
 	queries := []struct {
 		name  string
 		store *storage.Store
@@ -158,6 +168,12 @@ func TestExplainAgreesWithExecution(t *testing.T) {
 		{"scan-filter", single, "SELECT * FROM ts WHERE A >= 3 AND A <= 7"},
 		{"scan-limit", single, "SELECT * FROM ts WHERE A >= 3 LIMIT 5"},
 		{"corr", double, "SELECT CORR(ts1.A, ts2.A) FROM ts1, ts2 WHERE ts1.A < 5"},
+		{"sprintz-no-filter", sprintz, "SELECT SUM(A), COUNT(A) FROM ts"},
+		{"sprintz-vacuous", sprintz, "SELECT SUM(A), COUNT(A) FROM ts WHERE A >= 0 AND A <= 10"},
+		{"sprintz-window", sprintz, "SELECT LAST(A) FROM ts SW(1000, 1024)"},
+		{"gorilla-no-filter", gorilla, "SELECT SUM(A), COUNT(A) FROM ts"},
+		{"gorilla-straddling", gorilla, "SELECT SUM(A), COUNT(A) FROM ts WHERE A >= 3 AND A <= 7"},
+		{"gorilla-window", gorilla, "SELECT SUM(A) FROM ts SW(1000, 1024)"},
 	}
 	for _, mode := range []Mode{ModeETSQP, ModeETSQPPrune, ModeSerial, ModeSBoost, ModeFastLanes} {
 		for _, tc := range queries {

@@ -41,9 +41,9 @@ func (m Mode) strategy() *strategy {
 }
 
 // sliceOutcome is the path the plan assigns one aggregation job, from
-// the page headers and the predicates alone. The fused paths may still
-// demote to a decode at run time (a codec without a closed form, an
-// overflowing intermediate), which the result statistics show.
+// the page headers and the predicates alone. A fused job still demotes
+// to a decode at run time when its closed form overflows, which the
+// result statistics show.
 type sliceOutcome uint8
 
 const (
@@ -78,6 +78,7 @@ type plan struct {
 	rangeOnly bool            // vp is exactly [c1, c2] (no != predicate)
 	needFL    bool            // FIRST/LAST requested
 	needSq    bool            // VAR requested: folds must keep the sum of squares
+	needSum   bool            // SUM or AVG requested: fused jobs compute segment sums
 	sumFold   bool            // a non-empty range filter under COUNT/SUM/AVG alone: a pruned scan may fold in one pass
 
 	// The driving (first) series: time-relevant pages, the ones left
@@ -210,6 +211,7 @@ func (p *plan) checkAggregates() error {
 			return fmt.Errorf("engine: aggregates over TIME are not supported")
 		}
 		p.needSq = p.needSq || it.Agg == sqlparse.AggVar
+		p.needSum = p.needSum || it.Agg == sqlparse.AggSum || it.Agg == sqlparse.AggAvg
 		p.needFL = p.needFL || it.Agg == sqlparse.AggFirst || it.Agg == sqlparse.AggLast
 		extremes = extremes || it.Agg == sqlparse.AggMin || it.Agg == sqlparse.AggMax
 	}
@@ -239,10 +241,12 @@ func (p *plan) outcomeOf(sl Slice, fusible bool) sliceOutcome {
 			p.pagesVacuous++
 		}
 	}
-	switch {
-	case fused:
+	// The fused routes read a TS2DIFF block or RLBE runs, the scanner a
+	// block; a page of any other codec is decoded.
+	switch form := formOf(h.Codec); {
+	case fused && form != formNone:
 		return outFused
-	case p.strat.prune && len(p.vp) > 0:
+	case p.strat.prune && len(p.vp) > 0 && form == formBlock:
 		return outPrunedScan
 	}
 	return outDecoded

@@ -7,8 +7,9 @@ import "etsqp/internal/encoding"
 // different classes never alias, while re-borrowing the same class
 // reuses (and may overwrite) the previous buffer of that class.
 const (
-	ClassPrune   = iota // chunk buffers of the prune strategy's time and value scans
+	ClassPrune   = iota // chunk buffers of the prune strategy's value scan
 	ClassScratch        // per-segment sums of a fused job
+	ClassClock          // timestamps of a job's row clock, decoded up to its time stop
 	numClasses
 )
 

@@ -68,7 +68,7 @@ var (
 	PruneStopsValue = newCounter("prune.stops_value",
 		"in-page scans stopped early by the Proposition 5 value rule")
 	PruneStopsTime = newCounter("prune.stops_time",
-		"in-page scans stopped early by the Proposition 4 time rule")
+		"timestamp decodes stopped early by the Proposition 4 time rule")
 	PruneRowsSkipped = newCounter("prune.rows_skipped",
 		"rows never decoded thanks to in-page stop rules")
 	PrunePagesVacuous = newCounter("prune.pages_filter_vacuous",

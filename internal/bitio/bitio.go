@@ -23,11 +23,16 @@ var ErrShortBuffer = errors.New("bitio: short buffer")
 var ErrBitCount = errors.New("bitio: bit count out of range")
 
 // Writer accumulates bits most-significant-bit first into a byte slice.
+// Bits collect in a 64-bit accumulator that is stored as one big-endian
+// 8-byte word each time it fills: the write-side mirror of ReadBits's
+// 8-byte window. A field costs a shift and an or, and a word store every
+// 64 bits. Only whole words and, at Align, whole bytes are ever
+// appended, so a buffer sized for the bits to be written never grows.
 // The zero value is ready to use.
 type Writer struct {
 	buf  []byte
-	cur  byte // partially filled byte
-	nCur uint // bits currently in cur (0..7)
+	acc  uint64 // pending bits in the low nAcc bits; bits above are stale
+	nAcc uint   // pending bit count, 0..63
 }
 
 // NewWriter returns a Writer with capacity for sizeHint bytes.
@@ -36,53 +41,72 @@ func NewWriter(sizeHint int) *Writer {
 }
 
 // WriteBit appends a single bit.
+//
+//etsqp:inline
 func (w *Writer) WriteBit(bit uint) {
-	w.cur = w.cur<<1 | byte(bit&1)
-	w.nCur++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.nCur = 0, 0
+	if w.nAcc < 63 {
+		w.acc = w.acc<<1 | uint64(bit&1)
+		w.nAcc++
+		return
 	}
+	w.writeWord(uint64(bit&1), 1)
 }
 
 // WriteBits appends the low n bits of v, most significant first.
 // n must be in [0, 64]; wider counts are a programmer error (encoders
-// choose n from value ranges they computed, never from wire data).
+// choose n from value ranges they computed, never from wire data), and
+// writeWord panics on them.
 //
-//etsqp:trusted
+//etsqp:inline
 func (w *Writer) WriteBits(v uint64, n uint) {
-	if n > 64 {
-		panic(fmt.Sprintf("bitio: WriteBits n=%d out of range", n))
+	if n < 64-w.nAcc {
+		w.acc = w.acc<<n | v&(1<<n-1)
+		w.nAcc += n
+		return
 	}
-	for n > 0 {
-		free := 8 - w.nCur
-		take := n
-		if take > free {
-			take = free
-		}
-		shift := n - take
-		chunk := byte(v>>shift) & (1<<take - 1)
-		w.cur = w.cur<<take | chunk
-		w.nCur += take
-		if w.nCur == 8 {
-			w.buf = append(w.buf, w.cur)
-			w.cur, w.nCur = 0, 0
-		}
-		n -= take
-	}
+	w.writeWord(v, n)
 }
 
-// Align pads the current byte with zero bits so the writer is byte-aligned.
-func (w *Writer) Align() {
-	if w.nCur != 0 {
-		w.cur <<= 8 - w.nCur
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.nCur = 0, 0
+// writeWord completes the accumulator's word with the high bits of the
+// n-bit field v, stores it, and keeps the field's remaining low bits
+// pending (nAcc+n >= 64).
+//
+//etsqp:trusted
+func (w *Writer) writeWord(v uint64, n uint) {
+	if n > 64 {
+		panic(bitCountError(n))
 	}
+	v &= 1<<n - 1
+	rest := w.nAcc + n - 64 // field bits left for the next word, 0..63
+	// A shift by 64 (nAcc == 0) yields 0, dropping the stale bits.
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc<<(64-w.nAcc)|v>>rest)
+	w.acc, w.nAcc = v, rest
+}
+
+// bitCountError is WriteBits's panic value for a count past 64; a type,
+// not a formatted string, so the write path inlines.
+type bitCountError uint
+
+func (n bitCountError) Error() string {
+	return fmt.Sprintf("bitio: WriteBits n=%d out of range", uint(n))
+}
+
+// Align pads the pending bits with zeros to a byte boundary and appends
+// them, so the writer is byte-aligned.
+func (w *Writer) Align() {
+	if w.nAcc == 0 {
+		return
+	}
+	pad := -w.nAcc & 7
+	acc := w.acc << pad
+	for n := w.nAcc + pad; n > 0; n -= 8 {
+		w.buf = append(w.buf, byte(acc>>(n-8)))
+	}
+	w.nAcc = 0
 }
 
 // BitLen reports the total number of bits written.
-func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
+func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nAcc) }
 
 // Bytes flushes any partial byte (zero-padded) and returns the buffer.
 // The writer remains usable; subsequent writes start a fresh byte.
@@ -94,7 +118,7 @@ func (w *Writer) Bytes() []byte {
 // Reset clears the writer for reuse.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
-	w.cur, w.nCur = 0, 0
+	w.acc, w.nAcc = 0, 0
 }
 
 // Reader consumes bits most-significant-bit first from a byte slice.

@@ -2,6 +2,7 @@ package bitio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -260,6 +261,119 @@ func TestZeroWidthWrite(t *testing.T) {
 	if w.BitLen() != 0 {
 		t.Fatalf("zero-width write produced %d bits", w.BitLen())
 	}
+}
+
+// refWriter is the byte-at-a-time reference for Writer: it packs at most
+// 8 bits per step into a partial byte and appends one byte at a time.
+// It shares no code with Writer; FuzzWriteBits holds the two to the same
+// bytes.
+type refWriter struct {
+	buf  []byte
+	cur  byte // partially filled byte
+	nCur uint // bits currently in cur (0..7)
+}
+
+func (w *refWriter) WriteBits(v uint64, n uint) {
+	for n > 0 {
+		take := min(n, 8-w.nCur)
+		shift := n - take
+		chunk := byte(v>>shift) & (1<<take - 1)
+		w.cur = w.cur<<take | chunk
+		w.nCur += take
+		if w.nCur == 8 {
+			w.buf = append(w.buf, w.cur)
+			w.cur, w.nCur = 0, 0
+		}
+		n -= take
+	}
+}
+
+func (w *refWriter) Align() {
+	if w.nCur != 0 {
+		w.WriteBits(0, 8-w.nCur)
+	}
+}
+
+func (w *refWriter) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
+
+// FuzzWriteBits writes a sequence of operations through Writer and
+// refWriter — fields of every width 0-64 with arbitrary high bits,
+// single bits, Align and Bytes — and fails unless the bit lengths agree
+// after every step, the bytes agree at every Bytes, and a Reader reads
+// every field back exactly. Each operation is one opcode byte (a width
+// up to 64, then WriteBit, Align, Bytes) and 8 value bytes.
+func FuzzWriteBits(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{
+		3, 0, 0, 0, 0, 0, 0, 0, 5,
+		64, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x23, 0x45, 0x67,
+		65, 0, 0, 0, 0, 0, 0, 0, 1,
+		66, 0, 0, 0, 0, 0, 0, 0, 0,
+		61, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+		0, 0xFF, 0, 0, 0, 0, 0, 0, 0,
+		67, 0, 0, 0, 0, 0, 0, 0, 0,
+		7, 0, 0, 0, 0, 0, 0, 0, 0x7F,
+	})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type field struct {
+			op uint
+			v  uint64
+		}
+		var w Writer
+		var ref refWriter
+		var fields []field
+		for ; len(ops) >= 9; ops = ops[9:] {
+			op, v := uint(ops[0])%68, binary.BigEndian.Uint64(ops[1:])
+			switch {
+			case op <= 64:
+				w.WriteBits(v, op)
+				ref.WriteBits(v, op)
+				if op < 64 {
+					v &= 1<<op - 1
+				}
+			case op == 65:
+				w.WriteBit(uint(v))
+				ref.WriteBits(v&1, 1)
+				v &= 1
+			case op == 66:
+				w.Align()
+				ref.Align()
+			default:
+				ref.Align()
+				if got := w.Bytes(); !bytes.Equal(got, ref.buf) {
+					t.Fatalf("after %d fields: Bytes %x, reference %x", len(fields), got, ref.buf)
+				}
+			}
+			fields = append(fields, field{op, v})
+			if w.BitLen() != ref.BitLen() {
+				t.Fatalf("after %d fields: BitLen %d, reference %d", len(fields), w.BitLen(), ref.BitLen())
+			}
+		}
+		ref.Align()
+		buf := w.Bytes()
+		if !bytes.Equal(buf, ref.buf) {
+			t.Fatalf("Bytes %x, reference %x", buf, ref.buf)
+		}
+		r := NewReader(buf)
+		for i, fl := range fields {
+			var got uint64
+			var err error
+			switch {
+			case fl.op <= 64:
+				got, err = r.ReadBits(fl.op)
+			case fl.op == 65:
+				var bit uint
+				bit, err = r.ReadBit()
+				got = uint64(bit)
+			default:
+				r.Align()
+				continue
+			}
+			if err != nil || got != fl.v {
+				t.Fatalf("field %d (op %d): read %#x, %v; wrote %#x", i, fl.op, got, err, fl.v)
+			}
+		}
+	})
 }
 
 func BenchmarkWriteBits10(b *testing.B) {

@@ -42,16 +42,10 @@ func BitWidthSigned(vals []int64) (base int64, width uint) {
 // Values must fit in width bits.
 func Pack(vals []uint64, width uint) []byte {
 	w := bitio.NewWriter((len(vals)*int(width) + 7) / 8)
-	PackInto(w, vals, width)
-	return w.Bytes()
-}
-
-// PackInto appends packed values to an existing bit writer so combined
-// encoders can interleave headers and payloads.
-func PackInto(w *bitio.Writer, vals []uint64, width uint) {
 	for _, v := range vals {
 		w.WriteBits(v, width)
 	}
+	return w.Bytes()
 }
 
 // Unpack reads n values of the given constant width from buf.

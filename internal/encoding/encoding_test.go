@@ -37,7 +37,11 @@ func TestZigZagRoundTrip(t *testing.T) {
 
 func TestZigZagSlices(t *testing.T) {
 	in := []int64{-3, 0, 7, -1}
-	if got := UnZigZagSlice(ZigZagSlice(in)); !reflect.DeepEqual(got, in) {
+	zz := make([]uint64, len(in))
+	for i, v := range in {
+		zz[i] = ZigZag(v)
+	}
+	if got := UnZigZagSlice(zz); !reflect.DeepEqual(got, in) {
 		t.Fatalf("got %v want %v", got, in)
 	}
 }
@@ -104,9 +108,23 @@ func TestUnpackShortBuffer(t *testing.T) {
 	}
 }
 
+// deltaEncode is the first-order delta transform DeltaDecode inverts:
+// the first value and the len(vals)-1 differences d[i] = v[i+1] - v[i].
+// An empty input yields (0, nil).
+func deltaEncode(vals []int64) (first int64, deltas []int64) {
+	if len(vals) == 0 {
+		return 0, nil
+	}
+	deltas = make([]int64, len(vals)-1)
+	for i := range deltas {
+		deltas[i] = vals[i+1] - vals[i]
+	}
+	return vals[0], deltas
+}
+
 func TestDeltaEncodeDecode(t *testing.T) {
 	vals := []int64{12, 18, 24, 29, 35, 30, -2}
-	first, deltas := DeltaEncode(vals)
+	first, deltas := deltaEncode(vals)
 	if first != 12 {
 		t.Fatalf("first = %d", first)
 	}
@@ -120,10 +138,10 @@ func TestDeltaEncodeDecode(t *testing.T) {
 }
 
 func TestDeltaEmptyAndSingle(t *testing.T) {
-	if f, d := DeltaEncode(nil); f != 0 || d != nil {
+	if f, d := deltaEncode(nil); f != 0 || d != nil {
 		t.Fatalf("empty: %d %v", f, d)
 	}
-	f, d := DeltaEncode([]int64{42})
+	f, d := deltaEncode([]int64{42})
 	if f != 42 || len(d) != 0 {
 		t.Fatalf("single: %d %v", f, d)
 	}
@@ -132,16 +150,23 @@ func TestDeltaEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// delta2 is the second-order delta transform Delta2Decode inverts: the
+// first value, the first delta, and the len(vals)-2 differences of
+// consecutive deltas.
+func delta2(vals []int64) (first, firstDelta int64, dd []int64) {
+	first, firstDelta = vals[0], vals[1]-vals[0]
+	for i := 2; i < len(vals); i++ {
+		dd = append(dd, vals[i]-2*vals[i-1]+vals[i-2])
+	}
+	return first, firstDelta, dd
+}
+
 func TestDelta2RoundTrip(t *testing.T) {
 	f := func(vals []int64) bool {
 		if len(vals) < 2 {
 			return true
 		}
-		// Constrain magnitudes to avoid int64 overflow in differences.
-		for i := range vals {
-			vals[i] %= 1 << 40
-		}
-		first, fd, dd := Delta2Encode(vals)
+		first, fd, dd := delta2(vals)
 		return reflect.DeepEqual(Delta2Decode(first, fd, dd), vals)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -151,15 +176,9 @@ func TestDelta2RoundTrip(t *testing.T) {
 
 func TestDelta2Known(t *testing.T) {
 	// Regular timestamps: second-order deltas are all zero.
-	ts := []int64{1000, 2000, 3000, 4000, 5000}
-	first, fd, dd := Delta2Encode(ts)
-	if first != 1000 || fd != 1000 {
-		t.Fatalf("first=%d fd=%d", first, fd)
-	}
-	for _, d := range dd {
-		if d != 0 {
-			t.Fatalf("dd = %v, want zeros", dd)
-		}
+	want := []int64{1000, 2000, 3000, 4000, 5000}
+	if got := Delta2Decode(1000, 1000, make([]int64, 3)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Delta2Decode(1000, 1000, zeros) = %v, want %v", got, want)
 	}
 }
 
@@ -184,6 +203,16 @@ func TestRLERoundTrip(t *testing.T) {
 	}
 }
 
+// deltaRLEEncode is vals as Delta-Repeat pairs, the form DeltaRLEDecode
+// expands: the first value and the runs of equal consecutive deltas.
+func deltaRLEEncode(vals []int64) (first int64, pairs []DeltaRun) {
+	first, deltas := deltaEncode(vals)
+	for _, r := range RLEEncode(deltas) {
+		pairs = append(pairs, DeltaRun{Delta: r.Value, Count: r.Count})
+	}
+	return first, pairs
+}
+
 func TestDeltaRLERoundTrip(t *testing.T) {
 	f := func(vals []int64) bool {
 		if len(vals) == 0 {
@@ -192,7 +221,7 @@ func TestDeltaRLERoundTrip(t *testing.T) {
 		for i := range vals {
 			vals[i] %= 1 << 40
 		}
-		first, pairs := DeltaRLEEncode(vals)
+		first, pairs := deltaRLEEncode(vals)
 		return reflect.DeepEqual(DeltaRLEDecode(first, pairs), vals)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -217,7 +246,7 @@ func TestDeltaRLERegularSeries(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i) * 60
 	}
-	first, pairs := DeltaRLEEncode(vals)
+	first, pairs := deltaRLEEncode(vals)
 	if first != 0 || len(pairs) != 1 || pairs[0] != (DeltaRun{60, 999}) {
 		t.Fatalf("first=%d pairs=%v", first, pairs)
 	}

@@ -8,23 +8,48 @@ import (
 	"etsqp/internal/bitio"
 )
 
-// fibTable holds Fibonacci numbers F(2)=1, F(3)=2, F(4)=3, … up to the
-// largest value below 2^63, the basis of Fibonacci (Zeckendorf) coding.
-var fibTable = buildFibTable()
+// fibTable holds the Fibonacci numbers F(2)=1, F(3)=2, F(4)=3, … up to
+// F(93), the largest below 2^64: the basis of Fibonacci (Zeckendorf)
+// coding, in which every uint64 v >= 1 has a codeword of at most 92
+// digits and its terminator.
+var fibTable = func() (t [fibDigits]uint64) {
+	t[0], t[1] = 1, 2
+	for i := 2; i < len(t); i++ {
+		t[i] = t[i-1] + t[i-2]
+	}
+	return t
+}()
 
-func buildFibTable() []uint64 {
-	fs := []uint64{1, 2}
-	for {
-		next := fs[len(fs)-1] + fs[len(fs)-2]
-		if next < fs[len(fs)-1] { // overflow
-			break
-		}
-		fs = append(fs, next)
-		if next > 1<<62 {
-			break
+// fibDigits is the number of Zeckendorf digits of a uint64: F(94)
+// exceeds 2^64.
+const fibDigits = 92
+
+// fibIndexByLen[k] is the index in fibTable of the largest Fibonacci
+// number at most 2^(k-1) (k >= 1), where fibTop's search for a k-bit
+// value starts: every interval [2^(k-1), 2^k) holds at most two
+// Fibonacci numbers.
+var fibIndexByLen = func() (t [65]uint8) {
+	for k := 1; k <= 64; k++ {
+		for i, f := range fibTable {
+			if f <= 1<<(k-1) {
+				t[k] = uint8(i)
+			}
 		}
 	}
-	return fs
+	return t
+}()
+
+// fibTop returns the index of the largest Fibonacci number at most v
+// (v >= 1): the top Zeckendorf digit of v.
+func fibTop(v uint64) int {
+	i := int(fibIndexByLen[bits.Len64(v)])
+	if i < fibDigits-1 && fibTable[i+1] <= v {
+		i++
+	}
+	if i < fibDigits-1 && fibTable[i+1] <= v {
+		i++
+	}
+	return i
 }
 
 // ErrNotPositive reports a Fibonacci-coding input below 1.
@@ -38,27 +63,32 @@ var ErrBadFibCode = errors.New("encoding: malformed fibonacci codeword")
 // with an extra 1, so every codeword ends in "11" and no other "11"
 // appears — the self-delimiting property RLBE packing relies on
 // (Figure 7: each pair of adjacent 1s marks a termination).
+//
+// The codeword is built in two registers, digit i (for F(i+2)) at bit
+// top+1−i of the pair counted from the terminator's bit 0, one greedy
+// step per set digit, and written with one WriteBits call, or two when
+// it is longer than 64 bits.
 func FibonacciEncode(w *bitio.Writer, v uint64) error {
 	if v == 0 {
 		return ErrNotPositive
 	}
-	// Find the largest Fibonacci number <= v.
-	hi := 0
-	for hi+1 < len(fibTable) && fibTable[hi+1] <= v {
-		hi++
-	}
-	digits := make([]uint, hi+1)
-	rem := v
-	for i := hi; i >= 0; i-- {
-		if fibTable[i] <= rem {
-			digits[i] = 1
-			rem -= fibTable[i]
+	top := fibTop(v)
+	var hi, lo uint64 = 0, 1 // codeword bits 64 and up; bits 0-63
+	for rem := v; rem != 0; {
+		i := fibTop(rem)
+		rem -= fibTable[i]
+		if b := uint(top + 1 - i); b < 64 {
+			lo |= 1 << b
+		} else {
+			hi |= 1 << (b - 64)
 		}
 	}
-	for _, d := range digits {
-		w.WriteBit(d)
+	if n := uint(top + 2); n > 64 {
+		w.WriteBits(hi, n-64)
+		w.WriteBits(lo, 64)
+	} else {
+		w.WriteBits(lo, n)
 	}
-	w.WriteBit(1) // terminator: forms the "11" pair with the top digit
 	return nil
 }
 
@@ -96,7 +126,7 @@ var fibByte = func() (t [8][256]uint64) {
 //
 // Errors are those of a bit-at-a-time reader: bitio.ErrShortBuffer when
 // buf ends before a terminator, ErrBadFibCode at a digit beyond
-// fibTable. The codewords before the failing one are then in dst, and
+// fibTable or at the digit that carries the sum past 2^64. The codewords before the failing one are then in dst, and
 // the returned position is where such a reader would have stopped.
 //
 //etsqp:hotpath
@@ -162,14 +192,17 @@ func fibonacciDecodeLong(buf []byte, pos int) (v uint64, next int, err error) {
 		t := bits.LeadingZeros64(w & (w>>1 | prev<<63))
 		k := min(t, n) // digits in this window
 		d := w &^ (^uint64(0) >> k)
-		if over := max(len(fibTable)-base, 0); k > over {
-			if bad := bits.LeadingZeros64(d << over); bad < 64 {
-				return 0, pos + over + bad + 1, ErrBadFibCode
-			}
-		}
 		for d != 0 {
 			j := bits.LeadingZeros64(d)
-			v += fibTable[base+j]
+			// A digit past fibTable, or one whose weight carries the sum
+			// past 2^64 (92 digits can), names no uint64.
+			if base+j >= len(fibTable) {
+				return 0, pos + j + 1, ErrBadFibCode
+			}
+			var carry uint64
+			if v, carry = bits.Add64(v, fibTable[base+j], 0); carry != 0 {
+				return 0, pos + j + 1, ErrBadFibCode
+			}
 			d &^= 1 << (63 - j)
 		}
 		if t < n {

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,7 +12,8 @@ import (
 
 // fibonacciDecodeBits is the bit-at-a-time reference decoder: one ReadBit
 // per codeword bit, each 1 adding its Fibonacci weight until the first
-// "11". FibonacciDecodeInto must agree with it on values, end positions
+// "11", and a digit past fibTable or a sum past 2^64 is ErrBadFibCode.
+// FibonacciDecodeInto must agree with it on values, end positions
 // and errors for every input.
 func fibonacciDecodeBits(r *bitio.Reader) (uint64, error) {
 	var v uint64
@@ -25,10 +27,13 @@ func fibonacciDecodeBits(r *bitio.Reader) (uint64, error) {
 			return v, nil
 		}
 		if bit == 1 {
+			var carry uint64
 			if i >= len(fibTable) {
 				return 0, ErrBadFibCode
 			}
-			v += fibTable[i]
+			if v, carry = bits.Add64(v, fibTable[i], 0); carry != 0 {
+				return 0, ErrBadFibCode
+			}
 		}
 		prev = bit
 	}
@@ -105,6 +110,36 @@ func TestFibonacciDecodeMatchesBits(t *testing.T) {
 	checkAgainstBits(t, long, 0, 1)
 	long[6] = 0x01
 	checkAgainstBits(t, long, 0, 1)
+	// 92 digits can name 2^64 or more, which no uint64 holds: both
+	// decoders refuse the digit that carries the sum past 2^64 rather
+	// than return the sum modulo 2^64.
+	for _, k := range []uint64{0, 1, 12345} {
+		buf := codewordPast64(k)
+		if _, err := FibonacciDecodeInto(make([]uint64, 1), buf, 0); !errors.Is(err, ErrBadFibCode) {
+			t.Errorf("codeword of 2^64+%d: error %v, want ErrBadFibCode", k, err)
+		}
+		checkAgainstBits(t, buf, 0, 1)
+	}
+}
+
+// codewordPast64 is the Fibonacci codeword of 2^64 + k (k < 2^63): the
+// Zeckendorf digits F(93) and those of the rest, 2^64 + k − F(93), which
+// is below F(92), then the terminator.
+func codewordPast64(k uint64) []byte {
+	var digits [fibDigits]uint
+	digits[fibDigits-1] = 1
+	rem := k - fibTable[fibDigits-1]
+	for i := fibDigits - 2; i >= 0; i-- {
+		if fibTable[i] <= rem {
+			digits[i], rem = 1, rem-fibTable[i]
+		}
+	}
+	w := bitio.NewWriter(16)
+	for _, d := range digits {
+		w.WriteBit(d)
+	}
+	w.WriteBit(1)
+	return w.Bytes()
 }
 
 // FuzzFibonacciDecode: FibonacciDecodeInto against the bit-at-a-time

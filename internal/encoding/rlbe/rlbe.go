@@ -14,6 +14,8 @@ package rlbe
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"slices"
 
 	"etsqp/internal/bitio"
@@ -28,23 +30,30 @@ type Block struct {
 	Payload []byte // Fibonacci codewords: (delta, runlen) per run
 }
 
-// Encode builds an RLBE block.
+// Encode builds an RLBE block in one pass over vals, writing each run's
+// two codewords as the run ends. A delta of MinInt64 has no codeword
+// (zigzag(Δ)+1 would be 2^64) and fails the encode.
 func Encode(vals []int64) (*Block, error) {
 	b := &Block{Count: len(vals)}
 	if len(vals) == 0 {
 		return b, nil
 	}
-	first, pairs := encoding.DeltaRLEEncode(vals)
-	b.First = first
-	b.NumRuns = len(pairs)
-	w := bitio.NewWriter(len(pairs) * 4)
-	for _, p := range pairs {
-		if err := encoding.FibonacciEncode(w, encoding.ZigZag(p.Delta)+1); err != nil {
-			return nil, err
+	b.First = vals[0]
+	w := bitio.NewWriter(len(vals)/8 + 8)
+	for i := 1; i < len(vals); {
+		d := vals[i] - vals[i-1]
+		j := i + 1
+		for j < len(vals) && vals[j]-vals[j-1] == d {
+			j++
 		}
-		if err := encoding.FibonacciEncode(w, uint64(p.Count)); err != nil {
-			return nil, err
+		if d == math.MinInt64 {
+			return nil, fmt.Errorf("rlbe: delta -2^63 at row %d has no codeword", i)
 		}
+		// Both codes are >= 1 here, so FibonacciEncode cannot fail.
+		_ = encoding.FibonacciEncode(w, encoding.ZigZag(d)+1)
+		_ = encoding.FibonacciEncode(w, uint64(j-i))
+		b.NumRuns++
+		i = j
 	}
 	b.Payload = w.Bytes()
 	return b, nil
@@ -83,6 +92,8 @@ func (b *Block) AppendPairs(dst []encoding.DeltaRun) ([]encoding.DeltaRun, error
 		}
 		for k := 0; k < n; k++ {
 			zz, run := cw[2*k], cw[2*k+1]
+			// Every codeword decodes to at least 1 (the decoder refuses
+			// a digit sum past 2^64), so zz-1 is a zigzag code.
 			if run > uint64(b.Count-rows) {
 				return dst, ErrCorrupt
 			}

@@ -1,10 +1,12 @@
 package rlbe
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"etsqp/internal/bitio"
 	"etsqp/internal/encoding"
 )
 
@@ -100,7 +102,8 @@ func TestUnmarshalCorrupt(t *testing.T) {
 
 // TestPairsCheckRunTotals: the fused aggregates read Pairs without
 // Decode, so Pairs itself refuses runs that cover more or fewer rows
-// than Count — an empty block that claims runs included.
+// than Count — an empty block that claims runs included, and a run
+// whose codeword wraps.
 func TestPairsCheckRunTotals(t *testing.T) {
 	b, _ := Encode([]int64{1, 2, 3, 5, 7})
 	for _, count := range []int{0, 4, 6} {
@@ -116,6 +119,33 @@ func TestPairsCheckRunTotals(t *testing.T) {
 	empty, _ := Encode(nil)
 	if pairs, err := empty.Pairs(); err != nil || len(pairs) != 0 {
 		t.Fatalf("empty block: pairs %v, error %v", pairs, err)
+	}
+	// A run codeword whose digits sum to 2^64 would wrap to a run of 0
+	// rows and leave a one-row block's total right.
+	var fib [92]uint64 // F(2) … F(93)
+	fib[0], fib[1] = 1, 2
+	for i := 2; i < len(fib); i++ {
+		fib[i] = fib[i-1] + fib[i-2]
+	}
+	w := bitio.NewWriter(16)
+	if err := encoding.FibonacciEncode(w, 1); err != nil { // Δ = 0
+		t.Fatal(err)
+	}
+	var digits [92]uint // of 2^64: F(93), then the greedy digits of 2^64 − F(93)
+	digits[91] = 1
+	rem := -fib[91]
+	for i := 90; i >= 0; i-- {
+		if fib[i] <= rem {
+			digits[i], rem = 1, rem-fib[i]
+		}
+	}
+	for _, d := range digits {
+		w.WriteBit(d)
+	}
+	w.WriteBit(1)
+	wrapped := &Block{Count: 1, First: 7, NumRuns: 1, Payload: w.Bytes()}
+	if pairs, err := wrapped.Pairs(); !errors.Is(err, encoding.ErrBadFibCode) {
+		t.Fatalf("run codeword of 2^64: pairs %v, error %v, want ErrBadFibCode", pairs, err)
 	}
 }
 

@@ -32,16 +32,6 @@ type DeltaRun struct {
 	Count int
 }
 
-// DeltaRLEEncode converts a value sequence to the header value plus its
-// Delta-Repeat pairs: runs of equal consecutive deltas.
-func DeltaRLEEncode(vals []int64) (first int64, pairs []DeltaRun) {
-	first, deltas := DeltaEncode(vals)
-	for _, r := range RLEEncode(deltas) {
-		pairs = append(pairs, DeltaRun{Delta: r.Value, Count: r.Count})
-	}
-	return first, pairs
-}
-
 // DeltaRLEDecode expands Delta-Repeat pairs back to values: the Repeat
 // flatten of Figure 2. The run counts must be non-negative.
 func DeltaRLEDecode(first int64, pairs []DeltaRun) []int64 {

@@ -11,6 +11,7 @@ package sprintz
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 
 	"etsqp/internal/bitio"
 	"etsqp/internal/encoding"
@@ -27,25 +28,30 @@ type Block struct {
 	Payload []byte  // big-endian packed ZigZag deltas, group by group
 }
 
-// Encode builds a Sprintz block.
+// Encode builds a Sprintz block in one pass: each group's ZigZag deltas
+// are computed into a stack buffer, sized by their widest code, and
+// packed.
 func Encode(vals []int64) (*Block, error) {
 	b := &Block{Count: len(vals)}
 	if len(vals) == 0 {
 		return b, nil
 	}
-	first, deltas := encoding.DeltaEncode(vals)
-	b.First = first
-	zz := encoding.ZigZagSlice(deltas)
-	w := bitio.NewWriter(len(zz))
-	for off := 0; off < len(zz); off += GroupSize {
-		end := off + GroupSize
-		if end > len(zz) {
-			end = len(zz)
+	b.First = vals[0]
+	b.Widths = make([]uint8, 0, (len(vals)-1+GroupSize-1)/GroupSize)
+	w := bitio.NewWriter(len(vals))
+	var group [GroupSize]uint64
+	for off := 1; off < len(vals); off += GroupSize {
+		g := group[:min(GroupSize, len(vals)-off)]
+		var or uint64
+		for i := range g {
+			g[i] = encoding.ZigZag(vals[off+i] - vals[off+i-1])
+			or |= g[i]
 		}
-		group := zz[off:end]
-		width := encoding.BitWidth(group)
+		width := uint(bits.Len64(or))
 		b.Widths = append(b.Widths, uint8(width))
-		encoding.PackInto(w, group, width)
+		for _, v := range g {
+			w.WriteBits(v, width)
+		}
 	}
 	b.Payload = w.Bytes()
 	return b, nil

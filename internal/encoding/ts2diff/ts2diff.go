@@ -18,7 +18,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
+	"etsqp/internal/bitio"
 	"etsqp/internal/encoding"
 )
 
@@ -73,47 +75,83 @@ func (b *Block) NumPacked() int {
 	}
 }
 
-// Encode builds a TS2DIFF block from vals using the given delta order.
+// Encode builds a TS2DIFF block from vals using the given delta order:
+// the parse of the page the codec writes.
 func Encode(vals []int64, order Order) (*Block, error) {
+	page, err := encodePage(vals, order)
+	if err != nil {
+		return nil, err
+	}
+	return Unmarshal(page)
+}
+
+// encodePage writes the serialized block of vals in two passes and one
+// allocation. The first pass finds the header: the value bounds and the
+// bounds of the differences (vᵢ − vᵢ₋₁ for order 1, the second
+// differences for order 2), whose minimum is MinBase and whose span
+// sets the width. The second packs each difference less MinBase
+// straight into a buffer of exactly the page's size.
+func encodePage(vals []int64, order Order) ([]byte, error) {
 	if order != Order1 && order != Order2 {
 		return nil, fmt.Errorf("ts2diff: invalid order %d", order)
 	}
 	if len(vals) > math.MaxUint32 {
-		// Marshal stores the count as a uint32; a longer block would
+		// The header stores the count as a uint32; a longer block would
 		// round-trip with a silently truncated Count.
 		return nil, fmt.Errorf("ts2diff: %d values exceed the 2^32-1 block limit", len(vals))
 	}
-	b := &Block{Order: order, Count: len(vals)}
-	if len(vals) == 0 {
-		return b, nil
+	var first, firstDelta, minV, maxV int64
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64) // difference bounds
+	if len(vals) > 0 {
+		first, minV, maxV = vals[0], vals[0], vals[0]
 	}
-	b.MinValue, b.MaxValue = vals[0], vals[0]
-	for _, v := range vals {
-		if v < b.MinValue {
-			b.MinValue = v
+	switch {
+	case len(vals) < 2:
+	case order == Order1:
+		prev := vals[0]
+		for _, v := range vals[1:] {
+			d := v - prev
+			prev = v
+			lo, hi = min(lo, d), max(hi, d)
+			minV, maxV = min(minV, v), max(maxV, v)
 		}
-		if v > b.MaxValue {
-			b.MaxValue = v
+	default:
+		firstDelta = vals[1] - vals[0]
+		minV, maxV = min(minV, vals[1]), max(maxV, vals[1])
+		prev, prevD := vals[1], firstDelta
+		for _, v := range vals[2:] {
+			d := v - prev
+			dd := d - prevD
+			prev, prevD = v, d
+			lo, hi = min(lo, dd), max(hi, dd)
+			minV, maxV = min(minV, v), max(maxV, v)
 		}
 	}
-	var deltas []int64
-	switch order {
-	case Order1:
-		b.First, deltas = encoding.DeltaEncode(vals)
-	case Order2:
-		b.First, b.FirstDelta, deltas = encoding.Delta2Encode(vals)
+	fields := max(len(vals)-int(order), 0) // NumPacked
+	var minBase int64
+	var width uint
+	if fields > 0 {
+		minBase, width = lo, uint(bits.Len64(uint64(hi-lo)))
 	}
-	if len(deltas) == 0 {
-		return b, nil
+	plen := (fields*int(width) + 7) / 8
+	w := bitio.NewWriter(headerLen + plen)
+	hdr := Block{Order: order, Count: len(vals), First: first, FirstDelta: firstDelta,
+		MinBase: minBase, Width: width, MinValue: minV, MaxValue: maxV}
+	hdr.writeHeader(w, plen)
+	if width > 0 {
+		// Each field is the difference at row i (i >= order) less MinBase.
+		base := uint64(minBase)
+		if order == Order1 {
+			for i := 1; i < len(vals); i++ {
+				w.WriteBits(uint64(vals[i]-vals[i-1])-base, width)
+			}
+		} else {
+			for i := 2; i < len(vals); i++ {
+				w.WriteBits(uint64(vals[i]-2*vals[i-1]+vals[i-2])-base, width)
+			}
+		}
 	}
-	base, width := encoding.BitWidthSigned(deltas)
-	b.MinBase, b.Width = base, width
-	packed := make([]uint64, len(deltas))
-	for i, d := range deltas {
-		packed[i] = uint64(d - base)
-	}
-	b.Packed = encoding.Pack(packed, width)
-	return b, nil
+	return w.Bytes(), nil
 }
 
 // Decode recovers the original values. It is the scalar reference
@@ -164,23 +202,23 @@ const headerLen = 51
 // Marshal serializes the block (header big-endian, then payload),
 // the on-disk format storage pages embed.
 func (b *Block) Marshal() []byte {
-	out := make([]byte, 0, headerLen+len(b.Packed))
-	out = append(out, blockMagic, byte(b.Order), byte(b.Width))
-	var tmp [8]byte
-	put := func(v int64) {
-		binary.BigEndian.PutUint64(tmp[:], uint64(v))
-		out = append(out, tmp[:]...)
+	w := bitio.NewWriter(headerLen + len(b.Packed))
+	b.writeHeader(w, len(b.Packed))
+	return append(w.Bytes(), b.Packed...)
+}
+
+// writeHeader writes the block's headerLen-byte header, announcing a
+// payload of plen bytes: the one writer of the layout UnmarshalBinary
+// parses.
+func (b *Block) writeHeader(w *bitio.Writer, plen int) {
+	w.WriteBits(blockMagic, 8)
+	w.WriteBits(uint64(b.Order), 8)
+	w.WriteBits(uint64(b.Width), 8)
+	w.WriteBits(uint64(b.Count), 32)
+	for _, v := range [...]int64{b.First, b.FirstDelta, b.MinBase, b.MinValue, b.MaxValue} {
+		w.WriteBits(uint64(v), 64)
 	}
-	binary.BigEndian.PutUint32(tmp[:4], uint32(b.Count))
-	out = append(out, tmp[:4]...)
-	put(b.First)
-	put(b.FirstDelta)
-	put(b.MinBase)
-	put(b.MinValue)
-	put(b.MaxValue)
-	binary.BigEndian.PutUint32(tmp[:4], uint32(len(b.Packed)))
-	out = append(out, tmp[:4]...)
-	return append(out, b.Packed...)
+	w.WriteBits(uint64(plen), 32)
 }
 
 // ErrCorrupt reports a malformed serialized block.
@@ -240,11 +278,7 @@ func (c codec) Semantics() []encoding.Semantics {
 }
 
 func (c codec) Encode(vals []int64) ([]byte, error) {
-	b, err := Encode(vals, c.order)
-	if err != nil {
-		return nil, err
-	}
-	return b.Marshal(), nil
+	return encodePage(vals, c.order)
 }
 
 func (c codec) Decode(block []byte) ([]int64, error) {

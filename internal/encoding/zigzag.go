@@ -23,15 +23,6 @@ func UnZigZag(u uint64) int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// ZigZagSlice encodes every element in place-compatible fashion.
-func ZigZagSlice(vs []int64) []uint64 {
-	out := make([]uint64, len(vs))
-	for i, v := range vs {
-		out[i] = ZigZag(v)
-	}
-	return out
-}
-
 // UnZigZagSlice decodes every element.
 func UnZigZagSlice(us []uint64) []int64 {
 	out := make([]int64, len(us))

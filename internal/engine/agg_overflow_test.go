@@ -1,11 +1,16 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"etsqp/internal/encoding"
 	"etsqp/internal/sqlparse"
+	"etsqp/internal/storage"
 )
 
 // TestPartialAggOverflowStickiness exercises the Section VI-C invariant:
@@ -106,4 +111,58 @@ func TestPartialAggOverflowStickiness(t *testing.T) {
 			t.Errorf("final(MAX) = %v, %v; want MaxInt64, nil", v, err)
 		}
 	})
+}
+
+// TestRLBEExtremeDeltas stores RLBE pages whose deltas need Fibonacci
+// digits up to F(93) (|Δ| of 2^62 and MaxInt64, which the store once
+// accepted and then read back as other values or as corrupt), and asks
+// every mode for SUM, MIN and MAX, whole-page and sliced. Each answer
+// must equal the oracle, or be ErrOverflow where the oracle's running
+// sum leaves int64.
+func TestRLBEExtremeDeltas(t *testing.T) {
+	const n = 3000
+	spike, peak, alternate := make([]int64, n), make([]int64, n), make([]int64, n)
+	ts := make([]int64, n)
+	for i := range ts {
+		ts[i] = int64(i) * 100
+	}
+	spike[1], peak[1] = 1<<62, math.MaxInt64
+	for i := 1; i < n; i += 2 {
+		alternate[i] = 1 << 62
+	}
+	for name, vals := range map[string][]int64{"spike": spike, "peak": peak, "alternate": alternate} {
+		var sum int64
+		overflow := false
+		for _, v := range vals {
+			s, ok := encoding.AddChecked(sum, v)
+			sum, overflow = s, overflow || !ok
+		}
+		st := storage.NewStore()
+		if err := st.Append("ts", ts, vals, storage.Options{PageSize: 1024, ValueCodec: "rlbe"}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, mode := range allModes {
+			for _, cut := range []int{0, 3} {
+				e := New(st, mode)
+				e.Workers, e.ForceSlices = 2, cut
+				res, err := e.ExecuteSQL("SELECT SUM(A), MIN(A), MAX(A) FROM ts")
+				label := fmt.Sprintf("%s/%v/slices=%d", name, mode, cut)
+				if overflow {
+					if !errors.Is(err, ErrOverflow) {
+						t.Errorf("%s: error %v, want ErrOverflow", label, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want := map[string]float64{"SUM(A)": float64(sum), "MIN(A)": float64(slices.Min(vals)), "MAX(A)": float64(slices.Max(vals))}
+				for k, w := range want {
+					if got := res.Aggregates[k]; got != w {
+						t.Errorf("%s: %s = %v, want %v", label, k, got, w)
+					}
+				}
+			}
+		}
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/ts2diff"
 )
 
@@ -55,7 +54,7 @@ func TestFusedKernelAllocs(t *testing.T) {
 // TestPairKernelAllocs checks the DeltaRun-pair aggregates.
 func TestPairKernelAllocs(t *testing.T) {
 	vals := randomPairsSeries(7, 30)
-	first, pairs := encoding.DeltaRLEEncode(vals)
+	first, pairs := deltaRuns(vals)
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := Sum(first, pairs); err != nil {
 			t.Fatal(err)

@@ -24,9 +24,10 @@ func ExampleSum() {
 // Variance from the fused Σv and Σv² — an algebraic aggregation built on
 // associative ones (Proposition 3).
 func ExampleVariance() {
-	vals := []int64{2, 4, 4, 4, 5, 5, 7, 9}
-	first, pairs := encoding.DeltaRLEEncode(vals)
-	v, err := fusion.Variance(first, pairs)
+	// The series 2, 4, 4, 4, 5, 5, 7, 9 as Delta-Repeat pairs.
+	pairs := []encoding.DeltaRun{{Delta: 2, Count: 1}, {Delta: 0, Count: 2},
+		{Delta: 1, Count: 1}, {Delta: 0, Count: 1}, {Delta: 2, Count: 2}}
+	v, err := fusion.Variance(2, pairs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,23 @@ import (
 	"etsqp/internal/encoding/ts2diff"
 )
 
+// deltaRuns is vals as the Delta-Repeat pairs an RLBE page holds: the
+// first value and the runs of equal consecutive deltas.
+func deltaRuns(vals []int64) (first int64, pairs []encoding.DeltaRun) {
+	if len(vals) == 0 {
+		return 0, nil
+	}
+	for i := 1; i < len(vals); i++ {
+		d := vals[i] - vals[i-1]
+		if n := len(pairs); n > 0 && pairs[n-1].Delta == d {
+			pairs[n-1].Count++
+		} else {
+			pairs = append(pairs, encoding.DeltaRun{Delta: d, Count: 1})
+		}
+	}
+	return vals[0], pairs
+}
+
 // refSum decodes and sums — the unfused reference.
 func refSum(first int64, pairs []encoding.DeltaRun) int64 {
 	var s int64
@@ -39,7 +56,7 @@ func randomPairsSeries(seed int64, maxRun int) []int64 {
 func TestSumMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		vals := randomPairsSeries(seed, 30)
-		first, pairs := encoding.DeltaRLEEncode(vals)
+		first, pairs := deltaRuns(vals)
 		got, err := Sum(first, pairs)
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +93,7 @@ func TestSumOverflow(t *testing.T) {
 // row range.
 func TestSumRange(t *testing.T) {
 	vals := randomPairsSeries(42, 10)
-	first, pairs := encoding.DeltaRLEEncode(vals)
+	first, pairs := deltaRuns(vals)
 	for from := 0; from <= len(vals); from += 7 {
 		for to := from + 5; to <= len(vals); to += 5 {
 			var got [1]int64
@@ -97,7 +114,7 @@ func TestSumRange(t *testing.T) {
 func TestSumSquaresAndVariance(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		vals := randomPairsSeries(seed, 20)
-		first, pairs := encoding.DeltaRLEEncode(vals)
+		first, pairs := deltaRuns(vals)
 		got, err := SumSquares(first, pairs)
 		if err != nil {
 			t.Fatal(err)
@@ -234,7 +251,7 @@ func BenchmarkFusedSumVsDecode(b *testing.B) {
 		vals[i] = cur
 		cur += int64(i%7) * 3
 	}
-	first, pairs := encoding.DeltaRLEEncode(vals)
+	first, pairs := deltaRuns(vals)
 	b.Run("fused", func(b *testing.B) {
 		b.SetBytes(int64(len(vals) * 8))
 		for i := 0; i < b.N; i++ {

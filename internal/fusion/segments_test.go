@@ -56,7 +56,7 @@ func checkSegments(t *testing.T, name string, decoded []int64, cuts []int, sums 
 func TestSumRangeSegmentsMatchesDecode(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		first, pairs := encoding.DeltaRLEEncode(randomPairsSeries(seed, 12))
+		first, pairs := deltaRuns(randomPairsSeries(seed, 12))
 		decoded := encoding.DeltaRLEDecode(first, pairs)
 		for _, k := range []int{2, 9} { // one segment (a plain range), then window cuts
 			cuts := randomCuts(rng, len(decoded), k)
@@ -70,7 +70,7 @@ func TestSumRangeSegmentsMatchesDecode(t *testing.T) {
 }
 
 func TestSumRangeSegmentsValidation(t *testing.T) {
-	first, pairs := encoding.DeltaRLEEncode([]int64{1, 2, 3})
+	first, pairs := deltaRuns([]int64{1, 2, 3})
 	if err := SumRangeSegments(first, pairs, []int{0, 0}, make([]int64, 1)); err == nil {
 		t.Fatal("non-increasing cuts must fail")
 	}
@@ -154,7 +154,7 @@ func BenchmarkSumRangeSegments(b *testing.B) {
 			vals[i] = v
 		}
 	}
-	first, pairs := encoding.DeltaRLEEncode(vals)
+	first, pairs := deltaRuns(vals)
 	for _, width := range []int{len(vals), 1000} {
 		var cuts []int
 		for c := 0; c < len(vals); c += width {

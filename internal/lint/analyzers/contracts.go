@@ -119,7 +119,8 @@ func runNoEscape(pass *lint.Pass) error {
 }
 
 // runInline requires a "can inline" fact at every //etsqp:inline
-// function's declaration.
+// function's declaration. The compiler places a function's fact at its
+// name and a method's at its receiver list.
 func runInline(pass *lint.Pass) error {
 	funcs, facts, err := contractFuncs(pass, "inline")
 	if err != nil {
@@ -127,7 +128,11 @@ func runInline(pass *lint.Pass) error {
 	}
 	for _, fi := range funcs {
 		name := fi.Decl.Name.Pos()
-		msg, ok := facts.Inline[name]
+		at := name
+		if fi.Decl.Recv != nil {
+			at = fi.Decl.Recv.Opening
+		}
+		msg, ok := facts.Inline[at]
 		switch {
 		case !ok:
 			pass.Reportf(name, "inline function %s: compiler recorded no inlining fact", fi.Obj.Name())

@@ -64,3 +64,22 @@ func Fib(n int) int { // want `inline function Fib: cannot inline Fib: recursive
 func Mid(a, b int64) int64 {
 	return a + (b-a)/2
 }
+
+// Acc carries the method cases of the inline contract: the compiler
+// records a method's fact at its receiver list, not at its name.
+type Acc struct{ n int64 }
+
+// Add is a method well under the inlining budget.
+//
+//etsqp:inline
+func (a *Acc) Add(v int64) { a.n += v }
+
+// Depth is a self-recursive method, which the inliner refuses.
+//
+//etsqp:inline
+func (a *Acc) Depth(n int) int64 { // want `inline function Depth: cannot inline \(\*Acc\)\.Depth: recursive`
+	if n < 1 {
+		return a.n
+	}
+	return a.Depth(n-1) + 1
+}

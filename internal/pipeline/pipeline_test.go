@@ -151,7 +151,10 @@ func TestDecodeDeltas(t *testing.T) {
 		if err := DecodeDeltasInto(deltas, b.Packed, len(deltas), b.Width, b.MinBase); err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
-		_, want := encoding.DeltaEncode(vals)
+		want := make([]int64, len(vals)-1)
+		for i := range want {
+			want[i] = vals[i+1] - vals[i]
+		}
 		if !reflect.DeepEqual(deltas, want) {
 			t.Fatalf("w=%d: delta mismatch", w)
 		}

@@ -167,10 +167,7 @@ func EncodePages(ts, vals []int64, opts Options) ([]PagePair, error) {
 	}
 	var pairs []PagePair
 	for off := 0; off < len(ts); off += opts.PageSize {
-		end := off + opts.PageSize
-		if end > len(ts) {
-			end = len(ts)
-		}
+		end := min(off+opts.PageSize, len(ts))
 		tCol, vCol := ts[off:end], vals[off:end]
 		tData, err := timeCodec.Encode(tCol)
 		if err != nil {
@@ -181,19 +178,11 @@ func EncodePages(ts, vals []int64, opts Options) ([]PagePair, error) {
 			return nil, err
 		}
 		minV, maxV := vCol[0], vCol[0]
-		var sumV int64
-		sumOK := true
+		var sumV, overflow int64 // overflow's sign bit: some partial sum left int64
 		for _, v := range vCol {
-			if v < minV {
-				minV = v
-			}
-			if v > maxV {
-				maxV = v
-			}
+			minV, maxV = min(minV, v), max(maxV, v)
 			s := sumV + v
-			if (sumV > 0 && v > 0 && s < 0) || (sumV < 0 && v < 0 && s >= 0) {
-				sumOK = false
-			}
+			overflow |= (sumV ^ s) & (v ^ s)
 			sumV = s
 		}
 		pairs = append(pairs, PagePair{
@@ -211,7 +200,7 @@ func EncodePages(ts, vals []int64, opts Options) ([]PagePair, error) {
 					Kind: ColumnValue, Codec: opts.ValueCodec, Count: len(vCol),
 					StartTime: tCol[0], EndTime: tCol[len(tCol)-1],
 					MinValue: minV, MaxValue: maxV,
-					SumValue: sumV, SumValid: sumOK,
+					SumValue: sumV, SumValid: overflow >= 0,
 					Checksum: crc32.ChecksumIEEE(vData),
 				},
 				Data: vData,

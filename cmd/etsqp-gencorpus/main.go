@@ -305,10 +305,10 @@ func rangeScannerCorpus(root string) error {
 // scanFoldCorpus seeds FuzzScanFold's input shape (see FuzzScanFold in
 // internal/engine/fold_test.go: first selector, width, uint16 start row
 // and chunk, range selector and two picks, start partial, then 3-byte
-// row groups) with one-pass scans that merge every chunk, ones whose
-// page bound fails (widths 62-64, first values at the int64 edges),
-// ranges ending at the edges, starts off the 64-field grid, and running
-// sums next to MaxInt64 that send chunks to the redo.
+// row groups) with pages the one pass admits, pages it does not (widths
+// 62-64, first values at the int64 edges), ranges ending at the edges,
+// starts off the 64-field grid, and running sums at and past the int64
+// edges.
 func scanFoldCorpus(root string) error {
 	const edgeC1, edgeC2, edges = 1, 2, 3 // range selector: c1, c2 from int64 edges
 	scan := func(first, width byte, from, chunk uint16, sel, i1, i2, start byte, groups int) []byte {
@@ -329,19 +329,19 @@ func scanFoldCorpus(root string) error {
 		scan(0, 4, 65, 63, 0, 3, 250, 0, 8), // off the grid, chunks under a group
 		scan(0, 20, 1000, 1500, edgeC2, 40, 3, 0, 16), // c2 = MaxInt64
 		scan(3, 0, 0, 1024, edges, 0, 3, 0, 8),        // constant deltas, whole int64
-		scan(0, 12, 1, 1024, 0, 9, 99, 1, 16),         // sum at MaxInt64: every chunk redone
-		scan(0, 16, 0, 1024, edgeC1, 0, 120, 5, 16),   // count near MaxInt64
+		scan(0, 12, 1, 1024, 0, 9, 99, 1, 16),         // sum at MaxInt64
+		scan(0, 16, 0, 1024, edgeC1, 0, 120, 5, 16),   // sum past MaxInt64
 		scan(1, 8, 7, 64, edges, 1, 2, 0, 4),          // first MaxInt64: no page bound
 		scan(2, 62, 0, 1024, 0, 5, 77, 0, 8),          // bound overflows at width 62
 		scan(0, 63, 3, 200, edgeC1, 2, 40, 3, 4),      // width 63
-		scan(0, 64, 0, 1024, edges, 0, 3, 6, 4),       // width 64, wrapping rows
+		scan(0, 64, 0, 1024, edges, 0, 3, 6, 4),       // width 64, wrapping rows, sum past MinInt64
 		truncated(w12), flipped(w12, 3),
 		// The pruned scan's chunks end on the 64-field grid (row ≡ 1
 		// mod 64); these chunk sizes put the ends on it and just off it.
 		scan(0, 12, 0, 961, 0, 17, 200, 0, 16),    // first chunk ends on the grid, later ones straddle it
 		scan(0, 16, 1, 1024, 0, 5, 250, 0, 16),    // every chunk on the grid
 		scan(0, 8, 29, 996, edgeC2, 40, 3, 0, 16), // mid-group start, first end on the grid
-		scan(0, 20, 65, 1023, 0, 9, 99, 1, 16),    // a field short of the grid, every chunk redone
+		scan(0, 20, 65, 1023, 0, 9, 99, 1, 16),    // a field short of the grid, sum at MaxInt64
 		scan(0, 33, 1, 128, edgeC1, 2, 40, 0, 8),  // past the widest kernel, grid chunks
 		scan(0, 1, 0, 1024, edges, 0, 3, 0, 0))    // a one-row page
 }

@@ -50,6 +50,34 @@ func genWalk(rng *rand.Rand, n int, t0 int64) (ts, vals []int64) {
 	return ts, vals
 }
 
+// edgePatterns are runs of rows whose totals sit at the int64 edges: an
+// excursion that leaves int64 and comes back (total 3), totals of
+// exactly MaxInt64 and MinInt64 and one past each, and the wrapped-run
+// column [MinInt64, MaxInt64, 2^62, 2^62, 2^62], whose first delta −1
+// wraps, so that its Delta-Repeat runs summed in ℤ would fit int64
+// while its rows total 3·2^62 − 1.
+var edgePatterns = []struct {
+	name string
+	rows []int64
+}{
+	{"leave-and-return", []int64{math.MaxInt64, math.MaxInt64, math.MinInt64, math.MinInt64, 5}},
+	{"total-max", []int64{1 << 62, 1<<62 - 1}},
+	{"total-past-max", []int64{1 << 62, 1 << 62}},
+	{"total-min", []int64{-1 << 62, -1 << 62}},
+	{"total-past-min", []int64{-1 << 62, -1 << 62, -1}},
+	{"wrapped-run", []int64{math.MinInt64, math.MaxInt64, 1 << 62, 1 << 62, 1 << 62}},
+}
+
+// splice writes rows into vals at pos. A pattern that opens on MinInt64
+// gets a 1 before it, so no step into it is the delta MinInt64, which
+// RLBE does not encode.
+func splice(vals []int64, pos int, rows []int64) {
+	copy(vals[pos:], rows)
+	if rows[0] == math.MinInt64 && pos > 0 {
+		vals[pos-1] = 1
+	}
+}
+
 // overflows reports whether agg over the oracle's windows must be the
 // Section VI-C error: a SUM, AVG or VAR whose Σv leaves int64 in a window.
 func overflows(agg string, want []ScalarWindow) bool {
@@ -140,7 +168,8 @@ func checkWindowed(t testing.TB, ts, vals []int64, pageSize int,
 
 // TestWindowDifferentialAllAggs checks every aggregate over randomized
 // series, window widths and slides (overlapping, tumbling and gapped),
-// for both the SW and GROUP BY TIME forms, across all engine modes.
+// for both the SW and GROUP BY TIME forms, across all engine modes. Odd
+// seeds splice an edge pattern into the walk.
 func TestWindowDifferentialAllAggs(t *testing.T) {
 	aggs := []string{"SUM", "COUNT", "AVG", "MIN", "MAX", "VAR", "FIRST", "LAST"}
 	for seed := int64(0); seed < 6; seed++ {
@@ -153,6 +182,9 @@ func TestWindowDifferentialAllAggs(t *testing.T) {
 		slide := int64(1 + rng.Intn(900))
 		anchor := t0 + int64(rng.Intn(200)) - 100
 		agg := aggs[rng.Intn(len(aggs))]
+		if seed%2 == 1 {
+			splice(vals, rng.Intn(n-5), edgePatterns[rng.Intn(len(edgePatterns))].rows)
+		}
 
 		// SW form: explicit anchor and slide.
 		sql := fmt.Sprintf("SELECT %s(A) FROM ts SW(%d, %d, %d)", agg, anchor, width, slide)
@@ -168,9 +200,114 @@ func TestWindowDifferentialAllAggs(t *testing.T) {
 	}
 }
 
+// TestWindowDifferentialEdgeTotals splices each edge pattern into a
+// column of zeros across a page boundary, on TS2DIFF and on RLBE pages,
+// and asks every mode, whole pages and pages cut into slices, at one and
+// two workers, for SUM, AVG, VAR and COUNT — plain, per tumbling window
+// and per overlapping window — with no filter, a filter every page
+// satisfies, a range filter and a != filter, and SUM beside MAX (which
+// decodes). Each answer must equal the oracle over the rows the filter
+// keeps, whose overflow is judged on each total alone.
+func TestWindowDifferentialEdgeTotals(t *testing.T) {
+	const n, page = 700, 128
+	ts := make([]int64, n)
+	for i := range ts {
+		ts[i] = 1_000 + int64(i)*10
+	}
+	span := ts[n-1] - ts[0] + 1
+	filters := []struct {
+		sql  string
+		keep func(v int64) bool
+	}{
+		{"", func(int64) bool { return true }},
+		{"WHERE A >= -9223372036854775808", func(int64) bool { return true }},
+		{"WHERE A > -3", func(v int64) bool { return v > -3 }},
+		{"WHERE A != 7", func(v int64) bool { return v != 7 }},
+	}
+	for _, pat := range edgePatterns {
+		vals := make([]int64, n)
+		splice(vals, 3*page-2, pat.rows) // across the third page boundary
+		for _, codec := range []string{"ts2diff", "rlbe"} {
+			st := storage.NewStore()
+			if err := st.Append("ts", ts, vals, storage.Options{PageSize: page, ValueCodec: codec}); err != nil {
+				t.Fatalf("%s %s: %v", pat.name, codec, err)
+			}
+			for _, f := range filters {
+				var fts, fvs []int64
+				for i, v := range vals {
+					if f.keep(v) {
+						fts, fvs = append(fts, ts[i]), append(fvs, v)
+					}
+				}
+				shapes := []struct {
+					clause               string
+					anchor, width, slide int64
+				}{
+					{"", ts[0], span, span},
+					{"GROUP BY TIME(300)", ts[0], 300, 300},
+					{fmt.Sprintf("SW(%d, 400, 130)", ts[0]-50), ts[0] - 50, 400, 130},
+				}
+				for _, mode := range []engine.Mode{engine.ModeETSQP, engine.ModeETSQPPrune,
+					engine.ModeSerial, engine.ModeSBoost, engine.ModeFastLanes} {
+					for _, fs := range []int{0, 3} {
+						for _, workers := range []int{1, 2} {
+							e := engine.New(st, mode)
+							e.ForceSlices, e.Workers = fs, workers
+							label := fmt.Sprintf("%s %s %v fs=%d workers=%d", pat.name, codec, mode, fs, workers)
+							for _, sh := range shapes {
+								want := ScalarWindowed(fts, fvs, sh.anchor, sh.width, sh.slide, ts[n-1])
+								for _, agg := range []string{"SUM", "AVG", "VAR", "COUNT"} {
+									sql := fmt.Sprintf("SELECT %s(A) FROM ts %s %s", agg, f.sql, sh.clause)
+									res, err := e.ExecuteSQL(sql)
+									checkEdgeAnswer(t, label, sql, agg, sh.clause == "", want, res, err)
+								}
+							}
+							sql := fmt.Sprintf("SELECT SUM(A), MAX(A) FROM ts %s", f.sql)
+							res, err := e.ExecuteSQL(sql)
+							checkEdgeAnswer(t, label, sql, "SUM", true,
+								ScalarWindowed(fts, fvs, ts[0], span, span, ts[n-1]), res, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkEdgeAnswer compares one answer of TestWindowDifferentialEdgeTotals
+// with the oracle's windows: a plain aggregate is its one window.
+func checkEdgeAnswer(t *testing.T, label, sql, agg string, plain bool, want []ScalarWindow, res *engine.Result, err error) {
+	t.Helper()
+	if overflows(agg, want) {
+		if !errors.Is(err, engine.ErrOverflow) {
+			t.Fatalf("%s %q: error %v, want ErrOverflow", label, sql, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s %q: %v", label, sql, err)
+	}
+	if plain {
+		if got := res.Aggregates[agg+"(A)"]; len(want) != 1 || got != wantWindowValue(agg, want[0]) {
+			t.Fatalf("%s %q: %v, oracle %+v", label, sql, got, want)
+		}
+		return
+	}
+	if len(res.Windows) != len(want) {
+		t.Fatalf("%s %q: %d windows, oracle has %d", label, sql, len(res.Windows), len(want))
+	}
+	for i, w := range res.Windows {
+		if o := want[i]; w.Count != o.Count || w.Value != wantWindowValue(agg, o) {
+			t.Fatalf("%s %q window %d [%d,%d): (%v, %d) want (%v, %d)",
+				label, sql, i, o.Start, o.End, w.Value, w.Count, wantWindowValue(agg, o), o.Count)
+		}
+	}
+}
+
 // TestWindowDifferentialTimeBounds checks windowed queries under WHERE
 // TIME bounds: the window set clips at the upper bound and only rows
-// inside [t1, t2] aggregate.
+// inside [t1, t2] aggregate. Odd seeds splice an edge pattern into the
+// walk.
 func TestWindowDifferentialTimeBounds(t *testing.T) {
 	for seed := int64(10); seed < 14; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -179,6 +316,9 @@ func TestWindowDifferentialTimeBounds(t *testing.T) {
 		t2 := ts[700+rng.Intn(400)]
 		width := int64(1 + rng.Intn(300))
 		slide := int64(1 + rng.Intn(300))
+		if seed%2 == 1 {
+			splice(vals, rng.Intn(1195), edgePatterns[rng.Intn(len(edgePatterns))].rows)
+		}
 
 		// Oracle sees only the rows inside [t1, t2]; windows enumerate to
 		// min(series end, t2) — here t2.
@@ -507,11 +647,20 @@ func TestConcatJoinDifferential(t *testing.T) {
 }
 
 // FuzzWindowDifferential fuzzes window geometry (width, slide, anchor)
-// and the aggregate against the re-scan oracle on the ETSQP mode.
+// and the aggregate against the re-scan oracle on the ETSQP mode. The
+// low three bits of aggIdx pick the aggregate; the next three, when not
+// zero, an edge pattern spliced into the walk, and bit 6 a column of
+// zeros in place of the walk, so that a window holding the whole
+// pattern totals exactly its rows.
 func FuzzWindowDifferential(f *testing.F) {
 	f.Add(int64(1), uint16(50), uint16(20), uint8(0), int16(0))
 	f.Add(int64(2), uint16(7), uint16(90), uint8(3), int16(-50))
 	f.Add(int64(3), uint16(128), uint16(128), uint8(5), int16(40))
+	for k := range edgePatterns {
+		f.Add(int64(4+k), uint16(300), uint16(300), uint8(64|(k+1)<<3), int16(0))   // SUM, zeros
+		f.Add(int64(4+k), uint16(90), uint16(40), uint8(64|(k+1)<<3|2), int16(-30)) // AVG, zeros
+		f.Add(int64(4+k), uint16(500), uint16(170), uint8((k+1)<<3|5), int16(10))   // VAR, walk
+	}
 	aggs := []string{"SUM", "COUNT", "AVG", "MIN", "MAX", "VAR", "FIRST", "LAST"}
 	f.Fuzz(func(t *testing.T, seed int64, widthRaw, slideRaw uint16, aggIdx uint8, anchorOff int16) {
 		rng := rand.New(rand.NewSource(seed))
@@ -522,6 +671,12 @@ func FuzzWindowDifferential(f *testing.F) {
 		slide := int64(slideRaw%1000) + 1
 		anchor := t0 + int64(anchorOff)
 		agg := aggs[int(aggIdx)%len(aggs)]
+		if aggIdx&64 != 0 {
+			clear(vals)
+		}
+		if k := int(aggIdx>>3&7) % (len(edgePatterns) + 1); k > 0 {
+			splice(vals, rng.Intn(n-5), edgePatterns[k-1].rows)
+		}
 		sql := fmt.Sprintf("SELECT %s(A) FROM ts SW(%d, %d, %d)", agg, anchor, width, slide)
 		want := ScalarWindowed(ts, vals, anchor, width, slide, ts[len(ts)-1])
 		st := windowStore(t, ts, vals, 256)

@@ -201,6 +201,10 @@ func runReps(e *engine.Engine, sql string, reps int) (Measurement, error) {
 			"agg_ms":       float64(res.Stats.AggNanos) / 1e6,
 			"window_ms":    float64(res.Stats.WindowNanos) / 1e6,
 			"merge_ms":     float64(res.Stats.MergeNanos) / 1e6,
+			// Exact work counters: rows aggregated on encoded form, and
+			// rows decoded to values.
+			"values_fused":   float64(res.Stats.ValuesFused),
+			"values_decoded": float64(res.Stats.ValuesDecoded),
 		},
 	}
 	return m, nil

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"etsqp/internal/encoding"
+	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/exec"
 	"etsqp/internal/expr"
 	"etsqp/internal/fusion"
@@ -33,22 +34,23 @@ const pruneChunk = 1024
 func gridChunk(row, hi int) int { return min(hi-row, pruneChunk-(row-1)&63) }
 
 // ErrOverflow is the Section VI-C aggregate-overflow sentinel. It is the
-// fusion package's sentinel re-exported, so a single errors.Is covers
-// both detection sites: the fused closed forms (which return it
-// directly) and the scalar accumulators (whose sticky flag final()
-// wraps around it). Serving layers use it to map overflow to a
-// structured client error instead of a generic failure.
+// fusion package's sentinel re-exported, so one errors.Is covers every
+// report of it: final() and moments.corr() wrap it when an exact total
+// leaves int64. Serving layers use it to map overflow to a structured
+// client error instead of a generic failure.
 var ErrOverflow = fusion.ErrOverflow
 
-// partialAgg is one worker's accumulation state, merged at the merge node.
+// partialAgg is one worker's accumulation state, merged at the merge
+// node. Σv is exact in 128 bits, so no fold order, slicing or merge can
+// change it, and overflow is judged once, on the total, by final(). The
+// count is a plain add: no store holds 2^63 rows.
 type partialAgg struct {
-	sum      int64
-	sumSq    wide
-	count    int64
-	min      int64
-	max      int64
-	seen     bool
-	overflow bool // Section VI-C: detected, surfaced as an error at final
+	sum   encoding.Int128
+	sumSq wide
+	count int64
+	min   int64
+	max   int64
+	seen  bool
 
 	// FIRST/LAST tracking: value at the earliest/latest timestamp seen.
 	firstT, firstV int64
@@ -76,19 +78,10 @@ func (p *partialAgg) addBoundary(firstT, firstV, lastT, lastV int64) {
 //etsqp:hotpath
 //etsqp:nobce
 //etsqp:noescape
-//etsqp:rangecheck
 func (p *partialAgg) addValue(v int64) {
-	s, ok := encoding.AddChecked(p.sum, v)
-	if !ok {
-		p.overflow = true
-	}
-	p.sum = s
+	p.sum = p.sum.AddInt64(v)
 	p.sumSq.addMul(v, v)
-	var okC bool
-	p.count, okC = encoding.AddChecked(p.count, 1)
-	if !okC {
-		p.overflow = true
-	}
+	p.count++
 	if !p.seen || v < p.min {
 		p.min = v
 	}
@@ -101,12 +94,9 @@ func (p *partialAgg) addValue(v int64) {
 // foldRange folds every value of vals inside [c1, c2] into the running
 // state, leaving it exactly as addValue per selected value would — the
 // filter and the fold of every non-fused scan, a chunk at a time: a
-// branch-free pass computes the chunk's (count, sum, min, max), mergeChunk
-// folds them in when a magnitude bound proves the per-value sums could
-// not have overflowed, and only otherwise is the chunk redone value by
-// value through addValue, which sets the sticky overflow flag where the
-// running sum leaves int64. With sq (the plan has a VAR to answer) every
-// chunk takes addValue, the one fold that keeps Σv².
+// branch-free pass computes the chunk's exact (count, sum, min, max)
+// and mergeChunk folds them in. With sq (the plan has a VAR to answer)
+// every value takes addValue, the one fold that keeps Σv².
 //
 //etsqp:hotpath
 //etsqp:noescape
@@ -115,19 +105,19 @@ func (p *partialAgg) foldRange(vals []int64, c1, c2 int64, sq bool) {
 		return
 	}
 	span := uint64(c2) - uint64(c1)
+	if sq {
+		for _, v := range vals {
+			if inSpan(v, c1, span) {
+				p.addValue(v)
+			}
+		}
+		return
+	}
 	for len(vals) > 0 {
 		chunk := vals[:min(len(vals), pruneChunk)]
 		vals = vals[len(chunk):]
-		count, sum, lo, hi := rangeFold(chunk, c1, span)
-		if count == 0 {
-			continue
-		}
-		if sq || !p.mergeChunk(count, sum, lo, hi) {
-			for _, v := range chunk {
-				if inSpan(v, c1, span) {
-					p.addValue(v)
-				}
-			}
+		if count, sum, lo, hi := rangeFold(chunk, c1, span); count > 0 {
+			p.mergeChunk(count, sum, lo, hi)
 		}
 	}
 }
@@ -139,103 +129,63 @@ func (p *partialAgg) foldRange(vals []int64, c1, c2 int64, sq bool) {
 //etsqp:inline
 func inSpan(v, c1 int64, span uint64) bool { return uint64(v)-uint64(c1) <= span }
 
-// rangeFold is the chunk kernel of foldRange: count, wrapping sum,
-// minimum and maximum of the values v with d = v-c1 <= span (unsigned),
-// with no per-value control flow. The borrow of span-d is 1 outside the
-// range; negated it is a mask that drops the value from the sum and the
+// rangeFold is the chunk kernel of foldRange: count, exact sum, minimum
+// and maximum of the values v with d = v-c1 <= span (unsigned), with no
+// per-value control flow. The borrow of span-d is 1 outside the range;
+// negated it is a mask that drops the value from the sums and the
 // maximum. The minimum needs no mask: d maps the range onto [0, span] in
 // order and everything outside it above span, so the smallest d of the
 // chunk is the smallest selected one whenever anything is selected. With
-// count == 0 the bounds are meaningless. The sum wraps by design (like
-// the decoders, it is exact mod 2^64); mergeChunk decides whether it is
-// also exact in int64.
+// count == 0 the bounds are meaningless. The sum is exact for chunks of
+// up to 2^31 values: beside the wrapping Σv it keeps Σ(v>>32), and
+// Σv = 2^32·Σ(v>>32) + Σ(v mod 2^32), whose second term is below 2^63
+// and so is the wrapping difference of the two.
 //
 //etsqp:hotpath
 //etsqp:nobce
 //etsqp:noescape
-func rangeFold(vals []int64, c1 int64, span uint64) (count, sum, lo, hi int64) {
+func rangeFold(vals []int64, c1 int64, span uint64) (count int64, sum encoding.Int128, lo, hi int64) {
 	dmin, dmax := ^uint64(0), uint64(0)
-	var outside, total uint64
+	var outside, total, high uint64
 	for _, v := range vals {
 		d := uint64(v) - uint64(c1)
 		_, out := bits.Sub64(span, d, 0)
 		drop := -out // all ones outside the range
 		outside += out
 		total += uint64(v) &^ drop
+		high += uint64(v>>32) &^ drop
 		dmin = min(dmin, d)
 		dmax = max(dmax, d&^drop)
 	}
-	return int64(len(vals)) - int64(outside), int64(total), c1 + int64(dmin), c1 + int64(dmax)
+	sum = encoding.Int128{}.AddMul(int64(high), 1<<32).AddInt64(int64(total - high<<32))
+	return int64(len(vals)) - int64(outside), sum, c1 + int64(dmin), c1 + int64(dmax)
 }
 
-// mergeChunk folds a chunk's (count > 0, sum, min, max) into the running
-// state if no per-value fold of the chunk could have overflowed (see
-// addBounded, with every value's magnitude at most max(|lo|, |hi|)). It
-// reports false, touching nothing, otherwise; the caller then redoes the
-// chunk through addValue.
+// mergeChunk folds a chunk's (count > 0, exact sum, min, max) into the
+// running state.
 //
 //etsqp:hotpath
 //etsqp:nobce
 //etsqp:noescape
-//etsqp:rangecheck
-func (p *partialAgg) mergeChunk(count, sum, lo, hi int64) bool {
-	seen := p.seen
-	if !p.addBounded(count, sum, max(encoding.Magnitude(lo), encoding.Magnitude(hi))) {
-		return false
-	}
-	if !seen || lo < p.min {
+func (p *partialAgg) mergeChunk(count int64, sum encoding.Int128, lo, hi int64) {
+	if !p.seen || lo < p.min {
 		p.min = lo
 	}
-	if !seen || hi > p.max {
+	if !p.seen || hi > p.max {
 		p.max = hi
 	}
-	return true
+	p.addSum(sum, count)
 }
 
-// addBounded folds a chunk's (count > 0, wrapping sum) into the running
-// sum and count if no per-value fold of the chunk could have overflowed:
-// with every selected value's magnitude at most mag, every prefix of the
-// running sum stays within |p.sum| + count*mag, so when that bound fits
-// int64 the chunk sum is exact and addValue would never have flagged. It
-// reports false, touching nothing, when the bound or the count does not
-// fit. The minimum and maximum are left alone.
+// addSum folds an exact (sum, count) pair: a fused segment's, a chunk's
+// or a partial's.
 //
 //etsqp:hotpath
 //etsqp:nobce
 //etsqp:noescape
-//etsqp:rangecheck
-func (p *partialAgg) addBounded(count, sum int64, mag uint64) bool {
-	over, bound := bits.Mul64(uint64(count), mag)
-	bound, carry := bits.Add64(bound, encoding.Magnitude(p.sum), 0)
-	if over != 0 || carry != 0 || bound > math.MaxInt64 {
-		return false
-	}
-	s, okS := encoding.AddChecked(p.sum, sum)
-	c, okC := encoding.AddChecked(p.count, count)
-	if !okS || !okC {
-		return false
-	}
-	p.sum, p.count, p.seen = s, c, true
-	return true
-}
-
-// addSum folds a fused per-block (sum, count) pair.
-//
-//etsqp:hotpath
-//etsqp:nobce
-//etsqp:noescape
-//etsqp:rangecheck
-func (p *partialAgg) addSum(sum int64, count int64) {
-	s, ok := encoding.AddChecked(p.sum, sum)
-	if !ok {
-		p.overflow = true
-	}
-	p.sum = s
-	var okC bool
-	p.count, okC = encoding.AddChecked(p.count, count)
-	if !okC {
-		p.overflow = true
-	}
+func (p *partialAgg) addSum(sum encoding.Int128, count int64) {
+	p.sum = p.sum.Add(sum)
+	p.count += count
 	p.seen = p.seen || count > 0
 }
 
@@ -243,7 +193,6 @@ func (p *partialAgg) addSum(sum int64, count int64) {
 //
 //etsqp:hotpath
 //etsqp:nobce
-//etsqp:rangecheck
 func (p *partialAgg) merge(o *partialAgg) {
 	if o.seen {
 		if !p.seen || o.min < p.min {
@@ -254,7 +203,6 @@ func (p *partialAgg) merge(o *partialAgg) {
 		}
 		p.seen = true
 	}
-	p.overflow = p.overflow || o.overflow
 	p.addSum(o.sum, o.count)
 	p.sumSq.add(o.sumSq)
 	if o.hasFL {
@@ -263,8 +211,11 @@ func (p *partialAgg) merge(o *partialAgg) {
 }
 
 // final evaluates the aggregate function from the accumulated sums.
+// SUM, AVG and VAR are the Section VI-C error when the total Σv leaves
+// int64; COUNT, MIN, MAX, FIRST and LAST never read it.
 func (p *partialAgg) final(agg sqlparse.AggFunc) (float64, error) {
-	if p.overflow {
+	sum, ok := p.sum.Int64()
+	if !ok {
 		switch agg {
 		case sqlparse.AggSum, sqlparse.AggAvg, sqlparse.AggVar:
 			return 0, fmt.Errorf("engine: %s overflow (Section VI-C check): %w", agg, ErrOverflow)
@@ -274,12 +225,12 @@ func (p *partialAgg) final(agg sqlparse.AggFunc) (float64, error) {
 	case sqlparse.AggCount:
 		return float64(p.count), nil
 	case sqlparse.AggSum:
-		return float64(p.sum), nil
+		return float64(sum), nil
 	case sqlparse.AggAvg:
 		if p.count == 0 {
 			return 0, nil
 		}
-		return float64(p.sum) / float64(p.count), nil
+		return float64(sum) / float64(p.count), nil
 	case sqlparse.AggMin:
 		if !p.seen {
 			return 0, fmt.Errorf("engine: MIN over empty input")
@@ -314,7 +265,7 @@ func (p *partialAgg) final(agg sqlparse.AggFunc) (float64, error) {
 
 // spread is n·Σv² − (Σv)², n² times the population variance, exactly.
 func (p *partialAgg) spread() *big.Int {
-	n, s := big.NewInt(p.count), big.NewInt(p.sum)
+	n, s := big.NewInt(p.count), p.sum.Big()
 	return n.Mul(n, p.sumSq.big()).Sub(n, s.Mul(s, s))
 }
 
@@ -401,10 +352,9 @@ func (e *Engine) executeAgg(p *plan, tr *Trace) (*Result, error) {
 		res.Windows = make([]WindowAgg, len(p.windows))
 		for i, w := range p.windows {
 			v, err := parts[i].final(agg)
-			if err != nil {
-				if parts[i].overflow {
-					return nil, err
-				}
+			if errors.Is(err, ErrOverflow) {
+				return nil, err
+			} else if err != nil {
 				v = 0 // empty window (MIN/MAX have no value)
 			}
 			res.Windows[i] = WindowAgg{Index: w.Index, Start: w.Start, End: w.End, Value: v, Count: parts[i].count}
@@ -553,24 +503,24 @@ func (p *plan) windowCuts(clock rowClock, lo, hi int, scratch *[]int) (first int
 
 // foldSegments is the one value pass of an aggregate job over the cut
 // partition, from one read of the value page (vr), by one of three
-// routes: per-segment sums on encoded form when the job is fused
+// routes: exact per-segment sums on encoded form when the job is fused
 // (Proposition 3), or row counts alone when the plan reads no sum; the
 // scanner when the plan scans under the prune strategy; else rows
 // [cuts[0], cuts[n]) decoded once — from the cache, or from vr — and
-// folded segment by segment. A fused job whose closed form overflows
-// takes the decoded route from the same read. Each segment goes to the
-// windows covering it — straight into the partial when one window does
-// (a plain aggregate's only segment, a tumbling window's), else through
-// one segment partial merged into each — so overlapping windows share
-// the page parse and the decode instead of re-scanning per window:
-// Section VI's G_sw, evaluated incrementally. FIRST/LAST read each
-// window's boundary rows from the same read. The pass's time, less the
-// decode's, is the aggregate stage of a plain aggregate and the window
-// stage of a window.
+// folded segment by segment. Every route's sums are exact, so a fused
+// job never demotes. Each segment goes to the windows covering it —
+// straight into the partial when one window does (a plain aggregate's
+// only segment, a tumbling window's), else through one segment partial
+// merged into each — so overlapping windows share the page parse and
+// the decode instead of re-scanning per window: Section VI's G_sw,
+// evaluated incrementally. FIRST/LAST read each window's boundary rows
+// from the same read. The pass's time, less the decode's, is the
+// aggregate stage of a plain aggregate and the window stage of a window.
 func (e *Engine) foldSegments(p *plan, page *storage.Page, out sliceOutcome, vr *pageRead,
 	cuts, winLo, winHi []int, clock rowClock, part []partialAgg, col *statsCollector, arena *exec.Arena) error {
 	from, to := cuts[0], cuts[len(cuts)-1]
-	var sums, vals []int64
+	var sums []encoding.Int128
+	var vals []int64
 	var sc segScan
 	var ns int64
 	var err error
@@ -582,10 +532,9 @@ func (e *Engine) foldSegments(p *plan, page *storage.Page, out sliceOutcome, vr 
 		}
 		// COUNT, FIRST and LAST read no sum: the fold adds row counts.
 		if p.needSum {
-			if sums, err = vr.segmentSums(cuts, arena.Int64(exec.ClassScratch, len(cuts)-1)); err != nil {
+			sums = arena.Sums(len(cuts) - 1)
+			if err = vr.segmentSums(cuts, sums); err != nil {
 				return err
-			} else if sums == nil {
-				out = outDecoded // the closed form overflowed
 			}
 		}
 		ns = int64(time.Since(start))
@@ -596,8 +545,7 @@ func (e *Engine) foldSegments(p *plan, page *storage.Page, out sliceOutcome, vr 
 		}
 		sc = segScan{bounds: prune.BoundsFromBlock(&vr.blk), n: vr.blk.Count, hi: to,
 			buf: arena.Int64(exec.ClassPrune, pruneChunk)}
-		vlo, vhi, reach := sc.bounds.Reach(vr.blk.First, uint64(sc.n-1))
-		sc.bound, sc.onePass = max(encoding.Magnitude(vlo), encoding.Magnitude(vhi)), reach && p.sumFold
+		sc.onePass = p.sumFold && onePassExact(sc.bounds, &vr.blk)
 		if err = sc.s.Reset(&vr.blk, from); err != nil {
 			return err
 		}
@@ -634,7 +582,7 @@ func (e *Engine) foldSegments(p *plan, page *storage.Page, out sliceOutcome, vr 
 		}
 		switch {
 		case fused && sums == nil:
-			local.addSum(0, int64(cuts[s+1]-cuts[s]))
+			local.addSum(encoding.Int128{}, int64(cuts[s+1]-cuts[s]))
 		case fused:
 			local.addSum(sums[s], int64(cuts[s+1]-cuts[s]))
 		case scan:
@@ -669,25 +617,15 @@ func (e *Engine) foldSegments(p *plan, page *storage.Page, out sliceOutcome, vr 
 	return nil
 }
 
-// segmentSums fills sums over the cut partition on encoded form:
-// fusion.SumRangeSegments over the runs, SumBlockSegments over a block.
-// A closed form that overflows returns nil sums and no error: the forms
-// are conservative — an RLBE page's bound rows·(|first| + Σ|Δ|·count),
-// or a TS2DIFF running sum, can leave int64 even when the decoded fold
-// stays in range — so the decoded route re-detects any genuine overflow
-// exactly via the checked accumulators. A COUNT beside them then still
-// answers while SUM/AVG surface the Section VI-C error from final().
-func (r *pageRead) segmentSums(cuts []int, sums []int64) ([]int64, error) {
-	var err error
+// segmentSums fills sums with the exact sums over the cut partition on
+// encoded form: fusion.SumRangeSegmentsExact over the runs,
+// SumBlockSegmentsExact over a block. Neither can overflow; a total that
+// leaves int64 is final()'s to report.
+func (r *pageRead) segmentSums(cuts []int, sums []encoding.Int128) error {
 	if r.form == formRuns {
-		err = fusion.SumRangeSegments(r.first, r.runs, cuts, sums)
-	} else {
-		err = fusion.SumBlockSegments(&r.blk, cuts, sums)
+		return fusion.SumRangeSegmentsExact(r.first, r.runs, cuts, sums)
 	}
-	if errors.Is(err, fusion.ErrOverflow) {
-		return nil, nil
-	}
-	return sums, err
+	return fusion.SumBlockSegmentsExact(&r.blk, cuts, sums)
 }
 
 // addBoundary folds the first and last row of a window's rows [lo, hi)
@@ -709,22 +647,28 @@ func addBoundary(part *partialAgg, vr *pageRead, vals []int64, base, lo, hi int,
 
 // segScan is the scanner route of foldSegments: one RangeScanner walks
 // the job's rows of a TS2DIFF block in gridChunk chunks, cut short at
-// each segment's end. One header reach (prune.Bounds.Reach) serves two
-// rules. Over the rest of the page it stops the scan as soon as nothing
-// ahead can satisfy the filter (Proposition 5), and the segments after
-// the stop get no rows. Over the whole page it bounds every row's
-// magnitude, which admits a sumFold plan to the one pass (scanFold),
-// whose time is all decode stage. Any other scan decodes each chunk and
-// folds it (foldValues). An order-2 or width-63/64 page has no reach: it
-// never stops early and takes the checked fold.
+// each segment's end. Over the rest of the page the header's reach
+// (prune.Bounds.Reach) stops the scan as soon as nothing ahead can
+// satisfy the filter (Proposition 5), and the segments after the stop
+// get no rows. A sumFold plan takes the one pass (RangeScanner.ScanFold,
+// whose time is all decode stage) on a page onePassExact admits; any
+// other scan decodes each chunk and folds it (foldValues).
 type segScan struct {
 	s        pipeline.RangeScanner
 	bounds   prune.Bounds
 	buf      []int64 // the chunk buffer, in the worker's arena
-	bound    uint64  // every row's magnitude, when onePass
 	onePass  bool
 	n, hi    int   // the page's rows; the scan's end, which a stop lowers
 	decodeNs int64 // the decode phases, when not onePass
+}
+
+// onePassExact admits a page to the one pass: the header's reach over
+// the whole page bounds every row's magnitude, and pruneChunk rows of
+// that magnitude sum inside int64, so every chunk's wrapping sum is
+// exact. An order-2 or width-63/64 page has no reach.
+func onePassExact(bounds prune.Bounds, b *ts2diff.Block) bool {
+	lo, hi, reach := bounds.Reach(b.First, uint64(b.Count-1))
+	return reach && max(encoding.Magnitude(lo), encoding.Magnitude(hi)) <= math.MaxInt64/pruneChunk
 }
 
 // fold scans the rows before end, a segment's, into local.
@@ -737,7 +681,7 @@ func (sc *segScan) fold(p *plan, end int, local *partialAgg, col *statsCollector
 		var last int64
 		var err error
 		if sc.onePass {
-			last, err = p.scanFold(&sc.s, want, sc.bound, local, sc.buf)
+			last, err = p.scanFold(&sc.s, local, sc.buf[:want])
 		} else {
 			start := time.Now()
 			var k int
@@ -760,31 +704,18 @@ func (sc *segScan) fold(p *plan, end int, local *partialAgg, col *statsCollector
 }
 
 // scanFold is one chunk of a sumFold plan's pruned scan in one pass: the
-// fields of up to n rows are unpacked into buf by one ReadFields call,
-// and the rows filtered, counted and summed without being stored
-// (RangeScanner.ScanFold), then merged when bound, the page's magnitude
-// bound, proves no per-value fold could have overflowed. Else the chunk
-// is redone by decode-then-fold (Next into buf, foldRange) on a copy of
-// the scanner taken before it, which sets the sticky overflow flag
-// exactly where addValue would; s has already passed the chunk either
-// way. It returns the chunk's last value; the partial's minimum and
-// maximum are kept only on the redo.
+// fields of up to len(buf) rows are unpacked into buf by one ReadFields
+// call, and the rows filtered, counted and summed without being stored
+// (RangeScanner.ScanFold); on a page onePassExact admits, the chunk's
+// wrapping sum is its exact sum. It returns the chunk's last value; the
+// partial's minimum and maximum are not kept.
 //
 //etsqp:hotpath
 //etsqp:noescape
-func (p *plan) scanFold(s *pipeline.RangeScanner, n int, bound uint64,
-	local *partialAgg, buf []int64) (last int64, err error) {
-	before := *s
-	count, sum, last, err := s.ScanFold(buf[:n], p.c1, uint64(p.c2)-uint64(p.c1))
-	if err != nil || count == 0 || local.addBounded(count, sum, bound) {
-		return last, err
-	}
-	k, err := before.Next(buf[:n])
-	if err != nil || k == 0 {
-		return 0, err
-	}
-	local.foldRange(buf[:k], p.c1, p.c2, false)
-	return buf[k-1], nil
+func (p *plan) scanFold(s *pipeline.RangeScanner, local *partialAgg, buf []int64) (last int64, err error) {
+	count, sum, last, err := s.ScanFold(buf, p.c1, uint64(p.c2)-uint64(p.c1))
+	local.addSum(encoding.Int128{}.AddInt64(sum), count)
+	return last, err
 }
 
 // foldValues applies the predicates and accumulates matches: the chunk

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -27,12 +28,11 @@ func foldByValue(p *partialAgg, vals []int64, c1, c2 int64) {
 }
 
 // TestFoldRangeParity: the chunk fold must leave partialAgg exactly as
-// the per-value addValue loop does — sum, count, min, max, seen and the
-// sticky overflow flag always, sumSq when VAR is planned — over chunks
-// that hold the int64 extremes, ranges that end at them, running sums
-// within one value of ±2^63 (so only the checked redo can set the flag
-// at the right row, or leave it clear), empty selections and inverted
-// ranges, at lengths on both sides of a chunk.
+// the per-value addValue loop does — the exact sum, count, min, max and
+// seen always, sumSq when VAR is planned — over chunks that hold the
+// int64 extremes, ranges that end at them, running sums at ±2^63 and
+// past them (so chunk sums carry into and out of the high word), empty
+// selections and inverted ranges, at lengths on both sides of a chunk.
 func TestFoldRangeParity(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	edges := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
@@ -47,15 +47,6 @@ func TestFoldRangeParity(t *testing.T) {
 		default:
 			return (r.Int63n(2001) - 1000) << 52 // a few of these wrap a sum
 		}
-	}
-	starts := []partialAgg{
-		{},
-		{sum: math.MaxInt64, count: 1, min: math.MaxInt64, max: math.MaxInt64, seen: true},
-		{sum: math.MaxInt64 - 3, count: 7, min: -5, max: 1 << 61, seen: true},
-		{sum: math.MinInt64, count: 1, min: math.MinInt64, max: math.MinInt64, seen: true},
-		{sum: math.MinInt64 + 2, count: 3, min: math.MinInt64 + 2, max: 0, seen: true},
-		{sum: 12, count: math.MaxInt64 - 2, min: 3, max: 4, seen: true},
-		{sum: -1, count: 2, min: -1, max: 0, seen: true, overflow: true},
 	}
 	for iter := 0; iter < 4000; iter++ {
 		n := []int{0, 1, 2, 63, 700, pruneChunk - 1, pruneChunk, pruneChunk + 1, 2*pruneChunk + 17}[r.Intn(9)]
@@ -73,11 +64,10 @@ func TestFoldRangeParity(t *testing.T) {
 		if r.Intn(4) == 0 {
 			c1, c2 = math.MinInt64, math.MaxInt64
 		}
-		start := starts[r.Intn(len(starts))]
+		start := foldStarts[r.Intn(len(foldStarts))]
 		if small && r.Intn(2) == 0 {
-			// One value away from the edge: whether the chunk overflows
-			// turns on the sign of its first selected values.
-			start.sum = []int64{math.MaxInt64, math.MinInt64}[r.Intn(2)] - int64(r.Intn(3)) + 1
+			// A sum at the edge: the chunk's sum carries it across ±2^63.
+			start.sum = encoding.Int128{}.AddInt64([]int64{math.MaxInt64, math.MinInt64}[r.Intn(2)] - int64(r.Intn(3)) + 1)
 		}
 		for _, sq := range []bool{false, true} {
 			got, want := start, start
@@ -93,20 +83,23 @@ func TestFoldRangeParity(t *testing.T) {
 	}
 }
 
-// TestFoldRangeAllocs: the fold and its kernel work in registers.
+// TestFoldRangeAllocs: the fold and its kernel work in registers, with
+// and without Σv², over a running sum that leaves int64.
 func TestFoldRangeAllocs(t *testing.T) {
 	vals := make([]int64, 3*pruneChunk+5)
 	for i := range vals {
-		vals[i] = int64(i%97) << uint(i%3*30) // the top third forces the checked redo
+		vals[i] = int64(i%97) << uint(i%3*30) // the top third wraps around int64
 	}
 	var p partialAgg
-	if n := testing.AllocsPerRun(50, func() {
-		p.foldRange(vals, 5, 1<<62, true)
-	}); n != 0 {
-		t.Fatalf("foldRange allocates %.1f/op", n)
+	for _, sq := range []bool{false, true} {
+		if n := testing.AllocsPerRun(50, func() {
+			p.foldRange(vals, 5, 1<<62, sq)
+		}); n != 0 {
+			t.Fatalf("foldRange (sq=%v) allocates %.1f/op", sq, n)
+		}
 	}
-	if !p.overflow {
-		t.Fatal("the redo path was not reached: running sum never overflowed")
+	if _, ok := p.sum.Int64(); ok {
+		t.Fatal("the running sum never left int64")
 	}
 }
 
@@ -164,22 +157,8 @@ func walkPage(n int, first int64, width uint, seed uint64) []int64 {
 	return vals
 }
 
-// headerBound is the one pass's magnitude bound over b, as the scanner
-// route of foldSegments takes it from the header's reach over the whole
-// page.
-func headerBound(b *ts2diff.Block) (uint64, bool) {
-	lo, hi, ok := prune.BoundsFromBlock(b).Reach(b.First, uint64(b.Count-1))
-	return max(encoding.Magnitude(lo), encoding.Magnitude(hi)), ok
-}
-
-// checkScanFold scans vals from row from in chunks of chunk rows twice:
-// through plan.scanFold, and through Next + foldRange, the decode-then-fold
-// path it replaces, each from the running partial start, with c1 <= c2
-// (the plan's sumFold condition). After every chunk both scanners must
-// stand at the same place and both partials agree on everything but the
-// minimum and maximum, which the one pass does not keep. A page without a
-// header bound runs with bound MaxUint64, which no chunk passes, so every
-// chunk takes the redo; a page with one must have no row beyond it.
+// checkScanFold scans vals from row from in chunks of chunk rows twice
+// (checkScanFoldChunks).
 func checkScanFold(t *testing.T, vals []int64, from, chunk int, c1, c2 int64, start partialAgg) {
 	t.Helper()
 	var chunks []int
@@ -189,22 +168,27 @@ func checkScanFold(t *testing.T, vals []int64, from, chunk int, c1, c2 int64, st
 	checkScanFoldChunks(t, vals, from, chunks, c1, c2, start)
 }
 
-// checkScanFoldChunks is checkScanFold over a given sequence of chunk
-// lengths from row from.
+// checkScanFoldChunks scans vals from row from in the given chunk
+// lengths twice: through plan.scanFold, the one pass, and through Next +
+// foldRange, the decode-then-fold path it stands in for, with c1 <= c2
+// (the plan's sumFold condition). After every chunk both scanners must
+// stand at the same place with the same last row, and the one pass must
+// have the chunk's count and its exact sum mod 2^64. On a page
+// onePassExact admits, no row may lie beyond the bound it admits on, the
+// chunk sum must be exact, and the two partials, folded from start, must
+// agree on everything but the minimum and maximum, which the one pass
+// does not keep.
 func checkScanFoldChunks(t *testing.T, vals []int64, from int, chunks []int, c1, c2 int64, start partialAgg) {
 	t.Helper()
 	b, err := ts2diff.Encode(vals, ts2diff.Order1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, ok := headerBound(b)
+	admit := onePassExact(prune.BoundsFromBlock(b), b)
 	for _, v := range vals {
-		if ok && encoding.Magnitude(v) > bound {
-			t.Fatalf("width %d: row %d beyond header bound %d", b.Width, v, bound)
+		if admit && encoding.Magnitude(v) > math.MaxInt64/pruneChunk {
+			t.Fatalf("width %d: row %d admitted to the one pass", b.Width, v)
 		}
-	}
-	if !ok {
-		bound = math.MaxUint64
 	}
 	p := &plan{c1: c1, c2: c2}
 	var one, ref pipeline.RangeScanner
@@ -220,8 +204,10 @@ func checkScanFoldChunks(t *testing.T, vals []int64, from int, chunks []int, c1,
 		size = max(size, n)
 	}
 	buf, refBuf := make([]int64, size), make([]int64, size)
+	mod := new(big.Int).Lsh(big.NewInt(1), 64)
 	for _, n := range chunks {
-		last, err := p.scanFold(&one, n, bound, &got, buf[:n])
+		var onePass, chunk partialAgg
+		last, err := p.scanFold(&one, &onePass, buf[:n])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,34 +215,51 @@ func checkScanFoldChunks(t *testing.T, vals []int64, from int, chunks []int, c1,
 		if err != nil || k != n {
 			t.Fatalf("Next(%d): %d rows, %v", n, k, err)
 		}
-		want.foldRange(refBuf[:k], c1, c2, false)
+		chunk.foldRange(refBuf[:k], c1, c2, false)
+		gotSum, wantSum := onePass.sum.Big(), chunk.sum.Big()
+		wrapped := new(big.Int).Sub(gotSum, wantSum)
+		if last != refBuf[k-1] || !reflect.DeepEqual(one, ref) || onePass.count != chunk.count ||
+			wrapped.Mod(wrapped, mod).Sign() != 0 || admit && gotSum.Cmp(wantSum) != 0 {
+			t.Fatalf("width %d (admitted %v), rows [%d, %d) in chunks of %v, [%d, %d]: at row %d\none pass count %d sum %s last %d (row %d)\nNext+foldRange count %d sum %s last %d",
+				b.Width, admit, from, b.Count, chunks, c1, c2, ref.Row(), onePass.count, gotSum, last, one.Row(), chunk.count, wantSum, refBuf[k-1])
+		}
+		got.addSum(onePass.sum, onePass.count)
+		want.merge(&chunk)
 		g, w := got, want
 		g.min, g.max, w.min, w.max = 0, 0, 0, 0
-		if last != refBuf[k-1] || !reflect.DeepEqual(one, ref) || g != w {
-			t.Fatalf("width %d, rows [%d, %d) in chunks of %v, [%d, %d] from %+v: at row %d\none pass %+v last %d (row %d)\nNext+foldRange %+v last %d",
-				b.Width, from, b.Count, chunks, c1, c2, start, ref.Row(), got, last, one.Row(), want, refBuf[k-1])
+		if admit && g != w {
+			t.Fatalf("width %d, rows [%d, %d) from %+v: one pass %+v, Next+foldRange %+v", b.Width, from, b.Count, start, got, want)
 		}
 	}
 }
 
-// foldStarts are running partials for the fold parity tests: empty, and
-// sums within a few values of the int64 edges, where only the checked
-// redo sets (or leaves clear) the overflow flag at the right row.
+// partialAt is a running partial of count rows in [lo, hi] whose sum is
+// the exact total of sums.
+func partialAt(count, lo, hi int64, sums ...int64) partialAgg {
+	p := partialAgg{count: count, min: lo, max: hi, seen: true}
+	for _, s := range sums {
+		p.sum = p.sum.AddInt64(s)
+	}
+	return p
+}
+
+// foldStarts are running partials for the fold parity tests: empty,
+// sums at the int64 edges, and sums already past them.
 var foldStarts = []partialAgg{
 	{},
-	{sum: math.MaxInt64, count: 1, min: math.MaxInt64, max: math.MaxInt64, seen: true},
-	{sum: math.MaxInt64 - 3, count: 7, min: -5, max: 1 << 61, seen: true},
-	{sum: math.MinInt64, count: 1, min: math.MinInt64, max: math.MinInt64, seen: true},
-	{sum: math.MinInt64 + 2, count: 3, min: math.MinInt64 + 2, max: 0, seen: true},
-	{sum: 12, count: math.MaxInt64 - 2, min: 3, max: 4, seen: true},
-	{sum: -1, count: 2, min: -1, max: 0, seen: true, overflow: true},
+	partialAt(1, math.MaxInt64, math.MaxInt64, math.MaxInt64),
+	partialAt(7, -5, 1<<61, math.MaxInt64-3),
+	partialAt(1, math.MinInt64, math.MinInt64, math.MinInt64),
+	partialAt(3, math.MinInt64+2, 0, math.MinInt64+2),
+	partialAt(2, math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64),
+	partialAt(2, math.MinInt64, math.MinInt64, math.MinInt64, math.MinInt64),
 }
 
 // TestScanFoldParity: the one pass must leave the scanner and the partial
 // as Next + foldRange does, at every packing width 0..64, from start rows
 // on and off the 64-field grid, in chunks on both sides of a group and of
 // pruneChunk, under ranges that end at the int64 edges and straddle the
-// page, and from running sums that make the page's bound fail per chunk.
+// page, on pages the one pass admits and on pages it does not.
 func TestScanFoldParity(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	for width := uint(0); width <= 64; width++ {
@@ -285,8 +288,8 @@ func TestScanFoldParity(t *testing.T) {
 	// The pruned scan's own geometry (gridChunk): chunks that end on the
 	// 64-field grid and a last one that ends off it at the slice end,
 	// starts in the middle of a group, widths at and inside the unpack
-	// kernels' edges, one-row pages, and running sums (or a width-63
-	// page, which has no header bound) that send chunks to the bound redo.
+	// kernels' edges, one-row pages, running sums at and past the int64
+	// edges, and a width-63 page, which has no header bound.
 	g := rand.New(rand.NewSource(37))
 	for _, width := range []uint{0, 1, 12, 32, 33, 63} {
 		for _, n := range []int{1, 2, 64, 66, 1025, 2113, 3000} {
@@ -386,18 +389,17 @@ func wavePage(n int, center int64, width uint, seed uint64) []int64 {
 // BenchmarkScanFold times one chunk-by-chunk pass over a wave-width page
 // both ways — the one pass, and Next + foldRange — at a selectivity
 // branches mispredict on (half) and one they predict; then the one pass
-// alone as the pruned scan runs it (gridChunk chunks, page bound
-// merged) over wave pages at the decode_scan widths, under its two
-// filter shapes: A > c about the page's centre, and a narrow band.
+// alone as the pruned scan runs it (gridChunk chunks) over wave pages at
+// the decode_scan widths, under its two filter shapes: A > c about the
+// page's centre, and a narrow band.
 func BenchmarkScanFold(b *testing.B) {
 	vals := walkPage(4096, 1<<20, 12, 1)
 	blk, err := ts2diff.Encode(vals, ts2diff.Order1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bound, ok := headerBound(blk)
-	if !ok {
-		b.Fatal("no page bound")
+	if !onePassExact(prune.BoundsFromBlock(blk), blk) {
+		b.Fatal("page not admitted to the one pass")
 	}
 	sorted := slices.Clone(vals)
 	slices.Sort(sorted)
@@ -411,7 +413,7 @@ func BenchmarkScanFold(b *testing.B) {
 				var acc partialAgg
 				_ = s.Reset(blk, 0)
 				for s.Row() < blk.Count {
-					if _, err := p.scanFold(&s, min(pruneChunk, blk.Count-s.Row()), bound, &acc, buf); err != nil {
+					if _, err := p.scanFold(&s, &acc, buf[:min(pruneChunk, blk.Count-s.Row())]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -443,9 +445,8 @@ func BenchmarkScanFold(b *testing.B) {
 		if blk.Width != width {
 			b.Fatalf("wave page packs at width %d, want %d", blk.Width, width)
 		}
-		bound, ok := headerBound(blk)
-		if !ok {
-			b.Fatal("no page bound")
+		if !onePassExact(prune.BoundsFromBlock(blk), blk) {
+			b.Fatal("page not admitted to the one pass")
 		}
 		for _, f := range []struct {
 			name   string
@@ -458,7 +459,7 @@ func BenchmarkScanFold(b *testing.B) {
 					var acc partialAgg
 					_ = s.Reset(blk, 0)
 					for row := 0; row < blk.Count; row = s.Row() {
-						if _, err := p.scanFold(&s, gridChunk(row, blk.Count), bound, &acc, buf); err != nil {
+						if _, err := p.scanFold(&s, &acc, buf[:gridChunk(row, blk.Count)]); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -469,15 +470,15 @@ func BenchmarkScanFold(b *testing.B) {
 	}
 }
 
-// TestFoldOverflowByQuery: queries whose answer turns on the order the
-// selected values are added in, so only the checked redo behind the
-// chunk fold gets it right, in every mode, whole pages and forced
-// slices. In the first series a prefix of the selected values leaves
-// int64 and the rest brings the total back: the wrapped chunk sum is a
-// perfectly plausible number, and SUM must still be the Section VI-C
-// error while COUNT and MIN answer. In the second the values alternate
-// in sign at the same magnitude: the chunk's magnitude bound cannot
-// rule overflow out, the redo finds none, and SUM must be exact.
+// TestFoldOverflowByQuery: queries whose running sum, in row order,
+// leaves int64, in every mode, whole pages and forced slices. Overflow is
+// judged on the total alone. In the first series four 2^61 make the
+// running sum 2^63 and four −2^61 bring it back: over the rows a filter
+// keeps with all eight the total fits and SUM is exact, while over the
+// first four alone (A >= 1) the total is 2^63 plus the small rows and
+// SUM is the Section VI-C error; COUNT and MIN answer either way. In
+// the second the values alternate in sign at the same magnitude, and
+// SUM is exact.
 func TestFoldOverflowByQuery(t *testing.T) {
 	const n, big = 3000, int64(1) << 61
 	ts := make([]int64, n)
@@ -497,8 +498,11 @@ func TestFoldOverflowByQuery(t *testing.T) {
 			alternates[i] = -alternates[i]
 		}
 	}
-	var altSum, altCount int64
+	var wrapSum, altSum, altCount int64
 	for i := range ts {
+		if wraps[i] >= -big && wraps[i] != 0 {
+			wrapSum += wraps[i] // the eight ±2^61 cancel
+		}
 		if alternates[i] >= -big {
 			altSum += alternates[i] // never leaves int64: partial sums stay within ±2^61
 			altCount++
@@ -509,13 +513,17 @@ func TestFoldOverflowByQuery(t *testing.T) {
 			name := fmt.Sprintf("%v/slices=%d", mode, slices)
 			e := New(storeFor(t, mode, ts, wraps, 1024), mode)
 			e.Workers, e.ForceSlices = 2, slices
-			if _, err := e.ExecuteSQL(fmt.Sprintf("SELECT SUM(A), MIN(A) FROM ts WHERE A >= %d AND A != 0", -big)); !errors.Is(err, ErrOverflow) {
-				t.Errorf("%s: SUM over a prefix that leaves int64 (!= path): error %v, want ErrOverflow", name, err)
+			res, err := e.ExecuteSQL(fmt.Sprintf("SELECT SUM(A), MIN(A) FROM ts WHERE A >= %d AND A != 0", -big))
+			if err != nil {
+				t.Fatalf("%s: SUM over rows whose running sum leaves int64 and returns (!= path): %v", name, err)
+			}
+			if got := res.Aggregates["SUM(A)"]; got != float64(wrapSum) {
+				t.Errorf("%s: SUM %v, want %d", name, got, wrapSum)
 			}
 			if _, err := e.ExecuteSQL("SELECT SUM(A), MIN(A) FROM ts WHERE A >= 1"); !errors.Is(err, ErrOverflow) {
-				t.Errorf("%s: SUM over a prefix that leaves int64: error %v, want ErrOverflow", name, err)
+				t.Errorf("%s: SUM over a total past int64: error %v, want ErrOverflow", name, err)
 			}
-			res, err := e.ExecuteSQL(fmt.Sprintf("SELECT COUNT(A), MIN(A) FROM ts WHERE A >= %d", -big))
+			res, err = e.ExecuteSQL(fmt.Sprintf("SELECT COUNT(A), MIN(A) FROM ts WHERE A >= %d", -big))
 			if err != nil {
 				t.Fatalf("%s: COUNT, MIN beside an overflowed sum: %v", name, err)
 			}

@@ -41,9 +41,8 @@ func (m Mode) strategy() *strategy {
 }
 
 // sliceOutcome is the path the plan assigns one aggregation job, from
-// the page headers and the predicates alone. A fused job still demotes
-// to a decode at run time when its closed form overflows, which the
-// result statistics show.
+// the page headers and the predicates alone, and the path it runs: the
+// closed forms sum exactly, so a fused job never demotes to a decode.
 type sliceOutcome uint8
 
 const (

@@ -124,9 +124,11 @@ func (s *moments) merge(o *moments) {
 
 // corr evaluates r = (n·Σab − Σa·Σb) / √(spread(a)·spread(b)): exact but
 // for a root and a quotient at 512 bits, which hold the product of two
-// spreads (each below 2^63·2^189), and rounded once, so |r| <= 1.
+// spreads (each below 2^63·2^189), and rounded once, so |r| <= 1. It is
+// the Section VI-C error when the total Σa or Σb leaves int64.
 func (s *moments) corr() (float64, error) {
-	if s.a.overflow || s.b.overflow {
+	_, okA := s.a.sum.Int64()
+	if _, okB := s.b.sum.Int64(); !okA || !okB {
 		return 0, fmt.Errorf("engine: CORR overflow (Section VI-C check): %w", ErrOverflow)
 	}
 	if s.a.count == 0 {
@@ -137,7 +139,7 @@ func (s *moments) corr() (float64, error) {
 		return 0, fmt.Errorf("engine: CORR undefined for zero variance")
 	}
 	num := new(big.Int).Sub(s.ab[0].big(), s.ab[1].big())
-	num.Mul(num, big.NewInt(s.a.count)).Sub(num, new(big.Int).Mul(big.NewInt(s.a.sum), big.NewInt(s.b.sum)))
+	num.Mul(num, big.NewInt(s.a.count)).Sub(num, new(big.Int).Mul(s.a.sum.Big(), s.b.sum.Big()))
 	den := new(big.Float).SetPrec(512).SetInt(da.Mul(da, db))
 	r := new(big.Float).SetPrec(512).SetInt(num)
 	f, _ := r.Quo(r, den.Sqrt(den)).Float64()

@@ -110,8 +110,8 @@ func TestTimeStopEveryShape(t *testing.T) {
 
 // TestFusedCountsReadNoSum: a fused job whose plan reads no sum — COUNT,
 // FIRST or LAST alone — adds each segment's row count and skips the
-// closed form, so a page whose closed form overflows int64 (values near
-// 2^62) is not decoded, and the answers equal ModeSerial's.
+// closed form, so a page whose sum leaves int64 (values near 2^62) is
+// neither summed nor decoded, and the answers equal ModeSerial's.
 func TestFusedCountsReadNoSum(t *testing.T) {
 	const n = 8192
 	ts, vals := make([]int64, n), make([]int64, n)

@@ -240,7 +240,7 @@ func TestPoolClose(t *testing.T) {
 func TestArenaClasses(t *testing.T) {
 	a := &Arena{}
 	ts := a.Int64(ClassPrune, 8)
-	vs := a.Int64(ClassScratch, 8)
+	vs := a.Int64(ClassClock, 8)
 	for i := range ts {
 		ts[i] = 100 + int64(i)
 		vs[i] = 200 + int64(i)
@@ -261,8 +261,11 @@ func TestArenaClasses(t *testing.T) {
 	if len(big) != 1024 {
 		t.Fatalf("grow returned len %d", len(big))
 	}
+	if sums := a.Sums(4); len(sums) != 4 {
+		t.Fatalf("sum borrow returned len %d", len(sums))
+	}
 	a.Reset()
-	if a.bufs[ClassPrune] != nil {
+	if a.bufs[ClassPrune] != nil || a.sums != nil {
 		t.Fatal("Reset kept a buffer")
 	}
 }

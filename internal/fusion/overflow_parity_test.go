@@ -1,16 +1,19 @@
-// Overflow-parity oracle: the fused closed forms and the checked
-// decode-then-aggregate route must agree on overflow detection. The
-// contract is one-directional where it has to be — fusion's per-run
-// polynomials (n·a², Δ²·Σi², …) can leave int64 on intermediates even
-// when every flattened value and running sum fits, so the fused path is
-// allowed to be conservative (return ErrOverflow) — but it must NEVER
-// return a silently wrapped value:
+// Overflow-parity oracle: the probe-only closed forms (Sum, SumSquares)
+// and the checked decode-then-aggregate route must agree on overflow
+// detection. The contract is one-directional where it has to be — the
+// per-run polynomials (n·a², Δ²·Σi², …) can leave int64 on intermediates
+// even when every value and running sum fits, so those forms are allowed
+// to be conservative (return ErrOverflow) — but they must NEVER return a
+// silently wrapped value:
 //
 //  1. fused success ⇒ the result equals the exact big-int value
 //     (which therefore fits int64);
 //  2. checked-scalar no-overflow ⇒ the scalar fold equals the exact
 //     big-int value;
 //  3. both succeed ⇒ bit-for-bit agreement.
+//
+// The segment sums the engine runs are held to more (assertSegmentsExact):
+// exact in 128 bits over the stored rows, with no conservative answer.
 package fusion_test
 
 import (
@@ -24,6 +27,7 @@ import (
 	"etsqp/internal/baseline"
 	"etsqp/internal/encoding"
 	"etsqp/internal/fusion"
+	"etsqp/internal/pipeline"
 )
 
 // bigAggregate folds Σv and Σv² exactly in big-int arithmetic — the
@@ -112,8 +116,12 @@ func assertOverflowParity(t *testing.T, name string, first int64, pairs []encodi
 }
 
 // assertSegmentsExact cuts the page at random rows, drawn from a source
-// seeded by the page, and requires SumRangeSegments to be exact against
-// math/big in every segment whenever it does not report ErrOverflow.
+// seeded by the page, and holds SumRangeSegmentsExact to math/big over
+// the stored rows in every segment: the flattened page, each row wrapped
+// to int64 as pipeline.FlattenInto writes it, which is what every decode
+// of the page reads. The int64 form SumRangeSegments must then succeed,
+// with the same sums, exactly when every segment's total fits int64, and
+// otherwise return ErrOverflow.
 func assertSegmentsExact(t *testing.T, name string, first int64, pairs []encoding.DeltaRun) {
 	t.Helper()
 	rows := fusion.Count(pairs)
@@ -122,39 +130,37 @@ func assertSegmentsExact(t *testing.T, name string, first int64, pairs []encodin
 	for k := 1 + rng.Intn(5); k > 0; k-- {
 		cuts = append(cuts, cuts[len(cuts)-1]+1+rng.Intn(rows/2+2))
 	}
+	stored := make([]int64, rows)
+	pipeline.FlattenInto(stored, first, pairs)
+	exact := make([]encoding.Int128, len(cuts)-1)
+	if err := fusion.SumRangeSegmentsExact(first, pairs, cuts, exact); err != nil {
+		t.Fatalf("%s: SumRangeSegmentsExact: %v", name, err)
+	}
+	fits := true
+	want := make([]*big.Int, len(exact))
+	for s := range exact {
+		want[s] = new(big.Int)
+		for _, v := range stored[min(cuts[s], rows):min(cuts[s+1], rows)] {
+			want[s].Add(want[s], big.NewInt(v))
+		}
+		if exact[s].Big().Cmp(want[s]) != 0 {
+			t.Errorf("%s: SumRangeSegmentsExact cuts %v segment %d = %s, stored rows sum to %s", name, cuts, s, exact[s].Big(), want[s])
+		}
+		fits = fits && want[s].IsInt64()
+	}
 	sums := make([]int64, len(cuts)-1)
-	err := fusion.SumRangeSegments(first, pairs, cuts, sums)
-	if err != nil {
+	switch err := fusion.SumRangeSegments(first, pairs, cuts, sums); {
+	case !fits:
 		if !errors.Is(err, fusion.ErrOverflow) {
-			t.Fatalf("%s: SumRangeSegments returned unexpected error %v", name, err)
+			t.Errorf("%s: SumRangeSegments cuts %v: %v, want ErrOverflow (a segment total leaves int64)", name, cuts, err)
 		}
-		return
-	}
-	exact := make([]*big.Int, len(sums))
-	for i := range exact {
-		exact[i] = new(big.Int)
-	}
-	cur := big.NewInt(first)
-	add := func(row int) {
+	case err != nil:
+		t.Errorf("%s: SumRangeSegments cuts %v: %v, but every segment total fits int64", name, cuts, err)
+	default:
 		for s := range sums {
-			if cuts[s] <= row && row < cuts[s+1] {
-				exact[s].Add(exact[s], cur)
+			if sums[s] != want[s].Int64() {
+				t.Errorf("%s: SumRangeSegments cuts %v segment %d = %d, want %s", name, cuts, s, sums[s], want[s])
 			}
-		}
-	}
-	add(0)
-	row, d := 0, new(big.Int)
-	for _, p := range pairs {
-		d.SetInt64(p.Delta)
-		for k := 0; k < p.Count; k++ {
-			row++
-			cur.Add(cur, d)
-			add(row)
-		}
-	}
-	for s := range sums {
-		if !exact[s].IsInt64() || sums[s] != exact[s].Int64() {
-			t.Errorf("%s: SumRangeSegments cuts %v segment %d = %d, exact value %s", name, cuts, s, sums[s], exact[s])
 		}
 	}
 }
@@ -179,8 +185,26 @@ func TestOverflowParityExtremePages(t *testing.T) {
 		{"moderate-in-range", 1 << 30, []encoding.DeltaRun{{Delta: 1 << 20, Count: 100}, {Delta: -(1 << 19), Count: 200}}},
 		{"zero-page", 0, []encoding.DeltaRun{{Delta: 0, Count: 64}}},
 	}
+	cases = append(cases, totalEdges...)
 	for _, c := range cases {
 		assertOverflowParity(t, c.name, c.first, c.pairs)
+	}
+
+	// Each edge page as one whole-page segment: the stored rows' total,
+	// or ErrOverflow exactly when it leaves int64.
+	for _, c := range totalEdges {
+		rows := fusion.Count(c.pairs)
+		stored := make([]int64, rows)
+		pipeline.FlattenInto(stored, c.first, c.pairs)
+		want := new(big.Int)
+		for _, v := range stored {
+			want.Add(want, big.NewInt(v))
+		}
+		var sum [1]int64
+		err := fusion.SumRangeSegments(c.first, c.pairs, []int{0, rows}, sum[:])
+		if want.IsInt64() && (err != nil || sum[0] != want.Int64()) || !want.IsInt64() && !errors.Is(err, fusion.ErrOverflow) {
+			t.Errorf("%s: whole-page segment = %d, %v; stored rows total %s", c.name, sum[0], err, want)
+		}
 	}
 
 	// Moderate pages must not trip conservative rejection: the fused path
@@ -206,6 +230,28 @@ func TestOverflowParityExtremePages(t *testing.T) {
 	if err := fusion.SumRangeSegments(1<<20, moderate, []int{0, 77, 201}, seg[:]); err != nil || seg[0]+seg[1] != want.Sum {
 		t.Fatalf("moderate page: SumRangeSegments = %v, %v; oracle total %d", seg, err, want.Sum)
 	}
+}
+
+// totalEdges are pages whose stored rows total at or just past the int64
+// edges, or leave int64 and come back, and the wrapped-run column
+// [MinInt64, MaxInt64, 2^62, 2^62, 2^62], whose first delta (−1) wraps:
+// its runs summed in ℤ would fit int64, and its stored rows total
+// 3·2^62 − 1, which does not.
+var totalEdges = []struct {
+	name  string
+	first int64
+	pairs []encoding.DeltaRun
+}{
+	{"total-max", 1 << 62, []encoding.DeltaRun{{Delta: -1, Count: 1}, {Delta: -(1<<62 - 1), Count: 1}}},
+	{"total-past-max", 1 << 62, []encoding.DeltaRun{{Delta: 0, Count: 1}}},
+	{"total-min", -1 << 62, []encoding.DeltaRun{{Delta: 0, Count: 1}}},
+	{"total-past-min", -1 << 62, []encoding.DeltaRun{{Delta: 0, Count: 1}, {Delta: 1<<62 - 1, Count: 1}}},
+	{"leave-and-return", math.MaxInt64, []encoding.DeltaRun{
+		{Delta: 0, Count: 1}, {Delta: 1, Count: 1}, {Delta: 0, Count: 1}, {Delta: math.MinInt64 + 7, Count: 1},
+	}},
+	{"wrapped-run", math.MinInt64, []encoding.DeltaRun{
+		{Delta: -1, Count: 1}, {Delta: -(1<<62 - 1), Count: 1}, {Delta: 0, Count: 2},
+	}},
 }
 
 // parityRuns decodes the fuzz input shape shared with etsqp-gencorpus:
@@ -241,6 +287,9 @@ func FuzzOverflowParity(f *testing.F) {
 	seed(-3_000_000_000, []encoding.DeltaRun{{Delta: 6_000_000_000, Count: 1}})
 	seed(1<<30, []encoding.DeltaRun{{Delta: 1 << 20, Count: 31}, {Delta: -(1 << 19), Count: 7}})
 	seed(0, []encoding.DeltaRun{{Delta: 1 << 40, Count: 32}})
+	for _, c := range totalEdges {
+		seed(c.first, c.pairs)
+	}
 
 	f.Fuzz(func(t *testing.T, first int64, raw []byte) {
 		assertOverflowParity(t, "fuzz", first, parityRuns(raw))

@@ -2,8 +2,6 @@ package fusion
 
 import (
 	"errors"
-	"math"
-	"math/bits"
 
 	"etsqp/internal/bitio"
 	"etsqp/internal/encoding"
@@ -36,38 +34,34 @@ func validateCuts(cuts []int, nsums int) error {
 	return nil
 }
 
-// SumRangeSegments fills sums[i] with Σ values over rows
-// [cuts[i], cuts[i+1]) of the flattened Delta-Repeat series, walking the
-// runs exactly once. A run spanning several segments contributes one
-// closed-form partial (Proposition 3) per overlapped segment; segments
-// beyond the series' row count stay partial or zero.
+// SumRangeSegmentsExact fills sums[i] with the exact Σ of the stored
+// rows [cuts[i], cuts[i+1]) of the flattened Delta-Repeat series,
+// walking the runs exactly once. A run spanning several segments
+// contributes one closed-form partial (Proposition 3), n·cur + Δ·Σj in
+// 128 bits, per overlapped segment; segments beyond the series' row
+// count stay partial or zero.
 //
-// Overflow is checked once per page, not per segment: the walk also
-// builds a bound B = |first| + Σ|Δ|·count, checked per run, that every
-// value it passes stays within. When rows·B fits int64 so does every
-// value, running value and segment sum, and the closed forms, computed
-// in wrapping int64, are exact. Otherwise it returns ErrOverflow, which
-// callers answer with a decoded, checked fold. (So the walk carries no
-// //etsqp:rangecheck: its sums wrap by design, and the bound decides.)
+// Deltas wrap at encode, so a stored row is its predecessor plus Δ mod
+// 2^64, and the closed form in ℤ is the stored rows' sum only while the
+// run's progression cur + jΔ stays inside int64. The progression is
+// monotone, so its end cur + count·Δ decides; a run that leaves is
+// summed from its stored rows. The walk cannot overflow.
 //
 //etsqp:hotpath
-func SumRangeSegments(first int64, pairs []encoding.DeltaRun, cuts []int, sums []int64) error {
+func SumRangeSegmentsExact(first int64, pairs []encoding.DeltaRun, cuts []int, sums []encoding.Int128) error {
 	if err := validateCuts(cuts, len(sums)); err != nil {
 		return err
 	}
-	for i := range sums {
-		sums[i] = 0
-	}
+	clear(sums)
 	if len(sums) == 0 {
 		return nil
 	}
 	// Row 0 holds `first`; run p then covers rows idx+1 .. idx+Count with
 	// values cur + jΔ (j = row - idx).
 	if cuts[0] == 0 {
-		sums[0] = first
+		sums[0] = sums[0].AddInt64(first)
 	}
 	last := cuts[len(cuts)-1]
-	bound := encoding.Magnitude(first)
 	cur := first
 	idx := 0
 	s := 0
@@ -76,27 +70,26 @@ func SumRangeSegments(first int64, pairs []encoding.DeltaRun, cuts []int, sums [
 		if idx+1 >= last {
 			break
 		}
-		carry, step := bits.Mul64(encoding.Magnitude(p.Delta), uint64(p.Count))
-		bound += step
-		if carry != 0 || bound < step || bound > math.MaxInt64 {
-			return ErrOverflow
-		}
+		_, inRange := encoding.Int128{}.AddInt64(cur).AddMul(p.Delta, uint64(p.Count)).Int64()
 		for s < len(sums) && cuts[s+1] <= idx+1 {
 			s++
 		}
 		for t := s; t < len(sums) && cuts[t] <= runEnd; t++ {
 			lo := max(cuts[t], idx+1)
 			hi := min(cuts[t+1]-1, runEnd) // inclusive last row of the segment
-			if lo > hi {
-				continue
+			switch {
+			case lo > hi:
+			case inRange:
+				sums[t] = sums[t].AddMul(cur, uint64(hi-lo+1))
+				sums[t] = sums[t].AddMul(p.Delta, rampWeight(lo-idx, hi-idx))
+			default: // the stored rows, each the last plus Δ mod 2^64
+				for v, j := cur+p.Delta*int64(lo-idx), lo; j <= hi; v, j = v+p.Delta, j+1 {
+					sums[t] = sums[t].AddInt64(v)
+				}
 			}
-			sums[t] += cur*int64(hi-lo+1) + p.Delta*rampWeight(lo-idx, hi-idx)
 		}
-		cur += p.Delta * int64(p.Count)
+		cur += p.Delta * int64(p.Count) // the stored row, wrapped as decoded
 		idx = runEnd
-	}
-	if hi, lo := bits.Mul64(uint64(min(idx+1, last)), bound); hi != 0 || lo > math.MaxInt64 {
-		return ErrOverflow
 	}
 	return nil
 }
@@ -104,47 +97,43 @@ func SumRangeSegments(first int64, pairs []encoding.DeltaRun, cuts []int, sums [
 // rampWeight is Σ_{j=j0..j1} j = (j0+j1)(j1−j0+1)/2 for 0 <= j0 <= j1,
 // modulo 2^64: the sum and the width differ in parity, so the even one
 // is halved exactly before the wrapping multiply (by shifts, not a
-// branch on data). SumRangeSegments uses it only where its page bound
-// makes the true product term fit.
+// branch on data). Within a page (j1 < 2^32) it is exact.
 //
 //etsqp:inline
-func rampWeight(j0, j1 int) int64 {
+func rampWeight(j0, j1 int) uint64 {
 	s, w := uint64(j0)+uint64(j1), uint64(j1-j0)+1
 	odd := s & 1 // then w is the even one
-	return int64((s >> (odd ^ 1)) * (w >> odd))
+	return (s >> (odd ^ 1)) * (w >> odd)
 }
 
-// SumBlockSegments fills sums[i] with Σ values over rows
+// SumBlockSegmentsExact fills sums[i] with the exact Σ of rows
 // [cuts[i], cuts[i+1]) of a TS2DIFF block, streaming the packed deltas
 // once through a fixed-size stack chunk (the SumBlockOrder2 idiom) for
 // both orders — one decode pass regardless of how many windows cut the
 // block, and a plain range is the one-segment case. Cuts past b.Count
 // contribute what exists. The walk starts near cuts[0], not at row 1:
 // pipeline.Prefix, the resolution RangeScanner.Reset uses, supplies the
-// value there. Rows from the seek point on are added checked.
+// value there. The recurrence wraps as the decoder's does, so each row
+// is its stored value exactly, and each segment's sum is kept in the
+// two words of an Int128: the walk is branch-free per row and cannot
+// overflow.
 //
 //etsqp:hotpath
-//etsqp:rangecheck
-func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
+func SumBlockSegmentsExact(b *ts2diff.Block, cuts []int, sums []encoding.Int128) error {
 	if err := validateCuts(cuts, len(sums)); err != nil {
 		return err
 	}
-	for i := range sums {
-		sums[i] = 0
-	}
+	clear(sums)
 	if len(sums) == 0 {
 		return nil
 	}
-	to := cuts[len(cuts)-1]
-	if to > b.Count {
-		to = b.Count
-	}
+	to := min(cuts[len(cuts)-1], b.Count)
 	if to <= cuts[0] {
 		return nil
 	}
 	cur := b.First
 	if cuts[0] == 0 {
-		sums[0] = cur
+		sums[0] = sums[0].AddInt64(cur)
 	}
 	delta := b.FirstDelta // order-2 running first difference
 	m := b.NumPacked()
@@ -155,8 +144,8 @@ func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
 	row, s := 1, 0
 	// Rows before cuts[0] lie in no segment: seek to the last multiple of
 	// 8 fields at or before it (whole bytes at every width), its prefix
-	// resolved without a walk. The prefix wraps like the decode, so a
-	// wrapping step there leaves the stored row it reaches exact.
+	// resolved without a walk; the few rows left before the cut are
+	// walked into skip.
 	if e := (cuts[0] - 1) &^ 7; e > 0 {
 		var err error
 		if cur, delta, err = pipeline.Prefix(b, e); err != nil {
@@ -164,15 +153,14 @@ func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
 		}
 		row = e + 1
 	}
+	var skip encoding.Int128
+	order1 := b.Order == ts2diff.Order1
 	// 128 fields are whole bytes at every width, so each chunk starts
 	// byte-aligned in the packed stream.
 	var chunk [128]int64
 	for row < to {
 		e := row - 1 // fields consumed so far
-		steps := to - row
-		if steps > len(chunk) {
-			steps = len(chunk)
-		}
+		steps := min(to-row, len(chunk))
 		fields := steps
 		if fields > m-e {
 			fields = m - e
@@ -189,36 +177,85 @@ func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
 		// advance the recurrence, every later row lies in exactly one
 		// segment (row < to <= cuts[len(sums)]).
 		for ds := chunk[:steps]; len(ds) > 0; {
-			end, summed := cuts[0], false
+			end, acc := cuts[0], &skip
 			if row >= end {
 				for cuts[s+1] <= row {
 					s++
 				}
-				end, summed = cuts[s+1], true
+				end, acc = cuts[s+1], &sums[s]
 			}
-			n := len(ds)
-			if end-row < n {
-				n = end - row
-			}
-			acc := sums[s]
-			for _, d := range ds[:n] {
-				okC, okD, okA := true, true, true
-				if b.Order == ts2diff.Order1 {
-					cur, okC = encoding.AddChecked(cur, d)
-				} else {
-					cur, okC = encoding.AddChecked(cur, delta)
-					delta, okD = encoding.AddChecked(delta, d)
+			n := min(len(ds), end-row)
+			sum := *acc
+			if order1 {
+				for _, d := range ds[:n] {
+					cur += d
+					sum = sum.AddInt64(cur)
 				}
-				if summed {
-					acc, okA = encoding.AddChecked(acc, cur)
-				}
-				if !(okC && okD && okA) {
-					return ErrOverflow
+			} else {
+				for _, d := range ds[:n] {
+					cur += delta
+					delta += d
+					sum = sum.AddInt64(cur)
 				}
 			}
-			sums[s] = acc
+			*acc = sum
 			ds = ds[n:]
 			row += n
+		}
+	}
+	return nil
+}
+
+// segmentPage is a page the exact segment kernels read: a TS2DIFF block,
+// or Delta-Repeat runs after a first row.
+type segmentPage struct {
+	b     *ts2diff.Block
+	first int64
+	pairs []encoding.DeltaRun
+}
+
+// SumRangeSegments is SumRangeSegmentsExact narrowed to int64 sums, and
+// SumBlockSegments is SumBlockSegmentsExact narrowed: each returns
+// ErrOverflow when a segment's exact sum leaves int64. Queries call the
+// exact kernels; these stay for the benchmark probes until they time
+// the exact ones (ROADMAP 1A(a)).
+//
+//etsqp:hotpath
+func SumRangeSegments(first int64, pairs []encoding.DeltaRun, cuts []int, sums []int64) error {
+	return segmentPage{first: first, pairs: pairs}.narrow(cuts, sums)
+}
+
+// SumBlockSegments: see SumRangeSegments.
+//
+//etsqp:hotpath
+func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
+	return segmentPage{b: b}.narrow(cuts, sums)
+}
+
+// narrow runs the page's exact kernel over up to 32 segments at a time
+// into a stack array, so it allocates nothing, and narrows each sum.
+func (pg segmentPage) narrow(cuts []int, sums []int64) error {
+	if err := validateCuts(cuts, len(sums)); err != nil {
+		return err
+	}
+	var exact [32]encoding.Int128
+	for k := 0; k < len(sums); k += len(exact) {
+		n := min(len(sums)-k, len(exact))
+		var err error
+		if pg.b != nil {
+			err = SumBlockSegmentsExact(pg.b, cuts[k:k+n+1], exact[:n])
+		} else {
+			err = SumRangeSegmentsExact(pg.first, pg.pairs, cuts[k:k+n+1], exact[:n])
+		}
+		if err != nil {
+			return err
+		}
+		for i, e := range exact[:n] {
+			v, ok := e.Int64()
+			if !ok {
+				return ErrOverflow
+			}
+			sums[k+i] = v
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -49,6 +50,21 @@ func checkSegments(t *testing.T, name string, decoded []int64, cuts []int, sums 
 		}
 		if got != want {
 			t.Fatalf("%s seg [%d,%d): got %d want %d", name, cuts[i], cuts[i+1], got, want)
+		}
+	}
+}
+
+// checkExact holds exact segment sums to math/big over the decoded rows
+// decoded[cuts[i]:cuts[i+1]], cuts clamped to the rows that exist.
+func checkExact(t *testing.T, name string, decoded []int64, cuts []int, exact []encoding.Int128) {
+	t.Helper()
+	for i, got := range exact {
+		want := new(big.Int)
+		for _, v := range decoded[min(cuts[i], len(decoded)):min(cuts[i+1], len(decoded))] {
+			want.Add(want, big.NewInt(v))
+		}
+		if got.Big().Cmp(want) != 0 {
+			t.Fatalf("%s seg [%d,%d): got %s want %s", name, cuts[i], cuts[i+1], got.Big(), want)
 		}
 	}
 }
@@ -247,6 +263,11 @@ func TestSumBlockSegmentsSeek(t *testing.T) {
 							t.Fatalf("%s: %v", name, err)
 						}
 						checkSegments(t, name, vals, cuts, sums)
+						exact := make([]encoding.Int128, len(cuts)-1)
+						if err := SumBlockSegmentsExact(b, cuts, exact); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						checkExact(t, name, vals, cuts, exact)
 					}
 				}
 			}
@@ -255,9 +276,10 @@ func TestSumBlockSegmentsSeek(t *testing.T) {
 }
 
 // TestSumBlockSegmentsSeekWrap: a step that wraps int64 is exact mod 2^64
-// in the prefix the walk seeks past, so the page answers fused with the
-// decoded sums; the same step inside a segment still overflows the
-// walk's checked adds and returns ErrOverflow, for the decoded redo.
+// in the prefix the walk seeks past, so the page answers with the
+// decoded sums; the same step inside a segment is a stored row like any
+// other, so the exact walk sums the segment in 128 bits — past MaxInt64
+// here, which the int64 form reports as ErrOverflow.
 func TestSumBlockSegmentsSeekWrap(t *testing.T) {
 	const n, spike = 4096, 100
 	vals := make([]int64, n)
@@ -279,9 +301,17 @@ func TestSumBlockSegmentsSeekWrap(t *testing.T) {
 			checkSegments(t, fmt.Sprintf("order %v cuts %v", order, cuts), vals, cuts, sums)
 		}
 		for _, cuts := range seekCuts(spike-50, n) {
+			exact := make([]encoding.Int128, len(cuts)-1)
+			if err := SumBlockSegmentsExact(b, cuts, exact); err != nil {
+				t.Fatalf("order %v cuts %v: wrap inside a segment: %v", order, cuts, err)
+			}
+			checkExact(t, fmt.Sprintf("order %v cuts %v", order, cuts), vals, cuts, exact)
+			if _, ok := exact[0].Int64(); ok {
+				t.Fatalf("order %v cuts %v: the spike's segment fits int64; the test no longer crosses MaxInt64", order, cuts)
+			}
 			sums := make([]int64, len(cuts)-1)
 			if err := SumBlockSegments(b, cuts, sums); !errors.Is(err, ErrOverflow) {
-				t.Fatalf("order %v cuts %v: wrap inside a segment returned %v, want ErrOverflow", order, cuts, err)
+				t.Fatalf("order %v cuts %v: int64 form returned %v, want ErrOverflow", order, cuts, err)
 			}
 		}
 	}

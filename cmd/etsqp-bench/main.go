@@ -195,10 +195,10 @@ func printStages(ms []bench.Measurement) {
 
 func printSlices(ms []bench.Measurement) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "slices\telapsed\tMT/s\tprefix-rows (redundant)")
+	fmt.Fprintln(w, "slices\telapsed\tMT/s\tprefix fix-ups")
 	for _, m := range ms {
 		fmt.Fprintf(w, "%s\t%v\t%.2f\t%.0f\n",
-			strings.TrimPrefix(m.X, "slices="), m.Elapsed, m.Throughput, m.Extra["prefix_rows"])
+			strings.TrimPrefix(m.X, "slices="), m.Elapsed, m.Throughput, m.Extra["prefix_fixups"])
 	}
 	w.Flush()
 }

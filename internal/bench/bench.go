@@ -205,6 +205,7 @@ func runReps(e *engine.Engine, sql string, reps int) (Measurement, error) {
 			// rows decoded to values.
 			"values_fused":   float64(res.Stats.ValuesFused),
 			"values_decoded": float64(res.Stats.ValuesDecoded),
+			"bytes_scanned":  float64(res.Stats.BytesScanned),
 		},
 	}
 	return m, nil

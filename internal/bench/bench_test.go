@@ -118,21 +118,23 @@ func TestFig12RunLength(t *testing.T) {
 	if len(ms) != 2*3 {
 		t.Fatalf("measurements = %d", len(ms))
 	}
-	// The fused approach should benefit from longer runs: ETSQP at
-	// runlen=64 should beat ETSQP at runlen=1 (more saved decoding).
-	var et1, et64 float64
+	// ETSQP sums the RLBE runs on encoded form at every run length, and
+	// longer runs encode in fewer bytes: at runlen=64 it reads at most an
+	// eighth of what it reads at runlen=1.
+	scanned := map[string]float64{}
 	for _, m := range ms {
-		if m.Series == engine.ModeETSQP.String() {
-			if m.X == "runlen=1" {
-				et1 = m.Throughput
-			}
-			if m.X == "runlen=64" {
-				et64 = m.Throughput
-			}
+		if m.Series != engine.ModeETSQP.String() {
+			continue
 		}
+		if d := m.Extra["values_decoded"]; d != 0 {
+			t.Errorf("ETSQP/%s: %v values decoded, want 0", m.X, d)
+		}
+		scanned[m.X] = m.Extra["bytes_scanned"]
 	}
-	if et64 <= et1 {
-		t.Logf("warning: fused run-length gain not visible at this size (%.1f vs %.1f)", et64, et1)
+	one, long := scanned["runlen=1"], scanned["runlen=64"]
+	t.Logf("ETSQP scanned %v B at runlen=1, %v B at runlen=64", one, long)
+	if one <= 0 || long > one/8 {
+		t.Errorf("ETSQP scanned %v B at runlen=64, %v B at runlen=1; want at most 1/8", long, one)
 	}
 }
 
@@ -189,8 +191,9 @@ func TestFig14Fusion(t *testing.T) {
 
 // TestTimeShapes asserts the wall-clock orderings among the paper's
 // shapes, each reading the best of 30 runs: Figure 14(a)'s fuse=3 above
-// fuse=1, and ETSQP at or above SBoost on Figure 10's Q1 and Q2 on every
-// dataset. A shared host's clock can flake, so
+// fuse=1, and on every dataset of Figure 10 ETSQP at or above SBoost on
+// Q1 and Q2 and at or above Serial on Q1-Q3, and ETSQP-prune at least
+// twice Serial on Q3. A shared host's clock can flake, so
 // it runs only when ETSQP_TIME_SHAPES is set, as the CI step "time
 // shapes" does:
 //
@@ -220,22 +223,31 @@ func TestTimeShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, qid := range []string{"Q1", "Q2"} {
+		for _, qid := range []string{"Q1", "Q2", "Q3"} {
 			sql, err := w.queryFor(qid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var mt [2]float64
-			for i, mode := range []engine.Mode{engine.ModeETSQP, engine.ModeSBoost} {
+			var mt [4]float64
+			modes := []engine.Mode{engine.ModeETSQP, engine.ModeETSQPPrune, engine.ModeSerial, engine.ModeSBoost}
+			for i, mode := range modes {
 				m, err := run(cfg, engineFor(cfg, w, mode), sql)
 				if err != nil {
 					t.Fatal(err)
 				}
 				mt[i] = m.Throughput
 			}
-			t.Logf("fig10 %s/%s: ETSQP %.1f MT/s, SBoost %.1f MT/s", label, qid, mt[0], mt[1])
-			if mt[0] < mt[1] {
-				t.Errorf("fig10 %s/%s: ETSQP %.1f MT/s below SBoost %.1f MT/s", label, qid, mt[0], mt[1])
+			etsqp, prune, serial, sboost := mt[0], mt[1], mt[2], mt[3]
+			t.Logf("fig10 %s/%s: ETSQP %.1f, ETSQP-prune %.1f, Serial %.1f, SBoost %.1f MT/s",
+				label, qid, etsqp, prune, serial, sboost)
+			if qid != "Q3" && etsqp < sboost {
+				t.Errorf("fig10 %s/%s: ETSQP %.1f MT/s below SBoost %.1f MT/s", label, qid, etsqp, sboost)
+			}
+			if etsqp < serial {
+				t.Errorf("fig10 %s/%s: ETSQP %.1f MT/s below Serial %.1f MT/s", label, qid, etsqp, serial)
+			}
+			if qid == "Q3" && prune < 2*serial {
+				t.Errorf("fig10 %s/%s: ETSQP-prune %.1f MT/s below twice Serial %.1f MT/s", label, qid, prune, serial)
 			}
 		}
 	}
@@ -264,20 +276,22 @@ func TestFig14Stages(t *testing.T) {
 	}
 }
 
+// TestFig14Slices counts Figure 8's prefix work: a page cut into s
+// slices resolves s-1 prefix dependencies per execution, one for each
+// slice after the first.
 func TestFig14Slices(t *testing.T) {
-	ms, err := Fig14Slices(small, []int{1, 4})
+	counts := []int{1, 2, 4, 8}
+	ms, err := Fig14Slices(small, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 2 {
+	if len(ms) != len(counts) {
 		t.Fatalf("measurements = %d", len(ms))
 	}
-	if ms[0].Extra["prefix_rows"] != 0 {
-		t.Fatal("one slice has no prefix work")
-	}
-	// Four slices over r rows re-scan r*(4-1)/2 prefix rows (Figure 8).
-	if ms[1].Extra["prefix_rows"] != float64(small.Rows)*3/2 {
-		t.Fatalf("prefix work = %f", ms[1].Extra["prefix_rows"])
+	for i, s := range counts {
+		if got := ms[i].Extra["prefix_fixups"]; got != float64(s-1) {
+			t.Errorf("%d slices: %v prefix fix-ups, want %d", s, got, s-1)
+		}
 	}
 }
 

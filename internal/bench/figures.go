@@ -14,6 +14,7 @@ import (
 	"etsqp/internal/engine"
 	"etsqp/internal/exec"
 	"etsqp/internal/fusion"
+	"etsqp/internal/obs"
 	"etsqp/internal/storage"
 )
 
@@ -383,6 +384,9 @@ func Fig14Stages(cfg Config) ([]Measurement, error) {
 
 // Fig14Slices is Figure 14(c,d): execution time and redundant prefix
 // work as a single large page is cut into more slices (workers fixed).
+// The prefix work is counted: the pipeline.prefix_fixups delta over one
+// more execution with obs on, one per slice that resolves its Figure 8
+// dependency.
 func Fig14Slices(cfg Config, sliceCounts []int) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
 	if len(sliceCounts) == 0 {
@@ -404,13 +408,25 @@ func Fig14Slices(cfg Config, sliceCounts []int) ([]Measurement, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Redundant prefix rows: slice k re-scans k/s of the page to
-		// resolve its Figure 8 dependency: sum = rows*(s-1)/2.
-		m.Extra["prefix_rows"] = float64(cfg.Rows) * float64(s-1) / 2
+		if m.Extra["prefix_fixups"], err = prefixFixups(e, sql); err != nil {
+			return nil, err
+		}
 		m.Figure, m.Series, m.X = "fig14cd", "ETSQP", fmt.Sprintf("slices=%d", s)
 		out = append(out, m)
 	}
 	return out, nil
+}
+
+// prefixFixups executes sql once with obs on and returns the
+// pipeline.prefix_fixups it added.
+func prefixFixups(e *engine.Engine, sql string) (float64, error) {
+	if !obs.Enabled() {
+		obs.Enable()
+		defer obs.Disable()
+	}
+	before := obs.PipelinePrefixFixups.Load()
+	_, err := e.ExecuteSQL(sql)
+	return float64(obs.PipelinePrefixFixups.Load() - before), err
 }
 
 // FigConcurrent measures the shared execution layer end to end: N

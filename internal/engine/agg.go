@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"etsqp/internal/encoding"
@@ -334,8 +335,12 @@ func (e *Engine) executeAgg(p *plan, tr *Trace) (*Result, error) {
 	par, nw := p.workers, max(1, len(p.windows))
 	parts := make([]partialAgg, par*nw)
 	scratch := make([][]int, par)
+	var opened [][2]atomic.Bool // per page, when the plan cuts one: its time and value page opened
+	if len(p.slices) > len(p.pages) {
+		opened = make([][2]atomic.Bool, len(p.pages))
+	}
 	err := e.pool().RunWith(&col.execStats, len(p.slices), par, func(w *exec.Worker, i int) error {
-		return e.aggSlice(p, i, parts[w.Slot*nw:(w.Slot+1)*nw], &scratch[w.Slot], col, w.Arena)
+		return e.aggSlice(p, i, opened, parts[w.Slot*nw:(w.Slot+1)*nw], &scratch[w.Slot], col, w.Arena)
 	})
 	if err != nil {
 		return nil, err
@@ -393,17 +398,21 @@ func windowInstances(w *sqlparse.Window, ser *storage.Series, t1, t2 int64) ([]e
 // aggSlice runs job i of an aggregate plan along its planned outcome:
 // find the time-valid row range [lo, hi), cut it into the segments its
 // windows need — a plain aggregate is one window over one segment — and
-// fold the values into the windows' partials in one pass. part holds
-// the executing participant's partial per window, scratch its cut
-// buffer and arena its scratch space.
-func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
+// fold the values into the windows' partials in one pass. opened holds
+// each page's open flags when the plan cuts a page, part the executing
+// participant's partial per window, scratch its cut buffer and arena
+// its scratch space.
+func (e *Engine) aggSlice(p *plan, i int, opened [][2]atomic.Bool, part []partialAgg, scratch *[]int,
 	col *statsCollector, arena *exec.Arena) error {
 	sl, out := p.slices[i], p.outcomes[i]
 	col.slicesRun.Add(1)
 	col.tuplesLoaded.Add(int64(sl.Rows()))
 	obs.EngineHistSliceRows.Observe(int64(sl.Rows()))
 
-	var vr pageRead // the job's one read of its value page
+	var tr, vr pageRead // the job's one read of its time and value page
+	if opened != nil {
+		tr.once, vr.once = &opened[sl.Page][0], &opened[sl.Page][1]
+	}
 	// Per-slice trace event: row window, fusion decision and the packing
 	// width of a TS2DIFF page the job read. Tracing off is a nil check.
 	if col.trace != nil {
@@ -420,7 +429,7 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 
 	// The time-valid row range [lo, hi) within the clock's rows. p.t2 is
 	// at most MaxInt64-1, so t2+1 cannot wrap.
-	clock, end, err := e.clockOf(p, sl, col, arena)
+	clock, end, err := e.clockOf(p, sl, &tr, col, arena)
 	if err != nil {
 		return err
 	}
@@ -446,22 +455,21 @@ func (e *Engine) aggSlice(p *plan, i int, part []partialAgg, scratch *[]int,
 	return e.foldSegments(p, sl.Pair.Value, out, &vr, cuts, winLo, winHi, clock, part, col, arena)
 }
 
-// clockOf builds job sl's row clock from one read of its time page and
-// returns the end of the rows the clock maps: interval arithmetic on a
-// width-0 order-2 block under a constInterval strategy (its checksum
-// verified, no read charged), else the cache or a decode of that parse.
-// Under the prune strategy a page reaching past t2 decodes into the
-// arena and stops after the first chunk past t2 (decodeUntil): no later
-// row is in range, in a window or a FIRST/LAST boundary.
-func (e *Engine) clockOf(p *plan, sl Slice, col *statsCollector, arena *exec.Arena) (c rowClock, end int, err error) {
+// clockOf builds job sl's row clock from one read of its time page (tr)
+// and returns the end of the rows the clock maps: interval arithmetic on
+// a width-0 order-2 block under a constInterval strategy (the page
+// opened with no read charged), else the cache or a decode of that
+// parse. Under the prune strategy a page reaching past t2 decodes into
+// the arena and stops after the first chunk past t2 (decodeUntil): no
+// later row is in range, in a window or a FIRST/LAST boundary.
+func (e *Engine) clockOf(p *plan, sl Slice, tr *pageRead, col *statsCollector, arena *exec.Arena) (c rowClock, end int, err error) {
 	pg := sl.Pair.Time
 	c = rowClock{start: sl.StartRow, first: pg.Header.StartTime}
-	var tr pageRead
 	if p.strat.constInterval {
 		if ok, _ := tr.parse(pg, nil); ok { // else a cache miss fails
 			if interval, ok := pipeline.ConstantInterval(&tr.blk); ok {
 				c.interval = interval
-				return c, sl.EndRow, pg.VerifyChecksum()
+				return c, sl.EndRow, tr.open(pg, nil)
 			}
 		}
 	}
@@ -469,7 +477,7 @@ func (e *Engine) clockOf(p *plan, sl Slice, col *statsCollector, arena *exec.Are
 	if p.strat.prune && p.t2 < pg.Header.EndTime {
 		stop, buf = p.t2, arena.Int64(exec.ClassClock, sl.Rows())
 	}
-	c.ts, err = e.decodeColumnRange(p.series[0], pg, &tr, sl.StartRow, sl.EndRow, stop, buf, col)
+	c.ts, err = e.decodeColumnRange(p.series[0], pg, tr, sl.StartRow, sl.EndRow, stop, buf, col)
 	return c, sl.StartRow + len(c.ts), err
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync/atomic"
 	"time"
 
 	"etsqp/internal/encoding"
@@ -12,20 +13,6 @@ import (
 	"etsqp/internal/storage"
 )
 
-// readPage is the memory-I/O stage of the pipeline, charged once per
-// page on every path that reads a payload: it verifies the page's
-// checksum and adds one page read to col — pagesRead, bytesScanned and
-// the verification's time as the io stage (Figure 14(b)). Payloads are
-// read in place: a published page is immutable, so no path copies one.
-func readPage(p *storage.Page, col *statsCollector) error {
-	start := time.Now()
-	err := p.VerifyChecksum()
-	col.pagesRead.Add(1)
-	col.bytesScanned.Add(int64(len(p.Data)))
-	col.ioNanos.Add(int64(time.Since(start)))
-	return err
-}
-
 // What a page read parsed its payload as.
 const (
 	formNone  = iota // not read: the codec's own decoder reads the page
@@ -34,16 +21,16 @@ const (
 )
 
 // pageRead is a job's one read of a page: the payload parsed once by
-// codec, and the checksum verified and the read charged once (readPage).
-// Every route that reads the job's values — the closed forms, the
-// scanner, the decode and the FIRST/LAST boundary rows — reads this one
-// parse, so no route reads the page again.
+// codec, and opened — verified and charged — at most once per query
+// (open). Every route that reads the job's values — the closed forms,
+// the scanner, the decode and the FIRST/LAST boundary rows — reads this
+// one parse, so no route reads the page again.
 type pageRead struct {
-	form    uint8
-	charged bool                // readPage has charged the read
-	blk     ts2diff.Block       // formBlock
-	first   int64               // formRuns: row 0
-	runs    []encoding.DeltaRun // formRuns: the runs after row 0
+	form  uint8
+	once  *atomic.Bool        // a cut page's flag, shared by its slices; nil: the job is the page's one reader
+	blk   ts2diff.Block       // formBlock
+	first int64               // formRuns: row 0
+	runs  []encoding.DeltaRun // formRuns: the runs after row 0
 }
 
 // formOf names what a page of the codec parses as: a TS2DIFF block, RLBE
@@ -89,18 +76,38 @@ func (r *pageRead) parse(pg *storage.Page, runs *[]encoding.DeltaRun) (ok bool, 
 }
 
 // read completes r as the job's read of pg: the payload parsed unless
-// it already is, and the read charged unless it already was.
+// it already is, then opened.
 func (r *pageRead) read(pg *storage.Page, runs *[]encoding.DeltaRun, col *statsCollector) (ok bool, err error) {
 	if r.form == formNone {
 		if ok, err = r.parse(pg, runs); !ok {
 			return false, err
 		}
 	}
-	if !r.charged {
-		r.charged = true
-		err = readPage(pg, col)
+	return true, r.open(pg, col)
+}
+
+// open is the memory-I/O stage of the pipeline, once per page per query
+// on every path that reads a payload: it verifies pg's checksum and adds
+// one page read to col — pagesRead, bytesScanned and the verification's
+// time as the io stage (Figure 14(b)); a nil col verifies alone. A job
+// opens each page it reads once. The slices of a cut page share one
+// flag, so the first to open it verifies and charges it, and its
+// siblings read the same bytes and do neither: a corrupt page fails its
+// first reader and with it the batch, so no result is built from bytes
+// a sibling read unverified. Payloads are read in place: a published
+// page is immutable, so no path copies one.
+func (r *pageRead) open(pg *storage.Page, col *statsCollector) error {
+	if r.once != nil && r.once.Swap(true) {
+		return nil
 	}
-	return true, err
+	start := time.Now()
+	err := pg.VerifyChecksum()
+	if col != nil {
+		col.pagesRead.Add(1)
+		col.bytesScanned.Add(int64(len(pg.Data)))
+		col.ioNanos.Add(int64(time.Since(start)))
+	}
+	return err
 }
 
 // at returns row i of the page r read: on a block from pipeline.Prefix,
@@ -165,7 +172,7 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, r *pageRead, from, t
 		ok, err = r.read(p, nil, col)
 	}
 	if !ok && err == nil {
-		err = readPage(p, col)
+		err = r.open(p, col)
 	}
 	if err != nil {
 		return nil, err
@@ -228,6 +235,7 @@ func decodeUntil(b *ts2diff.Block, from, to int, stop int64, buf []int64, col *s
 // row range of one (Section III-C / Figure 8).
 type Slice struct {
 	Pair     storage.PagePair
+	Page     int // the pair's index in the planned pages
 	StartRow int // inclusive
 	EndRow   int // exclusive
 }
@@ -252,8 +260,12 @@ func (e *Engine) jobsFor(pairs []storage.PagePair) []Slice {
 		per = (w + len(pairs) - 1) / len(pairs)
 	}
 	out := make([]Slice, 0, len(pairs))
-	for _, pp := range pairs {
+	for i, pp := range pairs {
+		n := len(out)
 		out = appendSlices(out, pp, per)
+		for k := n; k < len(out); k++ {
+			out[k].Page = i
+		}
 	}
 	return out
 }

@@ -17,7 +17,10 @@ import (
 // RLBE page whose runs cover another number of rows than its own count —
 // is corrupt in every mode and every query shape: an error wrapping
 // storage.ErrCorrupt, never an answer over the rows the payload happens
-// to hold, and never a panic.
+// to hold, and never a panic. So is a payload with one bit flipped under
+// its stale checksum, wherever the flip lies: with the page whole or cut
+// into slices, whose siblings read the bytes their first reader
+// verifies, at any worker count.
 func TestPayloadCountMismatch(t *testing.T) {
 	const rows, off = 4096, 96
 	ts, vals := make([]int64, rows), make([]int64, rows+off)
@@ -52,15 +55,32 @@ func TestPayloadCountMismatch(t *testing.T) {
 	type payloadCase struct {
 		name, codec string
 		payload     []byte
+		checksum    uint32
+	}
+	valid := func(name, codec string, payload []byte) payloadCase {
+		return payloadCase{name, codec, payload, crc32.ChecksumIEEE(payload)}
 	}
 	cases := []payloadCase{
-		{"rlbe runs short of the block count", "rlbe", runs(rows - off)},
-		{"rlbe runs past the block count", "rlbe", runs(rows + off)},
+		valid("rlbe runs short of the block count", "rlbe", runs(rows-off)),
+		valid("rlbe runs past the block count", "rlbe", runs(rows+off)),
 	}
 	for _, codec := range []string{"ts2diff", "rlbe"} {
 		cases = append(cases,
-			payloadCase{codec + " payload 96 rows short", codec, encode(codec, rows-off)},
-			payloadCase{codec + " payload 96 rows long", codec, encode(codec, rows+off)})
+			valid(codec+" payload 96 rows short", codec, encode(codec, rows-off)),
+			valid(codec+" payload 96 rows long", codec, encode(codec, rows+off)))
+	}
+	// A bit flipped in the byte holding row 680's, 2040's or 3400's
+	// packed field: one inside each of the three slices ForceSlices=3
+	// cuts the page into.
+	for _, row := range []int{680, 2040, 3400} {
+		payload := encode("ts2diff", rows)
+		sum := crc32.ChecksumIEEE(payload)
+		var blk ts2diff.Block
+		if err := blk.UnmarshalBinary(payload); err != nil {
+			t.Fatal(err)
+		}
+		blk.Packed[(row-1)*int(blk.Width)/8] ^= 1 // row r reads field r-1
+		cases = append(cases, payloadCase{fmt.Sprintf("ts2diff row %d bit flipped", row), "ts2diff", payload, sum})
 	}
 	queries := []string{
 		"SELECT SUM(A) FROM ts",
@@ -76,19 +96,32 @@ func TestPayloadCountMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := pairs[0].Value
-		v.Data, v.Header.Checksum = c.payload, crc32.ChecksumIEEE(c.payload)
+		v.Data, v.Header.Checksum = c.payload, c.checksum
 		st := storage.NewStore()
 		if err := st.AppendPages("ts", pairs); err != nil {
 			t.Fatal(err)
 		}
 		for _, mode := range allModes {
-			e := New(st, mode)
-			e.Workers = 2
-			for _, q := range queries {
-				if res, err := e.ExecuteSQL(q); !errors.Is(err, storage.ErrCorrupt) {
-					t.Errorf("%s, %v, %s: error %v, result %+v; want storage.ErrCorrupt", c.name, mode, q, err, res)
+			forEachCut(func(slices, workers int) {
+				e := New(st, mode)
+				e.Workers, e.ForceSlices = workers, slices
+				for _, q := range queries {
+					if res, err := e.ExecuteSQL(q); !errors.Is(err, storage.ErrCorrupt) {
+						t.Errorf("%s, %v, ForceSlices=%d, %d workers, %s: error %v, result %+v; want storage.ErrCorrupt",
+							c.name, mode, slices, workers, q, err, res)
+					}
 				}
-			}
+			})
+		}
+	}
+}
+
+// forEachCut calls f with ForceSlices 0 and 3 at 1, 2 and 4 workers:
+// whole pages and pages cut into slices, read by one worker or several.
+func forEachCut(f func(slices, workers int)) {
+	for _, slices := range []int{0, 3} {
+		for _, workers := range []int{1, 2, 4} {
+			f(slices, workers)
 		}
 	}
 }
@@ -119,15 +152,15 @@ func TestConstantIntervalTimeCorrupt(t *testing.T) {
 		if err := blk.UnmarshalBinary(page.Data); err != nil || blk.FirstDelta != 101 {
 			t.Fatalf("%v: corrupt time page parses as %+v, %v; want FirstDelta 101", mode, blk, err)
 		}
-		for _, slices := range []int{0, 3} {
+		forEachCut(func(slices, workers int) {
 			e := New(st, mode)
-			e.Workers, e.ForceSlices = 2, slices
+			e.Workers, e.ForceSlices = workers, slices
 			for _, q := range queries {
 				if res, err := e.ExecuteSQL(q); !errors.Is(err, storage.ErrCorrupt) {
-					t.Errorf("%v, ForceSlices=%d, %s: error %v, result %+v; want storage.ErrCorrupt",
-						mode, slices, q, err, res)
+					t.Errorf("%v, ForceSlices=%d, %d workers, %s: error %v, result %+v; want storage.ErrCorrupt",
+						mode, slices, workers, q, err, res)
 				}
 			}
-		}
+		})
 	}
 }

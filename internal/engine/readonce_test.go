@@ -32,10 +32,11 @@ func plateauData(n int, seed int64) (ts, vals []int64) {
 // TS2DIFF block's prefix (order 2 included, whose last row adds the
 // running difference), an RLBE page's runs, or the decoded values —
 // and answer what ModeSerial answers, in every mode, with whole pages
-// and with pages cut into slices. The job reads no page more than the
-// same query's SUM does: one value page per job, plus the time page
-// where the mode decodes timestamps (a job whose rows all fall outside
-// a TIME range reads no value page).
+// and with pages cut into slices. The query reads no page more than the
+// same query's SUM does: each value page once, plus its time page where
+// the mode decodes timestamps (a page whose rows all fall outside a
+// TIME range is not read), and a page cut into slices no more than a
+// whole one.
 func TestWindowBoundariesReadOnce(t *testing.T) {
 	ts, vals := plateauData(6_000, 7)
 	queries := []string{
@@ -49,6 +50,7 @@ func TestWindowBoundariesReadOnce(t *testing.T) {
 		if err := st.Append("ts", ts, vals, storage.Options{PageSize: 1000, ValueCodec: codec}); err != nil {
 			t.Fatal(err)
 		}
+		whole := map[string][2]int64{} // PagesRead and BytesScanned at ForceSlices=0
 		for _, slices := range []int{0, 3} {
 			for _, q := range queries {
 				run := func(mode Mode, agg string) *Result {
@@ -75,10 +77,16 @@ func TestWindowBoundariesReadOnce(t *testing.T) {
 						}
 						st := got.Stats
 						allRows := !strings.Contains(q, "WHERE TIME")
-						if allRows && st.PagesRead != perJob*st.SlicesRun || st.PagesRead != sum.Stats.PagesRead ||
+						if allRows && st.PagesRead != perJob*st.PagesTotal || st.PagesRead != sum.Stats.PagesRead ||
 							st.BytesScanned != sum.Stats.BytesScanned {
-							t.Errorf("%s: read %d pages, %d bytes in %d jobs; SUM reads %d pages, %d bytes",
-								where, st.PagesRead, st.BytesScanned, st.SlicesRun, sum.Stats.PagesRead, sum.Stats.BytesScanned)
+							t.Errorf("%s: read %d pages, %d bytes of %d; SUM reads %d pages, %d bytes",
+								where, st.PagesRead, st.BytesScanned, st.PagesTotal, sum.Stats.PagesRead, sum.Stats.BytesScanned)
+						}
+						key, read := fmt.Sprintf("%v, %s", mode, fmt.Sprintf(q, agg)), [2]int64{st.PagesRead, st.BytesScanned}
+						if slices == 0 {
+							whole[key] = read
+						} else if read != whole[key] {
+							t.Errorf("%s: read %d pages, %d bytes; whole pages read %d, %d", where, read[0], read[1], whole[key][0], whole[key][1])
 						}
 					}
 				}

@@ -31,7 +31,7 @@ type Stats struct {
 	TuplesLoaded int64 // tuples covered by loaded (or pruned) pages
 	RowsPruned   int64 // rows skipped by in-page stop rules
 
-	PagesRead     int64 // page payload loads: at most one per page per job or cursor batch
+	PagesRead     int64 // page payload loads: one read per page per query, cut pages included
 	BytesScanned  int64 // encoded payload bytes moved into worker buffers
 	ValuesFused   int64 // values aggregated on encoded form (Section IV)
 	ValuesDecoded int64 // values materialized for filtering/aggregation

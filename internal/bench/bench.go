@@ -206,6 +206,7 @@ func runReps(e *engine.Engine, sql string, reps int) (Measurement, error) {
 			"values_fused":   float64(res.Stats.ValuesFused),
 			"values_decoded": float64(res.Stats.ValuesDecoded),
 			"bytes_scanned":  float64(res.Stats.BytesScanned),
+			"windows":        float64(len(res.Windows)),
 		},
 	}
 	return m, nil

@@ -14,11 +14,14 @@ import (
 // sweeps.
 var small = Config{Rows: 8000, Seed: 7, Workers: 2, PageSize: 1024}
 
-// TestFig10Shape checks Figure 10's measurements and the work shape of
-// Section IV behind Q1 (EXPERIMENTS.md, Figure 14(a) "Shape check"),
-// from exact counters on every dataset: ETSQP answers the windowed SUM
-// on encoded form — every covered row fused, none decoded — and Serial
-// decodes every one.
+// TestFig10Shape checks Figure 10's measurements and, from exact
+// counters on every dataset, two work shapes. Section IV behind Q1
+// (EXPERIMENTS.md, Figure 14(a) "Shape check"): ETSQP answers the
+// windowed SUM on encoded form — every covered row fused, none decoded —
+// and Serial decodes every one. Section V behind Q3: ETSQP-prune decodes
+// no more values than ETSQP, and prunes pages wherever Proposition 5's
+// bounds separate pages from the median — on Atm, Clim, Gas and Time,
+// while Sine and TPCH straddle it on every page and prune none.
 func TestFig10Shape(t *testing.T) {
 	ms, err := Fig10(small)
 	if err != nil {
@@ -28,11 +31,13 @@ func TestFig10Shape(t *testing.T) {
 	if len(ms) != want {
 		t.Fatalf("measurements = %d want %d", len(ms), want)
 	}
+	runs := map[string]Measurement{} // by series and workload
 	checked := 0
 	for _, m := range ms {
 		if m.Throughput <= 0 {
 			t.Fatalf("%s/%s: throughput %f", m.Series, m.X, m.Throughput)
 		}
+		runs[m.Series+" "+m.X] = m
 		if !strings.HasSuffix(m.X, "/Q1") {
 			continue
 		}
@@ -53,6 +58,57 @@ func TestFig10Shape(t *testing.T) {
 	}
 	if checked != 2*len(DatasetLabels) {
 		t.Errorf("checked %d ETSQP/Serial Q1 runs, want %d", checked, 2*len(DatasetLabels))
+	}
+	prunes := map[string]bool{"Atm": true, "Clim": true, "Gas": true, "Time": true, "Sine": false, "TPCH": false}
+	for _, label := range DatasetLabels {
+		etsqp, prune := runs[engine.ModeETSQP.String()+" "+label+"/Q3"], runs[engine.ModeETSQPPrune.String()+" "+label+"/Q3"]
+		decoded, prunedDecoded := etsqp.Extra["values_decoded"], prune.Extra["values_decoded"]
+		pruned := prune.Extra["pages_pruned"]
+		t.Logf("%s/Q3: values decoded ETSQP %v, ETSQP-prune %v; %v pages pruned", label, decoded, prunedDecoded, pruned)
+		if decoded <= 0 || prunedDecoded > decoded {
+			t.Errorf("%s/Q3: ETSQP-prune decoded %v values, ETSQP %v; want at most ETSQP's, and ETSQP > 0", label, prunedDecoded, decoded)
+		}
+		if want, ok := prunes[label]; !ok || want != (pruned > 0) {
+			t.Errorf("%s/Q3: ETSQP-prune pruned %v pages; want pruning %v", label, pruned, want)
+		}
+	}
+}
+
+// TestFigWindowShape checks the work shape of Section VI's G_sw behind
+// FigWindow, from exact counters: at every overlap ETSQP fills the
+// segment sums on encoded form — every row fused, none decoded — Serial
+// decodes every row, and more overlap cuts more windows.
+func TestFigWindowShape(t *testing.T) {
+	overlaps := []int{1, 2, 4, 8}
+	ms, err := FigWindow(small, overlaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 2*len(overlaps) {
+		t.Fatalf("measurements = %d", len(ms))
+	}
+	rows := float64(small.Rows)
+	windows := map[string][]float64{}
+	for _, m := range ms {
+		fused, decoded := m.Extra["values_fused"], m.Extra["values_decoded"]
+		switch m.Series {
+		case engine.ModeETSQP.String():
+			if fused != rows || decoded != 0 {
+				t.Errorf("%s/%s: fused=%v decoded=%v, want fused=%v decoded=0", m.Series, m.X, fused, decoded, rows)
+			}
+		case engine.ModeSerial.String():
+			if fused != 0 || decoded != rows {
+				t.Errorf("%s/%s: fused=%v decoded=%v, want fused=0 decoded=%v", m.Series, m.X, fused, decoded, rows)
+			}
+		}
+		windows[m.Series] = append(windows[m.Series], m.Extra["windows"])
+	}
+	for series, ws := range windows {
+		for i := 1; i < len(ws); i++ {
+			if ws[i] <= ws[i-1] {
+				t.Errorf("%s: %v windows at overlap=%d, %v at overlap=%d; want more", series, ws[i], overlaps[i], ws[i-1], overlaps[i-1])
+			}
+		}
 	}
 }
 

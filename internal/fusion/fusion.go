@@ -1,8 +1,8 @@
 // Package fusion implements Section IV: aggregation without decoding.
 // Associative and algebraic aggregations (SUM, COUNT, Σv², and the
 // variance built from them) are computed directly on Delta-Repeat pairs
-// and on TS2DIFF blocks, skipping the Repeat-flatten and
-// Delta-accumulate decoders entirely.
+// and on TS2DIFF blocks, no decoded value materialized: runs in closed
+// form, TS2DIFF packed deltas streamed once through a stack chunk.
 //
 // The core identity: over one Delta-Repeat pair ⟨Δ, R⟩ starting after
 // value a, the next `valid <= R` values contribute
@@ -60,26 +60,6 @@ func sumArithChecked(n int64) (int64, bool) {
 	return mulChecked(n, (n+1)/2)
 }
 
-// triangleChecked is Σ_{i=1..n-1} i = n(n-1)/2, detecting overflow — the
-// ramp weight of TS2DIFF minBase/firstDelta closed forms. Same even-factor
-// halving as sumArithChecked, so n up to 2^32 (the block Count ceiling)
-// stays exact where the naive n*(n-1) wraps past n > 3037000499.
-//
-//etsqp:checked
-//etsqp:bounds return [0, 1<<63)
-//etsqp:hotpath
-//etsqp:nobce
-//etsqp:noescape
-func triangleChecked(n int64) (int64, bool) {
-	if n <= 1 {
-		return 0, n >= 0
-	}
-	if n&1 == 0 {
-		return mulChecked(n/2, n-1)
-	}
-	return mulChecked(n, (n-1)/2)
-}
-
 // sumSquaresArithChecked is Σ_{i=1..n} i² = n(n+1)(2n+1)/6, detecting
 // overflow. The divisor 6 is split exactly across the three factors:
 // one of {n, n+1, 2n+1} is divisible by 3 (2n+1 is when n ≡ 1 mod 3), and
@@ -116,35 +96,6 @@ func sumSquaresArithChecked(n int64) (int64, bool) {
 	p, ok1 := mulChecked(a, b)
 	q, ok2 := mulChecked(p, c)
 	return q, ok1 && ok2
-}
-
-// Sum aggregates Σ values over a Delta-Repeat series (first value plus
-// pairs) without flattening. Cost: O(#pairs).
-//
-//etsqp:hotpath
-//etsqp:nobce
-//etsqp:noescape
-//etsqp:rangecheck
-func Sum(first int64, pairs []encoding.DeltaRun) (int64, error) {
-	total := first
-	cur := first
-	for _, p := range pairs {
-		n := int64(p.Count)
-		// Σ over the run: n·cur + Δ·n(n+1)/2.
-		runSum, ok1 := mulChecked(cur, n)
-		tri, ok2 := sumArithChecked(n)
-		inc, ok3 := mulChecked(p.Delta, tri)
-		runSum, ok4 := encoding.AddChecked(runSum, inc)
-		var ok5 bool
-		total, ok5 = encoding.AddChecked(total, runSum)
-		step, ok6 := mulChecked(p.Delta, n)
-		var ok7 bool
-		cur, ok7 = encoding.AddChecked(cur, step)
-		if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7) {
-			return 0, ErrOverflow
-		}
-	}
-	return total, nil
 }
 
 // Count returns the number of values represented.

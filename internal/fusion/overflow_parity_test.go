@@ -1,10 +1,11 @@
-// Overflow-parity oracle: the probe-only closed forms (Sum, SumSquares)
+// Overflow-parity oracle: the probe-only page forms (Sum, SumSquares)
 // and the checked decode-then-aggregate route must agree on overflow
-// detection. The contract is one-directional where it has to be — the
-// per-run polynomials (n·a², Δ²·Σi², …) can leave int64 on intermediates
-// even when every value and running sum fits, so those forms are allowed
-// to be conservative (return ErrOverflow) — but they must NEVER return a
-// silently wrapped value:
+// detection, against the exact aggregates of the stored rows. The
+// contract is one-directional where it has to be — SumSquares' per-run
+// polynomials (n·a², Δ²·Σi², …) can leave int64 on intermediates even
+// when every value and running sum fits, and the scalar route checks
+// every running sum, so both are allowed to be conservative (return
+// ErrOverflow) — but they must NEVER return a silently wrapped value:
 //
 //  1. fused success ⇒ the result equals the exact big-int value
 //     (which therefore fits int64);
@@ -12,8 +13,9 @@
 //     big-int value;
 //  3. both succeed ⇒ bit-for-bit agreement.
 //
-// The segment sums the engine runs are held to more (assertSegmentsExact):
-// exact in 128 bits over the stored rows, with no conservative answer.
+// Sum, the whole-page segment sum, and the segment sums the engine runs
+// (assertSegmentsExact) are held to more: exact in 128 bits over the
+// stored rows, with no conservative answer.
 package fusion_test
 
 import (
@@ -30,22 +32,18 @@ import (
 	"etsqp/internal/pipeline"
 )
 
-// bigAggregate folds Σv and Σv² exactly in big-int arithmetic — the
-// ground truth both integer routes are compared against.
+// bigAggregate folds Σv and Σv² exactly in big-int arithmetic over the
+// stored rows, each row wrapped to int64 as pipeline.FlattenInto writes
+// it — the ground truth both integer routes are compared against.
 func bigAggregate(first int64, pairs []encoding.DeltaRun) (sum, sumSq *big.Int) {
-	cur := big.NewInt(first)
-	sum = big.NewInt(first)
-	sumSq = new(big.Int).Mul(cur, cur)
-	d := new(big.Int)
-	sq := new(big.Int)
-	for _, p := range pairs {
-		d.SetInt64(p.Delta)
-		for k := 0; k < p.Count; k++ {
-			cur.Add(cur, d)
-			sum.Add(sum, cur)
-			sq.Mul(cur, cur)
-			sumSq.Add(sumSq, sq)
-		}
+	stored := make([]int64, fusion.Count(pairs))
+	pipeline.FlattenInto(stored, first, pairs)
+	sum, sumSq = new(big.Int), new(big.Int)
+	v, sq := new(big.Int), new(big.Int)
+	for _, x := range stored {
+		v.SetInt64(x)
+		sum.Add(sum, v)
+		sumSq.Add(sumSq, sq.Mul(v, v))
 	}
 	return sum, sumSq
 }
@@ -69,6 +67,9 @@ func assertOverflowParity(t *testing.T, name string, first int64, pairs []encodi
 		if !bigSum.IsInt64() || fsum != bigSum.Int64() {
 			t.Errorf("%s: fused Sum = %d, exact value %s", name, fsum, bigSum)
 		}
+	}
+	if errSum != nil && bigSum.IsInt64() {
+		t.Errorf("%s: Sum reported overflow, stored rows total %s", name, bigSum)
 	}
 	if errSq == nil {
 		if !bigSq.IsInt64() || fsq != bigSq.Int64() {

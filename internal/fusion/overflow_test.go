@@ -51,23 +51,6 @@ func TestSumArithCheckedAgainstBig(t *testing.T) {
 	}
 }
 
-func TestTriangleCheckedAgainstBig(t *testing.T) {
-	for _, n := range boundaryNs {
-		got, ok := triangleChecked(n)
-		z := new(big.Int).SetInt64(n)
-		z.Mul(z, big.NewInt(0).Sub(big.NewInt(n), big.NewInt(1)))
-		z.Div(z, big.NewInt(2))
-		want, fits := fitsInt64(z)
-		if ok != fits {
-			t.Errorf("triangleChecked(%d): ok = %v, want %v (big value %s)", n, ok, fits, z)
-			continue
-		}
-		if ok && got != want {
-			t.Errorf("triangleChecked(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 func TestSumSquaresArithCheckedAgainstBig(t *testing.T) {
 	for _, n := range boundaryNs {
 		got, ok := sumSquaresArithChecked(n)
@@ -115,20 +98,15 @@ func TestCheckedHelpersMatchBig(t *testing.T) {
 			s, ok := encoding.AddChecked(a, b)
 			check(fmt.Sprintf("encoding.AddChecked(%d, %d)", a, b), s, ok, new(big.Int).Add(big.NewInt(a), big.NewInt(b)))
 		}
-		// Σ_{i=1..n} i and Σ_{i=1..n-1} i; both helpers refuse n < 0.
+		// Σ_{i=1..n} i; the helper refuses n < 0.
 		n := big.NewInt(a)
 		sum := new(big.Int).Mul(n, new(big.Int).Add(n, big.NewInt(1)))
-		tri := new(big.Int).Mul(n, new(big.Int).Sub(n, big.NewInt(1)))
 		sum.Rsh(sum, 1)
-		tri.Rsh(tri, 1)
-		if a < 0 { // no such sum: the helpers must refuse
+		if a < 0 { // no such sum: the helper must refuse
 			sum.SetUint64(1 << 63)
-			tri.SetUint64(1 << 63)
 		}
 		got, ok := sumArithChecked(a)
 		check(fmt.Sprintf("sumArithChecked(%d)", a), got, ok, sum)
-		got, ok = triangleChecked(a)
-		check(fmt.Sprintf("triangleChecked(%d)", a), got, ok, tri)
 	}
 }
 
@@ -157,73 +135,111 @@ func TestRampWeightAgainstBig(t *testing.T) {
 	}
 }
 
-// TestSumBlockRampBoundary is the regression for the silent int64 wrap the
-// old ramp form had: minBase·n·(n-1)/2 computed as n*(n-1)/2 wraps for
-// n > 3037000499 even when the true triangle number fits int64. Width 0
-// keeps the packed-prefix term empty, so the test isolates the ramp and
-// runs in microseconds despite the four-billion-row Count.
+// TestSumBlockRampBoundary pins SumBlock's exact-or-overflow edge on an
+// order-1 page: a width-0 block is the ramp First + i·MinBase, and
+// MinBase 2^40 puts the ramp's own total within 0.03 % of MaxInt64.
 func TestSumBlockRampBoundary(t *testing.T) {
-	const n = 4_000_000_000
-	const tri = 7_999_999_998_000_000_000 // T(4e9) = n(n-1)/2, fits int64
-	b := &ts2diff.Block{
-		Order:   ts2diff.Order1,
-		Count:   n,
-		First:   0,
-		MinBase: 1,
-		Width:   0,
-	}
-	got, err := SumBlock(b)
-	if err != nil {
-		t.Fatalf("SumBlock(ramp n=%d): %v", n, err)
-	}
-	if got != tri {
-		t.Errorf("SumBlock(ramp n=%d) = %d, want %d", n, got, tri)
-	}
-	// The naive form computed n*(n-1) first, which wraps past int64 and
-	// came out negative; make the regression explicit.
-	nn := int64(n)
-	if naive := nn * (nn - 1) / 2; naive >= 0 {
-		t.Fatalf("test premise broken: naive n*(n-1)/2 = %d no longer wraps", naive)
-	}
+	checkPageEdges(t, &ts2diff.Block{Order: ts2diff.Order1, Count: pageRows, MinBase: 1 << 40})
+}
 
-	// MinBase 3 pushes the ramp past MaxInt64: the fused path must report
-	// ErrOverflow, not a wrapped value.
-	b.MinBase = 3
-	if _, err := SumBlock(b); !errors.Is(err, ErrOverflow) {
-		t.Errorf("SumBlock(ramp n=%d, minBase=3): err = %v, want ErrOverflow", n, err)
+// TestSumBlockOrder2RampOverflow pins the same edges on an order-2 page:
+// width 0 makes every second-order delta MinBase, so the rows follow a
+// parabola that falls by FirstDelta and turns.
+func TestSumBlockOrder2RampOverflow(t *testing.T) {
+	checkPageEdges(t, &ts2diff.Block{Order: ts2diff.Order2, Count: pageRows, FirstDelta: -1 << 40, MinBase: 1 << 29})
+}
+
+// pageRows is a full page, storage.DefaultPageSize rows.
+const pageRows = 4096
+
+// checkPageEdges sets b.First to the values that put the block's total
+// at MaxInt64 and MinInt64 or just inside, where SumBlock must return
+// the decoded rows' exact total, and one step further out, where it must
+// return ErrOverflow. No row wraps: First shifts every row alike, so the
+// total is Count·First plus the total at First 0.
+func checkPageEdges(t *testing.T, b *ts2diff.Block) {
+	t.Helper()
+	total := func(first int64) *big.Int {
+		b.First = first
+		vals, err := b.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		z := new(big.Int)
+		for _, v := range vals {
+			z.Add(z, big.NewInt(v))
+		}
+		return z
+	}
+	n, ramp := big.NewInt(int64(b.Count)), total(0)
+	hi := new(big.Int).Sub(big.NewInt(math.MaxInt64), ramp)
+	lo := new(big.Int).Sub(ramp, big.NewInt(math.MinInt64))
+	hi.Div(hi, n)         // floor: the largest First whose total fits
+	lo.Div(lo, n).Neg(lo) // ceil of (MinInt64 − ramp)/n: the smallest
+	for _, edge := range []struct{ in, out int64 }{
+		{hi.Int64(), hi.Int64() + 1},
+		{lo.Int64(), lo.Int64() - 1},
+	} {
+		want := total(edge.in)
+		if got, err := SumBlock(b); err != nil || !want.IsInt64() || got != want.Int64() {
+			t.Errorf("order %d First %d: SumBlock = %d, %v; rows total %s", b.Order, edge.in, got, err, want)
+		}
+		if over := total(edge.out); over.IsInt64() {
+			t.Fatalf("order %d First %d: premise broken, total %s fits int64", b.Order, edge.out, over)
+		}
+		if _, err := SumBlock(b); !errors.Is(err, ErrOverflow) {
+			t.Errorf("order %d First %d: SumBlock err = %v, want ErrOverflow", b.Order, edge.out, err)
+		}
 	}
 }
 
-// TestSumBlockOrder2RampOverflow drives the order-2 d1·n(n-1)/2 ramp past
-// int64. The overflow is detected in the closed-form prefix before the
-// packed-delta loop runs, so the four-billion-row block is still fast.
-func TestSumBlockOrder2RampOverflow(t *testing.T) {
-	b := &ts2diff.Block{
-		Order:      ts2diff.Order2,
-		Count:      4_000_000_000,
-		First:      0,
-		FirstDelta: 2, // 2 · T(4e9) ≈ 1.6e19 > MaxInt64
-		Width:      0,
+// TestPageSumExactOnStoredRows: a page-level SUM is the exact total of
+// the stored rows, each its predecessor plus Δ mod 2^64, and ErrOverflow
+// only when that total leaves int64 — whatever a running sum or a row
+// does on the way.
+func TestPageSumExactOnStoredRows(t *testing.T) {
+	const h = math.MaxInt64 / 2
+	runs := []struct {
+		name  string
+		first int64
+		pairs []encoding.DeltaRun
+		want  int64
+	}{
+		{"max-then-min", math.MaxInt64, []encoding.DeltaRun{{Delta: 1, Count: 1}}, -1},
+		{"half-max-doubled", h, []encoding.DeltaRun{{Delta: h, Count: 2}}, 9_223_372_036_854_775_802},
+		{"leave-and-return", math.MaxInt64, []encoding.DeltaRun{
+			{Delta: 0, Count: 1}, {Delta: 1, Count: 1}, {Delta: 0, Count: 1}, {Delta: math.MinInt64 + 7, Count: 1},
+		}, 5},
+		{"max-one-minus-one", math.MaxInt64, []encoding.DeltaRun{{Delta: 1 - math.MaxInt64, Count: 1}, {Delta: -2, Count: 1}}, math.MaxInt64},
 	}
-	if _, err := SumBlockOrder2(b); !errors.Is(err, ErrOverflow) {
-		t.Errorf("SumBlockOrder2(overflowing ramp): err = %v, want ErrOverflow", err)
+	for _, c := range runs {
+		if got, err := Sum(c.first, c.pairs); err != nil || got != c.want {
+			t.Errorf("Sum(%s) = %d, %v; want %d", c.name, got, err, c.want)
+		}
 	}
-	// A small block with the same shape (width 0 ⇒ every second-order
-	// delta equals MinBase = 0 ⇒ a pure linear ramp) checks the closed
-	// form stays exact: Σ_{i<n} (first + i·d1) = n·first + d1·T(n-1).
-	small := &ts2diff.Block{
-		Order:      ts2diff.Order2,
-		Count:      100,
-		First:      -7,
-		FirstDelta: 5,
-		Width:      0,
+	if _, err := Sum(math.MaxInt64, []encoding.DeltaRun{{Delta: 1 - math.MaxInt64, Count: 1}}); !errors.Is(err, ErrOverflow) {
+		t.Errorf("Sum([MaxInt64, 1]) err = %v, want ErrOverflow", err)
 	}
-	got, err := SumBlockOrder2(small)
-	if err != nil {
-		t.Fatalf("SumBlockOrder2(small ramp): %v", err)
+
+	blocks := []struct {
+		vals   []int64
+		orders []ts2diff.Order
+		want   int64
+		err    error
+	}{
+		{[]int64{1 << 62, 1 << 62, -1 << 62, -1 << 62}, []ts2diff.Order{ts2diff.Order1}, 0, nil},
+		{[]int64{math.MaxInt64, 1, -1}, []ts2diff.Order{ts2diff.Order1, ts2diff.Order2}, math.MaxInt64, nil},
+		{[]int64{math.MaxInt64, 1}, []ts2diff.Order{ts2diff.Order1, ts2diff.Order2}, 0, ErrOverflow},
 	}
-	want := int64(small.Count)*small.First + small.FirstDelta*int64(small.Count)*(int64(small.Count)-1)/2
-	if got != want {
-		t.Errorf("SumBlockOrder2(small ramp) = %d, want %d", got, want)
+	for _, c := range blocks {
+		for _, order := range c.orders {
+			b, err := ts2diff.Encode(c.vals, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := SumBlock(b); !errors.Is(err, c.err) || err == nil && got != c.want {
+				t.Errorf("SumBlock(%v, order %d) = %d, %v; want %d, %v", c.vals, order, got, err, c.want, c.err)
+			}
+		}
 	}
 }

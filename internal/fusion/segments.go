@@ -108,15 +108,14 @@ func rampWeight(j0, j1 int) uint64 {
 
 // SumBlockSegmentsExact fills sums[i] with the exact Σ of rows
 // [cuts[i], cuts[i+1]) of a TS2DIFF block, streaming the packed deltas
-// once through a fixed-size stack chunk (the SumBlockOrder2 idiom) for
-// both orders — one decode pass regardless of how many windows cut the
-// block, and a plain range is the one-segment case. Cuts past b.Count
-// contribute what exists. The walk starts near cuts[0], not at row 1:
-// pipeline.Prefix, the resolution RangeScanner.Reset uses, supplies the
-// value there. The recurrence wraps as the decoder's does, so each row
-// is its stored value exactly, and each segment's sum is kept in the
-// two words of an Int128: the walk is branch-free per row and cannot
-// overflow.
+// once through a fixed-size stack chunk for both orders — one decode
+// pass regardless of how many windows cut the block, and a plain range
+// is the one-segment case. Cuts past b.Count contribute what exists.
+// The walk starts near cuts[0], not at row 1: pipeline.Prefix, the
+// resolution RangeScanner.Reset uses, supplies the value there. The
+// recurrence wraps as the decoder's does, so each row is its stored
+// value exactly, and each segment's sum is kept in the two words of an
+// Int128: the walk is branch-free per row and cannot overflow.
 //
 //etsqp:hotpath
 func SumBlockSegmentsExact(b *ts2diff.Block, cuts []int, sums []encoding.Int128) error {
@@ -217,8 +216,9 @@ type segmentPage struct {
 // SumRangeSegments is SumRangeSegmentsExact narrowed to int64 sums, and
 // SumBlockSegments is SumBlockSegmentsExact narrowed: each returns
 // ErrOverflow when a segment's exact sum leaves int64. Queries call the
-// exact kernels; these stay for the benchmark probes until they time
-// the exact ones (ROADMAP 1A(a)).
+// exact kernels; these, and the whole-page Sum and SumBlock on them,
+// stay for the benchmark probes and Fig 14 until they time the exact
+// ones (ROADMAP 1A(a)).
 //
 //etsqp:hotpath
 func SumRangeSegments(first int64, pairs []encoding.DeltaRun, cuts []int, sums []int64) error {
@@ -230,6 +230,32 @@ func SumRangeSegments(first int64, pairs []encoding.DeltaRun, cuts []int, sums [
 //etsqp:hotpath
 func SumBlockSegments(b *ts2diff.Block, cuts []int, sums []int64) error {
 	return segmentPage{b: b}.narrow(cuts, sums)
+}
+
+// Sum is the exact Σ of the stored rows of a Delta-Repeat series (first
+// value plus pairs): SumRangeSegments over the whole page, so it reports
+// ErrOverflow only when that total leaves int64. Cost: O(#pairs) while
+// the runs stay inside int64.
+//
+//etsqp:hotpath
+func Sum(first int64, pairs []encoding.DeltaRun) (int64, error) {
+	cuts, sum := [2]int{0, Count(pairs)}, [1]int64{}
+	err := SumRangeSegments(first, pairs, cuts[:], sum[:])
+	return sum[0], err
+}
+
+// SumBlock is the exact Σ of a TS2DIFF block's rows at either order:
+// SumBlockSegments over the whole block, one pass over the packed
+// deltas. An empty block sums to 0.
+//
+//etsqp:hotpath
+func SumBlock(b *ts2diff.Block) (int64, error) {
+	if b.Count == 0 {
+		return 0, nil
+	}
+	cuts, sum := [2]int{0, b.Count}, [1]int64{}
+	err := SumBlockSegments(b, cuts[:], sum[:])
+	return sum[0], err
 }
 
 // narrow runs the page's exact kernel over up to 32 segments at a time

@@ -135,30 +135,6 @@ func TestSumBlockSegmentsMatchesDecode(t *testing.T) {
 	}
 }
 
-func TestSumBlockSegmentsWholeBlockMatchesSumBlock(t *testing.T) {
-	vals := make([]int64, 300)
-	for i := range vals {
-		vals[i] = int64(i*i - 40*i)
-	}
-	for _, order := range []ts2diff.Order{ts2diff.Order1, ts2diff.Order2} {
-		b, err := ts2diff.Encode(vals, order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums := make([]int64, 1)
-		if err := SumBlockSegments(b, []int{0, len(vals)}, sums); err != nil {
-			t.Fatal(err)
-		}
-		want, err := SumBlock(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sums[0] != want {
-			t.Fatalf("order %v: got %d want %d", order, sums[0], want)
-		}
-	}
-}
-
 // BenchmarkSumRangeSegments times the Delta-Repeat segment walk over a
 // 4 096-row page of plateaus (runs of 1…256 equal values), as one
 // segment and cut into 1 000-row windows.

@@ -249,7 +249,8 @@ func TestFig14Fusion(t *testing.T) {
 // shapes, each reading the best of 30 runs: Figure 14(a)'s fuse=3 above
 // fuse=1, and on every dataset of Figure 10 ETSQP at or above SBoost on
 // Q1 and Q2 and at or above Serial on Q1-Q3, and ETSQP-prune at least
-// twice Serial on Q3. A shared host's clock can flake, so
+// twice Serial on Q3; and Figure 11's SBoost below its 2-worker peak at
+// 8 workers on Time and Sine. A shared host's clock can flake, so
 // it runs only when ETSQP_TIME_SHAPES is set, as the CI step "time
 // shapes" does:
 //
@@ -305,6 +306,32 @@ func TestTimeShapes(t *testing.T) {
 			if qid == "Q3" && prune < 2*serial {
 				t.Errorf("fig10 %s/%s: ETSQP-prune %.1f MT/s below twice Serial %.1f MT/s", label, qid, prune, serial)
 			}
+		}
+	}
+	// Figure 11: SBoost slices every page once per worker, so past the
+	// host's cores its Q1 throughput falls below its 2-worker peak.
+	for _, label := range []string{"Time", "Sine"} {
+		w, err := buildWorkload(cfg, label, codecForMode(engine.ModeSBoost))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sql, err := w.queryFor("Q1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mt [2]float64
+		for i, workers := range []int{2, 8} {
+			c := cfg
+			c.Workers = workers
+			m, err := run(c, engineFor(c, w, engine.ModeSBoost), sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mt[i] = m.Throughput
+		}
+		t.Logf("fig11 %s/Q1: SBoost %.1f MT/s at 2 workers, %.1f at 8", label, mt[0], mt[1])
+		if mt[1] >= mt[0] {
+			t.Errorf("fig11 %s/Q1: SBoost at 8 workers (%.1f MT/s) not below its 2-worker peak (%.1f MT/s)", label, mt[1], mt[0])
 		}
 	}
 }

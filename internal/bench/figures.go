@@ -324,35 +324,43 @@ func Fig14Fusion(cfg Config) ([]Measurement, error) {
 			return total, nil
 		}},
 	}
-	var out []Measurement
+	// Every variant is warmed up, and checked against the first, before
+	// any is timed; the Config.Reps timed runs then go round-robin, each
+	// round starting one variant later, so no variant is always first
+	// after a pause. Each keeps its best run, as runReps measures the SQL
+	// figures: one run of a sub-millisecond kernel is at the mercy of a
+	// single preemption.
+	best := make([]time.Duration, len(variants))
 	var ref int64
 	for i, v := range variants {
-		// Best of a warm-up plus Config.Reps timed runs, as runReps
-		// measures the SQL figures: one run of a sub-millisecond kernel
-		// is at the mercy of a single preemption.
-		var got int64
-		el := time.Duration(math.MaxInt64)
-		for r := 0; r <= cfg.Reps; r++ { // run 0 warms up
-			start := time.Now()
-			g, err := v.f()
-			if err != nil {
-				return nil, err
-			}
-			if d := time.Since(start); r > 0 && d < el {
-				el = d
-			}
-			got = g
+		got, err := v.f()
+		if err != nil {
+			return nil, err
 		}
 		if i == 0 {
 			ref = got
 		} else if got != ref {
 			return nil, fmt.Errorf("fig14a: variant %q disagrees: %d vs %d", v.name, got, ref)
 		}
-		out = append(out, Measurement{
+		best[i] = time.Duration(math.MaxInt64)
+	}
+	for r := 0; r < cfg.Reps; r++ {
+		for k := range variants {
+			i := (r + k) % len(variants)
+			start := time.Now()
+			if _, err := variants[i].f(); err != nil {
+				return nil, err
+			}
+			best[i] = min(best[i], time.Since(start))
+		}
+	}
+	out := make([]Measurement, len(variants))
+	for i, v := range variants {
+		out[i] = Measurement{
 			Figure: "fig14a", Series: v.name, X: "sum",
-			Elapsed:    el,
-			Throughput: float64(cfg.Rows) / el.Seconds() / 1e6,
-		})
+			Elapsed:    best[i],
+			Throughput: float64(cfg.Rows) / best[i].Seconds() / 1e6,
+		}
 	}
 	return out, nil
 }

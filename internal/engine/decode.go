@@ -110,9 +110,9 @@ func (r *pageRead) open(pg *storage.Page, col *statsCollector) error {
 	return err
 }
 
-// at returns row i of the page r read: on a block from pipeline.Prefix,
-// whose difference an order-2 page's last row adds, and on runs by
-// walking them. Both wrap mod 2^64 like the decode they stand in for.
+// at returns row i of the page r read: on a block from a scanner reset
+// to row i, and on runs by walking them. Both wrap mod 2^64 like the
+// decode they stand in for.
 func (r *pageRead) at(i int) (int64, error) {
 	if r.form == formRuns {
 		v, row := r.first, 0
@@ -125,12 +125,13 @@ func (r *pageRead) at(i int) (int64, error) {
 		}
 		return v, nil
 	}
-	e := min(i, r.blk.NumPacked())
-	v, d, err := pipeline.Prefix(&r.blk, e)
-	if i > e {
-		v += d
+	var s pipeline.RangeScanner
+	var v [1]int64
+	if err := s.Reset(&r.blk, i); err != nil {
+		return 0, err
 	}
-	return v, err
+	_, err := s.Next(v[:])
+	return v[0], err
 }
 
 // decodeColumnRange decodes rows [from, to) of a page column, consulting

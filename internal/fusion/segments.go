@@ -3,7 +3,6 @@ package fusion
 import (
 	"errors"
 
-	"etsqp/internal/bitio"
 	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/pipeline"
@@ -107,15 +106,15 @@ func rampWeight(j0, j1 int) uint64 {
 }
 
 // SumBlockSegmentsExact fills sums[i] with the exact Σ of rows
-// [cuts[i], cuts[i+1]) of a TS2DIFF block, streaming the packed deltas
-// once through a fixed-size stack chunk for both orders — one decode
-// pass regardless of how many windows cut the block, and a plain range
-// is the one-segment case. Cuts past b.Count contribute what exists.
-// The walk starts near cuts[0], not at row 1: pipeline.Prefix, the
-// resolution RangeScanner.Reset uses, supplies the value there. The
-// recurrence wraps as the decoder's does, so each row is its stored
-// value exactly, and each segment's sum is kept in the two words of an
-// Int128: the walk is branch-free per row and cannot overflow.
+// [cuts[i], cuts[i+1]) of a TS2DIFF block at either order: one
+// pipeline.RangeScanner, positioned at cuts[0] by Reset, decodes the
+// rows once through a fixed-size stack chunk that ends at each
+// segment's end — one decode pass regardless of how many windows cut
+// the block, and a plain range is the one-segment case. Cuts past
+// b.Count contribute what exists. The scanner wraps as the decode
+// does, so each row is its stored value exactly, and each segment's
+// sum is kept in the two words of an Int128: the walk is branch-free
+// per row and cannot overflow.
 //
 //etsqp:hotpath
 func SumBlockSegmentsExact(b *ts2diff.Block, cuts []int, sums []encoding.Int128) error {
@@ -130,77 +129,24 @@ func SumBlockSegmentsExact(b *ts2diff.Block, cuts []int, sums []encoding.Int128)
 	if to <= cuts[0] {
 		return nil
 	}
-	cur := b.First
-	if cuts[0] == 0 {
-		sums[0] = sums[0].AddInt64(cur)
+	var s pipeline.RangeScanner
+	if err := s.Reset(b, cuts[0]); err != nil {
+		return err
 	}
-	delta := b.FirstDelta // order-2 running first difference
-	m := b.NumPacked()
-	// Row r (r >= 1) is one step of the recurrence and consumes packed
-	// field r-1. Order-2 blocks pack n-2 fields for n-1 steps: the last
-	// row advances by the accumulated first difference alone, which a
-	// zero field expresses.
-	row, s := 1, 0
-	// Rows before cuts[0] lie in no segment: seek to the last multiple of
-	// 8 fields at or before it (whole bytes at every width), its prefix
-	// resolved without a walk; the few rows left before the cut are
-	// walked into skip.
-	if e := (cuts[0] - 1) &^ 7; e > 0 {
-		var err error
-		if cur, delta, err = pipeline.Prefix(b, e); err != nil {
-			return err
-		}
-		row = e + 1
-	}
-	var skip encoding.Int128
-	order1 := b.Order == ts2diff.Order1
-	// 128 fields are whole bytes at every width, so each chunk starts
-	// byte-aligned in the packed stream.
 	var chunk [128]int64
-	for row < to {
-		e := row - 1 // fields consumed so far
-		steps := min(to-row, len(chunk))
-		fields := steps
-		if fields > m-e {
-			fields = m - e
-			chunk[fields] = 0
-		}
-		off := e * int(b.Width) / 8
-		if off > len(b.Packed) {
-			return bitio.ErrShortBuffer
-		}
-		if err := pipeline.DecodeDeltasInto(chunk[:fields], b.Packed[off:], fields, b.Width, b.MinBase); err != nil {
-			return err
-		}
-		// Walk the chunk region by region: rows before cuts[0] only
-		// advance the recurrence, every later row lies in exactly one
-		// segment (row < to <= cuts[len(sums)]).
-		for ds := chunk[:steps]; len(ds) > 0; {
-			end, acc := cuts[0], &skip
-			if row >= end {
-				for cuts[s+1] <= row {
-					s++
-				}
-				end, acc = cuts[s+1], &sums[s]
+	for i := 0; s.Row() < to; i++ {
+		end := min(cuts[i+1], to)
+		var sum encoding.Int128
+		for row := s.Row(); row < end; row = s.Row() {
+			n, err := s.Next(chunk[:min(end-row, len(chunk))])
+			if err != nil {
+				return err
 			}
-			n := min(len(ds), end-row)
-			sum := *acc
-			if order1 {
-				for _, d := range ds[:n] {
-					cur += d
-					sum = sum.AddInt64(cur)
-				}
-			} else {
-				for _, d := range ds[:n] {
-					cur += delta
-					delta += d
-					sum = sum.AddInt64(cur)
-				}
+			for _, v := range chunk[:n] {
+				sum = sum.AddInt64(v)
 			}
-			*acc = sum
-			ds = ds[n:]
-			row += n
 		}
+		sums[i] = sum
 	}
 	return nil
 }

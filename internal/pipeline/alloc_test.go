@@ -90,9 +90,9 @@ func TestUnpackLoopAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeDeltasIntoAllocs checks the delta kernel and the packed-sum
-// kernel stay allocation-free.
-func TestDecodeDeltasIntoAllocs(t *testing.T) {
+// TestSumPackedAllocs checks the packed-sum kernel stays
+// allocation-free.
+func TestSumPackedAllocs(t *testing.T) {
 	for _, w := range []uint{4, 10, MaxNarrowWidth, 30} {
 		vals := seriesWithWidthB(4096, w)
 		blk, err := ts2diff.Encode(vals, ts2diff.Order1)
@@ -100,17 +100,6 @@ func TestDecodeDeltasIntoAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := blk.NumPacked()
-		out := make([]int64, m)
-		if err := DecodeDeltasInto(out, blk.Packed, m, blk.Width, blk.MinBase); err != nil {
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(100, func() {
-			if err := DecodeDeltasInto(out, blk.Packed, m, blk.Width, blk.MinBase); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Fatalf("width=%d: DecodeDeltasInto allocates %.1f/op", w, n)
-		}
 		if n := testing.AllocsPerRun(100, func() {
 			if _, err := SumPacked(blk.Packed, m, blk.Width); err != nil {
 				t.Fatal(err)

@@ -300,9 +300,6 @@ func TestTruncatedPayload(t *testing.T) {
 						}
 						return err
 					}},
-					{"DecodeDeltasInto", func() error {
-						return pipeline.DecodeDeltasInto(make([]int64, m), b.Packed, m, w, b.MinBase)
-					}},
 					{"SumPacked", func() error {
 						_, err := pipeline.SumPacked(b.Packed, m, w)
 						return err

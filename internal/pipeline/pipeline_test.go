@@ -143,34 +143,6 @@ func TestDecodeBlockIntoValidation(t *testing.T) {
 	}
 }
 
-func TestDecodeDeltas(t *testing.T) {
-	for _, w := range []uint{1, 5, 10, 13, 25, 27, 32} {
-		vals := seriesWithWidth(500, w, int64(w))
-		b, _ := ts2diff.Encode(vals, ts2diff.Order1)
-		deltas := make([]int64, b.NumPacked())
-		if err := DecodeDeltasInto(deltas, b.Packed, len(deltas), b.Width, b.MinBase); err != nil {
-			t.Fatalf("w=%d: %v", w, err)
-		}
-		want := make([]int64, len(vals)-1)
-		for i := range want {
-			want[i] = vals[i+1] - vals[i]
-		}
-		if !reflect.DeepEqual(deltas, want) {
-			t.Fatalf("w=%d: delta mismatch", w)
-		}
-	}
-	// width 0
-	got := make([]int64, 5)
-	if err := DecodeDeltasInto(got, nil, 5, 0, 42); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range got {
-		if d != 42 {
-			t.Fatalf("got %v", got)
-		}
-	}
-}
-
 func TestSumPacked(t *testing.T) {
 	for _, w := range []uint{1, 3, 10, 20, 25, 30} {
 		vals := seriesWithWidth(700, w, int64(w)*3)

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"errors"
-	"fmt"
 
 	"etsqp/internal/bitio"
 	"etsqp/internal/encoding/ts2diff"
@@ -46,16 +45,22 @@ func decodeRows(out []int64, b *ts2diff.Block, from int) error {
 	return err
 }
 
+// Reset's answers for a block or start row it cannot position on.
+var (
+	errOrder    = errors.New("pipeline: unknown TS2DIFF order")
+	errStartRow = errors.New("pipeline: start row outside the block")
+)
+
 // Reset positions the scanner at startRow of a block, so a caller that
 // scans page after page keeps one scanner by value. Row r consumes
 // packed field r-1 at order 1 and field r-2 at order 2 (rows 0 and 1
-// consume none); Prefix resolves the fields before startRow.
+// consume none); prefix resolves the fields before startRow.
 func (s *RangeScanner) Reset(b *ts2diff.Block, startRow int) error {
 	if b.Order != ts2diff.Order1 && b.Order != ts2diff.Order2 {
-		return fmt.Errorf("pipeline: unknown order %d", b.Order)
+		return errOrder
 	}
 	if startRow < 0 || startRow > b.Count {
-		return fmt.Errorf("pipeline: start row %d out of [0,%d]", startRow, b.Count)
+		return errStartRow
 	}
 	*s = RangeScanner{b: *b, r: *bitio.NewReader(b.Packed)}
 	if startRow == 0 {
@@ -65,7 +70,7 @@ func (s *RangeScanner) Reset(b *ts2diff.Block, startRow int) error {
 	if b.Order == ts2diff.Order2 {
 		e = max(startRow-2, 0)
 	}
-	cur, delta, err := Prefix(b, e)
+	cur, delta, err := prefix(b, e)
 	if err != nil {
 		return err
 	}
@@ -78,10 +83,7 @@ func (s *RangeScanner) Reset(b *ts2diff.Block, startRow int) error {
 	return s.r.Seek(e * int(b.Width))
 }
 
-// errPrefixRange is Prefix's answer for a field count outside the block.
-var errPrefixRange = errors.New("pipeline: prefix past the packed fields")
-
-// Prefix resolves the slice prefix dependency (Figure 8: P1S2 waits on
+// prefix resolves the slice prefix dependency (Figure 8: P1S2 waits on
 // P1S1) without producing rows. It returns the recurrence state after
 // the first e packed fields of a block, 0 <= e <= b.NumPacked(): value
 // is row e, and on an order-2 block delta is the first difference that
@@ -91,10 +93,7 @@ var errPrefixRange = errors.New("pipeline: prefix past the packed fields")
 // usually width 0 and never decoded at all — see ConstantInterval).
 // Both wrap mod 2^64 like the decode they stand in for, so a stored
 // value comes out exact whatever its prefix passed through.
-func Prefix(b *ts2diff.Block, e int) (value, delta int64, err error) {
-	if e < 0 || e > b.NumPacked() {
-		return 0, 0, errPrefixRange
-	}
+func prefix(b *ts2diff.Block, e int) (value, delta int64, err error) {
 	if obs.Enabled() {
 		obs.PipelinePrefixFixups.Inc()
 	}

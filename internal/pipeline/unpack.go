@@ -15,25 +15,6 @@ func DecodeBlockInto(out []int64, b *ts2diff.Block) error {
 	return decodeRows(out, b, 0)
 }
 
-// DecodeDeltasInto reads m packed fields and adds minBase, writing the
-// delta sequence without accumulation — the input the fused order-2 and
-// segment sums consume. out must have length m.
-//
-//etsqp:bounds width [0, 64]
-//etsqp:hotpath
-func DecodeDeltasInto(out []int64, packed []byte, m int, width uint, minBase int64) error {
-	if len(out) != m {
-		return bitio.ErrShortBuffer
-	}
-	if err := bitio.NewReader(packed).ReadFields(out, width); err != nil {
-		return err
-	}
-	for i := range out {
-		out[i] += minBase
-	}
-	return nil
-}
-
 // SumPacked returns the sum of the first m packed fields (without
 // minBase), wrapping mod 2^64 like the decode it stands in for. Slices
 // use it to resolve their prefix dependency without producing rows.

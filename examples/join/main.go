@@ -52,17 +52,16 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "merge: %d rows (from %d + %d inputs)\n", len(res.Rows), n, n)
+	fmt.Fprintf(w, "merge: %d rows (from %d + %d inputs)\n", len(res.Time), n, n)
 
 	// Q6: natural join — rows where both sensors reported.
 	res, err = eng.ExecuteSQL("SELECT * FROM temp, hum")
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "natural join: %d aligned rows\n", len(res.Rows))
-	for i := 0; i < 3 && i < len(res.Rows); i++ {
-		r := res.Rows[i]
-		fmt.Fprintf(w, "  t=%-8d temp=%d hum=%d\n", r.Time, r.Values[0], r.Values[1])
+	fmt.Fprintf(w, "natural join: %d aligned rows\n", len(res.Time))
+	for i := 0; i < 3 && i < len(res.Time); i++ {
+		fmt.Fprintf(w, "  t=%-8d temp=%d hum=%d\n", res.Time[i], res.Values[0][i], res.Values[1][i])
 	}
 
 	// Q4: arithmetic over the join.
@@ -71,7 +70,7 @@ func run(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "projection temp+hum: %d rows, first = %d\n",
-		len(res.Rows), res.Rows[0].Values[0])
+		len(res.Time), res.Values[0][0])
 
 	// LIMIT stops the cursors early: only the first pages of each side
 	// are ever decoded, visible as the pages-read / batch counts.
@@ -80,6 +79,6 @@ func run(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "join LIMIT 3: %d rows from %d cursor batches (%d of %d pages read)\n",
-		len(res.Rows), res.Stats.CursorBatches, res.Stats.PagesRead, res.Stats.PagesTotal)
+		len(res.Time), res.Stats.CursorBatches, res.Stats.PagesRead, res.Stats.PagesTotal)
 	return nil
 }

@@ -529,36 +529,64 @@ func bendAt(rvs []int64, c int64) []int64 {
 	return out
 }
 
-// checkScanCorr checks the row and CORR shapes under value predicates:
-// a value- and time-filtered scan of ts1, with and without LIMIT,
-// against a plain loop, and CORR(ts1.A, ts3.A) under WHERE ts1.A < c
+// checkScanCorr checks the row and CORR shapes under value predicates
+// and LIMIT: a value- and time-filtered scan of ts1, with and without
+// LIMIT, against a plain loop, UNION and join under LIMIT column by
+// column against the first rows of ScalarConcat and ScalarJoin, and
+// CORR(ts1.A, ts3.A) under WHERE ts1.A < c
 // against a scalar Pearson over the filtered oracle join (an empty or
 // constant side must be an error).
 func checkScanCorr(t testing.TB, e *engine.Engine, lts, lvs, rts, rvs []int64, c int64, limit int) {
 	t.Helper()
 	t1, t2 := lts[len(lts)/4], lts[3*len(lts)/4]
-	var want []engine.Row
+	var scanT, scanV []int64
 	for i := range lts {
 		if lts[i] >= t1 && lts[i] <= t2 && lvs[i] >= c {
-			want = append(want, engine.Row{Time: lts[i], Values: []int64{lvs[i]}})
+			scanT, scanV = append(scanT, lts[i]), append(scanV, lvs[i])
 		}
 	}
+	var mergeT, mergeL, mergeR []int64
+	for _, o := range ScalarConcat(lts, lvs, rts, rvs) {
+		mergeT, mergeL, mergeR = append(mergeT, o.Time), append(mergeL, o.L), append(mergeR, o.R)
+	}
+	var joinT, joinL, joinR []int64
+	for _, o := range ScalarJoin(lts, lvs, rts, rvs) {
+		joinT, joinL, joinR = append(joinT, o.Time), append(joinL, o.L), append(joinR, o.R)
+	}
+	// The oracle's first k rows, every column cut alike.
+	head := func(k int, cols ...[]int64) [][]int64 {
+		for j := range cols {
+			cols[j] = cols[j][:min(k, len(cols[j]))]
+		}
+		return cols
+	}
 	scan := fmt.Sprintf("SELECT * FROM ts1 WHERE A >= %d AND TIME >= %d AND TIME <= %d", c, t1, t2)
-	for _, sql := range []string{scan, fmt.Sprintf("%s LIMIT %d", scan, limit)} {
-		w := want
-		if sql != scan {
-			w = want[:min(limit, len(want))]
-		}
-		res, err := e.ExecuteSQL(sql)
+	for _, q := range []struct {
+		sql  string
+		want [][]int64 // the time column, then one column per output column
+	}{
+		{scan, [][]int64{scanT, scanV}},
+		{fmt.Sprintf("%s LIMIT %d", scan, limit), head(limit, scanT, scanV)},
+		{fmt.Sprintf("SELECT * FROM ts1 UNION ts2 ORDER BY TIME LIMIT %d", limit), head(limit, mergeT, mergeL, mergeR)},
+		{fmt.Sprintf("SELECT * FROM ts1, ts2 LIMIT %d", limit), head(limit, joinT, joinL, joinR)},
+	} {
+		res, err := e.ExecuteSQL(q.sql)
 		if err != nil {
-			t.Fatalf("%v %q: %v", e.Mode, sql, err)
+			t.Fatalf("%v %q: %v", e.Mode, q.sql, err)
 		}
-		if len(res.Rows) != len(w) {
-			t.Fatalf("%v %q: %d rows, oracle has %d", e.Mode, sql, len(res.Rows), len(w))
+		got := append([][]int64{res.Time}, res.Values...)
+		if len(got) != len(q.want) {
+			t.Fatalf("%v %q: %d columns, oracle has %d", e.Mode, q.sql, len(got), len(q.want))
 		}
-		for i, r := range res.Rows {
-			if r.Time != w[i].Time || len(r.Values) != 1 || r.Values[0] != w[i].Values[0] {
-				t.Fatalf("%v %q row %d: %v want %v", e.Mode, sql, i, r, w[i])
+		for j, col := range got {
+			w := q.want[j]
+			if len(col) != len(w) {
+				t.Fatalf("%v %q column %d: %d rows, oracle has %d", e.Mode, q.sql, j, len(col), len(w))
+			}
+			for i := range col {
+				if col[i] != w[i] {
+					t.Fatalf("%v %q row %d column %d: %d want %d", e.Mode, q.sql, i, j, col[i], w[i])
+				}
 			}
 		}
 	}
@@ -606,13 +634,13 @@ func TestConcatJoinDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Rows) != len(wantMerge) {
-				t.Fatalf("%v merge: %d rows, oracle has %d", mode, len(res.Rows), len(wantMerge))
+			if len(res.Time) != len(wantMerge) {
+				t.Fatalf("%v merge: %d rows, oracle has %d", mode, len(res.Time), len(wantMerge))
 			}
-			for i, r := range res.Rows {
-				o := wantMerge[i]
-				if r.Time != o.Time || r.Values[0] != o.L || r.Values[1] != o.R {
-					t.Fatalf("%v merge row %d: %v want %+v", mode, i, r, o)
+			for i, tt := range res.Time {
+				o, l, r := wantMerge[i], res.Values[0][i], res.Values[1][i]
+				if tt != o.Time || l != o.L || r != o.R {
+					t.Fatalf("%v merge row %d: %d [%d %d] want %+v", mode, i, tt, l, r, o)
 				}
 			}
 
@@ -620,13 +648,13 @@ func TestConcatJoinDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Rows) != len(wantJoin) {
-				t.Fatalf("%v join: %d rows, oracle has %d", mode, len(res.Rows), len(wantJoin))
+			if len(res.Time) != len(wantJoin) {
+				t.Fatalf("%v join: %d rows, oracle has %d", mode, len(res.Time), len(wantJoin))
 			}
-			for i, r := range res.Rows {
-				o := wantJoin[i]
-				if r.Time != o.Time || r.Values[0] != o.L || r.Values[1] != o.R {
-					t.Fatalf("%v join row %d: %v want %+v", mode, i, r, o)
+			for i, tt := range res.Time {
+				o, l, r := wantJoin[i], res.Values[0][i], res.Values[1][i]
+				if tt != o.Time || l != o.L || r != o.R {
+					t.Fatalf("%v join row %d: %d [%d %d] want %+v", mode, i, tt, l, r, o)
 				}
 			}
 
@@ -634,10 +662,10 @@ func TestConcatJoinDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, r := range res.Rows {
-				o := wantJoin[i]
-				if r.Time != o.Time || r.Values[0] != o.L+o.R {
-					t.Fatalf("%v join-sum row %d: %v want %+v", mode, i, r, o)
+			for i, tt := range res.Time {
+				o, v := wantJoin[i], res.Values[0][i]
+				if tt != o.Time || v != o.L+o.R {
+					t.Fatalf("%v join-sum row %d: %d [%d] want %+v", mode, i, tt, v, o)
 				}
 			}
 
@@ -726,13 +754,13 @@ func FuzzMergeJoinDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != len(wantMerge) {
-			t.Fatalf("merge: %d rows, oracle has %d", len(res.Rows), len(wantMerge))
+		if len(res.Time) != len(wantMerge) {
+			t.Fatalf("merge: %d rows, oracle has %d", len(res.Time), len(wantMerge))
 		}
-		for i, r := range res.Rows {
-			o := wantMerge[i]
-			if r.Time != o.Time || r.Values[0] != o.L || r.Values[1] != o.R {
-				t.Fatalf("merge row %d: %v want %+v", i, r, o)
+		for i, tt := range res.Time {
+			o, l, r := wantMerge[i], res.Values[0][i], res.Values[1][i]
+			if tt != o.Time || l != o.L || r != o.R {
+				t.Fatalf("merge row %d: %d [%d %d] want %+v", i, tt, l, r, o)
 			}
 		}
 
@@ -741,13 +769,13 @@ func FuzzMergeJoinDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != len(wantJoin) {
-			t.Fatalf("join: %d rows, oracle has %d", len(res.Rows), len(wantJoin))
+		if len(res.Time) != len(wantJoin) {
+			t.Fatalf("join: %d rows, oracle has %d", len(res.Time), len(wantJoin))
 		}
-		for i, r := range res.Rows {
-			o := wantJoin[i]
-			if r.Time != o.Time || r.Values[0] != o.L || r.Values[1] != o.R {
-				t.Fatalf("join row %d: %v want %+v", i, r, o)
+		for i, tt := range res.Time {
+			o, l, r := wantJoin[i], res.Values[0][i], res.Values[1][i]
+			if tt != o.Time || l != o.L || r != o.R {
+				t.Fatalf("join row %d: %d [%d %d] want %+v", i, tt, l, r, o)
 			}
 		}
 

@@ -74,6 +74,37 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
+// TestFig10RowShapeAllocs bounds the allocations of Figure 10's
+// row-returning queries (Q4 projection over a join, Q5 UNION, Q6 natural
+// join) on Atm at 60 000 rows: results are columns sized once per time
+// range, so a query allocates per page and per range, never per row.
+func TestFig10RowShapeAllocs(t *testing.T) {
+	cfg := Config{Rows: 60_000, Workers: 2}.WithDefaults()
+	w, err := buildWorkload(cfg, "Atm", codecForMode(engine.ModeETSQP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engineFor(cfg, w, engine.ModeETSQP)
+	for _, qid := range []string{"Q4", "Q5", "Q6"} {
+		sql, err := w.queryFor(qid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.ExecuteSQL(sql); err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(5, func() {
+			if _, err := e.ExecuteSQL(sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs/query", qid, n)
+		if n > 100 {
+			t.Errorf("%s: %.0f allocs per query, want <= 100", qid, n)
+		}
+	}
+}
+
 // TestFigWindowShape checks the work shape of Section VI's G_sw behind
 // FigWindow, from exact counters: at every overlap ETSQP fills the
 // segment sums on encoded form — every row fused, none decoded — Serial

@@ -122,12 +122,16 @@ func RenderResult(w io.Writer, res *engine.Result, maxRows int) {
 			fmt.Fprintf(w, "  %s = %v\n", k, res.Aggregates[k])
 		}
 	default:
-		for i, r := range res.Rows {
+		row := make([]int64, len(res.Values))
+		for i, t := range res.Time {
 			if maxRows > 0 && i >= maxRows {
-				fmt.Fprintf(w, "  ... %d more rows\n", len(res.Rows)-maxRows)
+				fmt.Fprintf(w, "  ... %d more rows\n", len(res.Time)-maxRows)
 				break
 			}
-			fmt.Fprintf(w, "  %d\t%v\n", r.Time, r.Values)
+			for c, vals := range res.Values {
+				row[c] = vals[i]
+			}
+			fmt.Fprintf(w, "  %d\t%v\n", t, row)
 		}
 	}
 	fmt.Fprintf(w, "  (%d pages, %d pruned, %d jobs, %d tuples)\n",

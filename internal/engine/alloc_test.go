@@ -56,8 +56,8 @@ func TestParallelExecutorAllocs(t *testing.T) {
 		t.Fatal("unknown series")
 	}
 	ranges := cutPages(ser.PagesInRange(ts[0], ts[len(ts)-1]), ts[0], ts[len(ts)-1], 8)
-	static := []Row{{Time: 1, Values: []int64{1}}}
-	fn := func(_ int, a, b int64) ([]Row, error) { return static, nil }
+	static := rowCols{ts: []int64{1}, vals: [][]int64{{1}}}
+	fn := func(_ int, a, b int64) (rowCols, error) { return static, nil }
 	if _, err := e.runRanged(ranges, nil, fn); err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,7 @@ type batchCursor struct {
 	name   string
 	t1, t2 int64
 	pairs  []storage.PagePair
+	rows   int // rows on pairs: at least as many as the cursor yields
 	idx    int
 	col    *statsCollector
 }
@@ -44,7 +45,11 @@ func (e *Engine) newBatchCursor(name string, t1, t2 int64, col *statsCollector) 
 	}
 	pairs := ser.PagesInRange(t1, t2)
 	col.pagesTotal.Add(int64(len(pairs)))
-	return &batchCursor{e: e, name: name, t1: t1, t2: t2, pairs: pairs, col: col}, nil
+	c := &batchCursor{e: e, name: name, t1: t1, t2: t2, pairs: pairs, col: col}
+	for _, pp := range pairs {
+		c.rows += pp.Count()
+	}
+	return c, nil
 }
 
 // Next returns the next non-empty batch, or a zero batch at exhaustion.
@@ -161,7 +166,7 @@ func filterCursor(c *batchCursor, vp []sqlparse.Pred, col *statsCollector, emit 
 // into one row with both values, a missing side yields expr.NullValue.
 // emit returns false to stop early (LIMIT). Pure merge time (batch
 // refills excluded) is charged to the merge stage.
-func mergeCursors(l, r *batchCursor, col *statsCollector, emit func(Row) bool) error {
+func mergeCursors(l, r *batchCursor, col *statsCollector, emit func(t, lv, rv int64) bool) error {
 	lh, rh := &cursorHead{c: l}, &cursorHead{c: r}
 	start := time.Now()
 	defer func() {
@@ -178,17 +183,17 @@ func mergeCursors(l, r *batchCursor, col *statsCollector, emit func(Row) bool) e
 		case lh.eof && rh.eof:
 			return nil
 		case rh.eof || (!lh.eof && lh.ts() < rh.ts()):
-			if !emit(Row{Time: lh.ts(), Values: []int64{lh.val(), expr.NullValue}}) {
+			if !emit(lh.ts(), lh.val(), expr.NullValue) {
 				return nil
 			}
 			lh.i++
 		case lh.eof || rh.ts() < lh.ts():
-			if !emit(Row{Time: rh.ts(), Values: []int64{expr.NullValue, rh.val()}}) {
+			if !emit(rh.ts(), expr.NullValue, rh.val()) {
 				return nil
 			}
 			rh.i++
 		default:
-			if !emit(Row{Time: lh.ts(), Values: []int64{lh.val(), rh.val()}}) {
+			if !emit(lh.ts(), lh.val(), rh.val()) {
 				return nil
 			}
 			lh.i++

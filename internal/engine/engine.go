@@ -105,16 +105,13 @@ type Result struct {
 	// Windows holds per-window aggregates for SW queries (one aggregate
 	// item supported per window query).
 	Windows []WindowAgg
-	// Rows holds output tuples for star/join/merge/projection queries.
-	Rows []Row
+	// Time and Values hold the output tuples of star/join/merge/projection
+	// queries as columns: tuple i is Time[i] with Values[c][i] in output
+	// column c, every column as long as Time.
+	Time   []int64
+	Values [][]int64
 	// Stats reports the work done, for the throughput metrics.
 	Stats Stats
-}
-
-// Row is one output tuple.
-type Row struct {
-	Time   int64
-	Values []int64
 }
 
 // rangeHull intersects [lo, hi] with the range-shaped predicates on the
@@ -162,7 +159,7 @@ func valuePreds(preds []sqlparse.Pred) []sqlparse.Pred {
 // rowsOut counts the result's output cardinality: tuples for row-shaped
 // queries, window rows for SW queries, aggregate cells otherwise.
 func (r *Result) rowsOut() int64 {
-	return int64(len(r.Rows) + len(r.Windows) + len(r.Aggregates))
+	return int64(len(r.Time) + len(r.Windows) + len(r.Aggregates))
 }
 
 // Execute runs a parsed query.

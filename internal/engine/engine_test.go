@@ -266,11 +266,11 @@ func TestScanStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 101 {
-		t.Fatalf("rows = %d want 101", len(res.Rows))
+	if len(res.Time) != 101 {
+		t.Fatalf("rows = %d want 101", len(res.Time))
 	}
-	for i, r := range res.Rows {
-		if r.Time != ts[100+i] || r.Values[0] != vals[100+i] {
+	for i, tt := range res.Time {
+		if tt != ts[100+i] || res.Values[0][i] != vals[100+i] {
 			t.Fatalf("row %d mismatch", i)
 		}
 	}
@@ -309,11 +309,11 @@ func TestMergeQ5(t *testing.T) {
 		for _, tt := range ts2 {
 			joint[tt] = true
 		}
-		if len(res.Rows) != len(joint) {
-			t.Fatalf("%v: rows = %d want %d", mode, len(res.Rows), len(joint))
+		if len(res.Time) != len(joint) {
+			t.Fatalf("%v: rows = %d want %d", mode, len(res.Time), len(joint))
 		}
-		for i := 1; i < len(res.Rows); i++ {
-			if res.Rows[i].Time <= res.Rows[i-1].Time {
+		for i := 1; i < len(res.Time); i++ {
+			if res.Time[i] <= res.Time[i-1] {
 				t.Fatalf("%v: output not time ordered at %d", mode, i)
 			}
 		}
@@ -360,15 +360,15 @@ func TestJoinQ4Q6(t *testing.T) {
 		for tt := int64(6); tt <= maxT; tt += 6 {
 			want = append(want, tt)
 		}
-		if len(res.Rows) != len(want) {
-			t.Fatalf("%v: join rows = %d want %d", mode, len(res.Rows), len(want))
+		if len(res.Time) != len(want) {
+			t.Fatalf("%v: join rows = %d want %d", mode, len(res.Time), len(want))
 		}
-		for i, r := range res.Rows {
-			if r.Time != want[i] {
-				t.Fatalf("%v: row %d time %d want %d", mode, i, r.Time, want[i])
+		for i, tt := range res.Time {
+			if tt != want[i] {
+				t.Fatalf("%v: row %d time %d want %d", mode, i, tt, want[i])
 			}
-			if r.Values[0] != r.Time/3 || r.Values[1] != r.Time/2*10 {
-				t.Fatalf("%v: row %d values %v", mode, i, r.Values)
+			if l, r := res.Values[0][i], res.Values[1][i]; l != tt/3 || r != tt/2*10 {
+				t.Fatalf("%v: row %d values [%d %d]", mode, i, l, r)
 			}
 		}
 		// Q4: add projection.
@@ -376,12 +376,12 @@ func TestJoinQ4Q6(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if len(res4.Rows) != len(want) {
-			t.Fatalf("%v: Q4 rows = %d", mode, len(res4.Rows))
+		if len(res4.Time) != len(want) {
+			t.Fatalf("%v: Q4 rows = %d", mode, len(res4.Time))
 		}
-		for i, r := range res4.Rows {
-			if r.Values[0] != want[i]/3+want[i]/2*10 {
-				t.Fatalf("%v: Q4 row %d = %v", mode, i, r.Values)
+		for i, v := range res4.Values[0] {
+			if v != want[i]/3+want[i]/2*10 {
+				t.Fatalf("%v: Q4 row %d = %d", mode, i, v)
 			}
 		}
 	}
@@ -692,8 +692,8 @@ func TestLimitClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 7 {
-		t.Fatalf("rows = %d want 7", len(res.Rows))
+	if len(res.Time) != 7 {
+		t.Fatalf("rows = %d want 7", len(res.Time))
 	}
 	// Merge path.
 	st2 := storage.NewStore()
@@ -712,15 +712,15 @@ func TestLimitClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2.Rows) != 5 {
-		t.Fatalf("merge rows = %d want 5", len(res2.Rows))
+	if len(res2.Time) != 5 {
+		t.Fatalf("merge rows = %d want 5", len(res2.Time))
 	}
 	res3, err := e2.ExecuteSQL("SELECT * FROM ts1, ts2 LIMIT 4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res3.Rows) > 4 {
-		t.Fatalf("join rows = %d", len(res3.Rows))
+	if len(res3.Time) > 4 {
+		t.Fatalf("join rows = %d", len(res3.Time))
 	}
 	// A LIMIT plan runs one range even with workers to spare, so every
 	// row shape over 8-page series reads only the first page pair (time

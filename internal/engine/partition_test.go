@@ -138,12 +138,12 @@ func TestRunRangedClaims(t *testing.T) {
 		ranges[i] = [2]int64{int64(i) * 10, int64(i)*10 + 9}
 	}
 	var calls atomic.Int64
-	rows, err := e.runRanged(ranges, nil, func(i int, t1, t2 int64) ([]Row, error) {
+	rows, err := e.runRanged(ranges, nil, func(i int, t1, t2 int64) (rowCols, error) {
 		calls.Add(1)
 		if ranges[i] != [2]int64{t1, t2} {
-			return nil, fmt.Errorf("index %d handed range [%d, %d]", i, t1, t2)
+			return rowCols{}, fmt.Errorf("index %d handed range [%d, %d]", i, t1, t2)
 		}
-		return []Row{{Time: t1}}, nil
+		return rowCols{ts: []int64{t1}, vals: [][]int64{{t2}}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,20 +151,20 @@ func TestRunRangedClaims(t *testing.T) {
 	if got := calls.Load(); got != int64(len(ranges)) {
 		t.Fatalf("fn ran %d times, want %d", got, len(ranges))
 	}
-	if len(rows) != len(ranges) {
-		t.Fatalf("got %d rows", len(rows))
+	if len(rows.ts) != len(ranges) || len(rows.vals) != 1 || len(rows.vals[0]) != len(ranges) {
+		t.Fatalf("got %d rows, %d columns", len(rows.ts), len(rows.vals))
 	}
-	for i, r := range rows {
-		if r.Time != int64(i)*10 {
-			t.Fatalf("row %d out of order: %+v", i, r)
+	for i, tt := range rows.ts {
+		if tt != int64(i)*10 || rows.vals[0][i] != tt+9 {
+			t.Fatalf("row %d out of order: %d %d", i, tt, rows.vals[0][i])
 		}
 	}
 	boom := errors.New("boom")
-	_, err = e.runRanged(ranges, nil, func(_ int, t1, t2 int64) ([]Row, error) {
+	_, err = e.runRanged(ranges, nil, func(_ int, t1, t2 int64) (rowCols, error) {
 		if t1 == 200 {
-			return nil, fmt.Errorf("range %d: %w", t1, boom)
+			return rowCols{}, fmt.Errorf("range %d: %w", t1, boom)
 		}
-		return nil, nil
+		return rowCols{}, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)

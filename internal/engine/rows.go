@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
 	"etsqp/internal/sqlparse"
@@ -19,38 +20,52 @@ import (
 // moments, which the merge node adds up.
 func (e *Engine) executeRanged(p *plan, tr *Trace) (*Result, error) {
 	limit, item := p.q.Limit, p.q.Items[0]
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
 	col := newCollector(tr)
 	col.mergeRanges.Add(int64(len(p.cuts)))
 	var sums []moments
 	if p.corr() {
 		sums = make([]moments, len(p.cuts))
 	}
-	rows, err := e.runRanged(p.cuts, col, func(i int, a, b int64) ([]Row, error) {
+	rows, err := e.runRanged(p.cuts, col, func(i int, a, b int64) (rowCols, error) {
 		lc, err := e.newBatchCursor(p.series[0], a, b, col)
 		if err != nil {
-			return nil, err
+			return rowCols{}, err
 		}
-		var out []Row
+		var out rowCols
 		// Rows past the limit can never survive the final trim, so each
-		// range stops decoding once it alone could satisfy it.
-		more := func() bool { return limit <= 0 || len(out) < limit }
+		// range stops decoding once it alone could satisfy it. The columns
+		// are sized once from the pages' row counts: a scan yields at most
+		// its pages' rows, a merge both sides', a join the smaller side's.
+		more := func() bool { return len(out.ts) < limit }
 		if p.shape == shapeScan {
+			out = makeRowCols(min(lc.rows, limit), 1)
 			err = filterCursor(lc, p.vp, col, func(t, v int64) bool {
-				out = append(out, Row{Time: t, Values: []int64{v}})
+				out.ts, out.vals[0] = append(out.ts, t), append(out.vals[0], v)
 				return more()
 			})
 			return out, err
 		}
 		rc, err := e.newBatchCursor(p.series[1], a, b, col)
 		if err != nil {
-			return nil, err
+			return rowCols{}, err
 		}
 		if p.shape == shapeMerge {
-			err = mergeCursors(lc, rc, col, func(r Row) bool {
-				out = append(out, r)
+			out = makeRowCols(min(lc.rows+rc.rows, limit), 2)
+			err = mergeCursors(lc, rc, col, func(t, lv, rv int64) bool {
+				out.ts, out.vals[0], out.vals[1] = append(out.ts, t), append(out.vals[0], lv), append(out.vals[1], rv)
 				return more()
 			})
 			return out, err
+		}
+		if sums == nil {
+			width := 1
+			if item.Star {
+				width = 2
+			}
+			out = makeRowCols(min(lc.rows, rc.rows, limit), width)
 		}
 		err = joinCursors(lc, rc, col, func(t, lv, rv int64) bool {
 			switch {
@@ -60,9 +75,9 @@ func (e *Engine) executeRanged(p *plan, tr *Trace) (*Result, error) {
 				sums[i].add(lv, rv)
 				return true
 			case item.Star:
-				out = append(out, Row{Time: t, Values: []int64{lv, rv}})
+				out.ts, out.vals[0], out.vals[1] = append(out.ts, t), append(out.vals[0], lv), append(out.vals[1], rv)
 			default:
-				out = append(out, Row{Time: t, Values: []int64{lv + rv}})
+				out.ts, out.vals[0] = append(out.ts, t), append(out.vals[0], lv+rv)
 			}
 			return more()
 		})
@@ -81,10 +96,11 @@ func (e *Engine) executeRanged(p *plan, tr *Trace) (*Result, error) {
 		}
 		return &Result{Aggregates: map[string]float64{"CORR(A,B)": r}, Stats: col.finish()}, nil
 	}
-	if limit > 0 && len(rows) > limit {
-		rows = rows[:limit]
+	n := min(len(rows.ts), limit)
+	for j := range rows.vals {
+		rows.vals[j] = rows.vals[j][:n]
 	}
-	return &Result{Rows: rows, Stats: col.finish()}, nil
+	return &Result{Time: rows.ts[:n], Values: rows.vals, Stats: col.finish()}, nil
 }
 
 // joinPredsMatch applies qualified value predicates to a joined row.

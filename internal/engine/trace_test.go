@@ -189,8 +189,8 @@ func TestTraceScanSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("got %d rows, want 5", len(res.Rows))
+	if len(res.Time) != 5 {
+		t.Fatalf("got %d rows, want 5", len(res.Time))
 	}
 	if len(tr.Slices) == 0 {
 		t.Error("scan trace recorded no slice events")

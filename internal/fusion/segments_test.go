@@ -220,10 +220,12 @@ func seekCuts(c0, n int) [][]int {
 	return [][]int{{c0, n}, windows}
 }
 
-// TestSumBlockSegmentsSeek holds the segment walk, which seeks past the
-// rows before its first cut, to the decoded sums at every first cut
-// around the 8-field seek grid and the 128-field chunk grid, at the
-// field widths that end a byte, a word or the int64 range.
+// TestSumBlockSegmentsSeek holds the segment walk, which resets its
+// RangeScanner to the first cut, to the decoded sums at every first cut
+// around the grids the scanner reads on: the byte boundary every 8
+// fields, where ReadFields' bit-at-a-time head gives way to 64-field
+// unpack groups, and the walk's 128-row chunk. The field widths end a
+// byte, a word or the int64 range.
 func TestSumBlockSegmentsSeek(t *testing.T) {
 	const n = 4096
 	for _, order := range []ts2diff.Order{ts2diff.Order1, ts2diff.Order2} {

@@ -734,7 +734,7 @@ func FuzzWindowDifferential(f *testing.F) {
 
 // FuzzMergeJoinDifferential fuzzes the shared-grid shape of two series
 // and checks the streaming merge and join, and the filtered scan and
-// CORR shapes, against the oracles.
+// CORR shapes, against the oracles, with page pruning off and on.
 func FuzzMergeJoinDifferential(f *testing.F) {
 	f.Add(int64(1), uint16(300))
 	f.Add(int64(7), uint16(64))
@@ -747,38 +747,40 @@ func FuzzMergeJoinDifferential(f *testing.F) {
 		}
 		c, limit := lvs[rng.Intn(len(lvs))], 1+rng.Intn(40)
 		st := twoSeriesStore(t, lts, lvs, rts, rvs, c, 128)
-		e := engine.New(st, engine.ModeETSQP)
+		for _, mode := range []engine.Mode{engine.ModeETSQP, engine.ModeETSQPPrune} {
+			e := engine.New(st, mode)
 
-		wantMerge := ScalarConcat(lts, lvs, rts, rvs)
-		res, err := e.ExecuteSQL("SELECT * FROM ts1 UNION ts2 ORDER BY TIME")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Time) != len(wantMerge) {
-			t.Fatalf("merge: %d rows, oracle has %d", len(res.Time), len(wantMerge))
-		}
-		for i, tt := range res.Time {
-			o, l, r := wantMerge[i], res.Values[0][i], res.Values[1][i]
-			if tt != o.Time || l != o.L || r != o.R {
-				t.Fatalf("merge row %d: %d [%d %d] want %+v", i, tt, l, r, o)
+			wantMerge := ScalarConcat(lts, lvs, rts, rvs)
+			res, err := e.ExecuteSQL("SELECT * FROM ts1 UNION ts2 ORDER BY TIME")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-
-		wantJoin := ScalarJoin(lts, lvs, rts, rvs)
-		res, err = e.ExecuteSQL("SELECT * FROM ts1, ts2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Time) != len(wantJoin) {
-			t.Fatalf("join: %d rows, oracle has %d", len(res.Time), len(wantJoin))
-		}
-		for i, tt := range res.Time {
-			o, l, r := wantJoin[i], res.Values[0][i], res.Values[1][i]
-			if tt != o.Time || l != o.L || r != o.R {
-				t.Fatalf("join row %d: %d [%d %d] want %+v", i, tt, l, r, o)
+			if len(res.Time) != len(wantMerge) {
+				t.Fatalf("%v merge: %d rows, oracle has %d", mode, len(res.Time), len(wantMerge))
 			}
-		}
+			for i, tt := range res.Time {
+				o, l, r := wantMerge[i], res.Values[0][i], res.Values[1][i]
+				if tt != o.Time || l != o.L || r != o.R {
+					t.Fatalf("%v merge row %d: %d [%d %d] want %+v", mode, i, tt, l, r, o)
+				}
+			}
 
-		checkScanCorr(t, e, lts, lvs, rts, rvs, c, limit)
+			wantJoin := ScalarJoin(lts, lvs, rts, rvs)
+			res, err = e.ExecuteSQL("SELECT * FROM ts1, ts2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Time) != len(wantJoin) {
+				t.Fatalf("%v join: %d rows, oracle has %d", mode, len(res.Time), len(wantJoin))
+			}
+			for i, tt := range res.Time {
+				o, l, r := wantJoin[i], res.Values[0][i], res.Values[1][i]
+				if tt != o.Time || l != o.L || r != o.R {
+					t.Fatalf("%v join row %d: %d [%d %d] want %+v", mode, i, tt, l, r, o)
+				}
+			}
+
+			checkScanCorr(t, e, lts, lvs, rts, rvs, c, limit)
+		}
 	})
 }

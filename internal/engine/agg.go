@@ -315,17 +315,7 @@ func needsValues(items []sqlparse.SelectItem) bool {
 // one-window case, so every participant holds one partial per window
 // (at least one) and the result reads them as Aggregates or Windows.
 func (e *Engine) executeAgg(p *plan, tr *Trace) (*Result, error) {
-	col := newCollector(tr)
-	col.pagesTotal.Add(int64(p.pagesTotal))
-	col.pagesPruned.Add(int64(p.pagesPruned))
-	col.tuplesLoaded.Add(p.prunedTuples)
-	col.pruneNanos.Add(p.pruneNs)
-	if obs.Enabled() {
-		// Plan-time decisions count once the plan runs: EXPLAIN builds
-		// the same plan and must not move them.
-		obs.PrunePagesValue.Add(int64(p.pagesPruned))
-		obs.PrunePagesVacuous.Add(int64(p.pagesVacuous))
-	}
+	col := newCollector(p, tr)
 
 	// Per-slot partials and cut scratch: Worker.Slot is assigned exactly
 	// once per batch, so each participant folds into its own cells with

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -37,19 +36,13 @@ type batchCursor struct {
 	col    *statsCollector
 }
 
-// newBatchCursor opens a cursor over the [t1, t2] rows of a series.
-func (e *Engine) newBatchCursor(name string, t1, t2 int64, col *statsCollector) (*batchCursor, error) {
-	ser, ok := e.Store.Series(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown series %q", name)
-	}
-	pairs := ser.PagesInRange(t1, t2)
-	col.pagesTotal.Add(int64(len(pairs)))
-	c := &batchCursor{e: e, name: name, t1: t1, t2: t2, pairs: pairs, col: col}
-	for _, pp := range pairs {
+// newBatchCursor opens a cursor over the [t1, t2] rows of a plan's pages.
+func (e *Engine) newBatchCursor(name string, pages []storage.PagePair, t1, t2 int64, col *statsCollector) *batchCursor {
+	c := &batchCursor{e: e, name: name, t1: t1, t2: t2, pairs: storage.PagesIn(pages, t1, t2), col: col}
+	for _, pp := range c.pairs {
 		c.rows += pp.Count()
 	}
-	return c, nil
+	return c
 }
 
 // Next returns the next non-empty batch, or a zero batch at exhaustion.

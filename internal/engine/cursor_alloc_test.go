@@ -26,10 +26,7 @@ func TestBatchCursorSteadyStateAllocs(t *testing.T) {
 	col := &statsCollector{}
 
 	drain := func() int {
-		cur, err := e.newBatchCursor("ts", t1, t2, col)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cur := e.newBatchCursor("ts", seriesPages(st, "ts"), t1, t2, col)
 		rows := 0
 		for {
 			b, err := cur.Next()
@@ -64,10 +61,7 @@ func TestBatchCursorSteadyStateAllocs(t *testing.T) {
 	t.Logf("warm cursor drain: %.1f allocs/op over %d rows", n, want)
 
 	advance := func() int {
-		cur, err := e.newBatchCursor("ts", t1, t2, col)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cur := e.newBatchCursor("ts", seriesPages(st, "ts"), t1, t2, col)
 		h := &cursorHead{c: cur}
 		var sum int64
 		rows := 0

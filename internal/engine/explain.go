@@ -12,10 +12,10 @@ type PlanInfo struct {
 	Mode        string
 	Shape       string // "aggregate", "window", "scan", "merge", "join"
 	Series      []string
-	Pages       int // time-relevant pages of the first series
+	Pages       int // time-relevant pages of every series the query reads
 	PagesPruned int // of those, skipped from header statistics (Section V)
 	Workers     int
-	Jobs        int  // pipeline jobs (pages or slices) over the unpruned pages
+	Jobs        int  // pipeline jobs (pages or slices) over the first series' unpruned pages
 	Sliced      bool // any page split into slices
 	Fused       bool // some job aggregates on encoded form (Section IV)
 	FusedJobs   int  // how many do
@@ -37,6 +37,8 @@ func (p *PlanInfo) String() string {
 			// The page statistics split the plan: say how.
 			fmt.Fprintf(&b, "  pages pruned: %d  fused jobs: %d of %d\n", p.PagesPruned, p.FusedJobs, p.Jobs)
 		}
+	} else if p.PagesPruned > 0 {
+		fmt.Fprintf(&b, "  pages pruned: %d\n", p.PagesPruned)
 	}
 	if p.Windows > 0 {
 		fmt.Fprintf(&b, "  window instances: %d\n", p.Windows)

@@ -130,7 +130,7 @@ func TestExplainAnalyzeJoinLimitGolden(t *testing.T) {
 	}
 	want := "join query [ETSQP]\n" +
 		"  series: ts1, ts2\n" +
-		"  pages: 8  workers: 1  jobs: 8  sliced: false\n" +
+		"  pages: 16  workers: 1  jobs: 8  sliced: false\n" +
 		"  merge ranges: 1\n" +
 		"  analyze:\n" +
 		"    pages: relevant=16 read=4 pruned=0\n" +

@@ -80,14 +80,17 @@ type plan struct {
 	needSum   bool            // SUM or AVG requested: fused jobs compute segment sums
 	sumFold   bool            // a non-empty range filter under COUNT/SUM/AVG alone: a pruned scan may fold in one pass
 
-	// The driving (first) series: time-relevant pages, the ones left
-	// after header pruning, and the pipeline jobs over those. Row shapes
-	// (scan, merge, join, CORR) stream pages and carry no jobs.
+	// One snapshot of each series' time-relevant pages, read by every
+	// executor: the driving (first) series' less those header pruning
+	// skips, a merge's or join's second series' (side), and the jobs over
+	// pages. Row shapes (scan, merge, join, CORR) stream their ranges'
+	// sub-slices and carry no jobs; pagesTotal counts every series' pages.
 	pagesTotal   int
 	pagesPruned  int
 	prunedTuples int64
 	pagesVacuous int // kept pages whose statistics make the range filter vacuous
 	pages        []storage.PagePair
+	side         []storage.PagePair
 	slices       []Slice
 	outcomes     []sliceOutcome // aggregate shapes: one per job
 	pruneNs      int64          // page selection, reported as the prune stage
@@ -134,15 +137,13 @@ func (e *Engine) newPlan(q *sqlparse.Query) (*plan, error) {
 	default:
 		return nil, fmt.Errorf("engine: unsupported query shape")
 	}
-	var ser *storage.Series // the driving (first) series
+	var sers [2]*storage.Series // the driving (first) series, and a join's or UNION's second
 	for i, name := range p.series {
 		s, ok := e.Store.Series(name)
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown series %q", name)
 		}
-		if i == 0 {
-			ser = s
-		}
+		sers[i] = s
 	}
 	// Open bounds: TIME (-inf, +inf), values all of int64.
 	p.t1, p.t2 = rangeHull(q.Preds, true, math.MinInt64+1, math.MaxInt64-1)
@@ -155,13 +156,18 @@ func (e *Engine) newPlan(q *sqlparse.Query) (*plan, error) {
 			return nil, err
 		}
 	}
+	if p.shape == shapeMerge && len(p.vp) > 0 {
+		return nil, fmt.Errorf("engine: UNION takes TIME predicates only")
+	}
 
-	// Page relevance by time (binary-searched index, all modes) and by
-	// value statistics (prune strategy, aggregates only).
+	// Page relevance by time (binary-searched index, all modes) and, for
+	// a single series, by value statistics (prune strategy).
 	pruneStart := time.Now()
-	p.pages = ser.PagesInRange(p.t1, p.t2)
+	p.pages = sers[0].PagesInRange(p.t1, p.t2)
 	p.pagesTotal = len(p.pages)
-	if agg && p.strat.prune && len(p.vp) > 0 {
+	if sers[1] != nil {
+		p.side = sers[1].PagesInRange(p.t1, p.t2)
+	} else if p.strat.prune && len(p.vp) > 0 {
 		p.pages, p.pagesPruned, p.prunedTuples = prune.SkipPagesByValue(p.pages, p.c1, p.c2)
 	}
 	p.pruneNs = int64(time.Since(pruneStart))
@@ -175,11 +181,14 @@ func (e *Engine) newPlan(q *sqlparse.Query) (*plan, error) {
 			n = 1
 		}
 		p.cuts = cutPages(p.pages, p.t1, p.t2, n)
+		for _, c := range p.cuts { // a second-series page a cut splits streams in both ranges
+			p.pagesTotal += len(storage.PagesIn(p.side, c[0], c[1]))
+		}
 		return p, nil
 	}
 	if q.Window != nil {
 		var err error
-		if p.windows, err = windowInstances(q.Window, ser, p.t1, p.t2); err != nil {
+		if p.windows, err = windowInstances(q.Window, sers[0], p.t1, p.t2); err != nil {
 			return nil, err
 		}
 		p.shape = shapeWindow

@@ -10,8 +10,9 @@ import (
 
 // executeRanged runs every row-producing shape over the plan's time-range
 // merge nodes (Figure 9): the covered interval was cut at page
-// boundaries, each range streams its series through batch cursors on an
-// independent worker, and the per-range results combine in range order.
+// boundaries, each range streams its part of the plan's page lists
+// through batch cursors on an independent worker, and the per-range
+// results combine in range order.
 // A scan filters one cursor's rows. Merge is Q5, SELECT * FROM ts1 UNION
 // ts2 ORDER BY TIME (Figure 9(a)). Join is Q4 (projection over join) and
 // Q6 (natural join): join masks are produced within each shared time
@@ -23,38 +24,37 @@ func (e *Engine) executeRanged(p *plan, tr *Trace) (*Result, error) {
 	if limit <= 0 {
 		limit = math.MaxInt
 	}
-	col := newCollector(tr)
+	col := newCollector(p, tr)
 	col.mergeRanges.Add(int64(len(p.cuts)))
 	var sums []moments
 	if p.corr() {
 		sums = make([]moments, len(p.cuts))
 	}
+	// Rows past the limit can never survive the final trim, so each range
+	// stops decoding once it alone could satisfy it. The columns are sized
+	// once from the pages' row counts: a scan yields at most its pages'
+	// rows, a merge both sides', a join the smaller side's. Under a value
+	// predicate those only bound a result that may be empty: columns grow.
+	reserve := limit
+	if len(p.vp) > 0 {
+		reserve = 0
+	}
 	rows, err := e.runRanged(p.cuts, col, func(i int, a, b int64) (rowCols, error) {
-		lc, err := e.newBatchCursor(p.series[0], a, b, col)
-		if err != nil {
-			return rowCols{}, err
-		}
+		lc := e.newBatchCursor(p.series[0], p.pages, a, b, col)
 		var out rowCols
-		// Rows past the limit can never survive the final trim, so each
-		// range stops decoding once it alone could satisfy it. The columns
-		// are sized once from the pages' row counts: a scan yields at most
-		// its pages' rows, a merge both sides', a join the smaller side's.
 		more := func() bool { return len(out.ts) < limit }
 		if p.shape == shapeScan {
-			out = makeRowCols(min(lc.rows, limit), 1)
-			err = filterCursor(lc, p.vp, col, func(t, v int64) bool {
+			out = makeRowCols(min(lc.rows, reserve), 1)
+			err := filterCursor(lc, p.vp, col, func(t, v int64) bool {
 				out.ts, out.vals[0] = append(out.ts, t), append(out.vals[0], v)
 				return more()
 			})
 			return out, err
 		}
-		rc, err := e.newBatchCursor(p.series[1], a, b, col)
-		if err != nil {
-			return rowCols{}, err
-		}
+		rc := e.newBatchCursor(p.series[1], p.side, a, b, col)
 		if p.shape == shapeMerge {
-			out = makeRowCols(min(lc.rows+rc.rows, limit), 2)
-			err = mergeCursors(lc, rc, col, func(t, lv, rv int64) bool {
+			out = makeRowCols(min(lc.rows+rc.rows, reserve), 2)
+			err := mergeCursors(lc, rc, col, func(t, lv, rv int64) bool {
 				out.ts, out.vals[0], out.vals[1] = append(out.ts, t), append(out.vals[0], lv), append(out.vals[1], rv)
 				return more()
 			})
@@ -65,9 +65,9 @@ func (e *Engine) executeRanged(p *plan, tr *Trace) (*Result, error) {
 			if item.Star {
 				width = 2
 			}
-			out = makeRowCols(min(lc.rows, rc.rows, limit), width)
+			out = makeRowCols(min(lc.rows, rc.rows, reserve), width)
 		}
-		err = joinCursors(lc, rc, col, func(t, lv, rv int64) bool {
+		err := joinCursors(lc, rc, col, func(t, lv, rv int64) bool {
 			switch {
 			case !joinPredsMatch(p.vp, p.series, lv, rv):
 				return true

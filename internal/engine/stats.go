@@ -106,9 +106,20 @@ type statsCollector struct {
 	trace *Trace
 }
 
-// newCollector builds a collector feeding the given trace (nil = off).
-func newCollector(tr *Trace) *statsCollector {
-	return &statsCollector{trace: tr}
+// newCollector builds the collector of a run of p (trace nil = off),
+// charged with the plan's page selection. Plan-time decisions count once
+// the plan runs: EXPLAIN builds the same plan and must not move them.
+func newCollector(p *plan, tr *Trace) *statsCollector {
+	c := &statsCollector{trace: tr}
+	c.pagesTotal.Add(int64(p.pagesTotal))
+	c.pagesPruned.Add(int64(p.pagesPruned))
+	c.tuplesLoaded.Add(p.prunedTuples)
+	c.pruneNanos.Add(p.pruneNs)
+	if obs.Enabled() {
+		obs.PrunePagesValue.Add(int64(p.pagesPruned))
+		obs.PrunePagesVacuous.Add(int64(p.pagesVacuous))
+	}
+	return c
 }
 
 func (c *statsCollector) snapshot() Stats {

@@ -116,9 +116,11 @@ func TestCacheInvalidateSeries(t *testing.T) {
 }
 
 // TestCacheGetEvictionRace pins the Get path that must capture e.vals
-// under the lock: with a tiny budget, entries are evicted and their
-// structs recycled onto the free list while readers hold them, so a
-// late field read would observe nil or another page's values.
+// under the lock: with a tiny budget, entries are evicted and replaced
+// by other pages' entries while readers are between the lookup and the
+// return, so Get must hand back exactly the values published for its
+// page, never nil on a hit and never another page's values (run it
+// under -race).
 func TestCacheGetEvictionRace(t *testing.T) {
 	c := NewPageCache(2 * 16 * 8) // room for just two entries
 	pages := testPages(8)

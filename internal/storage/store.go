@@ -301,14 +301,18 @@ func (s *Store) ReadColumns(name string) (ts, vals []int64, err error) {
 	return ts, vals, nil
 }
 
-// PagesInRange returns the page pairs whose time range intersects
-// [t1, t2], located by binary search over the (time-ordered) page list —
-// the index lookup a query uses instead of scanning every page header.
+// PagesInRange is PagesIn over a snapshot of the series' pages.
 func (s *Series) PagesInRange(t1, t2 int64) []PagePair {
+	return PagesIn(s.pagesSnapshot(), t1, t2)
+}
+
+// PagesIn returns the sub-slice of the time-ordered pages whose time
+// range intersects [t1, t2], located by binary search — the index lookup
+// a query uses instead of scanning every page header.
+func PagesIn(pages []PagePair, t1, t2 int64) []PagePair {
 	if t2 < t1 {
 		return nil
 	}
-	pages := s.pagesSnapshot()
 	// First page whose end reaches t1.
 	lo := sort.Search(len(pages), func(i int) bool {
 		return pages[i].EndTime() >= t1

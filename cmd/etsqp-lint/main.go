@@ -11,7 +11,7 @@
 //	nobce          //etsqp:nobce functions compile with zero retained bounds checks
 //	noescape       nothing in //etsqp:noescape functions escapes to the heap
 //	nopanic        no panics reachable from Decode/Read/Unmarshal entries
-//	obsguard       obs counters via atomic helpers, Enabled()-gated in hot paths
+//	obsguard       obs counters via atomic helpers, Enabled()-gated in hot paths, none per hot-loop iteration
 //	querydoc       SQL grammar surface and docs/QUERYING.md stay in sync
 //	rangecheck     int64 arithmetic in //etsqp:rangecheck kernels is checked or in range
 //	sharedwrite    parallel fan-outs write disjoint index ranges

@@ -599,9 +599,9 @@ func (e *Engine) foldSegments(p *plan, page *storage.Page, out sliceOutcome, vr 
 		// The rows counters are shared by the workers: one add per scan.
 		rows := int64(sc.s.Row() - from)
 		col.valuesDecoded.Add(rows)
+		obs.PipelineValuesUnpacked.Add(rows)
 		if sc.onePass {
 			sc.decodeNs = ns
-			obs.PipelineValuesUnpacked.Add(rows)
 		}
 		col.decodeNanos.Add(sc.decodeNs)
 		obs.EngineHistPageDecode.Observe(ns)

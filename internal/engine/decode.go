@@ -130,7 +130,8 @@ func (r *pageRead) at(i int) (int64, error) {
 	if err := s.Reset(&r.blk, i); err != nil {
 		return 0, err
 	}
-	_, err := s.Next(v[:])
+	n, err := s.Next(v[:])
+	obs.PipelineValuesUnpacked.Add(int64(n))
 	return v[0], err
 }
 
@@ -211,25 +212,28 @@ func (e *Engine) decodeColumnRangeUncached(p *storage.Page, r *pageRead, from, t
 // in gridChunk chunks and stops after the first chunk holding a
 // timestamp past stop (Proposition 4's stop). The rows from the first
 // such one on count as pruned; the decode returns the rows up to its
-// chunk's end.
+// chunk's end, and adds them to pipeline.values_unpacked once.
 func decodeUntil(b *ts2diff.Block, from, to int, stop int64, buf []int64, col *statsCollector) ([]int64, error) {
 	var s pipeline.RangeScanner
 	if err := s.Reset(b, from); err != nil {
 		return nil, err
 	}
 	ts := buf[:to-from]
-	for n := 0; n < len(ts); {
-		k, err := s.Next(ts[n : n+gridChunk(from+n, to)])
-		if err != nil || k == 0 {
-			return ts[:n], err
+	n := 0
+	var err error
+	for n < len(ts) {
+		var k int
+		if k, err = s.Next(ts[n : n+gridChunk(from+n, to)]); err != nil || k == 0 {
+			break
 		}
 		if n += k; ts[n-1] > stop {
 			col.rowsPruned.Add(int64(to - rowClock{ts: ts[:n], start: from}.row(stop+1, from+n-k, from+n)))
 			obs.PruneStopsTime.Inc()
-			return ts[:n], nil
+			break
 		}
 	}
-	return ts, nil
+	obs.PipelineValuesUnpacked.Add(int64(n))
+	return ts[:n], err
 }
 
 // Slice is one unit of core-level work: either a whole page pair or a

@@ -531,3 +531,47 @@ func TestOnePassCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedWalkCounters: an unfiltered SUM and a tumbling-window SUM over
+// order-1 and order-2 TS2DIFF value pages run the fused walk over every
+// row, at one and two workers. The walk adds its rows to
+// pipeline.values_unpacked once per call rather than per chunk, so the
+// counter's delta is still each row once, and ValuesFused counts each
+// row once with nothing decoded.
+func TestFusedWalkCounters(t *testing.T) {
+	const n = 10_000
+	ts, vals := make([]int64, n), make([]int64, n)
+	for i := range ts {
+		ts[i] = int64(i) * 100
+		vals[i] = int64(uint64(i)*0x9E3779B97F4A7C15>>54) - 512
+	}
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	for _, codec := range []string{"ts2diff", "ts2diff2"} {
+		st := storage.NewStore()
+		if err := st.Append("ts", ts, vals, storage.Options{PageSize: 1024, ValueCodec: codec}); err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range []string{"SELECT SUM(A) FROM ts", "SELECT SUM(A) FROM ts GROUP BY TIME(50000)"} {
+			for _, mode := range []Mode{ModeETSQP, ModeETSQPPrune} {
+				for _, workers := range []int{1, 2} {
+					e := New(st, mode)
+					e.Workers = workers
+					before := obs.Capture()
+					res, err := e.ExecuteSQL(sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					unpacked := obs.Capture().Delta(before)[obs.PipelineValuesUnpacked.Name()]
+					if res.Stats.ValuesFused != n || res.Stats.ValuesDecoded != 0 || unpacked != n {
+						t.Errorf("%s, %v/%d workers, %s: fused %d, decoded %d, pipeline.values_unpacked delta %d; want %d, 0 and %d",
+							codec, mode, workers, sql, res.Stats.ValuesFused, res.Stats.ValuesDecoded, unpacked, n, n)
+					}
+				}
+			}
+		}
+	}
+}

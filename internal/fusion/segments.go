@@ -5,6 +5,7 @@ import (
 
 	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/ts2diff"
+	"etsqp/internal/obs"
 	"etsqp/internal/pipeline"
 )
 
@@ -107,14 +108,19 @@ func rampWeight(j0, j1 int) uint64 {
 
 // SumBlockSegmentsExact fills sums[i] with the exact Σ of rows
 // [cuts[i], cuts[i+1]) of a TS2DIFF block at either order: one
-// pipeline.RangeScanner, positioned at cuts[0] by Reset, decodes the
-// rows once through a fixed-size stack chunk that ends at each
-// segment's end — one decode pass regardless of how many windows cut
-// the block, and a plain range is the one-segment case. Cuts past
-// b.Count contribute what exists. The scanner wraps as the decode
-// does, so each row is its stored value exactly, and each segment's
-// sum is kept in the two words of an Int128: the walk is branch-free
-// per row and cannot overflow.
+// pipeline.RangeScanner, positioned at cuts[0] by Reset, walks the rows
+// once through a fixed-size stack chunk that ends at each segment's end
+// — one pass regardless of how many windows cut the block, and a plain
+// range is the one-segment case. Cuts past b.Count contribute what
+// exists. Every other chunk end is on the payload's 64-field grid, so
+// each chunk but a segment's or the page's last unpacks as whole
+// generated-kernel groups: row r reads packed field r-1 at order 1 and
+// r-2 at order 2, so a chunk ends at a row ≡ 1 (mod 64) at order 1 and
+// ≡ 2 at order 2. An order-1 chunk is folded where it is unpacked (RangeScanner.SumNext),
+// one exact Int128 per chunk; an order-2 chunk is decoded (Next) and
+// each row added into the segment's Int128. The scanner wraps as the
+// decode does, so each row is its stored value exactly: the walk cannot
+// overflow. It adds its rows to pipeline.values_unpacked once per call.
 //
 //etsqp:hotpath
 func SumBlockSegmentsExact(b *ts2diff.Block, cuts []int, sums []encoding.Int128) error {
@@ -133,12 +139,25 @@ func SumBlockSegmentsExact(b *ts2diff.Block, cuts []int, sums []encoding.Int128)
 	if err := s.Reset(b, cuts[0]); err != nil {
 		return err
 	}
+	lag := 1
+	if b.Order == ts2diff.Order2 {
+		lag = 2
+	}
 	var chunk [128]int64
 	for i := 0; s.Row() < to; i++ {
 		end := min(cuts[i+1], to)
 		var sum encoding.Int128
 		for row := s.Row(); row < end; row = s.Row() {
-			n, err := s.Next(chunk[:min(end-row, len(chunk))])
+			buf := chunk[:min(end-row, len(chunk)-(row-lag)&63)]
+			if lag == 1 {
+				_, part, err := s.SumNext(buf)
+				if err != nil {
+					return err
+				}
+				sum = sum.Add(part)
+				continue
+			}
+			n, err := s.Next(buf)
 			if err != nil {
 				return err
 			}
@@ -147,6 +166,9 @@ func SumBlockSegmentsExact(b *ts2diff.Block, cuts []int, sums []encoding.Int128)
 			}
 		}
 		sums[i] = sum
+	}
+	if obs.Enabled() {
+		obs.PipelineValuesUnpacked.Add(int64(to - cuts[0]))
 	}
 	return nil
 }

@@ -6,10 +6,13 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/ts2diff"
+	"etsqp/internal/obs"
+	"etsqp/internal/pipeline"
 )
 
 // randomCuts builds a strictly increasing partition of [0, n] with at
@@ -295,10 +298,101 @@ func TestSumBlockSegmentsSeekWrap(t *testing.T) {
 	}
 }
 
+// gridCuts are partitions of an n-row page (n > 200) whose cuts fall on
+// rows ≡ 0, 1, 2, 63, 64 and 65 (mod 64), around the grids on which the
+// walk's order-1 (row ≡ 1) and order-2 (row ≡ 2) chunks end, with
+// one-row segments and the page's tail, and a last cut past the page.
+func gridCuts(n int) [][]int {
+	all := []int{0}
+	for base := 0; base+65 < n; base += 64 {
+		for _, r := range []int{1, 2, 63, 64, 65} {
+			if c := base + r; c > all[len(all)-1] {
+				all = append(all, c)
+			}
+		}
+	}
+	all = append(all, n)
+	parts := [][]int{
+		{0, n},
+		all,
+		{5, 6, 7, 64, 65, 66, n - 1, n},
+		{n - 1, n},
+		{n - 70, n + 5},
+	}
+	for _, r := range []int{0, 1, 2, 63, 64, 65} {
+		cuts := []int{r}
+		for c := r + 64; c < n; c += 128 {
+			cuts = append(cuts, c)
+		}
+		parts = append(parts, append(cuts, n+1))
+	}
+	return parts
+}
+
+// TestSumBlockSegmentsExactGrid holds the fused walk to a per-row Int128
+// reference over the rows DecodeRange rebuilds, at every field width
+// 0–64 and both orders, on pages whose fields are random at full width
+// and whose First and MinBase take the int64 extremes, so the rows wrap
+// as the decode wraps them. The walk's chunks end on the order's
+// 64-field grid and at each segment's end; order 1 folds each chunk
+// where it is unpacked (RangeScanner.SumNext), so its Int128 must come
+// out equal to the sum of the decoded rows however they wrap.
+func TestSumBlockSegmentsExactGrid(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(64))
+	extremes := []struct{ first, minBase int64 }{
+		{0, 0},
+		{rng.Int63() - math.MaxInt64/2, rng.Int63n(1<<20) - 1<<19},
+		{math.MaxInt64, math.MaxInt64},
+		{math.MinInt64, math.MinInt64},
+		{math.MaxInt64 - 3, 1},
+		{math.MinInt64 + 3, -1 << 40},
+	}
+	for _, order := range []ts2diff.Order{ts2diff.Order1, ts2diff.Order2} {
+		for w := uint(0); w <= 64; w++ {
+			for _, x := range extremes {
+				b := &ts2diff.Block{Order: order, Count: n, First: x.first, FirstDelta: x.minBase, MinBase: x.minBase, Width: w}
+				fields := make([]uint64, b.NumPacked())
+				for i := range fields {
+					fields[i] = rng.Uint64() >> (64 - w) // 0 at width 0
+				}
+				b.Packed = encoding.Pack(fields, w)
+				rows, err := pipeline.DecodeRange(b, 0, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if scalar, err := b.Decode(); err != nil || !slices.Equal(rows, scalar) {
+					t.Fatalf("order %v width %d: DecodeRange differs from the scalar decode (%v)", order, w, err)
+				}
+				for _, cuts := range gridCuts(n) {
+					got := make([]encoding.Int128, len(cuts)-1)
+					if err := SumBlockSegmentsExact(b, cuts, got); err != nil {
+						t.Fatalf("order %v width %d cuts %v: %v", order, w, cuts, err)
+					}
+					for i := range got {
+						var want encoding.Int128
+						for _, v := range rows[min(cuts[i], n):min(cuts[i+1], n)] {
+							want = want.AddInt64(v)
+						}
+						if got[i] != want {
+							t.Fatalf("order %v width %d first %d minBase %d seg [%d,%d): got %s want %s",
+								order, w, x.first, x.minBase, cuts[i], cuts[i+1], got[i].Big(), want.Big())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkSumBlockSegments times the TS2DIFF segment walk over a
 // 4 096-row order-1 page of width 8: the whole page, one 2 000-row range
 // that starts mid-page, and 1 000-row windows. ns/row counts the rows the
-// segments cover, so rows the walk seeks past cost per covered row.
+// segments cover, so rows the walk seeks past cost per covered row. Each
+// case runs once as is, with obs disabled, and once as a server runs it:
+// obs enabled and the walk on every core at once (b.RunParallel), so a
+// shared counter the walk touches is contended; there ns/row is wall
+// time over the rows all goroutines covered.
 func BenchmarkSumBlockSegments(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	vals := make([]int64, 4096)
@@ -326,6 +420,23 @@ func BenchmarkSumBlockSegments(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+		b.Run(c.name+"/obs-parallel", func(b *testing.B) {
+			obs.Enable()
+			defer func() {
+				obs.Disable()
+				obs.Reset()
+			}()
+			b.RunParallel(func(pb *testing.PB) {
+				sums := make([]int64, len(c.cuts)-1)
+				for pb.Next() {
+					if err := SumBlockSegments(blk, c.cuts, sums); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})
 	}

@@ -2,6 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -23,14 +24,20 @@ import (
 //     counter/timer/gauge/histogram mutation must sit behind an
 //     obs.Enabled() check so a disabled build pays one predicted branch,
 //     not argument computation plus an atomic load per metric.
-//  3. Every metric registered in the obs package (newCounter / newTimer /
+//  3. In //etsqp:hotpath functions, no obs mutation may run once per
+//     iteration of a loop — in the loop body, or in a module callee the
+//     loop body calls — with only obs.Enabled() guarding it: an enabled
+//     build (the server's) would pay one shared atomic per iteration.
+//     The loop's total is added once after it. A mutation behind a data
+//     condition (a stop that fires once) is not per iteration.
+//  4. Every metric registered in the obs package (newCounter / newTimer /
 //     newGauge / newHistogram) must appear in a docs/OBSERVABILITY.md
 //     table row, and every table row must name a registered metric — the
 //     doc is the reviewed metrics surface and may not drift from the
 //     registry.
 var ObsGuard = &lint.Analyzer{
 	Name: "obsguard",
-	Doc:  "obs counters: atomic helpers only, Enabled()-gated in hot paths, docs in sync",
+	Doc:  "obs counters: atomic helpers only, Enabled()-gated in hot paths, none per hot-loop iteration, docs in sync",
 	Run:  runObsGuard,
 }
 
@@ -63,7 +70,142 @@ func runObsGuard(pass *lint.Pass) error {
 		}
 		checkObsGated(pass, fi)
 	}
+	// Rule 3: no obs mutation per iteration of a hot loop.
+	counts := map[string]bool{}
+	for _, key := range roots {
+		checkObsPerIteration(pass, m.Funcs[key], counts)
+	}
 	return nil
+}
+
+// isObsMutation reports whether call writes an obs metric.
+func isObsMutation(info *types.Info, call *ast.CallExpr) bool {
+	fn := lint.CalleeFunc(info, call)
+	if fn == nil || !obsMutators[fn.Name()] {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && isObsCounterType(recv.Type())
+}
+
+// dataGuarded reports whether a data condition stands on the path from
+// stack[from] down to n (stack[from+1:] and n itself): an if other than
+// exactly obs.Enabled(), an else, a case, or the right operand of && or
+// ||. obs.Enabled() checks alone do not skip a mutation in an enabled
+// build.
+func dataGuarded(info *types.Info, stack []ast.Node, from int, n ast.Node) bool {
+	for i := from; i < len(stack); i++ {
+		child := n
+		if i+1 < len(stack) {
+			child = stack[i+1]
+		}
+		switch p := stack[i].(type) {
+		case *ast.IfStmt:
+			if child == p.Else || child == p.Body && !isEnabledCall(info, p.Cond) {
+				return true
+			}
+		case *ast.CaseClause, *ast.CommClause:
+			return true
+		case *ast.BinaryExpr:
+			if (p.Op == token.LAND || p.Op == token.LOR) && child == p.Y {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// isEnabledCall reports whether e is exactly a call to obs.Enabled.
+func isEnabledCall(info *types.Info, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	return ok && CalleeEnabledFunc(info, call)
+}
+
+// perIteration reports whether n, with ancestors stack, runs once per
+// iteration of an enclosing loop of its function: it sits in a for
+// loop's condition, post statement or body, or a range loop's body,
+// with no function literal and no data condition in between.
+func perIteration(info *types.Info, stack []ast.Node, n ast.Node) bool {
+	for i := len(stack) - 1; i >= 0; i-- {
+		child := n
+		if i+1 < len(stack) {
+			child = stack[i+1]
+		}
+		switch p := stack[i].(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ForStmt:
+			if child != p.Init {
+				return !dataGuarded(info, stack, i+1, n)
+			}
+		case *ast.RangeStmt:
+			if child == p.Body {
+				return !dataGuarded(info, stack, i+1, n)
+			}
+		}
+	}
+	return false
+}
+
+// checkObsPerIteration flags, in a hot function, each obs mutation and
+// each call to a per-call counting module function (countsPerCall) that
+// runs once per iteration of one of its loops.
+func checkObsPerIteration(pass *lint.Pass, fi *lint.FuncInfo, counts map[string]bool) {
+	if fi == nil || fi.Decl.Body == nil {
+		return
+	}
+	info := fi.Pkg.Info
+	lint.WalkStack(fi.Decl.Body, func(n ast.Node, stack []ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || !perIteration(info, stack, call) {
+			return true
+		}
+		if isObsMutation(info, call) {
+			pass.Reportf(call.Pos(), "obs metric update runs once per loop iteration in hot path %s; add the loop's total once after it", fi.Obj.Name())
+		} else if fn := lint.CalleeFunc(info, call); fn != nil && countsPerCall(pass.Module, fn.FullName(), counts) {
+			pass.Reportf(call.Pos(), "%s updates an obs metric on every call, once per loop iteration in hot path %s; count once outside the loop", fn.Name(), fi.Obj.Name())
+		}
+		return true
+	})
+}
+
+// countsPerCall reports whether a module function updates an obs metric
+// on every call that reaches it: a mutation, or a call to such a
+// function, guarded at most by obs.Enabled() checks and outside any
+// function literal. The obs package's own helpers are the mutations,
+// not callers of them. counts memoizes the answer; a function on the
+// current call chain counts as false.
+func countsPerCall(m *lint.Module, key string, counts map[string]bool) bool {
+	if c, done := counts[key]; done {
+		return c
+	}
+	counts[key] = false
+	fi, ok := m.Funcs[key]
+	if !ok || fi.Decl.Body == nil || lint.PathHasSuffix(fi.Pkg.Path, "internal/obs") {
+		return false
+	}
+	info := fi.Pkg.Info
+	found := false
+	lint.WalkStack(fi.Decl.Body, func(n ast.Node, stack []ast.Node) bool {
+		if found {
+			return false
+		}
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || dataGuarded(info, stack, 0, call) {
+			return true
+		}
+		if isObsMutation(info, call) {
+			found = true
+		} else if fn := lint.CalleeFunc(info, call); fn != nil && countsPerCall(m, fn.FullName(), counts) {
+			found = true
+		}
+		return !found
+	})
+	counts[key] = found
+	return found
 }
 
 // checkObsFieldAccess flags selections of the unexported counter storage
@@ -163,15 +305,7 @@ func checkObsGated(pass *lint.Pass, fi *lint.FuncInfo) {
 	info := fi.Pkg.Info
 	lint.WalkStack(fi.Decl.Body, func(n ast.Node, stack []ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := lint.CalleeFunc(info, call)
-		if fn == nil || !obsMutators[fn.Name()] {
-			return true
-		}
-		recv := fn.Type().(*types.Signature).Recv()
-		if recv == nil || !isObsCounterType(recv.Type()) {
+		if !ok || !isObsMutation(info, call) {
 			return true
 		}
 		if !enclosedInEnabledCheck(info, stack) {

@@ -1,4 +1,4 @@
-// The fixture's metric registry. Rule 3 cross-checks these names
+// The fixture's metric registry. Rule 4 cross-checks these names
 // against docs/OBSERVABILITY.md: the doc's `fixture.ghost` row has no
 // registration, so the package clause below carries its diagnostic.
 

@@ -225,6 +225,33 @@ func errOr(err error) error {
 	return err
 }
 
+// everyShape scans a rows-row block to its end with step, from start rows
+// on every bit offset a field can have and in chunk lengths around one
+// and two 64-field groups: the truncation is met by the bulk reader's
+// head, its groups, its partial group or its tail, or by the prefix sum
+// under Reset — and each must say ErrShortBuffer when wantShort, and no
+// error on the intact block. It returns the oracle's error when every
+// shape agrees.
+func everyShape(b *ts2diff.Block, rows int, wantShort bool, step func(*pipeline.RangeScanner, []int64) error, oracle error) error {
+	var s pipeline.RangeScanner
+	chunk := make([]int64, 1024)
+	for start := 0; start < 67; start++ {
+		if start == 18 {
+			start = 62 // 0..17 is two alignment periods of any width
+		}
+		for _, n := range []int{1, 63, 64, 65, 130, 1024} {
+			err := s.Reset(b, start)
+			for err == nil && s.Row() < rows {
+				err = step(&s, chunk[:n])
+			}
+			if errors.Is(err, bitio.ErrShortBuffer) != wantShort || (!wantShort && err != nil) {
+				return fmt.Errorf("start %d, chunks of %d: %w", start, n, errOr(err))
+			}
+		}
+	}
+	return oracle
+}
+
 // TestTruncatedPayload cuts the last two bytes off a block's payload:
 // every route that reads the payload to its end must then fail with
 // bitio.ErrShortBuffer — and succeed on the intact block — exactly as
@@ -268,29 +295,19 @@ func TestTruncatedPayload(t *testing.T) {
 						return err
 					}},
 					{"RangeScanner, every start and chunk shape", func() error {
-						// Start rows on every bit offset a field can have,
-						// chunk lengths around one and two 64-field groups:
-						// the truncation is met by the bulk reader's head,
-						// its groups, its partial group or its tail, or by
-						// the prefix sum under Reset — and each must say
-						// ErrShortBuffer, and none on the intact block.
-						var s pipeline.RangeScanner
-						chunk := make([]int64, 1024)
-						for start := 0; start < 67; start++ {
-							if start == 18 {
-								start = 62 // 0..17 is two alignment periods of any width
-							}
-							for _, n := range []int{1, 63, 64, 65, 130, 1024} {
-								err := s.Reset(b, start)
-								for err == nil && s.Row() < rows {
-									_, err = s.Next(chunk[:n])
-								}
-								if errors.Is(err, bitio.ErrShortBuffer) != wantShort || (!wantShort && err != nil) {
-									return fmt.Errorf("start %d, chunks of %d: %w", start, n, errOr(err))
-								}
-							}
+						return everyShape(b, rows, wantShort, func(s *pipeline.RangeScanner, chunk []int64) error {
+							_, err := s.Next(chunk)
+							return err
+						}, oracle)
+					}},
+					{"RangeScanner.SumNext, every start and chunk shape", func() error {
+						if order != ts2diff.Order1 {
+							return oracle // SumNext takes order-1 blocks only
 						}
-						return oracle
+						return everyShape(b, rows, wantShort, func(s *pipeline.RangeScanner, chunk []int64) error {
+							_, _, err := s.SumNext(chunk)
+							return err
+						}, oracle)
 					}},
 					{"RangeScanner, start inside the cut", func() error {
 						var s pipeline.RangeScanner

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"etsqp/internal/bitio"
+	"etsqp/internal/encoding"
 	"etsqp/internal/encoding/ts2diff"
 	"etsqp/internal/obs"
 )
@@ -35,13 +36,17 @@ func NewRangeScanner(b *ts2diff.Block, startRow int) (*RangeScanner, error) {
 	return s, nil
 }
 
-// decodeRows fills out with rows [from, from+len(out)) of the block.
+// decodeRows fills out with rows [from, from+len(out)) of the block,
+// adding them to pipeline.values_unpacked once.
 func decodeRows(out []int64, b *ts2diff.Block, from int) error {
 	var s RangeScanner
 	if err := s.Reset(b, from); err != nil {
 		return err
 	}
-	_, err := s.Next(out)
+	n, err := s.Next(out)
+	if obs.Enabled() {
+		obs.PipelineValuesUnpacked.Add(int64(n))
+	}
 	return err
 }
 
@@ -125,7 +130,9 @@ func prefix(b *ts2diff.Block, e int) (value, delta int64, err error) {
 func (s *RangeScanner) Row() int { return s.row }
 
 // Next decodes up to len(dst) rows, returning how many were produced
-// (0 at the end of the block).
+// (0 at the end of the block). It counts nothing: a caller adds the rows
+// of its decode or job to pipeline.values_unpacked once, so no chunk
+// pays a shared atomic.
 //
 //etsqp:hotpath
 func (s *RangeScanner) Next(dst []int64) (int, error) {
@@ -144,9 +151,6 @@ func (s *RangeScanner) Next(dst []int64) (int, error) {
 	}
 	if err != nil {
 		return 0, err
-	}
-	if obs.Enabled() {
-		obs.PipelineValuesUnpacked.Add(int64(n))
 	}
 	return n, nil
 }
@@ -178,9 +182,9 @@ func (s *RangeScanner) next1(dst []int64) error {
 	return nil
 }
 
-// errNotOrder1 is ScanFold's answer for an order-2 block, whose rows take
-// next2's two-level recurrence.
-var errNotOrder1 = errors.New("pipeline: ScanFold takes order-1 blocks only")
+// errNotOrder1 is ScanFold's and SumNext's answer for an order-2 block,
+// whose rows take next2's two-level recurrence.
+var errNotOrder1 = errors.New("pipeline: ScanFold and SumNext take order-1 blocks only")
 
 // ScanFold advances an order-1 scan by up to len(scratch) rows without
 // keeping them. It returns the count and the wrapping sum of the rows v
@@ -194,7 +198,7 @@ var errNotOrder1 = errors.New("pipeline: ScanFold takes order-1 blocks only")
 // is then count·c1 plus theirs. A chunk that starts on the payload's
 // 64-field grid (at a row ≡ 1 mod 64) unpacks as whole generated-kernel
 // groups, plus the page's last partial group. Like Next it is all or
-// nothing: on an error the scanner has not moved. Unlike Next it leaves
+// nothing: on an error the scanner has not moved. Like Next it leaves
 // pipeline.values_unpacked to its caller, which adds a page's rows once.
 //
 //etsqp:hotpath
@@ -231,6 +235,53 @@ func (s *RangeScanner) ScanFold(scratch []int64, c1 int64, span uint64) (count, 
 	last = int64(d + uint64(c1))
 	s.row, s.cur = s.row+n, last
 	return int64(selected), int64(total + selected*uint64(c1)), last, nil
+}
+
+// SumNext advances an order-1 scan by up to len(scratch) rows without
+// keeping them, and returns how many it advanced over and their exact
+// sum: next1 and the sum in one pass, as ScanFold is next1 and the range
+// fold. The chunk's fields are unpacked into scratch by one ReadFields
+// call, and one loop runs the prefix and accumulates, beside the
+// wrapping Σv, the wrapping Σ(v>>32). Each row v is its stored value
+// (the prefix wraps as the decode does), and v = 2^32·(v>>32) + (v mod
+// 2^32) with v>>32 in [-2^31, 2^31) and v mod 2^32 in [0, 2^32): over
+// at most 2^31 rows Σ(v>>32) lies inside int64 and Σ(v mod 2^32) below
+// 2^63, so both come out exact from their wrapping sums — the second as
+// Σv − 2^32·Σ(v>>32) mod 2^64 — and the Int128 of the two is Σv exactly,
+// at every width, MinBase and First (engine.rangeFold's split). A chunk
+// that starts on the payload's 64-field grid (at a row ≡ 1 mod 64)
+// unpacks as whole generated-kernel groups, plus the page's last
+// partial group. Like ScanFold it is all or nothing — on an error the
+// scanner has not moved — and leaves pipeline.values_unpacked to its
+// caller.
+//
+//etsqp:hotpath
+//etsqp:noescape
+func (s *RangeScanner) SumNext(scratch []int64) (n int, sum encoding.Int128, err error) {
+	if s.b.Order != ts2diff.Order1 {
+		return 0, sum, errNotOrder1
+	}
+	fields := scratch[:min(len(scratch), s.b.Count-s.row)]
+	n = len(fields)
+	v := uint64(s.cur)
+	var total, high uint64
+	if s.row == 0 && n > 0 {
+		// Row 0 is First and consumes no field.
+		v = uint64(s.b.First)
+		total, high = v, uint64(s.b.First>>32)
+		fields = fields[1:]
+	}
+	if err := s.r.ReadFields(fields, s.b.Width); err != nil {
+		return 0, sum, err
+	}
+	minBase := uint64(s.b.MinBase)
+	for _, f := range fields {
+		v += minBase + uint64(f)
+		total += v
+		high += uint64(int64(v) >> 32)
+	}
+	s.row, s.cur = s.row+n, int64(v)
+	return n, sum.AddMul(int64(high), 1<<32).AddInt64(int64(total - high<<32)), nil
 }
 
 // next2 advances an order-2 scan by len(dst) rows via the two-level
